@@ -1,0 +1,74 @@
+"""Byte-for-byte golden reports: the guard for refactors that keep behaviour.
+
+Each case is the argv of one ``pcflab`` run, its exit code and the report
+file it must write.  The goldens live in ``tests/golden/`` next to the map
+files they use; map-file runs start in that directory, so a report's
+``source`` field is the bare file name.
+
+The goldens pin today's reports, findings included.  In particular the
+containment audit of ``fs-1992-a`` and of its dense conjugate reports
+``fail`` on the three period-3 lines.  That is a known fault, not a property
+of the maps: the audit compares the critical points of f^3 on a line with
+the critical lines of f only, so critical points of f^3 that reach a
+critical line of f after one or two steps go unmatched.
+
+After a deliberate report change, regenerate with
+``PYTHONPATH=src python tests/test_golden.py`` and name every changed field
+in the change log.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from pcflab import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# (golden report file, argv without --report, exit code)
+CASES = (
+    ("analyze-squaring-p1.json", ["analyze", "catalog:squaring-p1"], 0),
+    ("analyze-squaring-p2.json", ["analyze", "catalog:squaring-p2"], 0),
+    ("analyze-fs-1992-a.json", ["analyze", "catalog:fs-1992-a"], 0),
+    # adj(A) o fs-1992-a o A for A = [[2,-1,1],[1,3,-2],[-1,1,2]]: dense,
+    # so the coefficient heights exercise rational-root factor candidates.
+    ("analyze-fs-1992-a-conj.json", ["analyze", "fs-1992-a-conj.json"], 0),
+    # Sym^2 of squaring, (x^2 : y^2 - 2xz : z^2): the only input with a
+    # non-linear post-critical component (the conic 4xz - y^2).
+    ("analyze-sym2.json", ["analyze", "sym2.json"], 0),
+    ("periodic-1-squaring-p2.json",
+     ["periodic", "catalog:squaring-p2", "--period", "1"], 0),
+    ("periodic-1-fs-1992-a.json",
+     ["periodic", "catalog:fs-1992-a", "--period", "1"], 0),
+    ("periodic-3-squaring-p1.json",
+     ["periodic", "catalog:squaring-p1", "--period", "3"], 0),
+    ("fatou-squaring-p2.json",
+     ["fatou", "catalog:squaring-p2", "--grid", "16", "--radius", "0.9"], 0),
+)
+
+
+def _run(argv, report_path) -> int:
+    cwd = os.getcwd()
+    os.chdir(GOLDEN_DIR)
+    try:
+        return cli.main(argv + ["--report", str(report_path)])
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("golden,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(golden, argv, code, tmp_path, monkeypatch):
+    monkeypatch.delenv("PCFLAB_PRECISION", raising=False)
+    out = tmp_path / golden
+    assert _run(argv, out) == code
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+if __name__ == "__main__":
+    os.environ.pop("PCFLAB_PRECISION", None)
+    for golden, argv, code in CASES:
+        got = _run(argv, GOLDEN_DIR / golden)
+        if got != code:
+            sys.exit(f"{golden}: exit {got}, expected {code}")
