@@ -53,6 +53,11 @@ def _int_string(s, what: str, where: str) -> int:
     return int(s)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON booleans load as Python bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_mapfile(obj) -> projmap.ProjectiveMap:
     """Build the exact map described by a MapFile dict, or raise MapFileError."""
     if not isinstance(obj, dict):
@@ -61,9 +66,9 @@ def parse_mapfile(obj) -> projmap.ProjectiveMap:
         if key not in obj:
             raise MapFileError(f"missing required key {key!r}")
     k, degree, components = obj["k"], obj["degree"], obj["components"]
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise MapFileError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise MapFileError(f"degree must be a positive integer, got {degree!r}")
     if not isinstance(components, list) or len(components) != k + 1:
         raise MapFileError(
@@ -89,7 +94,7 @@ def parse_mapfile(obj) -> projmap.ProjectiveMap:
             exps = term["exps"]
             if (not isinstance(exps, list)
                     or len(exps) != k + 1
-                    or any(not isinstance(e, int) or e < 0 for e in exps)):
+                    or any(not _is_int(e) or e < 0 for e in exps)):
                 raise MapFileError(
                     f"{where}: exps must be {k + 1} non-negative integers, got {exps!r}"
                 )
@@ -373,9 +378,9 @@ def cmd_analyze(args) -> int:
         return code
     precision = numeric.resolve_precision(args.precision)
     try:
-        crit = pcf.critical_components(work, args.height)
         graph, verdict = pcf.postcritical_graph(
             work, args.max_iter, args.max_degree, args.height, precision)
+        crit = tuple(n for n in graph.nodes if n in graph.critical)
         report["pcf"] = _pcf_json(graph, verdict)
         if not verdict.ok:
             print(f"post-critical closure did not certify: {verdict.status}"
@@ -420,12 +425,8 @@ def cmd_periodic(args) -> int:
         for q in range(1, args.period + 1):
             pts = periodic.find_periodic(work, q, precision)
             rows.append(periodic.bezout_audit(work, q, pts, precision))
-    except (periodic.BudgetError, projmap.DegreeCapError) as exc:
-        report["map"]["note"] = f"aborted: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(report, args.report)
-        return EXIT_RESOURCE
-    except (periodic.PeriodicError, numeric.NumericalError) as exc:
+    except (periodic.BudgetError, projmap.DegreeCapError,
+            periodic.PeriodicError, numeric.NumericalError) as exc:
         report["map"]["note"] = f"aborted: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         _emit(report, args.report)

@@ -20,10 +20,9 @@ linear-factor extraction for binary and ternary forms.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class PolynomialError(ValueError):
@@ -809,32 +808,41 @@ def det(matrix: Sequence[Sequence[HomPoly]]) -> HomPoly:
 # -- linear factor extraction ---------------------------------------------
 
 
-def _binary_linear_candidates(height: int) -> Iterator[tuple]:
-    """Primitive sign-normalized (a, b) pairs with max(|a|,|b|) <= height."""
-    seen = set()
-    for h in range(0, height + 1):
-        for a, b in itertools.product(range(-h, h + 1), repeat=2):
-            if max(abs(a), abs(b)) != h or (a == 0 and b == 0):
-                continue
-            g = int_gcd(abs(a), abs(b))
-            a2, b2 = a // g, b // g
-            if a2 < 0 or (a2 == 0 and b2 < 0):
-                a2, b2 = -a2, -b2
-            if (a2, b2) not in seen:
-                seen.add((a2, b2))
-                yield (a2, b2)
-
-
 def _binary_linear_factors(p: HomPoly, height: int) -> list:
-    """All linear factors (a*x0 + b*x1) of a binary form with coefficient
-    height at most ``height``, found by exhaustive search; each pair is
-    primitive with canonical sign."""
-    found = []
-    for a, b in _binary_linear_candidates(height):
-        # a*x0 + b*x1 vanishes at (x0, x1) = (-b, a).
-        if p.evaluate((Fraction(-b), Fraction(a))) == 0:
-            found.append((a, b))
+    """All linear factors (a*x0 + b*x1) of a nonzero binary form with
+    coefficient height at most ``height``; each pair is primitive with
+    canonical sign.
+
+    Candidates come from the rational root theorem.  With the coordinate
+    factors stripped and the form scaled to integers, Gauss's lemma gives
+    a dividing the x0^d coefficient and b dividing the x1^d coefficient,
+    so only divisors of absolute value at most ``height`` are tried, each
+    confirmed by exact evaluation at the root (-b : a).
+    """
+    if height < 1:
+        return []
+    coord_factors, q = _strip_variable_factors(p)
+    # x0 is the pair (1, 0) and x1 the pair (0, 1): the exponent tuple.
+    found = [next(iter(form.terms)) for form, _mult in coord_factors]
+    if q.is_constant():
+        return found
+    q = int_primitive(q)
+    lead = _small_divisors(q.terms[(q.degree, 0)], height)
+    trail = _small_divisors(q.terms[(0, q.degree)], height)
+    for a in lead:
+        for b in trail:
+            if int_gcd(a, b) != 1:
+                continue
+            for sb in (b, -b):
+                if q.evaluate((-sb, a)) == 0:
+                    found.append((a, sb))
     return found
+
+
+def _small_divisors(n: Fraction, bound: int) -> list:
+    """Positive divisors of the nonzero integer ``n`` up to ``bound``."""
+    n = abs(int(n))
+    return [k for k in range(1, min(n, bound) + 1) if n % k == 0]
 
 
 def _strip_variable_factors(q: HomPoly):
@@ -872,12 +880,14 @@ def linear_factors(p: HomPoly, height: int = 20, candidates: Iterable[HomPoly] =
     Returns ``(factors, residual)`` where ``factors`` is a list of
     ``(canonical linear form, multiplicity)`` pairs and ``residual`` is the
     exact cofactor, so that the product of all returned factor powers times
-    the residual equals ``p``.  The search covers every candidate
-    coefficient vector of height at most ``height`` (for ternary forms the
-    sweep runs over the three coordinate-plane restrictions, whose linear
-    factors determine every ternary candidate of that height), augmented by
-    any caller-supplied candidate forms, each confirmed by exact division.
-    A non-constant residual therefore has no rational linear factor of
+    the residual equals ``p``.  The candidates come from the rational root
+    theorem within ``height``: for a binary form, every primitive
+    a*x0 + b*x1 of height at most ``height`` with a dividing the x0^d
+    coefficient and b dividing the x1^d coefficient; for a ternary form,
+    the recombined linear factors of its three coordinate-plane
+    restrictions, found the same way.  Caller-supplied candidate forms are
+    added, and every candidate is confirmed by exact division.  A
+    non-constant residual therefore has no rational linear factor of
     height <= ``height``, but may still factor further.
     """
     if p.nvars not in (2, 3):
@@ -891,7 +901,7 @@ def linear_factors(p: HomPoly, height: int = 20, candidates: Iterable[HomPoly] =
     cand_vectors = []
     if not q.is_constant():
         if p.nvars == 2:
-            cand_vectors = [v for v in _binary_linear_candidates(height)]
+            cand_vectors = _binary_linear_factors(q, height)
         else:
             cand_vectors = _ternary_candidates(q, height)
     seen = {v for v in cand_vectors}
@@ -934,9 +944,9 @@ def _ternary_candidates(q: HomPoly, height: int) -> list:
     """Candidate ternary linear coefficient vectors of height <= ``height``.
 
     A linear factor a*x + b*y + c*z of q restricts to a linear factor of
-    each coordinate-plane slice of q, so sweeping the (complete) binary
-    factor lists of the three slices and recombining them reaches every
-    ternary factor whose coefficients stay within the height bound.
+    each coordinate-plane slice of q, so recombining the (complete) binary
+    factor lists of the three slices reaches every ternary factor whose
+    coefficients stay within the height bound.
     """
     sl_z = _slice_poly(q, 2)
     sl_y = _slice_poly(q, 1)

@@ -308,8 +308,13 @@ def primitivize(comps: Sequence[HomPoly]):
             for c in comps
         ]
         reduced = True
-    # Joint scalar normalization: integer coefficients, overall content 1,
-    # first nonzero component sign-normalized.
+    return _normalize_scalars(comps), reduced
+
+
+def _normalize_scalars(comps: Sequence[HomPoly]) -> list:
+    """Joint scalar normalization of a component tuple: integer
+    coefficients, overall content 1, first nonzero component
+    sign-normalized.  No polynomial factor is removed."""
     from math import gcd as int_gcd
 
     den = 1
@@ -320,12 +325,14 @@ def primitivize(comps: Sequence[HomPoly]):
     for c in comps:
         for q in c.terms.values():
             num = int_gcd(num, abs(q.numerator * (den // q.denominator)))
+    if num == 0:
+        raise MapError("all components vanish identically")
     scale = Fraction(den, num)
     comps = [c.scale(scale) for c in comps]
     first = next(c for c in comps if not c.is_zero())
     if first.leading()[1] < 0:
         comps = [c.scale(-1) for c in comps]
-    return comps, reduced
+    return comps
 
 
 def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationResult:
@@ -468,7 +475,14 @@ def _search_common_zero(comps, precision: int) -> Optional[str]:
 
 
 def iterate(m: ProjectiveMap, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> ProjectiveMap:
-    """The n-th iterate as an explicit primitive tuple of forms."""
+    """The n-th iterate as an explicit primitive tuple of forms.
+
+    Precondition: m is well-defined (as certified by ``validate``).  Then
+    the components of m o m^(n-1) have no common factor, because a factor
+    would vanish at some point p and make m^(n-1)(p), which is not the
+    origin, a common zero of m.  So only the scalar content is normalized;
+    no polynomial gcd is taken.
+    """
     if n < 1:
         raise MapError("iterate count must be >= 1")
     if m.d**n > degree_cap:
@@ -478,8 +492,7 @@ def iterate(m: ProjectiveMap, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> P
     current = m
     for _ in range(n - 1):
         comps = [poly.compose(c, current.comps) for c in m.comps]
-        comps, _ = primitivize(comps)
-        current = ProjectiveMap(comps)
+        current = ProjectiveMap(_normalize_scalars(comps))
     return current
 
 
@@ -505,6 +518,11 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
 
     Raises RestrictionError when the image of the source subspace does not
     lie in the target subspace (the system has no exact solution).
+
+    Precondition: m is well-defined (as certified by ``validate``).  Then g
+    has no common factor, because a factor would vanish at some point of
+    P^r whose image under the source embedding is a common zero of m.  So
+    only the scalar content is normalized; no polynomial gcd is taken.
     """
     if source.ambient_dim != m.k or target.ambient_dim != m.k:
         raise MapError("embedding ambient dimension does not match the map")
@@ -544,8 +562,7 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
             if g_e[a]:
                 new_terms[a][e] = g_e[a]
     comps = [HomPoly(r + 1, m.d, t) for t in new_terms]
-    comps, _ = primitivize(comps)
-    return ProjectiveMap(comps)
+    return ProjectiveMap(_normalize_scalars(comps))
 
 
 def _independent_rows(matrix, need: int) -> list:

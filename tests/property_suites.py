@@ -78,6 +78,28 @@ def random_triangular_map(rng, k, d):
     return projmap.ProjectiveMap(comps)
 
 
+def _random_invertible(rng, size):
+    while True:
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(size)]
+                for _ in range(size)]
+        if projmap.exact_rank(rows) == size:
+            return rows
+
+
+def conjugate(m, a_rows):
+    """A^-1 after m after A, exact, without any normalization."""
+    inv = projmap.invert_matrix(a_rows)
+    subs = [poly.linear_form(row) for row in a_rows]
+    pushed = [poly.compose(c, subs) for c in m.comps]
+    comps = []
+    for row in inv:
+        acc = poly.zero(m.k + 1, m.d)
+        for coeff, q in zip(row, pushed):
+            acc = acc + q.scale(coeff)
+        comps.append(acc)
+    return projmap.ProjectiveMap(comps)
+
+
 # -- poly suites ---------------------------------------------------------------
 
 
@@ -242,10 +264,15 @@ def suite_linear_factors(n=500, seed=107):
 
 
 def suite_iterate_additivity(n=500, seed=201):
-    """Iterate composition laws on random well-defined maps.
+    """Iterate and restriction laws on random well-defined maps.
 
     Nesting multiplies exponents ((f^a)^b = f^(ab)) and composing adds them
     (f^a after f^b = f^(a+b)); both must hold as exact primitive tuples.
+    iterate and restrict normalize scalars only, so on a well-defined map
+    their tuples must equal primitivize (with its gcd) of the same tuple.
+    Restrictions run on a conjugate A^-1 f A, which stays well-defined: in
+    P^2 the line A^-1{z = 0} is invariant, and in P^1 the restriction to
+    the whole line along A is a second conjugation.
     """
     rng = random.Random(seed)
     count = 0
@@ -261,9 +288,23 @@ def suite_iterate_additivity(n=500, seed=201):
         nested = projmap.iterate(projmap.iterate(m, a), b)
         assert nested.comps == projmap.iterate(m, a * b).comps
         fa, fb = projmap.iterate(m, a), projmap.iterate(m, b)
-        composed, _ = projmap.primitivize(
+        composed, reduced = projmap.primitivize(
             [poly.compose(c, list(fb.comps)) for c in fa.comps])
+        assert not reduced
         assert tuple(composed) == projmap.iterate(m, a + b).comps
+
+        a_rows = _random_invertible(rng, k + 1)
+        conj = conjugate(m, a_rows)
+        if k == 1:
+            line = projmap.LinearEmbedding(tuple(map(tuple, a_rows)))
+        else:
+            # the triangular map's last component is c*z^d
+            line = projmap.embedding_for_hyperplane(poly.linear_form(a_rows[2]))
+        g = projmap.restrict(conj, line, line)
+        assert projmap.primitivize(g.comps) == (list(g.comps), False)
+        if a == 1:
+            assert projmap.restrict(projmap.iterate(conj, 2), line, line) == \
+                projmap.iterate(g, 2)
         count += 1
     return count
 

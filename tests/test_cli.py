@@ -84,6 +84,25 @@ class TestParseDiagnostics:
         assert report["pcf"] == reference["pcf"]
         assert report["tower"] == reference["tower"]
 
+    @pytest.mark.parametrize("field,where", [
+        ("k", "k must be"),
+        ("degree", "degree must be"),
+        ("exps", "component 0 term 0"),
+    ])
+    def test_booleans_rejected(self, tmp_path, capsys, field, where):
+        # JSON true loads as Python True, which is an int; the schema
+        # defines integers only.
+        data = catalog.to_mapfile(catalog.get("squaring-p1").map)
+        if field == "exps":
+            data["components"][0][0]["exps"] = [True, True]
+        else:
+            data[field] = True
+        path = _write_mapfile(tmp_path, data)
+        code, out, err = _run(capsys, "analyze", path)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert where in err
+
     def test_unknown_catalog_name(self, capsys):
         code, _out, err = _run(capsys, "analyze", "catalog:nope")
         assert code == cli.EXIT_PARSE

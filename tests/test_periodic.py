@@ -200,17 +200,7 @@ class TestBezout:
 
 class TestCoordinateChangeInvariance:
     def _conjugate(self, m, a_rows):
-        # g = A^-1 after f after A, all exact.
-        inv = projmap.invert_matrix([list(r) for r in a_rows])
-        subs = [poly.linear_form(list(row)) for row in a_rows]
-        pushed = [poly.compose(c, subs) for c in m.comps]
-        comps = []
-        for i in range(len(pushed)):
-            acc = poly.zero(m.k + 1, m.d)
-            for j, q in enumerate(pushed):
-                acc = acc + q.scale(inv[i][j])
-            comps.append(acc)
-        comps, _ = projmap.primitivize(comps)
+        comps, _ = projmap.primitivize(ps.conjugate(m, a_rows).comps)
         return projmap.ProjectiveMap(comps)
 
     def test_spectrum_invariant(self):

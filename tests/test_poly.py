@@ -1,6 +1,9 @@
 """Exact polynomial layer: frozen desk values plus seeded randomized laws."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -197,3 +200,144 @@ class TestRandomizedLaws:
 
     def test_linear_factors(self):
         assert ps.suite_linear_factors(n=60) >= 60
+
+
+# -- oracle: the exhaustive height sweep --------------------------------------
+#
+# The sweep tries every primitive candidate of height <= H.  linear_factors
+# tries only rational-root candidates, and must still return exactly what
+# the sweep returns: the same factors, multiplicities and residual.
+
+
+def _sweep_pairs(height):
+    """Primitive sign-normalized (a, b) pairs with max(|a|,|b|) <= height."""
+    seen = set()
+    for h in range(0, height + 1):
+        for a, b in itertools.product(range(-h, h + 1), repeat=2):
+            if max(abs(a), abs(b)) != h or (a == 0 and b == 0):
+                continue
+            g = gcd(abs(a), abs(b))
+            a2, b2 = a // g, b // g
+            if a2 < 0 or (a2 == 0 and b2 < 0):
+                a2, b2 = -a2, -b2
+            if (a2, b2) not in seen:
+                seen.add((a2, b2))
+                yield (a2, b2)
+
+
+def _sweep_binary_roots(p, height):
+    return [(a, b) for a, b in _sweep_pairs(height)
+            if p.evaluate((Fraction(-b), Fraction(a))) == 0]
+
+
+def _normalized(vec):
+    g = gcd(*vec)
+    vec = tuple(v // g for v in vec)
+    lead = next(v for v in vec if v)
+    return vec if lead > 0 else tuple(-v for v in vec)
+
+
+def _slice(q, i):
+    keep = [j for j in range(3) if j != i]
+    terms = {tuple(e[j] for j in keep): c for e, c in q.terms.items() if e[i] == 0}
+    return HomPoly(2, q.degree, terms)
+
+
+def _sweep_ternary_candidates(q, height):
+    sl_z, sl_y, sl_x = _slice(q, 2), _slice(q, 1), _slice(q, 0)
+    out = set()
+    if not sl_z.is_zero() and not sl_y.is_zero():
+        for a1, b1 in _sweep_binary_roots(sl_z, height):
+            for a2, c2 in _sweep_binary_roots(sl_y, height):
+                if a1 and a2:
+                    vec = _normalized((a1 * a2, b1 * a2, c2 * a1))
+                    if max(abs(x) for x in vec) <= height:
+                        out.add(vec)
+    if not sl_x.is_zero():
+        for b3, c3 in _sweep_binary_roots(sl_x, height):
+            if b3 and c3:
+                out.add(_normalized((0, b3, c3)))
+    return sorted(out)
+
+
+def _sweep_linear_factors(p, height, candidates=()):
+    found = []
+    q = p
+    for i in range(p.nvars):
+        m = q.min_var_degree(i)
+        if m > 0 and not q.is_constant():
+            found.append((poly.variable(p.nvars, i), m))
+            q = poly.exact_divide(q, poly.variable(p.nvars, i) ** m)
+    vectors = []
+    if not q.is_constant():
+        vectors = (list(_sweep_pairs(height)) if p.nvars == 2
+                   else _sweep_ternary_candidates(q, height))
+    for extra in candidates:
+        vec = [Fraction(0)] * p.nvars
+        for e, c in extra.terms.items():
+            vec[e.index(1)] = c
+        den = 1
+        for c in vec:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ivec = _normalized(tuple(int(c * den) for c in vec))
+        if ivec not in vectors:
+            vectors.append(ivec)
+    vectors.sort(key=lambda v: (max(abs(x) for x in v), v))
+    for vec in vectors:
+        if q.is_constant():
+            break
+        if sum(1 for x in vec if x) < 2:
+            continue
+        form = poly.linear_form(vec)
+        mult = 0
+        while (quotient := poly.exact_divide(q, form)) is not None:
+            q = quotient
+            mult += 1
+        if mult:
+            found.append((form, mult))
+    found.sort(key=lambda fm: fm[0].sort_key())
+    return found, q
+
+
+def _primitive_linear(rng, nvars, height, exact=False):
+    """A random primitive linear form with two or more nonzero coefficients
+    and height <= ``height`` (exactly ``height`` when ``exact``)."""
+    while True:
+        vec = [rng.randint(-height, height) for _ in range(nvars)]
+        if exact:
+            vec[rng.randrange(nvars)] = rng.choice((height, -height))
+        if sum(1 for v in vec if v) >= 2 and gcd(*vec) == 1:
+            return poly.linear_form(vec)
+
+
+def _random_factor_instance(rng):
+    """(form, height, extra candidates, out-of-height factor or None)."""
+    nvars = rng.choice((2, 3))
+    height = 20 if rng.random() < 0.05 else rng.choice((2, 3, 5, 8))
+    p = poly.constant(nvars, Fraction(ps._coeff(rng), rng.randint(1, 6)))
+    for _ in range(rng.randint(0, 3)):
+        p = p * _primitive_linear(rng, nvars, height) ** rng.randint(1, 3)
+    if rng.random() < 0.5:
+        p = p * poly.variable(nvars, rng.randrange(nvars)) ** rng.randint(1, 2)
+    if rng.random() < 0.3:
+        p = p * ps.random_form(rng, nvars, 2)
+    beyond = None
+    if rng.random() < 0.5:
+        beyond = _primitive_linear(rng, nvars, height + 1, exact=True)
+        p = p * beyond
+    extra = []
+    if beyond is not None and rng.random() < 0.3:
+        extra.append(beyond.scale(Fraction(rng.randint(1, 3), rng.randint(1, 3))))
+        beyond = None
+    return p, height, extra, beyond
+
+
+def test_linear_factors_match_exhaustive_sweep():
+    rng = random.Random(108)
+    for _ in range(300):
+        p, height, extra, beyond = _random_factor_instance(rng)
+        got = poly.linear_factors(p, height=height, candidates=extra)
+        assert got == _sweep_linear_factors(p, height, extra), poly.format_poly(p)
+        if beyond is not None:
+            assert all(form != poly.canonical(beyond) for form, _ in got[0])
+            assert poly.exact_divide(got[1], beyond) is not None
