@@ -42,6 +42,9 @@ CASES = (
      ["periodic", "catalog:squaring-p2", "--period", "1"], 0),
     ("periodic-1-fs-1992-a.json",
      ["periodic", "catalog:fs-1992-a", "--period", "1"], 0),
+    ("periodic-2-fs-1992-a.json",
+     ["periodic", "catalog:fs-1992-a", "--period", "2"], 0),
+    ("periodic-2-sym2.json", ["periodic", "sym2.json", "--period", "2"], 0),
     ("periodic-3-squaring-p1.json",
      ["periodic", "catalog:squaring-p1", "--period", "3"], 0),
     ("fatou-squaring-p2.json",
