@@ -420,11 +420,11 @@ def cmd_periodic(args) -> int:
         return code
     precision = numeric.resolve_precision(args.precision)
     try:
-        audit = periodic.eigenvalue_audit(work, args.period, precision)
-        rows = []
-        for q in range(1, args.period + 1):
-            pts = periodic.find_periodic(work, q, precision)
-            rows.append(periodic.bezout_audit(work, q, pts, precision))
+        found = [periodic.find_periodic(work, q, precision)
+                 for q in range(1, args.period + 1)]
+        audit = periodic.eigenvalue_audit(work, args.period, precision, found)
+        rows = [periodic.bezout_audit(work, q, pts, precision)
+                for q, pts in enumerate(found, 1)]
     except (periodic.BudgetError, projmap.DegreeCapError,
             periodic.PeriodicError, numeric.NumericalError) as exc:
         report["map"]["note"] = f"aborted: {exc}"

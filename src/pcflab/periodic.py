@@ -3,8 +3,11 @@
 Period-l points are isolated by exact elimination per affine chart: the
 fixed-point conditions of the l-th iterate, with the chart's coordinate
 factors stripped, feed the two-form solver on P^2 or the binary root finder
-on P^1.  Candidates from every chart are merged, Newton-verified against
-the map itself, and annotated with minimal periods.
+on P^1.  Charts are solved in order and their candidates merged, verified
+against the map itself, and annotated with minimal periods.  The solve
+stops at the first chart where the fixed-point count certifies the points:
+once the fixed locus is proven finite, (D^(k+1)-1)/(D-1) distinct verified
+points of the degree-D iterate are all of them, each simple.
 
 Multiplier spectra chain single-step chart-transition Jacobians along the
 orbit, each factor evaluated at a max-modulus-normalized representative in
@@ -86,7 +89,15 @@ def _fixed_point_candidates_p1(big: ProjectiveMap, precision: int):
 
 
 def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
-    found = []
+    """Solve the fixed-point system of big chart by chart, in chart order.
+
+    Yields ``(finite, candidates)`` for each chart whose pair of equations
+    is solved, with candidates as ``(point, multiplicity hint)`` pairs.
+    ``finite`` is true when the chart stripped no x_c factor, that is when
+    x_c does not divide big.comps[c]: then the solve itself proves the fixed
+    locus finite, since a fixed curve would either be the invariant line
+    x_c = 0 or leave a common factor, on which the solver raises.
+    """
     for chart in range(3):
         others = [i for i in range(3) if i != chart]
         xc = poly.variable(3, chart)
@@ -94,31 +105,32 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
         for i in others:
             e = xc * big.comps[i] - poly.variable(3, i) * big.comps[chart]
             if e.is_zero():
-                eqs = None
-                break
-            shift = e.min_var_degree(chart)
-            eqs.append(poly._shift_var(e, chart, -shift))
-        if eqs is None:
-            raise PeriodicError("every point is periodic: the iterate is the identity")
+                raise PeriodicError("every point is periodic: the iterate is the identity")
+            eqs.append(poly._shift_var(e, chart, -e.min_var_degree(chart)))
         try:
             pts, mults = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
         except numeric.NumericalError:
             continue  # chart equations kept a common factor; other charts cover
-        found.extend(zip(pts, mults))
-    if not found:
-        raise PeriodicError("no chart system could be solved")
-    return found
+        yield big.comps[chart].min_var_degree(chart) == 0, list(zip(pts, mults))
 
 
 def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                   degree_cap: int = projmap.DEFAULT_DEGREE_CAP):
     """All points of period dividing l, with minimal periods, by elimination.
 
-    Every affine chart contributes the solutions of its stripped fixed-point
-    system for the l-th iterate; merged candidates are kept only when the
-    map itself moves them by less than a coarse verification tolerance, so
-    spurious chart solutions drop out.  Raises BudgetError when the
-    eliminated degrees exceed the configured budget.
+    Affine charts are solved one at a time for the stripped fixed-point
+    system of the l-th iterate, and their candidates merged as they arrive;
+    a candidate is kept only when the map itself moves it by less than a
+    coarse verification tolerance, so spurious chart solutions drop out.
+
+    The solve stops at the first chart where the count certifies the
+    points: a degree-D map of P^k with finitely many fixed points has
+    (D^(k+1)-1)/(D-1) of them counted with multiplicity.  When some chart
+    solved so far proves the fixed locus finite and that many distinct
+    verified points are known, they are all the points, each simple, so
+    every multiplicity is 1.  Otherwise all charts run and each point keeps
+    the largest eliminant multiplicity hint any chart gave it.  Raises
+    BudgetError when the eliminated degrees exceed the configured budget.
     """
     if l < 1:
         raise PeriodicError("period must be >= 1")
@@ -129,31 +141,36 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             f"> {ELIMINATION_BUDGET}"
         )
     big = projmap.iterate(m, l, degree_cap)
+    expected = sum((m.d**l) ** j for j in range(m.k + 1))
     with mpmath.workprec(precision):
         if m.k == 1:
-            candidates = _fixed_point_candidates_p1(big, precision)
+            # A non-zero binary fixed form has finitely many roots.
+            charts = [(True, _fixed_point_candidates_p1(big, precision))]
         elif m.k == 2:
-            candidates = _fixed_point_candidates_p2(big, precision)
+            charts = _fixed_point_candidates_p2(big, precision)
         else:
             raise PeriodicError(f"periodic points implemented for P^1 and P^2, not P^{m.k}")
         dedup = mpmath.mpf(10) ** (-(precision // 8))
         verify = mpmath.mpf(10) ** (-(precision // 16))
-        merged = []  # (point, mult)
-        for pt, mult in candidates:
-            pt = numeric.normalize_point(pt)[0]
-            hit = None
-            for idx, (known, _km) in enumerate(merged):
-                if numeric.proj_distance(pt, known) < dedup:
-                    hit = idx
-                    break
-            if hit is None:
-                merged.append((pt, mult))
-            elif mult > merged[hit][1]:
-                merged[hit] = (merged[hit][0], mult)
+        merged = []  # [point, mult, residual]
+        finite = certified = False
+        for chart_finite, candidates in charts:
+            finite = finite or chart_finite
+            for pt, mult in candidates:
+                pt = numeric.normalize_point(pt)[0]
+                hit = next((e for e in merged
+                            if numeric.proj_distance(pt, e[0]) < dedup), None)
+                if hit is None:
+                    merged.append([pt, mult, numeric.proj_distance(_apply_n(m, pt, l), pt)])
+                elif mult > hit[1]:
+                    hit[1] = mult
+            if finite and sum(1 for e in merged if e[2] < verify) == expected:
+                certified = True
+                break
+        if not merged:
+            raise PeriodicError("no chart system could be solved")
         out = []
-        for pt, mult in merged:
-            moved = _apply_n(m, pt, l)
-            residual = numeric.proj_distance(moved, pt)
+        for pt, mult, residual in merged:
             if residual >= verify:
                 continue  # spurious chart solution
             period = l
@@ -162,7 +179,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                     if numeric.proj_distance(_apply_n(m, pt, q), pt) < dedup:
                         period = q
                         break
-            out.append(PeriodicPoint(pt, period, l, residual, mult))
+            out.append(PeriodicPoint(pt, period, l, residual, 1 if certified else mult))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point)))
     return out
 
@@ -347,10 +364,14 @@ def _audit_classes(label: str, classes):
 
 
 def eigenvalue_audit(m: ProjectiveMap, max_period: int,
-                     precision: Optional[int] = None) -> AuditReport:
+                     precision: Optional[int] = None,
+                     points: Optional[Sequence[Sequence[PeriodicPoint]]] = None
+                     ) -> AuditReport:
     """Audit every periodic point of period <= max_period.
 
-    Hard violations are attracting non-zero or root-of-unity eigenvalues,
+    ``points[l-1]``, when given, is the result of ``find_periodic(m, l)``
+    for l = 1..max_period; otherwise each period is solved here.  Hard
+    violations are attracting non-zero or root-of-unity eigenvalues,
     and non-nilpotent spectra with no repelling direction; numerically
     undecidable neutral values are reported as findings, never violations.
     """
@@ -362,7 +383,8 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
     with mpmath.workprec(precision):
         dedup = mpmath.mpf(10) ** (-(precision // 8))
         for l in range(1, max_period + 1):
-            for pp in find_periodic(m, l, precision):
+            found = find_periodic(m, l, precision) if points is None else points[l - 1]
+            for pp in found:
                 if pp.period != l:
                     continue  # already audited at its minimal period
                 if any(numeric.proj_distance(pp.point, q) < dedup for q in seen):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pcflab import catalog, numeric, periodic, poly, projmap
+from pcflab import catalog, cli, numeric, periodic, poly, projmap
 
 import property_suites as ps
 
@@ -36,6 +36,28 @@ def _diagonal(c0, c1, c2):
 
 def _close(a, b, bound):
     return mpmath.fabs(numeric.mpc_from(a) - numeric.mpc_from(b)) < bound
+
+
+def _conjugate(m, a_rows):
+    """adj(A) o m o A with primitive integer coefficients."""
+    comps, _ = projmap.primitivize(ps.conjugate(m, a_rows).comps)
+    return projmap.ProjectiveMap(comps)
+
+
+# Matrices whose conjugates of the squaring map exposed periodic-solver faults.
+B_ROWS = [[1, -3, 3], [2, -2, 3], [1, -2, 2]]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestFindPeriodic:
@@ -198,11 +220,43 @@ class TestBezout:
         assert count.ok
 
 
-class TestCoordinateChangeInvariance:
-    def _conjugate(self, m, a_rows):
-        comps, _ = projmap.primitivize(ps.conjugate(m, a_rows).comps)
-        return projmap.ProjectiveMap(comps)
+class TestCountCertificate:
+    def test_cli_solves_each_period_once(self, monkeypatch, tmp_path):
+        calls = _count_calls(monkeypatch, periodic, "find_periodic")
+        out = tmp_path / "report.json"
+        code = cli.main(["periodic", "catalog:squaring-p2", "--period", "2",
+                         "--report", str(out)])
+        assert code == cli.EXIT_OK
+        assert [args[1] for args in calls] == [1, 2]
 
+    def test_fs_certified_by_first_chart(self, monkeypatch):
+        calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
+        for l, want in ((1, 7), (2, 21)):
+            del calls[:]
+            pts = periodic.find_periodic(_fs(), l, 256)
+            assert len(calls) == 1, l
+            assert len(pts) == want
+            assert all(p.multiplicity == 1 for p in pts)
+
+    def test_squaring_never_certifies(self, monkeypatch):
+        # Every chart of x_i^(2^l) strips an x_c factor, so no chart proves
+        # the fixed locus finite and all three run.
+        calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
+        for l, want in ((1, 7), (2, 21)):
+            del calls[:]
+            count = periodic.bezout_audit(_squaring_p2(), l, precision=256)
+            assert len(calls) == 3, l
+            assert (count.distinct, count.weighted) == (want, want)
+
+    def test_certificate_resets_overcounted_multiplicities(self):
+        # Over all charts, eliminant hints above 1 survive at simple points
+        # of this conjugate and the weighted count reads 9.
+        m = _conjugate(_squaring_p2(), B_ROWS)
+        count = periodic.bezout_audit(m, 1, precision=256)
+        assert (count.distinct, count.weighted) == (7, 7)
+
+
+class TestCoordinateChangeInvariance:
     def test_spectrum_invariant(self):
         import random
         rng = random.Random(77)
@@ -217,7 +271,7 @@ class TestCoordinateChangeInvariance:
                         for _ in range(3)]
                 if projmap.exact_rank(rows) != 3:
                     continue
-                g = self._conjugate(m, rows)
+                g = _conjugate(m, rows)
                 inv = projmap.invert_matrix(rows)
                 moved = tuple(
                     sum(inv[i][j] * fixed[j] for j in range(3))
