@@ -136,7 +136,7 @@ def _polyroots(coeffs, precision: int):
     for maxsteps, extra in ((60, 32), (200, precision // 2), (800, precision)):
         try:
             return mpmath.polyroots(coeffs, maxsteps=maxsteps, extraprec=extra)
-        except Exception:
+        except mpmath.libmp.NoConvergence:
             continue
     raise NumericalError("polynomial root finding did not converge")
 
@@ -315,11 +315,12 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
         if da == 0 and db == 0:
             continue
         if da == 0:
-            eliminant, backsub = a, b
+            eliminant = a
         elif db == 0:
-            eliminant, backsub = b, a
+            eliminant = b
         else:
-            eliminant, backsub = poly.resultant_wrt(a, b, elim), a
+            eliminant = poly.resultant_wrt(a, b, elim)
+        backsub, other = (b, a) if da == 0 else (a, b)
         if eliminant.is_zero():
             continue
         eliminant_binary = _drop_var(eliminant, elim)
@@ -331,7 +332,12 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
             if mpmath.fabs(r1) < mpmath.mpf(2) ** (-(precision - 8)):
                 continue  # point at the chart's infinity; other chart logic covers it
             base = r0 / r1
-            for w in _backsub_roots(backsub, keep, elim, base, precision):
+            ws = _backsub_roots(backsub, keep, elim, base, precision)
+            if ws is None:
+                # backsub vanishes on this whole fiber; the other form of
+                # the pair cuts out the fiber's points.
+                ws = _backsub_roots(other, keep, elim, base, precision) or []
+            for w in ws:
                 cand = [None] * 3
                 cand[keep] = base
                 cand[elim] = w
@@ -362,19 +368,22 @@ def _drop_var(p: HomPoly, i: int) -> HomPoly:
 
 
 def _backsub_roots(p: HomPoly, keep: int, elim: int, base, precision: int):
-    """Roots in x_elim of a ternary form at x_keep = base, z = 1."""
-    top = p.var_degree(elim)
-    if top == 0:
-        return []
-    ladder = poly._ladder(p, elim)
-    coeffs = []
+    """Roots in x_elim of a ternary form at x_keep = base, z = 1.
+
+    Returns None when the form vanishes identically on that fiber: every
+    coefficient in x_elim is negligible against the size of the form's
+    coefficients there.
+    """
     point = [None] * 3
     point[keep] = base
     point[elim] = mpc_from(0)
     point[2] = mpc_from(1)
-    for t in range(top, -1, -1):
-        row = ladder[t] if t < len(ladder) else None
-        coeffs.append(eval_form(row, point) if row is not None else mpc_from(0))
+    coeffs = [eval_form(row, point) for row in reversed(poly._ladder(p, elim))]
+    scale = max(mpmath.fabs(mpc_from(c)) for c in p.terms.values())
+    scale *= max(mpmath.mpf(1), mpmath.fabs(base)) ** p.degree
+    tol = scale * mpmath.mpf(10) ** (-(precision // 16))
+    if all(mpmath.fabs(c) <= tol for c in coeffs):
+        return None
     try:
         return univariate_roots(coeffs, precision)
     except NumericalError:

@@ -259,7 +259,9 @@ def multipliers(m: ProjectiveMap, point, period: int,
     The derivative is the ordered product of one-step chart-transition
     Jacobians along the orbit; the eigenvalues come from the closed-form
     solution for k <= 2 and from the characteristic polynomial above that.
-    Sorted by descending modulus for stable reporting.
+    Sorted by descending modulus for stable reporting; moduli that agree
+    within 10^-(precision//8) count as equal and order by (re, im), so a
+    pair such as +-2 does not take its order from rounding noise.
     """
     precision = numeric.resolve_precision(precision)
     partials = [[poly.partial(c, j) for j in range(m.k + 1)] for c in m.comps]
@@ -276,10 +278,22 @@ def multipliers(m: ProjectiveMap, point, period: int,
             step = _chart_jacobian(m, partials, pts[j], charts[j],
                                    charts[(j + 1) % period])
             total = step if total is None else _mat_mul(step, total)
-        eig = _eigenvalues(total, precision)
-        return tuple(sorted(eig, key=lambda v: (-mpmath.fabs(v),
-                                                float(mpmath.re(v)),
-                                                float(mpmath.im(v)))))
+        return _spectrum_order(_eigenvalues(total, precision),
+                               mpmath.mpf(10) ** (-(precision // 8)))
+
+
+def _spectrum_order(eig, tol):
+    def part(x):
+        return 0.0 if mpmath.fabs(x) <= tol else float(x)
+
+    groups = []  # runs of moduli that agree within tol, largest first
+    for v in sorted(eig, key=lambda v: -mpmath.fabs(v)):
+        if groups and mpmath.fabs(groups[-1][-1]) - mpmath.fabs(v) <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return tuple(w for g in groups
+                 for w in sorted(g, key=lambda w: (part(mpmath.re(w)), part(mpmath.im(w)))))
 
 
 # -- classification and audits ------------------------------------------------

@@ -13,8 +13,8 @@ the critical lines of f only, so critical points of f^3 that reach a
 critical line of f after one or two steps go unmatched.
 
 After a deliberate report change, regenerate with
-``PYTHONPATH=src python tests/test_golden.py`` and name every changed field
-in the change log.
+``PYTHONPATH=src python tests/test_golden.py``, which prints the golden
+files whose bytes changed, and name every changed field in the change log.
 """
 
 import os
@@ -71,7 +71,13 @@ def test_report_matches_golden(golden, argv, code, tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("PCFLAB_PRECISION", None)
+    changed = []
     for golden, argv, code in CASES:
-        got = _run(argv, GOLDEN_DIR / golden)
+        path = GOLDEN_DIR / golden
+        before = path.read_bytes() if path.exists() else None
+        got = _run(argv, path)
         if got != code:
             sys.exit(f"{golden}: exit {got}, expected {code}")
+        if path.read_bytes() != before:
+            changed.append(golden)
+    print("changed goldens:", ", ".join(changed) if changed else "none")

@@ -91,6 +91,30 @@ class TestSolvePairP2:
             assert mults == [1] * 9
 
 
+class TestPolyroots:
+    def _fake(self, monkeypatch, exc):
+        calls = []
+
+        def polyroots(coeffs, maxsteps, extraprec):
+            calls.append(maxsteps)
+            raise exc
+
+        monkeypatch.setattr(numeric.mpmath, "polyroots", polyroots)
+        return calls
+
+    def test_no_convergence_escalates_then_fails(self, monkeypatch):
+        calls = self._fake(monkeypatch, mpmath.libmp.NoConvergence("slow"))
+        with pytest.raises(numeric.NumericalError):
+            numeric.univariate_roots([mpmath.mpc(1), mpmath.mpc(-2)], 256)
+        assert calls == [60, 200, 800]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        calls = self._fake(monkeypatch, ZeroDivisionError("bug"))
+        with pytest.raises(ZeroDivisionError):
+            numeric.univariate_roots([mpmath.mpc(1), mpmath.mpc(-2)], 256)
+        assert calls == [60]
+
+
 class TestRationalize:
     def test_recovers_simple_fraction(self):
         with mpmath.workprec(256):

@@ -26,6 +26,23 @@ def _fs():
     return catalog.get("fs-1992-a").map
 
 
+def _sym2():
+    # Squaring on Sym^2(P^1): (x^2 : y^2 - 2xz : z^2).
+    return projmap.ProjectiveMap([
+        _p(3, 2, {(2, 0, 0): 1}),
+        _p(3, 2, {(0, 2, 0): 1, (1, 0, 1): -2}),
+        _p(3, 2, {(0, 0, 2): 1}),
+    ])
+
+
+# Fixed points in closed form.  For Sym^2, (x : y : z) is the root pair of
+# x t^2 - y t + z: the pairs from {0, 1, oo} and the cube roots {w, w^2}.
+SQUARING_P2_FIXED = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                     (0, 1, 1), (1, 1, 1)]
+SYM2_FIXED = [(1, 0, 0), (1, 1, 0), (1, 2, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1),
+              (1, -1, 1)]
+
+
 def _diagonal(c0, c1, c2):
     return projmap.ProjectiveMap([
         _p(3, 2, {(2, 0, 0): c0}),
@@ -44,7 +61,12 @@ def _conjugate(m, a_rows):
     return projmap.ProjectiveMap(comps)
 
 
-# Matrices whose conjugates of the squaring map exposed periodic-solver faults.
+def _mat_vec(rows, vec):
+    return tuple(sum(Fraction(r) * v for r, v in zip(row, vec)) for row in rows)
+
+
+# Matrices whose conjugates of the squaring maps exposed periodic-solver faults.
+A_ROWS = [[3, 0, 0], [2, 3, 1], [0, -2, -1]]
 B_ROWS = [[1, -3, 3], [2, -2, 3], [1, -2, 2]]
 
 
@@ -93,6 +115,22 @@ class TestFindPeriodic:
                 m = catalog.get(name).map
                 for pp in periodic.find_periodic(m, 1, 256):
                     assert pp.residual < tight, name
+
+    @pytest.mark.parametrize("base,fixed", [(_squaring_p2, SQUARING_P2_FIXED),
+                                            (_sym2, SYM2_FIXED)],
+                             ids=["squaring-p2", "sym2"])
+    def test_points_on_invariant_fiber(self, base, fixed):
+        # The conjugate by A keeps the line x = 0 invariant, and the form
+        # first used for back-substitution vanishes on that whole fiber.
+        m = _conjugate(base(), A_ROWS)
+        inv = projmap.invert_matrix(A_ROWS)
+        want = [_mat_vec(inv, p) for p in fixed]
+        pts = periodic.find_periodic(m, 1, 256)
+        assert len(pts) == 7
+        with mpmath.workprec(256):
+            tight = mpmath.mpf(10) ** -40
+            for w in want:
+                assert sum(numeric.proj_distance(pp.point, w) < tight for pp in pts) == 1, w
 
     def test_budget_error(self):
         with pytest.raises(periodic.BudgetError):
@@ -284,6 +322,23 @@ class TestCoordinateChangeInvariance:
                 for a, b in zip(spec, base):
                     assert mpmath.fabs(a - b) < tol
                 done += 1
+
+    def test_equal_moduli_spectra_match_entry_by_entry(self):
+        # Sym^2 has multipliers +-2 at one fixed point; their order must
+        # not depend on the coordinates the map is written in.
+        base = periodic.eigenvalue_audit(_sym2(), 1, 256)
+        conj = periodic.eigenvalue_audit(_conjugate(_sym2(), B_ROWS), 1, 256)
+        assert len(conj.verdicts) == len(base.verdicts) == 7
+        with mpmath.workprec(256):
+            tol = mpmath.mpf(10) ** -25
+            for v in conj.verdicts:
+                moved = _mat_vec(B_ROWS, v.point.point)
+                match = [b for b in base.verdicts
+                         if numeric.proj_distance(b.point.point, moved) < tol]
+                assert len(match) == 1
+                assert len(v.spectrum) == len(match[0].spectrum)
+                for a, b in zip(v.spectrum, match[0].spectrum):
+                    assert mpmath.fabs(a - b) < tol
 
     def test_chart_invariance_suite(self):
         assert ps.suite_chart_invariance(n=60) == 60
