@@ -286,6 +286,17 @@ class TestCountCertificate:
             assert len(calls) == 3, l
             assert (count.distinct, count.weighted) == (want, want)
 
+    def test_chart_finiteness_flags(self):
+        # Chart c proves the fixed locus finite exactly when x_c does not
+        # divide F_c, so that no factor of x_c is stripped.
+        cases = [(_squaring_p2(), [False, False, False]),
+                 (_sym2(), [False, True, False]),
+                 (_fs(), [True, True, True])]
+        for m, want in cases:
+            big = projmap.iterate(m, 1)
+            charts = periodic._fixed_point_candidates_p2(big, 256)
+            assert [finite for finite, _cands in charts] == want
+
     def test_certificate_resets_overcounted_multiplicities(self):
         # Over all charts, eliminant hints above 1 survive at simple points
         # of this conjugate and the weighted count reads 9.
