@@ -49,6 +49,12 @@ CASES = (
      ["periodic", "catalog:squaring-p1", "--period", "3"], 0),
     ("fatou-squaring-p2.json",
      ["fatou", "catalog:squaring-p2", "--grid", "16", "--radius", "0.9"], 0),
+    # Below the default 256 bits, so a tolerance built at the wrong
+    # precision shows.
+    ("periodic-2-sym2-128.json",
+     ["periodic", "sym2.json", "--period", "2", "--precision", "128"], 0),
+    ("analyze-fs-1992-a-conj-128.json",
+     ["analyze", "fs-1992-a-conj.json", "--precision", "128"], 0),
 )
 
 
