@@ -298,6 +298,7 @@ def _fatou_json(candidates, config: Optional[fatou.ScanConfig],
 
 
 def _bounds_json(precision: int, args) -> dict:
+    tol = numeric.tolerances(precision).serialize()
     return {
         "precision_bits": precision,
         "closure": {
@@ -308,8 +309,8 @@ def _bounds_json(precision: int, args) -> dict:
         },
         "periodic": {
             "elimination_budget": periodic.ELIMINATION_BUDGET,
-            "dedup_tol": f"10^-{precision // 8}",
-            "verify_tol": f"10^-{precision // 16}",
+            "dedup_tol": tol["dedup"],
+            "verify_tol": tol["verify"],
         },
         "classify": {
             "eps_zero": periodic.EPS_ZERO,
@@ -318,9 +319,9 @@ def _bounds_json(precision: int, args) -> dict:
             "root_order_max": periodic.Q_MAX,
         },
         "image_pruning": {
-            "sample_tol": f"10^{pcf.PRUNE_TOL_EXP}",
+            "sample_tol": tol["prune_sample"],
             "min_samples": pcf.PRUNE_MIN_SAMPLES,
-            "precision_bits": pcf.PRUNE_PRECISION,
+            "precision_bits": numeric.PRUNE_PRECISION,
         },
         "scan": {
             "tol": getattr(args, "tol", fatou.DEFAULT_TOL),
@@ -347,8 +348,17 @@ def _emit(report: dict, path: Optional[str]) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _abort(report, args, exc) -> int:
+    """Note a resource-bound abort in the report, emit it, and exit 4."""
+    report["map"]["note"] = f"aborted: {exc}"
+    print(f"error: {exc}", file=sys.stderr)
+    _emit(report, args.report)
+    return EXIT_RESOURCE
+
+
 def _load_and_validate(args, report):
-    """Shared ingestion: returns (work map, exit code or None)."""
+    """Shared ingestion: (work map, None), or (None, exit code) after emitting
+    the report unless the input did not parse."""
     try:
         m, mapfile, source = load_input(args.input)
     except MapFileError as exc:
@@ -361,10 +371,12 @@ def _load_and_validate(args, report):
     except projmap.MapError as exc:
         report["map"] = _map_json(source, mapfile, None, note=str(exc))
         print(f"error: {exc}", file=sys.stderr)
+        _emit(report, args.report)
         return None, EXIT_RESOURCE
     report["map"] = _map_json(source, mapfile, vr)
     if not vr.ok:
         print(f"degenerate map: {vr.witness}", file=sys.stderr)
+        _emit(report, args.report)
         return None, EXIT_DEGENERATE
     return vr.map, None
 
@@ -373,8 +385,6 @@ def cmd_analyze(args) -> int:
     report = _skeleton()
     work, code = _load_and_validate(args, report)
     if work is None:
-        if code != EXIT_PARSE:
-            _emit(report, args.report)
         return code
     precision = numeric.resolve_precision(args.precision)
     try:
@@ -400,10 +410,7 @@ def cmd_analyze(args) -> int:
             report["degree_checks"] = _degree_json(
                 pcf.topdeg_check(levels[0], work.d))
     except (projmap.DegreeCapError, pcf.PcfError, numeric.NumericalError) as exc:
-        report["map"]["note"] = f"aborted: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(report, args.report)
-        return EXIT_RESOURCE
+        return _abort(report, args, exc)
     _emit(report, args.report)
     return EXIT_OK
 
@@ -415,8 +422,6 @@ def cmd_periodic(args) -> int:
     report = _skeleton()
     work, code = _load_and_validate(args, report)
     if work is None:
-        if code != EXIT_PARSE:
-            _emit(report, args.report)
         return code
     precision = numeric.resolve_precision(args.precision)
     try:
@@ -427,10 +432,7 @@ def cmd_periodic(args) -> int:
                 for q, pts in enumerate(found, 1)]
     except (periodic.BudgetError, projmap.DegreeCapError,
             periodic.PeriodicError, numeric.NumericalError) as exc:
-        report["map"]["note"] = f"aborted: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(report, args.report)
-        return EXIT_RESOURCE
+        return _abort(report, args, exc)
     report["periodic"] = _periodic_json(args.period, rows, audit)
     report["theorem_b"] = _theorem_b_json(audit)
     for line in audit.violations:
@@ -500,8 +502,6 @@ def cmd_fatou(args) -> int:
     report = _skeleton()
     work, code = _load_and_validate(args, report)
     if work is None:
-        if code != EXIT_PARSE:
-            _emit(report, args.report)
         return code
     precision = numeric.resolve_precision(args.precision)
     try:
@@ -534,10 +534,7 @@ def cmd_fatou(args) -> int:
         return EXIT_PARSE
     except (projmap.DegreeCapError, pcf.PcfError, periodic.BudgetError,
             numeric.NumericalError, fatou.FatouError) as exc:
-        report["map"]["note"] = f"aborted: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(report, args.report)
-        return EXIT_RESOURCE
+        return _abort(report, args, exc)
     try:
         center_text = args.center if args.center is not None else ",".join("0" * work.k)
         center = _parse_center(center_text, work.k)
@@ -545,10 +542,7 @@ def cmd_fatou(args) -> int:
         config = fatou.ScanConfig(chart, center, args.radius, args.grid,
                                   args.iters, args.tol, tuple(cands))
         grid = fatou.scan(work, config)
-    except MapFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except fatou.FatouError as exc:
+    except (MapFileError, fatou.FatouError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     summary = fatou.basin_summary(grid)

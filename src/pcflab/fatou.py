@@ -42,10 +42,10 @@ class FatouError(RuntimeError):
 
 def _exact_orbit_period(m: ProjectiveMap, vec, bound: int = ORBIT_PERIOD_BOUND):
     """Exact minimal period of a rational point, or None if not periodic."""
-    start = projmap._primitive_vector([Fraction(v) for v in vec])
+    start = projmap.primitive_vector([Fraction(v) for v in vec])
     cur = start
     for step in range(1, bound + 1):
-        cur = projmap._primitive_vector(
+        cur = projmap.primitive_vector(
             [Fraction(c.evaluate(tuple(cur))) for c in m.comps])
         if cur == start:
             return step
@@ -55,7 +55,7 @@ def _exact_orbit_period(m: ProjectiveMap, vec, bound: int = ORBIT_PERIOD_BOUND):
 def _numeric_orbit_period(m: ProjectiveMap, point, precision: int,
                           bound: int = ORBIT_PERIOD_BOUND):
     with mpmath.workprec(precision):
-        tol = mpmath.mpf(10) ** (-(precision // 8))
+        tol = numeric.tolerances(precision).dedup
         start = numeric.normalize_point([numeric.mpc_from(c) for c in point])[0]
         cur = start
         for step in range(1, bound + 1):
@@ -67,20 +67,14 @@ def _numeric_orbit_period(m: ProjectiveMap, point, precision: int,
 
 def _intersection_points(nodes, precision: int):
     """Pairwise zero-dimensional intersections: (exact list, numeric list)."""
-    exact, approx = [], []
+    exact, approx = [], numeric.PointSet(precision)
     with mpmath.workprec(precision):
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 fi, fj = nodes[i].form, nodes[j].form
                 if nodes[i].linear and nodes[j].linear:
-                    rows = []
-                    for f in (fi, fj):
-                        coeffs = [Fraction(0)] * 3
-                        for e, v in f.terms.items():
-                            coeffs[e.index(1)] = v
-                        rows.append(coeffs)
-                    kernel = projmap.nullspace_basis(rows)
+                    kernel = projmap.nullspace_basis([poly.linear_coeffs(fi),
+                                                      poly.linear_coeffs(fj)])
                     if len(kernel) == 1 and kernel[0] not in exact:
                         exact.append(kernel[0])
                     continue
@@ -91,15 +85,13 @@ def _intersection_points(nodes, precision: int):
                 for pt in pts:
                     rat = [numeric.rationalize(c, precision) for c in pt]
                     if all(r is not None for r in rat):
-                        vec = projmap._primitive_vector(rat)
+                        vec = projmap.primitive_vector(rat)
                         if all(f.evaluate(tuple(vec)) == 0 for f in (fi, fj)):
                             if vec not in exact:
                                 exact.append(vec)
                             continue
-                    if all(numeric.proj_distance(pt, known) >= dedup
-                           for known in approx):
-                        approx.append(pt)
-    return exact, approx
+                    approx.add(pt)
+    return exact, approx.points
 
 
 def _all_zero_spectrum(m: ProjectiveMap, point, period: int,
@@ -124,9 +116,8 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
     if m.k == 1:
         for node in graph.nodes:
             if node.linear:
-                from .pcf import _root_of_binary_linear
-                vec = projmap._primitive_vector(
-                    [Fraction(v) for v in _root_of_binary_linear(node.form)])
+                vec = projmap.primitive_vector(
+                    [Fraction(v) for v in poly.root_of_binary_linear(node.form)])
                 if vec not in exact:
                     exact.append(vec)
             else:
@@ -140,7 +131,7 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
                 for entry in level.entries:
                     if entry.embedding is None or entry.embedding.source_dim != 0:
                         continue
-                    vec = projmap._primitive_vector(
+                    vec = projmap.primitive_vector(
                         [Fraction(row[0]) for row in entry.embedding.matrix])
                     if vec not in exact:
                         exact.append(vec)
@@ -148,9 +139,9 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
         raise FatouError(f"candidates implemented for P^1 and P^2, not P^{m.k}")
 
     audited = list(periodic_audit.verdicts) if periodic_audit is not None else []
+    audited_points = numeric.PointSet(precision, [v.point.point for v in audited])
     out = []
     with mpmath.workprec(precision):
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
         for vec in exact:
             period = _exact_orbit_period(m, vec)
             if period is None:
@@ -158,11 +149,8 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
             if _all_zero_spectrum(m, vec, period, precision):
                 out.append(tuple(vec))
         for pt in approx:
-            period = None
-            for v in audited:
-                if numeric.proj_distance(pt, v.point.point) < dedup:
-                    period = v.point.period
-                    break
+            i = audited_points.find(pt)
+            period = audited[i].point.period if i is not None else None
             if period is None:
                 period = _numeric_orbit_period(m, pt, precision)
             if period is None:

@@ -7,8 +7,11 @@ converted with :func:`mpc_from`, so callers control all rounding.
 
 from __future__ import annotations
 
+import functools
 import os
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 
@@ -18,6 +21,9 @@ from .poly import HomPoly
 DEFAULT_PRECISION = 256  # bits
 
 ENV_PRECISION = "PCFLAB_PRECISION"
+
+PRUNE_PRECISION = 256  # bits: image pruning never evaluates below this
+PRUNE_SAMPLE_EXP = 25  # pruning keeps a factor where |value| < 10^-25 on a sample
 
 
 class NumericalError(RuntimeError):
@@ -38,6 +44,51 @@ def resolve_precision(precision=None) -> int:
     if p < 24:
         raise NumericalError(f"precision {p} bits is too low to be meaningful")
     return p
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every precision-derived tolerance of the numeric verdicts.
+
+    Built only by :func:`tolerances`, which gives each value at the
+    precision it is compared at; report ``bounds`` serialize this object.
+    """
+
+    precision: int  # working precision p in bits
+    dedup: mpmath.mpf  # 10^-(p//8): points, moduli and periods this close agree
+    verify: mpmath.mpf  # 10^-(p//16): residuals below this verify a solution
+    zero_floor: mpmath.mpf  # 2^-(p-8): a magnitude this small, relative, is zero
+    refine_target: mpmath.mpf  # 10^-(0.18p): Newton refinement stops below it
+    prune_precision: int  # max(p, PRUNE_PRECISION): pruning evaluates here
+    prune_sample: mpmath.mpf  # 10^-25: a sample value below it keeps a factor
+    formulas: dict = field(repr=False, compare=False)
+
+    def serialize(self) -> dict:
+        """Each tolerance as its formula, keyed by field name, for reports."""
+        return dict(self.formulas, prune_precision=self.prune_precision)
+
+
+def _power_tol(base: int, exponent, precision: int):
+    """base^-exponent rounded at precision, with its formula string."""
+    with mpmath.workprec(precision):
+        return mpmath.mpf(base) ** -exponent, f"{base}^-{exponent:g}"
+
+
+@functools.lru_cache(maxsize=None)
+def tolerances(precision: int) -> Tolerances:
+    """The tolerances of a run at ``precision`` bits."""
+    p = precision
+    prune_precision = max(p, PRUNE_PRECISION)
+    built = {
+        "dedup": _power_tol(10, p // 8, p),
+        "verify": _power_tol(10, p // 16, p),
+        "zero_floor": _power_tol(2, p - 8, p),
+        "refine_target": _power_tol(10, p * 0.18, p),
+        "prune_sample": _power_tol(10, PRUNE_SAMPLE_EXP, prune_precision),
+    }
+    return Tolerances(p, prune_precision=prune_precision,
+                      formulas={k: text for k, (_v, text) in built.items()},
+                      **{k: value for k, (value, _t) in built.items()})
 
 
 def mpc_from(value) -> mpmath.mpc:
@@ -93,6 +144,31 @@ def proj_distance(p, q) -> mpmath.mpf:
             if cross > best:
                 best = cross
     return best / (mp_ * mq)
+
+
+class PointSet:
+    """Projective points kept apart by the precision's dedup tolerance.
+
+    Comparisons run at the caller's working precision.
+    """
+
+    def __init__(self, precision: int, points=()):
+        self.tol = tolerances(precision).dedup
+        self.points = list(points)
+
+    def find(self, pt) -> Optional[int]:
+        """Index of the first known point within dedup of pt, or None."""
+        for i, known in enumerate(self.points):
+            if proj_distance(known, pt) < self.tol:
+                return i
+        return None
+
+    def add(self, pt) -> Optional[int]:
+        """Append pt and return None, or return the index of a known point within dedup."""
+        i = self.find(pt)
+        if i is None:
+            self.points.append(pt)
+        return i
 
 
 # -- root finding ----------------------------------------------------------
@@ -152,7 +228,7 @@ def univariate_roots(coeffs, precision: int):
         biggest = max(mags) if mags else mpmath.mpf(0)
         if biggest == 0:
             raise NumericalError("zero polynomial in univariate solve")
-        tol = biggest * mpmath.mpf(2) ** (-(precision - 8))
+        tol = biggest * tolerances(precision).zero_floor
         start = 0
         while start < len(coeffs) - 1 and mags[start] <= tol:
             start += 1
@@ -165,11 +241,6 @@ def univariate_roots(coeffs, precision: int):
 # -- Newton refinement ------------------------------------------------------
 
 
-def refine_target(precision: int) -> mpmath.mpf:
-    """Residual target used by Newton refinement at a given precision."""
-    return mpmath.mpf(10) ** (-(precision * 0.18))
-
-
 def rationalize(value, precision: int, max_denominator: int = 10**12):
     """Nearest rational to a high-precision value, or None.
 
@@ -178,7 +249,7 @@ def rationalize(value, precision: int, max_denominator: int = 10**12):
     when it reproduces the value to 10^-(precision//16).
     """
     with mpmath.workprec(precision):
-        tol = mpmath.mpf(10) ** (-(precision // 16))
+        tol = tolerances(precision).verify
         x = mpmath.mpc(value)
         if mpmath.fabs(x.imag) > tol:
             return None
@@ -203,7 +274,7 @@ def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: 
         idx = [i for i in range(3) if i != chart]
         d_a = [poly.partial(a, j) for j in idx]
         d_b = [poly.partial(b, j) for j in idx]
-        target = refine_target(precision)
+        target = tolerances(precision).refine_target
         u, v = pt[idx[0]], pt[idx[1]]
 
         def coords(uu, vv):
@@ -248,17 +319,15 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     g = poly.gcd(a, b)
     if not g.is_constant():
         raise NumericalError("forms share a common factor; intersection is a curve")
-    points, mults = [], []
+    points, mults = PointSet(precision), []
     with mpmath.workprec(precision):
-        dedup_tol = mpmath.mpf(10) ** (-(precision // 8))
 
         def push(pt, mult):
-            for i, known in enumerate(points):
-                if proj_distance(known, pt) < dedup_tol:
-                    mults[i] = max(mults[i], mult)
-                    return
-            points.append(pt)
-            mults.append(mult)
+            i = points.add(pt)
+            if i is None:
+                mults.append(mult)
+            else:
+                mults[i] = max(mults[i], mult)
 
         # Affine chart z != 0.
         a2 = _strip_var(a, 2)
@@ -284,7 +353,7 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
         # eliminated coordinate; a transverse point (independent gradients)
         # is certainly simple, so downgrade its hint.
         ga = [[poly.partial(a, j), poly.partial(b, j)] for j in range(3)]
-        for i, pt in enumerate(points):
+        for i, pt in enumerate(points.points):
             if mults[i] == 1:
                 continue
             va = [eval_form(ga[j][0], pt) for j in range(3)]
@@ -296,9 +365,9 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
             )
             na = max(mpmath.fabs(v) for v in va)
             nb = max(mpmath.fabs(v) for v in vb)
-            if na > 0 and nb > 0 and cross > dedup_tol * na * nb:
+            if na > 0 and nb > 0 and cross > points.tol * na * nb:
                 mults[i] = 1
-    return points, mults
+    return points.points, mults
 
 
 def _strip_var(p: HomPoly, i: int) -> HomPoly:
@@ -308,6 +377,7 @@ def _strip_var(p: HomPoly, i: int) -> HomPoly:
 
 def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
     """Solutions with z != 0 of two ternary forms without z factors."""
+    tol = tolerances(precision)
     out = []
     # Eliminate y when possible, else x.
     for elim, keep in ((1, 0), (0, 1)):
@@ -326,10 +396,8 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
         eliminant_binary = _drop_var(eliminant, elim)
         if eliminant_binary.is_constant():
             continue
-        target = refine_target(precision)
-        loose = mpmath.mpf(10) ** (-(precision // 16))
         for (r0, r1), mult in binary_form_roots(eliminant_binary, precision):
-            if mpmath.fabs(r1) < mpmath.mpf(2) ** (-(precision - 8)):
+            if mpmath.fabs(r1) < tol.zero_floor:
                 continue  # point at the chart's infinity; other chart logic covers it
             base = r0 / r1
             ws = _backsub_roots(backsub, keep, elim, base, precision)
@@ -344,7 +412,7 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
                 cand[2] = mpc_from(1)
                 va = eval_form(a, cand)
                 vb = eval_form(b, cand)
-                if max(mpmath.fabs(va), mpmath.fabs(vb)) > loose:
+                if max(mpmath.fabs(va), mpmath.fabs(vb)) > tol.verify:
                     continue
                 try:
                     refined, _res = newton_refine_pair(a, b, cand, precision)
@@ -381,7 +449,7 @@ def _backsub_roots(p: HomPoly, keep: int, elim: int, base, precision: int):
     coeffs = [eval_form(row, point) for row in reversed(poly._ladder(p, elim))]
     scale = max(mpmath.fabs(mpc_from(c)) for c in p.terms.values())
     scale *= max(mpmath.mpf(1), mpmath.fabs(base)) ** p.degree
-    tol = scale * mpmath.mpf(10) ** (-(precision // 16))
+    tol = scale * tolerances(precision).verify
     if all(mpmath.fabs(c) <= tol for c in coeffs):
         return None
     try:

@@ -36,9 +36,7 @@ DEFAULT_MAX_ITER = 64
 DEFAULT_MAX_DEGREE = 512
 DEFAULT_HEIGHT = 20
 
-PRUNE_TOL_EXP = -25  # |value| < 10^-25 keeps a factor on a pushed sample
 PRUNE_MIN_SAMPLES = 10
-PRUNE_PRECISION = 256
 
 
 class PcfError(RuntimeError):
@@ -109,7 +107,7 @@ def _line_points_exact(form: HomPoly, count: int):
     seen = set()
     j = 0
     while len(pts) < count and j < 16 * count + 32:
-        p = projmap._primitive_vector(emb.apply((Fraction(j), Fraction(1))))
+        p = projmap.primitive_vector(emb.apply((Fraction(j), Fraction(1))))
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -120,11 +118,10 @@ def _line_points_exact(form: HomPoly, count: int):
 def _curve_points_numeric(form: HomPoly, count: int, precision: int, seed: int = 11):
     """Points on a plane curve, intersected out of deterministic lines."""
     rng = random.Random(seed)
-    pts = []
+    pts = numeric.PointSet(precision)
     with mpmath.workprec(precision):
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
         attempts = 0
-        while len(pts) < count and attempts < 24:
+        while len(pts.points) < count and attempts < 24:
             attempts += 1
             coeffs = [Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)),
                       Fraction(rng.randint(1, 9))]
@@ -139,15 +136,13 @@ def _curve_points_numeric(form: HomPoly, count: int, precision: int, seed: int =
             except numeric.NumericalError:
                 continue
             for (r0, r1), _mult in roots:
-                p = numeric.normalize_point(emb.apply((r0, r1)))[0]
-                if all(numeric.proj_distance(p, q) >= dedup for q in pts):
-                    pts.append(p)
-    return pts
+                pts.add(numeric.normalize_point(emb.apply((r0, r1)))[0])
+    return pts.points
 
 
 def _push_exact(m: ProjectiveMap, point):
     vals = tuple(c.evaluate(tuple(point)) for c in m.comps)
-    return projmap._primitive_vector([Fraction(v) for v in vals])
+    return projmap.primitive_vector([Fraction(v) for v in vals])
 
 
 def _pushed_samples(m: ProjectiveMap, c: Component, count: int, precision: int):
@@ -164,26 +159,23 @@ def _pushed_samples(m: ProjectiveMap, c: Component, count: int, precision: int):
                 break
         return out, True
     pts = _curve_points_numeric(c.form, count + 4, precision)
-    pushed = []
+    pushed = numeric.PointSet(precision)
     with mpmath.workprec(precision):
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
         for p in pts:
-            q = projmap.pushforward_point(m, p, precision)
-            if all(numeric.proj_distance(q, r) >= dedup for r in pushed):
-                pushed.append(q)
-            if len(pushed) >= count:
+            pushed.add(projmap.pushforward_point(m, p, precision))
+            if len(pushed.points) >= count:
                 break
-    return pushed, False
+    return pushed.points, False
 
 
 def _vanishes_at(form: HomPoly, point, exact: bool, precision: int) -> bool:
     if exact:
         return form.evaluate(tuple(point)) == 0
-    with mpmath.workprec(max(precision, PRUNE_PRECISION)):
+    tol = numeric.tolerances(precision)
+    with mpmath.workprec(tol.prune_precision):
         pt = numeric.normalize_point(point)[0]
         scale = max(abs(v) for v in poly.int_primitive(form).terms.values())
-        tol = mpmath.mpf(10) ** PRUNE_TOL_EXP
-        return mpmath.fabs(numeric.eval_form(form, pt)) < tol * max(int(scale), 1)
+        return mpmath.fabs(numeric.eval_form(form, pt)) < tol.prune_sample * max(int(scale), 1)
 
 
 def _prune_factors(g: HomPoly, samples, exact: bool, precision: int,
@@ -219,12 +211,6 @@ def _point_image_form(m: ProjectiveMap, point) -> HomPoly:
     return poly.canonical(poly.linear_form([q[1], -q[0]]))
 
 
-def _root_of_binary_linear(form: HomPoly) -> tuple:
-    a = form.terms.get((1, 0), Fraction(0))
-    b = form.terms.get((0, 1), Fraction(0))
-    return (-b, a)
-
-
 def _lift(p: HomPoly, nvars: int, offset: int) -> HomPoly:
     """Reinterpret a form in a larger variable ring, shifted by ``offset``."""
     acc = {}
@@ -236,17 +222,13 @@ def _lift(p: HomPoly, nvars: int, offset: int) -> HomPoly:
     return HomPoly(nvars, p.degree, acc)
 
 
-def _y_monomial(nvars: int, index: int) -> HomPoly:
-    return poly.variable(nvars, index)
-
-
 def _image_p1(m: ProjectiveMap, c: Component, precision: int,
               height: int) -> Component:
     """Image of a finite point set under a P^1 map, as one binary form."""
     factors, residual = poly.linear_factors(c.form, height=height)
     image = poly.constant(2, 1)
     for form, _ in factors:
-        image = image * _point_image_form(m, _root_of_binary_linear(form))
+        image = image * _point_image_form(m, poly.root_of_binary_linear(form))
     if not residual.is_constant():
         image = image * _residual_image_p1(m, residual, precision)
     return make_component(image)
@@ -272,15 +254,12 @@ def _reconstruct_image_form(m: ProjectiveMap, r: HomPoly, precision: int):
             roots = numeric.binary_form_roots(r, precision)
         except numeric.NumericalError:
             return None
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
-        images = []
+        images = numeric.PointSet(precision)
         for root, _mult in roots:
-            q = projmap.pushforward_point(m, root, precision)
-            if all(numeric.proj_distance(q, known) >= dedup for known in images):
-                images.append(q)
+            images.add(projmap.pushforward_point(m, root, precision))
         # Expand prod (q1*s - q0*t) over the distinct image points.
         coeffs = [mpmath.mpc(1)]
-        for q in images:
+        for q in images.points:
             nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
             for i, a in enumerate(coeffs):
                 nxt[i] += a * q[1]
@@ -309,13 +288,13 @@ def _eliminate_image_p1(m: ProjectiveMap, r: HomPoly) -> HomPoly:
     r4 = _lift(r, 4, 0)
     f0 = _lift(m.comps[0], 4, 0)
     f1 = _lift(m.comps[1], 4, 0)
-    rel = f0 * _y_monomial(4, 3) - f1 * _y_monomial(4, 2)
+    rel = f0 * poly.variable(4, 3) - f1 * poly.variable(4, 2)
     stripped = poly.canonical(r)
     if stripped.var_degree(0) < stripped.degree:
         raise ImageError(
             "image computation failed: residual factor has a coordinate root"
         )
-    res = poly.resultant_formal(r4, rel, 0, r.degree, m.d)
+    res = poly.resultant_wrt(r4, rel, 0, r.degree, m.d)
     if res.is_zero():
         raise ImageError("image computation failed: degenerate point-set eliminant")
     shift = res.min_var_degree(1)
@@ -330,19 +309,15 @@ def _eliminate_image_p1(m: ProjectiveMap, r: HomPoly) -> HomPoly:
 # -- images: P^2 --------------------------------------------------------------
 
 
-def _graded_pieces(r: HomPoly, grading_var: int, y_offset: int):
-    """Split by the grading variable's exponent into 3-variable Y-forms."""
+def _graded_gcd(r: HomPoly, grading_var: int, y_offset: int) -> HomPoly:
+    """gcd of the 3-variable Y-forms that split a non-zero r by the grading
+    variable's exponent."""
     groups = {}
     for e, c in r.terms.items():
-        key = e[grading_var]
         ye = (e[y_offset], e[y_offset + 1], e[y_offset + 2])
-        groups.setdefault(key, {})[ye] = c
-    pieces = []
-    for key in sorted(groups):
-        terms = groups[key]
-        deg = sum(next(iter(terms)))
-        pieces.append(HomPoly(3, deg, terms))
-    return pieces
+        groups.setdefault(e[grading_var], {})[ye] = c
+    pieces = [HomPoly(3, sum(next(iter(t))), t) for _key, t in sorted(groups.items())]
+    return poly.gcd_many(pieces) if len(pieces) > 1 else poly.canonical(pieces[0])
 
 
 def _image_line_parametrized(m: ProjectiveMap, c: Component, precision: int,
@@ -359,20 +334,17 @@ def _image_line_parametrized(m: ProjectiveMap, c: Component, precision: int,
     diagnostics = []
     # Variables (s, t, Y0, Y1, Y2).
     g5 = [_lift(q, 5, 0) for q in g]
-    yvar = [_y_monomial(5, 2 + j) for j in range(3)]
+    yvar = [poly.variable(5, 2 + j) for j in range(3)]
     for anchor in range(3):
         others = [a for a in range(3) if a != anchor]
         rel = [g5[a] * yvar[anchor] - g5[anchor] * yvar[a] for a in others]
         for elim, grade in ((0, 1), (1, 0)):
             da = rel[0].degree - 1
-            res = poly.resultant_formal(rel[0], rel[1], elim, da, da)
+            res = poly.resultant_wrt(rel[0], rel[1], elim, da, da)
             if res.is_zero():
                 diagnostics.append(f"anchor {anchor}, eliminating var {elim}: zero resultant")
                 continue
-            pieces = [p for p in _graded_pieces(res, grade, 2) if not p.is_zero()]
-            if not pieces:
-                continue
-            gcd = poly.gcd_many(pieces) if len(pieces) > 1 else poly.canonical(pieces[0])
+            gcd = _graded_gcd(res, grade, 2)
             if gcd.is_constant():
                 diagnostics.append(f"anchor {anchor}: coprime graded pieces")
                 continue
@@ -394,7 +366,7 @@ def _image_by_elimination(m: ProjectiveMap, c: Component, precision: int,
     # Variables (x0, x1, x2, Y0, Y1, Y2).
     c6 = _lift(c.form, 6, 0)
     f6 = [_lift(comp, 6, 0) for comp in m.comps]
-    yvar = [_y_monomial(6, 3 + j) for j in range(3)]
+    yvar = [poly.variable(6, 3 + j) for j in range(3)]
     e, d = c.form.degree, m.d
     for grade in (2, 1, 0):
         elim_vars = [v for v in range(3) if v != grade]
@@ -402,8 +374,8 @@ def _image_by_elimination(m: ProjectiveMap, c: Component, precision: int,
             others = [a for a in range(3) if a != anchor]
             rel = [f6[a] * yvar[anchor] - f6[anchor] * yvar[a] for a in others]
             for first, second in (tuple(elim_vars), tuple(reversed(elim_vars))):
-                r1 = poly.resultant_formal(c6, rel[0], first, e, d)
-                r2 = poly.resultant_formal(c6, rel[1], first, e, d)
+                r1 = poly.resultant_wrt(c6, rel[0], first, e, d)
+                r2 = poly.resultant_wrt(c6, rel[1], first, e, d)
                 if r1.is_zero() or r2.is_zero():
                     diagnostics.append(
                         f"grade {grade} anchor {anchor} var {first}: zero first resultant"
@@ -415,16 +387,13 @@ def _image_by_elimination(m: ProjectiveMap, c: Component, precision: int,
                 elif db == 0:
                     res = r2
                 else:
-                    res = poly.resultant_formal(r1, r2, second, da, db)
+                    res = poly.resultant_wrt(r1, r2, second, da, db)
                 if res.is_zero():
                     diagnostics.append(
                         f"grade {grade} anchor {anchor} order ({first},{second}): zero resultant"
                     )
                     continue
-                pieces = [p for p in _graded_pieces(res, grade, 3) if not p.is_zero()]
-                if not pieces:
-                    continue
-                gcd = poly.gcd_many(pieces) if len(pieces) > 1 else poly.canonical(pieces[0])
+                gcd = _graded_gcd(res, grade, 3)
                 if gcd.is_constant():
                     diagnostics.append(f"grade {grade} anchor {anchor}: coprime pieces")
                     continue
@@ -670,9 +639,9 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
                                       poly.format_poly(node.form),
                                       graph.period[node], node.form))
             continue
-        root = _root_of_binary_linear(node.form)
+        root = poly.root_of_binary_linear(node.form)
         coords = parent_embedding.apply(root) if parent_embedding else root
-        vec = projmap._primitive_vector([Fraction(x) for x in coords])
+        vec = projmap.primitive_vector([Fraction(x) for x in coords])
         if vec in seen:
             continue
         seen.add(vec)
@@ -846,13 +815,8 @@ def _transversality_linear(comps) -> TransversalityReport:
     points = {}
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            rows = []
-            for c in (comps[i], comps[j]):
-                coeffs = [Fraction(0)] * 3
-                for e, v in c.form.terms.items():
-                    coeffs[e.index(1)] = v
-                rows.append(coeffs)
-            kernel = projmap.nullspace_basis(rows)
+            kernel = projmap.nullspace_basis([poly.linear_coeffs(comps[i].form),
+                                              poly.linear_coeffs(comps[j].form)])
             if len(kernel) != 1:
                 continue  # identical lines are excluded upstream
             points.setdefault(kernel[0], set()).update((i, j))
@@ -871,8 +835,8 @@ def _transversality_linear(comps) -> TransversalityReport:
 
 def _transversality_general(comps, precision: int) -> TransversalityReport:
     with mpmath.workprec(precision):
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
-        rank_tol = dedup  # refined roots sit far below this
+        seen = numeric.PointSet(precision)
+        rank_tol = seen.tol  # refined roots sit far below this
         points = []  # (mpc triple, exact rational triple or None)
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
@@ -883,12 +847,11 @@ def _transversality_general(comps, precision: int) -> TransversalityReport:
                     return TransversalityReport("inconclusive", (),
                                                 witness=str(exc))
                 for pt in found:
-                    if all(numeric.proj_distance(pt, known) >= dedup
-                           for known, _ in points):
+                    if seen.add(pt) is None:
                         rat = [numeric.rationalize(x, precision) for x in pt]
                         exact = None
                         if all(r is not None for r in rat):
-                            exact = projmap._primitive_vector(rat)
+                            exact = projmap.primitive_vector(rat)
                             if any(c.form.evaluate(tuple(exact)) != 0
                                    for c in comps
                                    if mpmath.fabs(numeric.eval_form(c.form, pt)) < rank_tol):
@@ -975,8 +938,8 @@ def restricted_critical_containment(level: TowerLevel,
                                                 height=height)
         checks = []
         for form, _ in factors:
-            root = _root_of_binary_linear(form)
-            ambient = projmap._primitive_vector(
+            root = poly.root_of_binary_linear(form)
+            ambient = projmap.primitive_vector(
                 [Fraction(x) for x in entry.embedding.apply(root)])
             match = next((c for c in others
                           if c.form.evaluate(tuple(ambient)) == 0), None)
@@ -986,7 +949,7 @@ def restricted_critical_containment(level: TowerLevel,
                 match is not None))
         if not residual.is_constant():
             with mpmath.workprec(precision):
-                tol = mpmath.mpf(10) ** (-(precision // 8))
+                tol = numeric.tolerances(precision).dedup
                 try:
                     roots = numeric.binary_form_roots(residual, precision)
                 except numeric.NumericalError:

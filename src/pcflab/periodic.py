@@ -85,7 +85,7 @@ def _fixed_point_candidates_p1(big: ProjectiveMap, precision: int):
     form = big.comps[0] * t - big.comps[1] * s
     if form.is_zero():
         raise PeriodicError("every point is periodic: the iterate is the identity")
-    return [(root, mult) for root, mult in numeric.binary_form_roots(form, precision)]
+    return numeric.binary_form_roots(form, precision)
 
 
 def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
@@ -150,33 +150,32 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             charts = _fixed_point_candidates_p2(big, precision)
         else:
             raise PeriodicError(f"periodic points implemented for P^1 and P^2, not P^{m.k}")
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
-        verify = mpmath.mpf(10) ** (-(precision // 16))
-        merged = []  # [point, mult, residual]
+        tol = numeric.tolerances(precision)
+        known = numeric.PointSet(precision)
+        merged = []  # [mult, residual], parallel to known
         finite = certified = False
         for chart_finite, candidates in charts:
             finite = finite or chart_finite
             for pt, mult in candidates:
                 pt = numeric.normalize_point(pt)[0]
-                hit = next((e for e in merged
-                            if numeric.proj_distance(pt, e[0]) < dedup), None)
-                if hit is None:
-                    merged.append([pt, mult, numeric.proj_distance(_apply_n(m, pt, l), pt)])
-                elif mult > hit[1]:
-                    hit[1] = mult
-            if finite and sum(1 for e in merged if e[2] < verify) == expected:
+                i = known.add(pt)
+                if i is None:
+                    merged.append([mult, numeric.proj_distance(_apply_n(m, pt, l), pt)])
+                elif mult > merged[i][0]:
+                    merged[i][0] = mult
+            if finite and sum(1 for e in merged if e[1] < tol.verify) == expected:
                 certified = True
                 break
         if not merged:
             raise PeriodicError("no chart system could be solved")
         out = []
-        for pt, mult, residual in merged:
-            if residual >= verify:
+        for pt, (mult, residual) in zip(known.points, merged):
+            if residual >= tol.verify:
                 continue  # spurious chart solution
             period = l
             for q in range(1, l):
                 if l % q == 0:
-                    if numeric.proj_distance(_apply_n(m, pt, q), pt) < dedup:
+                    if numeric.proj_distance(_apply_n(m, pt, q), pt) < tol.dedup:
                         period = q
                         break
             out.append(PeriodicPoint(pt, period, l, residual, 1 if certified else mult))
@@ -279,7 +278,7 @@ def multipliers(m: ProjectiveMap, point, period: int,
                                    charts[(j + 1) % period])
             total = step if total is None else _mat_mul(step, total)
         return _spectrum_order(_eigenvalues(total, precision),
-                               mpmath.mpf(10) ** (-(precision // 8)))
+                               numeric.tolerances(precision).dedup)
 
 
 def _spectrum_order(eig, tol):
@@ -390,20 +389,18 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
     undecidable neutral values are reported as findings, never violations.
     """
     precision = numeric.resolve_precision(precision)
-    seen = []
+    seen = numeric.PointSet(precision)
     verdicts = []
     all_violations = []
     all_findings = []
     with mpmath.workprec(precision):
-        dedup = mpmath.mpf(10) ** (-(precision // 8))
         for l in range(1, max_period + 1):
             found = find_periodic(m, l, precision) if points is None else points[l - 1]
             for pp in found:
                 if pp.period != l:
                     continue  # already audited at its minimal period
-                if any(numeric.proj_distance(pp.point, q) < dedup for q in seen):
+                if seen.add(pp.point) is not None:
                     continue
-                seen.append(pp.point)
                 spectrum = multipliers(m, pp.point, pp.period, precision)
                 classes = classify(spectrum)
                 label = f"period {pp.period} point {_format_point(pp.point)}"

@@ -269,6 +269,20 @@ def linear_form(coeffs: Sequence) -> HomPoly:
     return HomPoly(n, 1, terms)
 
 
+def linear_coeffs(form: HomPoly) -> list:
+    """The coefficient vector of a linear form; inverse of :func:`linear_form`."""
+    coeffs = [Fraction(0)] * form.nvars
+    for e, c in form.terms.items():
+        coeffs[e.index(1)] = c
+    return coeffs
+
+
+def root_of_binary_linear(form: HomPoly) -> tuple:
+    """The root (x0, x1) of a binary linear form a*x0 + b*x1, namely (-b, a)."""
+    a, b = linear_coeffs(form)
+    return (-b, a)
+
+
 def format_poly(p: HomPoly, names: Optional[Sequence[str]] = None) -> str:
     if p.is_zero():
         return "0"
@@ -725,45 +739,28 @@ def _sylvester(a: HomPoly, b: HomPoly, i: int, da: int, db: int):
     return cells, tags
 
 
-def resultant_wrt(a: HomPoly, b: HomPoly, i: int) -> HomPoly:
+def resultant_wrt(a: HomPoly, b: HomPoly, i: int, da: Optional[int] = None,
+                  db: Optional[int] = None) -> HomPoly:
     """Sylvester resultant of a and b with respect to x_i.
 
-    Both inputs must have positive degree in x_i.  The matrix is built at
-    the actual x_i-degrees and its determinant is evaluated fraction-free,
-    so the result is exact and homogeneous in the remaining variables.
+    Give both formal degrees or neither.  Without them the matrix is built
+    at the actual x_i-degrees, which must be positive.  Formal degrees
+    (da, db) pad it with vanishing top coefficients: the actual x_i-degrees
+    may sit below them, never above.  Padded to the total degrees, the
+    resultant vanishes at every common projective zero even where an
+    x_i-degree drops; for elimination the right formal degree is a form's
+    degree in the block of variables being specialized.  The determinant is
+    evaluated fraction-free, so the result is exact and homogeneous in the
+    remaining variables.
     """
     a._check_compatible(b)
-    da, db = a.var_degree(i), b.var_degree(i)
-    if da == 0 or db == 0:
-        raise PolynomialError("resultant requires positive degree in x_i")
-    cells, tags = _sylvester(a, b, i, da, db)
-    return _det_graded(cells, tags, a.nvars)
-
-
-def padded_resultant(a: HomPoly, b: HomPoly, i: int) -> HomPoly:
-    """Resultant in x_i at formal degrees equal to the total degrees.
-
-    Padding with the vanishing top coefficients makes specialization safe:
-    whenever the two forms share a projective zero, this determinant
-    vanishes at it, including when the actual x_i-degrees have dropped.
-    """
-    a._check_compatible(b)
-    cells, tags = _sylvester(a, b, i, a.degree, b.degree)
-    return _det_graded(cells, tags, a.nvars)
-
-
-def resultant_formal(a: HomPoly, b: HomPoly, i: int, da: int, db: int) -> HomPoly:
-    """Resultant in x_i at caller-chosen formal degrees (da, db).
-
-    The right formal degree for elimination is the form's degree in the
-    block of variables being specialized, which differs from the total
-    degree when other variable blocks contribute.  The actual x_i-degrees
-    may sit below the formal ones; they must never exceed them.
-    """
-    a._check_compatible(b)
-    if da < 1 or db < 1:
+    if da is None and db is None:
+        da, db = a.var_degree(i), b.var_degree(i)
+        if da == 0 or db == 0:
+            raise PolynomialError("resultant requires positive degree in x_i")
+    elif da < 1 or db < 1:
         raise PolynomialError("formal resultant degrees must be positive")
-    if a.var_degree(i) > da or b.var_degree(i) > db:
+    elif a.var_degree(i) > da or b.var_degree(i) > db:
         raise PolynomialError("actual x_i-degree exceeds the formal degree")
     cells, tags = _sylvester(a, b, i, da, db)
     return _det_graded(cells, tags, a.nvars)
@@ -908,9 +905,7 @@ def linear_factors(p: HomPoly, height: int = 20, candidates: Iterable[HomPoly] =
     for extra in candidates:
         if extra.nvars != p.nvars or extra.degree != 1:
             continue
-        vec = [Fraction(0)] * p.nvars
-        for e, c in extra.terms.items():
-            vec[e.index(1)] = c
+        vec = linear_coeffs(extra)
         den = 1
         for c in vec:
             den = den * c.denominator // int_gcd(den, c.denominator)

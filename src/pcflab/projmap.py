@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as int_gcd
 from typing import Optional, Sequence
 
 import mpmath
@@ -36,39 +37,16 @@ class RestrictionError(ValueError):
 # -- exact linear algebra over the rationals --------------------------------
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
+def _rref(m: list, ncols: int) -> list:
+    """Gauss-Jordan reduce the Fraction rows m in place on their first ncols columns.
+
+    Returns the pivot columns; pivot row r carries a 1 in pivots[r].
+    """
+    pivots = []
     for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                fac = m[r][col]
-                m[r] = [a - fac * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
+        row = len(pivots)
         if row == len(m):
             break
-    return rank
-
-
-def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Basis of the right kernel, as primitive integer column vectors."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
         pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
@@ -80,7 +58,20 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
                 fac = m[r][col]
                 m[r] = [a - fac * b for a, b in zip(m[r], m[row])]
         pivots.append(col)
-        row += 1
+    return pivots
+
+
+def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix by fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_rref(m, len(m[0]))) if m else 0
+
+
+def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
+    """Basis of the right kernel, as primitive integer column vectors."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = _rref(m, ncols)
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:
@@ -88,13 +79,12 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
-        basis.append(_primitive_vector(vec))
+        basis.append(primitive_vector(vec))
     return basis
 
 
-def _primitive_vector(vec: Sequence[Fraction]) -> tuple:
-    from math import gcd as int_gcd
-
+def primitive_vector(vec: Sequence[Fraction]) -> tuple:
+    """Integer representative of a rational point: content 1, first non-zero entry positive."""
     den = 1
     for x in vec:
         x = Fraction(x)
@@ -118,17 +108,8 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
     n = len(rows)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise MapError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                fac = m[r][col]
-                m[r] = [a - fac * b for a, b in zip(m[r], m[col])]
+    if len(_rref(m, n)) < n:
+        raise MapError("matrix is singular")
     return [row[n:] for row in m]
 
 
@@ -246,7 +227,7 @@ class LinearEmbedding:
         cols = []
         for j in range(self.source_dim + 1):
             col = [self.matrix[i][j] for i in range(len(self.matrix))]
-            cols.append(_primitive_vector(col))
+            cols.append(primitive_vector(col))
         return tuple(sorted(cols))
 
 
@@ -254,10 +235,7 @@ def embedding_for_hyperplane(form: HomPoly) -> LinearEmbedding:
     """Embedding of the hyperplane cut out by a linear form."""
     if form.degree != 1:
         raise MapError("hyperplane embedding needs a linear form")
-    coeffs = [Fraction(0)] * form.nvars
-    for e, c in form.terms.items():
-        coeffs[e.index(1)] = c
-    basis = nullspace_basis([coeffs])
+    basis = nullspace_basis([poly.linear_coeffs(form)])
     cols = sorted(basis, reverse=True)
     rows = tuple(
         tuple(col[i] for col in cols) for i in range(form.nvars)
@@ -266,7 +244,7 @@ def embedding_for_hyperplane(form: HomPoly) -> LinearEmbedding:
 
 
 def embedding_for_point(coords: Sequence[Fraction], ambient: int) -> LinearEmbedding:
-    vec = _primitive_vector([Fraction(c) for c in coords])
+    vec = primitive_vector([Fraction(c) for c in coords])
     if len(vec) != ambient + 1:
         raise MapError("point has the wrong coordinate count")
     return LinearEmbedding(tuple((v,) for v in vec))
@@ -340,7 +318,9 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
 
     For P^1 the certificate is a nonvanishing homogeneous resultant.  For
     P^2 it combines direct checks at the coordinate points with iterated
-    resultants over every variable order; when every order degenerates, a
+    resultants over every variable order, each taken at formal degrees
+    equal to the total degrees so that it vanishes at every common zero
+    even where an x_i-degree drops; when every order degenerates, a
     high-precision search hunts for an approximate common zero to use as a
     witness.
     """
@@ -353,8 +333,13 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
                 mm, "degenerate",
                 witness=f"component {i} vanishes identically", reduced=reduced,
             )
+    if mm.k > 2:
+        raise MapError(f"validation implemented for P^1 and P^2 only, not P^{mm.k}")
+    if mm.d == 0:
+        # Non-zero constants have no common zero.
+        return ValidationResult(mm, "well-defined", reduced=reduced)
     if mm.k == 1:
-        res = poly.padded_resultant(comps[0], comps[1], 0)
+        res = poly.resultant_wrt(comps[0], comps[1], 0, mm.d, mm.d)
         if res.is_zero():
             g = poly.gcd(comps[0], comps[1])
             return ValidationResult(
@@ -362,9 +347,7 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
                 witness=f"common factor {poly.format_poly(g)}", reduced=reduced,
             )
         return ValidationResult(mm, "well-defined", reduced=reduced)
-    if mm.k == 2:
-        return _validate_p2(mm, reduced, precision)
-    raise MapError(f"validation implemented for P^1 and P^2 only, not P^{mm.k}")
+    return _validate_p2(mm, reduced, precision)
 
 
 def _validate_p2(mm: ProjectiveMap, reduced: bool, precision: int) -> ValidationResult:
@@ -400,7 +383,7 @@ def _validate_p2(mm: ProjectiveMap, reduced: bool, precision: int) -> Validation
     for v in range(3):
         pads = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            r = poly.padded_resultant(comps[i], comps[j], v)
+            r = poly.resultant_wrt(comps[i], comps[j], v, mm.d, mm.d)
             if not r.is_zero():
                 pads[(i, j)] = r
         keys = sorted(pads)
@@ -408,7 +391,7 @@ def _validate_p2(mm: ProjectiveMap, reduced: bool, precision: int) -> Validation
             for t in range(s + 1, len(keys)):
                 ra = numeric._drop_var(pads[keys[s]], v)
                 rb = numeric._drop_var(pads[keys[t]], v)
-                rho = poly.padded_resultant(ra, rb, 0)
+                rho = poly.resultant_wrt(ra, rb, 0, ra.degree, rb.degree)
                 if not rho.is_zero():
                     return ValidationResult(mm, "well-defined", reduced=reduced)
     # Every certificate degenerated: look for an actual common zero.
@@ -438,14 +421,10 @@ def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int) -> Optional[str]
         restricted = poly.compose(other, subs)
         if restricted.is_zero():
             pt = emb.apply((Fraction(1), Fraction(0)))
-            return "(" + ":".join(str(x) for x in _primitive_vector(list(pt))) + ")"
+            return "(" + ":".join(str(x) for x in primitive_vector(list(pt))) + ")"
         lin, _res = poly.linear_factors(restricted)
         for lf, _m in lin:
-            coeffs = [Fraction(0), Fraction(0)]
-            for e, cc in lf.terms.items():
-                coeffs[e.index(1)] = cc
-            root = (-coeffs[1], coeffs[0])
-            pt = _primitive_vector([Fraction(x) for x in emb.apply(root)])
+            pt = primitive_vector(emb.apply(poly.root_of_binary_linear(lf)))
             return "(" + ":".join(str(x) for x in pt) + ")"
     try:
         points, _ = numeric.solve_pair_p2(g, other, precision)
@@ -458,7 +437,7 @@ def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int) -> Optional[str]
 
 def _search_common_zero(comps, precision: int) -> Optional[str]:
     with mpmath.workprec(precision):
-        tol = mpmath.mpf(10) ** (-(precision // 16))
+        tol = numeric.tolerances(precision).verify
         for i, j in ((0, 1), (0, 2), (1, 2)):
             third = [t for t in range(3) if t not in (i, j)][0]
             try:

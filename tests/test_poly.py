@@ -134,17 +134,17 @@ class TestResultants:
     def test_formal_degrees_must_cover_actual(self):
         a = _p(2, 2, {X2: 1, Y2: 1})
         with pytest.raises(PolynomialError):
-            poly.resultant_formal(a, a, 0, 1, 2)
+            poly.resultant_wrt(a, a, 0, 1, 2)
 
     def test_formal_equals_actual_at_matching_degrees(self):
         a = _p(2, 2, {X2: 1, Y2: -2})
         b = _p(2, 2, {X2: 1, XY: 1, Y2: 1})
-        assert poly.resultant_formal(a, b, 0, 2, 2) == poly.resultant_wrt(a, b, 0)
+        assert poly.resultant_wrt(a, b, 0, 2, 2) == poly.resultant_wrt(a, b, 0)
 
     def test_padded_matches_wrt_at_full_degrees(self):
         a = _p(2, 2, {X2: 1, Y2: -2})
         b = _p(2, 1, {(1, 0): 1, (0, 1): 1})
-        assert poly.padded_resultant(a, b, 0) == poly.resultant_wrt(a, b, 0)
+        assert poly.resultant_wrt(a, b, 0, a.degree, b.degree) == poly.resultant_wrt(a, b, 0)
 
     def test_det_two_by_two(self):
         x, y = poly.variable(2, 0), poly.variable(2, 1)
