@@ -105,13 +105,22 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
         for i in others:
             e = xc * big.comps[i] - poly.variable(3, i) * big.comps[chart]
             if e.is_zero():
-                raise PeriodicError("every point is periodic: the iterate is the identity")
+                raise PeriodicError(_infinite_fixed_locus(big))
             eqs.append(poly._shift_var(e, chart, -e.min_var_degree(chart)))
         try:
             pts, mults = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
         except numeric.NumericalError:
             continue  # chart equations kept a common factor; other charts cover
         yield big.comps[chart].min_var_degree(chart) == 0, list(zip(pts, mults))
+
+
+def _infinite_fixed_locus(big: ProjectiveMap) -> str:
+    """Why some x_i*f_j - x_j*f_i of the plane iterate f vanishes identically."""
+    x = [poly.variable(3, i) for i in range(3)]
+    if all((x[i] * big.comps[j] - x[j] * big.comps[i]).is_zero()
+           for i in range(3) for j in range(i + 1, 3)):
+        return "every point is periodic: the iterate is the identity"
+    return "the fixed locus of the iterate is not finite: a curve is fixed pointwise"
 
 
 def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,

@@ -140,6 +140,19 @@ class TestFindPeriodic:
         with pytest.raises(periodic.PeriodicError):
             periodic.find_periodic(_squaring_p1(), 0)
 
+    def test_identity_only_when_every_cross_product_vanishes(self):
+        # (x : 2y : 2z) fixes the line x = 0 pointwise and (1 : 0 : 0);
+        # only one chart equation, y*2z - z*2y, vanishes identically.
+        line = projmap.ProjectiveMap([
+            _p(3, 1, {(1, 0, 0): 1}), _p(3, 1, {(0, 1, 0): 2}), _p(3, 1, {(0, 0, 1): 2})])
+        assert projmap.validate(line).verdict == "well-defined"
+        with pytest.raises(periodic.PeriodicError, match="not finite") as exc:
+            periodic.find_periodic(line, 1)
+        assert "identity" not in str(exc.value)
+        ident = projmap.ProjectiveMap([poly.variable(3, i) for i in range(3)])
+        with pytest.raises(periodic.PeriodicError, match="the iterate is the identity"):
+            periodic.find_periodic(ident, 1)
+
 
 class TestMultipliers:
     def test_diagonal_mixed_spectrum(self):
