@@ -311,6 +311,8 @@ def _bounds_json(precision: int, args) -> dict:
             "elimination_budget": periodic.ELIMINATION_BUDGET,
             "dedup_tol": tol["dedup"],
             "verify_tol": tol["verify"],
+            "refine_target": tol["refine_target"],
+            "zero_floor": tol["zero_floor"],
         },
         "classify": {
             "eps_zero": periodic.EPS_ZERO,
@@ -321,7 +323,7 @@ def _bounds_json(precision: int, args) -> dict:
         "image_pruning": {
             "sample_tol": tol["prune_sample"],
             "min_samples": pcf.PRUNE_MIN_SAMPLES,
-            "precision_bits": numeric.PRUNE_PRECISION,
+            "precision_bits": tol["prune_precision"],
         },
         "scan": {
             "tol": getattr(args, "tol", fatou.DEFAULT_TOL),

@@ -48,20 +48,19 @@ def resolve_precision(precision=None) -> int:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every precision-derived tolerance of the numeric verdicts.
+    """Every tolerance of the numeric verdicts that depends on the precision p.
 
     Built only by :func:`tolerances`, which gives each value at the
     precision it is compared at; report ``bounds`` serialize this object.
     """
 
-    precision: int  # working precision p in bits
     dedup: mpmath.mpf  # 10^-(p//8): points, moduli and periods this close agree
     verify: mpmath.mpf  # 10^-(p//16): residuals below this verify a solution
     zero_floor: mpmath.mpf  # 2^-(p-8): a magnitude this small, relative, is zero
     refine_target: mpmath.mpf  # 10^-(0.18p): Newton refinement stops below it
     prune_precision: int  # max(p, PRUNE_PRECISION): pruning evaluates here
     prune_sample: mpmath.mpf  # 10^-25: a sample value below it keeps a factor
-    formulas: dict = field(repr=False, compare=False)
+    formulas: tuple = field(repr=False, compare=False)  # (field, "base^-exponent")
 
     def serialize(self) -> dict:
         """Each tolerance as its formula, keyed by field name, for reports."""
@@ -86,8 +85,8 @@ def tolerances(precision: int) -> Tolerances:
         "refine_target": _power_tol(10, p * 0.18, p),
         "prune_sample": _power_tol(10, PRUNE_SAMPLE_EXP, prune_precision),
     }
-    return Tolerances(p, prune_precision=prune_precision,
-                      formulas={k: text for k, (_v, text) in built.items()},
+    return Tolerances(prune_precision=prune_precision,
+                      formulas=tuple((k, text) for k, (_v, text) in built.items()),
                       **{k: value for k, (value, _t) in built.items()})
 
 
