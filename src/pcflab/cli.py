@@ -359,8 +359,10 @@ def _abort(report, args, exc) -> int:
 
 
 def _load_and_validate(args, report):
-    """Shared ingestion: (work map, None), or (None, exit code) after emitting
-    the report unless the input did not parse."""
+    """Shared ingestion: (work map, None) or (None, exit code).
+
+    A failure after the input parsed emits the report here.
+    """
     try:
         m, mapfile, source = load_input(args.input)
     except MapFileError as exc:

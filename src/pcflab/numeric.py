@@ -364,7 +364,7 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
             )
             na = max(mpmath.fabs(v) for v in va)
             nb = max(mpmath.fabs(v) for v in vb)
-            if na > 0 and nb > 0 and cross > points.tol * na * nb:
+            if na > 0 and nb > 0 and cross > tolerances(precision).dedup * na * nb:
                 mults[i] = 1
     return points.points, mults
 

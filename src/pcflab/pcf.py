@@ -836,7 +836,7 @@ def _transversality_linear(comps) -> TransversalityReport:
 def _transversality_general(comps, precision: int) -> TransversalityReport:
     with mpmath.workprec(precision):
         seen = numeric.PointSet(precision)
-        rank_tol = seen.tol  # refined roots sit far below this
+        rank_tol = numeric.tolerances(precision).dedup  # refined roots sit far below this
         points = []  # (mpc triple, exact rational triple or None)
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):

@@ -85,7 +85,7 @@ def _fixed_point_candidates_p1(big: ProjectiveMap, precision: int):
     form = big.comps[0] * t - big.comps[1] * s
     if form.is_zero():
         raise PeriodicError("every point is periodic: the iterate is the identity")
-    return numeric.binary_form_roots(form, precision)
+    return [(root, mult) for root, mult in numeric.binary_form_roots(form, precision)]
 
 
 def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
