@@ -12,6 +12,11 @@ of the maps: the audit compares the critical points of f^3 on a line with
 the critical lines of f only, so critical points of f^3 that reach a
 critical line of f after one or two steps go unmatched.
 
+The grid goldens pin the ``fatou --out`` CSV and PGM bytes of one window
+per map: squaring-p2 inside the basin of (0 : 0 : 1), Sym^2 straddling the
+basin boundary near (1, 1), where one pixel stays unlabeled for the whole
+iteration budget, and squaring-p1 across the unit circle.
+
 After a deliberate report change, regenerate with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the golden
 files whose bytes changed, and name every changed field in the change log.
@@ -19,6 +24,7 @@ files whose bytes changed, and name every changed field in the change log.
 
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -57,6 +63,20 @@ CASES = (
      ["analyze", "fs-1992-a-conj.json", "--precision", "128"], 0),
 )
 
+# (golden grid prefix, fatou argv without --out): PREFIX.csv and PREFIX.pgm
+GRID_CASES = (
+    ("fatou-grid-squaring-p2-inside",
+     ["fatou", "catalog:squaring-p2", "--center=0.0213,-0.0377",
+      "--radius", "0.9", "--grid", "16"]),
+    ("fatou-grid-sym2-straddle",
+     ["fatou", "sym2.json", "--center=1.017,1.017", "--radius", "0.5",
+      "--grid", "16"]),
+    ("fatou-grid-squaring-p1",
+     ["fatou", "catalog:squaring-p1", "--center=0.1+0.05j", "--radius", "1.2",
+      "--grid", "16"]),
+)
+GRID_SUFFIXES = (".csv", ".pgm")
+
 
 def _run(argv, report_path) -> int:
     cwd = os.getcwd()
@@ -75,15 +95,37 @@ def test_report_matches_golden(golden, argv, code, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
+@pytest.mark.parametrize("prefix,argv", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+def test_grid_files_match_golden(prefix, argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("PCFLAB_PRECISION", raising=False)
+    out = tmp_path / prefix
+    assert _run(argv + ["--out", str(out)], tmp_path / "report.json") == 0
+    for suffix in GRID_SUFFIXES:
+        got = Path(str(out) + suffix).read_bytes()
+        assert got == (GOLDEN_DIR / (prefix + suffix)).read_bytes(), suffix
+
+
+def _read(name):
+    path = GOLDEN_DIR / name
+    return path.read_bytes() if path.exists() else None
+
+
 if __name__ == "__main__":
     os.environ.pop("PCFLAB_PRECISION", None)
+    # (files a run writes, argv, report path, expected exit code)
+    runs = [([golden], argv, GOLDEN_DIR / golden, code)
+            for golden, argv, code in CASES]
+    tmp = tempfile.TemporaryDirectory()
+    runs += [([prefix + suffix for suffix in GRID_SUFFIXES],
+              argv + ["--out", str(GOLDEN_DIR / prefix)],
+              Path(tmp.name) / "report.json", 0)
+             for prefix, argv in GRID_CASES]
     changed = []
-    for golden, argv, code in CASES:
-        path = GOLDEN_DIR / golden
-        before = path.read_bytes() if path.exists() else None
-        got = _run(argv, path)
-        if got != code:
-            sys.exit(f"{golden}: exit {got}, expected {code}")
-        if path.read_bytes() != before:
-            changed.append(golden)
+    with tmp:
+        for names, argv, report, code in runs:
+            before = [_read(n) for n in names]
+            got = _run(argv, report)
+            if got != code:
+                sys.exit(f"{names[0]}: exit {got}, expected {code}")
+            changed += [n for n, b in zip(names, before) if _read(n) != b]
     print("changed goldens:", ", ".join(changed) if changed else "none")
