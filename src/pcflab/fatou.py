@@ -199,21 +199,40 @@ def _to_complex(v) -> complex:
     return complex(float(mpmath.re(v)), float(mpmath.im(v)))
 
 
-def _compile(form) -> tuple:
-    return tuple((e, _to_complex(c)) for e, c in sorted(form.terms.items()))
+def _straight_line(args, exprs, namespace):
+    """Compile ``lambda *args: (*exprs,)`` with free names bound in namespace."""
+    source = f"def f({', '.join(args)}):\n    return ({', '.join(exprs)},)\n"
+    exec(compile(source, "<fatou scan step>", "exec"), namespace)
+    return namespace["f"]
 
 
-def _ceval(compiled, coords) -> complex:
-    acc = 0j
-    for e, c in compiled:
-        v = c
-        for i, k in enumerate(e):
-            if k == 1:
-                v *= coords[i]
-            elif k:
-                v *= coords[i] ** k
-        acc += v
-    return acc
+def _compile(forms, nvars: int):
+    """Evaluator of ``forms`` at nvars complex coordinates, as one expression.
+
+    Each form is ``0j + c * x_i * x_j ** k + ...`` over its sorted terms:
+    the operations, order and association of a term-by-term loop that
+    starts from 0j.  Coefficients are bound by generated name, so the
+    source holds only names and integer exponents.
+    """
+    namespace, exprs = {}, []
+    for form in forms:
+        terms = ["0j"]
+        for e, c in sorted(form.terms.items()):
+            name = f"c{len(namespace)}"
+            namespace[name] = _to_complex(c)
+            terms.append(" * ".join([name] + [
+                f"x{i}" if k == 1 else f"x{i} ** {k}"
+                for i, k in enumerate(e) if k]))
+        exprs.append(" + ".join(terms))
+    return _straight_line([f"x{i}" for i in range(nvars)], exprs, namespace)
+
+
+def _chain_product(k: int):
+    """Product of two flat row-major k x k matrices, added in sum()'s order."""
+    return _straight_line(
+        [f"a{i}" for i in range(k * k)] + [f"b{i}" for i in range(k * k)],
+        [" + ".join(["0"] + [f"a{r * k + t} * b{t * k + c}" for t in range(k)])
+         for r in range(k) for c in range(k)], {})
 
 
 def _normalize_c(vals):
@@ -225,54 +244,38 @@ def _normalize_c(vals):
     if chart < 0 or best == 0.0 or best != best:  # zero vector or nan
         return None, -1
     inv = 1.0 / vals[chart]
-    return tuple(v * inv for v in vals), chart
+    return tuple([v * inv for v in vals]), chart
 
 
-def _pd_c(p, q) -> float:
-    best = 0.0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            v = abs(p[i] * q[j] - p[j] * q[i])
-            if v > best:
-                best = v
-    return best
+def _near(p, q, pairs, tol) -> bool:
+    """Every cross product p_i q_j - p_j q_i below tol; NaN ones are ignored."""
+    for i, j in pairs:
+        if abs(p[i] * q[j] - p[j] * q[i]) >= tol:
+            return False
+    return True
 
 
 def _pixel_origin(config: ScanConfig, k: int):
     """Per-pixel starting points, row-major, as projective coordinate tuples."""
-    n = config.resolution
-    r = config.radius
+    n, r = config.resolution, config.radius
+    c = [_to_complex(v) for v in config.center]
 
-    def val(c, j):
-        return c - r + 2.0 * r * j / (n - 1)
+    def val(x, j):
+        return x - r + 2.0 * r * j / (n - 1)
 
-    out = []
-    if k == 1:
-        c = _to_complex(config.center[0])
-        for row in range(n):
-            line = []
-            for col in range(n):
-                z = complex(val(c.real, col), val(c.imag, row))
-                line.append(_insert_chart((z,), config.chart, 2))
-            out.append(line)
-        return out
-    cx = _to_complex(config.center[0])
-    cy = _to_complex(config.center[1])
-    for row in range(n):
-        line = []
-        for col in range(n):
-            x = complex(val(cx.real, col), cx.imag)
-            y = complex(val(cy.real, row), cy.imag)
-            line.append(_insert_chart((x, y), config.chart, 3))
-        out.append(line)
-    return out
+    def affine(row, col):
+        if k == 1:
+            return (complex(val(c[0].real, col), val(c[0].imag, row)),)
+        return (complex(val(c[0].real, col), c[0].imag),
+                complex(val(c[1].real, row), c[1].imag))
+
+    return [[_insert_chart(affine(row, col), config.chart) for col in range(n)]
+            for row in range(n)]
 
 
-def _insert_chart(affine, chart: int, nvars: int):
-    coords = []
-    it = iter(affine)
-    for i in range(nvars):
-        coords.append(1.0 + 0j if i == chart else next(it))
+def _insert_chart(affine, chart: int):
+    coords = list(affine)
+    coords.insert(chart, 1.0 + 0j)
     return tuple(coords)
 
 
@@ -283,34 +286,43 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     Labels need CONSECUTIVE_HITS successive in-tolerance approaches to one
     candidate; the chained Jacobian decay flag and a settled flag (orbit
     stopped moving without matching any candidate) are tracked per pixel.
+    The chain is the product of the affine Jacobians between the charts of
+    successive normalized points, kept row-major in a flat tuple.
     """
-    if config.chart < 0 or config.chart > m.k:
+    k = m.k
+    if config.chart < 0 or config.chart > k:
         raise FatouError("chart index out of range")
-    comps = [_compile(c) for c in m.comps]
-    partials = [[_compile(poly.partial(c, j)) for j in range(m.k + 1)]
-                for c in m.comps]
+    n1 = k + 1
+    evaluate = _compile(m.comps, n1)
+    jacobian = _compile([poly.partial(c, j) for c in m.comps
+                         for j in range(n1)], n1)
     cands = []
     for cand in config.candidates:
         norm, _ = _normalize_c(tuple(_to_complex(v) for v in cand))
         if norm is None:
             raise FatouError("candidate point has no nonzero coordinate")
         cands.append(norm)
-    origins = _pixel_origin(config, m.k)
-    k = m.k
+    pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+    # For each (chart in, chart out): the affine Jacobian's entries as
+    # (flat index of df_i/dx_j, i, flat index of df_out/dx_j), row-major.
+    affine = [[(i * n1 + j, i, b * n1 + j) for i in range(n1) if i != b
+               for j in range(n1) if j != a] for a in range(n1) for b in range(n1)]
+    product = _chain_product(k)
+    identity = tuple(1.0 + 0j if r == c else 0j
+                     for r in range(k) for c in range(k))
     tol = config.tol
     labels, iters, decflags, setflags = [], [], [], []
     failures = 0
-    for row in range(config.resolution):
+    for origin_row in _pixel_origin(config, k):
         lrow, irow, drow, srow = [], [], [], []
-        for col in range(config.resolution):
-            cur, chart = _normalize_c(origins[row][col])
+        for origin in origin_row:
+            cur, chart = _normalize_c(origin)
             if cur is None:
                 failures += 1
                 lrow.append(-1), irow.append(-1)
                 drow.append(False), srow.append(False)
                 continue
-            chain = [[1.0 + 0j if i == j else 0j for j in range(k)]
-                     for i in range(k)]
+            chain = identity
             decayed = False
             frozen = not config.derivative_check
             streaks = [0] * len(cands)
@@ -318,30 +330,31 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
             label, labeled_at = -1, -1
             broke = False
             for n in range(1, config.max_iters + 1):
-                vals = [_ceval(c, cur) for c in comps]
+                vals = evaluate(*cur)
                 nxt, nchart = _normalize_c(vals)
                 if nxt is None:
                     failures += 1
                     broke = True
                     break
                 if not frozen:
-                    chain = _chain_step(m, partials, cur, chart, vals, nchart,
-                                        chain, k)
-                    if chain is None:
+                    d = jacobian(*cur)
+                    fb = vals[nchart]
+                    inv2 = 1.0 / (fb * fb)
+                    rows = [(d[p] * fb - vals[i] * d[q]) * inv2
+                            for p, i, q in affine[chart * n1 + nchart]]
+                    chain = product(*rows, *chain)
+                    norm = max(map(abs, chain))
+                    if norm < DERIVATIVE_DECAY_THRESHOLD:
+                        decayed = True
                         frozen = True
-                    else:
-                        norm = max(abs(e) for rowv in chain for e in rowv)
-                        if norm < DERIVATIVE_DECAY_THRESHOLD:
-                            decayed = True
-                            frozen = True
-                        elif norm > 1e100 or norm != norm:
-                            frozen = True
-                if _pd_c(nxt, cur) < tol:
+                    elif norm > 1e100 or norm != norm:
+                        frozen = True
+                if _near(nxt, cur, pairs, tol):
                     settle_streak += 1
                 else:
                     settle_streak = 0
                 for ci, cand in enumerate(cands):
-                    if _pd_c(nxt, cand) < tol:
+                    if _near(nxt, cand, pairs, tol):
                         streaks[ci] += 1
                         if streaks[ci] >= CONSECUTIVE_HITS and label < 0:
                             label, labeled_at = ci, n
@@ -360,26 +373,6 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
         setflags.append(tuple(srow))
     return BasinGrid(config, tuple(labels), tuple(iters), tuple(decflags),
                      tuple(setflags), failures)
-
-
-def _chain_step(m, partials, cur, chart_in, vals, chart_out, chain, k):
-    fb = vals[chart_out]
-    if fb == 0:
-        return None
-    dvals = [[_ceval(partials[i][j], cur) for j in range(k + 1)]
-             for i in range(k + 1)]
-    rows = []
-    inv2 = 1.0 / (fb * fb)
-    for i in range(k + 1):
-        if i == chart_out:
-            continue
-        rows.append([
-            (dvals[i][j] * fb - vals[i] * dvals[chart_out][j]) * inv2
-            for j in range(k + 1) if j != chart_in
-        ])
-    # rows @ chain
-    return [[sum(rows[i][t] * chain[t][j] for t in range(k))
-             for j in range(k)] for i in range(k)]
 
 
 # -- summaries ------------------------------------------------------------------

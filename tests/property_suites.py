@@ -483,7 +483,9 @@ def _probe_candidates(entry):
 
 
 def suite_scan_determinism(n=500, seed=501):
+    """Reruns give the same grid, and it equals the reference loop's."""
     from pcflab import catalog
+    import scan_reference
     rng = random.Random(seed)
     entries = list(catalog.entries())
     count = 0
@@ -492,10 +494,12 @@ def suite_scan_determinism(n=500, seed=501):
         config = _scan_windows(rng, entry)
         g1 = fatou.scan(entry.map, config)
         g2 = fatou.scan(entry.map, config)
-        assert g1.labels == g2.labels
-        assert g1.iters == g2.iters
-        assert g1.decayed == g2.decayed
-        assert g1.settled == g2.settled
-        assert g1.failures == g2.failures
+        ref = scan_reference.scan(entry.map, config)
+        for g in (g2, ref):
+            assert g1.labels == g.labels
+            assert g1.iters == g.iters
+            assert g1.decayed == g.decayed
+            assert g1.settled == g.settled
+            assert g1.failures == g.failures
         count += 1
     return count

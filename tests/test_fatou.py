@@ -1,12 +1,19 @@
 """Basin scans: candidate derivation, grid labeling, summaries, determinism."""
 
+import io
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
-from pcflab import catalog, fatou, pcf, projmap
+from pcflab import catalog, cli, fatou, pcf, poly, projmap
 
 import property_suites as ps
+import scan_reference
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _squaring_p2():
@@ -149,6 +156,112 @@ class TestDeterminism:
 
     def test_randomized_determinism_suite(self):
         assert ps.suite_scan_determinism(n=60) == 60
+
+
+class TestReferenceLoop:
+    """The compiled scan equals the scalar reference loop bit for bit."""
+
+    def _same(self, m, cfg):
+        grid = fatou.scan(m, cfg)
+        assert grid == scan_reference.scan(m, cfg)
+        return grid
+
+    def test_derivative_check_off(self):
+        sym2, _, _ = cli.load_input(str(GOLDEN_DIR / "sym2.json"))
+        for m in (_squaring_p2(), sym2):
+            cfg = fatou.ScanConfig(2, (0.3, -0.2), 0.8, 8, max_iters=30,
+                                   candidates=COORD_CANDS,
+                                   derivative_check=False)
+            grid = self._same(m, cfg)
+            assert not any(d for row in grid.decayed for d in row)
+
+    def test_charts_zero_and_one(self):
+        for chart in (0, 1):
+            for name in ("squaring-p2", "fs-1992-a"):
+                cfg = fatou.ScanConfig(chart, (0.4 + 0.1j, -0.7), 1.1, 7,
+                                       max_iters=24, candidates=COORD_CANDS)
+                self._same(catalog.get(name).map, cfg)
+        cfg = fatou.ScanConfig(0, (0.2 - 0.3j,), 1.5, 7,
+                               candidates=((1, 0), (0, 1)))
+        self._same(catalog.get("squaring-p1").map, cfg)
+
+    def test_dense_conjugate(self):
+        m, _, _ = cli.load_input(str(GOLDEN_DIR / "fs-1992-a-conj.json"))
+        cfg = fatou.ScanConfig(2, (0.1, 0.25), 0.9, 6, max_iters=40,
+                               candidates=COORD_CANDS)
+        self._same(m, cfg)
+
+    def test_no_candidates(self):
+        cfg = fatou.ScanConfig(2, (0.3, 0.2), 0.6, 6, max_iters=40)
+        grid = self._same(catalog.get("fs-1992-a").map, cfg)
+        assert all(lab == -1 for row in grid.labels for lab in row)
+
+    def test_orbit_reaching_zero_vector(self):
+        # y * (x : y : z) vanishes on the pixel row y = 0, which an odd
+        # resolution centred on y = 0 hits exactly: each of its five
+        # pixels is a failure.
+        y = poly.variable(3, 1)
+        m = projmap.ProjectiveMap([y * poly.variable(3, i) for i in range(3)])
+        cfg = fatou.ScanConfig(2, (0.2, 0), 0.5, 5, candidates=COORD_CANDS)
+        grid = self._same(m, cfg)
+        assert grid.failures == 5
+        assert grid.labels[2] == (-1,) * 5
+        assert grid.settled[2] == (False,) * 5
+
+
+class TestCompiledEvaluators:
+    def _terms(self, n):
+        # Large rationals that print as long digit strings.
+        return [{"num": str(7 ** (40 + i) * (-1) ** i), "den": str(3 ** (20 + i)),
+                 "exps": e} for i, e in enumerate(
+                     ([2, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 2])[:n])]
+
+    def test_values_exact_and_source_carries_no_data(self, monkeypatch):
+        m = cli.parse_mapfile({"k": 2, "degree": 2, "components": [
+            self._terms(4), self._terms(3), self._terms(2)]})
+        forms = list(m.comps) + [poly.partial(c, 0) for c in m.comps]
+
+        class Form:  # complex and mpmath coefficients, as _to_complex takes
+            terms = {(3, 0, 0): 1.5e300 - 2.5e-300j,
+                     (1, 2, 0): mpmath.mpc("0.1", "-7.25"),
+                     (0, 0, 3): Fraction(-10 ** 30, 7 ** 15)}
+
+        class Cancelling:  # at (1, 1, 1) the sum is 0 in sorted order, 1 reversed
+            terms = {(0, 0, 3): 1, (0, 3, 0): 10 ** 16, (3, 0, 0): -10 ** 16}
+        forms += [Form, Cancelling]
+        sources = []
+        real_compile = compile
+
+        def spy(source, *args):
+            sources.append(source)
+            return real_compile(source, *args)
+
+        monkeypatch.setattr(fatou, "compile", spy, raising=False)
+        evaluate = fatou._compile(forms, 3)
+        points = [(0.3 + 0.1j, -1.7 + 0j, 2e-3 - 4j), (1 + 0j, -0.0 + 0j, 0j),
+                  (1e50 + 1e-150j, -3j, 0.5 + 0.5j),
+                  (1 + 0j, 1 + 0j, 1 + 0j)]
+        for point in points:
+            got = evaluate(*point)
+            want = [scan_reference.ceval(scan_reference.terms(f), point)
+                    for f in forms]
+            assert [(v.real.hex(), v.imag.hex()) for v in got] == \
+                [(v.real.hex(), v.imag.hex()) for v in want]
+        assert len(sources) == 1
+        source = sources[0]
+        # Only generated names, integer exponents and the 0j start appear.
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        for prev, tok in zip(tokens, tokens[1:]):
+            if tok.type == tokenize.NUMBER:
+                assert tok.string == "0j" or (
+                    prev.string == "**" and tok.string.isdigit()), tok.string
+        # Nor does any coefficient's text; texts of up to three characters
+        # would match generated names, and the token check covers them.
+        for c in (c for f in forms for c in f.terms.values()):
+            texts = {str(c), repr(fatou._to_complex(c))}
+            if isinstance(c, (int, Fraction)):
+                texts |= {str(c.numerator), str(c.denominator)}
+            assert not any(t in source for t in texts if len(t) > 3), c
 
 
 class TestBasinSummary:
