@@ -17,6 +17,7 @@ summaries say consistent, never verified.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -177,8 +178,14 @@ class ScanConfig:
     def __post_init__(self):
         if self.resolution < 2:
             raise FatouError("resolution must be >= 2")
-        if not self.tol > 0:
-            raise FatouError("tolerance must be positive")
+        if self.max_iters < 1:
+            raise FatouError("max_iters must be >= 1")
+        if not (self.radius >= 0 and cmath.isfinite(self.radius)):
+            raise FatouError("radius must be finite and >= 0")
+        if not (self.tol > 0 and cmath.isfinite(self.tol)):
+            raise FatouError("tol must be finite and positive")
+        if not all(cmath.isfinite(_to_complex(c)) for c in self.center):
+            raise FatouError("center coordinates must be finite")
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,22 @@ class TestFatou:
         payload = pgm[len(b"P5\n2 2\n255\n"):]
         assert set(payload) == {0}
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--iters", "0", "max_iters"),
+        ("--iters", "-3", "max_iters"),
+        ("--radius", "nan", "radius"),
+        ("--radius", "inf", "radius"),
+        ("--radius", "-0.5", "radius"),
+        ("--tol", "inf", "tol"),
+        ("--center", "nan,0", "center"),
+    ])
+    def test_nonsense_scan_config_rejected(self, capsys, flag, value, field):
+        code, out, err = _run(capsys, "fatou", "catalog:squaring-p2",
+                              "--grid", "4", f"{flag}={value}")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert field in err
+
 
 class TestCatalog:
     def test_list_names(self, capsys):
