@@ -1,18 +1,18 @@
 """The scalar basin-scan loop that ``fatou.scan`` must reproduce bit for bit.
 
-This is the pixel loop as it was before the scan compiled its pixel step:
-a generic sparse evaluator walks each component's sorted term list, the
-projective distance is the largest cross product, and the chained affine
-Jacobian is rebuilt from nested lists every step.  ``fatou.scan`` performs
-the same floating-point operations in the same order, so its grids must
-equal this loop's exactly; ``property_suites.suite_scan_determinism`` and
+This is the pixel loop, with its pixel origins and normalization, as it
+was before the scan compiled its pixel step: a generic sparse evaluator
+walks each component's sorted term list, the projective distance is the
+largest cross product, and the chained affine Jacobian is rebuilt from
+nested lists every step.  ``fatou.scan`` performs the same floating-point
+operations in the same order, so its grids must equal this loop's exactly;
+``property_suites.suite_scan_determinism`` and
 ``test_fatou.TestReferenceLoop`` compare them.
 """
 
-from pcflab import fatou, poly
+from pcflab import poly
 from pcflab.fatou import (CONSECUTIVE_HITS, DERIVATIVE_DECAY_THRESHOLD,
-                          BasinGrid, FatouError, _normalize_c, _pixel_origin,
-                          _to_complex)
+                          BasinGrid, FatouError, _to_complex)
 
 
 def terms(form) -> tuple:
@@ -30,6 +30,18 @@ def ceval(compiled, coords) -> complex:
                 v *= coords[i] ** k
         acc += v
     return acc
+
+
+def normalize_c(vals):
+    best, chart = 0.0, -1
+    for i, v in enumerate(vals):
+        a = abs(v)
+        if a > best:
+            best, chart = a, i
+    if chart < 0 or best == 0.0 or best != best:  # zero vector or nan
+        return None, -1
+    inv = 1.0 / vals[chart]
+    return tuple(v * inv for v in vals), chart
 
 
 def pd_c(p, q) -> float:
@@ -62,6 +74,43 @@ def chain_step(partials, cur, chart_in, vals, chart_out, chain, k):
              for j in range(k)] for i in range(k)]
 
 
+def pixel_origin(config, k: int):
+    n = config.resolution
+    r = config.radius
+
+    def val(c, j):
+        return c - r + 2.0 * r * j / (n - 1)
+
+    out = []
+    if k == 1:
+        c = _to_complex(config.center[0])
+        for row in range(n):
+            line = []
+            for col in range(n):
+                z = complex(val(c.real, col), val(c.imag, row))
+                line.append(insert_chart((z,), config.chart, 2))
+            out.append(line)
+        return out
+    cx = _to_complex(config.center[0])
+    cy = _to_complex(config.center[1])
+    for row in range(n):
+        line = []
+        for col in range(n):
+            x = complex(val(cx.real, col), cx.imag)
+            y = complex(val(cy.real, row), cy.imag)
+            line.append(insert_chart((x, y), config.chart, 3))
+        out.append(line)
+    return out
+
+
+def insert_chart(affine, chart: int, nvars: int):
+    coords = []
+    it = iter(affine)
+    for i in range(nvars):
+        coords.append(1.0 + 0j if i == chart else next(it))
+    return tuple(coords)
+
+
 def scan(m, config) -> BasinGrid:
     if config.chart < 0 or config.chart > m.k:
         raise FatouError("chart index out of range")
@@ -70,11 +119,11 @@ def scan(m, config) -> BasinGrid:
                 for c in m.comps]
     cands = []
     for cand in config.candidates:
-        norm, _ = _normalize_c(tuple(_to_complex(v) for v in cand))
+        norm, _ = normalize_c(tuple(_to_complex(v) for v in cand))
         if norm is None:
             raise FatouError("candidate point has no nonzero coordinate")
         cands.append(norm)
-    origins = _pixel_origin(config, m.k)
+    origins = pixel_origin(config, m.k)
     k = m.k
     tol = config.tol
     labels, iters, decflags, setflags = [], [], [], []
@@ -82,7 +131,7 @@ def scan(m, config) -> BasinGrid:
     for row in range(config.resolution):
         lrow, irow, drow, srow = [], [], [], []
         for col in range(config.resolution):
-            cur, chart = _normalize_c(origins[row][col])
+            cur, chart = normalize_c(origins[row][col])
             if cur is None:
                 failures += 1
                 lrow.append(-1), irow.append(-1)
@@ -98,7 +147,7 @@ def scan(m, config) -> BasinGrid:
             broke = False
             for n in range(1, config.max_iters + 1):
                 vals = [ceval(c, cur) for c in comps]
-                nxt, nchart = _normalize_c(vals)
+                nxt, nchart = normalize_c(vals)
                 if nxt is None:
                     failures += 1
                     broke = True
