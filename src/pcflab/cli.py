@@ -16,6 +16,7 @@ stay null so downstream tooling can rely on the shape.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -508,6 +509,15 @@ def cmd_fatou(args) -> int:
     if work is None:
         return code
     precision = numeric.resolve_precision(args.precision)
+    try:  # settings are checked before any candidate is derived
+        center_text = args.center if args.center is not None else ",".join("0" * work.k)
+        center = _parse_center(center_text, work.k)
+        chart = args.chart if args.chart is not None else work.k
+        config = fatou.ScanConfig(chart, center, args.radius, args.grid,
+                                  args.iters, args.tol)
+    except (MapFileError, fatou.FatouError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.candidates:
             cands = _parse_candidates(args.candidates, work.k)
@@ -540,13 +550,9 @@ def cmd_fatou(args) -> int:
             numeric.NumericalError, fatou.FatouError) as exc:
         return _abort(report, args, exc)
     try:
-        center_text = args.center if args.center is not None else ",".join("0" * work.k)
-        center = _parse_center(center_text, work.k)
-        chart = args.chart if args.chart is not None else work.k
-        config = fatou.ScanConfig(chart, center, args.radius, args.grid,
-                                  args.iters, args.tol, tuple(cands))
+        config = dataclasses.replace(config, candidates=tuple(cands))
         grid = fatou.scan(work, config)
-    except (MapFileError, fatou.FatouError) as exc:
+    except fatou.FatouError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     summary = fatou.basin_summary(grid)

@@ -340,6 +340,15 @@ class TestFatou:
         assert out == ""
         assert field in err
 
+    def test_settings_checked_before_candidates(self, capsys):
+        # fs-1992-a derives no candidates (exit 5), but a bad setting is
+        # reported first.
+        code, out, err = _run(capsys, "fatou", "catalog:fs-1992-a",
+                              "--grid", "4", "--radius", "nan")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert "radius" in err
+
 
 class TestCatalog:
     def test_list_names(self, capsys):
