@@ -207,14 +207,14 @@ def _to_complex(v) -> complex:
 
 
 def _straight_line(args, exprs, namespace):
-    """Compile ``lambda *args: (*exprs,)`` with free names bound in namespace."""
+    """Compile ``def f(*args): return (*exprs,)``, free names from namespace."""
     source = f"def f({', '.join(args)}):\n    return ({', '.join(exprs)},)\n"
     exec(compile(source, "<fatou scan step>", "exec"), namespace)
     return namespace["f"]
 
 
 def _compile(forms, nvars: int):
-    """Evaluator of ``forms`` at nvars complex coordinates, as one expression.
+    """One straight-line function giving ``forms`` at nvars complex coordinates.
 
     Each form is ``0j + c * x_i * x_j ** k + ...`` over its sorted terms:
     the operations, order and association of a term-by-term loop that
