@@ -515,6 +515,7 @@ def cmd_fatou(args) -> int:
         chart = args.chart if args.chart is not None else work.k
         config = fatou.ScanConfig(chart, center, args.radius, args.grid,
                                   args.iters, args.tol)
+        fatou.check_chart(config, work.k)
     except (MapFileError, fatou.FatouError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

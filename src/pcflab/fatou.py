@@ -286,6 +286,12 @@ def _insert_chart(affine, chart: int):
     return tuple(coords)
 
 
+def check_chart(config: ScanConfig, k: int) -> None:
+    """Raise FatouError unless config.chart is a chart of P^k."""
+    if not 0 <= config.chart <= k:
+        raise FatouError("chart index out of range")
+
+
 def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     """Deterministic basin scan of one chart window.
 
@@ -297,8 +303,7 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     successive normalized points, kept row-major in a flat tuple.
     """
     k = m.k
-    if config.chart < 0 or config.chart > k:
-        raise FatouError("chart index out of range")
+    check_chart(config, k)
     n1 = k + 1
     evaluate = _compile(m.comps, n1)
     jacobian = _compile([poly.partial(c, j) for c in m.comps

@@ -7,8 +7,11 @@ converted with :func:`mpc_from`, so callers control all rounding.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -172,13 +175,35 @@ class PointSet:
 
 # -- root finding ----------------------------------------------------------
 
+ABERTH_STEPS = 100  # the double-precision seed iteration gives up after this
+DOUBLE_RANGE = 960  # bits of coefficient range the seed iteration accepts
+SEED_ANGLE = 0.7  # rotation that keeps start points off the real axis
+
+
+def canonical_order(values, keys, tol):
+    """values sorted by each key in turn; key values within tol tie.
+
+    Rounding noise cannot then order values that agree within tol, such as
+    the two members of a conjugate pair.
+    """
+    def compare(a, b):
+        for key in keys:
+            ka, kb = key(a), key(b)
+            if mpmath.fabs(ka - kb) > tol:
+                return -1 if ka < kb else 1
+        return 0
+
+    return sorted(values, key=functools.cmp_to_key(compare))
+
 
 def binary_form_roots(q: HomPoly, precision: int):
     """Projective roots of a binary form with exact multiplicities.
 
     Returns a list of ``((x0, x1), multiplicity)`` with mpc coordinates.
     The form is first split into square-free pieces exactly, so the numeric
-    root finder only ever sees simple roots.
+    root finder only ever sees simple roots.  Each piece's roots come in a
+    canonical order: by |imaginary part|, then real part, then imaginary
+    part, with values within the dedup tolerance tied.
     """
     if q.nvars != 2:
         raise NumericalError("binary root finding needs a binary form")
@@ -201,19 +226,136 @@ def binary_form_roots(q: HomPoly, precision: int):
             for e, c in piece.terms.items():
                 coeffs[n - e[0]] = c
             mp_coeffs = [mpc_from(c) for c in coeffs]
-            for root in _polyroots(mp_coeffs, precision):
-                out.append(((root, mpc_from(1)), mult))
+            roots = canonical_order(
+                _polyroots(mp_coeffs, precision),
+                (lambda r: mpmath.fabs(r.imag), lambda r: r.real, lambda r: r.imag),
+                tolerances(precision).dedup)
+            out.extend(((root, mpc_from(1)), mult) for root in roots)
     return out
 
 
 def _polyroots(coeffs, precision: int):
-    """mpmath.polyroots with escalating effort; raises NumericalError on failure."""
+    """mpmath.polyroots from double-precision start points, with escalating effort.
+
+    The start points come from :func:`_double_seeds`; when it has none the
+    Durand-Kerner iteration starts cold.  Every rung's extra precision grows
+    by the bits that evaluating the polynomial near its roots loses to
+    cancellation, as the seed iteration measures it: with fewer, the
+    iteration stalls above mpmath's tolerance for all of its steps.  Raises
+    NumericalError when the last rung of the ladder does not converge.
+    """
+    seeds, lost = _double_seeds(coeffs) or (None, 0)
+    if seeds is not None:
+        seeds = [mpmath.mpc(z) for z in seeds]
     for maxsteps, extra in ((60, 32), (200, precision // 2), (800, precision)):
         try:
-            return mpmath.polyroots(coeffs, maxsteps=maxsteps, extraprec=extra)
+            return mpmath.polyroots(coeffs, maxsteps=maxsteps, extraprec=extra + lost,
+                                    roots_init=seeds)
         except mpmath.libmp.NoConvergence:
             continue
     raise NumericalError("polynomial root finding did not converge")
+
+
+def _double_seeds(coeffs):
+    """Start points for the roots of a polynomial and the bits evaluation loses.
+
+    An Aberth-Ehrlich iteration in complex doubles (Aberth 1973) on the
+    coefficients, highest first, scaled by a power of two; it starts on
+    circles whose radii come from the upper convex hull of the points
+    (i, log|a_i|), the Newton polygon (Bini 1996).  The lost bits are
+    log2 of the largest sensitivity at the points: how far a root moves per
+    unit of relative error in evaluating the polynomial there.  Returns
+    None when the coefficients' range does not fit in doubles, the constant
+    term is zero, or the iteration produces a non-finite or a repeated point
+    or an infinite sensitivity.
+    """
+    nonzero = [c for c in coeffs if c]
+    top = max(mpmath.mag(c) for c in nonzero)
+    if top - min(mpmath.mag(c) for c in nonzero) > DOUBLE_RANGE or not coeffs[-1]:
+        return None
+    scale = mpmath.ldexp(1, -top)
+    a = [complex(c * scale) for c in coeffs]
+    try:
+        z, sensitivity = _aberth(a, _newton_polygon_start(a))
+    except ZeroDivisionError:
+        return None
+    if (not all(cmath.isfinite(w) for w in z) or len(set(z)) < len(z)
+            or not math.isfinite(sensitivity)):
+        return None
+    return z, max(0, math.ceil(math.log2(sensitivity)))
+
+
+def _newton_polygon_start(a):
+    """Start points on circles whose radii the Newton polygon gives.
+
+    An edge of the upper convex hull of (i, log|a_i|) from i to j, with a_i
+    the coefficient of z^i, places j - i points evenly on the circle of
+    radius (|a_i| / |a_j|)^(1/(j-i)).
+    """
+    n = len(a) - 1
+    logs = {i: math.log(abs(c)) for i, c in enumerate(reversed(a)) if c}
+    hull = []
+    for i in sorted(logs):
+        while len(hull) >= 2:
+            h0, h1 = hull[-2], hull[-1]
+            if (h1 - h0) * (logs[i] - logs[h0]) < (logs[h1] - logs[h0]) * (i - h0):
+                break  # h1 lies strictly above the chord from h0 to i
+            hull.pop()
+        hull.append(i)
+    z = []
+    for i, j in zip(hull, hull[1:]):
+        m = j - i
+        radius = math.exp((logs[i] - logs[j]) / m)
+        z.extend(cmath.rect(radius, 2 * math.pi * (t / m + i / n) + SEED_ANGLE)
+                 for t in range(m))
+    return z
+
+
+def _aberth(a, z):
+    """Aberth-Ehrlich iteration from start points z, in place, Gauss-Seidel order.
+
+    A point stops moving once |p| there is within the rounding error of
+    evaluating p in doubles.  Returns the points and the largest
+    sensitivity among their last evaluations.
+    """
+    n = len(z)
+    sensitivity = [0.0] * n
+    moving = set(range(n))
+    for _ in range(ABERTH_STEPS):
+        for i in sorted(moving):
+            zi = z[i]
+            ratio, sensitivity[i], settled = _newton_ratio(a, zi)
+            if settled:
+                moving.discard(i)
+                continue
+            pull = sum(1 / (zi - z[j]) for j in range(n) if j != i)
+            z[i] = zi - ratio / (1 - ratio * pull)
+        if not moving:
+            break
+    return z, max(sensitivity)
+
+
+def _newton_ratio(a, z):
+    """p(z)/p'(z) in doubles, the sensitivity sum|a_k||z|^k / |p'(z)|, and
+    whether |p(z)| is at rounding level.
+
+    Outside the unit disc p is evaluated through its reversal at 1/z, so
+    the powers of z cannot overflow.
+    """
+    n = len(a) - 1
+    big = abs(z) > 1
+    w, coeffs = (1 / z, reversed(a)) if big else (z, a)
+    aw = abs(w)
+    p = dp = 0j
+    bound = 0.0
+    for c in coeffs:
+        dp = dp * w + p
+        p = p * w + c
+        bound = bound * aw + abs(c)
+    settled = abs(p) <= 4 * (n + 1) * sys.float_info.epsilon * bound
+    # Outside the disc, p'(z) = z^(n-1) (n r(w) - w r'(w)) for the reversal r.
+    zz, d = (z, n * p - w * dp) if big else (1, dp)
+    return zz * p / d, abs(zz) * bound / abs(d), settled
 
 
 def univariate_roots(coeffs, precision: int):
@@ -399,6 +541,9 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
             if mpmath.fabs(r1) < tol.zero_floor:
                 continue  # point at the chart's infinity; other chart logic covers it
             base = r0 / r1
+            exact = rationalize(base, precision)
+            if exact is not None and eliminant_binary.evaluate((exact, 1)) == 0:
+                base = exact
             ws = _backsub_roots(backsub, keep, elim, base, precision)
             if ws is None:
                 # backsub vanishes on this whole fiber; the other form of
@@ -437,21 +582,30 @@ def _drop_var(p: HomPoly, i: int) -> HomPoly:
 def _backsub_roots(p: HomPoly, keep: int, elim: int, base, precision: int):
     """Roots in x_elim of a ternary form at x_keep = base, z = 1.
 
-    Returns None when the form vanishes identically on that fiber: every
-    coefficient in x_elim is negligible against the size of the form's
-    coefficients there.
+    A Fraction base is an exact eliminant root: the fiber polynomial is built
+    in Fractions and solved by :func:`binary_form_roots`, which splits off
+    its repeated roots exactly.  Any other base gives a numeric fiber.
+    Returns None when the form vanishes identically on that fiber: exactly,
+    or with every coefficient in x_elim negligible against the size of the
+    form's coefficients there.  Raises NumericalError when root finding
+    fails.
     """
     point = [None] * 3
     point[keep] = base
-    point[elim] = mpc_from(0)
-    point[2] = mpc_from(1)
-    coeffs = [eval_form(row, point) for row in reversed(poly._ladder(p, elim))]
+    point[elim] = 0
+    point[2] = 1
+    rows = poly._ladder(p, elim)
+    if isinstance(base, Fraction):
+        coeffs = {t: c for t, c in enumerate(row.evaluate(point) for row in rows) if c}
+        if not coeffs:
+            return None
+        d = max(coeffs)
+        fiber = HomPoly(2, d, {(t, d - t): c for t, c in coeffs.items()})
+        return [r0 / r1 for (r0, r1), _m in binary_form_roots(fiber, precision)]
+    coeffs = [eval_form(row, point) for row in reversed(rows)]
     scale = max(mpmath.fabs(mpc_from(c)) for c in p.terms.values())
     scale *= max(mpmath.mpf(1), mpmath.fabs(base)) ** p.degree
     tol = scale * tolerances(precision).verify
     if all(mpmath.fabs(c) <= tol for c in coeffs):
         return None
-    try:
-        return univariate_roots(coeffs, precision)
-    except NumericalError:
-        return []
+    return univariate_roots(coeffs, precision)

@@ -228,36 +228,14 @@ def _mat_mul(a, b):
             for i in range(n)]
 
 
-def _eigenvalues(matrix, precision: int):
-    k = len(matrix)
-    if k == 1:
+def _eigenvalues(matrix):
+    """Eigenvalues of the 1x1 or 2x2 derivative of a map of P^1 or P^2."""
+    if len(matrix) == 1:
         return (matrix[0][0],)
-    if k == 2:
-        tr = matrix[0][0] + matrix[1][1]
-        det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-        disc = mpmath.sqrt(tr * tr - 4 * det)
-        return ((tr + disc) / 2, (tr - disc) / 2)
-    # characteristic polynomial by exact-arithmetic-free expansion
-    coeffs = _char_poly(matrix)
-    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision)
-    return tuple(roots)
-
-
-def _char_poly(matrix):
-    # Faddeev-LeVerrier: works over mpc entries for small k
-    k = len(matrix)
-    coeffs = [mpmath.mpc(1)]
-    mcur = [row[:] for row in matrix]
-    ident = [[mpmath.mpc(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    mwork = [row[:] for row in ident]
-    for step in range(1, k + 1):
-        mwork = _mat_mul(matrix, mwork)
-        tr = sum(mwork[i][i] for i in range(k))
-        c = -tr / step
-        coeffs.append(c)
-        for i in range(k):
-            mwork[i][i] += c
-    return coeffs
+    tr = matrix[0][0] + matrix[1][1]
+    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    disc = mpmath.sqrt(tr * tr - 4 * det)
+    return ((tr + disc) / 2, (tr - disc) / 2)
 
 
 def multipliers(m: ProjectiveMap, point, period: int,
@@ -265,8 +243,7 @@ def multipliers(m: ProjectiveMap, point, period: int,
     """Eigenvalues of the derivative of f^period at a periodic point.
 
     The derivative is the ordered product of one-step chart-transition
-    Jacobians along the orbit; the eigenvalues come from the closed-form
-    solution for k <= 2 and from the characteristic polynomial above that.
+    Jacobians along the orbit; the eigenvalues come in closed form.
     Sorted by descending modulus for stable reporting; moduli that agree
     within 10^-(precision//8) count as equal and order by (re, im), so a
     pair such as +-2 does not take its order from rounding noise.
@@ -286,22 +263,10 @@ def multipliers(m: ProjectiveMap, point, period: int,
             step = _chart_jacobian(m, partials, pts[j], charts[j],
                                    charts[(j + 1) % period])
             total = step if total is None else _mat_mul(step, total)
-        return _spectrum_order(_eigenvalues(total, precision),
-                               numeric.tolerances(precision).dedup)
-
-
-def _spectrum_order(eig, tol):
-    def part(x):
-        return 0.0 if mpmath.fabs(x) <= tol else float(x)
-
-    groups = []  # runs of moduli that agree within tol, largest first
-    for v in sorted(eig, key=lambda v: -mpmath.fabs(v)):
-        if groups and mpmath.fabs(groups[-1][-1]) - mpmath.fabs(v) <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return tuple(w for g in groups
-                 for w in sorted(g, key=lambda w: (part(mpmath.re(w)), part(mpmath.im(w)))))
+        return tuple(numeric.canonical_order(
+            _eigenvalues(total),
+            (lambda v: -mpmath.fabs(v), lambda v: v.real, lambda v: v.imag),
+            numeric.tolerances(precision).dedup))
 
 
 # -- classification and audits ------------------------------------------------

@@ -411,7 +411,7 @@ def suite_chart_invariance(n=500, seed=401, precision=256):
                     # scaled to 1 in its input chart
                     pt = tuple(numeric.mpc_from(x / vec[ch]) for x in vec)
                     jac = periodic._chart_jacobian(m, partials, pt, ch, ch)
-                    eigs = periodic._eigenvalues(jac, precision)
+                    eigs = periodic._eigenvalues(jac)
                     spectra.append(sorted(eigs, key=lambda z: (mpmath.fabs(z),
                                                                float(z.real),
                                                                float(z.imag))))

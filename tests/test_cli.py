@@ -349,6 +349,14 @@ class TestFatou:
         assert out == ""
         assert "radius" in err
 
+    def test_chart_checked_before_candidates(self, capsys):
+        # P^2 has charts 0..2; chart 7 is rejected before the closure runs.
+        code, out, err = _run(capsys, "fatou", "catalog:fs-1992-a",
+                              "--grid", "4", "--chart", "7")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert "chart" in err
+
 
 class TestCatalog:
     def test_list_names(self, capsys):

@@ -1,5 +1,6 @@
 """Certified-precision numeric layer: roots, chart systems, rationalization."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -95,7 +96,7 @@ class TestPolyroots:
     def _fake(self, monkeypatch, exc):
         calls = []
 
-        def polyroots(coeffs, maxsteps, extraprec):
+        def polyroots(coeffs, maxsteps, extraprec, roots_init=None):
             calls.append(maxsteps)
             raise exc
 
@@ -113,6 +114,104 @@ class TestPolyroots:
         with pytest.raises(ZeroDivisionError):
             numeric.univariate_roots([mpmath.mpc(1), mpmath.mpc(-2)], 256)
         assert calls == [60]
+
+
+    def test_failed_fiber_raises(self, monkeypatch):
+        # A fiber whose roots cannot be found fails the chart instead of
+        # coming back empty.
+        self._fake(monkeypatch, mpmath.libmp.NoConvergence("slow"))
+        p = _p(3, 2, {(0, 2, 0): 1, (1, 1, 0): 1, (0, 0, 2): -1})  # y^2 + xy - z^2
+        with mpmath.workprec(256):
+            base = mpmath.sqrt(2)
+            with pytest.raises(numeric.NumericalError):
+                numeric._backsub_roots(p, 0, 1, base, 256)
+
+
+def _same_roots(got, want, tol):
+    """Whether two root lists agree as multisets within tol."""
+    left = list(want)
+    for r in got:
+        near = [i for i, w in enumerate(left) if mpmath.fabs(r - w) < tol]
+        if not near:
+            return False
+        del left[near[0]]
+    return not left
+
+
+class TestDoubleSeeds:
+    """Seeded root finding finds what a cold start finds."""
+
+    def _check(self, coeffs, seeded=True):
+        with mpmath.workprec(256):
+            coeffs = [mpmath.mpc(c) for c in coeffs]
+            assert (numeric._double_seeds(coeffs) is not None) == seeded
+            got = numeric._polyroots(coeffs, 256)
+            cold = mpmath.polyroots(coeffs, maxsteps=800, extraprec=256)
+            assert _same_roots(got, cold, numeric.tolerances(256).dedup)
+            return got
+
+    def test_random_integer_polynomials(self):
+        rng = random.Random(20240611)
+        for _ in range(40):
+            degree = rng.randint(2, 12)
+            coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+            coeffs[0] = coeffs[0] or 1
+            coeffs[-1] = coeffs[-1] or -1
+            self._check(coeffs)
+
+    def test_roots_of_unity(self):
+        got = self._check([1] + [0] * 30 + [-1])
+        with mpmath.workprec(256):
+            assert all(mpmath.fabs(r ** 31 - 1) < mpmath.mpf(10) ** -60 for r in got)
+
+    def test_clustered_roots(self):
+        # (x - 1)(x - 1 - 10^-6)(x - 1 - 2 10^-6)(x + 3)(x^2 + 1)
+        cluster = [Fraction(1) + Fraction(k, 10**6) for k in range(3)]
+        coeffs = [Fraction(1)]
+        for r in cluster + [Fraction(-3)]:
+            coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs = [a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+        with mpmath.workprec(256):
+            self._check([mpmath.mpf(c.numerator) / c.denominator for c in coeffs])
+
+    def test_scaled_coefficients_are_seeded(self):
+        big = mpmath.ldexp(1, 3000)
+        got = self._check([big, -3 * big, 2 * big])
+        assert sorted(float(r.real) for r in got) == [1.0, 2.0]
+
+    def test_range_beyond_doubles_starts_cold(self):
+        # (x - 1)(x^2 - 2^1000): the coefficients span more than doubles hold.
+        with mpmath.workprec(256):
+            big = mpmath.ldexp(1, 1000)
+            got = self._check([1, -1, -big, big], seeded=False)
+            want = [1, mpmath.sqrt(big), -mpmath.sqrt(big)]
+            assert all(min(mpmath.fabs(r / w - 1) for w in want) < mpmath.mpf(10) ** -60
+                       for r in got)
+
+    def test_zero_constant_term_starts_cold(self):
+        self._check([1, -1, 0], seeded=False)
+
+
+class TestCanonicalOrder:
+    def test_order_ignores_root_finder_order(self, monkeypatch):
+        # Conjugate pairs and equal real parts: the root finder's own order
+        # follows its start points, the reported order must not.
+        q = (_p(2, 2, {(2, 0): 1, (0, 2): 1})  # x^2 + y^2
+             * _p(2, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 5})  # x^2 - 2xy + 5y^2
+             * poly.linear_form([1, 3]))
+        real = mpmath.polyroots
+        orders = []
+        for shuffle in (lambda r: r, lambda r: r[::-1],
+                        lambda r: [complex(x).conjugate() for x in r]):
+            monkeypatch.setattr(numeric.mpmath, "polyroots",
+                                lambda *a, shuffle=shuffle, **k: shuffle(real(*a, **k)))
+            with mpmath.workprec(256):
+                roots = numeric.binary_form_roots(q, 256)
+                orders.append([(complex(r0 / r1), m) for (r0, r1), m in roots])
+        assert orders[0] == orders[1]
+        rounded = [[(round(z.real, 9), round(z.imag, 9)) for z, _m in o] for o in orders]
+        assert rounded[0] == rounded[2]
+        assert rounded[0] == [(-3, 0), (0, -1), (0, 1), (1, -2), (1, 2)]
 
 
 class TestRationalize:

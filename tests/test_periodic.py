@@ -132,6 +132,32 @@ class TestFindPeriodic:
             for w in want:
                 assert sum(numeric.proj_distance(pp.point, w) < tight for pp in pts) == 1, w
 
+    def test_points_on_repeated_root_fiber(self):
+        # At period 2 the conjugate by B back-substitutes 114 y (y - 1)^4 on
+        # the fiber x = 0.  Numeric root finding never converged on the
+        # quadruple root, so (0 : 1 : 1) was lost in every chart and 20 of
+        # the 21 points came back.  That fiber sits over a rational
+        # eliminant root, so it is now split into square-free pieces exactly.
+        m = _conjugate(_squaring_p2(), B_ROWS)
+        pts = periodic.find_periodic(m, 2, 256)
+        count = periodic.bezout_audit(m, 2, pts)
+        assert (count.distinct, count.weighted) == (21, 21)
+        inv = projmap.invert_matrix(B_ROWS)
+        with mpmath.workprec(256):
+            w = mpmath.exp(2j * mpmath.pi / 3)
+            roots = (0, 1, w, w * w)
+            closed = {(a, b, c) for a in roots for b in roots for c in roots
+                      if (a, b, c) != (0, 0, 0)}
+            want = numeric.PointSet(256)
+            for q in closed:
+                want.add(tuple(sum(numeric.mpc_from(r) * v for r, v in zip(row, q))
+                               for row in inv))
+            assert len(want.points) == 21
+            tight = mpmath.mpf(10) ** -40
+            for target in want.points:
+                assert sum(numeric.proj_distance(pp.point, target) < tight
+                           for pp in pts) == 1, target
+
     def test_budget_error(self):
         with pytest.raises(periodic.BudgetError):
             periodic.find_periodic(_squaring_p2(), 4)
