@@ -245,8 +245,6 @@ def _polyroots(coeffs, precision: int):
     NumericalError when the last rung of the ladder does not converge.
     """
     seeds, lost = _double_seeds(coeffs) or (None, 0)
-    if seeds is not None:
-        seeds = [mpmath.mpc(z) for z in seeds]
     for maxsteps, extra in ((60, 32), (200, precision // 2), (800, precision)):
         try:
             return mpmath.polyroots(coeffs, maxsteps=maxsteps, extraprec=extra + lost,
@@ -282,7 +280,7 @@ def _double_seeds(coeffs):
     if (not all(cmath.isfinite(w) for w in z) or len(set(z)) < len(z)
             or not math.isfinite(sensitivity)):
         return None
-    return z, max(0, math.ceil(math.log2(sensitivity)))
+    return [mpmath.mpc(w) for w in z], max(0, math.ceil(math.log2(sensitivity)))
 
 
 def _newton_polygon_start(a):
@@ -336,9 +334,10 @@ def _aberth(a, z):
 
 
 def _newton_ratio(a, z):
-    """p(z)/p'(z) in doubles, the sensitivity sum|a_k||z|^k / |p'(z)|, and
-    whether |p(z)| is at rounding level.
+    """Newton ratio, sensitivity and settled flag of p at z, in doubles.
 
+    The ratio is p(z)/p'(z) and the sensitivity sum|a_k||z|^k / |p'(z)|;
+    settled means |p(z)| is at the rounding level of its evaluation.
     Outside the unit disc p is evaluated through its reversal at 1/z, so
     the powers of z cannot overflow.
     """
