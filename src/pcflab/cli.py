@@ -229,7 +229,7 @@ def _containment_json(rep: pcf.ContainmentReport):
         "ok": rep.ok,
         "entries": [
             {"label": label, "verdict": verdict,
-             "points": [{"point": p.point, "matched": p.matched, "ok": p.ok}
+             "points": [{"point": p.point, "matched": p.matched, "ok": p.ok, "step": p.step}
                         for p in points]}
             for label, verdict, points in rep.entries
         ],
@@ -410,8 +410,7 @@ def cmd_analyze(args) -> int:
                 pcf.weak_transversality(crit, precision))
         if levels:
             report["containment"] = _containment_json(
-                pcf.restricted_critical_containment(levels[0], crit,
-                                                    precision, args.height))
+                pcf.restricted_critical_containment(work, levels[0], crit))
             report["degree_checks"] = _degree_json(
                 pcf.topdeg_check(levels[0], work.d))
     except (projmap.DegreeCapError, pcf.PcfError, numeric.NumericalError) as exc:

@@ -470,14 +470,14 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
                 mults[i] = max(mults[i], mult)
 
         # Affine chart z != 0.
-        a2 = _strip_var(a, 2)
-        b2 = _strip_var(b, 2)
+        a2 = poly.strip_var(a, 2)
+        b2 = poly.strip_var(b, 2)
         if not a2.is_constant() and not b2.is_constant():
             for pt, mult in _affine_pair_solutions(a2, b2, precision):
                 push(pt, mult)
         # The line z = 0 separately.
-        abar = poly._slice_poly(a, 2)
-        bbar = poly._slice_poly(b, 2)
+        abar = poly.slice_poly(a, 2)
+        bbar = poly.slice_poly(b, 2)
         if abar.is_zero() and bbar.is_zero():
             raise NumericalError("both forms vanish on a coordinate line")
         if abar.is_zero() or bbar.is_zero():
@@ -510,11 +510,6 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     return points.points, mults
 
 
-def _strip_var(p: HomPoly, i: int) -> HomPoly:
-    m = p.min_var_degree(i)
-    return poly._shift_var(p, i, -m) if m and not p.is_zero() else p
-
-
 def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
     """Solutions with z != 0 of two ternary forms without z factors."""
     tol = tolerances(precision)
@@ -533,7 +528,7 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
         backsub, other = (b, a) if da == 0 else (a, b)
         if eliminant.is_zero():
             continue
-        eliminant_binary = _drop_var(eliminant, elim)
+        eliminant_binary = poly.slice_poly(eliminant, elim)
         if eliminant_binary.is_constant():
             continue
         for (r0, r1), mult in binary_form_roots(eliminant_binary, precision):
@@ -567,17 +562,6 @@ def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
     return out
 
 
-def _drop_var(p: HomPoly, i: int) -> HomPoly:
-    """Reinterpret a ternary form with no x_i dependence as a binary form."""
-    keep = [j for j in range(p.nvars) if j != i]
-    acc = {}
-    for e, c in p.terms.items():
-        if e[i] != 0:
-            raise NumericalError("form still depends on the dropped variable")
-        acc[tuple(e[j] for j in keep)] = c
-    return HomPoly(2, p.degree, acc) if acc else poly.zero(2, p.degree)
-
-
 def _backsub_roots(p: HomPoly, keep: int, elim: int, base, precision: int):
     """Roots in x_elim of a ternary form at x_keep = base, z = 1.
 
@@ -593,7 +577,7 @@ def _backsub_roots(p: HomPoly, keep: int, elim: int, base, precision: int):
     point[keep] = base
     point[elim] = 0
     point[2] = 1
-    rows = poly._ladder(p, elim)
+    rows = poly.ladder(p, elim)
     if isinstance(base, Fraction):
         coeffs = {t: c for t, c in enumerate(row.evaluate(point) for row in rows) if c}
         if not coeffs:

@@ -6,8 +6,9 @@ This module closes the critical components under the image operation,
 decides whether that closure is finite within configured bounds, and when
 it is, descends through the restrictions to periodic linear subspaces until
 dimension zero.  It also houses the structural audits quoted by reports:
-weak transversality of the arrangement, containment of restricted critical
-points in the ambient intersections, and topological degree comparisons.
+weak transversality of the arrangement, containment of each restriction's
+critical points in crit(f^n), decided exactly by gcds along the orbit of the
+restricted line, and topological degree comparisons.
 
 Image computation is layered.  A fast path certifies a candidate image form
 by exact divisibility; a parametrized path implicitizes the image of a line
@@ -23,7 +24,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 import mpmath
@@ -297,8 +298,7 @@ def _eliminate_image_p1(m: ProjectiveMap, r: HomPoly) -> HomPoly:
     res = poly.resultant_wrt(r4, rel, 0, r.degree, m.d)
     if res.is_zero():
         raise ImageError("image computation failed: degenerate point-set eliminant")
-    shift = res.min_var_degree(1)
-    res = poly._shift_var(res, 1, -shift)
+    res = poly.strip_var(res, 1)
     if res.var_degree(1) != 0:
         raise ImageError("image computation failed: eliminant kept a source variable")
     acc = {(e[2], e[3]): v for e, v in res.terms.items()}
@@ -899,9 +899,10 @@ def _transversality_general(comps, precision: int) -> TransversalityReport:
 
 @dataclass(frozen=True)
 class ContainmentPoint:
-    point: str
-    matched: Optional[str]  # ambient component it lies on, or None
+    point: str  # a rational point's ambient label, else a binary form in (s, t)
+    matched: Optional[str]  # the critical component of f that f^step maps it into
     ok: bool
+    step: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -913,61 +914,66 @@ class ContainmentReport:
         return all(v in ("pass", "vacuous") for _, v, _pts in self.entries)
 
 
-def restricted_critical_containment(level: TowerLevel,
-                                    ambient_crit: Sequence[Component],
-                                    precision: Optional[int] = None,
-                                    height: int = DEFAULT_HEIGHT) -> ContainmentReport:
-    """Check critical points of each restriction against ambient crossings.
+def _containment_points(g: HomPoly, emb: LinearEmbedding, matched, step) -> list:
+    """g's rational linear factors by their ambient points, then the rest as a form."""
+    factors, residual = poly.linear_factors(g)
+    labels = [_point_label(projmap.primitive_vector(
+        [Fraction(x) for x in emb.apply(poly.root_of_binary_linear(form))]))
+        for form, _ in factors]
+    if not residual.is_constant():
+        labels.append(poly.format_poly(poly.canonical(residual)))
+    return [ContainmentPoint(label, matched, matched is not None, step) for label in labels]
 
-    Every critical point of a level entry's P^1 restriction must lie on an
-    ambient critical component other than the entry's own line.
+
+def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
+                                    crit: Sequence[Component]) -> ContainmentReport:
+    """Check the critical points of each restriction against crit(f^n), exactly.
+
+    For an entry L with embedding e and restriction g = f^n|L, n = level.k_m,
+    let G be the square-free part of g's Jacobian.  Step j = 0, 1, ... divides
+    out of G its gcd with the product of c∘f^j∘e over the critical components
+    c of f other than those containing f^j(L), and reports the gcd's pieces
+    with j and the component each divides.  The entry passes when G ends
+    constant; the rest of G is reported unmatched.
     """
-    precision = numeric.resolve_precision(precision)
     results = []
     for entry in level.entries:
-        if entry.restricted_map is None or entry.embedding is None:
-            results.append((entry.label, "vacuous", ()))
-            continue
         g = entry.restricted_map
-        jd = projmap.jacobian_det(g)
-        if jd.is_constant():
+        jd = None if g is None or entry.embedding is None else projmap.jacobian_det(g)
+        if jd is None or jd.is_constant():
             results.append((entry.label, "vacuous", ()))
             continue
-        others = [c for c in ambient_crit if c.form != entry.form]
-        factors, residual = poly.linear_factors(poly.squarefree_part(jd),
-                                                height=height)
+        rest = poly.squarefree_part(jd)
+        orbit = [poly.linear_form(row) for row in entry.embedding.matrix]
         checks = []
-        for form, _ in factors:
-            root = poly.root_of_binary_linear(form)
-            ambient = projmap.primitive_vector(
-                [Fraction(x) for x in entry.embedding.apply(root)])
-            match = next((c for c in others
-                          if c.form.evaluate(tuple(ambient)) == 0), None)
-            checks.append(ContainmentPoint(
-                _point_label(ambient),
-                poly.format_poly(match.form) if match else None,
-                match is not None))
-        if not residual.is_constant():
-            with mpmath.workprec(precision):
-                tol = numeric.tolerances(precision).dedup
-                try:
-                    roots = numeric.binary_form_roots(residual, precision)
-                except numeric.NumericalError:
-                    results.append((entry.label, "inconclusive", tuple(checks)))
-                    continue
-                for root, _mult in roots:
-                    ambient = numeric.normalize_point(
-                        entry.embedding.apply(root))[0]
-                    match = next(
-                        (c for c in others
-                         if mpmath.fabs(numeric.eval_form(c.form, ambient)) < tol),
-                        None)
-                    label = "(" + ", ".join(mpmath.nstr(x, 12) for x in ambient) + ")"
-                    checks.append(ContainmentPoint(
-                        label,
-                        poly.format_poly(match.form) if match else None,
-                        match is not None))
-        verdict = "pass" if all(c.ok for c in checks) else "fail"
+        for step in range(level.k_m):
+            if rest.is_constant():
+                break
+            if step:
+                orbit = [poly.compose(comp, orbit) for comp in m.comps]
+            # A component containing f^j(L) vanishes there and is skipped.
+            pulled = [(c, q) for c in crit if (q := poly.compose(c.form, orbit))]
+            if not pulled:
+                continue
+            # Exact divisions settle the usual cases without a gcd: the last
+            # step takes all that is left of G, and one pull-back the whole gcd.
+            product = prod(q for _c, q in pulled)
+            found = rest if poly.exact_divide(product, rest) is not None else poly.gcd(rest, product)
+            if found.is_constant():
+                continue
+            rest = poly.exact_divide(rest, found)
+            whole = next((c for c, q in pulled if poly.exact_divide(q, found) is not None), None)
+            if whole is not None:
+                checks += _containment_points(found, entry.embedding, str(whole), step)
+                continue
+            for c, q in pulled:
+                share = poly.gcd(found, q)
+                if not share.is_constant():
+                    checks += _containment_points(share, entry.embedding, str(c), step)
+                    found = poly.exact_divide(found, share)
+        verdict = "pass" if rest.is_constant() else "fail"
+        if verdict == "fail":
+            checks += _containment_points(rest, entry.embedding, None, None)
         results.append((entry.label, verdict, tuple(checks)))
     return ContainmentReport(tuple(results))
 

@@ -106,7 +106,7 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
             e = xc * big.comps[i] - poly.variable(3, i) * big.comps[chart]
             if e.is_zero():
                 raise PeriodicError(_infinite_fixed_locus(big))
-            eqs.append(poly._shift_var(e, chart, -e.min_var_degree(chart)))
+            eqs.append(poly.strip_var(e, chart))
         try:
             pts, mults = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
         except numeric.NumericalError:

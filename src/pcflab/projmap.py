@@ -384,13 +384,14 @@ def _validate_p2(mm: ProjectiveMap, reduced: bool, precision: int) -> Validation
         pads = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             r = poly.resultant_wrt(comps[i], comps[j], v, mm.d, mm.d)
+            if r.var_degree(v):
+                raise MapError("a validation resultant kept the eliminated variable")
             if not r.is_zero():
-                pads[(i, j)] = r
+                pads[(i, j)] = poly.slice_poly(r, v)
         keys = sorted(pads)
         for s in range(len(keys)):
             for t in range(s + 1, len(keys)):
-                ra = numeric._drop_var(pads[keys[s]], v)
-                rb = numeric._drop_var(pads[keys[t]], v)
+                ra, rb = pads[keys[s]], pads[keys[t]]
                 rho = poly.resultant_wrt(ra, rb, 0, ra.degree, rb.degree)
                 if not rho.is_zero():
                     return ValidationResult(mm, "well-defined", reduced=reduced)

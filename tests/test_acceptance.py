@@ -200,7 +200,7 @@ def test_criterion_07_containment_exact():
     graph, _ = pcf.postcritical_graph(m)
     levels = pcf.build_tower(m, graph)
     crit = pcf.critical_components(m)
-    report = pcf.restricted_critical_containment(levels[0], crit)
+    report = pcf.restricted_critical_containment(m, levels[0], crit)
     assert report.ok
     # Expected: the critical points of each line's (s^2 : t^2) restriction
     # are exactly that line's meetings with the other two coordinate lines.

@@ -5,12 +5,7 @@ file it must write.  The goldens live in ``tests/golden/`` next to the map
 files they use; map-file runs start in that directory, so a report's
 ``source`` field is the bare file name.
 
-The goldens pin today's reports, findings included.  In particular the
-containment audit of ``fs-1992-a`` and of its dense conjugate reports
-``fail`` on the three period-3 lines.  That is a known fault, not a property
-of the maps: the audit compares the critical points of f^3 on a line with
-the critical lines of f only, so critical points of f^3 that reach a
-critical line of f after one or two steps go unmatched.
+The goldens pin today's reports, findings included.
 
 The grid goldens pin the ``fatou --out`` CSV and PGM bytes of one window
 per map: squaring-p2 inside the basin of (0 : 0 : 1), Sym^2 straddling the

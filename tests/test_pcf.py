@@ -1,10 +1,12 @@
 """Critical orbits: components, images, closure, tower, structural audits."""
 
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pcflab import catalog, pcf, poly, projmap
+from pcflab import catalog, cli, pcf, poly, projmap
 
 import property_suites as ps
 
@@ -34,6 +36,8 @@ Y = poly.variable(3, 1)
 Z = poly.variable(3, 2)
 S = poly.variable(2, 0)
 T = poly.variable(2, 1)
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 class TestMakeComponent:
@@ -299,13 +303,21 @@ class TestWeakTransversality:
             pcf.weak_transversality([_line([1, 0, 0]), _line([2, 0, 0])])
 
 
+def _containment(m):
+    graph, _ = pcf.postcritical_graph(m)
+    levels = pcf.build_tower(m, graph)
+    crit = pcf.critical_components(m)
+    return pcf.restricted_critical_containment(m, levels[0], crit)
+
+
+def _matches(report):
+    return {label: (verdict, [(p.point, p.matched, p.step) for p in points])
+            for label, verdict, points in report.entries}
+
+
 class TestContainment:
     def test_squaring_p2_passes_with_coordinate_points(self):
-        m = _squaring_p2()
-        graph, _ = pcf.postcritical_graph(m)
-        levels = pcf.build_tower(m, graph)
-        crit = pcf.critical_components(m)
-        report = pcf.restricted_critical_containment(levels[0], crit)
+        report = _containment(_squaring_p2())
         assert report.ok
         for label, verdict, points in report.entries:
             assert verdict == "pass"
@@ -313,23 +325,103 @@ class TestContainment:
             for pt in points:
                 assert pt.ok
                 assert pt.matched is not None
+                assert pt.step == 0
 
-    def test_fs_containment_fails_for_deep_iterate(self):
-        # The cube of the map picks up critical lines of its own that are
-        # not critical lines of the base map, so the audit reports misses.
-        m = _fs()
+    def test_fs_containment_passes_through_deep_iterate(self):
+        # The critical points of f^3 on each period-3 line: two rational
+        # points on critical lines of f, a quadratic that f maps onto one,
+        # and a quartic that f^2 maps onto one.
+        report = _containment(_fs())
+        assert report.ok
+        assert _matches(report) == {
+            "y - z": ("pass", [
+                ("(0:1:1)", "x", 0), ("(2:1:1)", "x - 2*y", 0),
+                ("s^2 + 4*s*t - 4*t^2", "x - 2*z", 1),
+                ("s^4 + 24*s^3*t - 8*s^2*t^2 - 32*s*t^3 + 16*t^4", "x - 2*y", 2)]),
+            "x - z": ("pass", [
+                ("(0:1:0)", "x", 0), ("(2:1:2)", "x - 2*y", 0),
+                ("s^2 + 4*s*t - 4*t^2", "x - 2*y", 1),
+                ("s^4 - 24*s^3*t + 40*s^2*t^2 - 32*s*t^3 + 16*t^4", "x - 2*z", 2)]),
+            "x - y": ("pass", [
+                ("(0:0:1)", "x", 0), ("(2:2:1)", "x - 2*z", 0),
+                ("s^2 - 8*s*t + 8*t^2", "x - 2*y", 1),
+                ("s^4 + 16*s^3*t - 80*s^2*t^2 + 128*s*t^3 - 64*t^4", "x - 2*y", 2)]),
+        }
+
+    def test_conjugate_matches_base_map_step_by_step(self):
+        m, _, _ = cli.load_input(str(GOLDEN_DIR / "fs-1992-a-conj.json"))
+
+        def shape(report):
+            return sorted((verdict, tuple(p.step for p in points))
+                          for _label, verdict, points in report.entries)
+
+        base = shape(_containment(_fs()))
+        assert base == [("pass", (0, 0, 1, 2))] * 3
+        assert shape(_containment(projmap.validate(m).map)) == base
+
+    def test_period_two_critical_lines_pass(self):
+        # x = 0 and y = 0 are critical and swapped by f, so each step skips
+        # the line the orbit is on: x at even steps, y at odd ones.  Every
+        # critical point of f^2 on either line still lies in crit(f^2).
+        for c in (X * X - Y * Z + 2 * Z * Z, 3 * X * Y + Y * Z - Z * Z + X * Z):
+            checked = projmap.validate(projmap.ProjectiveMap([Y * Y, X * X, c]))
+            assert checked.ok
+            m = checked.map
+            big = projmap.iterate(m, 2)
+            entries = []
+            for form in (X, Y):
+                emb = projmap.embedding_for_hyperplane(form)
+                entries.append(pcf.TowerEntry(emb, projmap.restrict(big, emb, emb),
+                                              "PCF", str(form), 2, form))
+            level = pcf.TowerLevel(1, 2, tuple(entries))
+            report = pcf.restricted_critical_containment(
+                m, level, pcf.critical_components(m))
+            assert report.ok
+            for label, _verdict, points in report.entries:
+                steps = {p.step for p in points}
+                assert steps == {0, 1}
+                for p in points:
+                    on = label if p.step == 0 else ("y" if label == "x" else "x")
+                    assert p.matched != on
+
+    def test_unmatched_factor_fails(self):
+        # Hand-made restrictions of squaring-p2 to x = 0 whose critical
+        # points no step of the real orbit reaches: (0:1:1) and the
+        # irrational pair s^2 + 2t^2.
+        m = _squaring_p2()
         graph, _ = pcf.postcritical_graph(m)
-        levels = pcf.build_tower(m, graph)
-        crit = pcf.critical_components(m)
-        report = pcf.restricted_critical_containment(levels[0], crit)
+        entry = pcf.build_tower(m, graph)[0].entries[0]
+        fakes = (projmap.ProjectiveMap([S * S, (S - T) * (S - T)]),
+                 projmap.ProjectiveMap([S * S - 2 * T * T, S * T]))
+        level = pcf.TowerLevel(1, 2, tuple(dataclasses.replace(entry, restricted_map=g)
+                                           for g in fakes))
+        report = pcf.restricted_critical_containment(m, level,
+                                                     pcf.critical_components(m))
         assert not report.ok
-        assert any(v == "fail" for _, v, _pts in report.entries)
+        assert [(v, [(p.point, p.matched, p.ok, p.step) for p in pts])
+                for _label, v, pts in report.entries] == [
+            ("fail", [("(0:0:1)", "y", True, 0), ("(0:1:1)", None, False, None)]),
+            ("fail", [("s^2 + 2*t^2", None, False, None)]),
+        ]
+
+    def test_component_containing_the_orbit_is_skipped(self):
+        # Sym^2 maps the line y = 0 onto the conic 4xz - y^2.  At step 1 the
+        # conic vanishes on the whole orbit, so it is skipped and matches
+        # nothing, rather than every point.
+        sym2 = projmap.ProjectiveMap([X * X, Y * Y - 2 * X * Z, Z * Z])
+        conic = pcf.make_component(4 * X * Z - Y * Y)
+        emb = projmap.embedding_for_hyperplane(Y)
+        fake = projmap.ProjectiveMap([S * S - 2 * T * T, S * T])
+        level = pcf.TowerLevel(1, 2, (pcf.TowerEntry(emb, fake, "PCF", "y", 2, Y),))
+        crit = tuple(pcf.make_component(v) for v in (X, Y, Z)) + (conic,)
+        report = pcf.restricted_critical_containment(sym2, level, crit)
+        assert _matches(report) == {"y": ("fail", [("s^2 + 2*t^2", None, None)])}
 
     def test_terminal_entries_vacuous(self):
         m = _squaring_p1()
         graph, _ = pcf.postcritical_graph(m)
         levels = pcf.build_tower(m, graph)
-        report = pcf.restricted_critical_containment(levels[0], ())
+        report = pcf.restricted_critical_containment(m, levels[0], ())
         assert report.ok
         assert all(v == "vacuous" for _, v, _pts in report.entries)
 
