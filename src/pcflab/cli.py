@@ -51,7 +51,10 @@ def _int_string(s, what: str, where: str) -> int:
     body = s[1:] if s[:1] == "-" else s
     if not body.isdigit():
         raise MapFileError(f"{where}: {what} {s!r} is not a decimal integer")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError as exc:  # more digits than int() converts
+        raise MapFileError(f"{where}: {what} is too long to read ({exc})") from exc
 
 
 def _is_int(v) -> bool:
@@ -305,6 +308,7 @@ def _bounds_json(precision: int, args) -> dict:
         "closure": {
             "max_iter": getattr(args, "max_iter", pcf.DEFAULT_MAX_ITER),
             "max_degree": getattr(args, "max_degree", pcf.DEFAULT_MAX_DEGREE),
+            "max_coeff_bits": pcf.MAX_COEFF_BITS,
             "factor_height": getattr(args, "height", pcf.DEFAULT_HEIGHT),
             "degree_cap": getattr(args, "degree_cap", projmap.DEFAULT_DEGREE_CAP),
         },

@@ -35,6 +35,10 @@ from .projmap import LinearEmbedding, ProjectiveMap
 
 DEFAULT_MAX_ITER = 64
 DEFAULT_MAX_DEGREE = 512
+# Largest coefficient of a closure component, in bits.  A non-PCF map with a
+# rational critical orbit doubles its heights at every image, so without it
+# the closure's exact arithmetic outgrows any image budget.
+MAX_COEFF_BITS = 4096
 DEFAULT_HEIGHT = 20
 
 PRUNE_MIN_SAMPLES = 10
@@ -550,6 +554,12 @@ def _annotate_cycles(nodes, successor):
     return period, preperiod
 
 
+def _coeff_bits(form: HomPoly) -> int:
+    """Bit length of the largest numerator or denominator of a form."""
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for c in form.terms.values())
+
+
 def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
                        max_degree: int = DEFAULT_MAX_DEGREE,
                        height: int = DEFAULT_HEIGHT,
@@ -558,14 +568,15 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
 
     Returns ``(PostCriticalGraph, PcfVerdict)``.  The verdict never claims
     non-PCF-ness: exceeding a bound yields status not-PCF-within-bound, and
-    an image failure yields status inconclusive.
+    an image failure yields status inconclusive.  The bounds are the image
+    budget ``max_iter``, the total degree ``max_degree`` and the coefficient
+    size ``MAX_COEFF_BITS``, which every component must meet before it
+    enters the graph.
     """
     precision = numeric.resolve_precision(precision)
     crit = critical_components(m, height)
-    nodes = list(crit)
-    index = {c.form for c in nodes}
+    nodes = []
     successor = {}
-    queue = deque(nodes)
     images_used = 0
     coordinate_forms = [poly.variable(m.k + 1, i) for i in range(m.k + 1)]
 
@@ -574,6 +585,19 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
         verdict = PcfVerdict(status, tuple(nodes), max_iter, max_degree, reason)
         return graph, verdict
 
+    def oversized(c):
+        bits = _coeff_bits(c.form)
+        if bits > MAX_COEFF_BITS:
+            return (f"a component has a {bits}-bit coefficient, over the "
+                    f"{MAX_COEFF_BITS}-bit budget")
+        return None
+
+    for c in crit:
+        if reason := oversized(c):
+            return bail("not-PCF-within-bound", reason)
+        nodes.append(c)
+    index = {c.form for c in nodes}
+    queue = deque(nodes)
     while queue:
         c = queue.popleft()
         if c in successor:
@@ -591,11 +615,13 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
         except (ImageError, numeric.NumericalError) as exc:
             return bail("inconclusive", str(exc))
         images_used += 1
-        successor[c] = img
         if img.form not in index:
+            if reason := oversized(img):
+                return bail("not-PCF-within-bound", reason)
             index.add(img.form)
             nodes.append(img)
             queue.append(img)
+        successor[c] = img
 
     period, preperiod = _annotate_cycles(nodes, successor)
     graph = PostCriticalGraph(tuple(nodes), successor, frozenset(crit), period, preperiod)

@@ -16,12 +16,22 @@ It provides the primitives the rest of the package needs: ring arithmetic,
 composition, exact division, gcd by subresultant remainder sequences,
 square-free parts, Sylvester resultants evaluated fraction-free, and rational
 linear-factor extraction for binary and ternary forms.
+
+Binary forms (``nvars == 2``) take a dense path in ``gcd``,
+``squarefree_part`` and ``compose``.  A binary form of degree d is the list
+of its d + 1 coefficients by the power of x0, scaled to integers; the list
+with its zero top entries dropped is the dehomogenized polynomial p(x0, 1),
+and the number dropped is the power of x1 dividing p.  Gcds and square-free
+parts run a univariate primitive remainder sequence on those lists and put
+the power of x1 back apart; compositions onto binary forms multiply the
+lists by convolution and divide by one common denominator at the end.
+Ternary forms keep the sparse recursive code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -315,13 +325,16 @@ def format_poly(p: HomPoly, names: Optional[Sequence[str]] = None) -> str:
 # -- normalization -------------------------------------------------------
 
 
+def _denominator(*forms: HomPoly) -> int:
+    """Least common denominator of the coefficients of the forms."""
+    return lcm(*(c.denominator for p in forms for c in p.terms.values()))
+
+
 def int_primitive(p: HomPoly) -> HomPoly:
     """Scale to integer coefficients with content 1 (sign untouched)."""
     if p.is_zero():
         return p
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
+    den_lcm = _denominator(p)
     num_gcd = 0
     for c in p.terms.values():
         num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
@@ -387,6 +400,8 @@ def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
         for i, k in enumerate(exps):
             if k > max_exp[i]:
                 max_exp[i] = k
+    if n == 2:
+        return _compose_binary(p, subs, max_exp)
     powers = []
     for i, q in enumerate(subs):
         row = [constant(n, 1)]
@@ -406,6 +421,148 @@ def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
             else:
                 acc.pop(te, None)
     return HomPoly(n, out_deg, acc)
+
+
+# -- dense binary forms ----------------------------------------------------
+#
+# The list c of a binary form of degree d holds the coefficient of
+# x0^i * x1^(d - i) at index i.  Dropping its zero top entries leaves the
+# dehomogenized polynomial p(x0, 1), low degree first; the number dropped
+# is the power of x1 that divides the form.
+
+
+def _compose_binary(p: HomPoly, subs: Sequence[HomPoly], max_exp: list) -> HomPoly:
+    """``compose`` onto binary forms, on dense integer lists.
+
+    With D the common denominator of the substituted forms and P that of p,
+    p(q) = (P*p)(D*q) / (P * D^deg p) because p is homogeneous, so all the
+    products are of integers and only the final coefficients are fractions.
+    """
+    den = _denominator(*subs)
+    powers = []
+    for i, q in enumerate(subs):
+        row = [[1]]
+        if max_exp[i]:
+            row.append(_binary_ints(q, den))
+        for _ in range(1, max_exp[i]):
+            row.append(_convolve(row[-1], row[1]))
+        powers.append(row)
+    pden = _denominator(p)
+    out_deg = p.degree * subs[0].degree
+    acc = [0] * (out_deg + 1)
+    for exps, c in p.terms.items():
+        term = [c.numerator * (pden // c.denominator)]
+        for i, k in enumerate(exps):
+            if k:
+                term = _convolve(term, powers[i][k])
+        for j, x in enumerate(term):
+            acc[j] += x
+    return _binary_form(acc, pden * den ** p.degree)
+
+
+def _binary_ints(p: HomPoly, den: int) -> list:
+    """The dense list of ``den * p``, which must have integer coefficients."""
+    out = [0] * (p.degree + 1)
+    for (i, _), c in p.terms.items():
+        out[i] = c.numerator * (den // c.denominator)
+    return out
+
+
+def _binary_form(c: list, den: int = 1) -> HomPoly:
+    """The binary form of degree len(c) - 1 with coefficients c[i] / den."""
+    d = len(c) - 1
+    return HomPoly(2, d, {(i, d - i): Fraction(x, den) for i, x in enumerate(c) if x})
+
+
+def _trim(c: list) -> list:
+    """Drop the zero top entries."""
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    return c[:end]
+
+
+def _dehomogenize(p: HomPoly) -> list:
+    """p(x0, 1) of a nonzero binary form, scaled to integers."""
+    return _trim(_binary_ints(p, _denominator(p)))
+
+
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _primitive(c: list) -> list:
+    g = int_gcd(*c)
+    return c if g == 1 else [x // g for x in c]
+
+
+def _dense_prem(f: list, g: list) -> list:
+    """A nonzero integer multiple of f mod g, trimmed; len(f) >= len(g) >= 2.
+
+    Each step cancels the top entry of the remainder r by
+    (lg/h)*r - (lr/h)*x^k*g with h = gcd(lr, lg), which keeps the multiplier
+    as small as the leading coefficients allow.
+    """
+    r = list(f)
+    lg = g[-1]
+    dg = len(g) - 1
+    while len(r) > dg:
+        lr = r.pop()
+        if lr:
+            h = int_gcd(lr, lg)
+            a, b = lg // h, lr // h
+            if a != 1:
+                r = [a * x for x in r]
+            shift = len(r) - dg
+            for i in range(dg):
+                r[shift + i] -= b * g[i]
+    return _trim(r)
+
+
+def _dense_gcd(f: list, g: list) -> list:
+    """Primitive gcd of two nonzero trimmed integer polynomials, by a
+    primitive remainder sequence; [1] when they are coprime."""
+    if len(f) < len(g):
+        f, g = g, f
+    g = _primitive(g)
+    while len(g) > 1:
+        r = _dense_prem(f, g)
+        if not r:
+            return g
+        f, g = g, _primitive(r)
+    return [1]
+
+
+def _dense_quotient(a: list, b: list) -> list:
+    """a / b for integer polynomials where b is primitive and divides a.
+
+    By Gauss's lemma the quotient has integer coefficients, so every step
+    of the long division is an exact integer division.
+    """
+    a = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t = a[k + db] // lb
+        if t:
+            q[k] = t
+            for i in range(db):
+                a[k + i] -= t * b[i]
+    return q
+
+
+def _binary_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
+    """gcd of two nonzero binary forms: the gcd of their dehomogenized
+    polynomials times x1^min(v_a, v_b), v being the power of x1 in each."""
+    ua, ub = _dehomogenize(a), _dehomogenize(b)
+    v = min(a.degree + 1 - len(ua), b.degree + 1 - len(ub))
+    return canonical(_binary_form(_dense_gcd(ua, ub) + [0] * v))
 
 
 # -- exact division ------------------------------------------------------
@@ -523,13 +680,14 @@ def _prem(f: HomPoly, g: HomPoly, i: int) -> HomPoly:
 def gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     """Greatest common divisor, returned integer-primitive and sign-normalized.
 
-    The computation is the classical one for multivariate polynomial rings:
-    pick a main variable, split each input into content and primitive part
-    with respect to it (the content being a gcd of lower-variable
-    coefficients, handled recursively), and run a subresultant
-    pseudo-remainder sequence on the primitive parts.  The subresultant
-    scaling keeps every division exact, avoiding both fraction buildup and
-    the coefficient explosion of naive pseudo-remainders.
+    Binary forms take the dense univariate path (``_binary_gcd``).  For
+    more variables the computation is the classical one for multivariate
+    polynomial rings: pick a main variable, split each input into content
+    and primitive part with respect to it (the content being a gcd of
+    lower-variable coefficients, handled recursively), and run a
+    subresultant pseudo-remainder sequence on the primitive parts.  The
+    subresultant scaling keeps every division exact, avoiding both fraction
+    buildup and the coefficient explosion of naive pseudo-remainders.
     """
     a._check_compatible(b)
     if a.is_zero() and b.is_zero():
@@ -538,6 +696,8 @@ def gcd(a: HomPoly, b: HomPoly) -> HomPoly:
         return canonical(b)
     if b.is_zero():
         return canonical(a)
+    if a.nvars == 2:
+        return _binary_gcd(a, b)
     return canonical(_gcd_int(int_primitive(a), int_primitive(b)))
 
 
@@ -632,12 +792,21 @@ def squarefree_part(p: HomPoly) -> HomPoly:
 
     Computed as p / gcd(p, dp/dx_0, ..., dp/dx_n): in characteristic zero
     the iterated gcd with all partials strips exactly one copy short of each
-    repeated factor.
+    repeated factor.  A binary form takes one univariate gcd instead:
+    u / gcd(u, u') for u = p(x0, 1), times x1 when x1 divides p.
     """
     if p.is_zero():
         raise PolynomialError("square-free part of the zero polynomial")
     if p.is_constant():
         return constant(p.nvars, 1)
+    if p.nvars == 2:
+        u = _dehomogenize(p)
+        sf = [1]
+        if len(u) > 1:
+            du = [i * x for i, x in enumerate(u)][1:]
+            sf = _dense_quotient(u, _dense_gcd(u, du))
+        # len(u) <= degree exactly when x1 divides p.
+        return canonical(_binary_form(sf + [0] * (len(u) <= p.degree)))
     g = p
     for i in range(p.nvars):
         if p.var_degree(i) == 0:

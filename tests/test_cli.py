@@ -2,11 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from pcflab import catalog, cli, numeric
+import pcflab
+from pcflab import catalog, cli, numeric, pcf
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -55,6 +61,15 @@ class TestParseDiagnostics:
         code, _out, err = _run(capsys, "analyze", path)
         assert code == cli.EXIT_PARSE
         assert "component 1 term 0" in err
+
+    def test_overlong_coefficient_string(self, tmp_path, capsys):
+        # More digits than int() converts by default (4300).
+        data = _squaring_mapfile()
+        data["components"][2][0]["num"] = "7" * 5000
+        path = _write_mapfile(tmp_path, data)
+        code, _out, err = _run(capsys, "analyze", path)
+        assert code == cli.EXIT_PARSE
+        assert "component 2 term 0: num" in err
 
     def test_component_count_mismatch(self, tmp_path, capsys):
         data = _squaring_mapfile()
@@ -161,6 +176,28 @@ class TestAnalyze:
         assert code == cli.EXIT_RESOURCE
         assert report["pcf"]["status"] == "not-PCF-within-bound"
         assert report["tower"] is None
+
+    @pytest.mark.parametrize("extra", [[], ["--max-iter", "17"]],
+                             ids=["default", "max-iter-17"])
+    def test_rational_critical_orbit_hits_coefficient_budget(self, tmp_path, extra):
+        # z -> z^2 + 1 is not PCF: the orbit 0, 1, 2, 5, 26, ... of its
+        # critical point doubles its coefficient heights at every image.  A
+        # subprocess with a timeout, so that a closure which never ends fails.
+        target = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(pcflab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcflab.cli", "analyze",
+             str(GOLDEN_DIR / "z2-plus-1.json"), "--report", str(target)] + extra,
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+        report = json.loads(target.read_text())
+        assert report["pcf"]["status"] == "not-PCF-within-bound"
+        assert f"over the {pcf.MAX_COEFF_BITS}-bit budget" in report["pcf"]["reason"]
+        assert report["bounds"]["closure"]["max_coeff_bits"] == pcf.MAX_COEFF_BITS
+        # The oversized image is not in the graph and no edge points to it.
+        forms = {c["form"] for c in report["pcf"]["components"]}
+        assert all(c["image"] is None or c["image"] in forms
+                   for c in report["pcf"]["components"])
 
     def test_byte_determinism(self, capsys):
         _code, out1, _ = _run(capsys, "analyze", "catalog:fs-1992-a")

@@ -192,6 +192,13 @@ class TestPostcriticalGraph:
         # The partial node list is still reported.
         assert len(graph.nodes) >= 3
 
+    def test_coefficient_budget_checks_critical_components(self, monkeypatch):
+        monkeypatch.setattr(pcf, "MAX_COEFF_BITS", 0)
+        graph, verdict = pcf.postcritical_graph(_squaring_p2())
+        assert verdict.status == "not-PCF-within-bound"
+        assert "1-bit coefficient, over the 0-bit budget" in verdict.reason
+        assert graph.nodes == ()
+
     def test_image_budget_bail(self):
         m = projmap.ProjectiveMap([X * X, Y * Y, Z * Z + X * Y])
         graph, verdict = pcf.postcritical_graph(m, max_iter=2)

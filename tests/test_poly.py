@@ -114,6 +114,170 @@ class TestDivisionAndGcd:
         assert poly.squarefree_part(u * u * v) == poly.canonical(u * v)
 
 
+class TestDenseBinary:
+    """The dense path of binary gcd, square-free part and composition.
+
+    Oracles: the sparse recursive ``_gcd_int``, which ternary forms still
+    use; a common factor known by construction; and exact evaluation at
+    deg + 1 distinct points, which pins a binary form of degree deg.
+    """
+
+    X0, X1 = poly.variable(2, 0), poly.variable(2, 1)
+
+    @staticmethod
+    def _linears(rng, count, first=None):
+        """``count`` pairwise non-proportional linear forms with rational
+        coefficients, starting with the coordinate ``first`` if given."""
+        seen = set()
+        out = []
+        if first is not None:
+            seen.add((1, 0) if first == 0 else (0, 1))
+            out.append(poly.variable(2, first))
+        while len(out) < count:
+            vec = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if vec == (0, 0):
+                continue
+            g = gcd(*vec)
+            key = (vec[0] // g, vec[1] // g)
+            key = key if key > (0, 0) else (-key[0], -key[1])
+            if key not in seen:
+                seen.add(key)
+                scale = Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+                out.append(poly.linear_form([v * scale for v in vec]))
+        return out
+
+    @staticmethod
+    def _product(forms, rng):
+        p = poly.constant(2, Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                                      rng.randint(1, 5)))
+        for f in forms:
+            p = p * f ** rng.randint(1, 3)
+        return p
+
+    def test_gcd_matches_sparse_gcd_and_known_factor(self):
+        rng = random.Random(811)
+        for _ in range(240):
+            first = rng.choice((0, 1)) if rng.random() < 0.4 else None
+            lin = self._linears(rng, rng.randint(1, 7), first)
+            rng.shuffle(lin)
+            cut1 = rng.randint(0, len(lin))
+            cut2 = rng.randint(cut1, len(lin))
+            common, only_a, only_b = lin[:cut1], lin[cut1:cut2], lin[cut2:]
+            c = self._product(common, rng)
+            a = c * self._product(only_a, rng)
+            b = c * self._product(only_b, rng)
+            got = poly.gcd(a, b)
+            sparse = poly.canonical(poly._gcd_int(poly.int_primitive(a),
+                                                  poly.int_primitive(b)))
+            assert got == sparse, (a, b)
+            assert got == poly.canonical(c), (a, b)
+
+    def test_gcd_matches_sparse_gcd_on_random_forms(self):
+        rng = random.Random(812)
+        for _ in range(200):
+            shared = ps.random_form(rng, 2, rng.randint(0, 3), allow_fractions=True)
+            a = shared * ps.random_form(rng, 2, rng.randint(0, 4), allow_fractions=True)
+            b = shared * ps.random_form(rng, 2, rng.randint(0, 4), allow_fractions=True)
+            sparse = poly.canonical(poly._gcd_int(poly.int_primitive(a),
+                                                  poly.int_primitive(b)))
+            assert poly.gcd(a, b) == sparse, (a, b)
+
+    def test_gcd_edge_cases(self):
+        x0, x1 = self.X0, self.X1
+        u = poly.linear_form([2, -3])
+        v = poly.linear_form([1, 1])
+        # Integer content drops out: gcd(2x, 4x) = x.
+        assert poly.gcd(x0.scale(2), x0.scale(4)) == x0
+        assert poly.gcd(x1.scale(-2), x1.scale(Fraction(4, 3))) == x1
+        # A constant operand.
+        assert poly.gcd(poly.constant(2, 6), u * v) == poly.constant(2, 1)
+        assert poly.gcd(u * v, poly.constant(2, Fraction(-1, 2))) == poly.constant(2, 1)
+        # Identical operands, negative leading coefficient.
+        assert poly.gcd(-(u * u * v), -(u * u * v)) == poly.canonical(u * u * v)
+        # Coprime operands.
+        assert poly.gcd(u ** 3, v ** 2) == poly.constant(2, 1)
+        # Powers of the coordinates: the power of x1 is kept apart from the
+        # dehomogenized gcd, the power of x0 lives in it.
+        assert poly.gcd(x1 ** 3 * u, x1 ** 2 * v) == x1 ** 2
+        assert poly.gcd(x1 ** 3 * u, x1 ** 5 * u * v) == poly.canonical(x1 ** 3 * u)
+        assert poly.gcd(x0 ** 4 * x1, x0 ** 2 * x1 ** 3) == x0 ** 2 * x1
+        assert poly.gcd(x0 ** 2 * u, x1 ** 2 * u) == poly.canonical(u)
+        assert poly.gcd(x1 ** 2, x1 ** 2) == x1 ** 2
+        # The zero form.
+        assert poly.gcd(poly.zero(2, 3), u.scale(-4)) == poly.canonical(u)
+
+    def test_squarefree_part_with_coordinate_powers(self):
+        x0, x1 = self.X0, self.X1
+        u = poly.linear_form([3, -5])
+        v = poly.linear_form([Fraction(1, 2), 7])
+        q = poly.HomPoly(2, 2, {(2, 0): 1, (0, 2): 2})  # irreducible
+        cases = [
+            (x1 * u * u, x1 * u),
+            (x1 ** 4 * v, x1 * v),
+            (x0 * v ** 3, x0 * v),
+            (x0 ** 5 * x1 ** 2, x0 * x1),
+            (x0 ** 3 * x1 ** 3 * u ** 2 * v * q ** 2, x0 * x1 * u * v * q),
+            (x1 ** 6, x1),
+            (x0 ** 2, x0),
+            ((-u) ** 3 * q.scale(Fraction(-2, 7)), u * q),
+            (u * v, u * v),
+        ]
+        for p, want in cases:
+            assert poly.squarefree_part(p) == poly.canonical(want), p
+
+    def test_squarefree_part_matches_gcd_with_both_partials(self):
+        rng = random.Random(813)
+        for _ in range(200):
+            p = self._product(self._linears(rng, rng.randint(1, 5)), rng)
+            if rng.random() < 0.5:
+                p = p * ps.random_form(rng, 2, rng.randint(1, 3), allow_fractions=True)
+            for i in range(2):
+                if rng.random() < 0.4:
+                    p = p * poly.variable(2, i) ** rng.randint(1, 3)
+            g = poly.gcd(poly.gcd(p, poly.partial(p, 0)), poly.partial(p, 1))
+            assert poly.squarefree_part(p) == poly.canonical(poly.exact_divide(p, g)), p
+
+    @staticmethod
+    def _agrees_pointwise(p, subs):
+        out = poly.compose(p, subs)
+        assert out.nvars == 2 and out.degree == p.degree * subs[0].degree
+        for j in range(out.degree + 1):
+            pt = (Fraction(j, 1 + j % 3), Fraction(1))
+            assert out.evaluate(pt) == p.evaluate([q.evaluate(pt) for q in subs])
+
+    def test_compose_matches_evaluation(self):
+        rng = random.Random(814)
+        for _ in range(200):
+            nvars = rng.choice((2, 3))
+            p = ps.random_form(rng, nvars, rng.randint(0, 4), max_terms=8,
+                               allow_fractions=True)
+            e = rng.randint(0, 4)
+            subs = [ps.random_form(rng, 2, e, max_terms=5, allow_fractions=True)
+                    for _ in range(nvars)]
+            if rng.random() < 0.2:
+                subs[rng.randrange(nvars)] = poly.zero(2, e)
+            self._agrees_pointwise(p, subs)
+
+    def test_compose_edge_cases(self):
+        x0, x1 = self.X0, self.X1
+        u = poly.linear_form([Fraction(-2, 3), Fraction(5, 7)])
+        p = poly.HomPoly(3, 2, {(2, 0, 0): Fraction(-3, 4), (0, 1, 1): 5,
+                                (1, 0, 1): Fraction(1, 6)})
+        self._agrees_pointwise(p, [u, x0, x1.scale(Fraction(-9, 2))])
+        self._agrees_pointwise(poly.constant(3, Fraction(-5, 3)), [u, u, x0])
+        self._agrees_pointwise(p, [x0 ** 3, x1 ** 3, (x0 * x1 * u).scale(-1)])
+        # x*z - y^2 vanishes on the conic (s^2 : s*t : t^2): the zero form
+        # keeps its degree tag.
+        conic = poly.HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1})
+        out = poly.compose(conic, [x0 * x0, (x0 * x1).scale(Fraction(3, 2)),
+                                   (x1 * x1).scale(Fraction(9, 4))])
+        assert out.is_zero() and out.degree == 4
+        # Substituting constants: a constant result with its exact value.
+        two, third = poly.constant(2, 2), poly.constant(2, Fraction(1, 3))
+        assert poly.compose(p, [two, third, two]) == poly.constant(
+            2, Fraction(-3, 4) * 4 + 5 * Fraction(2, 3) + Fraction(1, 6) * 4)
+
+
 class TestResultants:
     def test_linear_pair_value_matches_root_oracle(self):
         # Res(x - 2y, x - 3y) up to sign is the second form at the first
