@@ -309,7 +309,6 @@ def _bounds_json(precision: int, args) -> dict:
             "max_iter": getattr(args, "max_iter", pcf.DEFAULT_MAX_ITER),
             "max_degree": getattr(args, "max_degree", pcf.DEFAULT_MAX_DEGREE),
             "max_coeff_bits": pcf.MAX_COEFF_BITS,
-            "factor_height": getattr(args, "height", pcf.DEFAULT_HEIGHT),
             "degree_cap": getattr(args, "degree_cap", projmap.DEFAULT_DEGREE_CAP),
         },
         "periodic": {
@@ -398,7 +397,7 @@ def cmd_analyze(args) -> int:
     precision = numeric.resolve_precision(args.precision)
     try:
         graph, verdict = pcf.postcritical_graph(
-            work, args.max_iter, args.max_degree, args.height, precision)
+            work, args.max_iter, args.max_degree, precision)
         crit = tuple(n for n in graph.nodes if n in graph.critical)
         report["pcf"] = _pcf_json(graph, verdict)
         if not verdict.ok:
@@ -407,7 +406,7 @@ def cmd_analyze(args) -> int:
             _emit(report, args.report)
             return EXIT_RESOURCE
         levels = pcf.build_tower(work, graph, args.max_iter, args.max_degree,
-                                 args.height, precision, args.degree_cap)
+                                 precision, args.degree_cap)
         report["tower"] = _tower_json(levels)
         if work.k == 2 and crit:
             report["transversality"] = _transversality_json(
@@ -527,7 +526,7 @@ def cmd_fatou(args) -> int:
             cands = _parse_candidates(args.candidates, work.k)
         else:
             graph, verdict = pcf.postcritical_graph(
-                work, args.max_iter, args.max_degree, args.height, precision)
+                work, args.max_iter, args.max_degree, precision)
             report["pcf"] = _pcf_json(graph, verdict)
             if not verdict.ok:
                 print(f"error: cannot derive candidates, closure ended "
@@ -535,8 +534,7 @@ def cmd_fatou(args) -> int:
                 _emit(report, args.report)
                 return EXIT_RESOURCE
             levels = pcf.build_tower(work, graph, args.max_iter,
-                                     args.max_degree, args.height, precision,
-                                     args.degree_cap)
+                                     args.max_degree, precision, args.degree_cap)
             cands = fatou.superattracting_candidates(work, graph, levels,
                                                      None, precision)
             if not cands:
@@ -599,8 +597,7 @@ def cmd_catalog(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("input", help="map file path or catalog:NAME")
     sub.add_argument("--precision", type=int, default=None,
-                     help="working precision in bits (default 256, or "
-                          "PCFLAB_PRECISION)")
+                     help="working precision in bits (default 256)")
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report to PATH instead of stdout")
 
@@ -610,8 +607,6 @@ def _add_closure_flags(sub) -> None:
                      help="post-critical closure image budget")
     sub.add_argument("--max-degree", type=int, default=pcf.DEFAULT_MAX_DEGREE,
                      help="post-critical closure total degree budget")
-    sub.add_argument("--height", type=int, default=pcf.DEFAULT_HEIGHT,
-                     help="rational root search height for factoring")
     sub.add_argument("--degree-cap", type=int,
                      default=projmap.DEFAULT_DEGREE_CAP,
                      help="iterate degree cap")

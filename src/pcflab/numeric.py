@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,8 +21,6 @@ from . import poly
 from .poly import HomPoly
 
 DEFAULT_PRECISION = 256  # bits
-
-ENV_PRECISION = "PCFLAB_PRECISION"
 
 PRUNE_PRECISION = 256  # bits: image pruning never evaluates below this
 PRUNE_SAMPLE_EXP = 25  # pruning keeps a factor where |value| < 10^-25 on a sample
@@ -38,12 +35,8 @@ class IndeterminatePointError(NumericalError):
 
 
 def resolve_precision(precision=None) -> int:
-    """Working precision in bits: explicit argument, else environment, else default."""
-    if precision is not None:
-        p = int(precision)
-    else:
-        env = os.environ.get(ENV_PRECISION)
-        p = int(env) if env else DEFAULT_PRECISION
+    """Working precision in bits: the explicit argument, else the default."""
+    p = DEFAULT_PRECISION if precision is None else int(precision)
     if p < 24:
         raise NumericalError(f"precision {p} bits is too low to be meaningful")
     return p

@@ -39,7 +39,6 @@ DEFAULT_MAX_DEGREE = 512
 # rational critical orbit doubles its heights at every image, so without it
 # the closure's exact arithmetic outgrows any image budget.
 MAX_COEFF_BITS = 4096
-DEFAULT_HEIGHT = 20
 
 PRUNE_MIN_SAMPLES = 10
 
@@ -82,12 +81,12 @@ def _component_key(c: Component):
     return (c.form.degree,) + c.form.sort_key()
 
 
-def critical_components(m: ProjectiveMap, height: int = DEFAULT_HEIGHT):
+def critical_components(m: ProjectiveMap):
     """Components of the critical locus, linear factors split off.
 
-    The square-free part of the Jacobian determinant is factored over a
-    height-bounded set of linear forms; whatever does not split stays as a
-    single unverified component.
+    The rational linear factors of the square-free part of the Jacobian
+    determinant are split off; whatever does not split, a form with no
+    rational linear factor, stays as a single unverified component.
     """
     jd = projmap.jacobian_det(m)
     if jd.is_zero():
@@ -95,7 +94,7 @@ def critical_components(m: ProjectiveMap, height: int = DEFAULT_HEIGHT):
     if jd.is_constant():
         return ()
     sf = poly.squarefree_part(jd)
-    factors, residual = poly.linear_factors(sf, height=height)
+    factors, residual = poly.linear_factors(sf)
     comps = [make_component(form) for form, _mult in factors]
     if not residual.is_constant():
         comps.append(make_component(residual))
@@ -184,9 +183,9 @@ def _vanishes_at(form: HomPoly, point, exact: bool, precision: int) -> bool:
 
 
 def _prune_factors(g: HomPoly, samples, exact: bool, precision: int,
-                   height: int, diagnostics: list) -> HomPoly:
+                   diagnostics: list) -> HomPoly:
     """Keep the factors of a square-free form that vanish on every sample."""
-    factors, residual = poly.linear_factors(g, height=height)
+    factors, residual = poly.linear_factors(g)
     pieces = [form for form, _ in factors]
     if not residual.is_constant():
         pieces.append(residual)
@@ -227,10 +226,9 @@ def _lift(p: HomPoly, nvars: int, offset: int) -> HomPoly:
     return HomPoly(nvars, p.degree, acc)
 
 
-def _image_p1(m: ProjectiveMap, c: Component, precision: int,
-              height: int) -> Component:
+def _image_p1(m: ProjectiveMap, c: Component, precision: int) -> Component:
     """Image of a finite point set under a P^1 map, as one binary form."""
-    factors, residual = poly.linear_factors(c.form, height=height)
+    factors, residual = poly.linear_factors(c.form)
     image = poly.constant(2, 1)
     for form, _ in factors:
         image = image * _point_image_form(m, poly.root_of_binary_linear(form))
@@ -324,8 +322,8 @@ def _graded_gcd(r: HomPoly, grading_var: int, y_offset: int) -> HomPoly:
     return poly.gcd_many(pieces) if len(pieces) > 1 else poly.canonical(pieces[0])
 
 
-def _image_line_parametrized(m: ProjectiveMap, c: Component, precision: int,
-                             height: int) -> Component:
+def _image_line_parametrized(m: ProjectiveMap, c: Component,
+                             precision: int) -> Component:
     """Implicitize the image of a line from its parametrization."""
     emb = projmap.embedding_for_hyperplane(c.form)
     subs = [poly.linear_form(row) for row in emb.matrix]
@@ -355,7 +353,7 @@ def _image_line_parametrized(m: ProjectiveMap, c: Component, precision: int,
             sf = poly.squarefree_part(gcd)
             count = max(PRUNE_MIN_SAMPLES, sf.degree * sf.degree + 1)
             samples, exact = _pushed_samples(m, c, count, precision)
-            pruned = _prune_factors(sf, samples, exact, precision, height, diagnostics)
+            pruned = _prune_factors(sf, samples, exact, precision, diagnostics)
             return make_component(pruned)
     raise ImageError(
         "image computation failed for line "
@@ -363,8 +361,8 @@ def _image_line_parametrized(m: ProjectiveMap, c: Component, precision: int,
     )
 
 
-def _image_by_elimination(m: ProjectiveMap, c: Component, precision: int,
-                          height: int) -> Component:
+def _image_by_elimination(m: ProjectiveMap, c: Component,
+                          precision: int) -> Component:
     """Double-resultant elimination of the source variables, all charts."""
     diagnostics = []
     # Variables (x0, x1, x2, Y0, Y1, Y2).
@@ -404,8 +402,7 @@ def _image_by_elimination(m: ProjectiveMap, c: Component, precision: int,
                 sf = poly.squarefree_part(gcd)
                 count = max(PRUNE_MIN_SAMPLES, min(sf.degree * sf.degree + 1, 40))
                 samples, exact = _pushed_samples(m, c, count, precision)
-                pruned = _prune_factors(sf, samples, exact, precision, height,
-                                        diagnostics)
+                pruned = _prune_factors(sf, samples, exact, precision, diagnostics)
                 return make_component(pruned)
     raise ImageError(
         "image computation failed for "
@@ -413,8 +410,8 @@ def _image_by_elimination(m: ProjectiveMap, c: Component, precision: int,
     )
 
 
-def _image_fast(m: ProjectiveMap, c: Component, candidates, precision: int,
-                height: int) -> Optional[Component]:
+def _image_fast(m: ProjectiveMap, c: Component, candidates,
+                precision: int) -> Optional[Component]:
     """Certify a candidate image by exact divisibility c | M∘f.
 
     Containment of the (irreducible) image in a candidate's zero set is
@@ -438,16 +435,15 @@ def _image_fast(m: ProjectiveMap, c: Component, candidates, precision: int,
         points, exact = sample
         if not points or not _vanishes_at(form, points[0], exact, precision):
             continue
-        return make_component(_refine_candidate(m, c, form, height))
+        return make_component(_refine_candidate(m, c, form))
     return None
 
 
-def _refine_candidate(m: ProjectiveMap, c: Component, accepted: HomPoly,
-                      height: int) -> HomPoly:
+def _refine_candidate(m: ProjectiveMap, c: Component, accepted: HomPoly) -> HomPoly:
     # Drop factors of the accepted form that the divisibility certificate
     # does not need; what survives is minimal piece by piece.
     while True:
-        factors, residual = poly.linear_factors(accepted, height=height)
+        factors, residual = poly.linear_factors(accepted)
         pieces = [form for form, _ in factors]
         if not residual.is_constant():
             pieces.append(residual)
@@ -465,8 +461,8 @@ def _refine_candidate(m: ProjectiveMap, c: Component, accepted: HomPoly,
 
 
 def image_of_component(m: ProjectiveMap, c: Component, candidates: Sequence = (),
-                       precision: Optional[int] = None, method: str = "auto",
-                       height: int = DEFAULT_HEIGHT) -> Component:
+                       precision: Optional[int] = None,
+                       method: str = "auto") -> Component:
     """The set-theoretic forward image of a component, as a Component.
 
     ``method`` selects the route: "fast" certifies one of the supplied
@@ -479,29 +475,29 @@ def image_of_component(m: ProjectiveMap, c: Component, candidates: Sequence = ()
     if c.form.nvars != m.k + 1:
         raise PcfError("component lives in the wrong variable ring")
     if m.k == 1:
-        return _image_p1(m, c, precision, height)
+        return _image_p1(m, c, precision)
     if m.k != 2:
         raise PcfError(f"images implemented for P^1 and P^2 only, not P^{m.k}")
     if method == "fast":
-        out = _image_fast(m, c, candidates, precision, height)
+        out = _image_fast(m, c, candidates, precision)
         if out is None:
             raise ImageError("no supplied candidate was certified")
         return out
     if method == "parametrize":
         if not c.linear:
             raise PcfError("parametrized implicitization needs a linear source")
-        return _image_line_parametrized(m, c, precision, height)
+        return _image_line_parametrized(m, c, precision)
     if method == "eliminate":
-        return _image_by_elimination(m, c, precision, height)
+        return _image_by_elimination(m, c, precision)
     if method != "auto":
         raise PcfError(f"unknown image method {method!r}")
     if candidates:
-        out = _image_fast(m, c, candidates, precision, height)
+        out = _image_fast(m, c, candidates, precision)
         if out is not None:
             return out
     if c.linear:
-        return _image_line_parametrized(m, c, precision, height)
-    return _image_by_elimination(m, c, precision, height)
+        return _image_line_parametrized(m, c, precision)
+    return _image_by_elimination(m, c, precision)
 
 
 # -- the post-critical graph --------------------------------------------------
@@ -562,7 +558,6 @@ def _coeff_bits(form: HomPoly) -> int:
 
 def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
                        max_degree: int = DEFAULT_MAX_DEGREE,
-                       height: int = DEFAULT_HEIGHT,
                        precision: Optional[int] = None):
     """Breadth-first closure of the critical components under images.
 
@@ -574,7 +569,7 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
     enters the graph.
     """
     precision = numeric.resolve_precision(precision)
-    crit = critical_components(m, height)
+    crit = critical_components(m)
     nodes = []
     successor = {}
     images_used = 0
@@ -611,7 +606,7 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
         candidates = coordinate_forms + [n.form for n in nodes]
         try:
             img = image_of_component(m, c, candidates=candidates,
-                                     precision=precision, height=height)
+                                     precision=precision)
         except (ImageError, numeric.NumericalError) as exc:
             return bail("inconclusive", str(exc))
         images_used += 1
@@ -680,7 +675,6 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
 def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
                 max_iter: int = DEFAULT_MAX_ITER,
                 max_degree: int = DEFAULT_MAX_DEGREE,
-                height: int = DEFAULT_HEIGHT,
                 precision: Optional[int] = None,
                 degree_cap: int = projmap.DEFAULT_DEGREE_CAP):
     """Descend through periodic components until dimension zero.
@@ -716,8 +710,7 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
                                       poly.format_poly(node.form),
                                       graph.period[node], node.form))
             continue
-        subgraph, verdict = postcritical_graph(g, max_iter, max_degree,
-                                               height, precision)
+        subgraph, verdict = postcritical_graph(g, max_iter, max_degree, precision)
         if verdict.ok:
             entry_verdict = "PCF"
         else:

@@ -31,7 +31,7 @@ Ternary forms keep the sparse recursive code.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -61,7 +61,8 @@ class HomPoly:
             raise PolynomialError(f"negative degree tag {degree}")
         clean = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             exps = tuple(exps)
@@ -496,6 +497,10 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
+def _derivative(u: list) -> list:
+    return [i * x for i, x in enumerate(u)][1:]
+
+
 def _primitive(c: list) -> list:
     g = int_gcd(*c)
     return c if g == 1 else [x // g for x in c]
@@ -803,8 +808,7 @@ def squarefree_part(p: HomPoly) -> HomPoly:
         u = _dehomogenize(p)
         sf = [1]
         if len(u) > 1:
-            du = [i * x for i, x in enumerate(u)][1:]
-            sf = _dense_quotient(u, _dense_gcd(u, du))
+            sf = _dense_quotient(u, _dense_gcd(u, _derivative(u)))
         # len(u) <= degree exactly when x1 divides p.
         return canonical(_binary_form(sf + [0] * (len(u) <= p.degree)))
     g = p
@@ -983,41 +987,74 @@ def det(matrix: Sequence[Sequence[HomPoly]]) -> HomPoly:
 # -- linear factor extraction ---------------------------------------------
 
 
-def _binary_linear_factors(p: HomPoly, height: int) -> list:
-    """All linear factors (a*x0 + b*x1) of a nonzero binary form with
-    coefficient height at most ``height``; each pair is primitive with
-    canonical sign.
+def _binary_linear_factors(p: HomPoly) -> list:
+    """All linear factors (a*x0 + b*x1) of a nonzero binary form; each pair
+    is primitive with canonical sign.
 
-    Candidates come from the rational root theorem.  With the coordinate
-    factors stripped and the form scaled to integers, Gauss's lemma gives
-    a dividing the x0^d coefficient and b dividing the x1^d coefficient,
-    so only divisors of absolute value at most ``height`` are tried, each
-    confirmed by exact evaluation at the root (-b : a).
+    With the coordinate factors stripped, a linear factor is a rational
+    root -b/a of the square-free part u of p(x0, 1), and with L the leading
+    coefficient of u, N = L * (-b/a) is an integer with |N| at most
+    |L| + max|u_i| (Cauchy's bound).  At a prime not dividing L at which
+    every root of u is simple, Newton's iteration lifts each root mod p to
+    the p-adic root above it; once the modulus m exceeds twice the bound,
+    the residue of L times that root in (-m/2, m/2] is N itself.  Each
+    candidate N / L is confirmed by exact integer evaluation, so the search
+    finds rational roots of any size (Loos 1983).
     """
-    if height < 1:
-        return []
     coord_factors, q = _strip_variable_factors(p)
     # x0 is the pair (1, 0) and x1 the pair (0, 1): the exponent tuple.
     found = [next(iter(form.terms)) for form, _mult in coord_factors]
     if q.is_constant():
         return found
-    q = int_primitive(q)
-    lead = _small_divisors(q.terms[(q.degree, 0)], height)
-    trail = _small_divisors(q.terms[(0, q.degree)], height)
-    for a in lead:
-        for b in trail:
-            if int_gcd(a, b) != 1:
-                continue
-            for sb in (b, -b):
-                if q.evaluate((-sb, a)) == 0:
-                    found.append((a, sb))
+    u = _dehomogenize(q)
+    u = _primitive(_dense_quotient(u, _dense_gcd(u, _derivative(u))))
+    lead = u[-1]
+    bound = 2 * (abs(lead) + max(abs(x) for x in u))
+    du = _derivative(u)
+    m, roots = _simple_roots_mod_prime(u, du)
+    while m <= bound:
+        m *= m
+        roots = [(r - _eval_mod(u, r, m) * pow(_eval_mod(du, r, m), -1, m)) % m
+                 for r in roots]
+    for r in roots:
+        n = lead * r % m
+        if 2 * n > m:
+            n -= m
+        g = int_gcd(n, lead)
+        num, den = n // g, lead // g
+        if den < 0:
+            num, den = -num, -den
+        # den^d * u(num / den), by Horner's rule on integers.
+        acc, dpow = 0, 1
+        for x in reversed(u):
+            acc = acc * num + x * dpow
+            dpow *= den
+        if acc == 0:
+            found.append((den, -num))
     return found
 
 
-def _small_divisors(n: Fraction, bound: int) -> list:
-    """Positive divisors of the nonzero integer ``n`` up to ``bound``."""
-    n = abs(int(n))
-    return [k for k in range(1, min(n, bound) + 1) if n % k == 0]
+def _eval_mod(u: list, r: int, m: int) -> int:
+    acc = 0
+    for x in reversed(u):
+        acc = (acc * r + x) % m
+    return acc
+
+
+def _simple_roots_mod_prime(u: list, du: list):
+    """The first prime p not dividing the leading coefficient of the
+    square-free integer polynomial u at which every root of u mod p is
+    simple, with those roots; du is the derivative of u.  Only the primes
+    dividing the leading coefficient or the discriminant of u are passed
+    over, so the search ends."""
+    p = 1
+    while True:
+        p += 1
+        if any(p % k == 0 for k in range(2, isqrt(p) + 1)) or u[-1] % p == 0:
+            continue
+        roots = [r for r in range(p) if _eval_mod(u, r, p) == 0]
+        if all(_eval_mod(du, r, p) for r in roots):
+            return p, roots
 
 
 def _strip_variable_factors(q: HomPoly):
@@ -1031,65 +1068,39 @@ def _strip_variable_factors(q: HomPoly):
     return factors, q
 
 
-def _normalize_candidate(vec: tuple) -> Optional[tuple]:
-    g = 0
-    for v in vec:
-        g = int_gcd(g, abs(v))
-    if g == 0:
-        return None
-    vec = tuple(v // g for v in vec)
-    for v in vec:
-        if v > 0:
-            return vec
-        if v < 0:
-            return tuple(-x for x in vec)
-    return None
+def _normalize_candidate(vec: tuple) -> tuple:
+    """The primitive multiple of a nonzero integer vector whose first
+    nonzero entry is positive."""
+    g = int_gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
-def linear_factors(p: HomPoly, height: int = 20, candidates: Iterable[HomPoly] = ()):
-    """Split off rational linear factors of a binary or ternary form.
+def linear_factors(p: HomPoly):
+    """Split off the rational linear factors of a binary or ternary form.
 
     Returns ``(factors, residual)`` where ``factors`` is a list of
     ``(canonical linear form, multiplicity)`` pairs and ``residual`` is the
     exact cofactor, so that the product of all returned factor powers times
-    the residual equals ``p``.  The candidates come from the rational root
-    theorem within ``height``: for a binary form, every primitive
-    a*x0 + b*x1 of height at most ``height`` with a dividing the x0^d
-    coefficient and b dividing the x1^d coefficient; for a ternary form,
-    the recombined linear factors of its three coordinate-plane
-    restrictions, found the same way.  Caller-supplied candidate forms are
-    added, and every candidate is confirmed by exact division.  A
-    non-constant residual therefore has no rational linear factor of
-    height <= ``height``, but may still factor further.
+    the residual equals ``p``.  A binary form's factors are its rational
+    roots, found by the p-adic search of ``_binary_linear_factors``; a
+    ternary form's candidates are recombined from the linear factors of its
+    three coordinate-plane restrictions.  Every candidate is confirmed by
+    exact division, so a non-constant residual has no rational linear
+    factor, but may still factor further.
     """
     if p.nvars not in (2, 3):
         raise PolynomialError("linear factor extraction supports 2 or 3 variables")
     if p.is_zero():
         raise PolynomialError("cannot factor the zero polynomial")
-    found = []
-    coord_factors, q = _strip_variable_factors(p)
-    found.extend(coord_factors)
-
+    found, q = _strip_variable_factors(p)
     cand_vectors = []
     if not q.is_constant():
         if p.nvars == 2:
-            cand_vectors = _binary_linear_factors(q, height)
+            cand_vectors = _binary_linear_factors(q)
         else:
-            cand_vectors = _ternary_candidates(q, height)
-    seen = {v for v in cand_vectors}
-    for extra in candidates:
-        if extra.nvars != p.nvars or extra.degree != 1:
-            continue
-        vec = linear_coeffs(extra)
-        den = 1
-        for c in vec:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ivec = _normalize_candidate(tuple(int(c * den) for c in vec))
-        if ivec is not None and ivec not in seen:
-            seen.add(ivec)
-            cand_vectors.append(ivec)
-
-    cand_vectors.sort(key=lambda v: (max(abs(x) for x in v), v))
+            cand_vectors = _ternary_candidates(q)
     for vec in cand_vectors:
         if q.is_constant():
             break
@@ -1110,36 +1121,23 @@ def linear_factors(p: HomPoly, height: int = 20, candidates: Iterable[HomPoly] =
     return found, q
 
 
-def _ternary_candidates(q: HomPoly, height: int) -> list:
-    """Candidate ternary linear coefficient vectors of height <= ``height``.
+def _ternary_candidates(q: HomPoly) -> list:
+    """Candidate coefficient vectors of the linear factors of a ternary form
+    with no coordinate factor, so that no coordinate-plane slice vanishes.
 
     A linear factor a*x + b*y + c*z of q restricts to a linear factor of
-    each coordinate-plane slice of q, so recombining the (complete) binary
-    factor lists of the three slices reaches every ternary factor whose
-    coefficients stay within the height bound.
+    each coordinate-plane slice of q, so recombining the complete binary
+    factor lists of the three slices reaches every ternary factor.
     """
-    sl_z = slice_poly(q, 2)
-    sl_y = slice_poly(q, 1)
-    sl_x = slice_poly(q, 0)
     out = set()
-    if not sl_z.is_zero() and not sl_y.is_zero():
-        fz = _binary_linear_factors(sl_z, height)  # pairs (a, b)
-        fy = _binary_linear_factors(sl_y, height)  # pairs (a, c)
-        for a1, b1 in fz:
-            if a1 == 0:
-                continue
-            for a2, c2 in fy:
-                if a2 == 0:
-                    continue
-                vec = _normalize_candidate((a1 * a2, b1 * a2, c2 * a1))
-                if vec and max(abs(x) for x in vec) <= height:
-                    out.add(vec)
-    if not sl_x.is_zero():
-        for b3, c3 in _binary_linear_factors(sl_x, height):
-            if b3 and c3:
-                vec = _normalize_candidate((0, b3, c3))
-                if vec:
-                    out.add(vec)
+    fy = _binary_linear_factors(slice_poly(q, 1))  # pairs (a, c)
+    for a1, b1 in _binary_linear_factors(slice_poly(q, 2)):  # pairs (a, b)
+        for a2, c2 in fy:
+            if a1 and a2:
+                out.add(_normalize_candidate((a1 * a2, b1 * a2, c2 * a1)))
+    for b3, c3 in _binary_linear_factors(slice_poly(q, 0)):
+        if b3 and c3:
+            out.add(_normalize_candidate((0, b3, c3)))
     return sorted(out)
 
 

@@ -245,7 +245,8 @@ def suite_linear_factors(n=500, seed=107):
         nvars = rng.choice((2, 3))
         nfac = rng.randint(1, 3)
         p, _factors = _product_of_linears(rng, nvars, nfac)
-        if nvars == 2 and rng.random() < 0.4:
+        with_irreducible = nvars == 2 and rng.random() < 0.4
+        if with_irreducible:
             p = p * irreducible
         p = p.scale(_coeff(rng, allow_fractions=True))
         factors, residual = poly.linear_factors(p)
@@ -256,6 +257,11 @@ def suite_linear_factors(n=500, seed=107):
                 rebuilt = rebuilt * form
         # equality up to a rational constant
         assert poly.canonical(rebuilt) == poly.canonical(p)
+        # complete: every linear factor is split off, whatever its height
+        if with_irreducible:
+            assert poly.canonical(residual) == irreducible
+        else:
+            assert residual.is_constant()
         count += 1
     return count
 

@@ -214,18 +214,41 @@ class TestAnalyze:
         on_disk = json.loads(target.read_text())
         assert list(on_disk.keys()) == list(cli.REPORT_KEYS)
 
-    def test_precision_env(self, capsys, monkeypatch):
+    def test_precision_env_ignored(self, capsys, monkeypatch):
+        # --precision is the only way to set the working precision.
         monkeypatch.setenv("PCFLAB_PRECISION", "128")
         code, report, _err = _report(capsys, "analyze", "catalog:squaring-p2")
         assert code == cli.EXIT_OK
-        assert report["bounds"]["precision_bits"] == 128
+        assert report["bounds"]["precision_bits"] == numeric.DEFAULT_PRECISION
 
-    def test_precision_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PCFLAB_PRECISION", "128")
-        code, report, _err = _report(capsys, "analyze", "catalog:squaring-p2",
-                                     "--precision", "320")
-        assert code == cli.EXIT_OK
-        assert report["bounds"]["precision_bits"] == 320
+    @pytest.mark.parametrize("base", ["squaring-p2", "fs-1992-a"])
+    def test_conjugate_keeps_linear_components(self, base, tmp_path, capsys):
+        # The map file is A^-1 o f o A for A = [[21,1,0],[0,22,1],[1,0,23]]
+        # (property_suites.conjugate), so its critical and post-critical
+        # lines have coefficients above 20.  A subprocess with a timeout, so
+        # that an analysis which never ends fails.
+        target = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(pcflab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcflab.cli", "analyze",
+             str(GOLDEN_DIR / f"{base}-conj21.json"), "--report", str(target)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        conj = json.loads(target.read_text())
+        _code, ref, _err = _report(capsys, "analyze", f"catalog:{base}")
+        assert conj["pcf"]["status"] == "PCF"
+        assert all(c["linear"] for c in conj["pcf"]["components"])
+        assert (len(conj["pcf"]["components"])
+                == len(ref["pcf"]["components"]))
+
+        def verdicts(report):
+            tower = [sorted((e["verdict"], e["period"]) for e in level["entries"])
+                     for level in report["tower"]]
+            containment = (report["containment"]["ok"],
+                           sorted(e["verdict"] for e in report["containment"]["entries"]))
+            return tower, containment, report["transversality"]["verdict"]
+
+        assert verdicts(conj) == verdicts(ref)
 
 
 class TestBounds:

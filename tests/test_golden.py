@@ -83,16 +83,14 @@ def _run(argv, report_path) -> int:
 
 
 @pytest.mark.parametrize("golden,argv,code", CASES, ids=[c[0] for c in CASES])
-def test_report_matches_golden(golden, argv, code, tmp_path, monkeypatch):
-    monkeypatch.delenv("PCFLAB_PRECISION", raising=False)
+def test_report_matches_golden(golden, argv, code, tmp_path):
     out = tmp_path / golden
     assert _run(argv, out) == code
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 @pytest.mark.parametrize("prefix,argv", GRID_CASES, ids=[c[0] for c in GRID_CASES])
-def test_grid_files_match_golden(prefix, argv, tmp_path, monkeypatch):
-    monkeypatch.delenv("PCFLAB_PRECISION", raising=False)
+def test_grid_files_match_golden(prefix, argv, tmp_path):
     out = tmp_path / prefix
     assert _run(argv + ["--out", str(out)], tmp_path / "report.json") == 0
     for suffix in GRID_SUFFIXES:
@@ -106,7 +104,6 @@ def _read(name):
 
 
 if __name__ == "__main__":
-    os.environ.pop("PCFLAB_PRECISION", None)
     # (files a run writes, argv, report path, expected exit code)
     runs = [([golden], argv, GOLDEN_DIR / golden, code)
             for golden, argv, code in CASES]

@@ -239,14 +239,5 @@ class TestRationalize:
 
 
 class TestPrecisionResolution:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(numeric.ENV_PRECISION, raising=False)
+    def test_default(self):
         assert numeric.resolve_precision(None) == numeric.DEFAULT_PRECISION
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(numeric.ENV_PRECISION, "128")
-        assert numeric.resolve_precision(None) == 128
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(numeric.ENV_PRECISION, "128")
-        assert numeric.resolve_precision(512) == 512
