@@ -324,11 +324,6 @@ def _bounds_json(precision: int, args) -> dict:
             "eps_root": periodic.EPS_ROOT,
             "root_order_max": periodic.Q_MAX,
         },
-        "image_pruning": {
-            "sample_tol": tol["prune_sample"],
-            "min_samples": pcf.PRUNE_MIN_SAMPLES,
-            "precision_bits": tol["prune_precision"],
-        },
         "scan": {
             "tol": getattr(args, "tol", fatou.DEFAULT_TOL),
             "consecutive_hits": fatou.CONSECUTIVE_HITS,
@@ -397,7 +392,7 @@ def cmd_analyze(args) -> int:
     precision = numeric.resolve_precision(args.precision)
     try:
         graph, verdict = pcf.postcritical_graph(
-            work, args.max_iter, args.max_degree, precision)
+            work, args.max_iter, args.max_degree)
         crit = tuple(n for n in graph.nodes if n in graph.critical)
         report["pcf"] = _pcf_json(graph, verdict)
         if not verdict.ok:
@@ -406,7 +401,7 @@ def cmd_analyze(args) -> int:
             _emit(report, args.report)
             return EXIT_RESOURCE
         levels = pcf.build_tower(work, graph, args.max_iter, args.max_degree,
-                                 precision, args.degree_cap)
+                                 args.degree_cap)
         report["tower"] = _tower_json(levels)
         if work.k == 2 and crit:
             report["transversality"] = _transversality_json(
@@ -526,7 +521,7 @@ def cmd_fatou(args) -> int:
             cands = _parse_candidates(args.candidates, work.k)
         else:
             graph, verdict = pcf.postcritical_graph(
-                work, args.max_iter, args.max_degree, precision)
+                work, args.max_iter, args.max_degree)
             report["pcf"] = _pcf_json(graph, verdict)
             if not verdict.ok:
                 print(f"error: cannot derive candidates, closure ended "
@@ -534,9 +529,9 @@ def cmd_fatou(args) -> int:
                 _emit(report, args.report)
                 return EXIT_RESOURCE
             levels = pcf.build_tower(work, graph, args.max_iter,
-                                     args.max_degree, precision, args.degree_cap)
+                                     args.max_degree, args.degree_cap)
             cands = fatou.superattracting_candidates(work, graph, levels,
-                                                     None, precision)
+                                                     precision)
             if not cands:
                 report["fatou"] = _fatou_json((), None, None,
                                               {"csv": None, "pgm": None})

@@ -102,7 +102,6 @@ def _all_zero_spectrum(m: ProjectiveMap, point, period: int,
 
 
 def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
-                               periodic_audit=None,
                                precision: Optional[int] = None):
     """Periodic zero-dimensional intersection points with nilpotent spectra.
 
@@ -139,8 +138,6 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
     else:
         raise FatouError(f"candidates implemented for P^1 and P^2, not P^{m.k}")
 
-    audited = list(periodic_audit.verdicts) if periodic_audit is not None else []
-    audited_points = numeric.PointSet(precision, [v.point.point for v in audited])
     out = []
     with mpmath.workprec(precision):
         for vec in exact:
@@ -150,10 +147,7 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
             if _all_zero_spectrum(m, vec, period, precision):
                 out.append(tuple(vec))
         for pt in approx:
-            i = audited_points.find(pt)
-            period = audited[i].point.period if i is not None else None
-            if period is None:
-                period = _numeric_orbit_period(m, pt, precision)
+            period = _numeric_orbit_period(m, pt, precision)
             if period is None:
                 continue
             if _all_zero_spectrum(m, pt, period, precision):

@@ -22,9 +22,6 @@ from .poly import HomPoly
 
 DEFAULT_PRECISION = 256  # bits
 
-PRUNE_PRECISION = 256  # bits: image pruning never evaluates below this
-PRUNE_SAMPLE_EXP = 25  # pruning keeps a factor where |value| < 10^-25 on a sample
-
 
 class NumericalError(RuntimeError):
     """A numeric routine could not reach its accuracy contract."""
@@ -54,13 +51,11 @@ class Tolerances:
     verify: mpmath.mpf  # 10^-(p//16): residuals below this verify a solution
     zero_floor: mpmath.mpf  # 2^-(p-8): a magnitude this small, relative, is zero
     refine_target: mpmath.mpf  # 10^-(0.18p): Newton refinement stops below it
-    prune_precision: int  # max(p, PRUNE_PRECISION): pruning evaluates here
-    prune_sample: mpmath.mpf  # 10^-25: a sample value below it keeps a factor
     formulas: tuple = field(repr=False, compare=False)  # (field, "base^-exponent")
 
     def serialize(self) -> dict:
         """Each tolerance as its formula, keyed by field name, for reports."""
-        return dict(self.formulas, prune_precision=self.prune_precision)
+        return dict(self.formulas)
 
 
 def _power_tol(base: int, exponent, precision: int):
@@ -73,16 +68,13 @@ def _power_tol(base: int, exponent, precision: int):
 def tolerances(precision: int) -> Tolerances:
     """The tolerances of a run at ``precision`` bits."""
     p = precision
-    prune_precision = max(p, PRUNE_PRECISION)
     built = {
         "dedup": _power_tol(10, p // 8, p),
         "verify": _power_tol(10, p // 16, p),
         "zero_floor": _power_tol(2, p - 8, p),
         "refine_target": _power_tol(10, p * 0.18, p),
-        "prune_sample": _power_tol(10, PRUNE_SAMPLE_EXP, prune_precision),
     }
-    return Tolerances(prune_precision=prune_precision,
-                      formulas=tuple((k, text) for k, (_v, text) in built.items()),
+    return Tolerances(formulas=tuple((k, text) for k, (_v, text) in built.items()),
                       **{k: value for k, (value, _t) in built.items()})
 
 
@@ -147,9 +139,9 @@ class PointSet:
     Comparisons run at the caller's working precision.
     """
 
-    def __init__(self, precision: int, points=()):
+    def __init__(self, precision: int):
         self.tol = tolerances(precision).dedup
-        self.points = list(points)
+        self.points = []
 
     def find(self, pt) -> Optional[int]:
         """Index of the first known point within dedup of pt, or None."""

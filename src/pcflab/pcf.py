@@ -10,17 +10,14 @@ weak transversality of the arrangement, containment of each restriction's
 critical points in crit(f^n), decided exactly by gcds along the orbit of the
 restricted line, and topological degree comparisons.
 
-Image computation is layered.  A fast path certifies a candidate image form
-by exact divisibility; a parametrized path implicitizes the image of a line
-through a single resultant; a general elimination path handles non-linear
-sources with a double resultant.  Spurious elimination factors are pruned
-against pushed-forward sample points, exactly for rational samples and to a
-fixed tolerance otherwise.
+Images are exact.  The image of {c = 0} is cut out by the least-degree form
+M with c | M∘f, found by linear algebra over the monomials of each degree in
+turn (implicitization by undetermined coefficients).  The same solve serves
+point sets on P^1 and lines and curves on P^2.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,15 +37,15 @@ DEFAULT_MAX_DEGREE = 512
 # the closure's exact arithmetic outgrows any image budget.
 MAX_COEFF_BITS = 4096
 
-PRUNE_MIN_SAMPLES = 10
-
-
 class PcfError(RuntimeError):
     """Structural failure in post-critical analysis."""
 
 
 class ImageError(PcfError):
-    """Image computation failed in every chart; carries diagnostics."""
+    """No form of degree at most d * deg c vanishes on a component's image.
+
+    That happens only where the map is not well defined on the component.
+    """
 
 
 # -- components ---------------------------------------------------------------
@@ -101,403 +98,54 @@ def critical_components(m: ProjectiveMap):
     return tuple(sorted(comps, key=_component_key))
 
 
-# -- sample machinery ---------------------------------------------------------
+# -- images -------------------------------------------------------------------
 
 
-def _line_points_exact(form: HomPoly, count: int):
-    """Distinct rational points on a line {form=0}, via its parametrization."""
-    emb = projmap.embedding_for_hyperplane(form)
-    pts = []
-    seen = set()
-    j = 0
-    while len(pts) < count and j < 16 * count + 32:
-        p = projmap.primitive_vector(emb.apply((Fraction(j), Fraction(1))))
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-        j += 1
-    return pts
+def _monomials(nvars: int, degree: int):
+    """Exponent tuples of the given degree, in descending lex order."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in _monomials(nvars - 1, degree - first):
+            yield (first,) + rest
 
 
-def _curve_points_numeric(form: HomPoly, count: int, precision: int, seed: int = 11):
-    """Points on a plane curve, intersected out of deterministic lines."""
-    rng = random.Random(seed)
-    pts = numeric.PointSet(precision)
-    with mpmath.workprec(precision):
-        attempts = 0
-        while len(pts.points) < count and attempts < 24:
-            attempts += 1
-            coeffs = [Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)),
-                      Fraction(rng.randint(1, 9))]
-            line = poly.linear_form(coeffs)
-            emb = projmap.embedding_for_hyperplane(line)
-            subs = [poly.linear_form(row) for row in emb.matrix]
-            restricted = poly.compose(form, subs)
-            if restricted.is_zero():
-                continue  # the line is a factor of the curve
-            try:
-                roots = numeric.binary_form_roots(restricted, precision)
-            except numeric.NumericalError:
-                continue
-            for (r0, r1), _mult in roots:
-                pts.add(numeric.normalize_point(emb.apply((r0, r1)))[0])
-    return pts.points
-
-
-def _push_exact(m: ProjectiveMap, point):
-    vals = tuple(c.evaluate(tuple(point)) for c in m.comps)
-    return projmap.primitive_vector([Fraction(v) for v in vals])
-
-
-def _pushed_samples(m: ProjectiveMap, c: Component, count: int, precision: int):
-    """Forward images of sample points of {c=0}: ``(points, exact_flag)``."""
-    if c.linear:
-        out = []
-        seen = set()
-        for p in _line_points_exact(c.form, 4 * count + 8):
-            q = _push_exact(m, p)
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-            if len(out) >= count:
-                break
-        return out, True
-    pts = _curve_points_numeric(c.form, count + 4, precision)
-    pushed = numeric.PointSet(precision)
-    with mpmath.workprec(precision):
-        for p in pts:
-            pushed.add(projmap.pushforward_point(m, p, precision))
-            if len(pushed.points) >= count:
-                break
-    return pushed.points, False
-
-
-def _vanishes_at(form: HomPoly, point, exact: bool, precision: int) -> bool:
-    if exact:
-        return form.evaluate(tuple(point)) == 0
-    tol = numeric.tolerances(precision)
-    with mpmath.workprec(tol.prune_precision):
-        pt = numeric.normalize_point(point)[0]
-        scale = max(abs(v) for v in poly.int_primitive(form).terms.values())
-        return mpmath.fabs(numeric.eval_form(form, pt)) < tol.prune_sample * max(int(scale), 1)
-
-
-def _prune_factors(g: HomPoly, samples, exact: bool, precision: int,
-                   diagnostics: list) -> HomPoly:
-    """Keep the factors of a square-free form that vanish on every sample."""
-    factors, residual = poly.linear_factors(g)
-    pieces = [form for form, _ in factors]
-    if not residual.is_constant():
-        pieces.append(residual)
-    kept = []
-    for piece in pieces:
-        if all(_vanishes_at(piece, q, exact, precision) for q in samples):
-            kept.append(piece)
-        else:
-            diagnostics.append(f"pruned factor {poly.format_poly(piece)}")
-    if not kept:
-        raise ImageError(
-            "image computation failed: every eliminant factor was pruned; "
-            + "; ".join(diagnostics)
-        )
-    out = kept[0]
-    for piece in kept[1:]:
-        out = out * piece
-    return poly.canonical(out)
-
-
-# -- images: P^1 --------------------------------------------------------------
-
-
-def _point_image_form(m: ProjectiveMap, point) -> HomPoly:
-    """Linear binary form vanishing at the image of a rational point."""
-    q = _push_exact(m, point)
-    return poly.canonical(poly.linear_form([q[1], -q[0]]))
-
-
-def _lift(p: HomPoly, nvars: int, offset: int) -> HomPoly:
-    """Reinterpret a form in a larger variable ring, shifted by ``offset``."""
-    acc = {}
-    for e, c in p.terms.items():
-        ee = [0] * nvars
-        for i, k in enumerate(e):
-            ee[offset + i] = k
-        acc[tuple(ee)] = c
-    return HomPoly(nvars, p.degree, acc)
-
-
-def _image_p1(m: ProjectiveMap, c: Component, precision: int) -> Component:
-    """Image of a finite point set under a P^1 map, as one binary form."""
-    factors, residual = poly.linear_factors(c.form)
-    image = poly.constant(2, 1)
-    for form, _ in factors:
-        image = image * _point_image_form(m, poly.root_of_binary_linear(form))
-    if not residual.is_constant():
-        image = image * _residual_image_p1(m, residual, precision)
-    return make_component(image)
-
-
-def _residual_image_p1(m: ProjectiveMap, r: HomPoly, precision: int) -> HomPoly:
-    """Image form of the roots of an irrational binary factor.
-
-    First try the numeric route: push every root, reconstruct the product
-    form with rationalized coefficients, and certify it by exact
-    divisibility (r divides M∘f when every root of r maps into {M=0}).
-    Fall back to exact resultant elimination when certification fails.
-    """
-    reconstructed = _reconstruct_image_form(m, r, precision)
-    if reconstructed is not None:
-        return reconstructed
-    return _eliminate_image_p1(m, r)
-
-
-def _reconstruct_image_form(m: ProjectiveMap, r: HomPoly, precision: int):
-    with mpmath.workprec(precision):
-        try:
-            roots = numeric.binary_form_roots(r, precision)
-        except numeric.NumericalError:
-            return None
-        images = numeric.PointSet(precision)
-        for root, _mult in roots:
-            images.add(projmap.pushforward_point(m, root, precision))
-        # Expand prod (q1*s - q0*t) over the distinct image points.
-        coeffs = [mpmath.mpc(1)]
-        for q in images.points:
-            nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
-            for i, a in enumerate(coeffs):
-                nxt[i] += a * q[1]
-                nxt[i + 1] += a * (-q[0])
-            coeffs = nxt
-        pivot = max(range(len(coeffs)), key=lambda i: mpmath.fabs(coeffs[i]))
-        if mpmath.fabs(coeffs[pivot]) == 0:
-            return None
-        terms = {}
-        deg = len(coeffs) - 1
-        for i, a in enumerate(coeffs):
-            q = numeric.rationalize(a / coeffs[pivot], precision)
-            if q is None:
-                return None
-            if q:
-                terms[(deg - i, i)] = q
-    candidate = poly.canonical(HomPoly(2, deg, terms))
-    pushed = poly.compose(candidate, list(m.comps))
-    if poly.exact_divide(pushed, poly.squarefree_part(r)) is None:
-        return None
-    return candidate
-
-
-def _eliminate_image_p1(m: ProjectiveMap, r: HomPoly) -> HomPoly:
-    # Variables (x0, x1, s, t); eliminate x0 from {r(x), t*F0(x) - s*F1(x)}.
-    r4 = _lift(r, 4, 0)
-    f0 = _lift(m.comps[0], 4, 0)
-    f1 = _lift(m.comps[1], 4, 0)
-    rel = f0 * poly.variable(4, 3) - f1 * poly.variable(4, 2)
-    stripped = poly.canonical(r)
-    if stripped.var_degree(0) < stripped.degree:
-        raise ImageError(
-            "image computation failed: residual factor has a coordinate root"
-        )
-    res = poly.resultant_wrt(r4, rel, 0, r.degree, m.d)
-    if res.is_zero():
-        raise ImageError("image computation failed: degenerate point-set eliminant")
-    res = poly.strip_var(res, 1)
-    if res.var_degree(1) != 0:
-        raise ImageError("image computation failed: eliminant kept a source variable")
-    acc = {(e[2], e[3]): v for e, v in res.terms.items()}
-    binary = HomPoly(2, res.degree, acc)
-    return poly.canonical(poly.squarefree_part(binary))
-
-
-# -- images: P^2 --------------------------------------------------------------
-
-
-def _graded_gcd(r: HomPoly, grading_var: int, y_offset: int) -> HomPoly:
-    """gcd of the 3-variable Y-forms that split a non-zero r by the grading
-    variable's exponent."""
-    groups = {}
-    for e, c in r.terms.items():
-        ye = (e[y_offset], e[y_offset + 1], e[y_offset + 2])
-        groups.setdefault(e[grading_var], {})[ye] = c
-    pieces = [HomPoly(3, sum(next(iter(t))), t) for _key, t in sorted(groups.items())]
-    return poly.gcd_many(pieces) if len(pieces) > 1 else poly.canonical(pieces[0])
-
-
-def _image_line_parametrized(m: ProjectiveMap, c: Component,
-                             precision: int) -> Component:
-    """Implicitize the image of a line from its parametrization."""
-    emb = projmap.embedding_for_hyperplane(c.form)
-    subs = [poly.linear_form(row) for row in emb.matrix]
-    g = [poly.compose(comp, subs) for comp in m.comps]
-    for b in range(3):
-        if g[b].is_zero():
-            # The parametrized image lies inside a coordinate line, and an
-            # irreducible curve inside a line fills it.
-            return make_component(poly.variable(3, b))
-    diagnostics = []
-    # Variables (s, t, Y0, Y1, Y2).
-    g5 = [_lift(q, 5, 0) for q in g]
-    yvar = [poly.variable(5, 2 + j) for j in range(3)]
-    for anchor in range(3):
-        others = [a for a in range(3) if a != anchor]
-        rel = [g5[a] * yvar[anchor] - g5[anchor] * yvar[a] for a in others]
-        for elim, grade in ((0, 1), (1, 0)):
-            da = rel[0].degree - 1
-            res = poly.resultant_wrt(rel[0], rel[1], elim, da, da)
-            if res.is_zero():
-                diagnostics.append(f"anchor {anchor}, eliminating var {elim}: zero resultant")
-                continue
-            gcd = _graded_gcd(res, grade, 2)
-            if gcd.is_constant():
-                diagnostics.append(f"anchor {anchor}: coprime graded pieces")
-                continue
-            sf = poly.squarefree_part(gcd)
-            count = max(PRUNE_MIN_SAMPLES, sf.degree * sf.degree + 1)
-            samples, exact = _pushed_samples(m, c, count, precision)
-            pruned = _prune_factors(sf, samples, exact, precision, diagnostics)
-            return make_component(pruned)
-    raise ImageError(
-        "image computation failed for line "
-        f"{poly.format_poly(c.form)}: " + "; ".join(diagnostics)
-    )
-
-
-def _image_by_elimination(m: ProjectiveMap, c: Component,
-                          precision: int) -> Component:
-    """Double-resultant elimination of the source variables, all charts."""
-    diagnostics = []
-    # Variables (x0, x1, x2, Y0, Y1, Y2).
-    c6 = _lift(c.form, 6, 0)
-    f6 = [_lift(comp, 6, 0) for comp in m.comps]
-    yvar = [poly.variable(6, 3 + j) for j in range(3)]
-    e, d = c.form.degree, m.d
-    for grade in (2, 1, 0):
-        elim_vars = [v for v in range(3) if v != grade]
-        for anchor in range(3):
-            others = [a for a in range(3) if a != anchor]
-            rel = [f6[a] * yvar[anchor] - f6[anchor] * yvar[a] for a in others]
-            for first, second in (tuple(elim_vars), tuple(reversed(elim_vars))):
-                r1 = poly.resultant_wrt(c6, rel[0], first, e, d)
-                r2 = poly.resultant_wrt(c6, rel[1], first, e, d)
-                if r1.is_zero() or r2.is_zero():
-                    diagnostics.append(
-                        f"grade {grade} anchor {anchor} var {first}: zero first resultant"
-                    )
-                    continue
-                da, db = r1.var_degree(second), r2.var_degree(second)
-                if da == 0:
-                    res = r1  # already free of the second variable
-                elif db == 0:
-                    res = r2
-                else:
-                    res = poly.resultant_wrt(r1, r2, second, da, db)
-                if res.is_zero():
-                    diagnostics.append(
-                        f"grade {grade} anchor {anchor} order ({first},{second}): zero resultant"
-                    )
-                    continue
-                gcd = _graded_gcd(res, grade, 3)
-                if gcd.is_constant():
-                    diagnostics.append(f"grade {grade} anchor {anchor}: coprime pieces")
-                    continue
-                sf = poly.squarefree_part(gcd)
-                count = max(PRUNE_MIN_SAMPLES, min(sf.degree * sf.degree + 1, 40))
-                samples, exact = _pushed_samples(m, c, count, precision)
-                pruned = _prune_factors(sf, samples, exact, precision, diagnostics)
-                return make_component(pruned)
-    raise ImageError(
-        "image computation failed for "
-        f"{poly.format_poly(c.form)}: " + "; ".join(diagnostics)
-    )
-
-
-def _image_fast(m: ProjectiveMap, c: Component, candidates,
-                precision: int) -> Optional[Component]:
-    """Certify a candidate image by exact divisibility c | M∘f.
-
-    Containment of the (irreducible) image in a candidate's zero set is
-    exactly divisibility of the composed form; the accepted candidate is
-    refined through its own factors so a reducible candidate cannot
-    overshoot an image that one of its factors already contains.
-    """
-    forms = []
-    for cand in candidates:
-        form = cand.form if isinstance(cand, Component) else cand
-        if form.nvars != m.k + 1 or form.is_constant():
-            continue
-        forms.append(poly.canonical(form))
-    forms = sorted(set(forms), key=lambda f: (f.degree,) + f.sort_key())
-    sample = None
-    for form in forms:
-        if poly.exact_divide(poly.compose(form, list(m.comps)), c.form) is None:
-            continue
-        if sample is None:
-            sample = _pushed_samples(m, c, 1, precision)
-        points, exact = sample
-        if not points or not _vanishes_at(form, points[0], exact, precision):
-            continue
-        return make_component(_refine_candidate(m, c, form))
-    return None
-
-
-def _refine_candidate(m: ProjectiveMap, c: Component, accepted: HomPoly) -> HomPoly:
-    # Drop factors of the accepted form that the divisibility certificate
-    # does not need; what survives is minimal piece by piece.
-    while True:
-        factors, residual = poly.linear_factors(accepted)
-        pieces = [form for form, _ in factors]
-        if not residual.is_constant():
-            pieces.append(residual)
-        if len(pieces) <= 1:
-            return accepted
-        for piece in pieces:
-            rest = poly.exact_divide(accepted, piece)
-            if rest is None or rest.is_constant():
-                continue
-            if poly.exact_divide(poly.compose(rest, list(m.comps)), c.form) is not None:
-                accepted = poly.canonical(rest)
-                break
-        else:
-            return accepted
-
-
-def image_of_component(m: ProjectiveMap, c: Component, candidates: Sequence = (),
-                       precision: Optional[int] = None,
-                       method: str = "auto") -> Component:
+def image_of_component(m: ProjectiveMap, c: Component) -> Component:
     """The set-theoretic forward image of a component, as a Component.
 
-    ``method`` selects the route: "fast" certifies one of the supplied
-    candidate forms and fails if none passes; "parametrize" implicitizes a
-    linear source through its parametrization; "eliminate" runs the general
-    double-resultant elimination; "auto" tries fast, then the appropriate
-    exact route for the source's shape.
+    The image of {c = 0} is cut out by the forms M of least degree with
+    c | M∘f.  For delta = 1, 2, ... this solves the linear system
+    sum_a u_a * rem(f^a, c) = 0 over the monomials a of degree delta, where
+    rem is the remainder of leading-term division by c (zero exactly when c
+    divides), and returns the first non-zero solution.  The solutions of the
+    least degree are the multiples of the image's reduced equation by a
+    scalar, so the kernel there is a line.  For a well-defined map the
+    image has degree at most d * deg c.
     """
-    precision = numeric.resolve_precision(precision)
     if c.form.nvars != m.k + 1:
         raise PcfError("component lives in the wrong variable ring")
-    if m.k == 1:
-        return _image_p1(m, c, precision)
-    if m.k != 2:
-        raise PcfError(f"images implemented for P^1 and P^2 only, not P^{m.k}")
-    if method == "fast":
-        out = _image_fast(m, c, candidates, precision)
-        if out is None:
-            raise ImageError("no supplied candidate was certified")
-        return out
-    if method == "parametrize":
-        if not c.linear:
-            raise PcfError("parametrized implicitization needs a linear source")
-        return _image_line_parametrized(m, c, precision)
-    if method == "eliminate":
-        return _image_by_elimination(m, c, precision)
-    if method != "auto":
-        raise PcfError(f"unknown image method {method!r}")
-    if candidates:
-        out = _image_fast(m, c, candidates, precision)
-        if out is not None:
-            return out
-    if c.linear:
-        return _image_line_parametrized(m, c, precision)
-    return _image_by_elimination(m, c, precision)
+    nvars = m.k + 1
+    # rem(f^a) from rem(f^(a - e_i)) * f_i, keyed by exponent tuple a.
+    reduced = {(0,) * nvars: poly.constant(nvars, 1)}
+    for delta in range(1, m.d * c.form.degree + 1):
+        alphas = list(_monomials(nvars, delta))
+        columns = []
+        for a in alphas:
+            i = next(j for j, k in enumerate(a) if k)
+            below = a[:i] + (a[i] - 1,) + a[i + 1:]
+            reduced[a] = poly.remainder(reduced[below] * m.comps[i], c.form)
+            columns.append(reduced[a].terms)
+        rows = sorted(set().union(*columns))
+        kernel = projmap.nullspace_basis(
+            [[col.get(e, 0) for col in columns] for e in rows])
+        if kernel:
+            return make_component(HomPoly(nvars, delta, dict(zip(alphas, kernel[0]))))
+    raise ImageError(
+        f"no form of degree at most {m.d * c.form.degree} vanishes on the image "
+        f"of {poly.format_poly(c.form)}; the map is not well defined there"
+    )
+
 
 
 # -- the post-critical graph --------------------------------------------------
@@ -557,8 +205,7 @@ def _coeff_bits(form: HomPoly) -> int:
 
 
 def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
-                       max_degree: int = DEFAULT_MAX_DEGREE,
-                       precision: Optional[int] = None):
+                       max_degree: int = DEFAULT_MAX_DEGREE):
     """Breadth-first closure of the critical components under images.
 
     Returns ``(PostCriticalGraph, PcfVerdict)``.  The verdict never claims
@@ -568,12 +215,10 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
     size ``MAX_COEFF_BITS``, which every component must meet before it
     enters the graph.
     """
-    precision = numeric.resolve_precision(precision)
     crit = critical_components(m)
     nodes = []
     successor = {}
     images_used = 0
-    coordinate_forms = [poly.variable(m.k + 1, i) for i in range(m.k + 1)]
 
     def bail(status, reason):
         graph = PostCriticalGraph(tuple(nodes), dict(successor), frozenset(crit), {}, {})
@@ -603,11 +248,9 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
         if total_degree > max_degree:
             return bail("not-PCF-within-bound",
                         f"total component degree {total_degree} exceeds {max_degree}")
-        candidates = coordinate_forms + [n.form for n in nodes]
         try:
-            img = image_of_component(m, c, candidates=candidates,
-                                     precision=precision)
-        except (ImageError, numeric.NumericalError) as exc:
+            img = image_of_component(m, c)
+        except ImageError as exc:
             return bail("inconclusive", str(exc))
         images_used += 1
         if img.form not in index:
@@ -675,7 +318,6 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
 def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
                 max_iter: int = DEFAULT_MAX_ITER,
                 max_degree: int = DEFAULT_MAX_DEGREE,
-                precision: Optional[int] = None,
                 degree_cap: int = projmap.DEFAULT_DEGREE_CAP):
     """Descend through periodic components until dimension zero.
 
@@ -710,7 +352,7 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
                                       poly.format_poly(node.form),
                                       graph.period[node], node.form))
             continue
-        subgraph, verdict = postcritical_graph(g, max_iter, max_degree, precision)
+        subgraph, verdict = postcritical_graph(g, max_iter, max_degree)
         if verdict.ok:
             entry_verdict = "PCF"
         else:

@@ -588,25 +588,52 @@ def exact_divide(a: HomPoly, b: HomPoly) -> Optional[HomPoly]:
         return zero(a.nvars, max(a.degree - b.degree, 0))
     if a.degree < b.degree:
         return None
+    quot = _lead_reduce(a, b)
+    return None if quot is None else HomPoly(a.nvars, a.degree - b.degree, quot)
+
+
+def remainder(a: HomPoly, b: HomPoly) -> HomPoly:
+    """The remainder of ``a`` under leading-term division by ``b``, lex order.
+
+    No term of it is divisible by the leading term of ``b``, which makes it
+    unique: it is zero exactly when ``b`` divides ``a``, it is linear in
+    ``a``, and ``remainder(remainder(a) * p, b) == remainder(a * p, b)``.
+    """
+    a._check_compatible(b)
+    if b.is_zero():
+        raise PolynomialError("division by the zero polynomial")
+    rest = {}
+    _lead_reduce(a, b, rest=rest)
+    return HomPoly(a.nvars, a.degree, rest)
+
+
+def _lead_reduce(a: HomPoly, b: HomPoly, rest: Optional[dict] = None):
+    """Reduce ``a`` by ``b`` term by term from the lex-greatest; the quotient.
+
+    A leading term that ``b``'s does not divide moves into the dict ``rest``,
+    or, with no ``rest`` given, ends the loop with None.
+    """
     lead_b, coeff_b = b.leading()
     quot = {}
-    rem = dict(a.terms)
-    qdeg = a.degree - b.degree
-    while rem:
-        lead_r = max(rem)
-        te = tuple(x - y for x, y in zip(lead_r, lead_b))
+    work = dict(a.terms)
+    while work:
+        lead = max(work)
+        te = tuple(x - y for x, y in zip(lead, lead_b))
         if any(x < 0 for x in te):
-            return None
-        tc = rem[lead_r] / coeff_b
+            if rest is None:
+                return None
+            rest[lead] = work.pop(lead)
+            continue
+        tc = work[lead] / coeff_b
         quot[te] = tc
         for e, c in b.terms.items():
             e2 = tuple(x + y for x, y in zip(te, e))
-            s = rem.get(e2, 0) - tc * c
+            s = work.get(e2, 0) - tc * c
             if s:
-                rem[e2] = s
+                work[e2] = s
             else:
-                rem.pop(e2, None)
-    return HomPoly(a.nvars, qdeg, quot)
+                work.pop(e2, None)
+    return quot
 
 
 # -- univariate views ----------------------------------------------------

@@ -352,21 +352,32 @@ def suite_component_normalization(n=500, seed=301):
 
 
 def suite_image_agreement(n=60, seed=302):
-    """Parametrized and elimination image routes agree on random lines."""
+    """Line images pass an exact oracle that does not call the image code.
+
+    With e the line's parametrization and g = f∘e, the image M must vanish
+    on g identically, and deg M * mu = d, where mu, the degree of L onto its
+    image, is the least fiber degree deg gcd(q_i g_j - q_j g_i), q = f(p),
+    over 3d rational points p of L.  Any fiber has at least mu points, and a
+    form vanishing on the image has degree at least d / mu.
+    """
     rng = random.Random(seed)
     maps = [e.map for e in _p2_catalog()]
     count = 0
     while count < n:
         m = maps[count % len(maps)]
-        line = random_linear(rng, 3)
-        c = pcf.make_component(line)
-        try:
-            via_param = pcf.image_of_component(m, c, method="parametrize")
-            via_elim = pcf.image_of_component(m, c, method="eliminate")
-        except pcf.ImageError:
-            continue
-        assert via_param.form == via_elim.form, (
-            poly.format_poly(via_param.form), poly.format_poly(via_elim.form))
+        c = pcf.make_component(random_linear(rng, 3))
+        image = pcf.image_of_component(m, c)
+        emb = projmap.embedding_for_hyperplane(c.form)
+        g = [poly.compose(comp, [poly.linear_form(row) for row in emb.matrix])
+             for comp in m.comps]
+        assert poly.compose(image.form, g).is_zero(), poly.format_poly(image.form)
+        fiber = m.d
+        for j in range(3 * m.d):
+            q = [comp.evaluate(emb.apply((Fraction(j), Fraction(1)))) for comp in m.comps]
+            cross = [g[b].scale(q[a]) - g[a].scale(q[b])
+                     for a in range(3) for b in range(a + 1, 3)]
+            fiber = min(fiber, poly.gcd_many([x for x in cross if x]).degree)
+        assert image.form.degree * fiber == m.d, (poly.format_poly(image.form), fiber)
         count += 1
     return count
 

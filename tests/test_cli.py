@@ -252,13 +252,13 @@ class TestAnalyze:
 
 
 class TestBounds:
-    # (precision, pruning bits, dedup, verify, Newton target, zero floor)
-    @pytest.mark.parametrize("precision,prune_bits,dedup,verify,target,floor", [
-        (128, 256, 16, 8, "23.04", 120),
-        (320, 320, 40, 20, "57.6", 312),
+    # (precision, dedup, verify, Newton target, zero floor)
+    @pytest.mark.parametrize("precision,dedup,verify,target,floor", [
+        (128, 16, 8, "23.04", 120),
+        (320, 40, 20, "57.6", 312),
     ])
-    def test_bounds_serialize_the_tolerances(self, capsys, precision, prune_bits,
-                                             dedup, verify, target, floor):
+    def test_bounds_serialize_the_tolerances(self, capsys, precision, dedup,
+                                             verify, target, floor):
         code, rep, _err = _report(capsys, "analyze", "catalog:squaring-p1",
                                   "--precision", str(precision))
         assert code == cli.EXIT_OK
@@ -270,20 +270,14 @@ class TestBounds:
                 ("dedup_tol", "verify_tol", "refine_target", "zero_floor")} == {
             "dedup_tol": text["dedup"], "verify_tol": text["verify"],
             "refine_target": text["refine_target"], "zero_floor": text["zero_floor"]}
-        assert bounds["image_pruning"]["sample_tol"] == text["prune_sample"]
-        assert bounds["image_pruning"]["precision_bits"] == text["prune_precision"]
-        assert tol.prune_precision == prune_bits
         assert text == {"dedup": f"10^-{dedup}", "verify": f"10^-{verify}",
-                        "refine_target": f"10^-{target}", "zero_floor": f"2^-{floor}",
-                        "prune_sample": "10^-25", "prune_precision": prune_bits}
+                        "refine_target": f"10^-{target}", "zero_floor": f"2^-{floor}"}
         # The values are the formulas, rounded at the precision they are used at.
         with mpmath.workprec(precision):
             assert tol.dedup == mpmath.mpf(10) ** -dedup
             assert tol.verify == mpmath.mpf(10) ** -verify
             assert tol.zero_floor == mpmath.mpf(2) ** -floor
             assert tol.refine_target == mpmath.mpf(10) ** -(precision * 0.18)
-        with mpmath.workprec(prune_bits):
-            assert tol.prune_sample == mpmath.mpf(10) ** -25
 
 
 class TestPeriodic:

@@ -110,23 +110,28 @@ class TestImageOfComponent:
                           (1, 1, 0): -2, (1, 0, 1): -2, (0, 1, 1): -2})
         assert img.form == poly.canonical(conic)
 
-    def test_routes_agree_on_lines(self):
-        m = _fs()
-        c = _line([0, 1, -1])
-        a = pcf.image_of_component(m, c, method="parametrize")
-        b = pcf.image_of_component(m, c, method="eliminate")
-        assert a.form == b.form
-
-    def test_fast_route_certifies_candidate(self):
-        m = _squaring_p2()
-        c = _line([1, 0, 0])
-        img = pcf.image_of_component(m, c, candidates=[X, Y, Z], method="fast")
-        assert img.form == X
-
-    def test_fast_route_fails_without_candidates(self):
-        with pytest.raises(pcf.ImageError):
-            pcf.image_of_component(_squaring_p2(), _line([1, 0, 0]),
-                                   candidates=[Y], method="fast")
+    @pytest.mark.parametrize("name,source,image", [
+        ("squaring-p2", X * X + X * Y + Z * Z, X * X - X * Y + X * Z.scale(2) + Z * Z),
+        ("fs-1992-a", X * X + Z * Z.scale(2), Y * Y + Y * Z.scale(2) + Z * Z.scale(9)),
+        ("fs-1992-a", X * X + Y * Y - Z * Z, _p(3, 4, {
+            (4, 0, 0): 1, (3, 1, 0): -4, (3, 0, 1): 8, (2, 2, 0): 6, (2, 1, 1): -40,
+            (2, 0, 2): 48, (1, 3, 0): -4, (1, 2, 1): 56, (1, 1, 2): -224,
+            (1, 0, 3): 128, (0, 4, 0): 1, (0, 3, 1): -24, (0, 2, 2): 176,
+            (0, 1, 3): -384, (0, 0, 4): 256})),
+        ("fs-1992-a", X * X + X * Y + Z * Z, _p(3, 4, {
+            (2, 0, 2): 16, (1, 2, 1): -8, (1, 1, 2): -144, (1, 0, 3): -392,
+            (0, 4, 0): 1, (0, 3, 1): 20, (0, 2, 2): 198, (0, 1, 3): 980,
+            (0, 0, 4): 2401})),
+    ], ids=["squaring-p2", "fs-1992-a-x2+2z2", "fs-1992-a-x2+y2-z2",
+            "fs-1992-a-x2+xy+z2"])
+    def test_conic_images(self, name, source, image):
+        # Each pinned image is checked without the image code: c divides
+        # M∘f, and deg M is within the bound d * deg c.  The squaring-p2
+        # image follows by hand from X = x^2, Y = y^2, Z = z^2.
+        m = catalog.get(name).map
+        assert poly.exact_divide(poly.compose(image, list(m.comps)), source) is not None
+        assert image.degree <= m.d * source.degree
+        assert pcf.image_of_component(m, pcf.make_component(source)).form == image
 
     def test_p1_point_images(self):
         m = _squaring_p1()
@@ -135,6 +140,13 @@ class TestImageOfComponent:
         assert pcf.image_of_component(m, pcf.make_component(T)).form == T
         img = pcf.image_of_component(m, pcf.make_component(S + T))
         assert img.form == S - T
+
+    def test_map_undefined_on_component(self):
+        # Every component of (xy : xz : x^2) vanishes on x = 0, so every form
+        # composed with it does, and no least-degree image exists.
+        m = projmap.ProjectiveMap([X * Y, X * Z, X * X])
+        with pytest.raises(pcf.ImageError, match="not well defined"):
+            pcf.image_of_component(m, _line([1, 0, 0]))
 
     def test_wrong_ring_rejected(self):
         with pytest.raises(pcf.PcfError):
@@ -174,14 +186,14 @@ class TestPostcriticalGraph:
         assert len(forms) == 8
 
     def test_successors_soundness(self):
-        # Every recorded edge agrees with an independent image computation.
+        # Every recorded edge maps its source into its target: c | succ(c)∘f.
         for name in ("squaring-p2", "fs-1992-a"):
             m = catalog.get(name).map
             graph, verdict = pcf.postcritical_graph(m)
             assert verdict.ok
             for node in graph.nodes:
-                img = pcf.image_of_component(m, node, method="parametrize")
-                assert graph.successor[node].form == img.form
+                pushed = poly.compose(graph.successor[node].form, list(m.comps))
+                assert poly.exact_divide(pushed, node.form) is not None
 
     def test_budget_bail_is_not_a_claim(self):
         m = projmap.ProjectiveMap([X * X, Y * Y, Z * Z + X * Y])
