@@ -101,16 +101,6 @@ def critical_components(m: ProjectiveMap):
 # -- images -------------------------------------------------------------------
 
 
-def _monomials(nvars: int, degree: int):
-    """Exponent tuples of the given degree, in descending lex order."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _monomials(nvars - 1, degree - first):
-            yield (first,) + rest
-
-
 def image_of_component(m: ProjectiveMap, c: Component) -> Component:
     """The set-theoretic forward image of a component, as a Component.
 
@@ -126,21 +116,22 @@ def image_of_component(m: ProjectiveMap, c: Component) -> Component:
     if c.form.nvars != m.k + 1:
         raise PcfError("component lives in the wrong variable ring")
     nvars = m.k + 1
-    # rem(f^a) from rem(f^(a - e_i)) * f_i, keyed by exponent tuple a.
+    # rem(f^a) for the exponent tuples a of one degree, each built as
+    # rem(f^b) * f_i from a tuple b one degree lower.
     reduced = {(0,) * nvars: poly.constant(nvars, 1)}
     for delta in range(1, m.d * c.form.degree + 1):
-        alphas = list(_monomials(nvars, delta))
-        columns = []
-        for a in alphas:
-            i = next(j for j, k in enumerate(a) if k)
-            below = a[:i] + (a[i] - 1,) + a[i + 1:]
-            reduced[a] = poly.remainder(reduced[below] * m.comps[i], c.form)
-            columns.append(reduced[a].terms)
+        below, reduced = reduced, {}
+        for b, r in below.items():
+            for i, comp in enumerate(m.comps):
+                a = b[:i] + (b[i] + 1,) + b[i + 1:]
+                if a not in reduced:
+                    reduced[a] = poly.remainder(r * comp, c.form)
+        columns = [r.terms for r in reduced.values()]
         rows = sorted(set().union(*columns))
         kernel = projmap.nullspace_basis(
             [[col.get(e, 0) for col in columns] for e in rows])
         if kernel:
-            return make_component(HomPoly(nvars, delta, dict(zip(alphas, kernel[0]))))
+            return make_component(HomPoly(nvars, delta, dict(zip(reduced, kernel[0]))))
     raise ImageError(
         f"no form of degree at most {m.d * c.form.degree} vanishes on the image "
         f"of {poly.format_poly(c.form)}; the map is not well defined there"
