@@ -267,11 +267,11 @@ def _periodic_json(max_period: int, rows, audit: periodic.AuditReport):
     }
 
 
-def _theorem_b_json(audit: periodic.AuditReport):
+def _theorem_b_json(audit: periodic.AuditReport, chart_findings):
     return {
         "ok": audit.ok,
         "violations": list(audit.violations),
-        "findings": list(audit.findings),
+        "findings": chart_findings + list(audit.findings),
     }
 
 
@@ -426,8 +426,9 @@ def cmd_periodic(args) -> int:
     if work is None:
         return code
     precision = numeric.resolve_precision(args.precision)
+    failed = [[] for _ in range(args.period)]  # (chart, error) per period
     try:
-        found = [periodic.find_periodic(work, q, precision)
+        found = [periodic.find_periodic(work, q, precision, failed=failed[q - 1])
                  for q in range(1, args.period + 1)]
         audit = periodic.eigenvalue_audit(work, args.period, precision, found)
         rows = [periodic.bezout_audit(work, q, pts, precision)
@@ -435,11 +436,14 @@ def cmd_periodic(args) -> int:
     except (periodic.BudgetError, projmap.DegreeCapError,
             periodic.PeriodicError, numeric.NumericalError) as exc:
         return _abort(report, args, exc)
+    chart_findings = [f"period {q}: the solve in chart {chart} (x{chart} = 1)"
+                      f" failed and was skipped: {error}"
+                      for q, errors in enumerate(failed, 1) for chart, error in errors]
     report["periodic"] = _periodic_json(args.period, rows, audit)
-    report["theorem_b"] = _theorem_b_json(audit)
+    report["theorem_b"] = _theorem_b_json(audit, chart_findings)
     for line in audit.violations:
         print(f"VIOLATION: {line}", file=sys.stderr)
-    for line in audit.findings:
+    for line in report["theorem_b"]["findings"]:
         print(f"FINDING: {line}", file=sys.stderr)
     _emit(report, args.report)
     return EXIT_OK

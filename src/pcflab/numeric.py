@@ -133,28 +133,77 @@ def proj_distance(p, q) -> mpmath.mpf:
     return best / (mp_ * mq)
 
 
+def _double_point(pt):
+    """pt scaled by a power of two and rounded to complex doubles.
+
+    The scale 2^-mag puts the largest coordinate in [1/4, 1], so nothing
+    overflows; coordinates below 2^-1074 of the largest underflow to 0.
+    Returns the coordinates and the largest modulus among them.
+    """
+    vals = [mpc_from(c) for c in pt]
+    top = max(mpmath.mag(v) for v in vals)
+    if top == -mpmath.inf:
+        raise NumericalError("projective distance of a zero vector")
+    scale = mpmath.ldexp(mpmath.mpf(1), -top)
+    rep = tuple(complex(v * scale) for v in vals)
+    return rep, max(abs(c) for c in rep)
+
+
+def _double_cross(p, q) -> float:
+    """Largest |p_i q_j - p_j q_i| over i < j, in doubles."""
+    n = len(p)
+    return max(abs(p[i] * q[j] - p[j] * q[i])
+               for i in range(n) for j in range(i + 1, n))
+
+
+# 2^-(53-8): the zero floor's formula at the 53 bits of a double.
+_DOUBLE_FLOOR = 2.0 ** -45
+
+
 class PointSet:
     """Projective points kept apart by the precision's dedup tolerance.
 
-    Comparisons run at the caller's working precision.
+    Comparisons run at the working precision p the set was built for.
+    Each stored point keeps a copy in complex doubles, scaled by a power
+    of two (:func:`_double_point`).  :meth:`find` first computes the
+    distance of :func:`proj_distance` on those copies and skips a known
+    point whose double distance exceeds dedup + zero_floor(p) + 2^-45.  The
+    mpmath distance is off by a few rounding units of 2^-p, the double one
+    by a few units of 2^-53, and the margin is 256 units of each.  So a
+    point the screen skips can never pass the mpmath comparison, which
+    still decides every match: ``find`` returns the same first index as a
+    linear mpmath scan, and ``points`` holds the same list.
     """
 
     def __init__(self, precision: int):
-        self.tol = tolerances(precision).dedup
+        tol = tolerances(precision)
+        self.tol = tol.dedup
+        self._screen = float(tol.dedup) + float(tol.zero_floor) + _DOUBLE_FLOOR
         self.points = []
+        self._doubles = []  # (double copy, its largest modulus), parallel to points
 
-    def find(self, pt) -> Optional[int]:
-        """Index of the first known point within dedup of pt, or None."""
-        for i, known in enumerate(self.points):
-            if proj_distance(known, pt) < self.tol:
+    def _find(self, pt, near, size) -> Optional[int]:
+        limit = self._screen * size
+        for i, (rep, rep_size) in enumerate(self._doubles):
+            if (_double_cross(rep, near) <= limit * rep_size
+                    and proj_distance(self.points[i], pt) < self.tol):
                 return i
         return None
 
+    def find(self, pt) -> Optional[int]:
+        """Index of the first known point within dedup of pt, or None.
+
+        Raises NumericalError when pt is the zero vector.
+        """
+        return self._find(pt, *_double_point(pt))
+
     def add(self, pt) -> Optional[int]:
         """Append pt and return None, or return the index of a known point within dedup."""
-        i = self.find(pt)
+        near, size = _double_point(pt)
+        i = self._find(pt, near, size)
         if i is None:
             self.points.append(pt)
+            self._doubles.append((near, size))
         return i
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 from typing import Optional, Sequence
 
@@ -380,8 +381,8 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
 class IntersectionEvidence:
     point: str
     members: tuple  # indices into the component sequence
-    rank_at_point: int
-    generic_rank: int
+    rank_at_point: int  # least rank of two members' gradients at the point
+    generic_rank: int  # 2: the rank of two members that meet transversally
     exact: bool
 
 
@@ -433,21 +434,28 @@ def _numeric_rank(rows, tol) -> int:
     return rank
 
 
-_PERTURBATIONS = (
-    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
-    (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 3),
-)
+def _pair_evidence(label: str, members: tuple, rows, rank,
+                   exact: bool) -> IntersectionEvidence:
+    """Evidence at one point from its members' gradient rows.
+
+    The arrangement is weakly transverse at the point when every two
+    members have independent gradients there, so the least rank of a pair
+    of rows is compared with 2.  ``rank`` ranks a list of rows.
+    """
+    least = min((rank([a, b]) for a, b in combinations(rows, 2)), default=2)
+    return IntersectionEvidence(label, members, least, 2, exact)
 
 
 def weak_transversality(components: Sequence[Component],
                         precision: Optional[int] = None) -> TransversalityReport:
-    """Constant-rank audit of the component arrangement.
+    """Pairwise audit of the component arrangement.
 
-    All-linear arrangements are decided exactly (gradients are constant, so
-    the rank is literally constant).  Arrangements with a non-linear member
-    compare the stacked-gradient rank at each pairwise intersection point
-    with the rank at nearby perturbed points; a drop is a certified failure
-    witness, while agreement is only sampled evidence.
+    At every point where two or more components meet, every two of them
+    must have independent gradients, that is meet transversally; the first
+    point where a pair does not is the witness.  All-linear arrangements
+    are decided exactly, and so is every rational point of the others.  At
+    an irrational point the ranks are numeric, with the dedup tolerance, so
+    a pass there is only ``weakly-transverse(sampled)``.
     """
     precision = numeric.resolve_precision(precision)
     comps = list(components)
@@ -479,9 +487,8 @@ def _transversality_linear(comps) -> TransversalityReport:
             if c.form.evaluate(tuple(vec)) == 0
         ))
         rows = _gradient_rows([comps[i].form for i in members], vec)
-        rank = projmap.exact_rank(rows)
-        evidence.append(IntersectionEvidence(_point_label(vec), members,
-                                             rank, rank, True))
+        evidence.append(_pair_evidence(_point_label(vec), members, rows,
+                                       projmap.exact_rank, True))
     return TransversalityReport("weakly-transverse", tuple(evidence))
 
 
@@ -520,29 +527,18 @@ def _transversality_general(comps, precision: int) -> TransversalityReport:
             ))
             forms = [comps[i].form for i in members]
             if exact is not None:
-                rank_here = projmap.exact_rank(_gradient_rows(forms, exact))
-                generic = rank_here
-                eps = Fraction(1, 10**6)
-                for delta in _PERTURBATIONS:
-                    nearby = tuple(x + eps * dx for x, dx in zip(exact, delta))
-                    generic = max(generic, projmap.exact_rank(_gradient_rows(forms, nearby)))
-                label = _point_label(exact)
-                is_exact = True
+                ev = _pair_evidence(_point_label(exact), members,
+                                    _gradient_rows(forms, exact),
+                                    projmap.exact_rank, True)
             else:
                 sampled = True
-                rank_here = _numeric_rank(_gradient_rows(forms, pt), rank_tol)
-                generic = rank_here
-                eps = mpmath.mpf(10) ** -6
-                for delta in _PERTURBATIONS:
-                    nearby = tuple(x + eps * dx for x, dx in zip(pt, delta))
-                    generic = max(generic, _numeric_rank(_gradient_rows(forms, nearby),
-                                                         rank_tol))
-                label = "(" + ", ".join(mpmath.nstr(x, 12) for x in pt) + ")"
-                is_exact = False
-            evidence.append(IntersectionEvidence(label, members, rank_here,
-                                                 generic, is_exact))
-            if generic > rank_here and witness is None:
-                witness = label
+                ev = _pair_evidence(
+                    "(" + ", ".join(mpmath.nstr(x, 12) for x in pt) + ")", members,
+                    _gradient_rows(forms, pt),
+                    lambda rows: _numeric_rank(rows, rank_tol), False)
+            evidence.append(ev)
+            if ev.rank_at_point < ev.generic_rank and witness is None:
+                witness = ev.point
     if witness is not None:
         return TransversalityReport("not-weakly-transverse", tuple(evidence), witness)
     verdict = "weakly-transverse(sampled)" if sampled else "weakly-transverse"

@@ -88,7 +88,8 @@ def _fixed_point_candidates_p1(big: ProjectiveMap, precision: int):
     return [(root, mult) for root, mult in numeric.binary_form_roots(form, precision)]
 
 
-def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
+def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int,
+                               failed: Optional[list] = None):
     """Solve the fixed-point system of big chart by chart, in chart order.
 
     Yields ``(finite, candidates)`` for each chart whose pair of equations
@@ -97,6 +98,10 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
     x_c does not divide big.comps[c]: then the solve itself proves the fixed
     locus finite, since a fixed curve would either be the invariant line
     x_c = 0 or leave a common factor, on which the solver raises.
+
+    A chart whose solve raises NumericalError (its equations kept a common
+    factor, or root finding failed) is skipped, and ``(chart, error text)``
+    goes to ``failed`` when that list is given.
     """
     for chart in range(3):
         others = [i for i in range(3) if i != chart]
@@ -109,8 +114,10 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int):
             eqs.append(poly.strip_var(e, chart))
         try:
             pts, mults = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
-        except numeric.NumericalError:
-            continue  # chart equations kept a common factor; other charts cover
+        except numeric.NumericalError as exc:
+            if failed is not None:
+                failed.append((chart, str(exc)))
+            continue
         yield big.comps[chart].min_var_degree(chart) == 0, list(zip(pts, mults))
 
 
@@ -124,7 +131,8 @@ def _infinite_fixed_locus(big: ProjectiveMap) -> str:
 
 
 def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
-                  degree_cap: int = projmap.DEFAULT_DEGREE_CAP):
+                  degree_cap: int = projmap.DEFAULT_DEGREE_CAP,
+                  failed: Optional[list] = None):
     """All points of period dividing l, with minimal periods, by elimination.
 
     Affine charts are solved one at a time for the stripped fixed-point
@@ -140,6 +148,9 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     every multiplicity is 1.  Otherwise all charts run and each point keeps
     the largest eliminant multiplicity hint any chart gave it.  Raises
     BudgetError when the eliminated degrees exceed the configured budget.
+
+    ``failed``, when given, receives ``(chart, error text)`` for each chart
+    of P^2 whose solve raised and was skipped.
     """
     if l < 1:
         raise PeriodicError("period must be >= 1")
@@ -156,7 +167,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             # A non-zero binary fixed form has finitely many roots.
             charts = [(True, _fixed_point_candidates_p1(big, precision))]
         elif m.k == 2:
-            charts = _fixed_point_candidates_p2(big, precision)
+            charts = _fixed_point_candidates_p2(big, precision, failed)
         else:
             raise PeriodicError(f"periodic points implemented for P^1 and P^2, not P^{m.k}")
         tol = numeric.tolerances(precision)

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 import pcflab
-from pcflab import catalog, cli, numeric, pcf
+from pcflab import catalog, cli, numeric, pcf, periodic
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -298,6 +298,36 @@ class TestPeriodic:
                                      "--period", "9")
         assert code == cli.EXIT_RESOURCE
         assert "period" in report["map"]["note"]
+
+    def test_failed_chart_is_a_finding(self, monkeypatch, capsys):
+        # The first solve inside each find_periodic call is chart 0's.
+        real_solve, real_find = numeric.solve_pair_p2, periodic.find_periodic
+        started = []
+
+        def find(*args, **kwargs):
+            started.append(True)
+            return real_find(*args, **kwargs)
+
+        def solve(a, b, precision):
+            if started:
+                started.clear()
+                raise numeric.NumericalError("forced chart failure")
+            return real_solve(a, b, precision)
+
+        monkeypatch.setattr(periodic, "find_periodic", find)
+        monkeypatch.setattr(numeric, "solve_pair_p2", solve)
+        code, report, err = _report(capsys, "periodic", "catalog:fs-1992-a",
+                                    "--period", "2")
+        assert code == cli.EXIT_OK
+        findings = report["theorem_b"]["findings"]
+        for q in (1, 2):
+            line = (f"period {q}: the solve in chart 0 (x0 = 1) failed and was"
+                    " skipped: forced chart failure")
+            assert findings.count(line) == 1
+            assert f"FINDING: {line}" in err
+        # Charts 1 and 2 still find and certify every point.
+        assert all(b["ok"] for b in report["periodic"]["bezout"])
+        assert len(report["periodic"]["points"]) == 21
 
     def test_violations_reach_stderr(self, tmp_path, capsys):
         data = {

@@ -56,6 +56,10 @@ CASES = (
      ["periodic", "sym2.json", "--period", "2", "--precision", "128"], 0),
     ("analyze-fs-1992-a-conj-128.json",
      ["analyze", "fs-1992-a-conj.json", "--precision", "128"], 0),
+    # At 64 bits dedup is 10^-8, so the merges compare points far from the
+    # exact ones at the default precision.
+    ("periodic-2-fs-1992-a-64.json",
+     ["periodic", "catalog:fs-1992-a", "--period", "2", "--precision", "64"], 0),
 )
 
 # (golden grid prefix, fatou argv without --out): PREFIX.csv and PREFIX.pgm

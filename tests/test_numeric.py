@@ -28,6 +28,101 @@ class TestNormalization:
             assert numeric.proj_distance(a, b) < mpmath.mpf(10) ** -70
 
 
+def _reference_find(points, pt, tol):
+    """The first known point within tol of pt by a linear mpmath scan."""
+    for i, known in enumerate(points):
+        if numeric.proj_distance(known, pt) < tol:
+            return i
+    return None
+
+
+def _at_distance(rng, pt, target):
+    """A point at projective distance target from pt, rounded at the working
+    precision; the distance is solved at four times that precision."""
+    prec = mpmath.mp.prec
+    with mpmath.workprec(4 * prec + 64):
+        size = max(mpmath.fabs(c) for c in pt)
+        w = [size * mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in pt]
+        s = mpmath.mpf(target)
+        for _ in range(60):
+            moved = tuple(c + s * wc for c, wc in zip(pt, w))
+            step = target / numeric.proj_distance(pt, moved)
+            s *= step
+            if mpmath.fabs(step - 1) < mpmath.mpf(2) ** -(2 * prec + 32):
+                break
+    return tuple(+c for c in moved)  # unary plus rounds at the working precision
+
+
+def _cloud(rng, nvars, tol):
+    """Seeded points at the working precision for the dedup screen.
+
+    Base points are spread out, some with a zero coordinate, some scaled
+    by 10^+-400 as a whole and some with one coordinate of that size,
+    outside double range.  Each base point is followed by a rescaled copy,
+    near duplicates at 0.5 and 2 times tol, and points near distance tol,
+    where the mpmath and the double distances can fall on different sides
+    of the tolerance.
+    """
+    big = mpmath.mpf(10) ** 400
+    # two rounding units of the mpmath and of the double distance, or half
+    # of tol where that is smaller
+    edge = min(mpmath.mpf(2) ** -(mpmath.mp.prec - 1) + mpmath.mpf(2) ** -51, tol / 2)
+    out = []
+    for k in range(12):
+        pt = [mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(nvars)]
+        if k % 4 == 1:
+            pt[rng.randrange(nvars)] = mpmath.mpc(0)
+        elif k % 4 == 2:
+            pt = [c * big ** rng.choice((-1, 1)) for c in pt]
+        elif k % 4 == 3:
+            pt[rng.randrange(nvars)] *= big ** rng.choice((-1, 1))
+        pt = tuple(pt)
+        out.append(pt)
+        scale = mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1))
+        out.append(tuple(c * scale for c in pt))
+        out += [_at_distance(rng, pt, factor * tol) for factor in (0.5, 2)]
+        out += [_at_distance(rng, pt, tol + edge * rng.uniform(-1, 1))
+                for _ in range(8)]
+    return out
+
+
+class TestPointSetScreen:
+    @pytest.mark.parametrize("nvars", (2, 3))
+    @pytest.mark.parametrize("precision", (24, 64, 128, 256, 320))
+    def test_matches_linear_scan(self, precision, nvars):
+        rng = random.Random(8 * precision + nvars)
+        with mpmath.workprec(precision):
+            tol = numeric.tolerances(precision).dedup
+            cloud = _cloud(rng, nvars, tol)
+            got, want = numeric.PointSet(precision), []
+            matched = 0
+            for pt in cloud:
+                i = _reference_find(want, pt, tol)
+                if i is None:
+                    want.append(pt)
+                else:
+                    matched += 1
+                assert got.find(pt) == i
+                assert got.add(pt) == i
+            assert len(got.points) == len(want)
+            assert all(a is b for a, b in zip(got.points, want))
+            # 12 rescaled copies and 12 at 0.5 tol match, 12 bases and 12 at
+            # 2 tol do not; the points at distance tol must fall on both sides.
+            assert matched > 24 and len(want) > 24
+
+    def test_zero_vector_raises(self):
+        with mpmath.workprec(64):
+            points = numeric.PointSet(64)
+            zero = (mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0))
+            with pytest.raises(numeric.NumericalError):
+                points.add(zero)
+            points.add((mpmath.mpc(1), mpmath.mpc(2), mpmath.mpc(0)))
+            for call in (points.find, points.add):
+                with pytest.raises(numeric.NumericalError):
+                    call(zero)
+            assert len(points.points) == 1
+
+
 class TestBinaryRoots:
     def test_rational_roots_and_multiplicity(self):
         with mpmath.workprec(256):

@@ -317,6 +317,32 @@ class TestWeakTransversality:
         assert report.verdict == "weakly-transverse(sampled)"
         assert all(ev.rank_at_point == ev.generic_rank for ev in report.evidence)
 
+    def test_triple_point_with_a_conic_is_transverse(self):
+        # x, y and xz + yz + xy meet pairwise transversally at (0:0:1), with
+        # gradients (1,0,0), (0,1,0) and (1,1,0).  By Euler's identity every
+        # gradient at a common zero is orthogonal to it, so no rank there
+        # reaches 3; only the pairs can be tested.
+        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 1, 1): 1,
+                                             (1, 1, 0): 1}))
+        report = pcf.weak_transversality([_line([1, 0, 0]), _line([0, 1, 0]), conic])
+        assert report.verdict == "weakly-transverse"
+        assert report.witness is None
+        triple = [ev for ev in report.evidence if ev.point == "(0:0:1)"]
+        assert len(triple) == 1 and triple[0].members == (0, 1, 2)
+        assert triple[0].rank_at_point == triple[0].generic_rank == 2
+        assert all(ev.exact for ev in report.evidence)
+
+    def test_tangent_pair_flagged_inside_a_triple_point(self):
+        # 4xz - y^2 is tangent to x = 0 at (0:0:1); y's gradient lifts the
+        # rank of all three members to 2 there, but the tangent pair has 1.
+        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 4, (0, 2, 0): -1}))
+        report = pcf.weak_transversality([_line([1, 0, 0]), _line([0, 1, 0]), conic])
+        assert report.verdict == "not-weakly-transverse"
+        assert report.witness == "(0:0:1)"
+        triple = [ev for ev in report.evidence if ev.point == "(0:0:1)"]
+        assert triple[0].members == (0, 1, 2)
+        assert triple[0].rank_at_point == 1
+
     def test_duplicates_rejected(self):
         with pytest.raises(pcf.PcfError):
             pcf.weak_transversality([_line([1, 0, 0]), _line([2, 0, 0])])
