@@ -72,26 +72,15 @@ def _intersection_points(nodes, precision: int):
     with mpmath.workprec(precision):
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
-                fi, fj = nodes[i].form, nodes[j].form
-                if nodes[i].linear and nodes[j].linear:
-                    kernel = projmap.nullspace_basis([poly.linear_coeffs(fi),
-                                                      poly.linear_coeffs(fj)])
-                    if len(kernel) == 1 and kernel[0] not in exact:
-                        exact.append(kernel[0])
-                    continue
-                try:
-                    pts, _mults = numeric.solve_pair_p2(fi, fj, precision)
-                except numeric.NumericalError:
-                    continue
+                pts, _mults = numeric.solve_pair_p2(nodes[i].form, nodes[j].form,
+                                                    precision)
                 for pt in pts:
-                    rat = [numeric.rationalize(c, precision) for c in pt]
-                    if all(r is not None for r in rat):
-                        vec = projmap.primitive_vector(rat)
-                        if all(f.evaluate(tuple(vec)) == 0 for f in (fi, fj)):
-                            if vec not in exact:
-                                exact.append(vec)
-                            continue
-                    approx.add(pt)
+                    if numeric.is_exact(pt):
+                        vec = projmap.primitive_vector(list(pt))
+                        if vec not in exact:
+                            exact.append(vec)
+                    else:
+                        approx.add(pt)
     return exact, approx.points
 
 

@@ -49,7 +49,7 @@ class Tolerances:
 
     dedup: mpmath.mpf  # 10^-(p//8): points, moduli and periods this close agree
     verify: mpmath.mpf  # 10^-(p//16): residuals below this verify a solution
-    zero_floor: mpmath.mpf  # 2^-(p-8): a magnitude this small, relative, is zero
+    zero_floor: mpmath.mpf  # 2^-(p-8): part of the dedup screen's rounding margin
     refine_target: mpmath.mpf  # 10^-(0.18p): Newton refinement stops below it
     formulas: tuple = field(repr=False, compare=False)  # (field, "base^-exponent")
 
@@ -247,15 +247,11 @@ def binary_form_roots(q: HomPoly, precision: int):
     with mpmath.workprec(precision):
         for mult, piece in poly.binary_squarefree_decomposition(q):
             if piece.degree == 1:
-                a = piece.terms.get((1, 0), Fraction(0))
-                b = piece.terms.get((0, 1), Fraction(0))
-                out.append(((mpc_from(-b), mpc_from(a)), mult))
+                root = poly.root_of_binary_linear(piece)
+                out.append((tuple(mpc_from(c) for c in root), mult))
                 continue
-            n = piece.var_degree(0)
-            if n < piece.degree:
-                # A square-free piece with a dropped x0-degree carries an
-                # x1 factor, which the decomposition already split off.
-                raise NumericalError("unexpected degree drop in square-free piece")
+            # The decomposition split off any x1 factor, so x0 has full degree.
+            n = piece.degree
             coeffs = [Fraction(0)] * (n + 1)
             for e, c in piece.terms.items():
                 coeffs[n - e[0]] = c
@@ -391,49 +387,7 @@ def _newton_ratio(a, z):
     return zz * p / d, abs(zz) * bound / abs(d), settled
 
 
-def univariate_roots(coeffs, precision: int):
-    """Roots of a univariate polynomial given by mpc coefficients, highest first.
-
-    Leading (numerically negligible) coefficients are trimmed against the
-    largest coefficient before solving.
-    """
-    with mpmath.workprec(precision):
-        mags = [mpmath.fabs(c) for c in coeffs]
-        biggest = max(mags) if mags else mpmath.mpf(0)
-        if biggest == 0:
-            raise NumericalError("zero polynomial in univariate solve")
-        tol = biggest * tolerances(precision).zero_floor
-        start = 0
-        while start < len(coeffs) - 1 and mags[start] <= tol:
-            start += 1
-        trimmed = coeffs[start:]
-        if len(trimmed) <= 1:
-            return []
-        return _polyroots(list(trimmed), precision)
-
-
 # -- Newton refinement ------------------------------------------------------
-
-
-def rationalize(value, precision: int, max_denominator: int = 10**12):
-    """Nearest rational to a high-precision value, or None.
-
-    Accepts mpf or mpc input; an mpc must have negligible imaginary part.
-    The candidate comes from a continued-fraction bound and is accepted only
-    when it reproduces the value to 10^-(precision//16).
-    """
-    with mpmath.workprec(precision):
-        tol = tolerances(precision).verify
-        x = mpmath.mpc(value)
-        if mpmath.fabs(x.imag) > tol:
-            return None
-        r = x.real
-        shift = mpmath.mpf(2) ** precision
-        approx = Fraction(int(mpmath.nint(r * shift)), 2**precision)
-        cand = approx.limit_denominator(max_denominator)
-        if mpmath.fabs(r - mpmath.mpf(cand.numerator) / cand.denominator) > tol:
-            return None
-        return cand
 
 
 def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: int = 200):
@@ -482,11 +436,14 @@ def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: 
 def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     """Common projective zeros of two coprime ternary forms.
 
-    Returns ``(points, mults)`` where points is a list of normalized mpc
-    triples and mults is a parallel list of eliminant root multiplicities
-    (1 for simple roots; > 1 marks a point that deserves suspicion).  Raises
+    Returns ``(points, mults)`` where points is a list of normalized
+    triples, of Fractions for a rational point and of mpc values otherwise,
+    and mults is a parallel list of eliminant root multiplicities (1 for
+    simple roots; > 1 marks a point that deserves suspicion).  Every point
+    is a common zero: see :func:`_affine_pair_solutions`.  Raises
     NumericalError when the forms share a factor (positive-dimensional
-    intersection).
+    intersection), when root finding or the Newton refinement of a point
+    fails, or when the chart z = 1 cannot be solved in either order.
     """
     if a.nvars != 3 or b.nvars != 3:
         raise NumericalError("pair solver expects ternary forms")
@@ -510,18 +467,12 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
             for pt, mult in _affine_pair_solutions(a2, b2, precision):
                 push(pt, mult)
         # The line z = 0 separately.
-        abar = poly.slice_poly(a, 2)
-        bbar = poly.slice_poly(b, 2)
-        if abar.is_zero() and bbar.is_zero():
+        gline = poly.gcd(poly.slice_poly(a, 2), poly.slice_poly(b, 2))
+        if gline.is_zero():
             raise NumericalError("both forms vanish on a coordinate line")
-        if abar.is_zero() or bbar.is_zero():
-            gline = bbar if abar.is_zero() else abar
-        else:
-            gline = poly.gcd(abar, bbar)
-        if not gline.is_constant() and not gline.is_zero():
-            for (r0, r1), mult in binary_form_roots(gline, precision):
-                pt = normalize_point((r0, r1, mpc_from(0)))[0]
-                push(pt, mult)
+        if not gline.is_constant():
+            for (r0, r1), mult in _exact_binary_roots(gline, precision):
+                push(_normalized((r0, r1, Fraction(0))), mult)
 
         # Eliminant multiplicities overcount when distinct points share the
         # eliminated coordinate; a transverse point (independent gradients)
@@ -532,11 +483,8 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
                 continue
             va = [eval_form(ga[j][0], pt) for j in range(3)]
             vb = [eval_form(ga[j][1], pt) for j in range(3)]
-            cross = max(
-                mpmath.fabs(va[1] * vb[2] - va[2] * vb[1]),
-                mpmath.fabs(va[2] * vb[0] - va[0] * vb[2]),
-                mpmath.fabs(va[0] * vb[1] - va[1] * vb[0]),
-            )
+            cross = max(mpmath.fabs(va[j] * vb[k] - va[k] * vb[j])
+                        for j, k in ((1, 2), (2, 0), (0, 1)))
             na = max(mpmath.fabs(v) for v in va)
             nb = max(mpmath.fabs(v) for v in vb)
             if na > 0 and nb > 0 and cross > tolerances(precision).dedup * na * nb:
@@ -544,85 +492,138 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     return points.points, mults
 
 
-def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
-    """Solutions with z != 0 of two ternary forms without z factors."""
-    tol = tolerances(precision)
+def is_exact(coords) -> bool:
+    """Whether every coordinate is a Fraction, as the pair solver returns
+    every rational point."""
+    return all(isinstance(c, Fraction) for c in coords)
+
+
+def _normalized(coords) -> tuple:
+    """A point scaled as :func:`normalize_point` scales it, kept exact when
+    every coordinate is a Fraction."""
+    if not is_exact(coords):
+        return normalize_point(coords)[0]
+    pivot = max(coords, key=abs)  # the first of equal moduli
+    return tuple(c / pivot for c in coords)
+
+
+def _exact_binary_roots(q: HomPoly, precision: int):
+    """:func:`binary_form_roots`, with each rational root an exact pair of
+    Fractions from :func:`poly.linear_factors`, ahead of the other roots of
+    its square-free piece."""
     out = []
-    # Eliminate y when possible, else x.
-    for elim, keep in ((1, 0), (0, 1)):
-        da, db = a.var_degree(elim), b.var_degree(elim)
-        if da == 0 and db == 0:
-            continue
-        if da == 0:
-            eliminant = a
-        elif db == 0:
-            eliminant = b
-        else:
-            eliminant = poly.resultant_wrt(a, b, elim)
-        backsub, other = (b, a) if da == 0 else (a, b)
-        if eliminant.is_zero():
-            continue
-        eliminant_binary = poly.slice_poly(eliminant, elim)
-        if eliminant_binary.is_constant():
-            continue
-        for (r0, r1), mult in binary_form_roots(eliminant_binary, precision):
-            if mpmath.fabs(r1) < tol.zero_floor:
-                continue  # point at the chart's infinity; other chart logic covers it
-            base = r0 / r1
-            exact = rationalize(base, precision)
-            if exact is not None and eliminant_binary.evaluate((exact, 1)) == 0:
-                base = exact
-            ws = _backsub_roots(backsub, keep, elim, base, precision)
-            if ws is None:
-                # backsub vanishes on this whole fiber; the other form of
-                # the pair cuts out the fiber's points.
-                ws = _backsub_roots(other, keep, elim, base, precision) or []
-            for w in ws:
-                cand = [None] * 3
-                cand[keep] = base
-                cand[elim] = w
-                cand[2] = mpc_from(1)
-                va = eval_form(a, cand)
-                vb = eval_form(b, cand)
-                if max(mpmath.fabs(va), mpmath.fabs(vb)) > tol.verify:
-                    continue
-                try:
-                    refined, _res = newton_refine_pair(a, b, cand, precision)
-                except NumericalError:
-                    continue
-                out.append((refined, mult))
-        if out:
-            return out
+    for mult, piece in poly.binary_squarefree_decomposition(q):
+        factors, rest = poly.linear_factors(piece)
+        roots = [poly.root_of_binary_linear(form) for form, _m in factors]
+        roots += [r for r, _m in binary_form_roots(rest, precision)]
+        out.extend((r, mult) for r in roots)
     return out
 
 
-def _backsub_roots(p: HomPoly, keep: int, elim: int, base, precision: int):
-    """Roots in x_elim of a ternary form at x_keep = base, z = 1.
+def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
+    """Solutions with z != 0 of two coprime ternary forms without z factors.
 
-    A Fraction base is an exact eliminant root: the fiber polynomial is built
-    in Fractions and solved by :func:`binary_form_roots`, which splits off
-    its repeated roots exactly.  Any other base gives a numeric fiber.
-    Returns None when the form vanishes identically on that fiber: exactly,
-    or with every coefficient in x_elim negligible against the size of the
-    form's coefficients there.  Raises NumericalError when root finding
-    fails.
+    The variable eliminated is y, or x when y cannot be: the subresultants
+    in y describe the fibers over a value x0 only where the leading
+    coefficient of a or of b in y is nonzero at x0, so y is eliminated only
+    when those two leading coefficients have no common zero with z = 1.
+    See :func:`_fiber_solutions` for the solve itself.
     """
-    point = [None] * 3
-    point[keep] = base
-    point[elim] = 0
-    point[2] = 1
-    rows = poly.ladder(p, elim)
-    if isinstance(base, Fraction):
-        coeffs = {t: c for t, c in enumerate(row.evaluate(point) for row in rows) if c}
-        if not coeffs:
-            return None
-        d = max(coeffs)
-        fiber = HomPoly(2, d, {(t, d - t): c for t, c in coeffs.items()})
-        return [r0 / r1 for (r0, r1), _m in binary_form_roots(fiber, precision)]
-    coeffs = [eval_form(row, point) for row in reversed(rows)]
-    scale = max(mpmath.fabs(mpc_from(c)) for c in p.terms.values())
-    scale *= max(mpmath.mpf(1), mpmath.fabs(base)) ** p.degree
-    tol = scale * tolerances(precision).verify
-    if all(mpmath.fabs(c) <= tol for c in coeffs):
-        return None
-    return univariate_roots(coeffs, precision)
+    blocked = []
+    for elim, keep in ((1, 0), (0, 1)):
+        da, db = a.var_degree(elim), b.var_degree(elim)
+        if da == 0 and db == 0:
+            return []  # coprime forms in x_keep and z meet only where z = 0
+        if da and db:
+            leads = [poly.slice_poly(poly.ladder(f, elim)[-1], elim) for f in (a, b)]
+            common = poly.strip_var(poly.gcd(*leads), 1)  # z = 0 is not in the chart
+            if not common.is_constant():
+                blocked.append(f"x{elim} (leading coefficients share {common})")
+                continue
+        return _fiber_solutions(a, b, elim, keep, precision)
+    raise NumericalError("cannot eliminate " + " or ".join(blocked))
+
+
+def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: int):
+    """Solutions with z = 1 of a and b, read fiber by fiber over x_keep.
+
+    The eliminant E(x_keep, z) is the resultant of a and b in x_elim, or
+    the form among them free of x_elim.  Each square-free piece of E, with
+    its z factor dropped, is split by exact gcds with the top coefficients
+    of the forms of :func:`_fiber_chain`: over a root x0 where the first of
+    them that does not vanish is that of F, the points are the roots in
+    x_elim of F(x0), and each of those is a common zero (González-Vega and
+    El Kahoui 1996).  With both forms in x_elim nothing is left over, as the
+    top coefficient of the last form is nonzero wherever the other's
+    vanishes; with one form free of x_elim, a piece left over has the other
+    form a nonzero constant on its fibers, so no point with z = 1.
+    """
+    da, db = a.var_degree(elim), b.var_degree(elim)
+    eliminant = poly.resultant_wrt(a, b, elim) if da and db else (a if da == 0 else b)
+    open_pieces = poly.binary_squarefree_decomposition(
+        poly.strip_var(poly.slice_poly(eliminant, elim), 1))
+    out = []
+    for rows in _fiber_chain(a, b, elim):
+        coeffs = [poly.slice_poly(r, elim) for r in rows]
+        still = []
+        for mult, piece in open_pieces:
+            rest = poly.gcd(piece, coeffs[-1])
+            for (r0, r1), _m in _exact_binary_roots(poly.exact_divide(piece, rest),
+                                                    precision):
+                out += [(pt, mult) for pt in
+                        _fiber_points(a, b, coeffs, r0 / r1, keep, precision)]
+            if not rest.is_constant():
+                still.append((mult, rest))
+        open_pieces = still
+        if not open_pieces:
+            break
+    return out
+
+
+def _fiber_chain(a: HomPoly, b: HomPoly, elim: int):
+    """The fiber forms of a and b in x_elim, as their x_elim-ladders.
+
+    With a or b free of x_elim, they are the other form's truncations to
+    x_elim-degree t = d, d - 1, ..., 1.  Otherwise they are the
+    subresultants S_1, ..., S_(m-1), m the smaller x_elim-degree, truncated
+    to degree j, then the form of degree m and the other form.  Where the
+    leading coefficient of one form is nonzero, the first of them whose top
+    coefficient does not vanish at x0 gives the gcd of a(x0) and b(x0);
+    S_j with an identically vanishing top coefficient is skipped.
+    """
+    da, db = a.var_degree(elim), b.var_degree(elim)
+    if da == 0 or db == 0:
+        rows = poly.ladder(b if da == 0 else a, elim)
+        for t in range(len(rows) - 1, 0, -1):
+            yield rows[:t + 1]
+        return
+    for j in range(1, min(da, db)):
+        rows = poly.ladder(poly.subresultant(a, b, elim, j), elim)
+        if len(rows) == j + 1:
+            yield rows
+    yield from sorted((poly.ladder(a, elim), poly.ladder(b, elim)), key=len)
+
+
+def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, x0, keep: int,
+                  precision: int) -> list:
+    """The common zeros of a and b with x_keep = x0, z = 1 and x_elim a root
+    y of sum coeffs[k](x0) y^k, the coeffs being binary forms in (x_keep, z).
+
+    A rational x0 gives an exact fiber, and a rational point comes back as
+    Fractions.  Elsewhere the fiber's coefficients are evaluated at twice
+    the precision; a linear fiber is solved by one division and a longer
+    one by :func:`_polyroots`.  Newton's method polishes every point that
+    is not exact, and its failure raises.
+    """
+    t = len(coeffs) - 1
+    if isinstance(x0, Fraction):
+        fiber = HomPoly(2, t, {(k, t - k): c.evaluate((x0, 1)) for k, c in enumerate(coeffs)})
+        ys = [y0 / y1 for (y0, y1), _m in _exact_binary_roots(fiber, precision)]
+    else:
+        with mpmath.workprec(2 * precision):
+            vals = [eval_form(c, (x0, 1)) for c in coeffs]
+            ys = [-vals[0] / vals[1]] if t == 1 else None
+        ys = ys or _polyroots(vals[::-1], precision)
+    pts = [(x0, y, Fraction(1)) if keep == 0 else (y, x0, Fraction(1)) for y in ys]
+    return [_normalized(pt) if is_exact(pt) else newton_refine_pair(a, b, pt, precision)[0]
+            for pt in pts]

@@ -496,7 +496,6 @@ def _transversality_general(comps, precision: int) -> TransversalityReport:
     with mpmath.workprec(precision):
         seen = numeric.PointSet(precision)
         rank_tol = numeric.tolerances(precision).dedup  # refined roots sit far below this
-        points = []  # (mpc triple, exact rational triple or None)
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 try:
@@ -506,20 +505,13 @@ def _transversality_general(comps, precision: int) -> TransversalityReport:
                     return TransversalityReport("inconclusive", (),
                                                 witness=str(exc))
                 for pt in found:
-                    if seen.add(pt) is None:
-                        rat = [numeric.rationalize(x, precision) for x in pt]
-                        exact = None
-                        if all(r is not None for r in rat):
-                            exact = projmap.primitive_vector(rat)
-                            if any(c.form.evaluate(tuple(exact)) != 0
-                                   for c in comps
-                                   if mpmath.fabs(numeric.eval_form(c.form, pt)) < rank_tol):
-                                exact = None
-                        points.append((pt, exact))
+                    seen.add(pt)
         evidence = []
         witness = None
         sampled = False
-        for pt, exact in points:
+        for pt in seen.points:
+            # The solver returns every rational point exactly.
+            exact = projmap.primitive_vector(list(pt)) if numeric.is_exact(pt) else None
             members = tuple(sorted(
                 idx for idx, c in enumerate(comps)
                 if (exact is not None and c.form.evaluate(tuple(exact)) == 0)

@@ -100,7 +100,7 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int,
     x_c = 0 or leave a common factor, on which the solver raises.
 
     A chart whose solve raises NumericalError (its equations kept a common
-    factor, or root finding failed) is skipped, and ``(chart, error text)``
+    factor, or root finding or a Newton refinement failed) is skipped, and ``(chart, error text)``
     goes to ``failed`` when that list is given.
     """
     for chart in range(3):

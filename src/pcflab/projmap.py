@@ -432,7 +432,7 @@ def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int) -> Optional[str]
     except numeric.NumericalError:
         return None
     for pt in points:
-        return "(" + ", ".join(mpmath.nstr(c, 8) for c in pt) + ")"
+        return "(" + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")"
     return None
 
 
@@ -447,7 +447,7 @@ def _search_common_zero(comps, precision: int) -> Optional[str]:
                 continue
             for pt in points:
                 if mpmath.fabs(numeric.eval_form(comps[third], pt)) < tol:
-                    return "(" + ", ".join(mpmath.nstr(c, 8) for c in pt) + ")"
+                    return "(" + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")"
     return None
 
 

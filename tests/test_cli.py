@@ -397,6 +397,19 @@ class TestFatou:
         assert report["fatou"]["files"]["csv"].endswith("basin.csv")
         assert report["fatou"]["files"]["pgm"].endswith("basin.pgm")
 
+    def test_failed_pair_solve_aborts(self, monkeypatch, capsys):
+        # Sym^2's post-critical conic needs the pair solver; a failed solve
+        # ends the run with exit 4 instead of losing its points silently.
+        def solve(a, b, precision):
+            raise numeric.NumericalError("forced solve failure")
+
+        monkeypatch.setattr(numeric, "solve_pair_p2", solve)
+        code, report, err = _report(capsys, "fatou", str(GOLDEN_DIR / "sym2.json"),
+                                    "--grid", "4")
+        assert code == cli.EXIT_RESOURCE
+        assert report["map"]["note"] == "aborted: forced solve failure"
+        assert "forced solve failure" in err
+
     def test_unlabeled_pixels_are_zero_bytes(self, tmp_path, capsys):
         prefix = str(tmp_path / "torus")
         code, _report_, _err = _report(

@@ -53,6 +53,18 @@ class TestSuperattractingCandidates:
         assert fatou.superattracting_candidates(m, graph, tower) == []
 
 
+class TestIntersectionPoints:
+    def test_rational_point_of_large_height_is_exact(self):
+        # xz - y^2 and y - N x meet at (1 : N : N^2), whose normalized
+        # coordinates have denominators near 10^14, and at (0 : 0 : 1).
+        n = 10**7 + 19
+        conic = pcf.make_component(poly.HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        line = pcf.make_component(poly.linear_form([-n, 1, 0]))
+        exact, approx = fatou._intersection_points([conic, line], 256)
+        assert sorted(exact) == [(0, 0, 1), (1, n, n * n)]
+        assert approx == []
+
+
 class TestScanConfig:
     def test_resolution_floor(self):
         with pytest.raises(fatou.FatouError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pcflab import numeric, poly
+from pcflab import numeric, poly, projmap
 
 
 def _p(nvars, degree, terms):
@@ -186,6 +186,74 @@ class TestSolvePairP2:
             assert len(points) == 9
             assert mults == [1] * 9
 
+    def test_rational_points_are_exact(self):
+        # xz - y^2 and y - N x meet at (1 : N : N^2) and (0 : 0 : 1); the
+        # first has denominators near 10^14 once normalized.
+        n = 10**7 + 19
+        conic = _p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1})
+        line = poly.linear_form([-n, 1, 0])
+        points, mults = numeric.solve_pair_p2(conic, line, 256)
+        assert mults == [1, 1]
+        assert all(numeric.is_exact(pt) for pt in points)
+        assert sorted(projmap.primitive_vector(list(pt)) for pt in points) == [
+            (0, 0, 1), (1, n, n * n)]
+
+    def test_fibers_hold_only_common_zeros(self):
+        # Every point over every eliminant root is a common zero: nothing
+        # is filtered out, and the count is the intersection number.
+        with mpmath.workprec(256):
+            a = _p(3, 3, {(3, 0, 0): 1, (1, 2, 0): 2, (0, 1, 2): -3, (0, 0, 3): 1})
+            b = _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (1, 1, 0): 1, (0, 1, 1): 2,
+                          (0, 0, 2): -5})
+            points, mults = numeric.solve_pair_p2(a, b, 256)
+            assert len(points) == 6 and mults == [1] * 6
+            for pt in points:
+                for form in (a, b):
+                    assert mpmath.fabs(numeric.eval_form(form, pt)) < mpmath.mpf(10) ** -60
+
+    def test_blocked_leading_coefficients_eliminate_x(self):
+        # a = xy - z^2 and b = xy^2 - xz^2 - z^3 both have leading
+        # coefficient x in y, so x = 0 would specialize S_j wrongly; x is
+        # eliminated instead.  b - y*a = z^2 (y - x - z) gives the points.
+        a = _p(3, 2, {(1, 1, 0): 1, (0, 0, 2): -1})
+        b = _p(3, 3, {(1, 2, 0): 1, (1, 0, 2): -1, (0, 0, 3): -1})
+        points, mults = numeric.solve_pair_p2(a, b, 256)
+        assert mults == [1] * 4
+        exact = sorted(projmap.primitive_vector(list(pt)) for pt in points
+                       if numeric.is_exact(pt))
+        assert exact == [(0, 1, 0), (1, 0, 0)]
+        with mpmath.workprec(256):
+            root5 = mpmath.sqrt(5)
+            want = [(r, r + 1, 1) for r in ((root5 - 1) / 2, (-root5 - 1) / 2)]
+            for w in want:
+                assert sum(numeric.proj_distance(pt, w) < mpmath.mpf(10) ** -40
+                           for pt in points) == 1
+
+    def test_both_orders_blocked_raises(self):
+        # a = xy - z^2 and b = x^2 y + x y^2 - z^3: the leading coefficients
+        # share x in y and y in x, so neither order can be eliminated.
+        a = _p(3, 2, {(1, 1, 0): 1, (0, 0, 2): -1})
+        b = _p(3, 3, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 0, 3): -1})
+        with pytest.raises(numeric.NumericalError, match="cannot eliminate"):
+            numeric.solve_pair_p2(a, b, 256)
+
+    def test_failed_newton_raises(self, monkeypatch):
+        # A point whose refinement fails fails the solve; it is not dropped.
+        real = numeric.newton_refine_pair
+        calls = []
+
+        def refine(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise numeric.NumericalError("forced Newton failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, "newton_refine_pair", refine)
+        conic = _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): -1})
+        with pytest.raises(numeric.NumericalError, match="forced Newton failure"):
+            numeric.solve_pair_p2(conic, poly.linear_form([1, -1, 0]), 256)
+        assert len(calls) == 1
+
 
 class TestPolyroots:
     def _fake(self, monkeypatch, exc):
@@ -201,25 +269,34 @@ class TestPolyroots:
     def test_no_convergence_escalates_then_fails(self, monkeypatch):
         calls = self._fake(monkeypatch, mpmath.libmp.NoConvergence("slow"))
         with pytest.raises(numeric.NumericalError):
-            numeric.univariate_roots([mpmath.mpc(1), mpmath.mpc(-2)], 256)
+            numeric.binary_form_roots(_p(2, 2, {(2, 0): 1, (0, 2): -2}), 256)
         assert calls == [60, 200, 800]
 
     def test_other_errors_propagate(self, monkeypatch):
         calls = self._fake(monkeypatch, ZeroDivisionError("bug"))
         with pytest.raises(ZeroDivisionError):
-            numeric.univariate_roots([mpmath.mpc(1), mpmath.mpc(-2)], 256)
+            numeric.binary_form_roots(_p(2, 2, {(2, 0): 1, (0, 2): -2}), 256)
         assert calls == [60]
 
-
     def test_failed_fiber_raises(self, monkeypatch):
-        # A fiber whose roots cannot be found fails the chart instead of
-        # coming back empty.
-        self._fake(monkeypatch, mpmath.libmp.NoConvergence("slow"))
-        p = _p(3, 2, {(0, 2, 0): 1, (1, 1, 0): 1, (0, 0, 2): -1})  # y^2 + xy - z^2
-        with mpmath.workprec(256):
-            base = mpmath.sqrt(2)
-            with pytest.raises(numeric.NumericalError):
-                numeric._backsub_roots(p, 0, 1, base, 256)
+        # A fiber whose roots cannot be found fails the solve instead of
+        # coming back empty.  The eliminant x^2 - 2z^2 is solved first; the
+        # quadratic fibers of y^2 + xy - z^2 over x = +-sqrt(2) then fail.
+        real = mpmath.polyroots
+        calls = []
+
+        def polyroots(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                return real(*args, **kwargs)
+            raise mpmath.libmp.NoConvergence("slow")
+
+        monkeypatch.setattr(numeric.mpmath, "polyroots", polyroots)
+        a = _p(3, 2, {(2, 0, 0): 1, (0, 0, 2): -2})
+        b = _p(3, 2, {(0, 2, 0): 1, (1, 1, 0): 1, (0, 0, 2): -1})
+        with pytest.raises(numeric.NumericalError):
+            numeric.solve_pair_p2(a, b, 256)
+        assert len(calls) == 4  # the eliminant, then one fiber's three rungs
 
 
 def _same_roots(got, want, tol):
@@ -307,30 +384,6 @@ class TestCanonicalOrder:
         rounded = [[(round(z.real, 9), round(z.imag, 9)) for z, _m in o] for o in orders]
         assert rounded[0] == rounded[2]
         assert rounded[0] == [(-3, 0), (0, -1), (0, 1), (1, -2), (1, 2)]
-
-
-class TestRationalize:
-    def test_recovers_simple_fraction(self):
-        with mpmath.workprec(256):
-            assert numeric.rationalize(mpmath.mpf(1) / 2, 256) == Fraction(1, 2)
-
-    def test_accepts_close_convergent(self):
-        # At 256 bits the acceptance window is 1e-16, so a continued-fraction
-        # convergent of sqrt(2) with denominator below the 10**12 cap lands
-        # inside it.  Callers that need exactness re-check downstream.
-        with mpmath.workprec(256):
-            got = numeric.rationalize(mpmath.sqrt(2), 256)
-            assert got is not None
-            err = abs(mpmath.mpf(got.numerator) / got.denominator
-                      - mpmath.sqrt(2))
-            assert err < mpmath.mpf(10) ** -16
-
-    def test_rejects_irrational_at_high_precision(self):
-        # With denominators capped at 10**12 the best approximation to
-        # sqrt(2) misses by about 1e-25, outside the 1e-32 window that 512
-        # bits demands.
-        with mpmath.workprec(512):
-            assert numeric.rationalize(mpmath.sqrt(2), 512) is None
 
 
 class TestPrecisionResolution:

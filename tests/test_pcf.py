@@ -317,6 +317,18 @@ class TestWeakTransversality:
         assert report.verdict == "weakly-transverse(sampled)"
         assert all(ev.rank_at_point == ev.generic_rank for ev in report.evidence)
 
+    def test_rational_point_of_large_height_is_exact(self):
+        # xz - y^2 and y - N x meet at (1 : N : N^2) and (0 : 0 : 1).  The
+        # first point's normalized coordinates have denominators near 10^14,
+        # yet the solver returns it exactly, so the verdict is exact.
+        n = 10**7 + 19
+        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        report = pcf.weak_transversality([conic, _line([-n, 1, 0])])
+        assert report.verdict == "weakly-transverse"
+        assert sorted(ev.point for ev in report.evidence) == [
+            "(0:0:1)", f"(1:{n}:{n * n})"]
+        assert all(ev.exact for ev in report.evidence)
+
     def test_triple_point_with_a_conic_is_transverse(self):
         # x, y and xz + yz + xy meet pairwise transversally at (0:0:1), with
         # gradients (1,0,0), (0,1,0) and (1,1,0).  By Euler's identity every

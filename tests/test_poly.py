@@ -314,6 +314,106 @@ class TestResultants:
         assert poly.det([[x, y], [y, x]]) == _p(2, 2, {X2: 1, Y2: -1})
 
 
+# -- oracle: subresultants as Sylvester minors over Fractions -------------------
+#
+# S_j of a and b in x_i, at formal degrees (da, db), is the sum over k <= j
+# of x_i^k times the minor of the Sylvester matrix on the rows of
+# x_i^t * a (t < db - j) and x_i^t * b (t < da - j), highest first, and on
+# the columns of the powers da + db - j - 1 down to j + 1, then the power k.
+# At a point of the other variables each minor is a determinant of numbers,
+# taken here by Gaussian elimination over Fractions.  A coefficient of S_j
+# is a form of degree at most D in the other variables, so agreeing at D + 1
+# points (u : 1) of a plane proves it equal.
+
+
+def _gauss_det(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            for k in range(c, len(m)):
+                m[r][k] -= f * m[c][k]
+    return det
+
+
+def _minor(ca, cb, j, k):
+    """Coefficient of x^k in S_j of the coefficient lists ca, cb (low first)."""
+    da, db = len(ca) - 1, len(cb) - 1
+    cols = list(range(da + db - j - 1, j, -1)) + [k]
+    rows = [[c[p - s] if 0 <= p - s < len(c) else 0 for p in cols]
+            for c, shifts in ((ca, db - j), (cb, da - j))
+            for s in range(shifts - 1, -1, -1)]
+    return _gauss_det(rows)
+
+
+def _coefficients(p, i, d, point):
+    rows = poly.ladder(p, i)
+    return [rows[t].evaluate(point) if t < len(rows) else Fraction(0)
+            for t in range(d + 1)]
+
+
+class TestSubresultantOracle:
+    def test_matches_sylvester_minors(self):
+        rng = random.Random(120)
+        seen = set()
+        checked = 0
+        while checked < 150:
+            nvars = rng.choice((2, 3))
+            i = rng.randrange(nvars)
+            # Some binary linear pairs, whose resultants are constants.
+            top = 1 if nvars == 2 and checked % 4 == 0 else 3
+            a = ps.random_form(rng, nvars, rng.randint(1, top), allow_fractions=True)
+            b = ps.random_form(rng, nvars, rng.randint(1, top), allow_fractions=True)
+            if rng.random() < 0.3:
+                g = ps.random_form(rng, nvars, 1)
+                a, b = a * g, b * g
+            formal = rng.random() < 0.5
+            da, db = a.var_degree(i), b.var_degree(i)
+            if formal:
+                da, db = da + rng.randint(0, 2), db + rng.randint(0, 2)
+            if min(da, db) == 0:
+                continue
+            j = rng.randrange(min(da, db))
+            degrees = (da, db) if formal else ()
+            s = poly.subresultant(a, b, i, j, *degrees)
+            if j == 0:
+                assert s == poly.resultant_wrt(a, b, i, *degrees)
+            # Row weights deg a + t and deg b + t, column weights -power.
+            top = (sum(a.degree + t for t in range(db - j))
+                   + sum(b.degree + t for t in range(da - j))
+                   - sum(range(j + 1, da + db - j)))
+            assert s.degree == max(top, 0)
+            rest = [v for v in range(nvars) if v != i]
+            for u in range(s.degree + 1 if nvars == 3 else 1):
+                point = [Fraction(1)] * nvars
+                point[rest[0]] = Fraction(u) if nvars == 3 else Fraction(1)
+                ca = _coefficients(a, i, da, point)
+                cb = _coefficients(b, i, db, point)
+                got = _coefficients(s, i, j, point)
+                assert got == [_minor(ca, cb, j, k) for k in range(j + 1)], (
+                    poly.format_poly(a), poly.format_poly(b), i, j, degrees)
+            seen.add((nvars, formal, j == 0, s.is_zero(), s.degree == 0))
+            checked += 1
+        for nvars in (2, 3):
+            for formal in (False, True):
+                assert any(k[:2] == (nvars, formal) for k in seen)
+        assert any(k[3] for k in seen) and any(k[4] for k in seen)
+        assert any(k[2] for k in seen) and any(not k[2] for k in seen)
+
+    def test_index_out_of_range(self):
+        a = _p(2, 2, {X2: 1, Y2: -2})
+        with pytest.raises(PolynomialError):
+            poly.subresultant(a, a, 0, 2)
+
+
 class TestLinearFactors:
     def test_splits_rational_part(self):
         a = poly.linear_form([1, -2])
