@@ -182,47 +182,14 @@ class BasinGrid:
 
 
 def _to_complex(v) -> complex:
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, (int, float, Fraction)):
-        return complex(float(v), 0.0)
-    return complex(float(mpmath.re(v)), float(mpmath.im(v)))
-
-
-def _straight_line(args, exprs, namespace):
-    """Compile ``def f(*args): return (*exprs,)``, free names from namespace."""
-    source = f"def f({', '.join(args)}):\n    return ({', '.join(exprs)},)\n"
-    exec(compile(source, "<fatou scan step>", "exec"), namespace)
-    return namespace["f"]
-
-
-def _compile(forms, nvars: int):
-    """One straight-line function giving ``forms`` at nvars complex coordinates.
-
-    Each form is ``0j + c * x_i * x_j ** k + ...`` over its sorted terms:
-    the operations, order and association of a term-by-term loop that
-    starts from 0j.  Coefficients are bound by generated name, so the
-    source holds only names and integer exponents.
-    """
-    namespace, exprs = {}, []
-    for form in forms:
-        terms = ["0j"]
-        for e, c in sorted(form.terms.items()):
-            name = f"c{len(namespace)}"
-            namespace[name] = _to_complex(c)
-            terms.append(" * ".join([name] + [
-                f"x{i}" if k == 1 else f"x{i} ** {k}"
-                for i, k in enumerate(e) if k]))
-        exprs.append(" + ".join(terms))
-    return _straight_line([f"x{i}" for i in range(nvars)], exprs, namespace)
-
-
-def _chain_product(k: int):
-    """Product of two flat row-major k x k matrices, added in sum()'s order."""
-    return _straight_line(
-        [f"a{i}" for i in range(k * k)] + [f"b{i}" for i in range(k * k)],
-        [" + ".join(["0"] + [f"a{r * k + t} * b{t * k + c}" for t in range(k)])
-         for r in range(k) for c in range(k)], {})
+    try:
+        if isinstance(v, complex):
+            return v
+        if isinstance(v, (int, float, Fraction)):
+            return complex(float(v), 0.0)
+        return complex(float(mpmath.re(v)), float(mpmath.im(v)))
+    except OverflowError:
+        raise FatouError(f"value {v} does not fit in a double") from None
 
 
 def _normalize_c(vals):
@@ -237,14 +204,6 @@ def _normalize_c(vals):
     return tuple([v * inv for v in vals]), chart
 
 
-def _near(p, q, pairs, tol) -> bool:
-    """Every cross product p_i q_j - p_j q_i below tol; NaN ones are ignored."""
-    for i, j in pairs:
-        if abs(p[i] * q[j] - p[j] * q[i]) >= tol:
-            return False
-    return True
-
-
 def _pixel_origin(config: ScanConfig, k: int):
     """Per-pixel starting points, row-major, as projective coordinate tuples."""
     n, r = config.resolution, config.radius
@@ -253,26 +212,133 @@ def _pixel_origin(config: ScanConfig, k: int):
     def val(x, j):
         return x - r + 2.0 * r * j / (n - 1)
 
-    def affine(row, col):
+    def point(row, col):
         if k == 1:
-            return (complex(val(c[0].real, col), val(c[0].imag, row)),)
-        return (complex(val(c[0].real, col), c[0].imag),
-                complex(val(c[1].real, row), c[1].imag))
+            a = (complex(val(c[0].real, col), val(c[0].imag, row)),)
+        else:
+            a = (complex(val(c[0].real, col), c[0].imag),
+                 complex(val(c[1].real, row), c[1].imag))
+        return a[:config.chart] + (1.0 + 0j,) + a[config.chart:]
 
-    return [[_insert_chart(affine(row, col), config.chart) for col in range(n)]
-            for row in range(n)]
-
-
-def _insert_chart(affine, chart: int):
-    coords = list(affine)
-    coords.insert(chart, 1.0 + 0j)
-    return tuple(coords)
+    return [[point(row, col) for col in range(n)] for row in range(n)]
 
 
 def check_chart(config: ScanConfig, k: int) -> None:
     """Raise FatouError unless config.chart is a chart of P^k."""
     if not 0 <= config.chart <= k:
         raise FatouError("chart index out of range")
+
+
+def _form_expr(form, coef: list) -> str:
+    """``0j + c * y_i * y_j ** k + ...`` over the form's sorted terms.
+
+    The operations, order and association of a term-by-term loop that
+    starts from 0j.  Each coefficient is appended to ``coef`` and named
+    ``c<index>``, so the text holds only names and integer exponents.
+    """
+    terms = ["0j"]
+    for e, c in sorted(form.terms.items()):
+        terms.append(" * ".join([f"c{len(coef)}"] + [
+            f"y{i}" if k == 1 else f"y{i} ** {k}" for i, k in enumerate(e) if k]))
+        coef.append(_to_complex(c))
+    return " + ".join(terms)
+
+
+def _tuple(items) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _near_expr(p: str, q: str, n1: int) -> str:
+    """Every cross product p_i q_j - p_j q_i below tol; a NaN one counts as near."""
+    return " and ".join(f"not abs({p}{i} * {q}{j} - {p}{j} * {q}{i}) >= tol"
+                        for i in range(n1) for j in range(i + 1, n1))
+
+
+def _branches(var: str, n: int, body) -> list:
+    """``if var == 0: ... elif ... else: ...`` over 0..n-1, n >= 2."""
+    out = []
+    for x in range(n):
+        out.append("else:" if x == n - 1 else f"{'el' if x else ''}if {var} == {x}:")
+        out += ["    " + line for line in body(x)]
+    return out
+
+
+_LOOP = """\
+def run(starts, steps, tol, frozen0, coef, cand):
+    {coef} = coef
+    {cand} = cand
+    grid, failures = [], 0
+    for row in starts:
+        pixels = []
+        for cur, ch in row:
+            if cur is None:
+                failures += 1
+                pixels.append((-1, -1, False, False))
+                continue
+            {y} = cur
+            {h} = {identity}
+            decayed, frozen, broke = False, frozen0, False
+            {streaks} = {zeros}
+            for n in steps:
+{step}
+            pixels.append((label, at, decayed, not broke and settle >= {hits}))
+        grid.append(tuple(zip(*pixels)))  # this row of each of the four grids
+    return (*zip(*grid), failures)
+"""
+
+
+def _loop_source(m: ProjectiveMap, ncand: int, coef: list) -> str:
+    """Source of ``run(starts, steps, tol, frozen0, coef, cand)``: all pixels' loop.
+
+    Orbit state lives in locals: point y_i, image z_i, values v_i, partials
+    d_(i n1 + j), chain h_(r k + c) row-major, a streak s_c per candidate
+    with coordinates q<c>_<i>.  Each step does the reference loop's
+    operations in its order; chain entries are ``0 + a * b + ...``.
+    """
+    k, n1 = m.k, m.k + 1
+    ys, zs, vs = ([f"{p}{i}" for i in range(n1)] for p in "yzv")
+    hs = [f"h{i}" for i in range(k * k)]
+
+    def rows(a):  # the affine Jacobian from chart a into chart nch
+        return _branches("nch", n1, lambda b: [
+            f"r{t} = (d{i * n1 + j} * fb - v{i} * d{b * n1 + j}) * inv2"
+            for t, (i, j) in enumerate((i, j) for i in range(n1) if i != b
+                                       for j in range(n1) if j != a)])
+
+    step = [f"v{i} = {_form_expr(f, coef)}" for i, f in enumerate(m.comps)]
+    step.append("nch, best = -1, 0.0")
+    for i in range(n1):
+        step += [f"a = abs(v{i})", "if a > best:", f"    best, nch, fb = a, {i}, v{i}"]
+    step += ["if nch < 0:", "    failures += 1", "    broke = True", "    break",
+             "inv = 1.0 / fb", f"{_tuple(zs)} = {_tuple([v + ' * inv' for v in vs])}"]
+    chain = [f"d{i * n1 + j} = {_form_expr(poly.partial(f, j), coef)}"
+             for i, f in enumerate(m.comps) for j in range(n1)]
+    chain += ["inv2 = 1.0 / (fb * fb)"] + _branches("ch", n1, rows)
+    chain.append(f"{_tuple(hs)} = " + _tuple([
+        " + ".join(["0"] + [f"r{r * k + t} * h{t * k + c}" for t in range(k)])
+        for r in range(k) for c in range(k)]))
+    chain += [f"norm = max({', '.join(f'abs({h})' for h in hs)})" if k > 1
+              else "norm = abs(h0)",
+              f"if norm < {DERIVATIVE_DECAY_THRESHOLD!r}:", "    decayed = frozen = True",
+              "elif norm > 1e100 or norm != norm:", "    frozen = True"]
+    step += ["if not frozen:"] + ["    " + line for line in chain]
+    step += [f"if {_near_expr('z', 'y', n1)}:", "    settle += 1",
+             "else:", "    settle = 0"]
+    for c in range(ncand):
+        step += [f"if {_near_expr('z', f'q{c}_', n1)}:", f"    s{c} += 1",
+                 f"    if s{c} >= {CONSECUTIVE_HITS} and label < 0:",
+                 f"        label, at = {c}, n", "else:", f"    s{c} = 0"]
+    step += [f"{_tuple(ys)} = {_tuple(zs)}", "ch = nch",
+             "if label >= 0 and frozen:", "    break"]
+    streaks = [f"s{c}" for c in range(ncand)]
+    return _LOOP.format(
+        coef=_tuple([f"c{i}" for i in range(len(coef))]),
+        cand=_tuple([f"q{c}_{i}" for c in range(ncand) for i in range(n1)]),
+        y=_tuple(ys), h=_tuple(hs), identity=_tuple(
+            ["1.0 + 0j" if r == c else "0j" for r in range(k) for c in range(k)]),
+        streaks=_tuple(["settle", "label", "at"] + streaks),
+        zeros=_tuple(["0", "-1", "-1"] + ["0"] * ncand),
+        step="\n".join(" " * 16 + line for line in step), hits=CONSECUTIVE_HITS)
 
 
 def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
@@ -283,91 +349,23 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     candidate; the chained Jacobian decay flag and a settled flag (orbit
     stopped moving without matching any candidate) are tracked per pixel.
     The chain is the product of the affine Jacobians between the charts of
-    successive normalized points, kept row-major in a flat tuple.
+    successive normalized points.  The whole pixel loop is generated from
+    the map's forms and the number of candidates and compiled once per scan.
     """
-    k = m.k
-    check_chart(config, k)
-    n1 = k + 1
-    evaluate = _compile(m.comps, n1)
-    jacobian = _compile([poly.partial(c, j) for c in m.comps
-                         for j in range(n1)], n1)
+    check_chart(config, m.k)
     cands = []
     for cand in config.candidates:
         norm, _ = _normalize_c(tuple(_to_complex(v) for v in cand))
         if norm is None:
             raise FatouError("candidate point has no nonzero coordinate")
-        cands.append(norm)
-    pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
-    # For each (chart in, chart out): the affine Jacobian's entries as
-    # (flat index of df_i/dx_j, i, flat index of df_out/dx_j), row-major.
-    affine = [[(i * n1 + j, i, b * n1 + j) for i in range(n1) if i != b
-               for j in range(n1) if j != a] for a in range(n1) for b in range(n1)]
-    product = _chain_product(k)
-    identity = tuple(1.0 + 0j if r == c else 0j
-                     for r in range(k) for c in range(k))
-    tol = config.tol
-    labels, iters, decflags, setflags = [], [], [], []
-    failures = 0
-    for origin_row in _pixel_origin(config, k):
-        lrow, irow, drow, srow = [], [], [], []
-        for origin in origin_row:
-            cur, chart = _normalize_c(origin)
-            if cur is None:
-                failures += 1
-                lrow.append(-1), irow.append(-1)
-                drow.append(False), srow.append(False)
-                continue
-            chain = identity
-            decayed = False
-            frozen = not config.derivative_check
-            streaks = [0] * len(cands)
-            settle_streak = 0
-            label, labeled_at = -1, -1
-            broke = False
-            for n in range(1, config.max_iters + 1):
-                vals = evaluate(*cur)
-                nxt, nchart = _normalize_c(vals)
-                if nxt is None:
-                    failures += 1
-                    broke = True
-                    break
-                if not frozen:
-                    d = jacobian(*cur)
-                    fb = vals[nchart]
-                    inv2 = 1.0 / (fb * fb)
-                    rows = [(d[p] * fb - vals[i] * d[q]) * inv2
-                            for p, i, q in affine[chart * n1 + nchart]]
-                    chain = product(*rows, *chain)
-                    norm = max(map(abs, chain))
-                    if norm < DERIVATIVE_DECAY_THRESHOLD:
-                        decayed = True
-                        frozen = True
-                    elif norm > 1e100 or norm != norm:
-                        frozen = True
-                if _near(nxt, cur, pairs, tol):
-                    settle_streak += 1
-                else:
-                    settle_streak = 0
-                for ci, cand in enumerate(cands):
-                    if _near(nxt, cand, pairs, tol):
-                        streaks[ci] += 1
-                        if streaks[ci] >= CONSECUTIVE_HITS and label < 0:
-                            label, labeled_at = ci, n
-                    else:
-                        streaks[ci] = 0
-                cur, chart = nxt, nchart
-                if label >= 0 and (decayed or frozen):
-                    break
-            lrow.append(label)
-            irow.append(labeled_at if label >= 0 else -1)
-            drow.append(decayed)
-            srow.append(False if broke else settle_streak >= CONSECUTIVE_HITS)
-        labels.append(tuple(lrow))
-        iters.append(tuple(irow))
-        decflags.append(tuple(drow))
-        setflags.append(tuple(srow))
-    return BasinGrid(config, tuple(labels), tuple(iters), tuple(decflags),
-                     tuple(setflags), failures)
+        cands.extend(norm)
+    coef, namespace = [], {}
+    source = _loop_source(m, len(config.candidates), coef)
+    exec(compile(source, "<fatou scan loop>", "exec"), namespace)
+    starts = [list(map(_normalize_c, row)) for row in _pixel_origin(config, m.k)]
+    return BasinGrid(config, *namespace["run"](
+        starts, range(1, config.max_iters + 1), config.tol,
+        not config.derivative_check, tuple(coef), tuple(cands)))
 
 
 # -- summaries ------------------------------------------------------------------

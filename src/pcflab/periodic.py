@@ -63,8 +63,10 @@ class EigenClass:
     root_order: Optional[int] = None  # q with value^q ~ 1, parabolic only
 
 
-def _point_sort_key(coords):
-    return tuple((float(mpmath.re(c)), float(mpmath.im(c))) for c in coords)
+def _point_sort_key(coords, floor):
+    """Real, then imaginary parts; a part below ``floor`` in modulus counts as 0."""
+    return tuple(tuple(0.0 if abs(x) < floor else float(x)
+                       for x in (mpmath.re(c), mpmath.im(c))) for c in coords)
 
 
 def _orbit_step(m: ProjectiveMap, coords):
@@ -199,7 +201,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                         period = q
                         break
             out.append(PeriodicPoint(pt, period, l, residual, 1 if certified else mult))
-        out.sort(key=lambda p: (p.period, _point_sort_key(p.point)))
+        out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
     return out
 
 

@@ -1,11 +1,12 @@
 """The scalar basin-scan loop that ``fatou.scan`` must reproduce bit for bit.
 
-This is the pixel loop, with its pixel origins and normalization, as it
-was before the scan compiled its pixel step: a generic sparse evaluator
-walks each component's sorted term list, the projective distance is the
-largest cross product, and the chained affine Jacobian is rebuilt from
-nested lists every step.  ``fatou.scan`` performs the same floating-point
-operations in the same order, so its grids must equal this loop's exactly;
+This is the pixel loop, with its pixel origins and normalization, written
+plainly: a generic sparse evaluator walks each component's sorted term
+list, the projective distance is the largest cross product, and the
+chained affine Jacobian is rebuilt from nested lists every step.
+``fatou.scan`` generates one function per scan that runs every pixel with
+all state in locals, but it performs the same floating-point operations in
+the same order, so its grids must equal this loop's exactly;
 ``property_suites.suite_scan_determinism`` and
 ``test_fatou.TestReferenceLoop`` compare them.
 """

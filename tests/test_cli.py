@@ -410,6 +410,23 @@ class TestFatou:
         assert report["map"]["note"] == "aborted: forced solve failure"
         assert "forced solve failure" in err
 
+    def test_coefficient_beyond_double_range(self, tmp_path, capsys):
+        # 10^308 x^2 fits in a double; its partial 2 10^308 x does not.
+        data = _squaring_mapfile()
+        data["components"][0][0]["num"] = str(10 ** 308)
+        code, out, err = _run(capsys, "fatou", _write_mapfile(tmp_path, data),
+                              "--grid", "4", "--candidates", "1:0:0;0:1:0;0:0:1")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: value 2" + "0" * 308 + " does not fit in a double")
+
+    def test_candidate_beyond_double_range(self, capsys):
+        code, out, err = _run(capsys, "fatou", "catalog:squaring-p2", "--grid", "4",
+                              "--candidates", f"{10 ** 400}:1:0;0:0:1")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: value {10 ** 400} does not fit in a double")
+
     def test_unlabeled_pixels_are_zero_bytes(self, tmp_path, capsys):
         prefix = str(tmp_path / "torus")
         code, _report_, _err = _report(

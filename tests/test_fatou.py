@@ -220,8 +220,26 @@ class TestReferenceLoop:
         assert grid.labels[2] == (-1,) * 5
         assert grid.settled[2] == (False,) * 5
 
+    def test_chain_overflow_and_nan(self):
+        # With coefficients of 10^200, fb * fb overflows, inv2 is 0 and the
+        # chain turns NaN.  Only pixels of the column whose first affine
+        # coordinate is exactly 0 still decay (all but one in chart 0); at
+        # 10^150 every pixel does.
+        comps = _squaring_p2().comps
+        for scale, decayed in ((10 ** 150, [81, 81, 81]), (10 ** 200, [8, 9, 9])):
+            m = projmap.ProjectiveMap([c.scale(scale) for c in comps])
+            for check in (True, False):
+                counts = [sum(map(sum, self._same(m, fatou.ScanConfig(
+                    chart, (0, -0.2), 0.9, 9, candidates=COORD_CANDS,
+                    derivative_check=check)).decayed)) for chart in range(3)]
+                assert counts == (decayed if check else [0, 0, 0])
+
 
 class TestCompiledEvaluators:
+    # Every number token of a generated source is an exponent or one of these.
+    FIXED = {"0", "1", "2", "0j", "0.0", "1.0", "1e100",
+             repr(fatou.DERIVATIVE_DECAY_THRESHOLD), str(fatou.CONSECUTIVE_HITS)}
+
     def _terms(self, n):
         # Large rationals that print as long digit strings.
         return [{"num": str(7 ** (40 + i) * (-1) ** i), "den": str(3 ** (20 + i)),
@@ -238,18 +256,14 @@ class TestCompiledEvaluators:
                      (1, 2, 0): mpmath.mpc("0.1", "-7.25"),
                      (0, 0, 3): Fraction(-10 ** 30, 7 ** 15)}
 
-        class Cancelling:  # at (1, 1, 1) the sum is 0 in sorted order, 1 reversed
-            terms = {(0, 0, 3): 1, (0, 3, 0): 10 ** 16, (3, 0, 0): -10 ** 16}
+        class Cancelling:  # at (1, 1, 1) the sum is 0 in sorted order, 1 in this one
+            terms = {(3, 0, 0): -10 ** 16, (0, 3, 0): 10 ** 16, (0, 0, 3): 1}
         forms += [Form, Cancelling]
-        sources = []
-        real_compile = compile
-
-        def spy(source, *args):
-            sources.append(source)
-            return real_compile(source, *args)
-
-        monkeypatch.setattr(fatou, "compile", spy, raising=False)
-        evaluate = fatou._compile(forms, 3)
+        # The form texts the scan loop is generated from, as one function.
+        coef = []
+        exprs = [fatou._form_expr(f, coef) for f in forms]
+        evaluate = eval(f"lambda y0, y1, y2: ({', '.join(exprs)},)",
+                        {f"c{i}": c for i, c in enumerate(coef)})
         points = [(0.3 + 0.1j, -1.7 + 0j, 2e-3 - 4j), (1 + 0j, -0.0 + 0j, 0j),
                   (1e50 + 1e-150j, -3j, 0.5 + 0.5j),
                   (1 + 0j, 1 + 0j, 1 + 0j)]
@@ -259,21 +273,33 @@ class TestCompiledEvaluators:
                     for f in forms]
             assert [(v.real.hex(), v.imag.hex()) for v in got] == \
                 [(v.real.hex(), v.imag.hex()) for v in want]
+
+        sources = []
+        real_compile = compile
+
+        def spy(source, *args):
+            sources.append(source)
+            return real_compile(source, *args)
+
+        monkeypatch.setattr(fatou, "compile", spy, raising=False)
+        cfg = fatou.ScanConfig(2, (0.3, -0.2), 0.5, 3, max_iters=8,
+                               candidates=COORD_CANDS)
+        assert fatou.scan(m, cfg) == scan_reference.scan(m, cfg)
         assert len(sources) == 1
-        source = sources[0]
-        # Only generated names, integer exponents and the 0j start appear.
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        generated = sources[0] + "\n" + "\n".join(exprs)
+        tokens = list(tokenize.generate_tokens(io.StringIO(generated).readline))
         for prev, tok in zip(tokens, tokens[1:]):
             if tok.type == tokenize.NUMBER:
-                assert tok.string == "0j" or (
+                assert tok.string in self.FIXED or (
                     prev.string == "**" and tok.string.isdigit()), tok.string
         # Nor does any coefficient's text; texts of up to three characters
         # would match generated names, and the token check covers them.
-        for c in (c for f in forms for c in f.terms.values()):
+        partials = [poly.partial(c, j) for c in m.comps for j in range(3)]
+        for c in (c for f in forms + partials for c in f.terms.values()):
             texts = {str(c), repr(fatou._to_complex(c))}
             if isinstance(c, (int, Fraction)):
                 texts |= {str(c.numerator), str(c.denominator)}
-            assert not any(t in source for t in texts if len(t) > 3), c
+            assert not any(t in generated for t in texts if len(t) > 3), c
 
 
 class TestBasinSummary:

@@ -158,6 +158,17 @@ class TestFindPeriodic:
                 assert sum(numeric.proj_distance(pp.point, target) < tight
                            for pp in pts) == 1, target
 
+    def test_sort_key_ignores_residues_below_dedup(self):
+        # One point of fs-1992-a at period 3, stored twice with the rounding
+        # residue of its second coordinate on either side of 0.
+        with mpmath.workprec(256):
+            floor = numeric.tolerances(256).dedup
+            tail = mpmath.mpc("0.056", "-0.131")
+            keys = {periodic._point_sort_key(
+                (mpmath.mpc(1), mpmath.mpc(1, sign * mpmath.mpf("1e-77")), tail), floor)
+                for sign in (1, -1)}
+        assert keys == {((1.0, 0.0), (1.0, 0.0), (0.056, -0.131))}
+
     def test_budget_error(self):
         with pytest.raises(periodic.BudgetError):
             periodic.find_periodic(_squaring_p2(), 4)
