@@ -362,7 +362,7 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     coef, namespace = [], {}
     source = _loop_source(m, len(config.candidates), coef)
     exec(compile(source, "<fatou scan loop>", "exec"), namespace)
-    starts = [list(map(_normalize_c, row)) for row in _pixel_origin(config, m.k)]
+    starts = (map(_normalize_c, row) for row in _pixel_origin(config, m.k))
     return BasinGrid(config, *namespace["run"](
         starts, range(1, config.max_iters + 1), config.tol,
         not config.derivative_check, tuple(coef), tuple(cands)))

@@ -286,15 +286,20 @@ class TestCompiledEvaluators:
                                candidates=COORD_CANDS)
         assert fatou.scan(m, cfg) == scan_reference.scan(m, cfg)
         assert len(sources) == 1
-        generated = sources[0] + "\n" + "\n".join(exprs)
-        tokens = list(tokenize.generate_tokens(io.StringIO(generated).readline))
-        for prev, tok in zip(tokens, tokens[1:]):
-            if tok.type == tokenize.NUMBER:
-                assert tok.string in self.FIXED or (
-                    prev.string == "**" and tok.string.isdigit()), tok.string
+        # The form texts, the map's partials included, hold only generated
+        # names, integer exponents and the 0j start; the loop's own literals
+        # may also come from FIXED.
+        partials = [poly.partial(c, j) for c in m.comps for j in range(3)]
+        form_text = "\n".join(exprs + [fatou._form_expr(f, []) for f in partials])
+        for text, allowed in ((form_text, {"0j"}), (sources[0], self.FIXED)):
+            tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+            for prev, tok in zip(tokens, tokens[1:]):
+                if tok.type == tokenize.NUMBER:
+                    assert tok.string in allowed or (
+                        prev.string == "**" and tok.string.isdigit()), tok.string
         # Nor does any coefficient's text; texts of up to three characters
         # would match generated names, and the token check covers them.
-        partials = [poly.partial(c, j) for c in m.comps for j in range(3)]
+        generated = sources[0] + "\n" + form_text
         for c in (c for f in forms + partials for c in f.terms.values()):
             texts = {str(c), repr(fatou._to_complex(c))}
             if isinstance(c, (int, Fraction)):
