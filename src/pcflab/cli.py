@@ -364,10 +364,10 @@ def _load_and_validate(args, report):
     """
     try:
         m, mapfile, source = load_input(args.input)
-    except MapFileError as exc:
+        precision = numeric.resolve_precision(args.precision)
+    except (MapFileError, numeric.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
-    precision = numeric.resolve_precision(args.precision)
     report["bounds"] = _bounds_json(precision, args)
     try:
         vr = projmap.validate(m, precision)

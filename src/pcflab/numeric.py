@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
+from mpmath.libmp import fzero, mpc_add, mpc_add_mpf, mpc_mul, mpc_mul_int, mpc_mul_mpf
 
 from . import poly
 from .poly import HomPoly
@@ -28,7 +29,7 @@ class NumericalError(RuntimeError):
 
 
 class IndeterminatePointError(NumericalError):
-    """Every coordinate of an evaluated point fell below the precision floor."""
+    """Every coordinate of an evaluated point fell below the zero floor."""
 
 
 def resolve_precision(precision=None) -> int:
@@ -49,7 +50,7 @@ class Tolerances:
 
     dedup: mpmath.mpf  # 10^-(p//8): points, moduli and periods this close agree
     verify: mpmath.mpf  # 10^-(p//16): residuals below this verify a solution
-    zero_floor: mpmath.mpf  # 2^-(p-8): part of the dedup screen's rounding margin
+    zero_floor: mpmath.mpf  # 2^-(p-8): dedup screen margin; below it a point is indeterminate
     refine_target: mpmath.mpf  # 10^-(0.18p): Newton refinement stops below it
     formulas: tuple = field(repr=False, compare=False)  # (field, "base^-exponent")
 
@@ -85,16 +86,77 @@ def mpc_from(value) -> mpmath.mpc:
     return mpmath.mpc(value)
 
 
+class MpForm:
+    """A form compiled for evaluation at mpc points.
+
+    Built under the working precision, which every call must also run
+    under: each coefficient is converted once, by mpmath's own ``convert``,
+    which rounds a coefficient that is not exact at that precision (a
+    non-integer Fraction, or an integer wider than the mantissa) toward
+    zero.  A call at a tuple of mpc coordinates returns what
+    ``p.evaluate(coords)`` returns, bit for bit, by repeating its
+    operations in its order on raw libmp values: the first power of a
+    coordinate is ``1 * v`` (``mpc_mul_int``, so it is rounded to the
+    precision), the coefficient times the first factor of a term is
+    ``mpc_mul_mpf``, later powers and factors are ``mpc_mul``, and the sum
+    starts with ``0 + term`` (``mpc_add_mpf``) and goes on by ``mpc_add``.
+    The zero form gives the int 0 and a constant form its Fraction.
+    """
+
+    __slots__ = ("_prec", "_rnd", "_tops", "_terms", "_value")
+
+    def __init__(self, p: HomPoly):
+        self._prec, self._rnd = mpmath.mp._prec_rounding
+        self._tops = [p.var_degree(i) for i in range(p.nvars)]
+        constant = p.degree == 0 or p.is_zero()
+        self._value = p.terms.get((0,) * p.nvars, 0) if constant else None
+        # powers are stored flat, x_i^k at offset[i] + k - 1
+        offset = [sum(self._tops[:i]) for i in range(p.nvars)]
+        self._terms = []
+        for e, c in ({} if constant else p.terms).items():
+            first, *rest = [offset[i] + k - 1 for i, k in enumerate(e) if k]
+            self._terms.append((mpmath.mp.convert(c)._mpf_, first, tuple(rest)))
+
+    def __call__(self, coords):
+        if self._value is not None:
+            return self._value
+        prec, rnd = self._prec, self._rnd
+        powers = []
+        for v, top in zip(coords, self._tops):
+            if top:
+                v = v._mpc_
+                power = mpc_mul_int(v, 1, prec, rnd)
+                powers.append(power)
+                for _ in range(1, top):
+                    power = mpc_mul(power, v, prec, rnd)
+                    powers.append(power)
+        total = None
+        for c, first, rest in self._terms:
+            term = mpc_mul_mpf(powers[first], c, prec, rnd)
+            for j in rest:
+                term = mpc_mul(term, powers[j], prec, rnd)
+            total = (mpc_add_mpf(term, fzero, prec, rnd) if total is None
+                     else mpc_add(total, term, prec, rnd))
+        return mpmath.mp.make_mpc(total)
+
+
 def eval_form(p: HomPoly, coords) -> mpmath.mpc:
-    """Evaluate a form at mpc coordinates (exact coefficients, one rounding each)."""
-    return mpc_from(0) + p.evaluate(tuple(mpc_from(c) for c in coords))
+    """A form's value at a point, as an mpc at the working precision.
+
+    The coordinates are converted with :func:`mpc_from`, which rounds to
+    nearest, and the form is evaluated by :class:`MpForm`: a coefficient
+    not exact at the working precision, such as a non-integer Fraction, is
+    truncated toward zero, and every power, product and partial sum is
+    rounded to nearest again.
+    """
+    return mpc_from(0) + MpForm(p)(tuple(mpc_from(c) for c in coords))
 
 
-def normalize_point(coords, floor_exp_shift: int = 8):
+def normalize_point(coords):
     """Scale a projective representative so its max-modulus coordinate is 1.
 
     Ties pick the lowest index.  Raises IndeterminatePointError when every
-    coordinate sits below the working-precision floor (2^-(prec - shift)).
+    coordinate sits below the zero floor of the working precision.
     """
     vals = [mpc_from(c) for c in coords]
     mags = [mpmath.fabs(v) for v in vals]
@@ -102,11 +164,10 @@ def normalize_point(coords, floor_exp_shift: int = 8):
     for i in range(1, len(vals)):
         if mags[i] > mags[best]:
             best = i
-    floor = mpmath.mpf(2) ** (-(mpmath.mp.prec - floor_exp_shift))
-    if mags[best] < floor:
+    tol = tolerances(mpmath.mp.prec)
+    if mags[best] < tol.zero_floor:
         raise IndeterminatePointError(
-            f"all coordinates below 2^-{mpmath.mp.prec - floor_exp_shift}"
-        )
+            f"all coordinates below {tol.serialize()['zero_floor']}")
     pivot = vals[best]
     return tuple(v / pivot for v in vals), best
 
@@ -394,14 +455,17 @@ def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: 
     """Newton-refine an approximate common zero of two ternary forms.
 
     The point is refined in the affine chart of its max-modulus coordinate.
-    Returns ``(refined_point, residual)`` with the point normalized, or
-    raises NumericalError after ``maxsteps`` without convergence.
+    The two forms are compiled once per call (:class:`MpForm`), and their
+    four partials once, at the first step.  Returns
+    ``(refined_point, residual)`` with the point normalized, or raises
+    NumericalError after ``maxsteps`` without convergence.
     """
     with mpmath.workprec(precision):
         pt, chart = normalize_point(point)
         idx = [i for i in range(3) if i != chart]
-        d_a = [poly.partial(a, j) for j in idx]
-        d_b = [poly.partial(b, j) for j in idx]
+        forms = [MpForm(a), MpForm(b)]
+        jacobian = None  # compiled at the first step; most points need none
+        zero = mpc_from(0)
         target = tolerances(precision).refine_target
         u, v = pt[idx[0]], pt[idx[1]]
 
@@ -415,12 +479,13 @@ def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: 
         res = None
         for _ in range(maxsteps):
             c = coords(u, v)
-            fa, fb = eval_form(a, c), eval_form(b, c)
+            fa, fb = (zero + f(c) for f in forms)
             res = max(mpmath.fabs(fa), mpmath.fabs(fb))
             if res < target:
                 return normalize_point(c)[0], res
-            j00, j01 = eval_form(d_a[0], c), eval_form(d_a[1], c)
-            j10, j11 = eval_form(d_b[0], c), eval_form(d_b[1], c)
+            if jacobian is None:
+                jacobian = [MpForm(poly.partial(f, j)) for f in (a, b) for j in idx]
+            j00, j01, j10, j11 = (zero + f(c) for f in jacobian)
             det = j00 * j11 - j01 * j10
             if mpmath.fabs(det) == 0:
                 raise NumericalError("singular Jacobian in Newton refinement")
@@ -477,12 +542,13 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
         # Eliminant multiplicities overcount when distinct points share the
         # eliminated coordinate; a transverse point (independent gradients)
         # is certainly simple, so downgrade its hint.
-        ga = [[poly.partial(a, j), poly.partial(b, j)] for j in range(3)]
-        for i, pt in enumerate(points.points):
-            if mults[i] == 1:
-                continue
-            va = [eval_form(ga[j][0], pt) for j in range(3)]
-            vb = [eval_form(ga[j][1], pt) for j in range(3)]
+        suspects = [i for i, mult in enumerate(mults) if mult > 1]
+        grads = [[MpForm(poly.partial(f, j)) for j in range(3)]
+                 for f in (a, b)] if suspects else []
+        zero = mpc_from(0)
+        for i in suspects:
+            c = tuple(mpc_from(x) for x in points.points[i])
+            va, vb = ([zero + d(c) for d in grad] for grad in grads)
             cross = max(mpmath.fabs(va[j] * vb[k] - va[k] * vb[j])
                         for j, k in ((1, 2), (2, 0), (0, 1)))
             na = max(mpmath.fabs(v) for v in va)
@@ -565,13 +631,15 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
     out = []
     for rows in _fiber_chain(a, b, elim):
         coeffs = [poly.slice_poly(r, elim) for r in rows]
+        with mpmath.workprec(2 * precision):
+            compiled = [MpForm(c) for c in coeffs]
         still = []
         for mult, piece in open_pieces:
             rest = poly.gcd(piece, coeffs[-1])
             for (r0, r1), _m in _exact_binary_roots(poly.exact_divide(piece, rest),
                                                     precision):
-                out += [(pt, mult) for pt in
-                        _fiber_points(a, b, coeffs, r0 / r1, keep, precision)]
+                out += [(pt, mult) for pt in _fiber_points(
+                    a, b, coeffs, compiled, r0 / r1, keep, precision)]
             if not rest.is_constant():
                 still.append((mult, rest))
         open_pieces = still
@@ -604,16 +672,17 @@ def _fiber_chain(a: HomPoly, b: HomPoly, elim: int):
     yield from sorted((poly.ladder(a, elim), poly.ladder(b, elim)), key=len)
 
 
-def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, x0, keep: int,
-                  precision: int) -> list:
+def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, compiled: list, x0,
+                  keep: int, precision: int) -> list:
     """The common zeros of a and b with x_keep = x0, z = 1 and x_elim a root
     y of sum coeffs[k](x0) y^k, the coeffs being binary forms in (x_keep, z).
 
     A rational x0 gives an exact fiber, and a rational point comes back as
     Fractions.  Elsewhere the fiber's coefficients are evaluated at twice
-    the precision; a linear fiber is solved by one division and a longer
-    one by :func:`_polyroots`.  Newton's method polishes every point that
-    is not exact, and its failure raises.
+    the precision, by ``compiled``, the coeffs as :class:`MpForm` built
+    there; a linear fiber is solved by one division and a longer one by
+    :func:`_polyroots`.  Newton's method polishes every point that is not
+    exact, and its failure raises.
     """
     t = len(coeffs) - 1
     if isinstance(x0, Fraction):
@@ -621,7 +690,8 @@ def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, x0, keep: int,
         ys = [y0 / y1 for (y0, y1), _m in _exact_binary_roots(fiber, precision)]
     else:
         with mpmath.workprec(2 * precision):
-            vals = [eval_form(c, (x0, 1)) for c in coeffs]
+            at = (mpc_from(x0), mpc_from(1))
+            vals = [mpc_from(0) + f(at) for f in compiled]
             ys = [-vals[0] / vals[1]] if t == 1 else None
         ys = ys or _polyroots(vals[::-1], precision)
     pts = [(x0, y, Fraction(1)) if keep == 0 else (y, x0, Fraction(1)) for y in ys]

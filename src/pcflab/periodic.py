@@ -19,7 +19,7 @@ flag undecidable neutral values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath
@@ -50,6 +50,9 @@ class PeriodicPoint:
     requested_period: int
     residual: object  # mpf: proj_distance(f^l(p), p)
     multiplicity: int  # eliminant multiplicity hint (1 = simple)
+    # (precision, the map's partials as MpForms, the first `period` entries
+    # of _walk from normalize_point(point)) for multipliers, or None
+    orbit: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def multiplicity_suspect(self) -> bool:
@@ -69,16 +72,21 @@ def _point_sort_key(coords, floor):
                        for x in (mpmath.re(c), mpmath.im(c))) for c in coords)
 
 
-def _orbit_step(m: ProjectiveMap, coords):
-    vals = [c.evaluate(tuple(coords)) for c in m.comps]
-    return numeric.normalize_point(vals)
+def _walk(forms, start, steps: int):
+    """``steps`` steps of the orbit of a normalized point under a map.
 
-
-def _apply_n(m: ProjectiveMap, coords, n: int):
-    cur = coords
-    for _ in range(n):
-        cur, _chart = _orbit_step(m, cur)
-    return cur
+    ``forms`` are the map's components compiled as :class:`numeric.MpForm`
+    and ``start`` is ``(p_0, chart)`` as :func:`numeric.normalize_point`
+    returns it.  Returns the entries ``(p_j, chart of p_j, f(p_j))`` for
+    j < steps, each p_(j+1) the normalized f(p_j), and p_steps.
+    """
+    cur, chart = start
+    entries = []
+    for _ in range(steps):
+        vals = [f(cur) for f in forms]
+        entries.append((cur, chart, vals))
+        cur, chart = numeric.normalize_point(vals)
+    return entries, cur
 
 
 def _fixed_point_candidates_p1(big: ProjectiveMap, precision: int):
@@ -173,8 +181,10 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
         else:
             raise PeriodicError(f"periodic points implemented for P^1 and P^2, not P^{m.k}")
         tol = numeric.tolerances(precision)
+        forms = [numeric.MpForm(c) for c in m.comps]
+        partials = _compiled_partials(m)
         known = numeric.PointSet(precision)
-        merged = []  # [mult, residual], parallel to known
+        merged = []  # [mult, residual, orbit entries, reusable], parallel to known
         finite = certified = False
         for chart_finite, candidates in charts:
             finite = finite or chart_finite
@@ -182,7 +192,12 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                 pt = numeric.normalize_point(pt)[0]
                 i = known.add(pt)
                 if i is None:
-                    merged.append([mult, numeric.proj_distance(_apply_n(m, pt, l), pt)])
+                    # multipliers walks from pt normalized once more, which
+                    # is pt itself unless two moduli tie
+                    again, chart = numeric.normalize_point(pt)
+                    entries, end = _walk(forms, (pt, chart), l)
+                    merged.append([mult, numeric.proj_distance(end, pt), entries,
+                                   again == pt])
                 elif mult > merged[i][0]:
                     merged[i][0] = mult
             if finite and sum(1 for e in merged if e[1] < tol.verify) == expected:
@@ -191,16 +206,14 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
         if not merged:
             raise PeriodicError("no chart system could be solved")
         out = []
-        for pt, (mult, residual) in zip(known.points, merged):
+        for pt, (mult, residual, entries, reusable) in zip(known.points, merged):
             if residual >= tol.verify:
                 continue  # spurious chart solution
-            period = l
-            for q in range(1, l):
-                if l % q == 0:
-                    if numeric.proj_distance(_apply_n(m, pt, q), pt) < tol.dedup:
-                        period = q
-                        break
-            out.append(PeriodicPoint(pt, period, l, residual, 1 if certified else mult))
+            period = next((q for q in range(1, l) if l % q == 0
+                           and numeric.proj_distance(entries[q][0], pt) < tol.dedup), l)
+            orbit = (precision, partials, entries[:period]) if reusable else None
+            out.append(PeriodicPoint(pt, period, l, residual, 1 if certified else mult,
+                                     orbit))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
     return out
 
@@ -208,26 +221,23 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
 # -- multipliers --------------------------------------------------------------
 
 
-def _chart_jacobian(m: ProjectiveMap, partials, coords, chart_in: int,
-                    chart_out: int):
-    """Derivative of the chart transition of m at a normalized point.
+def _chart_jacobian(vals, dvals, chart_in: int, chart_out: int):
+    """Derivative of the chart transition of a map f at a normalized point p.
 
-    Rows range over the output chart's affine coordinates, columns over the
-    input chart's; the input point must satisfy coords[chart_in] = 1.
+    ``vals[i]`` is f_i(p) and ``dvals[i][j]`` the partial of f_i in x_j at
+    p, which must satisfy p[chart_in] = 1.  Rows range over the output
+    chart's affine coordinates, columns over the input chart's.
     """
-    vals = [c.evaluate(tuple(coords)) for c in m.comps]
-    dvals = [[partials[i][j].evaluate(tuple(coords)) for j in range(m.k + 1)]
-             for i in range(m.k + 1)]
     b = chart_out
     fb = vals[b]
     if mpmath.fabs(fb) == 0:
         raise numeric.NumericalError("orbit point maps onto a chart boundary")
     rows = []
-    for i in range(m.k + 1):
+    for i in range(len(vals)):
         if i == b:
             continue
         row = []
-        for j in range(m.k + 1):
+        for j in range(len(vals)):
             if j == chart_in:
                 continue
             row.append((dvals[i][j] * fb - vals[i] * dvals[b][j]) / (fb * fb))
@@ -251,8 +261,13 @@ def _eigenvalues(matrix):
     return ((tr + disc) / 2, (tr - disc) / 2)
 
 
+def _compiled_partials(m: ProjectiveMap):
+    """The partials of m's components as MpForms, [i][j] for f_i in x_j."""
+    return [[numeric.MpForm(poly.partial(c, j)) for j in range(m.k + 1)] for c in m.comps]
+
+
 def multipliers(m: ProjectiveMap, point, period: int,
-                precision: Optional[int] = None):
+                precision: Optional[int] = None, orbit: Optional[tuple] = None):
     """Eigenvalues of the derivative of f^period at a periodic point.
 
     The derivative is the ordered product of one-step chart-transition
@@ -260,21 +275,26 @@ def multipliers(m: ProjectiveMap, point, period: int,
     Sorted by descending modulus for stable reporting; moduli that agree
     within 10^-(precision//8) count as equal and order by (re, im), so a
     pair such as +-2 does not take its order from rounding noise.
+
+    ``orbit`` is a :class:`PeriodicPoint`'s ``orbit`` for this map, point
+    and period: the compiled partials and the points, charts and f-values
+    that the walk from the point would compute.  It is used when its
+    precision is ``precision``; otherwise they are computed here.
     """
+    if period < 1:
+        raise PeriodicError("period must be >= 1")
     precision = numeric.resolve_precision(precision)
-    partials = [[poly.partial(c, j) for j in range(m.k + 1)] for c in m.comps]
     with mpmath.workprec(precision):
-        pts = []
-        charts = []
-        cur, chart = numeric.normalize_point([numeric.mpc_from(c) for c in point])
-        for _ in range(period):
-            pts.append(cur)
-            charts.append(chart)
-            cur, chart = _orbit_step(m, cur)
+        if orbit is not None and orbit[0] == precision:
+            _prec, partials, entries = orbit
+        else:
+            start = numeric.normalize_point([numeric.mpc_from(c) for c in point])
+            entries = _walk([numeric.MpForm(c) for c in m.comps], start, period)[0]
+            partials = _compiled_partials(m)
         total = None
-        for j in range(period):
-            step = _chart_jacobian(m, partials, pts[j], charts[j],
-                                   charts[(j + 1) % period])
+        for j, (pt, chart, vals) in enumerate(entries):
+            dvals = [[d(pt) for d in row] for row in partials]
+            step = _chart_jacobian(vals, dvals, chart, entries[(j + 1) % period][1])
             total = step if total is None else _mat_mul(step, total)
         return tuple(numeric.canonical_order(
             _eigenvalues(total),
@@ -388,7 +408,7 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
                     continue  # already audited at its minimal period
                 if seen.add(pp.point) is not None:
                     continue
-                spectrum = multipliers(m, pp.point, pp.period, precision)
+                spectrum = multipliers(m, pp.point, pp.period, precision, pp.orbit)
                 classes = classify(spectrum)
                 label = f"period {pp.period} point {_format_point(pp.point)}"
                 violations, findings = _audit_classes(label, classes)

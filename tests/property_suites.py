@@ -427,7 +427,9 @@ def suite_chart_invariance(n=500, seed=401, precision=256):
                     # the transition derivative needs the representative
                     # scaled to 1 in its input chart
                     pt = tuple(numeric.mpc_from(x / vec[ch]) for x in vec)
-                    jac = periodic._chart_jacobian(m, partials, pt, ch, ch)
+                    vals = [c.evaluate(pt) for c in m.comps]
+                    dvals = [[d.evaluate(pt) for d in row] for row in partials]
+                    jac = periodic._chart_jacobian(vals, dvals, ch, ch)
                     eigs = periodic._eigenvalues(jac)
                     spectra.append(sorted(eigs, key=lambda z: (mpmath.fabs(z),
                                                                float(z.real),

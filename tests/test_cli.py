@@ -124,6 +124,15 @@ class TestParseDiagnostics:
         assert code == cli.EXIT_PARSE
         assert "nope" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze",), ("periodic", "--period", "1"), ("fatou", "--grid", "4"),
+    ])
+    def test_precision_below_floor(self, capsys, argv):
+        code, out, err = _run(capsys, *argv, "catalog:squaring-p2", "--precision", "23")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: precision 23 bits is too low to be meaningful\n"
+
 
 class TestAnalyze:
     def test_catalog_squaring_full_report(self, capsys):

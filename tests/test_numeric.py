@@ -13,6 +13,53 @@ def _p(nvars, degree, terms):
     return poly.HomPoly(nvars, degree, terms)
 
 
+def _random_form(rng, nvars, degree, precision):
+    """A seeded form with integer, non-integer rational and wide coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        e = [0] * nvars
+        for _ in range(degree):
+            e[rng.randrange(nvars)] += 1
+        kind = rng.randrange(3)
+        if kind == 0:
+            c = Fraction(rng.randint(-50, 50))
+        elif kind == 1:
+            c = Fraction(rng.randint(-10**6, 10**6), rng.randint(2, 10**6))
+        else:  # numerator, and maybe denominator, wider than the mantissa
+            c = Fraction(rng.getrandbits(precision + 64) - 2 ** (precision + 63),
+                         rng.choice((1, rng.getrandbits(precision + 16) | 1)))
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return _p(nvars, degree, terms)
+
+
+class TestMpForm:
+    @pytest.mark.parametrize("precision", [24, 64, 256, 512])
+    def test_matches_evaluate_bit_for_bit(self, precision):
+        rng = random.Random(precision)
+        for trial in range(60):
+            nvars = 2 + trial % 2
+            degree = rng.randint(1, 5)
+            form = _random_form(rng, nvars, degree, precision)
+            if trial % 10 == 0:
+                form = _p(nvars, degree, {})
+            elif trial % 10 == 1:
+                form = _random_form(rng, nvars, 0, precision)
+            # Coordinates carry more bits than the precision, so the first
+            # power's rounding shows.
+            with mpmath.workprec(2 * precision + 64):
+                scale = mpmath.mpf(10) ** rng.choice((0, 300, -300))
+                coords = tuple(mpmath.mpc(mpmath.mpf(rng.random() - 0.5) / 3,
+                                          mpmath.mpf(rng.random() - 0.5) / 7) * scale
+                               for _ in range(nvars))
+            with mpmath.workprec(precision):
+                want = form.evaluate(coords)
+                got = numeric.MpForm(form)(coords)
+            if form.degree == 0 or form.is_zero():
+                assert type(got) is type(want) and got == want
+            else:
+                assert got._mpc_ == want._mpc_, (precision, trial)
+
+
 class TestNormalization:
     def test_normalize_sets_max_chart_to_one(self):
         with mpmath.workprec(256):

@@ -1,5 +1,6 @@
 """Periodic points, multiplier spectra, classification, counting audits."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -169,6 +170,40 @@ class TestFindPeriodic:
                 for sign in (1, -1)}
         assert keys == {((1.0, 0.0), (1.0, 0.0), (0.056, -0.131))}
 
+    def test_representative_that_renormalizes(self, monkeypatch):
+        # A representative of the period-2 point (1 : w : 0) of squaring-p2
+        # whose moduli tie: normalizing it once more moves the pivot, so
+        # multipliers walks from another representative than find_periodic.
+        m = _squaring_p2()
+        rng = random.Random(1)
+        with mpmath.workprec(256):
+            w = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) / 3)
+            while True:
+                s = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) * rng.random())
+                rep = (s, s * w, mpmath.mpc(0))
+                pt = numeric.normalize_point(rep)[0]
+                if numeric.normalize_point(pt)[0] != pt:
+                    break
+        real = periodic._fixed_point_candidates_p2
+
+        def first_the_tie(big, precision, failed=None):
+            yield False, [(rep, 1)]
+            yield from real(big, precision, failed)
+
+        monkeypatch.setattr(periodic, "_fixed_point_candidates_p2", first_the_tie)
+        found = [periodic.find_periodic(m, l, 256) for l in (1, 2)]
+        tied = [pp for pp in found[1] if pp.point == pt]
+        assert len(tied) == 1 and tied[0].orbit is None
+        with mpmath.workprec(256):
+            cur = pt
+            for _ in range(2):
+                cur = numeric.normalize_point([c.evaluate(cur) for c in m.comps])[0]
+            assert tied[0].residual == numeric.proj_distance(cur, pt)
+        audit = periodic.eigenvalue_audit(m, 2, 256, found)
+        spectrum = [v.spectrum for v in audit.verdicts if v.point is tied[0]]
+        alone = periodic.multipliers(m, pt, 2, 256)
+        assert [[x._mpc_ for x in s] for s in spectrum] == [[x._mpc_ for x in alone]]
+
     def test_budget_error(self):
         with pytest.raises(periodic.BudgetError):
             periodic.find_periodic(_squaring_p2(), 4)
@@ -233,6 +268,11 @@ class TestMultipliers:
             assert len(spec) == 1
             assert _close(spec[0], 8, mpmath.mpf(10) ** -40)
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_rejects_nonpositive_period(self, period):
+        with pytest.raises(periodic.PeriodicError, match="period must be >= 1"):
+            periodic.multipliers(_squaring_p2(), (1, 1, 1), period, 256)
+
 
 class TestClassify:
     def test_banding(self):
@@ -262,6 +302,18 @@ class TestEigenvalueAudit:
         audit = periodic.eigenvalue_audit(_fs(), 2, 256)
         assert audit.ok
         assert len(audit.verdicts) == 21
+
+    @pytest.mark.parametrize("make", [_fs, _sym2])
+    def test_spectra_equal_standalone_multipliers(self, make):
+        # The audit takes each point's orbit from find_periodic's walk; a
+        # standalone call walks it again, and the bits must agree.
+        m = make()
+        audit = periodic.eigenvalue_audit(m, 2, 256)
+        assert len(audit.verdicts) == 21  # 7 fixed points, 14 of period 2
+        for v in audit.verdicts:
+            assert v.point.orbit is not None
+            alone = periodic.multipliers(m, v.point.point, v.point.period, 256)
+            assert [x._mpc_ for x in alone] == [x._mpc_ for x in v.spectrum]
 
     def test_squaring_p1_clean(self):
         audit = periodic.eigenvalue_audit(_squaring_p1(), 2, 256)
@@ -357,7 +409,6 @@ class TestCountCertificate:
 
 class TestCoordinateChangeInvariance:
     def test_spectrum_invariant(self):
-        import random
         rng = random.Random(77)
         m = _squaring_p2()
         fixed = (Fraction(1), Fraction(1), Fraction(1))
