@@ -358,7 +358,7 @@ def _abort(report, args, exc) -> int:
 
 
 def _load_and_validate(args, report):
-    """Shared ingestion: (work map, None) or (None, exit code).
+    """Shared ingestion: (work map, precision, None) or (None, None, exit code).
 
     A failure after the input parsed emits the report here.
     """
@@ -367,7 +367,7 @@ def _load_and_validate(args, report):
         precision = numeric.resolve_precision(args.precision)
     except (MapFileError, numeric.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
+        return None, None, EXIT_PARSE
     report["bounds"] = _bounds_json(precision, args)
     try:
         vr = projmap.validate(m, precision)
@@ -375,21 +375,20 @@ def _load_and_validate(args, report):
         report["map"] = _map_json(source, mapfile, None, note=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         _emit(report, args.report)
-        return None, EXIT_RESOURCE
+        return None, None, EXIT_RESOURCE
     report["map"] = _map_json(source, mapfile, vr)
     if not vr.ok:
         print(f"degenerate map: {vr.witness}", file=sys.stderr)
         _emit(report, args.report)
-        return None, EXIT_DEGENERATE
-    return vr.map, None
+        return None, None, EXIT_DEGENERATE
+    return vr.map, precision, None
 
 
 def cmd_analyze(args) -> int:
     report = _skeleton()
-    work, code = _load_and_validate(args, report)
+    work, precision, code = _load_and_validate(args, report)
     if work is None:
         return code
-    precision = numeric.resolve_precision(args.precision)
     try:
         graph, verdict = pcf.postcritical_graph(
             work, args.max_iter, args.max_degree)
@@ -422,10 +421,9 @@ def cmd_periodic(args) -> int:
         print("error: --period must be >= 1", file=sys.stderr)
         return EXIT_PARSE
     report = _skeleton()
-    work, code = _load_and_validate(args, report)
+    work, precision, code = _load_and_validate(args, report)
     if work is None:
         return code
-    precision = numeric.resolve_precision(args.precision)
     failed = [[] for _ in range(args.period)]  # (chart, error) per period
     try:
         found = [periodic.find_periodic(work, q, precision, failed=failed[q - 1])
@@ -506,10 +504,9 @@ def _write_pgm(path: str, grid: fatou.BasinGrid) -> None:
 
 def cmd_fatou(args) -> int:
     report = _skeleton()
-    work, code = _load_and_validate(args, report)
+    work, precision, code = _load_and_validate(args, report)
     if work is None:
         return code
-    precision = numeric.resolve_precision(args.precision)
     try:  # settings are checked before any candidate is derived
         center_text = args.center if args.center is not None else ",".join("0" * work.k)
         center = _parse_center(center_text, work.k)

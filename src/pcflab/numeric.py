@@ -631,8 +631,7 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
     out = []
     for rows in _fiber_chain(a, b, elim):
         coeffs = [poly.slice_poly(r, elim) for r in rows]
-        with mpmath.workprec(2 * precision):
-            compiled = [MpForm(c) for c in coeffs]
+        compiled = []  # the row's MpForms, built at its first irrational x0
         still = []
         for mult, piece in open_pieces:
             rest = poly.gcd(piece, coeffs[-1])
@@ -679,10 +678,11 @@ def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, compiled: list, x0,
 
     A rational x0 gives an exact fiber, and a rational point comes back as
     Fractions.  Elsewhere the fiber's coefficients are evaluated at twice
-    the precision, by ``compiled``, the coeffs as :class:`MpForm` built
-    there; a linear fiber is solved by one division and a longer one by
-    :func:`_polyroots`.  Newton's method polishes every point that is not
-    exact, and its failure raises.
+    the precision, by ``compiled``: the coeffs as :class:`MpForm` built
+    there, filled in at the row's first irrational x0.  A linear fiber is
+    solved by one division and a longer one by :func:`_polyroots`.
+    Newton's method polishes every point that is not exact, and its failure
+    raises.
     """
     t = len(coeffs) - 1
     if isinstance(x0, Fraction):
@@ -690,6 +690,8 @@ def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, compiled: list, x0,
         ys = [y0 / y1 for (y0, y1), _m in _exact_binary_roots(fiber, precision)]
     else:
         with mpmath.workprec(2 * precision):
+            if not compiled:
+                compiled.extend(MpForm(c) for c in coeffs)
             at = (mpc_from(x0), mpc_from(1))
             vals = [mpc_from(0) + f(at) for f in compiled]
             ys = [-vals[0] / vals[1]] if t == 1 else None

@@ -853,18 +853,15 @@ def squarefree_part(p: HomPoly) -> HomPoly:
 # -- resultants and subresultants by evaluation and interpolation -----------
 
 
-def subresultant(a: HomPoly, b: HomPoly, i: int, j: int, da: Optional[int] = None,
-                 db: Optional[int] = None) -> HomPoly:
+def subresultant(a: HomPoly, b: HomPoly, i: int, j: int) -> HomPoly:
     """The j-th subresultant S_j of a and b with respect to x_i.
 
-    Give both formal degrees or neither.  Without them the Sylvester matrix
-    is built at the actual x_i-degrees, which must be positive; formal
-    degrees (da, db) pad it with vanishing top coefficients, and the actual
-    x_i-degrees may sit below them, never above.  S_j is the sum over
-    k = 0..j of x_i^k times the minor of the Sylvester matrix on its rows of
-    x_i^t * a (t < db - j) and x_i^t * b (t < da - j), highest first, and
-    on its first da + db - 2j - 1 columns, highest power first, then the
-    column of x_i^k; 0 <= j < min(da, db), and S_0 is the resultant.
+    The Sylvester matrix is built at the x_i-degrees da and db of a and b,
+    which must be positive.  S_j is the sum over k = 0..j of x_i^k times
+    the minor of the Sylvester matrix on its rows of x_i^t * a (t < db - j)
+    and x_i^t * b (t < da - j), highest first, and on its first
+    da + db - 2j - 1 columns, highest power first, then the column of
+    x_i^k; 0 <= j < min(da, db), and S_0 is the resultant.
 
     The minors are integers once a and b are scaled to integers and every
     other variable is set to an integer, so they come from integer Bareiss
@@ -875,22 +872,15 @@ def subresultant(a: HomPoly, b: HomPoly, i: int, j: int, da: Optional[int] = Non
     D + 1.  A vanishing S_j keeps D as its degree tag.
     """
     a._check_compatible(b)
-    if da is None and db is None:
-        da, db = a.var_degree(i), b.var_degree(i)
-        if da == 0 or db == 0:
-            raise PolynomialError("resultant requires positive degree in x_i")
-    elif da < 1 or db < 1:
-        raise PolynomialError("formal resultant degrees must be positive")
-    elif a.var_degree(i) > da or b.var_degree(i) > db:
-        raise PolynomialError("actual x_i-degree exceeds the formal degree")
+    da, db = a.var_degree(i), b.var_degree(i)
+    if da == 0 or db == 0:
+        raise PolynomialError("resultant requires positive degree in x_i")
     if not 0 <= j < min(da, db):
         raise PolynomialError(f"subresultant index {j} outside 0..{min(da, db) - 1}")
     n = a.nvars
     size = da + db - 2 * j
     degree = (a.degree * (db - j) + b.degree * (da - j) - (da - j) * (db - j)
               - j * (size - 1))
-    if degree < 0:
-        return zero(n, 0)
     rest = [v for v in range(n) if v != i]
     free = rest[:-1]
     weights = [(degree + 1) ** t for t in range(len(free))]
@@ -933,14 +923,10 @@ def subresultant(a: HomPoly, b: HomPoly, i: int, j: int, da: Optional[int] = Non
     return HomPoly(n, degree, terms)
 
 
-def resultant_wrt(a: HomPoly, b: HomPoly, i: int, da: Optional[int] = None,
-                  db: Optional[int] = None) -> HomPoly:
+def resultant_wrt(a: HomPoly, b: HomPoly, i: int) -> HomPoly:
     """Sylvester resultant of a and b with respect to x_i: ``subresultant``
-    with j = 0.  Padded to the total degrees, it vanishes at every common
-    projective zero even where an x_i-degree drops; for elimination the
-    right formal degree is a form's degree in the block of variables being
-    specialized."""
-    return subresultant(a, b, i, 0, da, db)
+    with j = 0."""
+    return subresultant(a, b, i, 0)
 
 
 def _bareiss_last_row(matrix: list, k: int) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import comb, gcd as int_gcd, lcm
 from typing import Optional, Sequence
 
 import mpmath
@@ -62,9 +62,30 @@ def _rref(m: list, ncols: int) -> list:
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    return len(_rref(m, len(m[0]))) if m else 0
+    """Rank of a rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    integer matrix is reduced by Bareiss elimination, one column at a time:
+    every entry left after a step is a minor of the matrix, so the division
+    by the previous pivot is exact.
+    """
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    rank, prev = 0, 1
+    while m and m[0]:
+        i = next((i for i, row in enumerate(m) if row[0]), None)
+        if i is None:
+            m = [row[1:] for row in m]
+            continue
+        pivot = m.pop(i)
+        p, tail = pivot[0], pivot[1:]
+        m = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
+        prev = p
+        rank += 1
+    return rank
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
@@ -314,15 +335,26 @@ def _normalize_scalars(comps: Sequence[HomPoly]) -> list:
 
 
 def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationResult:
-    """Primitivize and certify that the only common zero is the origin.
+    """Primitivize and decide whether the only common zero is the origin.
 
-    For P^1 the certificate is a nonvanishing homogeneous resultant.  For
-    P^2 it combines direct checks at the coordinate points with iterated
-    resultants over every variable order, each taken at formal degrees
-    equal to the total degrees so that it vanishes at every common zero
-    even where an x_i-degree drops; when every order degenerates, a
-    high-precision search hunts for an approximate common zero to use as a
-    witness.
+    The decision is one exact rank (Macaulay 1916).  In n = k + 1
+    variables, n forms f_0..f_k of degree d with no common zero but the
+    origin form a regular sequence, so the quotient of the polynomial ring
+    by their ideal has the Hilbert series (1 + t + ... + t^(d-1))^n, a
+    polynomial of degree n(d - 1).  Every form of degree D = n(d - 1) + 1
+    then lies in the ideal: it is a combination of the products m * f_i,
+    m a monomial of degree D - d = k(d - 1).  A common zero p bars that,
+    since every such product vanishes at p and x_j^D does not, x_j a
+    coordinate of p that is non-zero.  So the map is well defined exactly
+    when the matrix of those products has rank the number of monomials of
+    degree D; for P^1 it is the Sylvester matrix.
+
+    A degenerate map gets a witness.  On P^1 it is the common factor.  On
+    P^2 it is a common zero on a factor shared by two components, or else
+    one of the common zeros of the coprime f_0 and f_1 from
+    :func:`numeric.solve_pair_p2`: the first rational one where f_2
+    vanishes exactly, or the irrational one where |f_2| is least, reported
+    as approximate.  A failed solve leaves the verdict and quotes the error.
     """
     precision = numeric.resolve_precision(precision)
     comps, reduced = primitivize(m.comps)
@@ -338,82 +370,65 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
     if mm.d == 0:
         # Non-zero constants have no common zero.
         return ValidationResult(mm, "well-defined", reduced=reduced)
-    if mm.k == 1:
-        res = poly.resultant_wrt(comps[0], comps[1], 0, mm.d, mm.d)
-        if res.is_zero():
-            g = poly.gcd(comps[0], comps[1])
-            return ValidationResult(
-                mm, "degenerate",
-                witness=f"common factor {poly.format_poly(g)}", reduced=reduced,
-            )
+    n, top = mm.k + 1, (mm.k + 1) * (mm.d - 1) + 1
+    shifts = {(0,) * n}  # raised to the monomials of degree top - d
+    for _ in range(top - mm.d):
+        shifts = {s[:i] + (s[i] + 1,) + s[i + 1:] for s in shifts for i in range(n)}
+    rows = [{tuple(a + b for a, b in zip(e, s)): q for e, q in c.terms.items()}
+            for c in comps for s in sorted(shifts)]
+    columns = sorted(set().union(*rows))
+    matrix = [[r.get(e, 0) for e in columns] for r in rows]
+    if exact_rank(matrix) == comb(top + n - 1, n - 1):
         return ValidationResult(mm, "well-defined", reduced=reduced)
-    return _validate_p2(mm, reduced, precision)
+    return ValidationResult(mm, "degenerate", witness=_witness(comps, precision),
+                            reduced=reduced)
 
 
-def _validate_p2(mm: ProjectiveMap, reduced: bool, precision: int) -> ValidationResult:
-    comps = mm.comps
-    names = ("x", "y", "z")
+def _witness(comps: Sequence[HomPoly], precision: int) -> str:
+    """Where the components of a degenerate map of P^1 or P^2 vanish together."""
+    if len(comps) == 2:
+        return f"common factor {poly.format_poly(poly.gcd(comps[0], comps[1]))}"
     # Pairwise common factors force a common zero of all three by dimension.
     for i in range(3):
         for j in range(i + 1, 3):
             g = poly.gcd(comps[i], comps[j])
             if not g.is_constant():
-                third = 3 - i - j
-                point = _zero_on_factor(g, comps[third], precision)
-                witness = (
-                    f"common zero at {point}" if point is not None else
+                point = _zero_on_factor(g, comps[3 - i - j], precision)
+                return _zero_text(point) if point is not None else (
                     f"components {i} and {j} share the factor "
                     f"{poly.format_poly(g)}, which meets the zero set of "
                     f"the third component"
                 )
-                return ValidationResult(
-                    mm, "degenerate", witness=witness, reduced=reduced,
-                )
-    # Coordinate points.
-    for v in range(3):
-        point = tuple(Fraction(int(t == v)) for t in range(3))
-        if all(c.evaluate(point) == 0 for c in comps):
-            coords = ":".join("1" if t == v else "0" for t in range(3))
-            return ValidationResult(
-                mm, "degenerate", witness=f"common zero at ({coords})", reduced=reduced,
-            )
-    # Iterated resultants: eliminating x_v detects any common zero whose
-    # other two coordinates do not both vanish; those exceptional points are
-    # exactly the coordinate points already checked.
-    for v in range(3):
-        pads = {}
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            r = poly.resultant_wrt(comps[i], comps[j], v, mm.d, mm.d)
-            if r.var_degree(v):
-                raise MapError("a validation resultant kept the eliminated variable")
-            if not r.is_zero():
-                pads[(i, j)] = poly.slice_poly(r, v)
-        keys = sorted(pads)
-        for s in range(len(keys)):
-            for t in range(s + 1, len(keys)):
-                ra, rb = pads[keys[s]], pads[keys[t]]
-                rho = poly.resultant_wrt(ra, rb, 0, ra.degree, rb.degree)
-                if not rho.is_zero():
-                    return ValidationResult(mm, "well-defined", reduced=reduced)
-    # Every certificate degenerated: look for an actual common zero.
-    witness = _search_common_zero(comps, precision)
-    if witness is not None:
-        return ValidationResult(
-            mm, "degenerate",
-            witness="approximate common zero at " + witness, reduced=reduced,
-        )
-    raise MapError(
-        "validation inconclusive: every resultant certificate degenerated "
-        "but no common zero was found numerically"
-    )
+    # Now f_0 and f_1 are coprime, and every common zero is one of theirs.
+    try:
+        points, _ = numeric.solve_pair_p2(comps[0], comps[1], precision)
+    except numeric.NumericalError as exc:
+        return f"no common zero located: solving components 0 and 1 failed: {exc}"
+    for pt in points:
+        if numeric.is_exact(pt) and comps[2].evaluate(pt) == 0:
+            return _zero_text(pt)
+    # A common zero that is not rational is one of the irrational points.
+    with mpmath.workprec(precision):
+        return _zero_text(min((pt for pt in points if not numeric.is_exact(pt)),
+                              key=lambda pt: mpmath.fabs(numeric.eval_form(comps[2], pt))))
 
 
-def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int) -> Optional[str]:
-    """An explicit common zero on a factor shared by two components.
+def _zero_text(pt) -> str:
+    """A witness point as text: (a:b:c) in coprime integers when it is
+    exact, its coordinates to 8 digits when it is approximate."""
+    if numeric.is_exact(pt):
+        return "common zero at (" + ":".join(str(x) for x in primitive_vector(pt)) + ")"
+    return ("approximate common zero at ("
+            + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")")
 
-    Rational points get exact integer coordinates; otherwise a numeric
-    solution is reported approximately.  None means the point resisted
-    both routes (the caller falls back to a structural message).
+
+def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int):
+    """A common zero of ``other`` and a factor g shared by two components.
+
+    A rational point on a linear factor of g comes back exact, and
+    otherwise the first common zero of g and ``other`` from the pair
+    solver.  None means the solve failed (the caller falls back to a
+    structural message).
     """
     factors, _residual = poly.linear_factors(poly.squarefree_part(g))
     for form, _mult in factors:
@@ -421,34 +436,15 @@ def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int) -> Optional[str]
         subs = [poly.linear_form(row) for row in emb.matrix]
         restricted = poly.compose(other, subs)
         if restricted.is_zero():
-            pt = emb.apply((Fraction(1), Fraction(0)))
-            return "(" + ":".join(str(x) for x in primitive_vector(list(pt))) + ")"
+            return emb.apply((Fraction(1), Fraction(0)))
         lin, _res = poly.linear_factors(restricted)
         for lf, _m in lin:
-            pt = primitive_vector(emb.apply(poly.root_of_binary_linear(lf)))
-            return "(" + ":".join(str(x) for x in pt) + ")"
+            return emb.apply(poly.root_of_binary_linear(lf))
     try:
         points, _ = numeric.solve_pair_p2(g, other, precision)
     except numeric.NumericalError:
         return None
-    for pt in points:
-        return "(" + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")"
-    return None
-
-
-def _search_common_zero(comps, precision: int) -> Optional[str]:
-    with mpmath.workprec(precision):
-        tol = numeric.tolerances(precision).verify
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            third = [t for t in range(3) if t not in (i, j)][0]
-            try:
-                points, _ = numeric.solve_pair_p2(comps[i], comps[j], precision)
-            except numeric.NumericalError:
-                continue
-            for pt in points:
-                if mpmath.fabs(numeric.eval_form(comps[third], pt)) < tol:
-                    return "(" + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")"
-    return None
+    return points[0]
 
 
 # -- iteration and calculus ---------------------------------------------------

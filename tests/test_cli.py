@@ -302,6 +302,27 @@ class TestPeriodic:
         assert report["theorem_b"]["ok"] is True
         assert report["theorem_b"]["violations"] == []
 
+    def test_cyclic_quadratic_fixed_points(self, tmp_path, capsys):
+        # Each pair of these forms meets where the third is far from 0, so
+        # no pairwise certificate applies; the Macaulay rank is full.
+        def term(num, exps):
+            return {"num": str(num), "den": "1", "exps": exps}
+
+        data = {"k": 2, "degree": 2, "components": [
+            [term(1, [0, 0, 2]), term(-1, [2, 0, 0]), term(-1, [1, 1, 0]),
+             term(-1, [0, 2, 0])],
+            [term(1, [2, 0, 0]), term(-1, [0, 2, 0]), term(-1, [0, 1, 1]),
+             term(-1, [0, 0, 2])],
+            [term(1, [0, 2, 0]), term(-1, [2, 0, 0]), term(-1, [1, 0, 1]),
+             term(-1, [0, 0, 2])],
+        ]}
+        path = _write_mapfile(tmp_path, data)
+        code, report, _err = _report(capsys, "periodic", path, "--period", "1")
+        assert code == cli.EXIT_OK
+        assert report["map"]["validation"]["verdict"] == "well-defined"
+        [row] = report["periodic"]["bezout"]
+        assert row["expected"] == row["weighted"] == 7
+
     def test_budget_exit(self, capsys):
         code, report, _err = _report(capsys, "periodic", "catalog:squaring-p2",
                                      "--period", "9")

@@ -245,6 +245,24 @@ class TestSolvePairP2:
         assert sorted(projmap.primitive_vector(list(pt)) for pt in points) == [
             (0, 0, 1), (1, n, n * n)]
 
+    def test_rational_fibers_compile_no_forms(self, monkeypatch):
+        # x^2 - z^2 and y^2 - 4z^2 meet in four rational simple points, so
+        # no fiber is evaluated numerically and no form is compiled.
+        built = []
+
+        class Counting(numeric.MpForm):
+            def __init__(self, p):
+                built.append(p)
+                super().__init__(p)
+
+        monkeypatch.setattr(numeric, "MpForm", Counting)
+        a = _p(3, 2, {(2, 0, 0): 1, (0, 0, 2): -1})
+        b = _p(3, 2, {(0, 2, 0): 1, (0, 0, 2): -4})
+        points, mults = numeric.solve_pair_p2(a, b, 256)
+        assert len(points) == 4 and mults == [1] * 4
+        assert all(numeric.is_exact(pt) for pt in points)
+        assert built == []
+
     def test_fibers_hold_only_common_zeros(self):
         # Every point over every eliminant root is a common zero: nothing
         # is filtered out, and the count is the intersection number.

@@ -294,21 +294,6 @@ class TestResultants:
         with pytest.raises(PolynomialError):
             poly.resultant_wrt(poly.variable(2, 1), poly.variable(2, 0), 0)
 
-    def test_formal_degrees_must_cover_actual(self):
-        a = _p(2, 2, {X2: 1, Y2: 1})
-        with pytest.raises(PolynomialError):
-            poly.resultant_wrt(a, a, 0, 1, 2)
-
-    def test_formal_equals_actual_at_matching_degrees(self):
-        a = _p(2, 2, {X2: 1, Y2: -2})
-        b = _p(2, 2, {X2: 1, XY: 1, Y2: 1})
-        assert poly.resultant_wrt(a, b, 0, 2, 2) == poly.resultant_wrt(a, b, 0)
-
-    def test_padded_matches_wrt_at_full_degrees(self):
-        a = _p(2, 2, {X2: 1, Y2: -2})
-        b = _p(2, 1, {(1, 0): 1, (0, 1): 1})
-        assert poly.resultant_wrt(a, b, 0, a.degree, b.degree) == poly.resultant_wrt(a, b, 0)
-
     def test_det_two_by_two(self):
         x, y = poly.variable(2, 0), poly.variable(2, 1)
         assert poly.det([[x, y], [y, x]]) == _p(2, 2, {X2: 1, Y2: -1})
@@ -316,7 +301,7 @@ class TestResultants:
 
 # -- oracle: subresultants as Sylvester minors over Fractions -------------------
 #
-# S_j of a and b in x_i, at formal degrees (da, db), is the sum over k <= j
+# S_j of a and b in x_i, of x_i-degrees da and db, is the sum over k <= j
 # of x_i^k times the minor of the Sylvester matrix on the rows of
 # x_i^t * a (t < db - j) and x_i^t * b (t < da - j), highest first, and on
 # the columns of the powers da + db - j - 1 down to j + 1, then the power k.
@@ -375,17 +360,13 @@ class TestSubresultantOracle:
             if rng.random() < 0.3:
                 g = ps.random_form(rng, nvars, 1)
                 a, b = a * g, b * g
-            formal = rng.random() < 0.5
             da, db = a.var_degree(i), b.var_degree(i)
-            if formal:
-                da, db = da + rng.randint(0, 2), db + rng.randint(0, 2)
             if min(da, db) == 0:
                 continue
             j = rng.randrange(min(da, db))
-            degrees = (da, db) if formal else ()
-            s = poly.subresultant(a, b, i, j, *degrees)
+            s = poly.subresultant(a, b, i, j)
             if j == 0:
-                assert s == poly.resultant_wrt(a, b, i, *degrees)
+                assert s == poly.resultant_wrt(a, b, i)
             # Row weights deg a + t and deg b + t, column weights -power.
             top = (sum(a.degree + t for t in range(db - j))
                    + sum(b.degree + t for t in range(da - j))
@@ -399,14 +380,13 @@ class TestSubresultantOracle:
                 cb = _coefficients(b, i, db, point)
                 got = _coefficients(s, i, j, point)
                 assert got == [_minor(ca, cb, j, k) for k in range(j + 1)], (
-                    poly.format_poly(a), poly.format_poly(b), i, j, degrees)
-            seen.add((nvars, formal, j == 0, s.is_zero(), s.degree == 0))
+                    poly.format_poly(a), poly.format_poly(b), i, j)
+            seen.add((nvars, j == 0, s.is_zero()))
             checked += 1
         for nvars in (2, 3):
-            for formal in (False, True):
-                assert any(k[:2] == (nvars, formal) for k in seen)
-        assert any(k[3] for k in seen) and any(k[4] for k in seen)
-        assert any(k[2] for k in seen) and any(not k[2] for k in seen)
+            assert any(k[0] == nvars for k in seen)
+        assert any(k[2] for k in seen)
+        assert any(k[1] for k in seen) and any(not k[1] for k in seen)
 
     def test_index_out_of_range(self):
         a = _p(2, 2, {X2: 1, Y2: -2})

@@ -1,5 +1,6 @@
 """Map layer: validation, iteration, Jacobians, restriction, embeddings."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -121,6 +122,64 @@ class TestValidate:
         m = projmap.ProjectiveMap([conic * x, conic * z, _p(3, 3, {(3, 0, 0): 1})])
         res = projmap.validate(m)
         assert res.verdict == "degenerate"
+        assert res.witness == "common zero at (0:0:1)"
+
+    def test_cyclic_quadratic_well_defined(self):
+        # Every pair of these forms meets where the third is far from 0,
+        # and the Macaulay rank is full.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        m = projmap.ProjectiveMap([z * z - x * x - x * y - y * y,
+                                   x * x - y * y - y * z - z * z,
+                                   y * y - x * x - x * z - z * z])
+        assert projmap.validate(m).verdict == "well-defined"
+
+    def test_irrational_common_zero_is_approximate(self):
+        # x = y = +-sqrt(2) z is the only common zero.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        zz = (z * z).scale(2)
+        res = projmap.validate(projmap.ProjectiveMap([x * x - zz, y * y - zz, x * y - zz]))
+        assert res.verdict == "degenerate"
+        assert res.witness.startswith("approximate common zero at (")
+
+    def test_planted_rational_common_zero(self):
+        rng = random.Random(1501)
+        checked = exact = 0
+        for trial in range(180):
+            k, d = 1 + (trial % 3 > 0), 1 + trial // 3 % 3
+            point = [Fraction(rng.randint(-3, 3)) for _ in range(k + 1)]
+            if not any(point):
+                point[rng.randrange(k + 1)] = Fraction(1)
+            j = next(i for i, c in enumerate(point) if c)
+            pin = poly.variable(k + 1, j) ** d
+            comps = []
+            for _ in range(k + 1):
+                f = ps.random_form(rng, k + 1, d)
+                comps.append(f - pin.scale(f.evaluate(point) / point[j] ** d))
+            if any(f.is_zero() for f in comps):
+                continue
+            res = projmap.validate(projmap.ProjectiveMap(comps))
+            if k == 1:
+                # On P^1 a common zero is a common factor, which
+                # primitivization divides out.
+                assert res.reduced and res.verdict == "well-defined", comps
+                continue
+            if res.reduced:
+                continue  # the factor divided out may have held the zero
+            checked += 1
+            assert res.verdict == "degenerate", comps
+            if res.witness.startswith("common zero at ("):
+                exact += 1
+                coords = res.witness[len("common zero at ("):-1].split(":")
+                zero = [Fraction(c) for c in coords]
+                assert all(f.evaluate(zero) == 0 for f in res.map.comps)
+        assert checked > 80 and exact > 80
+
+    def test_triangular_maps_well_defined(self):
+        rng = random.Random(1502)
+        for trial in range(90):
+            k, d = 1 + trial % 2, 1 + trial // 2 % 3
+            m = ps.random_triangular_map(rng, k, d)
+            assert projmap.validate(m).verdict == "well-defined", m
 
     def test_vanishing_component(self):
         s = poly.variable(2, 0)
@@ -323,6 +382,27 @@ class TestLinearAlgebra:
             [Fraction(0), Fraction(1)],
         ]
         assert projmap.exact_rank(rows) == 2
+
+    def test_exact_rank_matches_rref(self):
+        rng = random.Random(1503)
+        shapes = [(1, 1), (1, 4), (4, 1), (3, 3), (5, 3), (3, 5), (6, 6)]
+        for trial in range(210):
+            nrows, ncols = shapes[trial % len(shapes)]
+            rank = rng.randint(0, min(nrows, ncols))
+            # A product of random factors through the chosen inner width,
+            # with some rows zeroed and some fractions.
+            left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in range(rank)] for _ in range(nrows)]
+            right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(ncols)] for _ in range(rank)]
+            rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                     for col in zip(*right)] if right else [Fraction(0)] * ncols
+                    for row in left]
+            if rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+            want = len(projmap._rref([list(r) for r in rows], ncols))
+            assert projmap.exact_rank(rows) == want, rows
+        assert projmap.exact_rank([]) == 0
 
     def test_nullspace_orthogonal(self):
         rows = [[Fraction(1), Fraction(-2), Fraction(3)]]
