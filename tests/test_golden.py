@@ -50,6 +50,9 @@ CASES = (
      ["periodic", "catalog:squaring-p1", "--period", "3"], 0),
     ("fatou-squaring-p2.json",
      ["fatou", "catalog:squaring-p2", "--grid", "16", "--radius", "0.9"], 0),
+    # Its candidates come from the conic 4xz - y^2 meeting the lines, the
+    # one non-linear pair among the catalog's intersection solves.
+    ("fatou-sym2.json", ["fatou", "sym2.json", "--grid", "16"], 0),
     # Below the default 256 bits, so a tolerance built at the wrong
     # precision shows.
     ("periodic-2-sym2-128.json",
