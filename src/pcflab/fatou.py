@@ -66,24 +66,6 @@ def _numeric_orbit_period(m: ProjectiveMap, point, precision: int,
     return None
 
 
-def _intersection_points(nodes, precision: int):
-    """Pairwise zero-dimensional intersections: (exact list, numeric list)."""
-    exact, approx = [], numeric.PointSet(precision)
-    with mpmath.workprec(precision):
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                pts, _mults = numeric.solve_pair_p2(nodes[i].form, nodes[j].form,
-                                                    precision)
-                for pt in pts:
-                    if numeric.is_exact(pt):
-                        vec = projmap.primitive_vector(list(pt))
-                        if vec not in exact:
-                            exact.append(vec)
-                    else:
-                        approx.add(pt)
-    return exact, approx.points
-
-
 def _all_zero_spectrum(m: ProjectiveMap, point, period: int,
                        precision: int) -> bool:
     spectrum = periodic.multipliers(m, point, period, precision)
@@ -114,7 +96,12 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
                     for root, _mult in numeric.binary_form_roots(node.form, precision):
                         approx.append(numeric.normalize_point(root)[0])
     elif m.k == 2:
-        exact, approx = _intersection_points(graph.nodes, precision)
+        points, failed = projmap.pairwise_intersections(
+            [node.form for node in graph.nodes], precision)
+        if failed:
+            raise failed[0][1]
+        exact = [pt for pt, _pairs in points if numeric.is_exact(pt)]
+        approx = [pt for pt, _pairs in points if not numeric.is_exact(pt)]
         if tower:
             for level in tower:
                 for entry in level.entries:

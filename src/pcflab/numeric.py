@@ -504,11 +504,15 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     Returns ``(points, mults)`` where points is a list of normalized
     triples, of Fractions for a rational point and of mpc values otherwise,
     and mults is a parallel list of eliminant root multiplicities (1 for
-    simple roots; > 1 marks a point that deserves suspicion).  Every point
-    is a common zero: see :func:`_affine_pair_solutions`.  Raises
-    NumericalError when the forms share a factor (positive-dimensional
-    intersection), when root finding or the Newton refinement of a point
-    fails, or when the chart z = 1 cannot be solved in either order.
+    simple roots; > 1 marks a point that deserves suspicion).  A 1 does not
+    prove a simple intersection when one form is free of the eliminated
+    variable, as the eliminant is then that form: x against
+    y^2 z - x^3 - x z^2 gets 1 at (0:0:1), where they meet with
+    multiplicity 2.  Every point is a common zero: see
+    :func:`_affine_pair_solutions`.  Raises NumericalError when the forms
+    share a factor (positive-dimensional intersection), when root finding
+    or the Newton refinement of a point fails, or when the chart z = 1
+    cannot be solved in either order.
     """
     if a.nvars != 3 or b.nvars != 3:
         raise NumericalError("pair solver expects ternary forms")
@@ -548,14 +552,24 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
         zero = mpc_from(0)
         for i in suspects:
             c = tuple(mpc_from(x) for x in points.points[i])
-            va, vb = ([zero + d(c) for d in grad] for grad in grads)
-            cross = max(mpmath.fabs(va[j] * vb[k] - va[k] * vb[j])
-                        for j, k in ((1, 2), (2, 0), (0, 1)))
-            na = max(mpmath.fabs(v) for v in va)
-            nb = max(mpmath.fabs(v) for v in vb)
-            if na > 0 and nb > 0 and cross > tolerances(precision).dedup * na * nb:
+            if independent_gradients(*([zero + d(c) for d in grad] for grad in grads)):
                 mults[i] = 1
     return points.points, mults
+
+
+def independent_gradients(va, vb) -> bool:
+    """Whether two gradients at a point are independent, to the dedup
+    tolerance of the working precision.
+
+    Their largest 2 x 2 minor must exceed dedup times the largest modulus
+    of each; a vanishing gradient is never independent of another.
+    """
+    va, vb = [mpc_from(v) for v in va], [mpc_from(v) for v in vb]
+    cross = max(mpmath.fabs(va[j] * vb[k] - va[k] * vb[j])
+                for j in range(len(va)) for k in range(j + 1, len(va)))
+    na = max(mpmath.fabs(v) for v in va)
+    nb = max(mpmath.fabs(v) for v in vb)
+    return na > 0 and nb > 0 and cross > tolerances(mpmath.mp.prec).dedup * na * nb
 
 
 def is_exact(coords) -> bool:

@@ -383,12 +383,13 @@ class IntersectionEvidence:
     members: tuple  # indices into the component sequence
     rank_at_point: int  # least rank of two members' gradients at the point
     generic_rank: int  # 2: the rank of two members that meet transversally
-    exact: bool
+    exact: bool  # the point is rational, and its label and rank are exact
 
 
 @dataclass(frozen=True)
 class TransversalityReport:
-    verdict: str  # weakly-transverse | weakly-transverse(sampled) | not-weakly-transverse | inconclusive
+    # weakly-transverse | not-weakly-transverse, decided exactly pair by pair
+    verdict: str
     evidence: tuple
     witness: Optional[str] = None
 
@@ -401,61 +402,45 @@ def _gradient_rows(forms, point):
     return rows
 
 
-def _numeric_rank(rows, tol) -> int:
-    # Entries may be exact Fractions (constant partials of linear forms),
-    # which mpmath's constructors reject; mpc_from converts both kinds.
-    m = [[numeric.mpc_from(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    scale = max((mpmath.fabs(x) for row in m for x in row), default=mpmath.mpf(0))
-    if scale == 0:
-        return 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        best = tol * scale
-        for r in range(row, len(m)):
-            if mpmath.fabs(m[r][col]) > best:
-                best = mpmath.fabs(m[r][col])
-                pivot = r
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and mpmath.fabs(m[r][col]) > 0:
-                fac = m[r][col]
-                m[r] = [a - fac * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+def _tangent(a: HomPoly, b: HomPoly) -> bool:
+    """Whether two plane curves meet somewhere with dependent gradients.
 
-
-def _pair_evidence(label: str, members: tuple, rows, rank,
-                   exact: bool) -> IntersectionEvidence:
-    """Evidence at one point from its members' gradient rows.
-
-    The arrangement is weakly transverse at the point when every two
-    members have independent gradients there, so the least rank of a pair
-    of rows is compared with 2.  ``rank`` ranks a list of rows.
+    Exactly when a, b and the three 2 x 2 minors of their gradients have a
+    common zero, which :func:`projmap.has_common_zero` decides.  Curves
+    sharing a factor count as tangent along it.
     """
-    least = min((rank([a, b]) for a, b in combinations(rows, 2)), default=2)
-    return IntersectionEvidence(label, members, least, 2, exact)
+    ga, gb = ([poly.partial(f, j) for j in range(3)] for f in (a, b))
+    minors = [ga[j] * gb[k] - ga[k] * gb[j] for j, k in ((1, 2), (2, 0), (0, 1))]
+    return projmap.has_common_zero([a, b, *minors])
+
+
+def _pair_rank(a: HomPoly, b: HomPoly, point, tangent: bool) -> int:
+    """Rank of the gradients of a and b at a point where both vanish.
+
+    Exact at a rational point.  Elsewhere 2 for a pair that is not tangent
+    anywhere, and else 2 or 1 by :func:`numeric.independent_gradients`.
+    """
+    if not (tangent or numeric.is_exact(point)):
+        return 2
+    rows = _gradient_rows([a, b], point)
+    if numeric.is_exact(point):
+        return projmap.exact_rank(rows)
+    return 2 if numeric.independent_gradients(*rows) else 1
 
 
 def weak_transversality(components: Sequence[Component],
                         precision: Optional[int] = None) -> TransversalityReport:
     """Pairwise audit of the component arrangement.
 
-    At every point where two or more components meet, every two of them
-    must have independent gradients, that is meet transversally; the first
-    point where a pair does not is the witness.  All-linear arrangements
-    are decided exactly, and so is every rational point of the others.  At
-    an irrational point the ranks are numeric, with the dedup tolerance, so
-    a pass there is only ``weakly-transverse(sampled)``.
+    The arrangement is weakly transverse when every two components meet
+    transversally, with independent gradients, wherever they meet.  Each
+    pair is decided exactly by :func:`_tangent`, and a tangent pair makes
+    the verdict not-weakly-transverse.  The evidence lists the points of
+    :func:`projmap.pairwise_intersections`, rational ones sorted first,
+    with the least :func:`_pair_rank` of two members there.  The witness is
+    the first point of rank below 2, or else the first tangent pair; it
+    also names every pair whose points could not be solved for, which
+    leaves the verdict as it is.
     """
     precision = numeric.resolve_precision(precision)
     comps = list(components)
@@ -466,75 +451,30 @@ def weak_transversality(components: Sequence[Component],
     nvars = comps[0].form.nvars
     if nvars != 3:
         raise PcfError("transversality audit expects plane components")
-    if all(c.linear for c in comps):
-        return _transversality_linear(comps)
-    return _transversality_general(comps, precision)
-
-
-def _transversality_linear(comps) -> TransversalityReport:
-    points = {}
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            kernel = projmap.nullspace_basis([poly.linear_coeffs(comps[i].form),
-                                              poly.linear_coeffs(comps[j].form)])
-            if len(kernel) != 1:
-                continue  # identical lines are excluded upstream
-            points.setdefault(kernel[0], set()).update((i, j))
+    forms = [c.form for c in comps]
+    tangent = [pair for pair in combinations(range(len(forms)), 2)
+               if _tangent(*(forms[i] for i in pair))]
+    points, failed = projmap.pairwise_intersections(forms, precision)
+    rational = sum(numeric.is_exact(pt) for pt, _pairs in points)
     evidence = []
-    for vec in sorted(points):
-        members = tuple(sorted(
-            idx for idx, c in enumerate(comps)
-            if c.form.evaluate(tuple(vec)) == 0
-        ))
-        rows = _gradient_rows([comps[i].form for i in members], vec)
-        evidence.append(_pair_evidence(_point_label(vec), members, rows,
-                                       projmap.exact_rank, True))
-    return TransversalityReport("weakly-transverse", tuple(evidence))
-
-
-def _transversality_general(comps, precision: int) -> TransversalityReport:
     with mpmath.workprec(precision):
-        seen = numeric.PointSet(precision)
-        rank_tol = numeric.tolerances(precision).dedup  # refined roots sit far below this
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                try:
-                    found, _ = numeric.solve_pair_p2(comps[i].form, comps[j].form,
-                                                     precision)
-                except numeric.NumericalError as exc:
-                    return TransversalityReport("inconclusive", (),
-                                                witness=str(exc))
-                for pt in found:
-                    seen.add(pt)
-        evidence = []
-        witness = None
-        sampled = False
-        for pt in seen.points:
-            # The solver returns every rational point exactly.
-            exact = projmap.primitive_vector(list(pt)) if numeric.is_exact(pt) else None
-            members = tuple(sorted(
-                idx for idx, c in enumerate(comps)
-                if (exact is not None and c.form.evaluate(tuple(exact)) == 0)
-                or (exact is None and mpmath.fabs(numeric.eval_form(c.form, pt)) < rank_tol)
-            ))
-            forms = [comps[i].form for i in members]
-            if exact is not None:
-                ev = _pair_evidence(_point_label(exact), members,
-                                    _gradient_rows(forms, exact),
-                                    projmap.exact_rank, True)
-            else:
-                sampled = True
-                ev = _pair_evidence(
-                    "(" + ", ".join(mpmath.nstr(x, 12) for x in pt) + ")", members,
-                    _gradient_rows(forms, pt),
-                    lambda rows: _numeric_rank(rows, rank_tol), False)
-            evidence.append(ev)
-            if ev.rank_at_point < ev.generic_rank and witness is None:
-                witness = ev.point
-    if witness is not None:
-        return TransversalityReport("not-weakly-transverse", tuple(evidence), witness)
-    verdict = "weakly-transverse(sampled)" if sampled else "weakly-transverse"
-    return TransversalityReport(verdict, tuple(evidence))
+        for pt, pairs in sorted(points[:rational]) + points[rational:]:
+            members = tuple(sorted({i for pair in pairs for i in pair}))
+            least = min(_pair_rank(forms[i], forms[j], pt, (i, j) in tangent)
+                        for i, j in combinations(members, 2))
+            label = (_point_label(pt) if numeric.is_exact(pt) else
+                     "(" + ", ".join(mpmath.nstr(x, 12) for x in pt) + ")")
+            evidence.append(IntersectionEvidence(label, members, least, 2,
+                                                 numeric.is_exact(pt)))
+    witness = next((ev.point for ev in evidence if ev.rank_at_point < 2), None)
+    if witness is None and tangent:
+        i, j = tangent[0]
+        witness = f"components {i} and {j} are tangent"
+    notes = [witness] + [f"points of components {i} and {j} not located: {exc}"
+                         for (i, j), exc in failed]
+    return TransversalityReport(
+        "not-weakly-transverse" if tangent else "weakly-transverse",
+        tuple(evidence), "; ".join(n for n in notes if n) or None)
 
 
 @dataclass(frozen=True)

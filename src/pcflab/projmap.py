@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd as int_gcd, lcm
 from typing import Optional, Sequence
 
@@ -334,27 +335,54 @@ def _normalize_scalars(comps: Sequence[HomPoly]) -> list:
     return comps
 
 
+def has_common_zero(forms: Sequence[HomPoly]) -> bool:
+    """Whether forms in n variables share a zero other than the origin.
+
+    Zero forms are dropped, and fewer than n forms left always share one.
+    Otherwise the forms have no common zero exactly when their products
+    m * f, m a monomial of degree D - deg f, span every form of degree D,
+    the sum of the n largest degrees minus n - 1 (Lazard 1983).  For n
+    forms of one degree that is the argument of :func:`validate`.
+    """
+    n = forms[0].nvars
+    forms = [f for f in forms if not f.is_zero()]
+    if len(forms) < n:
+        return True
+    if any(f.degree == 0 for f in forms):
+        return False  # a non-zero constant vanishes nowhere
+    top = sum(sorted(f.degree for f in forms)[-n:]) - (n - 1)
+    shifts = [{(0,) * n}]  # shifts[s]: the monomials of degree s
+    for _ in range(top - min(f.degree for f in forms)):
+        shifts.append({m[:i] + (m[i] + 1,) + m[i + 1:] for m in shifts[-1] for i in range(n)})
+    rows = [{tuple(a + b for a, b in zip(e, m)): q for e, q in f.terms.items()}
+            for f in forms for m in sorted(shifts[top - f.degree])]
+    columns = sorted(set().union(*rows))
+    matrix = [[r.get(e, 0) for e in columns] for r in rows]
+    return exact_rank(matrix) < comb(top + n - 1, n - 1)
+
+
 def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationResult:
     """Primitivize and decide whether the only common zero is the origin.
 
-    The decision is one exact rank (Macaulay 1916).  In n = k + 1
-    variables, n forms f_0..f_k of degree d with no common zero but the
-    origin form a regular sequence, so the quotient of the polynomial ring
-    by their ideal has the Hilbert series (1 + t + ... + t^(d-1))^n, a
-    polynomial of degree n(d - 1).  Every form of degree D = n(d - 1) + 1
-    then lies in the ideal: it is a combination of the products m * f_i,
-    m a monomial of degree D - d = k(d - 1).  A common zero p bars that,
-    since every such product vanishes at p and x_j^D does not, x_j a
-    coordinate of p that is non-zero.  So the map is well defined exactly
-    when the matrix of those products has rank the number of monomials of
-    degree D; for P^1 it is the Sylvester matrix.
+    The decision is one exact rank (Macaulay 1916), :func:`has_common_zero`.
+    In n = k + 1 variables, n forms f_0..f_k of degree d with no common
+    zero but the origin form a regular sequence, so the quotient of the
+    polynomial ring by their ideal has the Hilbert series
+    (1 + t + ... + t^(d-1))^n, a polynomial of degree n(d - 1).  Every form
+    of degree D = n(d - 1) + 1 then lies in the ideal: it is a combination
+    of the products m * f_i, m a monomial of degree D - d = k(d - 1).  A
+    common zero p bars that, since every such product vanishes at p and
+    x_j^D does not, x_j a coordinate of p that is non-zero.  So the map is
+    well defined exactly when the matrix of those products has rank the
+    number of monomials of degree D; for P^1 it is the Sylvester matrix.
 
-    A degenerate map gets a witness.  On P^1 it is the common factor.  On
-    P^2 it is a common zero on a factor shared by two components, or else
-    one of the common zeros of the coprime f_0 and f_1 from
-    :func:`numeric.solve_pair_p2`: the first rational one where f_2
-    vanishes exactly, or the irrational one where |f_2| is least, reported
-    as approximate.  A failed solve leaves the verdict and quotes the error.
+    A degenerate map gets a witness.  On P^2 it is a common zero on a
+    factor shared by two components, or else one of the common zeros of
+    the coprime f_0 and f_1 from :func:`numeric.solve_pair_p2`: the first
+    rational one where f_2 vanishes exactly, or the irrational one where
+    |f_2| is least, reported as approximate.  A failed solve leaves the
+    verdict and quotes the error.  On P^1 only a vanishing component makes
+    a map degenerate, as primitivizing divides out a common factor.
     """
     precision = numeric.resolve_precision(precision)
     comps, reduced = primitivize(m.comps)
@@ -367,27 +395,14 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
             )
     if mm.k > 2:
         raise MapError(f"validation implemented for P^1 and P^2 only, not P^{mm.k}")
-    if mm.d == 0:
-        # Non-zero constants have no common zero.
-        return ValidationResult(mm, "well-defined", reduced=reduced)
-    n, top = mm.k + 1, (mm.k + 1) * (mm.d - 1) + 1
-    shifts = {(0,) * n}  # raised to the monomials of degree top - d
-    for _ in range(top - mm.d):
-        shifts = {s[:i] + (s[i] + 1,) + s[i + 1:] for s in shifts for i in range(n)}
-    rows = [{tuple(a + b for a, b in zip(e, s)): q for e, q in c.terms.items()}
-            for c in comps for s in sorted(shifts)]
-    columns = sorted(set().union(*rows))
-    matrix = [[r.get(e, 0) for e in columns] for r in rows]
-    if exact_rank(matrix) == comb(top + n - 1, n - 1):
+    if not has_common_zero(comps):
         return ValidationResult(mm, "well-defined", reduced=reduced)
     return ValidationResult(mm, "degenerate", witness=_witness(comps, precision),
                             reduced=reduced)
 
 
 def _witness(comps: Sequence[HomPoly], precision: int) -> str:
-    """Where the components of a degenerate map of P^1 or P^2 vanish together."""
-    if len(comps) == 2:
-        return f"common factor {poly.format_poly(poly.gcd(comps[0], comps[1]))}"
+    """Where the components of a degenerate map of P^2 vanish together."""
     # Pairwise common factors force a common zero of all three by dimension.
     for i in range(3):
         for j in range(i + 1, 3):
@@ -445,6 +460,42 @@ def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int):
     except numeric.NumericalError:
         return None
     return points[0]
+
+
+def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
+    """The points where two of a list of distinct plane curves meet.
+
+    Returns ``(points, failed)``.  ``points`` holds ``(point, pairs)``, the
+    pairs (i, j), i < j, of curves that meet at the point.  The rational
+    points come first, each as its primitive integer vector, then the
+    others as normalized mpc triples merged within the dedup tolerance;
+    each group is in the order the pairs first meet it.  Two lines meet at
+    the kernel of their coefficient rows, and any other pair at the points
+    of :func:`numeric.solve_pair_p2`, which returns every rational point
+    exactly.  ``failed`` holds ``((i, j), error)`` for each pair whose
+    solve raised NumericalError.
+    """
+    exact, approx, approx_pairs, failed = {}, numeric.PointSet(precision), [], []
+    with mpmath.workprec(precision):
+        for i, j in combinations(range(len(forms)), 2):
+            a, b = forms[i], forms[j]
+            try:
+                found = (nullspace_basis([poly.linear_coeffs(a), poly.linear_coeffs(b)])
+                         if a.degree == b.degree == 1
+                         else numeric.solve_pair_p2(a, b, precision)[0])
+            except numeric.NumericalError as exc:
+                failed.append(((i, j), exc))
+                continue
+            for pt in found:
+                if numeric.is_exact(pt):
+                    exact.setdefault(primitive_vector(pt), []).append((i, j))
+                    continue
+                known = approx.add(pt)
+                if known is None:
+                    approx_pairs.append([(i, j)])
+                else:
+                    approx_pairs[known].append((i, j))
+    return [*exact.items(), *zip(approx.points, approx_pairs)], failed
 
 
 # -- iteration and calculus ---------------------------------------------------

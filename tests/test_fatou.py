@@ -60,9 +60,22 @@ class TestIntersectionPoints:
         n = 10**7 + 19
         conic = pcf.make_component(poly.HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
         line = pcf.make_component(poly.linear_form([-n, 1, 0]))
-        exact, approx = fatou._intersection_points([conic, line], 256)
-        assert sorted(exact) == [(0, 0, 1), (1, n, n * n)]
-        assert approx == []
+        points, failed = projmap.pairwise_intersections([conic.form, line.form], 256)
+        assert sorted(points) == [((0, 0, 1), [(0, 1)]), ((1, n, n * n), [(0, 1)])]
+        assert failed == []
+
+    def test_points_carry_the_pairs_that_meet_there(self):
+        # x, y and x + y meet only at (0:0:1), and so does the conic
+        # 4xz - y^2, which meets y again at (1:0:0) and x + y at (4:-4:1).
+        forms = [poly.linear_form([1, 0, 0]), poly.linear_form([0, 1, 0]),
+                 poly.linear_form([1, 1, 0]),
+                 poly.HomPoly(3, 2, {(1, 0, 1): 4, (0, 2, 0): -1})]
+        points, failed = projmap.pairwise_intersections(forms, 256)
+        assert failed == []
+        assert points == [
+            ((0, 0, 1), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            ((1, 0, 0), [(1, 3)]),
+            ((4, -4, 1), [(2, 3)])]
 
 
 class TestScanConfig:

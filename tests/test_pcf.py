@@ -1,12 +1,13 @@
 """Critical orbits: components, images, closure, tower, structural audits."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pcflab import catalog, cli, pcf, poly, projmap
+from pcflab import catalog, cli, numeric, pcf, poly, projmap
 
 import property_suites as ps
 
@@ -38,6 +39,17 @@ S = poly.variable(2, 0)
 T = poly.variable(2, 1)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _monomials(nvars, degree):
+    if nvars == 1:
+        return [(degree,)]
+    return [(i,) + e for i in range(degree + 1) for e in _monomials(nvars - 1, degree - i)]
+
+
+def _coords(label):
+    """The integer coordinates of a point label such as "(1:0:-2)"."""
+    return tuple(Fraction(x) for x in label[1:-1].split(":"))
 
 
 class TestMakeComponent:
@@ -310,12 +322,56 @@ class TestWeakTransversality:
         assert bad[0].generic_rank == 2
         assert bad[0].exact
 
-    def test_transverse_conic_sampled(self):
+    def test_transverse_conic_exact(self):
+        # x^2 + 2y^2 - z^2 meets x = y at the irrational (1 : 1 : ±√3).
         conic = pcf.make_component(_p(3, 2, {(2, 0, 0): 1, (0, 2, 0): 2,
                                              (0, 0, 2): -1}))
         report = pcf.weak_transversality([conic, _line([1, -1, 0])])
-        assert report.verdict == "weakly-transverse(sampled)"
+        assert report.verdict == "weakly-transverse"
+        assert report.witness is None
+        assert len(report.evidence) == 2
+        assert not any(ev.exact for ev in report.evidence)
         assert all(ev.rank_at_point == ev.generic_rank for ev in report.evidence)
+
+    def test_irrational_tangency_detected(self):
+        # On yz = x^2 with z = 1, y^2 - 3yz + 4z^2 - x^2 is (y - 2)^2, so the
+        # conics touch at (±√2 : 2 : 1) and nowhere else.
+        a = pcf.make_component(_p(3, 2, {(0, 1, 1): 1, (2, 0, 0): -1}))
+        b = pcf.make_component(_p(3, 2, {(0, 2, 0): 1, (0, 1, 1): -3,
+                                          (0, 0, 2): 4, (2, 0, 0): -1}))
+        report = pcf.weak_transversality([a, b])
+        assert report.verdict == "not-weakly-transverse"
+        assert [ev.rank_at_point for ev in report.evidence] == [1, 1]
+        assert not any(ev.exact for ev in report.evidence)
+        assert report.witness == report.evidence[0].point
+
+    def test_tangency_where_the_solver_hint_is_simple(self):
+        # x meets y^2 z - x^3 - x z^2 twice at (0:0:1), though the pair
+        # solver's multiplicity hint there is 1.
+        cubic = pcf.make_component(_p(3, 3, {(0, 2, 1): 1, (3, 0, 0): -1,
+                                             (1, 0, 2): -1}))
+        _points, mults = numeric.solve_pair_p2(X, cubic.form, 256)
+        assert mults == [1, 1]
+        report = pcf.weak_transversality([_line([1, 0, 0]), cubic])
+        assert report.verdict == "not-weakly-transverse"
+        assert report.witness == "(0:0:1)"
+        assert {ev.point: ev.rank_at_point for ev in report.evidence} == {
+            "(0:0:1)": 1, "(0:1:0)": 2}
+
+    def test_unsolved_pair_named_in_the_witness(self, monkeypatch):
+        def fail(a, b, precision):
+            raise numeric.NumericalError("no roots")
+
+        monkeypatch.setattr(numeric, "solve_pair_p2", fail)
+        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        report = pcf.weak_transversality([conic, _line([1, -1, 0])])
+        assert report.verdict == "weakly-transverse"
+        assert report.evidence == ()
+        assert report.witness == "points of components 0 and 1 not located: no roots"
+        report = pcf.weak_transversality([conic, _line([0, 0, 1])])
+        assert report.verdict == "not-weakly-transverse"
+        assert report.witness == ("components 0 and 1 are tangent; points of "
+                                  "components 0 and 1 not located: no roots")
 
     def test_rational_point_of_large_height_is_exact(self):
         # xz - y^2 and y - N x meet at (1 : N : N^2) and (0 : 0 : 1).  The
@@ -328,6 +384,43 @@ class TestWeakTransversality:
         assert sorted(ev.point for ev in report.evidence) == [
             "(0:0:1)", f"(1:{n}:{n * n})"]
         assert all(ev.exact for ev in report.evidence)
+
+    def test_seeded_verdicts_agree_with_exact_ranks(self):
+        rng = random.Random(1601)
+        planted = 0
+        while planted < 6:
+            # c and c + L^2 M have the same gradient where c and L vanish.
+            c = ps.random_form(rng, 3, rng.choice((2, 3)), max_terms=6)
+            lin = ps.random_linear(rng, 3)
+            d = c + lin * lin * ps.random_form(rng, 3, c.degree - 2, max_terms=3)
+            if (poly.squarefree_part(c) != c or d.is_zero()
+                    or not poly.gcd(c, d).is_constant()):
+                continue
+            report = pcf.weak_transversality([pcf.make_component(c),
+                                              pcf.make_component(d)])
+            assert report.verdict == "not-weakly-transverse", (c, d)
+            assert report.witness is not None
+            planted += 1
+        verdicts = []
+        while len(verdicts) < 12:
+            # Dense forms through the three coordinate points, with small
+            # coefficients, so that some pairs touch at one of them.
+            forms = [poly.HomPoly(3, degree, {
+                e: Fraction(rng.randint(-1, 1)) for e in _monomials(3, degree)
+                if max(e) < degree}) for degree in (2, rng.choice((2, 3)))]
+            if (any(f.is_zero() or poly.squarefree_part(f) != f for f in forms)
+                    or not poly.gcd(*forms).is_constant()):
+                continue
+            report = pcf.weak_transversality([pcf.make_component(f) for f in forms])
+            ranks = [projmap.exact_rank([[poly.partial(f, j).evaluate(_coords(ev.point))
+                                          for j in range(3)] for f in forms])
+                     for ev in report.evidence if ev.exact]
+            assert len(ranks) >= 3  # the coordinate points
+            assert [ev.rank_at_point for ev in report.evidence if ev.exact] == ranks
+            if min(ranks) < 2:
+                assert report.verdict == "not-weakly-transverse"
+            verdicts.append((report.verdict, min(ranks)))
+        assert {("weakly-transverse", 2), ("not-weakly-transverse", 1)} <= set(verdicts)
 
     def test_triple_point_with_a_conic_is_transverse(self):
         # x, y and xz + yz + xy meet pairwise transversally at (0:0:1), with

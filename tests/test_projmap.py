@@ -195,6 +195,29 @@ class TestValidate:
             projmap.validate(m)
 
 
+class TestHasCommonZero:
+    X, Y, Z = (poly.variable(3, i) for i in range(3))
+
+    def test_mixed_degrees_with_a_complex_zero(self):
+        # x, y^2 + z^2 and y^3 + y z^2 all vanish at (0 : ±i : 1).
+        x, y, z = self.X, self.Y, self.Z
+        assert projmap.has_common_zero([x, y * y + z * z, y ** 3 + y * z * z])
+        assert not projmap.has_common_zero([x, y * y + z * z, y * z])
+
+    def test_more_forms_than_variables(self):
+        # xy, yz and zx vanish together at the three coordinate points
+        # only; x + y + z misses them all, and x + y passes through (0:0:1).
+        x, y, z = self.X, self.Y, self.Z
+        assert not projmap.has_common_zero([x * y, y * z, z * x, x + y + z])
+        assert projmap.has_common_zero([x * y, y * z, z * x, x + y])
+
+    def test_few_zero_or_constant_forms(self):
+        x, y = self.X, self.Y
+        assert projmap.has_common_zero([x, poly.zero(3, 2), y])
+        assert projmap.has_common_zero([x * y, x])
+        assert not projmap.has_common_zero([x, y, poly.constant(3, 5)])
+
+
 class TestIterate:
     def test_square_of_squaring(self):
         m2 = projmap.iterate(_squaring_p2(), 2)
