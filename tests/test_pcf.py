@@ -145,6 +145,26 @@ class TestImageOfComponent:
         assert image.degree <= m.d * source.degree
         assert pcf.image_of_component(m, pcf.make_component(source)).form == image
 
+    def test_quartic_to_octic(self):
+        # The image's kernel first appears at degree 8, in a 61 x 45 system:
+        # the widest kernel any pinned image needs.  Checked as above.
+        m = _fs()
+        source = X ** 4 + Y ** 3 * Z + (X * Z ** 3).scale(2) + Y ** 2 * Z ** 2
+        image = _p(3, 8, {
+            (0, 0, 8): 234256, (0, 1, 7): 335896, (0, 2, 6): 167841,
+            (0, 3, 5): 18518, (0, 4, 4): -8703, (0, 5, 3): -1568, (0, 6, 2): 256,
+            (1, 0, 7): 146168, (1, 1, 6): 105966, (1, 2, 5): -9800,
+            (1, 3, 4): -16346, (1, 4, 3): -4, (1, 5, 2): 320, (2, 0, 6): 28609,
+            (2, 1, 5): -778, (2, 2, 4): -15081, (2, 3, 3): -2484, (2, 4, 2): 1030,
+            (2, 5, 1): -32, (3, 0, 5): 844, (3, 1, 4): -1284, (3, 2, 3): -480,
+            (3, 3, 2): -100, (3, 4, 1): -4, (4, 0, 4): -266, (4, 1, 3): 244,
+            (4, 2, 2): 119, (4, 3, 1): -98, (4, 4, 0): 1, (5, 0, 3): -12,
+            (5, 1, 2): 22, (5, 2, 1): -8, (5, 3, 0): -2, (6, 0, 2): 1,
+            (6, 1, 1): -2, (6, 2, 0): 1})
+        assert poly.exact_divide(poly.compose(image, list(m.comps)), source) is not None
+        assert image.degree <= m.d * source.degree
+        assert pcf.image_of_component(m, pcf.make_component(source)).form == image
+
     def test_p1_point_images(self):
         m = _squaring_p1()
         # (0:1) and (1:0) are fixed; (-1:1) lands on (1:1).
