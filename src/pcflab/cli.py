@@ -62,13 +62,21 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_keys(obj: dict, keys: tuple, where: str) -> None:
+    """Every key of the schema is present in ``obj``, and no other."""
+    for key in obj:
+        if key not in keys:
+            raise MapFileError(f"{where}: unknown key {key!r}")
+    for key in keys:
+        if key not in obj:
+            raise MapFileError(f"{where}: missing key {key!r}")
+
+
 def parse_mapfile(obj) -> projmap.ProjectiveMap:
     """Build the exact map described by a MapFile dict, or raise MapFileError."""
     if not isinstance(obj, dict):
         raise MapFileError("top level must be a JSON object")
-    for key in ("k", "degree", "components"):
-        if key not in obj:
-            raise MapFileError(f"missing required key {key!r}")
+    _check_keys(obj, ("k", "degree", "components"), "top level")
     k, degree, components = obj["k"], obj["degree"], obj["components"]
     if not _is_int(k) or k < 1:
         raise MapFileError(f"k must be a positive integer, got {k!r}")
@@ -88,9 +96,7 @@ def parse_mapfile(obj) -> projmap.ProjectiveMap:
             where = f"component {i} term {j}"
             if not isinstance(term, dict):
                 raise MapFileError(f"{where}: expected an object")
-            for key in ("num", "den", "exps"):
-                if key not in term:
-                    raise MapFileError(f"{where}: missing key {key!r}")
+            _check_keys(term, ("num", "den", "exps"), where)
             num = _int_string(term["num"], "num", where)
             den = _int_string(term["den"], "den", where)
             if den <= 0:

@@ -54,6 +54,24 @@ class TestParseDiagnostics:
         assert code == cli.EXIT_PARSE
         assert "degree" in err
 
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        data = _squaring_mapfile()
+        data["degre"] = 2
+        path = _write_mapfile(tmp_path, data)
+        code, out, err = _run(capsys, "analyze", path)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert "top level: unknown key 'degre'" in err
+
+    def test_unknown_term_key(self, tmp_path, capsys):
+        data = _squaring_mapfile()
+        data["components"][1][0]["dne"] = "1"
+        path = _write_mapfile(tmp_path, data)
+        code, out, err = _run(capsys, "analyze", path)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert "component 1 term 0: unknown key 'dne'" in err
+
     def test_bad_numerator_string(self, tmp_path, capsys):
         data = _squaring_mapfile()
         data["components"][1][0]["num"] = "1.5"
