@@ -38,101 +38,92 @@ class RestrictionError(ValueError):
 # -- exact linear algebra over the rationals --------------------------------
 
 
-def _rref(m: list, ncols: int) -> list:
-    """Gauss-Jordan reduce the Fraction rows m in place on their first ncols columns.
-
-    Returns the pivot columns; pivot row r carries a 1 in pivots[r].
-    """
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                fac = m[r][col]
-                m[r] = [a - fac * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-    return pivots
-
-
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix.
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple:
+    """Fraction-free row echelon form of a rational matrix (Bareiss 1968).
 
     Each row is scaled to integers by the lcm of its denominators, and the
-    integer matrix is reduced by Bareiss elimination, one column at a time:
-    every entry left after a step is a minor of the matrix, so the division
-    by the previous pivot is exact.
+    integer matrix is reduced one column at a time: every entry left after
+    a step is a minor of the matrix, so the division by the previous pivot
+    is exact.  Returns ``(pivots, rows)``: the pivot columns in increasing
+    order and, for each, its reduced row from the pivot column on.  The
+    last pivot is, up to sign, the minor on the pivot rows and columns.
     """
     m = []
     for row in rows:
         row = [Fraction(x) for x in row]
         den = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (den // x.denominator) for x in row])
-    rank, prev = 0, 1
+    pivots, echelon, prev, col = [], [], 1, 0
     while m and m[0]:
         i = next((i for i, row in enumerate(m) if row[0]), None)
         if i is None:
             m = [row[1:] for row in m]
-            continue
-        pivot = m.pop(i)
-        p, tail = pivot[0], pivot[1:]
-        m = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
-        prev = p
-        rank += 1
-    return rank
+        else:
+            pivot = m.pop(i)
+            p, tail = pivot[0], pivot[1:]
+            m = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
+            prev = p
+            pivots.append(col)
+            echelon.append(pivot)
+        col += 1
+    return pivots, echelon
+
+
+def _back_substitute(pivots: list, echelon: list, vec: dict) -> dict:
+    """Complete ``vec``, a dict from column to integer that sets some
+    non-pivot columns, with the pivot entries on which every echelon row
+    vanishes, and return it.  The callers set their columns to a multiple
+    of the last pivot D, the minor on the pivot rows and columns: by
+    Cramer's rule the pivot entries are then integers, so each division is
+    exact."""
+    for pc, row in zip(reversed(pivots), reversed(echelon)):
+        vec[pc] = -sum(row[c - pc] * x for c, x in vec.items() if c > pc) // row[0]
+    return vec
+
+
+def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix: the pivot count of :func:`_echelon`."""
+    return len(_echelon(rows)[0])
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Basis of the right kernel, as primitive integer column vectors."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = _rref(m, ncols)
+    """Basis of the right kernel, as primitive integer column vectors.
+
+    Each free column gets one vector: the last pivot at that column, zero
+    at the other free columns, and its pivot entries by back-substitution.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots, echelon = _echelon(rows)
+    d = echelon[-1][0] if echelon else 1
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(primitive_vector(vec))
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = _back_substitute(pivots, echelon, {fc: d})
+            basis.append(primitive_vector([vec.get(c, 0) for c in range(ncols)]))
     return basis
 
 
 def primitive_vector(vec: Sequence[Fraction]) -> tuple:
     """Integer representative of a rational point: content 1, first non-zero entry positive."""
-    den = 1
-    for x in vec:
-        x = Fraction(x)
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v > 0:
-            break
-        if v < 0:
-            ints = [-x for x in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = int_gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
+    """Inverse of a square rational matrix A, solved from one echelon of [A | I]."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    if len(_rref(m, n)) < n:
+    pivots, echelon = _echelon([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
         raise MapError("matrix is singular")
-    return [row[n:] for row in m]
+    d = echelon[-1][0] if echelon else 1
+    cols = [_back_substitute(pivots, echelon, {n + j: -d}) for j in range(n)]
+    return [[Fraction(col[a], d) for col in cols] for a in range(n)]
 
 
 # -- core types --------------------------------------------------------------
@@ -315,16 +306,9 @@ def _normalize_scalars(comps: Sequence[HomPoly]) -> list:
     """Joint scalar normalization of a component tuple: integer
     coefficients, overall content 1, first nonzero component
     sign-normalized.  No polynomial factor is removed."""
-    from math import gcd as int_gcd
-
-    den = 1
-    for c in comps:
-        for q in c.terms.values():
-            den = den * q.denominator // int_gcd(den, q.denominator)
-    num = 0
-    for c in comps:
-        for q in c.terms.values():
-            num = int_gcd(num, abs(q.numerator * (den // q.denominator)))
+    coeffs = [q for c in comps for q in c.terms.values()]
+    den = lcm(*(q.denominator for q in coeffs))
+    num = int_gcd(*(q.numerator * (den // q.denominator) for q in coeffs))
     if num == 0:
         raise MapError("all components vanish identically")
     scale = Fraction(den, num)
@@ -543,8 +527,15 @@ def p1_degree(m: ProjectiveMap) -> int:
 def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding) -> ProjectiveMap:
     """The map g on P^r with target * g = m * source, solved exactly.
 
-    Raises RestrictionError when the image of the source subspace does not
-    lie in the target subspace (the system has no exact solution).
+    Write h for the forms m * source.  For each monomial e of h, the
+    coefficients g_e solve target * g_e = h_e, and one echelon
+    (:func:`_echelon`) of the rows [target | h] serves every e.  The target
+    has full column rank, so its r + 1 columns hold the first pivots.  A
+    further pivot lies in the column of a monomial e whose system has no
+    solution: the image of the source subspace does not lie in the target
+    subspace, and RestrictionError names e.  Otherwise back-substitution
+    gives D * g_e in integers, D the last pivot, and the common factor D
+    goes with the scalar normalization.
 
     Precondition: m is well-defined (as certified by ``validate``).  Then g
     has no common factor, because a factor would vanish at some point of
@@ -555,52 +546,26 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
         raise MapError("embedding ambient dimension does not match the map")
     if source.source_dim != target.source_dim:
         raise MapError("source and target subspaces must share a dimension")
-    r = source.source_dim
-    if r < 1:
+    n = source.source_dim + 1
+    if n < 2:
         raise MapError("restriction to a point has no polynomial model")
-    subs = [
-        poly.linear_form([source.matrix[i][j] for j in range(r + 1)])
-        for i in range(m.k + 1)
-    ]
+    subs = [poly.linear_form(row) for row in source.matrix]
     pushed = [poly.compose(c, subs) for c in m.comps]
-    # Choose r+1 independent rows of the target matrix and invert them.
-    rows_idx = _independent_rows(target.matrix, r + 1)
-    sub_matrix = [list(target.matrix[i]) for i in rows_idx]
-    inv = invert_matrix(sub_matrix)
-    exponents = sorted(
-        {e for q in pushed for e in q.terms}
-    )
-    new_terms = [dict() for _ in range(r + 1)]
-    for e in exponents:
-        h = [pushed[i].terms.get(e, Fraction(0)) for i in range(m.k + 1)]
-        g_e = [
-            sum(inv[a][b] * h[rows_idx[b]] for b in range(r + 1))
-            for a in range(r + 1)
-        ]
-        # Verify the full overdetermined system, not just the selected rows.
-        for i in range(m.k + 1):
-            lhs = sum(target.matrix[i][a] * g_e[a] for a in range(r + 1))
-            if lhs != h[i]:
-                raise RestrictionError(
-                    "not an invariant subspace pair: residual "
-                    f"{lhs - h[i]} at monomial {e} in row {i}"
-                )
-        for a in range(r + 1):
+    exponents = sorted({e for q in pushed for e in q.terms})
+    pivots, echelon = _echelon([list(row) + [q.terms.get(e, 0) for e in exponents]
+                                for row, q in zip(target.matrix, pushed)])
+    if len(pivots) > n:
+        raise RestrictionError("not an invariant subspace pair: no solution "
+                               f"at monomial {exponents[pivots[n] - n]}")
+    d = echelon[-1][0]
+    new_terms = [{} for _ in range(n)]
+    for j, e in enumerate(exponents):
+        g_e = _back_substitute(pivots, echelon, {n + j: -d})
+        for a in range(n):
             if g_e[a]:
                 new_terms[a][e] = g_e[a]
-    comps = [HomPoly(r + 1, m.d, t) for t in new_terms]
+    comps = [HomPoly(n, m.d, t) for t in new_terms]
     return ProjectiveMap(_normalize_scalars(comps))
-
-
-def _independent_rows(matrix, need: int) -> list:
-    chosen = []
-    for i in range(len(matrix)):
-        trial = chosen + [i]
-        if exact_rank([matrix[t] for t in trial]) == len(trial):
-            chosen = trial
-            if len(chosen) == need:
-                return chosen
-    raise MapError("embedding matrix lost rank")
 
 
 # -- numeric evaluation -------------------------------------------------------

@@ -1,6 +1,8 @@
 """Map layer: validation, iteration, Jacobians, restriction, embeddings."""
 
+import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -375,6 +377,61 @@ class TestRestrict:
             assert g.d == 2
 
 
+    def test_seeded_restrictions_match_rref(self):
+        # m is built so that m * S = T * g for random embeddings S, T and
+        # forms g; a perturbed m may leave the target.  The oracle reduces
+        # [T | h] and either names the first monomial with no solution or
+        # reads off g up to a common scalar.
+        rng = random.Random(2029)
+        raised = solved = 0
+        for trial in range(60):
+            k = 2 + trial % 2  # maps of P^2 and P^3
+            n = 2 + trial // 2 % (k - 1)  # restricted to lines, and planes of P^3
+            d = 1 + trial % 3
+            while True:
+                a = _seeded_matrix(rng, k + 1, k + 1, k + 1)
+                t = _seeded_matrix(rng, k + 1, n, n)
+                inv = [list(row) + [Fraction(int(i == j)) for j in range(k + 1)]
+                       for i, row in enumerate(a)]
+                if (len(_gauss_jordan(inv, k + 1)) == k + 1
+                        and len(_gauss_jordan([list(r) for r in t], n)) == n):
+                    break
+            left = [poly.linear_form(row[k + 1:]) for row in inv[:n]]  # left * S = 1
+            g = [_p(n, d, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for e in _exponents(n, d)}) for _ in range(n)]
+            comps = [poly.zero(k + 1, d) for _ in range(k + 1)]
+            for i in range(k + 1):
+                for b in range(n):
+                    comps[i] = comps[i] + poly.compose(g[b], left).scale(t[i][b])
+            if trial % 3 == 0:
+                e = rng.choice(_exponents(k + 1, d))
+                comps[rng.randrange(k + 1)] += _p(k + 1, d, {e: rng.randint(1, 3)})
+            if all(c.is_zero() for c in comps):
+                continue
+            src = projmap.LinearEmbedding(tuple(tuple(row[:n]) for row in a))
+            dst = projmap.LinearEmbedding(tuple(map(tuple, t)))
+            pushed = [poly.compose(c, [poly.linear_form(row) for row in src.matrix])
+                      for c in comps]
+            exps = sorted({e for q in pushed for e in q.terms})
+            system = [list(row) + [q.terms.get(e, Fraction(0)) for e in exps]
+                      for row, q in zip(t, pushed)]
+            pivots = _gauss_jordan(system, n + len(exps))
+            m = projmap.ProjectiveMap(comps)
+            if len(pivots) > n:
+                raised += 1
+                with pytest.raises(projmap.RestrictionError,
+                                   match=re.escape(f"at monomial {exps[pivots[n] - n]}")):
+                    projmap.restrict(m, src, dst)
+                continue
+            solved += 1
+            want = [{e: system[a][n + j] for j, e in enumerate(exps) if system[a][n + j]}
+                    for a in range(n)]
+            got = projmap.restrict(m, src, dst).comps
+            scale = next(q / want[a][e] for a, c in enumerate(got) for e, q in c.terms.items())
+            assert [c.terms for c in got] == [{e: q * scale for e, q in w.items()} for w in want]
+        assert raised > 5 and solved > 30
+
+
 class TestNumericEvaluation:
     def test_pushforward_normalizes(self):
         m = _squaring_p2()
@@ -397,6 +454,74 @@ class TestNumericEvaluation:
                 assert err < mpmath.mpf(10) ** -30
 
 
+def _gauss_jordan(rows, ncols):
+    """Reference oracle: reduce Fraction rows in place to reduced row
+    echelon form on their first ncols columns.  Returns the pivot columns;
+    pivot row r carries a 1 in pivots[r]."""
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(rows):
+            break
+        pivot = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [x * inv for x in rows[row]]
+        for r in range(len(rows)):
+            if r != row and rows[r][col] != 0:
+                fac = rows[r][col]
+                rows[r] = [a - fac * b for a, b in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
+def _oracle_kernel(rows, ncols):
+    """The kernel basis from the oracle's reduced form: for each free column
+    the vector with 1 there, 0 at the other free columns, scaled to
+    coprime integers with its first non-zero entry positive."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = _gauss_jordan(m, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        den = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * den) for x in vec]
+        g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+def _seeded_matrix(rng, nrows, ncols, rank):
+    """A random rational matrix of the given shape and rank at most
+    ``rank``: a product through that inner width, with fractions, and a
+    zero row now and then."""
+    left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             for _ in range(rank)] for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*right)] if right else [Fraction(0)] * ncols
+            for row in left]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def _exponents(nvars, degree):
+    if nvars == 1:
+        return [(degree,)]
+    return [(i,) + e for i in range(degree + 1) for e in _exponents(nvars - 1, degree - i)]
+
+
+# One-row, square, tall and wide shapes.
+SHAPES = [(1, 1), (1, 4), (4, 1), (3, 3), (5, 3), (3, 5), (6, 6)]
+
+
 class TestLinearAlgebra:
     def test_exact_rank(self):
         rows = [
@@ -408,24 +533,26 @@ class TestLinearAlgebra:
 
     def test_exact_rank_matches_rref(self):
         rng = random.Random(1503)
-        shapes = [(1, 1), (1, 4), (4, 1), (3, 3), (5, 3), (3, 5), (6, 6)]
         for trial in range(210):
-            nrows, ncols = shapes[trial % len(shapes)]
-            rank = rng.randint(0, min(nrows, ncols))
-            # A product of random factors through the chosen inner width,
-            # with some rows zeroed and some fractions.
-            left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                     for _ in range(rank)] for _ in range(nrows)]
-            right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                      for _ in range(ncols)] for _ in range(rank)]
-            rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0))
-                     for col in zip(*right)] if right else [Fraction(0)] * ncols
-                    for row in left]
-            if rng.random() < 0.3:
-                rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
-            want = len(projmap._rref([list(r) for r in rows], ncols))
+            nrows, ncols = SHAPES[trial % len(SHAPES)]
+            rows = _seeded_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            want = len(_gauss_jordan([list(r) for r in rows], ncols))
             assert projmap.exact_rank(rows) == want, rows
         assert projmap.exact_rank([]) == 0
+
+    def test_nullspace_matches_rref(self):
+        # The basis is the oracle's, vector for vector, on rank-deficient,
+        # full-rank, one-row, zero-row and fractional systems.
+        rng = random.Random(1717)
+        for trial in range(270):
+            nrows, ncols = SHAPES[trial % len(SHAPES)]
+            rows = _seeded_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            basis = projmap.nullspace_basis(rows)
+            assert basis == _oracle_kernel(rows, ncols), rows
+            for vec in basis:
+                assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        assert projmap.nullspace_basis([]) == []
+        assert projmap.nullspace_basis([[0, 0]]) == [(1, 0), (0, 1)]
 
     def test_nullspace_orthogonal(self):
         rows = [[Fraction(1), Fraction(-2), Fraction(3)]]
@@ -438,6 +565,24 @@ class TestLinearAlgebra:
         rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
         inv = projmap.invert_matrix(rows)
         assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+    def test_invert_matrix_matches_rref(self):
+        rng = random.Random(1889)
+        for trial in range(120):
+            n = 1 + trial % 5
+            rows = _seeded_matrix(rng, n, n, n if trial % 4 else rng.randint(0, n))
+            m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(rows)]
+            if len(_gauss_jordan(m, n)) < n:
+                with pytest.raises(projmap.MapError, match="singular"):
+                    projmap.invert_matrix(rows)
+            else:
+                assert projmap.invert_matrix(rows) == [row[n:] for row in m], rows
+
+    def test_singular_matrix_rejected(self):
+        rows = [[Fraction(1, 2), Fraction(1)], [Fraction(-1), Fraction(-2)]]
+        with pytest.raises(projmap.MapError, match="singular"):
+            projmap.invert_matrix(rows)
 
 
 class TestRandomizedLaws:
