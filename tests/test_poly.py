@@ -277,6 +277,139 @@ class TestDenseBinary:
             2, Fraction(-3, 4) * 4 + 5 * Fraction(2, 3) + Fraction(1, 6) * 4)
 
 
+class TestTernaryGcd:
+    """gcd of forms in three or more variables.
+
+    Oracle: a certificate that takes no subresultant.  g must be canonical,
+    divide both operands exactly, and leave cofactors that restrict to some
+    line of the plane with a binary gcd of 1.  A common factor of positive
+    degree would restrict to a common factor of the same degree or to zero,
+    so such a line proves the cofactors coprime.
+    """
+
+    @staticmethod
+    def _certified(a, b, rng):
+        g = poly.gcd(a, b)
+        assert not g.is_zero() and g == poly.canonical(g), (a, b)
+        ca, cb = poly.exact_divide(a, g), poly.exact_divide(b, g)
+        assert ca is not None and cb is not None, (a, b, g)
+        one = poly.constant(2, 1)
+        for _ in range(20):
+            line = [poly.linear_form([rng.randint(-9, 9), rng.randint(-9, 9)])
+                    for _ in range(a.nvars)]
+            if poly.gcd(poly.compose(ca, line), poly.compose(cb, line)) == one:
+                return g
+        raise AssertionError(f"no line separates the cofactors of {a} and {b}")
+
+    @staticmethod
+    def _free_of(rng, i, degree, nvars=3):
+        """A random nonzero form of the given degree free of x_i."""
+        p = ps.random_form(rng, nvars - 1, degree, max_terms=6, allow_fractions=True)
+        return HomPoly(nvars, degree,
+                       {e[:i] + (0,) + e[i:]: c for e, c in p.terms.items()})
+
+    def _check(self, a, b, common, rng):
+        g = self._certified(a, b, rng)
+        assert poly.exact_divide(g, common) is not None, (a, b, common)
+        assert self._certified(b, a, rng) == g
+        return g
+
+    def test_pinned_pair(self):
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        h = x + y + z
+        a = h * h * (x - z.scale(2))
+        b = (h * (y * y - x * z)).scale(Fraction(-3, 4))
+        assert poly.gcd(a, b) == h
+        assert poly.gcd(a, h * (x - z.scale(2))) == poly.canonical(h * (x - z.scale(2)))
+
+    def test_random_pairs_with_planted_factors(self):
+        rng = random.Random(901)
+        for _ in range(80):
+            nvars = 4 if rng.random() < 0.15 else 3
+            common = ps.random_form(rng, nvars, rng.randint(0, 2), max_terms=5,
+                                    allow_fractions=True)
+            a = common * ps.random_form(rng, nvars, rng.randint(0, 3), max_terms=6,
+                                        allow_fractions=True)
+            b = common * ps.random_form(rng, nvars, rng.randint(0, 3), max_terms=6,
+                                        allow_fractions=True)
+            self._check(a, b, common, rng)
+
+    def test_variable_in_one_operand_only(self):
+        rng = random.Random(902)
+        for k in range(45):
+            i = k % 3
+            common = self._free_of(rng, i, rng.randint(0, 2))
+            a = common * self._free_of(rng, i, rng.randint(0, 3))
+            b = common * ps.random_form(rng, 3, rng.randint(1, 3), max_terms=6,
+                                        allow_fractions=True)
+            if b.var_degree(i) == 0:
+                b = b * poly.variable(3, i)
+            self._check(a, b, common, rng)
+
+    def test_common_factor_free_of_one_variable(self):
+        # The x_i-content of each operand carries the common factor.
+        rng = random.Random(903)
+        for k in range(45):
+            i = k % 3
+            common = self._free_of(rng, i, rng.randint(1, 2))
+            a = common * ps.random_form(rng, 3, rng.randint(1, 3), max_terms=6,
+                                        allow_fractions=True)
+            b = common * ps.random_form(rng, 3, rng.randint(1, 3), max_terms=6,
+                                        allow_fractions=True)
+            self._check(a, b, common, rng)
+
+    def test_one_operand_divides_the_other(self):
+        rng = random.Random(904)
+        for _ in range(40):
+            b = ps.random_form(rng, 3, rng.randint(1, 3), max_terms=6,
+                               allow_fractions=True)
+            a = b * ps.random_form(rng, 3, rng.randint(0, 2), max_terms=4,
+                                   allow_fractions=True)
+            g = self._check(a, b, b, rng)
+            assert g == poly.canonical(b)
+        c = ps.random_form(rng, 3, 3, max_terms=6, allow_fractions=True)
+        assert poly.gcd(c, c.scale(Fraction(-5, 7))) == poly.canonical(c)
+
+    def test_repeated_common_factor(self):
+        rng = random.Random(905)
+        for _ in range(40):
+            h = ps.random_form(rng, 3, rng.randint(1, 2), max_terms=4,
+                               allow_fractions=True)
+            ka, kb = rng.randint(1, 3), rng.randint(1, 3)
+            a = h ** ka * ps.random_form(rng, 3, rng.randint(0, 2), max_terms=5)
+            b = h ** kb * ps.random_form(rng, 3, rng.randint(0, 2), max_terms=5)
+            self._check(a, b, h ** min(ka, kb), rng)
+
+    def test_fraction_coefficients(self):
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        h = (x.scale(Fraction(1, 2)) - y.scale(Fraction(2, 3)) + z.scale(Fraction(5, 7)))
+        a = (h * (x * y.scale(Fraction(-3, 11)) + z * z)).scale(Fraction(13, 17))
+        b = h * h * (x + z.scale(Fraction(1, 9)))
+        assert poly.gcd(a, b) == poly.canonical(h)
+        rng = random.Random(906)
+        for _ in range(30):
+            common = ps.random_form(rng, 3, rng.randint(1, 2), max_terms=5,
+                                    allow_fractions=True)
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50))
+            a = (common * ps.random_form(rng, 3, rng.randint(1, 2),
+                                         allow_fractions=True)).scale(scale)
+            b = common * ps.random_form(rng, 3, rng.randint(1, 2), allow_fractions=True)
+            self._check(a, b, common, rng)
+
+    def test_constant_operands(self):
+        rng = random.Random(907)
+        one = poly.constant(3, 1)
+        f = ps.random_form(rng, 3, 3, max_terms=6, allow_fractions=True)
+        for c in (poly.constant(3, 6), poly.constant(3, Fraction(-2, 9))):
+            assert poly.gcd(c, f) == one
+            assert poly.gcd(f, c) == one
+            assert poly.gcd(c, poly.constant(3, Fraction(4, 15))) == one
+            assert poly.gcd(poly.zero(3, 2), c) == one
+        assert poly.gcd(poly.zero(3, 1), f) == poly.canonical(f)
+        assert poly.gcd(f, poly.zero(3, 4)) == poly.canonical(f)
+        assert poly.gcd(poly.zero(3, 2), poly.zero(3, 3)).is_zero()
+
+
 class TestResultants:
     def test_linear_pair_value_matches_root_oracle(self):
         # Res(x - 2y, x - 3y) up to sign is the second form at the first
