@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 
@@ -41,11 +41,11 @@ class FatouError(RuntimeError):
 # -- candidates ----------------------------------------------------------------
 
 
-def _exact_orbit_period(m: ProjectiveMap, vec, bound: int = ORBIT_PERIOD_BOUND):
+def _exact_orbit_period(m: ProjectiveMap, vec):
     """Exact minimal period of a rational point, or None if not periodic."""
     start = projmap.primitive_vector([Fraction(v) for v in vec])
     cur = start
-    for step in range(1, bound + 1):
+    for step in range(1, ORBIT_PERIOD_BOUND + 1):
         cur = projmap.primitive_vector(
             [Fraction(c.evaluate(tuple(cur))) for c in m.comps])
         if cur == start:
@@ -53,13 +53,12 @@ def _exact_orbit_period(m: ProjectiveMap, vec, bound: int = ORBIT_PERIOD_BOUND):
     return None
 
 
-def _numeric_orbit_period(m: ProjectiveMap, point, precision: int,
-                          bound: int = ORBIT_PERIOD_BOUND):
+def _numeric_orbit_period(m: ProjectiveMap, point, precision: int):
     with mpmath.workprec(precision):
         tol = numeric.tolerances(precision).dedup
         start = numeric.normalize_point([numeric.mpc_from(c) for c in point])[0]
         cur = start
-        for step in range(1, bound + 1):
+        for step in range(1, ORBIT_PERIOD_BOUND + 1):
             cur = projmap.pushforward_point(m, cur, precision)
             if numeric.proj_distance(cur, start) < tol:
                 return step
@@ -368,7 +367,7 @@ class BasinSummary:
     failures: int
 
 
-def basin_summary(grid: BasinGrid, candidates: Optional[Sequence] = None) -> BasinSummary:
+def basin_summary(grid: BasinGrid) -> BasinSummary:
     """Aggregate a grid: per-candidate fractions and the consistency flag.
 
     A pixel whose orbit settled with a decayed derivative but matched no

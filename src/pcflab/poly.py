@@ -13,10 +13,10 @@ and to use as dictionary keys.
 
 The module deliberately stops short of general multivariate factorization.
 It provides the primitives the rest of the package needs: ring arithmetic,
-composition, exact division, gcd by subresultant remainder sequences,
-square-free parts, resultants and subresultants interpolated from integer
-Sylvester minors (``subresultant``), and rational linear-factor extraction
-for binary and ternary forms.
+composition, exact division, gcds, square-free parts, resultants and
+subresultants interpolated from integer Sylvester minors
+(``subresultant``), and rational linear-factor extraction for binary and
+ternary forms.
 
 Binary forms (``nvars == 2``) take a dense path in ``gcd``,
 ``squarefree_part`` and ``compose``.  A binary form of degree d is the list
@@ -26,7 +26,11 @@ and the number dropped is the power of x1 dividing p.  Gcds and square-free
 parts run a univariate primitive remainder sequence on those lists and put
 the power of x1 back apart; compositions onto binary forms multiply the
 lists by convolution and divide by one common denominator at the end.
-Ternary forms keep the sparse recursive code.
+
+The gcd of forms in more variables is the primitive part, with respect to
+one variable, of their first non-vanishing subresultant, times the gcd of
+their contents, which are forms in one variable fewer; ternary contents
+take the dense binary path.
 """
 
 from __future__ import annotations
@@ -93,12 +97,6 @@ class HomPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a degree-0 polynomial (0 for the zero polynomial)."""
-        if self.degree != 0:
-            raise PolynomialError(f"degree-{self.degree} form is not a constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def var_degree(self, i: int) -> int:
         """Largest exponent of variable ``i`` (0 for the zero polynomial)."""
         return max((e[i] for e in self.terms), default=0)
@@ -106,9 +104,6 @@ class HomPoly:
     def min_var_degree(self, i: int) -> int:
         """Smallest exponent of variable ``i`` across terms (0 if zero)."""
         return min((e[i] for e in self.terms), default=0)
-
-    def variables_present(self) -> tuple:
-        return tuple(i for i in range(self.nvars) if self.var_degree(i) > 0)
 
     def leading(self) -> tuple:
         """(exponent, coefficient) of the lexicographically greatest term."""
@@ -655,72 +650,51 @@ def ladder(p: HomPoly, i: int) -> list:
     ]
 
 
-def _leading_coeff(p: HomPoly, i: int) -> HomPoly:
-    """Coefficient of the highest power of x_i (an x_i-free HomPoly)."""
-    top = p.var_degree(i)
-    acc = {}
-    for e, c in p.terms.items():
-        if e[i] == top:
-            e2 = list(e)
-            e2[i] = 0
-            acc[tuple(e2)] = c
-    return HomPoly(p.nvars, p.degree - top, acc)
-
-
-def shift_var(p: HomPoly, i: int, k: int) -> HomPoly:
-    """Multiply by x_i^k (k may be negative when every term allows it)."""
+def strip_var(p: HomPoly, i: int) -> HomPoly:
+    """Divide out the largest power of x_i that divides p."""
+    k = p.min_var_degree(i)
     if k == 0:
         return p
     acc = {}
     for e, c in p.terms.items():
-        if e[i] + k < 0:
-            raise PolynomialError("negative exponent in shift")
         e2 = list(e)
-        e2[i] = e[i] + k
+        e2[i] -= k
         acc[tuple(e2)] = c
-    return HomPoly(p.nvars, p.degree + k if acc else max(p.degree + k, 0), acc)
+    return HomPoly(p.nvars, p.degree - k, acc)
 
 
-def strip_var(p: HomPoly, i: int) -> HomPoly:
-    """Divide out the largest power of x_i that divides p."""
-    return shift_var(p, i, -p.min_var_degree(i))
+def _drop_var(p: HomPoly, i: int) -> HomPoly:
+    """An x_i-free form as a form in the other variables."""
+    return HomPoly(p.nvars - 1, p.degree,
+                   {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
 
 
-def _prem(f: HomPoly, g: HomPoly, i: int) -> HomPoly:
-    """Pseudo-remainder of f by g with respect to x_i.
-
-    Satisfies lc(g)^(df-dg+1) * f = q*g + prem for the x_i-degrees df >= dg.
-    """
-    df, dg = f.var_degree(i), g.var_degree(i)
-    if dg == 0:
-        raise PolynomialError("pseudo-division by an x_i-free polynomial")
-    lg = _leading_coeff(g, i)
-    r = f
-    e = df - dg + 1
-    while not r.is_zero() and r.var_degree(i) >= dg:
-        dr = r.var_degree(i)
-        t = shift_var(_leading_coeff(r, i), i, dr - dg)
-        r = lg * r - t * g
-        e -= 1
-    for _ in range(e):
-        r = lg * r
-    return r
+def _insert_var(p: HomPoly, i: int) -> HomPoly:
+    """Inverse of ``_drop_var``: the same form with x_i put back at index i."""
+    return HomPoly(p.nvars + 1, p.degree,
+                   {e[:i] + (0,) + e[i:]: c for e, c in p.terms.items()})
 
 
-# -- gcd by subresultant remainder sequences -------------------------------
+# -- gcd from the first non-vanishing subresultant --------------------------
 
 
 def gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     """Greatest common divisor, returned integer-primitive and sign-normalized.
 
-    Binary forms take the dense univariate path (``_binary_gcd``).  For
-    more variables the computation is the classical one for multivariate
-    polynomial rings: pick a main variable, split each input into content
-    and primitive part with respect to it (the content being a gcd of
-    lower-variable coefficients, handled recursively), and run a
-    subresultant pseudo-remainder sequence on the primitive parts.  The
-    subresultant scaling keeps every division exact, avoiding both fraction
-    buildup and the coefficient explosion of naive pseudo-remainders.
+    Binary forms take the dense univariate path (``_binary_gcd``).  Forms
+    in more variables split each operand into its content with respect to
+    a main variable x_i, the gcd of its x_i-coefficients, and its primitive
+    part.  The contents are forms in one variable fewer, so for ternary
+    forms their gcd takes the dense binary path.  By the fundamental
+    theorem of subresultants (Collins 1967) the gcd of the primitive parts
+    is the x_i-primitive part of the first of S_0, S_1, ...
+    (``subresultant``) that does not vanish; when S_0 .. S_{m-1} all
+    vanish, m being the smaller x_i-degree, the primitive part of that
+    smaller operand divides the other and is their gcd.  So the cost is one
+    subresultant per unit of the gcd's x_i-degree, plus one.  x_i is the
+    variable whose degrees in the two operands have the least sum.  A
+    variable that only one operand contains drops out: the gcd is free of
+    it, so that operand is replaced by its content with respect to it.
     """
     a._check_compatible(b)
     if a.is_zero() and b.is_zero():
@@ -729,9 +703,7 @@ def gcd(a: HomPoly, b: HomPoly) -> HomPoly:
         return canonical(b)
     if b.is_zero():
         return canonical(a)
-    if a.nvars == 2:
-        return _binary_gcd(a, b)
-    return canonical(_gcd_int(int_primitive(a), int_primitive(b)))
+    return _gcd(a, b)
 
 
 def gcd_many(polys: Iterable[HomPoly]) -> HomPoly:
@@ -746,75 +718,45 @@ def gcd_many(polys: Iterable[HomPoly]) -> HomPoly:
     return canonical(g) if not g.is_zero() else g
 
 
-def _gcd_int(a: HomPoly, b: HomPoly) -> HomPoly:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
+def _gcd(a: HomPoly, b: HomPoly) -> HomPoly:
+    """``gcd`` of two nonzero forms."""
+    n = a.nvars
+    if n == 2:
+        return _binary_gcd(a, b)
     if a.is_constant() or b.is_constant():
-        ca = _integer_content(a)
-        cb = _integer_content(b)
-        return constant(a.nvars, int_gcd(ca, cb))
-    # Main variable: the highest index carrying positive degree in either.
-    main = None
-    for i in reversed(range(a.nvars)):
-        if a.var_degree(i) > 0 or b.var_degree(i) > 0:
-            main = i
-            break
-    if a.var_degree(main) == 0:
-        return _gcd_int(a, _content_wrt(b, main))
-    if b.var_degree(main) == 0:
-        return _gcd_int(_content_wrt(a, main), b)
-    cont_a = _content_wrt(a, main)
-    cont_b = _content_wrt(b, main)
-    cont = _gcd_int(cont_a, cont_b)
-    pa = exact_divide(a, cont_a)
-    pb = exact_divide(b, cont_b)
-    pp = _subresultant_gcd(pa, pb, main)
-    return cont * pp
+        return constant(n, 1)
+    for i in range(n):
+        if not (a.var_degree(i) and b.var_degree(i)):
+            return _insert_var(_gcd(_content(a, i), _content(b, i)), i)
+    i = min(range(n), key=lambda v: a.var_degree(v) + b.var_degree(v))
+    if a.var_degree(i) > b.var_degree(i):
+        a, b = b, a
+    ca, cb = _content(a, i), _content(b, i)
+    g = _insert_var(_gcd(ca, cb), i)
+    a, b = _divide_content(a, ca, i), _divide_content(b, cb, i)
+    for j in range(a.var_degree(i)):
+        s = subresultant(a, b, i, j)
+        if s:
+            return canonical(g * _divide_content(s, _content(s, i), i))
+    return canonical(g * a)
 
 
-def _integer_content(p: HomPoly) -> int:
-    g = 0
-    for c in p.terms.values():
-        g = int_gcd(g, abs(c.numerator))
-    return g
-
-
-def _content_wrt(p: HomPoly, i: int) -> HomPoly:
-    """Gcd of the x_i-ladder coefficients (an x_i-free polynomial)."""
-    rows = ladder(p, i)
-    g = None
-    for r in rows:
-        if r.is_zero():
-            continue
-        g = r if g is None else _gcd_int(g, r)
+def _content(p: HomPoly, i: int) -> HomPoly:
+    """gcd of the x_i-coefficients of a nonzero form, without x_i."""
+    rows = [_drop_var(r, i) for r in ladder(p, i) if r]
+    g = rows[0]
+    for r in rows[1:]:
         if g.is_constant():
-            if _integer_content(g) == 1:
-                break
+            break
+        g = _gcd(g, r)
     return g
 
 
-def _subresultant_gcd(f: HomPoly, g: HomPoly, i: int) -> HomPoly:
-    """Gcd of two x_i-primitive polynomials via the subresultant sequence."""
-    if f.var_degree(i) < g.var_degree(i):
-        f, g = g, f
-    one = constant(f.nvars, 1)
-    gg, hh = one, one
-    while True:
-        delta = f.var_degree(i) - g.var_degree(i)
-        r = _prem(f, g, i)
-        if r.is_zero():
-            break
-        if r.var_degree(i) == 0:
-            return one
-        denom = gg * (hh ** delta)
-        f, g = g, exact_divide(r, denom)
-        gg = _leading_coeff(f, i)
-        if delta >= 1:
-            hh = exact_divide(gg ** delta, hh ** (delta - 1))
-    cont = _content_wrt(g, i)
-    return exact_divide(g, cont)
+def _divide_content(p: HomPoly, content: HomPoly, i: int) -> HomPoly:
+    """p divided by its x_i-content, as ``_content`` returns it."""
+    if content.is_constant():
+        return p
+    return exact_divide(p, _insert_var(content, i))
 
 
 # -- square-free part -----------------------------------------------------

@@ -116,9 +116,10 @@ class TestDivisionAndGcd:
 class TestDenseBinary:
     """The dense path of binary gcd, square-free part and composition.
 
-    Oracles: the sparse recursive ``_gcd_int``, which ternary forms still
-    use; a common factor known by construction; and exact evaluation at
-    deg + 1 distinct points, which pins a binary form of degree deg.
+    Oracles: the gcd rule of the first non-vanishing subresultant, which
+    ``gcd`` applies only to forms in more variables; a common factor known
+    by construction; and exact evaluation at deg + 1 distinct points, which
+    pins a binary form of degree deg.
     """
 
     X0, X1 = poly.variable(2, 0), poly.variable(2, 1)
@@ -153,7 +154,23 @@ class TestDenseBinary:
             p = p * f ** rng.randint(1, 3)
         return p
 
-    def test_gcd_matches_sparse_gcd_and_known_factor(self):
+    @staticmethod
+    def _subresultant_rule(a, b):
+        """gcd of nonzero binary forms: the x0-content of a binary form is a
+        power of x1, and the x0-primitive part of the first non-vanishing
+        subresultant in x0 of the x0-primitive parts is their gcd; when
+        every S_j vanishes, the operand of the smaller x0-degree is."""
+        power = poly.variable(2, 1) ** min(a.min_var_degree(1), b.min_var_degree(1))
+        a, b = poly.strip_var(a, 1), poly.strip_var(b, 1)
+        if a.var_degree(0) > b.var_degree(0):
+            a, b = b, a
+        for j in range(a.var_degree(0)):
+            s = poly.subresultant(a, b, 0, j)
+            if s:
+                return poly.canonical(power * poly.strip_var(s, 1))
+        return poly.canonical(power * a)
+
+    def test_gcd_matches_subresultant_rule_and_known_factor(self):
         rng = random.Random(811)
         for _ in range(240):
             first = rng.choice((0, 1)) if rng.random() < 0.4 else None
@@ -166,20 +183,16 @@ class TestDenseBinary:
             a = c * self._product(only_a, rng)
             b = c * self._product(only_b, rng)
             got = poly.gcd(a, b)
-            sparse = poly.canonical(poly._gcd_int(poly.int_primitive(a),
-                                                  poly.int_primitive(b)))
-            assert got == sparse, (a, b)
+            assert got == self._subresultant_rule(a, b), (a, b)
             assert got == poly.canonical(c), (a, b)
 
-    def test_gcd_matches_sparse_gcd_on_random_forms(self):
+    def test_gcd_matches_subresultant_rule_on_random_forms(self):
         rng = random.Random(812)
         for _ in range(200):
             shared = ps.random_form(rng, 2, rng.randint(0, 3), allow_fractions=True)
             a = shared * ps.random_form(rng, 2, rng.randint(0, 4), allow_fractions=True)
             b = shared * ps.random_form(rng, 2, rng.randint(0, 4), allow_fractions=True)
-            sparse = poly.canonical(poly._gcd_int(poly.int_primitive(a),
-                                                  poly.int_primitive(b)))
-            assert poly.gcd(a, b) == sparse, (a, b)
+            assert poly.gcd(a, b) == self._subresultant_rule(a, b), (a, b)
 
     def test_gcd_edge_cases(self):
         x0, x1 = self.X0, self.X1
