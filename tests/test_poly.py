@@ -294,10 +294,10 @@ class TestTernaryGcd:
     """gcd of forms in three or more variables.
 
     Oracle: a certificate that takes no subresultant.  g must be canonical,
-    divide both operands exactly, and leave cofactors that restrict to some
-    line of the plane with a binary gcd of 1.  A common factor of positive
-    degree would restrict to a common factor of the same degree or to zero,
-    so such a line proves the cofactors coprime.
+    divide both operands exactly, and leave cofactors whose restrictions to
+    some line have a binary gcd of 1.  A common factor of positive degree
+    would restrict to a common factor of the same degree or to zero, so
+    such a line proves the cofactors coprime.
     """
 
     @staticmethod
