@@ -45,6 +45,13 @@ CASES = (
      ["periodic", "catalog:fs-1992-a", "--period", "1"], 0),
     ("periodic-2-fs-1992-a.json",
      ["periodic", "catalog:fs-1992-a", "--period", "2"], 0),
+    # Its eliminant has a degree-64 piece, the largest root finding any
+    # catalog command does.
+    ("periodic-3-fs-1992-a.json",
+     ["periodic", "catalog:fs-1992-a", "--period", "3"], 0),
+    # Its fibers have zero constant terms, so roots at 0 come up.
+    ("periodic-2-squaring-p2.json",
+     ["periodic", "catalog:squaring-p2", "--period", "2"], 0),
     ("periodic-2-sym2.json", ["periodic", "sym2.json", "--period", "2"], 0),
     ("periodic-3-squaring-p1.json",
      ["periodic", "catalog:squaring-p1", "--period", "3"], 0),
