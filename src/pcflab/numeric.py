@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -22,6 +21,7 @@ from . import poly
 from .poly import HomPoly
 
 DEFAULT_PRECISION = 256  # bits
+NEWTON_STEPS = 200  # Newton refinement gives up after this many steps
 
 
 class NumericalError(RuntimeError):
@@ -100,12 +100,14 @@ class MpForm:
     precision), the coefficient times the first factor of a term is
     ``mpc_mul_mpf``, later powers and factors are ``mpc_mul``, and the sum
     starts with ``0 + term`` (``mpc_add_mpf``) and goes on by ``mpc_add``.
-    The zero form gives the int 0 and a constant form its Fraction.
+    The zero form gives the int 0 and a constant form its Fraction, and
+    ``form`` is the form it was built from.
     """
 
-    __slots__ = ("_prec", "_rnd", "_tops", "_terms", "_value")
+    __slots__ = ("form", "_prec", "_rnd", "_tops", "_terms", "_value")
 
     def __init__(self, p: HomPoly):
+        self.form = p
         self._prec, self._rnd = mpmath.mp._prec_rounding
         self._tops = [p.var_degree(i) for i in range(p.nvars)]
         constant = p.degree == 0 or p.is_zero()
@@ -270,8 +272,9 @@ class PointSet:
 
 # -- root finding ----------------------------------------------------------
 
-ABERTH_STEPS = 100  # the double-precision seed iteration gives up after this
-DOUBLE_RANGE = 960  # bits of coefficient range the seed iteration accepts
+SWEEPS = 200  # an Aberth run that still moves after this many sweeps fails
+SEED_BITS = 48  # the target of the low-width run
+GUARD_BITS = 64  # width beyond the target, the coefficient range and the radii
 SEED_ANGLE = 0.7  # rotation that keeps start points off the real axis
 
 
@@ -296,93 +299,90 @@ def binary_form_roots(q: HomPoly, precision: int):
 
     Returns a list of ``((x0, x1), multiplicity)`` with mpc coordinates.
     The form is first split into square-free pieces exactly, so the numeric
-    root finder only ever sees simple roots.  Each piece's roots come in a
-    canonical order: by |imaginary part|, then real part, then imaginary
-    part, with values within the dedup tolerance tied.
+    root finder only ever sees simple roots (:func:`_piece_roots`).
     """
     if q.nvars != 2:
         raise NumericalError("binary root finding needs a binary form")
     if q.is_zero():
         raise NumericalError("the zero form vanishes everywhere")
-    out = []
+    return [(root, mult) for mult, piece in poly.binary_squarefree_decomposition(q)
+            for root in _piece_roots(piece, precision)]
+
+
+def _piece_roots(piece: HomPoly, precision: int) -> list:
+    """The roots of a square-free binary form, linear or with no coordinate
+    factor, as pairs of mpc.  A longer piece's roots come in a canonical
+    order: by |imaginary part|, then real part, then imaginary part, with
+    values within the dedup tolerance tied."""
     with mpmath.workprec(precision):
-        for mult, piece in poly.binary_squarefree_decomposition(q):
-            if piece.degree == 1:
-                root = poly.root_of_binary_linear(piece)
-                out.append((tuple(mpc_from(c) for c in root), mult))
-                continue
-            # The decomposition split off any x1 factor, so x0 has full degree.
-            n = piece.degree
-            coeffs = [Fraction(0)] * (n + 1)
-            for e, c in piece.terms.items():
-                coeffs[n - e[0]] = c
-            mp_coeffs = [mpc_from(c) for c in coeffs]
-            roots = canonical_order(
-                _polyroots(mp_coeffs, precision),
-                (lambda r: mpmath.fabs(r.imag), lambda r: r.real, lambda r: r.imag),
-                tolerances(precision).dedup)
-            out.extend(((root, mpc_from(1)), mult) for root in roots)
-    return out
+        if piece.degree == 1:
+            return [tuple(mpc_from(c) for c in poly.root_of_binary_linear(piece))]
+        n = piece.degree
+        coeffs = [mpc_from(piece.terms.get((k, n - k), 0)) for k in range(n, -1, -1)]
+        roots = canonical_order(
+            _polyroots(coeffs, precision),
+            (lambda r: mpmath.fabs(r.imag), lambda r: r.real, lambda r: r.imag),
+            tolerances(precision).dedup)
+        return [(root, mpc_from(1)) for root in roots]
 
 
-def _polyroots(coeffs, precision: int):
-    """mpmath.polyroots from double-precision start points, with escalating effort.
+def _polyroots(coeffs, precision: int) -> list:
+    """The roots of sum coeffs[k] z^(n-k), as ``mpmath.polyroots`` gives them.
 
-    The start points come from :func:`_double_seeds`; when it has none the
-    Durand-Kerner iteration starts cold.  Every rung's extra precision grows
-    by the bits that evaluating the polynomial near its roots loses to
-    cancellation, as the seed iteration measures it: with fewer, the
-    iteration stalls above mpmath's tolerance for all of its steps.  Raises
-    NumericalError when the last rung of the ladder does not converge.
+    Each trailing zero coefficient gives an exact zero root.  The others
+    come from :func:`_aberth`, run at a low width from the Newton polygon's
+    start points, then at the full width from where it stopped.  A run with
+    a target of b bits (SEED_BITS, then the precision p) works at b + the
+    coefficients' range in bits + the largest |log2| of a start radius +
+    GUARD_BITS.  As in mpmath's clean-up, a root of modulus below 2^(1-p)
+    becomes 0 and a part below it is dropped, so a real root is an mpf;
+    roots are rounded to p bits and sorted by |imaginary part|, then real
+    part.  Raises NumericalError when a run does not converge.
     """
-    seeds, lost = _double_seeds(coeffs) or (None, 0)
-    for maxsteps, extra in ((60, 32), (200, precision // 2), (800, precision)):
-        try:
-            return mpmath.polyroots(coeffs, maxsteps=maxsteps, extraprec=extra + lost,
-                                    roots_init=seeds)
-        except mpmath.libmp.NoConvergence:
-            continue
-    raise NumericalError("polynomial root finding did not converge")
+    with mpmath.workprec(precision):
+        coeffs = [mpmath.mpc(c) for c in coeffs]
+        n = max(k for k, c in enumerate(coeffs) if c)
+        zeros, coeffs = len(coeffs) - 1 - n, coeffs[:n + 1]
+        z, width = [], 0
+        if n:
+            mags = [mpmath.mag(c) for c in coeffs if c]
+            start, reach = _newton_polygon_start(coeffs)
+            spare = max(mags) - min(mags) + reach + GUARD_BITS
+            for bits in (min(SEED_BITS, precision), precision):
+                shift, width = bits + spare - width, bits + spare
+                z = [(x << shift, y << shift) for x, y in z] or [_fixed(w, width) for w in start]
+                _aberth([_fixed(c, width - max(mags)) for c in coeffs], z, width, bits)
+            tol = 1 << (width + 1 - precision)
+            z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
+                 else (0, y) if abs(x) < tol else (x, y) for x, y in z]
+        z = sorted(z + [(0, 0)] * zeros, key=lambda w: (abs(w[1]), w[0]))
+        return [mpmath.mpc((x, -width), (y, -width)) if y else mpmath.mpf((x, -width))
+                for x, y in z]
 
 
-def _double_seeds(coeffs):
-    """Start points for the roots of a polynomial and the bits evaluation loses.
-
-    An Aberth-Ehrlich iteration in complex doubles (Aberth 1973) on the
-    coefficients, highest first, scaled by a power of two; it starts on
-    circles whose radii come from the upper convex hull of the points
-    (i, log|a_i|), the Newton polygon (Bini 1996).  The lost bits are
-    log2 of the largest sensitivity at the points: how far a root moves per
-    unit of relative error in evaluating the polynomial there.  Returns
-    None when the coefficients' range does not fit in doubles, the constant
-    term is zero, or the iteration produces a non-finite or a repeated point
-    or an infinite sensitivity.
-    """
-    nonzero = [c for c in coeffs if c]
-    top = max(mpmath.mag(c) for c in nonzero)
-    if top - min(mpmath.mag(c) for c in nonzero) > DOUBLE_RANGE or not coeffs[-1]:
-        return None
-    scale = mpmath.ldexp(1, -top)
-    a = [complex(c * scale) for c in coeffs]
-    try:
-        z, sensitivity = _aberth(a, _newton_polygon_start(a))
-    except ZeroDivisionError:
-        return None
-    if (not all(cmath.isfinite(w) for w in z) or len(set(z)) < len(z)
-            or not math.isfinite(sensitivity)):
-        return None
-    return [mpmath.mpc(w) for w in z], max(0, math.ceil(math.log2(sensitivity)))
+def _fixed(c: mpmath.mpc, shift: int) -> tuple:
+    """c times 2^shift as a pair of integers, truncated."""
+    return int(mpmath.ldexp(c.real, shift)), int(mpmath.ldexp(c.imag, shift))
 
 
-def _newton_polygon_start(a):
-    """Start points on circles whose radii the Newton polygon gives.
+def _quotient(a: tuple, b: tuple, width: int) -> tuple:
+    """a / b for complex numbers in fixed point at width bits."""
+    m = b[0] * b[0] + b[1] * b[1]
+    return (((a[0] * b[0] + a[1] * b[1]) << width) // m,
+            ((a[1] * b[0] - a[0] * b[1]) << width) // m)
+
+
+def _newton_polygon_start(coeffs):
+    """Start points on circles whose radii the Newton polygon gives (Bini
+    1996), as mpc, and the largest |log2| of a radius, rounded up.
 
     An edge of the upper convex hull of (i, log|a_i|) from i to j, with a_i
     the coefficient of z^i, places j - i points evenly on the circle of
-    radius (|a_i| / |a_j|)^(1/(j-i)).
+    radius (|a_i| / |a_j|)^(1/(j-i)).  mpmath takes the logs and the radii,
+    so no coefficient range is out of reach.
     """
-    n = len(a) - 1
-    logs = {i: math.log(abs(c)) for i, c in enumerate(reversed(a)) if c}
+    n = len(coeffs) - 1
+    logs = {i: float(mpmath.log(abs(c))) for i, c in enumerate(reversed(coeffs)) if c}
     hull = []
     for i in sorted(logs):
         while len(hull) >= 2:
@@ -391,79 +391,76 @@ def _newton_polygon_start(a):
                 break  # h1 lies strictly above the chord from h0 to i
             hull.pop()
         hull.append(i)
-    z = []
+    z, reach = [], 0
     for i, j in zip(hull, hull[1:]):
         m = j - i
-        radius = math.exp((logs[i] - logs[j]) / m)
-        z.extend(cmath.rect(radius, 2 * math.pi * (t / m + i / n) + SEED_ANGLE)
-                 for t in range(m))
-    return z
+        log_radius = (logs[i] - logs[j]) / m
+        reach = max(reach, math.ceil(abs(log_radius) / math.log(2)))
+        z += [mpmath.exp(log_radius) * cmath.rect(1, 2 * math.pi * (t / m + i / n) + SEED_ANGLE)
+              for t in range(m)]
+    return z, reach
 
 
-def _aberth(a, z):
-    """Aberth-Ehrlich iteration from start points z, in place, Gauss-Seidel order.
+def _aberth(a, z, width: int, bits: int) -> None:
+    """Gauss-Seidel Aberth-Ehrlich iteration (Aberth 1973) on the points z,
+    in place, in fixed point: x + iy is the pair of integers 2^width (x, y).
 
-    A point stops moving once |p| there is within the rounding error of
-    evaluating p in doubles.  Returns the points and the largest
-    sensitivity among their last evaluations.
+    a holds the coefficients, highest first, none of modulus above 1.  A
+    point stops once its correction falls below 2^-bits max(1, |z|).
+    Outside the unit disc p is evaluated through its reversal r at w = 1/z,
+    so no power of z grows: there p/p' = z r(w) / (n r(w) - w r'(w)).
+    Raises NumericalError when a point still moves after SWEEPS sweeps.
     """
-    n = len(z)
-    sensitivity = [0.0] * n
-    moving = set(range(n))
-    for _ in range(ABERTH_STEPS):
-        for i in sorted(moving):
-            zi = z[i]
-            ratio, sensitivity[i], settled = _newton_ratio(a, zi)
-            if settled:
-                moving.discard(i)
-                continue
-            pull = sum(1 / (zi - z[j]) for j in range(n) if j != i)
-            z[i] = zi - ratio / (1 - ratio * pull)
+    n, one, two = len(a) - 1, 1 << width, 2 * width
+    moving = range(n)
+    for _ in range(SWEEPS):
+        still = []
+        for i in moving:
+            zr, zi = z[i]
+            size = zr * zr + zi * zi
+            big = size > one * one
+            wr, wi = _quotient((one, 0), (zr, zi), width) if big else (zr, zi)
+            pr = pi = dr = di = 0
+            for cr, ci in reversed(a) if big else a:
+                dr, di = ((dr * wr - di * wi) >> width) + pr, ((dr * wi + di * wr) >> width) + pi
+                pr, pi = ((pr * wr - pi * wi) >> width) + cr, ((pr * wi + pi * wr) >> width) + ci
+            if big:
+                dr, di = (n * pr - ((wr * dr - wi * di) >> width),
+                          n * pi - ((wr * di + wi * dr) >> width))
+                pr, pi = (zr * pr - zi * pi) >> width, (zr * pi + zi * pr) >> width
+            nr, ni = _quotient((pr, pi), (dr, di), width)  # N = p / p'
+            sr = si = 0  # S, the sum of 1 / (z_i - z_j) over j != i
+            for xr, xi in z[:i] + z[i + 1:]:
+                er, ei = zr - xr, zi - xi
+                e = er * er + ei * ei
+                sr, si = sr + (er << two) // e, si - (ei << two) // e
+            cr, ci = _quotient((nr, ni), (one - ((nr * sr - ni * si) >> width),
+                                          -((nr * si + ni * sr) >> width)), width)
+            z[i] = zr - cr, zi - ci  # by N / (1 - N S)
+            if (cr * cr + ci * ci) << (2 * bits) >= max(one * one, size):
+                still.append(i)
+        moving = still
         if not moving:
-            break
-    return z, max(sensitivity)
-
-
-def _newton_ratio(a, z):
-    """Newton ratio, sensitivity and settled flag of p at z, in doubles.
-
-    The ratio is p(z)/p'(z) and the sensitivity sum|a_k||z|^k / |p'(z)|;
-    settled means |p(z)| is at the rounding level of its evaluation.
-    Outside the unit disc p is evaluated through its reversal at 1/z, so
-    the powers of z cannot overflow.
-    """
-    n = len(a) - 1
-    big = abs(z) > 1
-    w, coeffs = (1 / z, reversed(a)) if big else (z, a)
-    aw = abs(w)
-    p = dp = 0j
-    bound = 0.0
-    for c in coeffs:
-        dp = dp * w + p
-        p = p * w + c
-        bound = bound * aw + abs(c)
-    settled = abs(p) <= 4 * (n + 1) * sys.float_info.epsilon * bound
-    # Outside the disc, p'(z) = z^(n-1) (n r(w) - w r'(w)) for the reversal r.
-    zz, d = (z, n * p - w * dp) if big else (1, dp)
-    return zz * p / d, abs(zz) * bound / abs(d), settled
+            return
+    raise NumericalError(f"polynomial root finding did not converge in {SWEEPS} sweeps")
 
 
 # -- Newton refinement ------------------------------------------------------
 
 
-def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: int = 200):
+def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
     """Newton-refine an approximate common zero of two ternary forms.
 
-    The point is refined in the affine chart of its max-modulus coordinate.
-    The two forms are compiled once per call (:class:`MpForm`), and their
-    four partials once, at the first step.  Returns
+    a and b come compiled at ``precision`` (:class:`MpForm`), once per
+    solve; the four partials are compiled at the first step.  The point is
+    refined in the affine chart of its max-modulus coordinate.  Returns
     ``(refined_point, residual)`` with the point normalized, or raises
-    NumericalError after ``maxsteps`` without convergence.
+    NumericalError after NEWTON_STEPS steps without convergence.
     """
     with mpmath.workprec(precision):
         pt, chart = normalize_point(point)
         idx = [i for i in range(3) if i != chart]
-        forms = [MpForm(a), MpForm(b)]
+        forms = [a, b]
         jacobian = None  # compiled at the first step; most points need none
         zero = mpc_from(0)
         target = tolerances(precision).refine_target
@@ -477,14 +474,14 @@ def newton_refine_pair(a: HomPoly, b: HomPoly, point, precision: int, maxsteps: 
             return tuple(c)
 
         res = None
-        for _ in range(maxsteps):
+        for _ in range(NEWTON_STEPS):
             c = coords(u, v)
             fa, fb = (zero + f(c) for f in forms)
             res = max(mpmath.fabs(fa), mpmath.fabs(fb))
             if res < target:
                 return normalize_point(c)[0], res
             if jacobian is None:
-                jacobian = [MpForm(poly.partial(f, j)) for f in (a, b) for j in idx]
+                jacobian = [MpForm(poly.partial(f.form, j)) for f in forms for j in idx]
             j00, j01, j10, j11 = (zero + f(c) for f in jacobian)
             det = j00 * j11 - j01 * j10
             if mpmath.fabs(det) == 0:
@@ -540,8 +537,9 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
         if gline.is_zero():
             raise NumericalError("both forms vanish on a coordinate line")
         if not gline.is_constant():
-            for (r0, r1), mult in _exact_binary_roots(gline, precision):
-                push(_normalized((r0, r1, Fraction(0))), mult)
+            for mult, piece in poly.binary_squarefree_decomposition(gline):
+                for r0, r1 in _exact_binary_roots(piece, precision):
+                    push(_normalized((r0, r1, Fraction(0))), mult)
 
         # Eliminant multiplicities overcount when distinct points share the
         # eliminated coordinate; a transverse point (independent gradients)
@@ -587,17 +585,15 @@ def _normalized(coords) -> tuple:
     return tuple(c / pivot for c in coords)
 
 
-def _exact_binary_roots(q: HomPoly, precision: int):
-    """:func:`binary_form_roots`, with each rational root an exact pair of
-    Fractions from :func:`poly.linear_factors`, ahead of the other roots of
-    its square-free piece."""
-    out = []
-    for mult, piece in poly.binary_squarefree_decomposition(q):
-        factors, rest = poly.linear_factors(piece)
-        roots = [poly.root_of_binary_linear(form) for form, _m in factors]
-        roots += [r for r, _m in binary_form_roots(rest, precision)]
-        out.extend((r, mult) for r in roots)
-    return out
+def _exact_binary_roots(piece: HomPoly, precision: int) -> list:
+    """The roots of a square-free binary form: each rational root an exact
+    pair of Fractions from :func:`poly.linear_factors`, ahead of the roots
+    of what those factors leave, by :func:`_piece_roots`."""
+    factors, rest = poly.linear_factors(piece)
+    roots = [poly.root_of_binary_linear(form) for form, _m in factors]
+    if not rest.is_constant():
+        roots += _piece_roots(poly.canonical(rest), precision)
+    return roots
 
 
 def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
@@ -643,16 +639,17 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
     open_pieces = poly.binary_squarefree_decomposition(
         poly.strip_var(poly.slice_poly(eliminant, elim), 1))
     out = []
+    # a and b compiled for Newton's method, at the first irrational point
+    pair = functools.cache(lambda: (MpForm(a), MpForm(b)))
     for rows in _fiber_chain(a, b, elim):
         coeffs = [poly.slice_poly(r, elim) for r in rows]
         compiled = []  # the row's MpForms, built at its first irrational x0
         still = []
         for mult, piece in open_pieces:
             rest = poly.gcd(piece, coeffs[-1])
-            for (r0, r1), _m in _exact_binary_roots(poly.exact_divide(piece, rest),
-                                                    precision):
+            for r0, r1 in _exact_binary_roots(poly.exact_divide(piece, rest), precision):
                 out += [(pt, mult) for pt in _fiber_points(
-                    a, b, coeffs, compiled, r0 / r1, keep, precision)]
+                    pair, coeffs, compiled, r0 / r1, keep, precision)]
             if not rest.is_constant():
                 still.append((mult, rest))
         open_pieces = still
@@ -685,8 +682,8 @@ def _fiber_chain(a: HomPoly, b: HomPoly, elim: int):
     yield from sorted((poly.ladder(a, elim), poly.ladder(b, elim)), key=len)
 
 
-def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, compiled: list, x0,
-                  keep: int, precision: int) -> list:
+def _fiber_points(pair, coeffs: list, compiled: list, x0, keep: int,
+                  precision: int) -> list:
     """The common zeros of a and b with x_keep = x0, z = 1 and x_elim a root
     y of sum coeffs[k](x0) y^k, the coeffs being binary forms in (x_keep, z).
 
@@ -695,13 +692,14 @@ def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, compiled: list, x0,
     the precision, by ``compiled``: the coeffs as :class:`MpForm` built
     there, filled in at the row's first irrational x0.  A linear fiber is
     solved by one division and a longer one by :func:`_polyroots`.
-    Newton's method polishes every point that is not exact, and its failure
-    raises.
+    Newton's method polishes every point that is not exact, with a and b as
+    ``pair()`` compiles them, and its failure raises.
     """
     t = len(coeffs) - 1
     if isinstance(x0, Fraction):
         fiber = HomPoly(2, t, {(k, t - k): c.evaluate((x0, 1)) for k, c in enumerate(coeffs)})
-        ys = [y0 / y1 for (y0, y1), _m in _exact_binary_roots(fiber, precision)]
+        ys = [y0 / y1 for _m, piece in poly.binary_squarefree_decomposition(fiber)
+              for y0, y1 in _exact_binary_roots(piece, precision)]
     else:
         with mpmath.workprec(2 * precision):
             if not compiled:
@@ -711,5 +709,5 @@ def _fiber_points(a: HomPoly, b: HomPoly, coeffs: list, compiled: list, x0,
             ys = [-vals[0] / vals[1]] if t == 1 else None
         ys = ys or _polyroots(vals[::-1], precision)
     pts = [(x0, y, Fraction(1)) if keep == 0 else (y, x0, Fraction(1)) for y in ys]
-    return [_normalized(pt) if is_exact(pt) else newton_refine_pair(a, b, pt, precision)[0]
+    return [_normalized(pt) if is_exact(pt) else newton_refine_pair(*pair(), pt, precision)[0]
             for pt in pts]

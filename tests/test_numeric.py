@@ -276,6 +276,44 @@ class TestSolvePairP2:
                 for form in (a, b):
                     assert mpmath.fabs(numeric.eval_form(form, pt)) < mpmath.mpf(10) ** -60
 
+    def test_each_piece_is_split_once(self, monkeypatch):
+        # The eliminant is split into square-free pieces once; a piece, or
+        # what its rational roots leave, is never split again.
+        real = poly.binary_squarefree_decomposition
+        seen, resplit = set(), []
+
+        def decomposition(q):
+            if not q.is_constant() and poly.canonical(q) in seen:
+                resplit.append(q)
+            pieces = real(q)
+            seen.update(piece for _m, piece in pieces)
+            return pieces
+
+        monkeypatch.setattr(poly, "binary_squarefree_decomposition", decomposition)
+        a = _p(3, 3, {(3, 0, 0): 1, (1, 2, 0): 2, (0, 1, 2): -3, (0, 0, 3): 1})
+        b = _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (1, 1, 0): 1, (0, 1, 1): 2,
+                      (0, 0, 2): -5})
+        points, _m = numeric.solve_pair_p2(a, b, 256)
+        assert len(points) == 6 and seen and resplit == []
+
+    def test_refinement_compiles_the_pair_once(self, monkeypatch):
+        # Newton's method polishes six irrational points with a and b
+        # compiled once for the whole solve.
+        built = []
+
+        class Counting(numeric.MpForm):
+            def __init__(self, p):
+                built.append(p)
+                super().__init__(p)
+
+        monkeypatch.setattr(numeric, "MpForm", Counting)
+        a = _p(3, 3, {(3, 0, 0): 1, (1, 2, 0): 2, (0, 1, 2): -3, (0, 0, 3): 1})
+        b = _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (1, 1, 0): 1, (0, 1, 1): 2,
+                      (0, 0, 2): -5})
+        points, _m = numeric.solve_pair_p2(a, b, 256)
+        assert sum(not numeric.is_exact(pt) for pt in points) == 6
+        assert built.count(a) == 1 and built.count(b) == 1
+
     def test_blocked_leading_coefficients_eliminate_x(self):
         # a = xy - z^2 and b = xy^2 - xz^2 - z^3 both have leading
         # coefficient x in y, so x = 0 would specialize S_j wrongly; x is
@@ -321,70 +359,68 @@ class TestSolvePairP2:
 
 
 class TestPolyroots:
-    def _fake(self, monkeypatch, exc):
-        calls = []
-
-        def polyroots(coeffs, maxsteps, extraprec, roots_init=None):
-            calls.append(maxsteps)
-            raise exc
-
-        monkeypatch.setattr(numeric.mpmath, "polyroots", polyroots)
-        return calls
-
-    def test_no_convergence_escalates_then_fails(self, monkeypatch):
-        calls = self._fake(monkeypatch, mpmath.libmp.NoConvergence("slow"))
-        with pytest.raises(numeric.NumericalError):
-            numeric.binary_form_roots(_p(2, 2, {(2, 0): 1, (0, 2): -2}), 256)
-        assert calls == [60, 200, 800]
+    def test_sweep_limit_raises(self, monkeypatch):
+        q = _p(2, 2, {(2, 0): 1, (0, 2): -2})
+        assert len(numeric.binary_form_roots(q, 256)) == 2
+        monkeypatch.setattr(numeric, "SWEEPS", 1)
+        with pytest.raises(numeric.NumericalError, match="1 sweeps"):
+            numeric.binary_form_roots(q, 256)
 
     def test_other_errors_propagate(self, monkeypatch):
-        calls = self._fake(monkeypatch, ZeroDivisionError("bug"))
+        # A fault inside the iteration is neither retried nor turned into
+        # a NumericalError.
+        calls = []
+
+        def aberth(*args):
+            calls.append(args)
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(numeric, "_aberth", aberth)
         with pytest.raises(ZeroDivisionError):
             numeric.binary_form_roots(_p(2, 2, {(2, 0): 1, (0, 2): -2}), 256)
-        assert calls == [60]
+        assert len(calls) == 1
 
     def test_failed_fiber_raises(self, monkeypatch):
         # A fiber whose roots cannot be found fails the solve instead of
         # coming back empty.  The eliminant x^2 - 2z^2 is solved first; the
-        # quadratic fibers of y^2 + xy - z^2 over x = +-sqrt(2) then fail.
-        real = mpmath.polyroots
+        # quadratic fibers of y^2 + xy - z^2 over x = +-sqrt(2) then stop
+        # at a sweep limit of 1.
+        real = numeric._polyroots
         calls = []
 
-        def polyroots(*args, **kwargs):
+        def polyroots(*args):
             calls.append(args)
-            if len(calls) == 1:
-                return real(*args, **kwargs)
-            raise mpmath.libmp.NoConvergence("slow")
+            if len(calls) > 1:
+                monkeypatch.setattr(numeric, "SWEEPS", 1)
+            return real(*args)
 
-        monkeypatch.setattr(numeric.mpmath, "polyroots", polyroots)
+        monkeypatch.setattr(numeric, "_polyroots", polyroots)
         a = _p(3, 2, {(2, 0, 0): 1, (0, 0, 2): -2})
         b = _p(3, 2, {(0, 2, 0): 1, (1, 1, 0): 1, (0, 0, 2): -1})
-        with pytest.raises(numeric.NumericalError):
+        with pytest.raises(numeric.NumericalError, match="sweeps"):
             numeric.solve_pair_p2(a, b, 256)
-        assert len(calls) == 4  # the eliminant, then one fiber's three rungs
-
-
-def _same_roots(got, want, tol):
-    """Whether two root lists agree as multisets within tol."""
-    left = list(want)
-    for r in got:
-        near = [i for i, w in enumerate(left) if mpmath.fabs(r - w) < tol]
-        if not near:
-            return False
-        del left[near[0]]
-    return not left
+        assert len(calls) == 2  # the eliminant, then the first fiber
 
 
 class TestDoubleSeeds:
-    """Seeded root finding finds what a cold start finds."""
+    """From seeds of about double precision (the low-width run), the
+    full-width run finds what mpmath.polyroots, the oracle, finds."""
 
-    def _check(self, coeffs, seeded=True):
-        with mpmath.workprec(256):
-            coeffs = [mpmath.mpc(c) for c in coeffs]
-            assert (numeric._double_seeds(coeffs) is not None) == seeded
-            got = numeric._polyroots(coeffs, 256)
-            cold = mpmath.polyroots(coeffs, maxsteps=800, extraprec=256)
-            assert _same_roots(got, cold, numeric.tolerances(256).dedup)
+    def _check(self, coeffs, precision=256):
+        with mpmath.workprec(precision):
+            got = numeric._polyroots(coeffs, precision)
+            want = mpmath.polyroots(coeffs, maxsteps=800, extraprec=precision)
+            # the same roots, each to within a few units of the last place
+            assert len(got) == len(want)
+            left = list(want)
+            for r in got:
+                near = min(left, key=lambda w: mpmath.fabs(r - w))
+                assert mpmath.fabs(r - near) <= mpmath.ldexp(max(1, mpmath.fabs(near)),
+                                                            8 - precision)
+                assert type(r) is type(near)  # clean-up: a real root is an mpf
+                left.remove(near)
+            keys = [(mpmath.fabs(r.imag), r.real) for r in got]
+            assert keys == sorted(keys)
             return got
 
     def test_random_integer_polynomials(self):
@@ -395,6 +431,17 @@ class TestDoubleSeeds:
             coeffs[0] = coeffs[0] or 1
             coeffs[-1] = coeffs[-1] or -1
             self._check(coeffs)
+
+    def test_random_complex_polynomials(self):
+        # mpc coefficients with wide mantissas, as a fiber over an
+        # irrational point has them
+        rng = random.Random(7)
+        for precision in (64, 256):
+            with mpmath.workprec(precision):
+                for _ in range(20):
+                    coeffs = [mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) / 3 ** rng.randint(0, 9)
+                              for _ in range(rng.randint(3, 14))]
+                    self._check(coeffs, precision)
 
     def test_roots_of_unity(self):
         got = self._check([1] + [0] * 30 + [-1])
@@ -411,22 +458,48 @@ class TestDoubleSeeds:
         with mpmath.workprec(256):
             self._check([mpmath.mpf(c.numerator) / c.denominator for c in coeffs])
 
+    def test_extreme_moduli(self):
+        # (x - 10^30)(x + 2 10^-30)(x^2 + 10^60)(x^2 - x + 10^-60)(x - 5),
+        # its coefficients rounded to 256 bits: the oracle check holds every
+        # root to the last places, and each lies near the root it stands for.
+        big, small = 10 ** 30, Fraction(1, 10 ** 30)
+        coeffs = [Fraction(1)]
+        for factor in ([1, -big], [1, 2 * small], [1, 0, big * big],
+                       [1, -1, small * small], [1, -5]):
+            coeffs = [sum(coeffs[i - k] * c for k, c in enumerate(factor)
+                          if 0 <= i - k < len(coeffs))
+                      for i in range(len(coeffs) + len(factor) - 1)]
+        with mpmath.workprec(256):
+            got = self._check([mpmath.mpf(c.numerator) / c.denominator for c in coeffs])
+            tiny = mpmath.mpf(10) ** -30
+            w = mpmath.sqrt(1 - 4 * tiny ** 2)
+            want = [big, -2 * tiny, big * 1j, -big * 1j,
+                    (1 + w) / 2, (1 - w) / 2, 5]
+            for r in got:
+                assert min(mpmath.fabs(r / x - 1) for x in want) < mpmath.mpf(10) ** -15
+
     def test_scaled_coefficients_are_seeded(self):
         big = mpmath.ldexp(1, 3000)
         got = self._check([big, -3 * big, 2 * big])
-        assert sorted(float(r.real) for r in got) == [1.0, 2.0]
+        assert got == [1, 2]
 
-    def test_range_beyond_doubles_starts_cold(self):
+    def test_range_beyond_doubles(self):
         # (x - 1)(x^2 - 2^1000): the coefficients span more than doubles hold.
         with mpmath.workprec(256):
             big = mpmath.ldexp(1, 1000)
-            got = self._check([1, -1, -big, big], seeded=False)
+            got = self._check([1, -1, -big, big])
             want = [1, mpmath.sqrt(big), -mpmath.sqrt(big)]
             assert all(min(mpmath.fabs(r / w - 1) for w in want) < mpmath.mpf(10) ** -60
                        for r in got)
 
-    def test_zero_constant_term_starts_cold(self):
-        self._check([1, -1, 0], seeded=False)
+    def test_zero_constant_terms(self):
+        # Trailing zero coefficients give exact zero roots.
+        assert self._check([1, -1, 0]) == [0, 1]
+        with mpmath.workprec(256):
+            got = numeric._polyroots([mpmath.mpc(1), 0, 1, 0, 0, 0], 256)
+        assert got[:3] == [0, 0, 0] and all(type(r) is mpmath.mpf for r in got[:3])
+        assert len(got) == 5 and [complex(r) for r in got[3:]] == [-1j, 1j]
+        assert numeric._polyroots([mpmath.mpc(2), 0], 256) == [0]
 
 
 class TestCanonicalOrder:
@@ -436,12 +509,12 @@ class TestCanonicalOrder:
         q = (_p(2, 2, {(2, 0): 1, (0, 2): 1})  # x^2 + y^2
              * _p(2, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 5})  # x^2 - 2xy + 5y^2
              * poly.linear_form([1, 3]))
-        real = mpmath.polyroots
+        real = numeric._polyroots
         orders = []
         for shuffle in (lambda r: r, lambda r: r[::-1],
                         lambda r: [complex(x).conjugate() for x in r]):
-            monkeypatch.setattr(numeric.mpmath, "polyroots",
-                                lambda *a, shuffle=shuffle, **k: shuffle(real(*a, **k)))
+            monkeypatch.setattr(numeric, "_polyroots",
+                                lambda *a, shuffle=shuffle: shuffle(real(*a)))
             with mpmath.workprec(256):
                 roots = numeric.binary_form_roots(q, 256)
                 orders.append([(complex(r0 / r1), m) for (r0, r1), m in roots])
