@@ -327,10 +327,10 @@ def _piece_roots(piece: HomPoly, precision: int) -> list:
 
 
 def _polyroots(coeffs, precision: int) -> list:
-    """The roots of sum coeffs[k] z^(n-k), as ``mpmath.polyroots`` gives them.
+    """The roots of sum coeffs[k] z^(n-k), as mpmath's ``polyroots`` gives them.
 
     Each trailing zero coefficient gives an exact zero root.  The others
-    come from :func:`_aberth`, run at a low width from the Newton polygon's
+    come from :func:`_sweeps`, run at a low width from the Newton polygon's
     start points, then at the full width from where it stopped.  A run with
     a target of b bits (SEED_BITS, then the precision p) works at b + the
     coefficients' range in bits + the largest |log2| of a start radius +
@@ -351,7 +351,7 @@ def _polyroots(coeffs, precision: int) -> list:
             for bits in (min(SEED_BITS, precision), precision):
                 shift, width = bits + spare - width, bits + spare
                 z = [(x << shift, y << shift) for x, y in z] or [_fixed(w, width) for w in start]
-                _aberth([_fixed(c, width - max(mags)) for c in coeffs], z, width, bits)
+                _sweeps([_fixed(c, width - max(mags)) for c in coeffs], z, width, bits)
             tol = 1 << (width + 1 - precision)
             z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
                  else (0, y) if abs(x) < tol else (x, y) for x, y in z]
@@ -401,7 +401,7 @@ def _newton_polygon_start(coeffs):
     return z, reach
 
 
-def _aberth(a, z, width: int, bits: int) -> None:
+def _sweeps(a, z, width: int, bits: int) -> None:
     """Gauss-Seidel Aberth-Ehrlich iteration (Aberth 1973) on the points z,
     in place, in fixed point: x + iy is the pair of integers 2^width (x, y).
 

@@ -371,11 +371,11 @@ class TestPolyroots:
         # a NumericalError.
         calls = []
 
-        def aberth(*args):
+        def sweeps(*args):
             calls.append(args)
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(numeric, "_aberth", aberth)
+        monkeypatch.setattr(numeric, "_sweeps", sweeps)
         with pytest.raises(ZeroDivisionError):
             numeric.binary_form_roots(_p(2, 2, {(2, 0): 1, (0, 2): -2}), 256)
         assert len(calls) == 1
