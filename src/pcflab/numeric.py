@@ -639,8 +639,8 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
     open_pieces = poly.binary_squarefree_decomposition(
         poly.strip_var(poly.slice_poly(eliminant, elim), 1))
     out = []
-    # a and b compiled for Newton's method, at the first irrational point
-    pair = functools.cache(lambda: (MpForm(a), MpForm(b)))
+    # a and b compiled at the precision for Newton's method, at the first irrational point
+    pair = functools.cache(mpmath.workprec(precision)(lambda: (MpForm(a), MpForm(b))))
     for rows in _fiber_chain(a, b, elim):
         coeffs = [poly.slice_poly(r, elim) for r in rows]
         compiled = []  # the row's MpForms, built at its first irrational x0

@@ -276,11 +276,13 @@ class TestSolvePairP2:
                 for form in (a, b):
                     assert mpmath.fabs(numeric.eval_form(form, pt)) < mpmath.mpf(10) ** -60
 
-    def test_each_piece_is_split_once(self, monkeypatch):
+    def test_one_split_per_piece_and_one_compile_per_solve(self, monkeypatch):
         # The eliminant is split into square-free pieces once; a piece, or
-        # what its rational roots leave, is never split again.
+        # what its rational roots leave, is never split again.  Newton's
+        # method polishes the six irrational points with a and b compiled
+        # once for the whole solve.
         real = poly.binary_squarefree_decomposition
-        seen, resplit = set(), []
+        seen, resplit, built = set(), [], []
 
         def decomposition(q):
             if not q.is_constant() and poly.canonical(q) in seen:
@@ -289,29 +291,19 @@ class TestSolvePairP2:
             seen.update(piece for _m, piece in pieces)
             return pieces
 
-        monkeypatch.setattr(poly, "binary_squarefree_decomposition", decomposition)
-        a = _p(3, 3, {(3, 0, 0): 1, (1, 2, 0): 2, (0, 1, 2): -3, (0, 0, 3): 1})
-        b = _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (1, 1, 0): 1, (0, 1, 1): 2,
-                      (0, 0, 2): -5})
-        points, _m = numeric.solve_pair_p2(a, b, 256)
-        assert len(points) == 6 and seen and resplit == []
-
-    def test_refinement_compiles_the_pair_once(self, monkeypatch):
-        # Newton's method polishes six irrational points with a and b
-        # compiled once for the whole solve.
-        built = []
-
         class Counting(numeric.MpForm):
             def __init__(self, p):
                 built.append(p)
                 super().__init__(p)
 
+        monkeypatch.setattr(poly, "binary_squarefree_decomposition", decomposition)
         monkeypatch.setattr(numeric, "MpForm", Counting)
         a = _p(3, 3, {(3, 0, 0): 1, (1, 2, 0): 2, (0, 1, 2): -3, (0, 0, 3): 1})
         b = _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (1, 1, 0): 1, (0, 1, 1): 2,
                       (0, 0, 2): -5})
         points, _m = numeric.solve_pair_p2(a, b, 256)
         assert sum(not numeric.is_exact(pt) for pt in points) == 6
+        assert seen and resplit == []
         assert built.count(a) == 1 and built.count(b) == 1
 
     def test_blocked_leading_coefficients_eliminate_x(self):
