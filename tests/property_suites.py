@@ -266,6 +266,105 @@ def suite_linear_factors(n=500, seed=107):
     return count
 
 
+# The term-by-term Fraction product and composition that ``poly`` used before
+# its keyed integer product, kept as the reference for ``suite_products``.
+
+
+def reference_mul(a, b):
+    """a * b by a double loop of Fraction multiply-adds over the terms."""
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return poly.HomPoly(a.nvars, a.degree + b.degree, acc)
+
+
+def reference_compose(p, subs):
+    """p(subs), each term of p expanded by ``reference_mul``."""
+    n = subs[0].nvars
+    acc = poly.zero(n, p.degree * subs[0].degree)
+    for exps, c in p.terms.items():
+        term = poly.constant(n, c)
+        for q, k in zip(subs, exps):
+            for _ in range(k):
+                term = reference_mul(term, q)
+        acc = acc + term
+    return acc
+
+
+def _wide_coeff(rng):
+    """A nonzero coefficient: small or of size 2^3000, integer or not."""
+    num = 0
+    while num == 0:
+        num = rng.randint(-9, 9)
+    kind = rng.random()
+    if kind < 0.15:
+        return Fraction(num * 2 ** 3000 + rng.randint(-9, 9))
+    if kind < 0.25:
+        return Fraction(num, 2 ** 3000 + rng.randint(1, 9))
+    if kind < 0.55:
+        return Fraction(num, rng.randint(2, 12))
+    return Fraction(num)
+
+
+def _wide_form(rng, nvars, degree):
+    """A form for the product suite; zero one time in ten."""
+    terms = {}
+    if rng.random() >= 0.1:
+        for _ in range(rng.randint(1, 6)):
+            terms[_exponent(rng, nvars, degree)] = _wide_coeff(rng)
+    return poly.HomPoly(nvars, degree, terms)
+
+
+def _same(got, want):
+    return (got.nvars, got.degree, got.terms) == (want.nvars, want.degree, want.terms)
+
+
+def suite_products(n=500, seed=108):
+    """``*`` and ``compose`` against the reference, by terms and degree.
+
+    Operands have 2, 3 or 4 variables and degrees 0 to 6, with negative,
+    fractional and 2^3000-sized coefficients; some are zero or constant.
+    One product in four is (u + v)(u - v), whose cross terms cancel, and
+    one composition in four is (x_i - x_j) * r with the same form put in
+    for x_i and x_j, whose terms all cancel.
+    """
+    rng = random.Random(seed)
+    count = 0
+    while count < n:
+        nvars = rng.choice((2, 3, 4))
+        da, db = rng.randint(0, 6), rng.randint(0, 6)
+        a, b = _wide_form(rng, nvars, da), _wide_form(rng, nvars, db)
+        if rng.random() < 0.25:
+            v = _wide_form(rng, nvars, da)
+            a, b = a + v, a - v
+        assert _same(a * b, reference_mul(a, b)), (a, b)
+        assert _same(b * a, reference_mul(a, b)), (a, b)
+
+        np_, nq = rng.choice((2, 3, 4)), rng.choice((2, 3, 4))
+        dp = rng.randint(0, 6)
+        e = rng.randint(0, 2 if dp <= 3 else 1)
+        subs = [_wide_form(rng, nq, e) for _ in range(np_)]
+        if dp and rng.random() < 0.25:
+            i, j = rng.sample(range(np_), 2)
+            subs[j] = subs[i]
+            diff = poly.variable(np_, i) - poly.variable(np_, j)
+            p = diff * _wide_form(rng, np_, dp - 1)
+            assert poly.compose(p, subs).is_zero()
+        else:
+            p = _wide_form(rng, np_, dp)
+        got, want = poly.compose(p, subs), reference_compose(p, subs)
+        assert _same(got, want), (p, subs)
+        assert got.degree == dp * e
+        count += 1
+    return count
+
+
 # -- projmap suites ------------------------------------------------------------
 
 

@@ -633,6 +633,9 @@ class TestRandomizedLaws:
     def test_linear_factors(self):
         assert ps.suite_linear_factors(n=60) >= 60
 
+    def test_products(self):
+        assert ps.suite_products(n=60) == 60
+
 
 # -- oracle: the rational root theorem, exhaustively ----------------------------
 #
