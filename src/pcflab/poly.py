@@ -18,14 +18,19 @@ subresultants interpolated from integer Sylvester minors
 (``subresultant``), and rational linear-factor extraction for binary and
 ternary forms.
 
-Binary forms (``nvars == 2``) take a dense path in ``gcd``,
-``squarefree_part`` and ``compose``.  A binary form of degree d is the list
-of its d + 1 coefficients by the power of x0, scaled to integers; the list
-with its zero top entries dropped is the dehomogenized polynomial p(x0, 1),
-and the number dropped is the power of x1 dividing p.  Gcds and square-free
-parts run a univariate primitive remainder sequence on those lists and put
-the power of x1 back apart; compositions onto binary forms multiply the
-lists by convolution and divide by one common denominator at the end.
+Products and compositions, in any number of variables, run one keyed
+integer product: each exponent tuple becomes one integer, so multiplying
+two monomials is one integer addition, and each operand is scaled by its
+common denominator to integer coefficients, so Fractions are built only
+once, over the product of the denominators (``_times``).
+
+Binary forms (``nvars == 2``) take a dense path in ``gcd`` and
+``squarefree_part``.  A binary form of degree d is the list of its d + 1
+coefficients by the power of x0, scaled to integers; the list with its zero
+top entries dropped is the dehomogenized polynomial p(x0, 1), and the number
+dropped is the power of x1 dividing p.  Gcds and square-free parts run a
+univariate primitive remainder sequence on those lists and put the power of
+x1 back apart.
 
 The gcd of forms in more variables is the primitive part, with respect to
 one variable, of their first non-vanishing subresultant, times the gcd of
@@ -36,6 +41,7 @@ take the dense binary path.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -139,16 +145,10 @@ class HomPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return HomPoly(self.nvars, self.degree + other.degree, acc)
+        degree = self.degree + other.degree
+        da, db = _denominator(self), _denominator(other)
+        acc = _times(_packed(self, da, degree + 1), _packed(other, db, degree + 1))
+        return _unpacked(self.nvars, degree, acc, da * db)
 
     __rmul__ = __mul__
 
@@ -375,14 +375,14 @@ def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
     """Substitute ``subs[i]`` for variable ``i`` of ``p``.
 
     All substituted forms must share a variable count and a common degree
-    ``e``; the result is homogeneous of degree ``p.degree * e``.
+    ``e``; the result is homogeneous of degree ``p.degree * e``.  With D the
+    common denominator of the substituted forms and P that of p,
+    p(q) = (P*p)(D*q) / (P * D^deg p) because p is homogeneous, so the
+    keyed product runs on integers and only the result has fractions.
     """
     if len(subs) != p.nvars:
-        raise PolynomialError(
-            f"{p.nvars} substitutions required, got {len(subs)}"
-        )
-    n = subs[0].nvars
-    e = subs[0].degree
+        raise PolynomialError(f"{p.nvars} substitutions required, got {len(subs)}")
+    n, e = subs[0].nvars, subs[0].degree
     for q in subs:
         if q.nvars != n:
             raise PolynomialError("substituted forms disagree on variable count")
@@ -391,33 +391,68 @@ def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
                 f"substituted forms disagree on degree: {q.degree} vs {e}"
             )
     out_deg = p.degree * e
-    # Cache powers of each substituted form up to the largest exponent used.
-    max_exp = [0] * p.nvars
-    for exps in p.terms:
-        for i, k in enumerate(exps):
-            if k > max_exp[i]:
-                max_exp[i] = k
-    if n == 2:
-        return _compose_binary(p, subs, max_exp)
-    powers = []
+    den = _denominator(*subs)
+    powers = []  # powers[i][k]: the packed k-th power of den * subs[i]
     for i, q in enumerate(subs):
-        row = [constant(n, 1)]
-        for _ in range(max_exp[i]):
-            row.append(row[-1] * q)
+        row = [{0: 1}, _packed(q, den, out_deg + 1)]
+        for _ in range(1, p.var_degree(i)):
+            row.append(_times(row[-1], row[1]))
         powers.append(row)
+    pden = _denominator(p)
     acc = {}
     for exps, c in p.terms.items():
-        term = constant(n, c)
+        term = {0: c.numerator * (pden // c.denominator)}
         for i, k in enumerate(exps):
             if k:
-                term = term * powers[i][k]
-        for te, tc in term.terms.items():
-            s = acc.get(te, 0) + tc
-            if s:
-                acc[te] = s
-            else:
-                acc.pop(te, None)
-    return HomPoly(n, out_deg, acc)
+                term = _times(term, powers[i][k])
+        for key, x in term.items():
+            acc[key] = acc.get(key, 0) + x
+    return _unpacked(n, out_deg, acc, pden * den ** p.degree)
+
+
+# -- the keyed integer product ----------------------------------------------
+#
+# The key of an exponent tuple e is sum of e_i * B^(nvars - 1 - i), with B
+# the degree of the product plus one (Monagan and Pearce 2007).  No exponent
+# reaches B, so adding two keys multiplies the monomials with no carry, and
+# with x0 the most significant digit, key order is the lex order.
+
+
+def _packed(p: HomPoly, den: int, base: int) -> dict:
+    """``den * p``, which must have integer coefficients, as {key: int}."""
+    out = {}
+    for e, c in p.terms.items():
+        k = 0
+        for x in e:
+            k = k * base + x
+        out[k] = c.numerator * (den // c.denominator)
+    return out
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two packed forms; a cancelled key stays, at 0."""
+    acc = {}
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+@lru_cache(maxsize=1 << 16)
+def _exponents(key: int, base: int, nvars: int) -> tuple:
+    """The exponent tuple of ``key``, one object for all forms of a degree."""
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, out[i] = divmod(key, base)
+    return tuple(out)
+
+
+def _unpacked(nvars: int, degree: int, acc: dict, den: int) -> HomPoly:
+    """The form of the given degree with coefficients acc[key] / den."""
+    return HomPoly(nvars, degree, {_exponents(k, degree + 1, nvars): Fraction(c, den)
+                                   for k, c in acc.items() if c})
 
 
 # -- dense binary forms ----------------------------------------------------
@@ -426,35 +461,6 @@ def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
 # x0^i * x1^(d - i) at index i.  Dropping its zero top entries leaves the
 # dehomogenized polynomial p(x0, 1), low degree first; the number dropped
 # is the power of x1 that divides the form.
-
-
-def _compose_binary(p: HomPoly, subs: Sequence[HomPoly], max_exp: list) -> HomPoly:
-    """``compose`` onto binary forms, on dense integer lists.
-
-    With D the common denominator of the substituted forms and P that of p,
-    p(q) = (P*p)(D*q) / (P * D^deg p) because p is homogeneous, so all the
-    products are of integers and only the final coefficients are fractions.
-    """
-    den = _denominator(*subs)
-    powers = []
-    for i, q in enumerate(subs):
-        row = [[1]]
-        if max_exp[i]:
-            row.append(_binary_ints(q, den))
-        for _ in range(1, max_exp[i]):
-            row.append(_convolve(row[-1], row[1]))
-        powers.append(row)
-    pden = _denominator(p)
-    out_deg = p.degree * subs[0].degree
-    acc = [0] * (out_deg + 1)
-    for exps, c in p.terms.items():
-        term = [c.numerator * (pden // c.denominator)]
-        for i, k in enumerate(exps):
-            if k:
-                term = _convolve(term, powers[i][k])
-        for j, x in enumerate(term):
-            acc[j] += x
-    return _binary_form(acc, pden * den ** p.degree)
 
 
 def _binary_ints(p: HomPoly, den: int) -> list:
@@ -482,15 +488,6 @@ def _trim(c: list) -> list:
 def _dehomogenize(p: HomPoly) -> list:
     """p(x0, 1) of a nonzero binary form, scaled to integers."""
     return _trim(_binary_ints(p, _denominator(p)))
-
-
-def _convolve(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _derivative(u: list) -> list:

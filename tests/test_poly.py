@@ -58,6 +58,16 @@ class TestArithmetic:
         x_plus_y = poly.linear_form([1, 1])
         assert x_plus_y * x_plus_y == _p(2, 2, {X2: 1, XY: 2, Y2: 1})
 
+    def test_products_of_one_degree_share_exponent_tuples(self):
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        a = x * (y * y)
+        b = (x + z) * (y * y - z * z)
+        # Keys turn back into tuples through one cache, per key and degree.
+        shared = [next(k for k in f.terms if k == (1, 2, 0)) for f in (a, b)]
+        assert shared[0] is shared[1]
+        info = poly._exponents.cache_info()
+        assert info.maxsize == 1 << 16 and info.currsize <= info.maxsize
+
     def test_partial_derivative(self):
         p = _p(3, 3, {(2, 1, 0): 1})  # x^2 y
         assert poly.partial(p, 0) == _p(3, 2, {(1, 1, 0): 2})

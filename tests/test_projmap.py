@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath
@@ -235,6 +236,19 @@ class TestIterate:
     def test_nesting_multiplies(self):
         m = _squaring_p1()
         assert projmap.iterate(projmap.iterate(m, 2), 3) == projmap.iterate(m, 6)
+
+    def test_sparse_iterate_at_the_degree_cap(self):
+        # A product that packs a whole form into one integer is dense in the
+        # degree and takes minutes here; the keyed sparse product does not.
+        started = time.perf_counter()
+        powers = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        m12 = projmap.iterate(_squaring_p2(), 12)
+        assert m12.comps == tuple(poly.monomial(3, [4096 * k for k in e]) for e in powers)
+        subs = [poly.monomial(3, [2048 * k for k in e]) for e in powers]
+        x = poly.variable(3, 0)
+        assert poly.compose(x * x, subs) == poly.monomial(3, (4096, 0, 0))
+        elapsed = time.perf_counter() - started
+        assert elapsed < 2.0, f"took {elapsed:.2f}s, ceiling is 2s"
 
     def test_degree_cap_trips(self):
         with pytest.raises(projmap.DegreeCapError):
