@@ -365,6 +365,94 @@ def suite_products(n=500, seed=108):
     return count
 
 
+# The term-by-term Fraction reduction that ``poly`` used before its division
+# on packed integer keys, kept as the reference for ``suite_division``.
+
+
+def reference_reduce(a, b, rest=None):
+    """Reduce ``a`` by ``b`` term by term from the lex-greatest; the quotient.
+
+    A leading term that ``b``'s does not divide moves into the dict ``rest``,
+    or, with no ``rest`` given, ends the loop with None.
+    """
+    lead_b, coeff_b = b.leading()
+    quot = {}
+    work = dict(a.terms)
+    while work:
+        lead = max(work)
+        te = tuple(x - y for x, y in zip(lead, lead_b))
+        if any(x < 0 for x in te):
+            if rest is None:
+                return None
+            rest[lead] = work.pop(lead)
+            continue
+        tc = work[lead] / coeff_b
+        quot[te] = tc
+        for e, c in b.terms.items():
+            e2 = tuple(x + y for x, y in zip(te, e))
+            s = work.get(e2, 0) - tc * c
+            if s:
+                work[e2] = s
+            else:
+                work.pop(e2, None)
+    return quot
+
+
+def reference_remainder(a, b):
+    rest = {}
+    reference_reduce(a, b, rest)
+    return poly.HomPoly(a.nvars, a.degree, rest)
+
+
+def reference_exact_divide(a, b):
+    if a.is_zero():
+        return poly.zero(a.nvars, max(a.degree - b.degree, 0))
+    if a.degree < b.degree:
+        return None
+    quot = reference_reduce(a, b)
+    return None if quot is None else poly.HomPoly(a.nvars, a.degree - b.degree, quot)
+
+
+def suite_division(n=500, seed=109):
+    """``remainder`` and ``exact_divide`` against the reference, by terms and degree.
+
+    Operands have 2, 3 or 4 variables and degrees 0 to 6, with negative,
+    fractional and 2^3000-sized coefficients.  The divisor is nonzero, and
+    one time in two its leading coefficient is scaled away from 1.  One
+    dividend in three is a random form, of a degree below or above the
+    divisor's; one is an exact product q*b, whose remainder cancels to zero;
+    and one is q*b plus a stray term, which b does not divide.
+    """
+    rng = random.Random(seed)
+    count = 0
+    while count < n:
+        nvars = rng.choice((2, 3, 4))
+        b = _wide_form(rng, nvars, rng.randint(0, 6))
+        if b.is_zero():
+            continue
+        if rng.random() < 0.5:
+            b = b.scale(_wide_coeff(rng) / b.leading()[1] * rng.choice((2, -3, 5)))
+        kind = count % 3
+        if kind == 0:
+            a = _wide_form(rng, nvars, rng.randint(0, 6))
+        else:
+            a = _wide_form(rng, nvars, rng.randint(0, 6 - b.degree)) * b
+            if kind == 2:
+                stray = _exponent(rng, nvars, a.degree)
+                a = a + poly.monomial(nvars, stray, _wide_coeff(rng))
+        want_r, want_q = reference_remainder(a, b), reference_exact_divide(a, b)
+        if kind == 1:
+            assert want_r.is_zero() and want_q is not None
+        assert _same(poly.remainder(a, b), want_r), (a, b)
+        got_q = poly.exact_divide(a, b)
+        if want_q is None:
+            assert got_q is None, (a, b)
+        else:
+            assert _same(got_q, want_q), (a, b)
+        count += 1
+    return count
+
+
 # -- projmap suites ------------------------------------------------------------
 
 

@@ -297,6 +297,7 @@ def test_criterion_11_property_suites_full_counts():
         ("resultant-gcd", ps.suite_resultant_gcd),
         ("linear factors", ps.suite_linear_factors),
         ("products against the reference", ps.suite_products),
+        ("division against the reference", ps.suite_division),
         ("iterate laws", ps.suite_iterate_additivity),
         ("line-map degree power", ps.suite_p1_degree_power),
         ("component normalization", ps.suite_component_normalization),

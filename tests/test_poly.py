@@ -1,6 +1,8 @@
 """Exact polynomial layer: frozen desk values plus seeded randomized laws."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +22,20 @@ X2, Y2 = (2, 0), (0, 2)
 XY = (1, 1)
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError inside the block once it has run ``seconds``."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestConstruction:
     def test_rejects_wrong_degree_sum(self):
         with pytest.raises(PolynomialError):
@@ -32,6 +48,14 @@ class TestConstruction:
     def test_rejects_single_variable(self):
         with pytest.raises(PolynomialError):
             _p(1, 1, {(1,): 1})
+
+    def test_public_constructor_checks_every_term(self):
+        # Forms that poly builds itself skip these checks; input never does.
+        for nvars, degree, terms in ((3, 2, {(1, 1): 1}),        # tuple too short
+                                     (3, 2, {(1, 1, 0): 1, (2, 0, 1): 1}),  # wrong degree tag
+                                     (3, 2, {(3, -1, 0): 1})):   # negative exponent
+            with pytest.raises(PolynomialError):
+                _p(nvars, degree, terms)
 
     def test_zero_coefficients_dropped(self):
         p = _p(2, 2, {X2: 0, Y2: 3})
@@ -106,6 +130,15 @@ class TestDivisionAndGcd:
     def test_exact_divide_rejects_nondivisor(self):
         a = _p(2, 2, {X2: 1, Y2: 1})
         assert poly.exact_divide(a, poly.linear_form([1, 1])) is None
+
+    def test_division_by_a_form_of_higher_degree(self):
+        # Packed in a base that covers only the dividend's degree, the
+        # quartic's keys collide and the reduction never ends.
+        a = _p(3, 2, {(2, 0, 0): 1, (1, 1, 0): -4, (0, 2, 0): 4})
+        b = _p(3, 4, {(4, 0, 0): 1, (1, 0, 3): 2, (0, 3, 1): 1, (0, 2, 2): 1})
+        with _within(0.5):
+            assert poly.remainder(a, b) == a
+            assert poly.exact_divide(a, b) is None
 
     def test_gcd_of_shifted_products(self):
         u = poly.linear_form([1, 1])
@@ -645,6 +678,9 @@ class TestRandomizedLaws:
 
     def test_products(self):
         assert ps.suite_products(n=60) == 60
+
+    def test_division(self):
+        assert ps.suite_division(n=60) == 60
 
 
 # -- oracle: the rational root theorem, exhaustively ----------------------------
