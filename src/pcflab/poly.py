@@ -22,7 +22,10 @@ Products and compositions, in any number of variables, run one keyed
 integer product: each exponent tuple becomes one integer, so multiplying
 two monomials is one integer addition, and each operand is scaled by its
 common denominator to integer coefficients, so Fractions are built only
-once, over the product of the denominators (``_times``).
+once, over the product of the denominators (``_times``).  Exact division
+and remainders reduce the same packed keys over integers, from the
+lex-greatest key of a heap, and build their Fractions once
+(``_lead_reduce``).
 
 Binary forms (``nvars == 2``) take a dense path in ``gcd`` and
 ``squarefree_part``.  A binary form of degree d is the list of its d + 1
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -121,7 +125,7 @@ class HomPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.nvars, self.degree, {e: -c for e, c in self.terms.items()})
+        return _form(self.nvars, self.degree, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         self._check_compatible(other)
@@ -136,7 +140,7 @@ class HomPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        return HomPoly(self.nvars, self.degree, acc)
+        return _form(self.nvars, self.degree, acc)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
@@ -148,15 +152,15 @@ class HomPoly:
         degree = self.degree + other.degree
         da, db = _denominator(self), _denominator(other)
         acc = _times(_packed(self, da, degree + 1), _packed(other, db, degree + 1))
-        return _unpacked(self.nvars, degree, acc, da * db)
+        return _unpacked(self.nvars, degree, acc, da * db, degree + 1)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "HomPoly":
         c = Fraction(c)
         if c == 0:
-            return HomPoly(self.nvars, self.degree, {})
-        return HomPoly(self.nvars, self.degree, {e: k * c for e, k in self.terms.items()})
+            return _form(self.nvars, self.degree, {})
+        return _form(self.nvars, self.degree, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "HomPoly":
         if n < 0:
@@ -238,6 +242,18 @@ class HomPoly:
 
     def __repr__(self) -> str:
         return f"HomPoly({self.nvars}, {self.degree}, {format_poly(self)!r})"
+
+
+def _form(nvars: int, degree: int, terms: dict) -> HomPoly:
+    """A HomPoly from terms that this module built itself: nonzero Fractions
+    on exponent tuples of length ``nvars`` that sum to ``degree``.  It skips
+    the checks of ``HomPoly.__init__``, which every form from outside takes."""
+    p = object.__new__(HomPoly)
+    object.__setattr__(p, "nvars", nvars)
+    object.__setattr__(p, "degree", degree)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
 # -- constructors -------------------------------------------------------
@@ -331,12 +347,10 @@ def int_primitive(p: HomPoly) -> HomPoly:
     """Scale to integer coefficients with content 1 (sign untouched)."""
     if p.is_zero():
         return p
-    den_lcm = _denominator(p)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    return p.scale(scale)
+    den = _denominator(p)
+    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = int_gcd(*ints.values())
+    return _form(p.nvars, p.degree, {e: Fraction(x // g) for e, x in ints.items()})
 
 
 def canonical(p: HomPoly) -> HomPoly:
@@ -359,16 +373,8 @@ def partial(p: HomPoly, i: int) -> HomPoly:
     """Partial derivative with respect to variable ``i``."""
     if not 0 <= i < p.nvars:
         raise PolynomialError(f"variable index {i} out of range")
-    deg = max(p.degree - 1, 0)
-    acc = {}
-    for e, c in p.terms.items():
-        k = e[i]
-        if k == 0:
-            continue
-        e2 = list(e)
-        e2[i] = k - 1
-        acc[tuple(e2)] = c * k
-    return HomPoly(p.nvars, deg, acc)
+    return _form(p.nvars, max(p.degree - 1, 0),
+                 {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.terms.items() if e[i]})
 
 
 def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
@@ -407,7 +413,7 @@ def compose(p: HomPoly, subs: Sequence[HomPoly]) -> HomPoly:
                 term = _times(term, powers[i][k])
         for key, x in term.items():
             acc[key] = acc.get(key, 0) + x
-    return _unpacked(n, out_deg, acc, pden * den ** p.degree)
+    return _unpacked(n, out_deg, acc, pden * den ** p.degree, out_deg + 1)
 
 
 # -- the keyed integer product ----------------------------------------------
@@ -449,10 +455,10 @@ def _exponents(key: int, base: int, nvars: int) -> tuple:
     return tuple(out)
 
 
-def _unpacked(nvars: int, degree: int, acc: dict, den: int) -> HomPoly:
+def _unpacked(nvars: int, degree: int, acc: dict, den: int, base: int) -> HomPoly:
     """The form of the given degree with coefficients acc[key] / den."""
-    return HomPoly(nvars, degree, {_exponents(k, degree + 1, nvars): Fraction(c, den)
-                                   for k, c in acc.items() if c})
+    return _form(nvars, degree, {_exponents(k, base, nvars): Fraction(c, den)
+                                 for k, c in acc.items() if c})
 
 
 # -- dense binary forms ----------------------------------------------------
@@ -569,9 +575,9 @@ def _binary_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
 def exact_divide(a: HomPoly, b: HomPoly) -> Optional[HomPoly]:
     """Return ``a / b`` when the division is exact, else None.
 
-    Uses leading-term reduction in lexicographic order.  Because leading
-    terms are multiplicative, the reduction either terminates with remainder
-    zero (giving the quotient) or proves non-divisibility at the first
+    Uses leading-term reduction in lexicographic order (``_lead_reduce``).
+    Because leading terms are multiplicative, it either ends with remainder
+    zero, giving the quotient, or proves non-divisibility at the first
     leading term that fails to divide.
     """
     a._check_compatible(b)
@@ -581,8 +587,7 @@ def exact_divide(a: HomPoly, b: HomPoly) -> Optional[HomPoly]:
         return zero(a.nvars, max(a.degree - b.degree, 0))
     if a.degree < b.degree:
         return None
-    quot = _lead_reduce(a, b)
-    return None if quot is None else HomPoly(a.nvars, a.degree - b.degree, quot)
+    return _lead_reduce(a, b, exact=True)
 
 
 def remainder(a: HomPoly, b: HomPoly) -> HomPoly:
@@ -591,42 +596,73 @@ def remainder(a: HomPoly, b: HomPoly) -> HomPoly:
     No term of it is divisible by the leading term of ``b``, which makes it
     unique: it is zero exactly when ``b`` divides ``a``, it is linear in
     ``a``, and ``remainder(remainder(a) * p, b) == remainder(a * p, b)``.
+    A dividend of lower degree than ``b`` is its own remainder.
     """
     a._check_compatible(b)
     if b.is_zero():
         raise PolynomialError("division by the zero polynomial")
-    rest = {}
-    _lead_reduce(a, b, rest=rest)
-    return HomPoly(a.nvars, a.degree, rest)
+    if a.is_zero() or a.degree < b.degree:
+        return a
+    return _lead_reduce(a, b, exact=False)
 
 
-def _lead_reduce(a: HomPoly, b: HomPoly, rest: Optional[dict] = None):
-    """Reduce ``a`` by ``b`` term by term from the lex-greatest; the quotient.
+def _lead_reduce(a: HomPoly, b: HomPoly, exact: bool) -> Optional[HomPoly]:
+    """The remainder of ``a`` by ``b``, deg a >= deg b, from the lex-greatest
+    term; with ``exact``, the quotient, or None at the first term that b's
+    leading term does not divide.
 
-    A leading term that ``b``'s does not divide moves into the dict ``rest``,
-    or, with no ``rest`` given, ends the loop with None.
+    Keys are packed in base 2^s, 2^(s-1) > deg a, so each exponent field
+    has a clear guard bit, and b's leading key divides a key k exactly when
+    k - lead sets none: a field that goes negative borrows into its own
+    guard bit (Monagan and Pearce 2007).  Keys come off a heap greatest
+    first; each enters it once, and a cancelled key stays in ``work`` at 0.
+    With A = den_a * a and B = den_b * b in integers, the loop keeps
+    scale * A = Q * B + R + work, multiplying work and the output by
+    |lc| / gcd(w, lc) when B's leading coefficient lc does not divide the
+    leading coefficient w.  Q * den_b or R over scale * den_a gives the
+    Fractions, built once.
     """
-    lead_b, coeff_b = b.leading()
-    quot = {}
-    work = dict(a.terms)
-    while work:
-        lead = max(work)
-        te = tuple(x - y for x, y in zip(lead, lead_b))
-        if any(x < 0 for x in te):
-            if rest is None:
-                return None
-            rest[lead] = work.pop(lead)
+    nvars = a.nvars
+    s = a.degree.bit_length() + 1
+    base = 1 << s
+    guard = sum(1 << (s * i + s - 1) for i in range(nvars))
+    den_a, den_b = _denominator(a), _denominator(b)
+    work = _packed(a, den_a, base)
+    divisor = sorted(_packed(b, den_b, base).items(), reverse=True)
+    (lead, lc), tail = divisor[0], divisor[1:]
+    heap = [-k for k in work]
+    heapify(heap)
+    out, scale = {}, 1
+    while heap:
+        k = -heappop(heap)
+        w = work.pop(k)
+        if not w:
             continue
-        tc = work[lead] / coeff_b
-        quot[te] = tc
-        for e, c in b.terms.items():
-            e2 = tuple(x + y for x, y in zip(te, e))
-            s = work.get(e2, 0) - tc * c
-            if s:
-                work[e2] = s
-            else:
-                work.pop(e2, None)
-    return quot
+        t = k - lead
+        if t & guard:
+            if exact:
+                return None
+            out[k] = w
+            continue
+        if w % lc:
+            m = abs(lc) // int_gcd(w, lc)
+            for d in (work, out):
+                for key in d:
+                    d[key] *= m
+            scale *= m
+            w *= m
+        q = w // lc
+        if exact:
+            out[t] = q * den_b
+        for kb, cb in tail:
+            key = t + kb
+            c = work.get(key)
+            if c is None:
+                heappush(heap, -key)
+                c = 0
+            work[key] = c - q * cb
+    degree = a.degree - b.degree if exact else a.degree
+    return _unpacked(nvars, degree, out, scale * den_a, base)
 
 
 # -- univariate views ----------------------------------------------------
@@ -634,17 +670,10 @@ def _lead_reduce(a: HomPoly, b: HomPoly, rest: Optional[dict] = None):
 
 def ladder(p: HomPoly, i: int) -> list:
     """Coefficients of x_i^t for t = 0..var_degree, as x_i-free HomPolys."""
-    top = p.var_degree(i)
-    rows = [dict() for _ in range(top + 1)]
+    rows = [{} for _ in range(p.var_degree(i) + 1)]
     for e, c in p.terms.items():
-        k = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        rows[k][tuple(e2)] = c
-    return [
-        HomPoly(p.nvars, p.degree - t if rows[t] else max(p.degree - t, 0), rows[t])
-        for t in range(top + 1)
-    ]
+        rows[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    return [_form(p.nvars, p.degree - t, row) for t, row in enumerate(rows)]
 
 
 def strip_var(p: HomPoly, i: int) -> HomPoly:
@@ -652,12 +681,8 @@ def strip_var(p: HomPoly, i: int) -> HomPoly:
     k = p.min_var_degree(i)
     if k == 0:
         return p
-    acc = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        e2[i] -= k
-        acc[tuple(e2)] = c
-    return HomPoly(p.nvars, p.degree - k, acc)
+    return _form(p.nvars, p.degree - k,
+                 {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.terms.items()})
 
 
 def _drop_var(p: HomPoly, i: int) -> HomPoly:
@@ -785,8 +810,7 @@ def squarefree_part(p: HomPoly) -> HomPoly:
         g = gcd(g, partial(p, i))
         if g.is_constant():
             break
-    sf = exact_divide(p, g)
-    return canonical(sf)
+    return canonical(exact_divide(p, g))
 
 
 # -- resultants and subresultants by evaluation and interpolation -----------
@@ -1111,14 +1135,7 @@ def _ternary_candidates(q: HomPoly) -> list:
 def slice_poly(q: HomPoly, i: int) -> HomPoly:
     """Restriction of a ternary form to the coordinate plane x_i = 0,
     as a binary form in the remaining two variables."""
-    keep = [j for j in range(q.nvars) if j != i]
-    acc = {}
-    for e, c in q.terms.items():
-        if e[i] == 0:
-            acc[tuple(e[j] for j in keep)] = c
-    if not acc:
-        return zero(2, q.degree)
-    return HomPoly(2, q.degree, acc)
+    return HomPoly(2, q.degree, {e[:i] + e[i + 1:]: c for e, c in q.terms.items() if e[i] == 0})
 
 
 # -- square-free decomposition for binary forms ----------------------------
@@ -1136,28 +1153,20 @@ def binary_squarefree_decomposition(p: HomPoly):
         raise PolynomialError("binary decomposition needs a binary form")
     if p.is_zero():
         raise PolynomialError("cannot decompose the zero polynomial")
-    pieces = []
     coord_factors, q = _strip_variable_factors(p)
-    for form, mult in coord_factors:
-        pieces.append((mult, form))
+    pieces = [(mult, form) for form, mult in coord_factors]
     q = canonical(q) if not q.is_constant() else q
     if q.is_constant():
         return sorted(pieces, key=lambda mp: (mp[0], mp[1].sort_key()))
     # t_j = gcd(q, q', q'', ...) peels one copy of every repeated factor.
     chain = [q]
     while not chain[-1].is_constant():
-        nxt = gcd(chain[-1], partial(chain[-1], 0))
-        chain.append(nxt)
-        if nxt.is_constant():
-            break
+        chain.append(gcd(chain[-1], partial(chain[-1], 0)))
     # s_j = t_{j-1}/t_j is the product of factors with multiplicity >= j.
-    s = []
-    for j in range(1, len(chain)):
-        s.append(canonical(exact_divide(chain[j - 1], chain[j])))
+    s = [canonical(exact_divide(chain[j - 1], chain[j])) for j in range(1, len(chain))]
     s.append(constant(2, 1))
     for j in range(len(s) - 1):
-        piece = exact_divide(s[j], s[j + 1])
-        piece = canonical(piece)
+        piece = canonical(exact_divide(s[j], s[j + 1]))
         if not piece.is_constant():
             pieces.append((j + 1, piece))
     return sorted(pieces, key=lambda mp: (mp[0], mp[1].sort_key()))

@@ -114,18 +114,6 @@ def primitive_vector(vec: Sequence[Fraction]) -> tuple:
     return tuple(Fraction(v // g) for v in ints)
 
 
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Inverse of a square rational matrix A, solved from one echelon of [A | I]."""
-    n = len(rows)
-    pivots, echelon = _echelon([list(row) + [int(i == j) for j in range(n)]
-                                for i, row in enumerate(rows)])
-    if pivots[:n] != list(range(n)):
-        raise MapError("matrix is singular")
-    d = echelon[-1][0] if echelon else 1
-    cols = [_back_substitute(pivots, echelon, {n + j: -d}) for j in range(n)]
-    return [[Fraction(col[a], d) for col in cols] for a in range(n)]
-
-
 # -- core types --------------------------------------------------------------
 
 
@@ -207,10 +195,6 @@ class LinearEmbedding:
     @property
     def source_dim(self) -> int:
         return len(self.matrix[0]) - 1
-
-    @property
-    def corank(self) -> int:
-        return self.ambient_dim - self.source_dim
 
     def apply(self, coords: Sequence) -> tuple:
         """Image of a source point (any ring: Fraction or mpc coordinates)."""

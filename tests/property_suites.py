@@ -86,9 +86,25 @@ def _random_invertible(rng, size):
             return rows
 
 
+def invert_matrix(rows):
+    """A^-1 for a square rational matrix A, read off the kernel of [A | I].
+
+    When A is invertible the free columns of [A | I] are its last n, and the
+    kernel vector of column n + j is (u, v) with v = c*e_j and A u = -v, so
+    column j of A^-1 is -u / c.
+    """
+    n = len(rows)
+    if projmap.exact_rank(rows) < n:
+        raise projmap.MapError("matrix is singular")
+    basis = projmap.nullspace_basis([list(row) + [int(i == j) for j in range(n)]
+                                     for i, row in enumerate(rows)])
+    cols = [[-x / vec[n + j] for x in vec[:n]] for j, vec in enumerate(basis)]
+    return [[col[i] for col in cols] for i in range(n)]
+
+
 def conjugate(m, a_rows):
     """A^-1 after m after A, exact, without any normalization."""
-    inv = projmap.invert_matrix(a_rows)
+    inv = invert_matrix(a_rows)
     subs = [poly.linear_form(row) for row in a_rows]
     pushed = [poly.compose(c, subs) for c in m.comps]
     comps = []
@@ -421,7 +437,8 @@ def suite_division(n=500, seed=109):
     one time in two its leading coefficient is scaled away from 1.  One
     dividend in three is a random form, of a degree below or above the
     divisor's; one is an exact product q*b, whose remainder cancels to zero;
-    and one is q*b plus a stray term, which b does not divide.
+    and one is q*b plus a stray monomial, which b does not divide unless b
+    is itself a monomial.
     """
     rng = random.Random(seed)
     count = 0

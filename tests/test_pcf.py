@@ -293,7 +293,7 @@ class TestTower:
             for level in pcf.build_tower(m, graph):
                 for entry in level.entries:
                     if entry.embedding is not None:
-                        assert entry.embedding.corank == level.m
+                        assert entry.embedding.ambient_dim - entry.embedding.source_dim == level.m
 
     def test_p1_tower_is_terminal(self):
         m = _squaring_p1()

@@ -124,7 +124,7 @@ class TestFindPeriodic:
         # The conjugate by A keeps the line x = 0 invariant, and the form
         # first used for back-substitution vanishes on that whole fiber.
         m = _conjugate(base(), A_ROWS)
-        inv = projmap.invert_matrix(A_ROWS)
+        inv = ps.invert_matrix(A_ROWS)
         want = [_mat_vec(inv, p) for p in fixed]
         pts = periodic.find_periodic(m, 1, 256)
         assert len(pts) == 7
@@ -143,7 +143,7 @@ class TestFindPeriodic:
         pts = periodic.find_periodic(m, 2, 256)
         count = periodic.bezout_audit(m, 2, pts)
         assert (count.distinct, count.weighted) == (21, 21)
-        inv = projmap.invert_matrix(B_ROWS)
+        inv = ps.invert_matrix(B_ROWS)
         with mpmath.workprec(256):
             w = mpmath.exp(2j * mpmath.pi / 3)
             roots = (0, 1, w, w * w)
@@ -422,7 +422,7 @@ class TestCoordinateChangeInvariance:
                 if projmap.exact_rank(rows) != 3:
                     continue
                 g = _conjugate(m, rows)
-                inv = projmap.invert_matrix(rows)
+                inv = ps.invert_matrix(rows)
                 moved = tuple(
                     sum(inv[i][j] * fixed[j] for j in range(3))
                     for i in range(3)
