@@ -6,7 +6,8 @@ fixed top-level key order; sections that a subcommand does not compute
 stay null so downstream tooling can rely on the shape.  Exit codes:
 
     0  analysis completed (findings, if any, are data in the report)
-    2  parse error, bad flag value, or unknown catalog name
+    2  parse error (a map of P^k for k other than 1 or 2 among them), bad
+       flag value, or unknown catalog name
     3  degenerate map (the report's map section carries the witness)
     4  resource-bound abort (degree cap, elimination budget, closure
        bound); a partial report is still written
@@ -78,8 +79,8 @@ def parse_mapfile(obj) -> projmap.ProjectiveMap:
         raise MapFileError("top level must be a JSON object")
     _check_keys(obj, ("k", "degree", "components"), "top level")
     k, degree, components = obj["k"], obj["degree"], obj["components"]
-    if not _is_int(k) or k < 1:
-        raise MapFileError(f"k must be a positive integer, got {k!r}")
+    if not _is_int(k) or k not in (1, 2):
+        raise MapFileError(f"k must be 1 or 2, got {k!r}")
     if not _is_int(degree) or degree < 1:
         raise MapFileError(f"degree must be a positive integer, got {degree!r}")
     if not isinstance(components, list) or len(components) != k + 1:
@@ -165,18 +166,12 @@ def _point_json(coords):
     return out
 
 
-def _validation_json(vr: projmap.ValidationResult):
-    return {"verdict": vr.verdict, "witness": vr.witness, "reduced": vr.reduced}
-
-
-def _map_json(source: str, mapfile: dict, vr: Optional[projmap.ValidationResult],
-              note: Optional[str] = None):
-    out = {"source": source, "k": mapfile["k"], "degree": mapfile["degree"],
-           "mapfile": mapfile, "validation": None, "note": note}
-    if vr is not None:
-        out["validation"] = _validation_json(vr)
-        out["components"] = [poly.format_poly(c) for c in vr.map.comps]
-    return out
+def _map_json(source: str, mapfile: dict, vr: projmap.ValidationResult):
+    return {"source": source, "k": mapfile["k"], "degree": mapfile["degree"],
+            "mapfile": mapfile,
+            "validation": {"verdict": vr.verdict, "witness": vr.witness,
+                           "reduced": vr.reduced},
+            "note": None, "components": [poly.format_poly(c) for c in vr.map.comps]}
 
 
 def _pcf_json(graph: pcf.PostCriticalGraph, verdict: pcf.PcfVerdict):
@@ -375,13 +370,7 @@ def _load_and_validate(args, report):
         print(f"error: {exc}", file=sys.stderr)
         return None, None, EXIT_PARSE
     report["bounds"] = _bounds_json(precision, args)
-    try:
-        vr = projmap.validate(m, precision)
-    except projmap.MapError as exc:
-        report["map"] = _map_json(source, mapfile, None, note=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(report, args.report)
-        return None, None, EXIT_RESOURCE
+    vr = projmap.validate(m, precision)
     report["map"] = _map_json(source, mapfile, vr)
     if not vr.ok:
         print(f"degenerate map: {vr.witness}", file=sys.stderr)
@@ -437,8 +426,7 @@ def cmd_periodic(args) -> int:
         audit = periodic.eigenvalue_audit(work, args.period, precision, found)
         rows = [periodic.bezout_audit(work, q, pts, precision)
                 for q, pts in enumerate(found, 1)]
-    except (periodic.BudgetError, projmap.DegreeCapError,
-            periodic.PeriodicError, numeric.NumericalError) as exc:
+    except (periodic.BudgetError, periodic.PeriodicError, numeric.NumericalError) as exc:
         return _abort(report, args, exc)
     chart_findings = [f"period {q}: the solve in chart {chart} (x{chart} = 1)"
                       f" failed and was skipped: {error}"

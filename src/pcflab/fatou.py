@@ -71,7 +71,7 @@ def _all_zero_spectrum(m: ProjectiveMap, point, period: int,
     return all(c.kind == "zero" for c in periodic.classify(spectrum))
 
 
-def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
+def superattracting_candidates(m: ProjectiveMap, graph, tower,
                                precision: Optional[int] = None):
     """Periodic zero-dimensional intersection points with nilpotent spectra.
 
@@ -101,15 +101,14 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower=None,
             raise failed[0][1]
         exact = [pt for pt, _pairs in points if numeric.is_exact(pt)]
         approx = [pt for pt, _pairs in points if not numeric.is_exact(pt)]
-        if tower:
-            for level in tower:
-                for entry in level.entries:
-                    if entry.embedding is None or entry.embedding.source_dim != 0:
-                        continue
-                    vec = projmap.primitive_vector(
-                        [Fraction(row[0]) for row in entry.embedding.matrix])
-                    if vec not in exact:
-                        exact.append(vec)
+        for level in tower:
+            for entry in level.entries:
+                if entry.embedding is None or entry.embedding.source_dim != 0:
+                    continue
+                vec = projmap.primitive_vector(
+                    [Fraction(row[0]) for row in entry.embedding.matrix])
+                if vec not in exact:
+                    exact.append(vec)
     else:
         raise FatouError(f"candidates implemented for P^1 and P^2, not P^{m.k}")
 

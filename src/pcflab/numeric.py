@@ -219,8 +219,8 @@ def _double_cross(p, q) -> float:
                for i in range(n) for j in range(i + 1, n))
 
 
-# 2^-(53-8): the zero floor's formula at the 53 bits of a double.
-_DOUBLE_FLOOR = 2.0 ** -45
+# The zero floor at the 53 bits of a double, 2^-45.
+_DOUBLE_FLOOR = float(tolerances(53).zero_floor)
 
 
 class PointSet:
@@ -533,9 +533,9 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
             for pt, mult in _affine_pair_solutions(a2, b2, precision):
                 push(pt, mult)
         # The line z = 0 separately.
+        # Both slices vanish only when z divides a and b, which the gcd
+        # check above has ruled out.
         gline = poly.gcd(poly.slice_poly(a, 2), poly.slice_poly(b, 2))
-        if gline.is_zero():
-            raise NumericalError("both forms vanish on a coordinate line")
         if not gline.is_constant():
             for mult, piece in poly.binary_squarefree_decomposition(gline):
                 for r0, r1 in _exact_binary_roots(piece, precision):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import mpmath
 
@@ -57,8 +57,14 @@ class Component:
     """A primitive square-free sign-normalized form, one orbit node."""
 
     form: HomPoly
-    linear: bool
-    irreducible_status: str  # "certified-linear" | "unverified"
+
+    @property
+    def linear(self) -> bool:
+        return self.form.degree == 1
+
+    @property
+    def irreducible_status(self) -> str:
+        return "certified-linear" if self.linear else "unverified"
 
     def __str__(self):
         return poly.format_poly(self.form)
@@ -71,8 +77,7 @@ def make_component(form: HomPoly) -> Component:
     f = poly.canonical(poly.squarefree_part(form))
     if f.is_constant():
         raise PcfError("a component cannot be a constant")
-    linear = f.degree == 1
-    return Component(f, linear, "certified-linear" if linear else "unverified")
+    return Component(f)
 
 
 def _component_key(c: Component):
@@ -161,7 +166,6 @@ class PostCriticalGraph:
 @dataclass(frozen=True)
 class PcfVerdict:
     status: str  # "PCF" | "not-PCF-within-bound" | "inconclusive"
-    components: tuple
     max_iter: int
     max_degree: int
     reason: Optional[str] = None
@@ -214,7 +218,7 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
 
     def bail(status, reason):
         graph = PostCriticalGraph(tuple(nodes), dict(successor), frozenset(crit), {}, {})
-        verdict = PcfVerdict(status, tuple(nodes), max_iter, max_degree, reason)
+        verdict = PcfVerdict(status, max_iter, max_degree, reason)
         return graph, verdict
 
     def oversized(c):
@@ -255,7 +259,7 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
 
     period, preperiod = _annotate_cycles(nodes, successor)
     graph = PostCriticalGraph(tuple(nodes), successor, frozenset(crit), period, preperiod)
-    verdict = PcfVerdict("PCF", tuple(nodes), max_iter, max_degree)
+    verdict = PcfVerdict("PCF", max_iter, max_degree)
     return graph, verdict
 
 
@@ -269,7 +273,6 @@ class TowerEntry:
     verdict: str  # unbranched | PCF | inconclusive(bound) | unsupported-nonlinear | terminal
     label: str
     period: int
-    form: Optional[HomPoly] = None  # ambient form for hypersurface entries
     graph: Optional[PostCriticalGraph] = None
 
 
@@ -285,15 +288,17 @@ def _point_label(coords) -> str:
 
 
 def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
-                         parent_embedding: Optional[LinearEmbedding]):
-    """Point entries for the periodic nodes of a P^1 graph."""
+                         parent_embedding: Optional[LinearEmbedding], seen: set):
+    """Point entries for the periodic nodes of a P^1 graph.
+
+    A point whose primitive vector is in ``seen`` is skipped, and each new
+    one is added to it.
+    """
     entries = []
-    seen = set()
     for node in graph.periodic_nodes():
         if not node.linear:
             entries.append(TowerEntry(None, None, "unsupported-nonlinear",
-                                      poly.format_poly(node.form),
-                                      graph.period[node], node.form))
+                                      poly.format_poly(node.form), graph.period[node]))
             continue
         root = poly.root_of_binary_linear(node.form)
         coords = parent_embedding.apply(root) if parent_embedding else root
@@ -323,54 +328,33 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
         return []
     k1 = lcm(*(graph.period[n] for n in periodic))
     if m.k == 1:
-        level = TowerLevel(1, k1, tuple(_terminal_entries_p1(graph, 1, None)))
-        return [level]
+        return [TowerLevel(1, k1, tuple(_terminal_entries_p1(graph, 1, None, set())))]
     if m.k != 2:
         raise PcfError(f"tower implemented for P^1 and P^2 only, not P^{m.k}")
 
     big = projmap.iterate(m, k1, degree_cap)
     entries = []
     for node in periodic:
+        label, period = poly.format_poly(node.form), graph.period[node]
         if not node.linear:
-            entries.append(TowerEntry(None, None, "unsupported-nonlinear",
-                                      poly.format_poly(node.form),
-                                      graph.period[node], node.form))
+            entries.append(TowerEntry(None, None, "unsupported-nonlinear", label, period))
             continue
         emb = projmap.embedding_for_hyperplane(node.form)
         g = projmap.restrict(big, emb, emb)
         jd = projmap.jacobian_det(g)
         if jd.is_constant() and not jd.is_zero():
-            entries.append(TowerEntry(emb, g, "unbranched",
-                                      poly.format_poly(node.form),
-                                      graph.period[node], node.form))
+            entries.append(TowerEntry(emb, g, "unbranched", label, period))
             continue
         subgraph, verdict = postcritical_graph(g, max_iter, max_degree)
-        if verdict.ok:
-            entry_verdict = "PCF"
-        else:
-            entry_verdict = "inconclusive(bound)"
-        entries.append(TowerEntry(emb, g, entry_verdict,
-                                  poly.format_poly(node.form),
-                                  graph.period[node], node.form, subgraph))
+        entries.append(TowerEntry(emb, g, "PCF" if verdict.ok else "inconclusive(bound)",
+                                  label, period, subgraph))
     levels = [TowerLevel(1, k1, tuple(entries))]
 
-    point_entries = []
-    periods = []
     seen = set()
-    for entry in entries:
-        if entry.graph is None or entry.verdict == "inconclusive(bound)":
-            continue
-        for sub in _terminal_entries_p1(entry.graph, 2, entry.embedding):
-            if sub.embedding is not None:
-                key = sub.embedding.canonical_columns()
-                if key in seen:
-                    continue
-                seen.add(key)
-            point_entries.append(sub)
-            periods.append(sub.period)
-    if point_entries:
-        k2 = lcm(*periods)
-        levels.append(TowerLevel(2, k2, tuple(point_entries)))
+    points = [sub for entry in entries if entry.verdict == "PCF"
+              for sub in _terminal_entries_p1(entry.graph, 2, entry.embedding, seen)]
+    if points:
+        levels.append(TowerLevel(2, lcm(*(p.period for p in points)), tuple(points)))
     return levels
 
 
@@ -379,10 +363,11 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
 
 @dataclass(frozen=True)
 class IntersectionEvidence:
+    generic_rank: ClassVar[int] = 2  # the rank of two members that meet transversally
+
     point: str
     members: tuple  # indices into the component sequence
     rank_at_point: int  # least rank of two members' gradients at the point
-    generic_rank: int  # 2: the rank of two members that meet transversally
     exact: bool  # the point is rational, and its label and rank are exact
 
 
@@ -464,7 +449,7 @@ def weak_transversality(components: Sequence[Component],
                         for i, j in combinations(members, 2))
             label = (_point_label(pt) if numeric.is_exact(pt) else
                      "(" + ", ".join(mpmath.nstr(x, 12) for x in pt) + ")")
-            evidence.append(IntersectionEvidence(label, members, least, 2,
+            evidence.append(IntersectionEvidence(label, members, least,
                                                  numeric.is_exact(pt)))
     witness = next((ev.point for ev in evidence if ev.rank_at_point < 2), None)
     if witness is None and tangent:

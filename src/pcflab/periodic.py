@@ -27,6 +27,8 @@ import mpmath
 from . import numeric, poly, projmap
 from .projmap import ProjectiveMap
 
+# (d^l + 1)^k may not exceed it, so d^l <= 255: the iterate of a period
+# the budget admits stays under projmap.DEFAULT_DEGREE_CAP.
 ELIMINATION_BUDGET = 256
 
 EPS_ZERO = 1e-10
@@ -47,7 +49,6 @@ class PeriodicError(RuntimeError):
 class PeriodicPoint:
     point: tuple  # max-modulus-normalized mpc coordinates
     period: int  # minimal period
-    requested_period: int
     residual: object  # mpf: proj_distance(f^l(p), p)
     multiplicity: int  # eliminant multiplicity hint (1 = simple)
     # (precision, the map's partials as MpForms, the first `period` entries
@@ -141,7 +142,6 @@ def _infinite_fixed_locus(big: ProjectiveMap) -> str:
 
 
 def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
-                  degree_cap: int = projmap.DEFAULT_DEGREE_CAP,
                   failed: Optional[list] = None):
     """All points of period dividing l, with minimal periods, by elimination.
 
@@ -170,7 +170,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             f"period {l} needs eliminant degree ({m.d}^{l}+1)^{m.k} "
             f"> {ELIMINATION_BUDGET}"
         )
-    big = projmap.iterate(m, l, degree_cap)
+    big = projmap.iterate(m, l)
     expected = sum((m.d**l) ** j for j in range(m.k + 1))
     with mpmath.workprec(precision):
         if m.k == 1:
@@ -212,8 +212,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             period = next((q for q in range(1, l) if l % q == 0
                            and numeric.proj_distance(entries[q][0], pt) < tol.dedup), l)
             orbit = (precision, partials, entries[:period]) if reusable else None
-            out.append(PeriodicPoint(pt, period, l, residual, 1 if certified else mult,
-                                     orbit))
+            out.append(PeriodicPoint(pt, period, residual, 1 if certified else mult, orbit))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
     return out
 
@@ -305,21 +304,21 @@ def multipliers(m: ProjectiveMap, point, period: int,
 # -- classification and audits ------------------------------------------------
 
 
-def classify(spectrum, eps_zero: float = EPS_ZERO, eps_neutral: float = EPS_NEUTRAL,
-             eps_root: float = EPS_ROOT, q_max: int = Q_MAX):
-    """Tolerance-banded classification of each eigenvalue."""
+def classify(spectrum):
+    """Classification of each eigenvalue in the bands EPS_ZERO, EPS_NEUTRAL,
+    EPS_ROOT and Q_MAX, which the ``bounds`` section of a report lists."""
     out = []
     for lam in spectrum:
         lam = numeric.mpc_from(lam)
         mod = mpmath.fabs(lam)
-        if mod < eps_zero:
+        if mod < EPS_ZERO:
             out.append(EigenClass(lam, "zero"))
-        elif mpmath.fabs(mod - 1) < eps_neutral:
+        elif mpmath.fabs(mod - 1) < EPS_NEUTRAL:
             order = None
             power = mpmath.mpc(1)
-            for q in range(1, q_max + 1):
+            for q in range(1, Q_MAX + 1):
                 power *= lam
-                if mpmath.fabs(power - 1) < eps_root:
+                if mpmath.fabs(power - 1) < EPS_ROOT:
                     order = q
                     break
             if order is not None:

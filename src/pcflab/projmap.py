@@ -205,28 +205,6 @@ class LinearEmbedding:
             for row in self.matrix
         )
 
-    def compose(self, inner: "LinearEmbedding") -> "LinearEmbedding":
-        """This embedding after ``inner`` (matrix product self * inner)."""
-        if inner.ambient_dim != self.source_dim:
-            raise MapError("embedding shapes do not compose")
-        rows = []
-        for row in self.matrix:
-            rows.append(
-                tuple(
-                    sum(row[t] * inner.matrix[t][j] for t in range(len(inner.matrix)))
-                    for j in range(inner.source_dim + 1)
-                )
-            )
-        return LinearEmbedding(tuple(rows))
-
-    def canonical_columns(self) -> tuple:
-        """Columns as primitive sign-normalized integer vectors (for identity)."""
-        cols = []
-        for j in range(self.source_dim + 1):
-            col = [self.matrix[i][j] for i in range(len(self.matrix))]
-            cols.append(primitive_vector(col))
-        return tuple(sorted(cols))
-
 
 def embedding_for_hyperplane(form: HomPoly) -> LinearEmbedding:
     """Embedding of the hyperplane cut out by a linear form."""

@@ -137,6 +137,21 @@ class TestParseDiagnostics:
         assert out == ""
         assert where in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze",), ("periodic", "--period", "1"), ("fatou", "--grid", "4"),
+    ])
+    def test_space_of_dimension_three_rejected(self, tmp_path, capsys, argv):
+        # The squaring map of P^3 is well formed but outside the schema,
+        # which defines maps of P^1 and P^2 only: a parse error, not an abort.
+        data = {"k": 3, "degree": 2, "components": [
+            [{"num": "1", "den": "1", "exps": [2 * (j == i) for j in range(4)]}]
+            for i in range(4)]}
+        path = _write_mapfile(tmp_path, data)
+        code, out, err = _run(capsys, argv[0], path, *argv[1:])
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: k must be 1 or 2, got 3\n"
+
     def test_unknown_catalog_name(self, capsys):
         code, _out, err = _run(capsys, "analyze", "catalog:nope")
         assert code == cli.EXIT_PARSE
@@ -346,6 +361,24 @@ class TestPeriodic:
                                      "--period", "9")
         assert code == cli.EXIT_RESOURCE
         assert "period" in report["map"]["note"]
+
+    def test_newton_steps_needed_at_64_bits(self, monkeypatch, capsys):
+        # At 256 bits no golden point needs a Newton step, but at 64 bits
+        # most of this conjugate's period-2 fiber points start above the
+        # refinement target.  With the steps, every point is found and the
+        # count certifies them; with one residual check and no step, every
+        # chart fails.
+        argv = ("periodic", str(GOLDEN_DIR / "fs-1992-a-conj.json"),
+                "--period", "2", "--precision", "64")
+        code, report, _err = _report(capsys, *argv)
+        assert code == cli.EXIT_OK
+        assert [(b["distinct"], b["weighted"], b["ok"])
+                for b in report["periodic"]["bezout"]] == [(7, 7, True), (21, 21, True)]
+        assert report["theorem_b"]["findings"] == []
+        monkeypatch.setattr(numeric, "NEWTON_STEPS", 1)
+        code, report, _err = _report(capsys, *argv)
+        assert code == cli.EXIT_RESOURCE
+        assert report["map"]["note"] == "aborted: no chart system could be solved"
 
     def test_failed_chart_is_a_finding(self, monkeypatch, capsys):
         # The first solve inside each find_periodic call is chart 0's.

@@ -542,7 +542,7 @@ class TestContainment:
             for form in (X, Y):
                 emb = projmap.embedding_for_hyperplane(form)
                 entries.append(pcf.TowerEntry(emb, projmap.restrict(big, emb, emb),
-                                              "PCF", str(form), 2, form))
+                                              "PCF", str(form), 2))
             level = pcf.TowerLevel(1, 2, tuple(entries))
             report = pcf.restricted_critical_containment(
                 m, level, pcf.critical_components(m))
@@ -582,7 +582,7 @@ class TestContainment:
         conic = pcf.make_component(4 * X * Z - Y * Y)
         emb = projmap.embedding_for_hyperplane(Y)
         fake = projmap.ProjectiveMap([S * S - 2 * T * T, S * T])
-        level = pcf.TowerLevel(1, 2, (pcf.TowerEntry(emb, fake, "PCF", "y", 2, Y),))
+        level = pcf.TowerLevel(1, 2, (pcf.TowerEntry(emb, fake, "PCF", "y", 2),))
         crit = tuple(pcf.make_component(v) for v in (X, Y, Z)) + (conic,)
         report = pcf.restricted_critical_containment(sym2, level, crit)
         assert _matches(report) == {"y": ("fail", [("s^2 + 2*t^2", None, None)])}

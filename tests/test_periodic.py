@@ -208,6 +208,17 @@ class TestFindPeriodic:
         with pytest.raises(periodic.BudgetError):
             periodic.find_periodic(_squaring_p2(), 4)
 
+    def test_budget_keeps_iterates_under_the_degree_cap(self):
+        # find_periodic iterates with the default degree cap and does not
+        # handle DegreeCapError: the budget bounds (d^l + 1)^k with k >= 1,
+        # so the largest iterate degree it admits is the budget less one.
+        budget = periodic.ELIMINATION_BUDGET
+        assert budget - 1 <= projmap.DEFAULT_DEGREE_CAP
+        # The bound is the one find_periodic checks: the first period whose
+        # iterate of the squaring map of P^1 passes budget - 1 is refused.
+        with pytest.raises(periodic.BudgetError):
+            periodic.find_periodic(_squaring_p1(), (budget - 1).bit_length())
+
     def test_rejects_period_zero(self):
         with pytest.raises(periodic.PeriodicError):
             periodic.find_periodic(_squaring_p1(), 0)

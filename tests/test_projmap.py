@@ -315,22 +315,6 @@ class TestEmbeddings:
         assert emb.ambient_dim - emb.source_dim == 2
         assert emb.apply((Fraction(3),)) == (3, 3, 3)
 
-    def test_compose_shapes(self):
-        plane = projmap.embedding_for_hyperplane(poly.linear_form([1, 0, 0]))
-        point = projmap.embedding_for_point([Fraction(1), Fraction(0)], 1)
-        through = plane.compose(point)
-        assert through.ambient_dim == 2
-        assert through.source_dim == 0
-
-    def test_canonical_columns_ignore_scale_and_order(self):
-        a = projmap.embedding_for_hyperplane(poly.linear_form([0, 0, 1]))
-        # Same columns as the hyperplane basis, rescaled and swapped.
-        rows = tuple(
-            tuple(Fraction(v) for v in row) for row in ((0, -2), (5, 0), (0, 0))
-        )
-        b = projmap.LinearEmbedding(rows)
-        assert a.canonical_columns() == b.canonical_columns()
-
     def test_rank_checked(self):
         with pytest.raises(projmap.MapError):
             projmap.LinearEmbedding(((1, 1), (2, 2), (0, 0)))
