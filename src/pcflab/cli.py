@@ -474,26 +474,21 @@ def _parse_center(text: str, k: int):
 
 
 def _write_csv(path: str, grid: fatou.BasinGrid) -> None:
+    lines = ["row,col,label,iters\n"]
+    for row, (labels, iters) in enumerate(zip(grid.labels, grid.iters)):
+        lines += [f"{row},{col},{label},{it}\n"
+                  for col, (label, it) in enumerate(zip(labels, iters))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,label,iters\n")
-        n = grid.config.resolution
-        for row in range(n):
-            for col in range(n):
-                fh.write(f"{row},{col},{grid.labels[row][col]},{grid.iters[row][col]}\n")
+        fh.write("".join(lines))
 
 
 def _write_pgm(path: str, grid: fatou.BasinGrid) -> None:
     n = grid.config.resolution
     ncand = max(1, len(grid.config.candidates))
+    gray = [round(255 * (c + 1) / ncand) for c in range(ncand)] + [0]  # [-1]: unlabeled
+    data = bytes(gray[label] for labels in grid.labels for label in labels)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
-        for row in range(n):
-            data = bytes(
-                0 if grid.labels[row][col] < 0
-                else round(255 * (grid.labels[row][col] + 1) / ncand)
-                for col in range(n)
-            )
-            fh.write(data)
+        fh.write(f"P5\n{n} {n}\n255\n".encode("ascii") + data)
 
 
 def cmd_fatou(args) -> int:

@@ -18,6 +18,7 @@ summaries say consistent, never verified.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -32,6 +33,7 @@ CONSECUTIVE_HITS = 5
 DEFAULT_MAX_ITERS = 60
 DEFAULT_TOL = 1e-9
 ORBIT_PERIOD_BOUND = 128
+FOLD_BOUND = 1e100  # see _foldable
 
 
 class FatouError(RuntimeError):
@@ -214,17 +216,27 @@ def check_chart(config: ScanConfig, k: int) -> None:
         raise FatouError("chart index out of range")
 
 
-def _form_expr(form, coef: list) -> str:
-    """``0j + c * y_i * y_j ** k + ...`` over the form's sorted terms.
+def _power(i: int, k: int, fold: bool) -> str:
+    if k == 1:
+        return f"y{i}"
+    return f"(y{i} * y{i})" if k == 2 and fold else f"y{i} ** {k}"
+
+
+def _form_expr(form, coef: list, fold: bool = True) -> str:
+    """``0j + c * y_i * (y_j * y_j) + ...`` over the form's sorted terms.
 
     The operations, order and association of a term-by-term loop that
-    starts from 0j.  Each coefficient is appended to ``coef`` and named
-    ``c<index>``, so the text holds only names and integer exponents.
+    starts from 0j, except that with ``fold`` a square is ``(y * y)``.
+    CPython computes ``y ** 2`` as ``1 * (y * y)``, which for finite y
+    differs from ``y * y`` only in signs of zero, and the 0j start turns
+    every zero sum into +0.0, so the value is the same bit for bit.  Each
+    coefficient is appended to ``coef`` and named ``c<index>``, so the text
+    holds only names and integer exponents.
     """
     terms = ["0j"]
     for e, c in sorted(form.terms.items()):
         terms.append(" * ".join([f"c{len(coef)}"] + [
-            f"y{i}" if k == 1 else f"y{i} ** {k}" for i, k in enumerate(e) if k]))
+            _power(i, k, fold) for i, k in enumerate(e) if k]))
         coef.append(_to_complex(c))
     return " + ".join(terms)
 
@@ -233,10 +245,30 @@ def _tuple(items) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _near_expr(p: str, q: str, n1: int) -> str:
-    """Every cross product p_i q_j - p_j q_i below tol; a NaN one counts as near."""
-    return " and ".join(f"not abs({p}{i} * {q}{j} - {p}{j} * {q}{i}) >= tol"
-                        for i in range(n1) for j in range(i + 1, n1))
+def _near_expr(p: str, q: str, n1: int, known=None) -> str:
+    """Every cross product p_i q_j - p_j q_i below tol; a NaN one counts as near.
+
+    ``known`` holds q's values when they are fixed: a product with a
+    coordinate that is exactly 0 is left out and one with a coordinate that
+    is exactly 1 loses that factor, so a cross product of two zeros is left
+    out (0 is near) and one of a 0 and a 1 is ``abs(p_i)``.  For finite p
+    that changes no magnitude.
+    """
+    def product(i, j):  # p_i q_j, or None where it is a zero
+        if known is None:
+            return f"{p}{i} * {q}{j}"
+        if known[j] == 0:
+            return None
+        return f"{p}{i}" if known[j] == 1 else f"{p}{i} * {q}{j}"
+
+    tests = []
+    for i in range(n1):
+        for j in range(i + 1, n1):
+            a, b = product(i, j), product(j, i)
+            if a is not None or b is not None:
+                diff = b if a is None else a if b is None else f"{a} - {b}"
+                tests.append(f"not abs({diff}) >= tol")
+    return " and ".join(tests)
 
 
 def _branches(var: str, n: int, body) -> list:
@@ -249,10 +281,10 @@ def _branches(var: str, n: int, body) -> list:
 
 
 _LOOP = """\
-def run(starts, steps, tol, frozen0, coef, cand):
+def run(coef, cand, lo, starts, steps, tol, frozen0):
     {coef} = coef
     {cand} = cand
-    grid, failures = [], 0
+    grid, failures, redo = [], 0, []
     for row in starts:
         pixels = []
         for cur, ch in row:
@@ -268,40 +300,68 @@ def run(starts, steps, tol, frozen0, coef, cand):
 {step}
             pixels.append((label, at, decayed, not broke and settle >= {hits}))
         grid.append(tuple(zip(*pixels)))  # this row of each of the four grids
-    return (*zip(*grid), failures)
+    return (*zip(*grid), failures, redo)
 """
 
 
-def _loop_source(m: ProjectiveMap, ncand: int, coef: list) -> str:
-    """Source of ``run(starts, steps, tol, frozen0, coef, cand)``: all pixels' loop.
+def _loop_source(m: ProjectiveMap, cands: list, coef: list, fold: bool) -> str:
+    """Source of ``run(coef, cand, lo, starts, steps, tol, frozen0)``: all pixels' loop.
 
     Orbit state lives in locals: point y_i, image z_i, values v_i, partials
     d_(i n1 + j), chain h_(r k + c) row-major, a streak s_c per candidate
-    with coordinates q<c>_<i>.  Each step does the reference loop's
-    operations in its order; chain entries are ``0 + a * b + ...``.
+    with coordinates q<c>_<i>.  Unfolded, each step does the reference
+    loop's operations in its order; chain entries are ``0 + a * b + ...``.
+    Folded, it leaves out what is known when the source is written: the
+    partials that are identically zero, the products and chain terms they
+    make zero and the ``0 +`` starts; squares are ``(y * y)`` and candidate
+    coordinates that are exactly 0 or 1 are folded (see _near_expr).  Each
+    fold drops a zero term or a factor of 0 or 1 from a finite value, so
+    only signs of zero can change, and no verdict reads them.  The values
+    are finite under the bounds of _foldable and while the largest image
+    coordinate stays at or above ``lo``; a step where it falls below hands
+    its pixel to the unfolded loop through ``redo``, which also takes the
+    pixels whose image is the zero vector (failures).
     """
     k, n1 = m.k, m.k + 1
     ys, zs, vs = ([f"{p}{i}" for i in range(n1)] for p in "yzv")
     hs = [f"h{i}" for i in range(k * k)]
+    partials = [poly.partial(f, j) for f in m.comps for j in range(n1)]
+    zero = {p for p, f in enumerate(partials) if fold and not f.terms}
 
-    def rows(a):  # the affine Jacobian from chart a into chart nch
-        return _branches("nch", n1, lambda b: [
-            f"r{t} = (d{i * n1 + j} * fb - v{i} * d{b * n1 + j}) * inv2"
-            for t, (i, j) in enumerate((i, j) for i in range(n1) if i != b
-                                       for j in range(n1) if j != a)])
+    def entry(i, j, b):  # (d_ij fb - v_i d_bj) inv2 without its zero partials
+        dij, dbj = i * n1 + j, b * n1 + j
+        if dij in zero:
+            return None if dbj in zero else f"-(v{i} * d{dbj}) * inv2"
+        if dbj in zero:
+            return f"d{dij} * fb * inv2"
+        return f"(d{dij} * fb - v{i} * d{dbj}) * inv2"
 
-    step = [f"v{i} = {_form_expr(f, coef)}" for i, f in enumerate(m.comps)]
+    def rows(a):  # the affine Jacobian from chart a into chart b = nch, times h
+        def body(b):
+            r = [entry(i, j, b) for i in range(n1) if i != b
+                 for j in range(n1) if j != a]
+            sums = []
+            for row in range(k):
+                for c in range(k):
+                    terms = [f"r{row * k + t} * h{t * k + c}" for t in range(k)
+                             if r[row * k + t] is not None]
+                    sums.append(" + ".join(terms or ["0j"]) if fold
+                                else " + ".join(["0"] + terms))
+            return [f"r{t} = {e}" for t, e in enumerate(r) if e is not None] + [
+                f"{_tuple(hs)} = {_tuple(sums)}"]
+        return _branches("nch", n1, body)
+
+    step = [f"v{i} = {_form_expr(f, coef, fold)}" for i, f in enumerate(m.comps)]
     step.append("nch, best = -1, 0.0")
     for i in range(n1):
         step += [f"a = abs(v{i})", "if a > best:", f"    best, nch, fb = a, {i}, v{i}"]
-    step += ["if nch < 0:", "    failures += 1", "    broke = True", "    break",
-             "inv = 1.0 / fb", f"{_tuple(zs)} = {_tuple([v + ' * inv' for v in vs])}"]
-    chain = [f"d{i * n1 + j} = {_form_expr(poly.partial(f, j), coef)}"
-             for i, f in enumerate(m.comps) for j in range(n1)]
+    step += (["if best < lo:", "    redo.append((len(grid), len(pixels)))", "    break"]
+             if fold else
+             ["if nch < 0:", "    failures += 1", "    broke = True", "    break"])
+    step += ["inv = 1.0 / fb", f"{_tuple(zs)} = {_tuple([v + ' * inv' for v in vs])}"]
+    chain = [f"d{p} = {_form_expr(f, coef, fold)}"
+             for p, f in enumerate(partials) if p not in zero]
     chain += ["inv2 = 1.0 / (fb * fb)"] + _branches("ch", n1, rows)
-    chain.append(f"{_tuple(hs)} = " + _tuple([
-        " + ".join(["0"] + [f"r{r * k + t} * h{t * k + c}" for t in range(k)])
-        for r in range(k) for c in range(k)]))
     chain += [f"norm = max({', '.join(f'abs({h})' for h in hs)})" if k > 1
               else "norm = abs(h0)",
               f"if norm < {DERIVATIVE_DECAY_THRESHOLD!r}:", "    decayed = frozen = True",
@@ -309,21 +369,53 @@ def _loop_source(m: ProjectiveMap, ncand: int, coef: list) -> str:
     step += ["if not frozen:"] + ["    " + line for line in chain]
     step += [f"if {_near_expr('z', 'y', n1)}:", "    settle += 1",
              "else:", "    settle = 0"]
-    for c in range(ncand):
-        step += [f"if {_near_expr('z', f'q{c}_', n1)}:", f"    s{c} += 1",
+    for c, q in enumerate(cands):
+        near = _near_expr("z", f"q{c}_", n1, q if fold else None)
+        step += [f"if {near}:", f"    s{c} += 1",
                  f"    if s{c} >= {CONSECUTIVE_HITS} and label < 0:",
                  f"        label, at = {c}, n", "else:", f"    s{c} = 0"]
     step += [f"{_tuple(ys)} = {_tuple(zs)}", "ch = nch",
              "if label >= 0 and frozen:", "    break"]
-    streaks = [f"s{c}" for c in range(ncand)]
+    streaks = [f"s{c}" for c in range(len(cands))]
     return _LOOP.format(
         coef=_tuple([f"c{i}" for i in range(len(coef))]),
-        cand=_tuple([f"q{c}_{i}" for c in range(ncand) for i in range(n1)]),
+        cand=_tuple([f"q{c}_{i}" for c in range(len(cands)) for i in range(n1)]),
         y=_tuple(ys), h=_tuple(hs), identity=_tuple(
             ["1.0 + 0j" if r == c else "0j" for r in range(k) for c in range(k)]),
         streaks=_tuple(["settle", "label", "at"] + streaks),
-        zeros=_tuple(["0", "-1", "-1"] + ["0"] * ncand),
+        zeros=_tuple(["0", "-1", "-1"] + ["0"] * len(cands)),
         step="\n".join(" " * 16 + line for line in step), hits=CONSECUTIVE_HITS)
+
+
+def _foldable(m: ProjectiveMap, config: ScanConfig) -> bool:
+    """Whether the folded loop may run: its folds need finite values.
+
+    A window within FOLD_BOUND gives finite normalized start points, so
+    every point the loop sees has coordinates of modulus at most about 1.
+    With the coefficient moduli of each component and partial summing to
+    at most FOLD_BOUND, no value or partial overflows.  The loop checks the
+    rest at each step: when the largest image coordinate fb is at least
+    1 / FOLD_BOUND, 1 / fb and 1 / fb^2 are finite and each Jacobian entry
+    is below 2 FOLD_BOUND^2, so its products with chain entries, at most
+    1e100 while the chain runs, stay finite.  (The freeze test alone would
+    not keep the chain finite: max() skips a NaN after the first entry.)
+    """
+    forms = list(m.comps) + [poly.partial(f, j) for f in m.comps for j in range(m.k + 1)]
+    for f in forms:
+        values = map(_to_complex, f.terms.values())
+        if sum(abs(c.real) + abs(c.imag) for c in values) > FOLD_BOUND:
+            return False
+    return config.radius <= FOLD_BOUND and all(
+        abs(_to_complex(c)) <= FOLD_BOUND for c in config.center)
+
+
+def _compiled(m: ProjectiveMap, cands: list, fold: bool):
+    """The generated loop as ``run(starts, steps, tol, frozen0)``."""
+    coef, namespace = [], {}
+    source = _loop_source(m, cands, coef, fold)
+    exec(compile(source, "<fatou scan loop>", "exec"), namespace)
+    return functools.partial(namespace["run"], tuple(coef),
+                             tuple(v for q in cands for v in q), 1 / FOLD_BOUND)
 
 
 def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
@@ -335,22 +427,37 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     stopped moving without matching any candidate) are tracked per pixel.
     The chain is the product of the affine Jacobians between the charts of
     successive normalized points.  The whole pixel loop is generated from
-    the map's forms and the number of candidates and compiled once per scan.
+    the map's forms and the candidates and compiled once per scan, folded
+    where _foldable allows; pixels the folded loop hands back are run
+    again from their start by the unfolded loop.  A value that leaves the
+    double range where Python raises (a modulus or power beyond it, a
+    square of fb that rounds to 0) is a FatouError.
     """
     check_chart(config, m.k)
-    cands = []
-    for cand in config.candidates:
-        norm, _ = _normalize_c(tuple(_to_complex(v) for v in cand))
-        if norm is None:
-            raise FatouError("candidate point has no nonzero coordinate")
-        cands.extend(norm)
-    coef, namespace = [], {}
-    source = _loop_source(m, len(config.candidates), coef)
-    exec(compile(source, "<fatou scan loop>", "exec"), namespace)
-    starts = (map(_normalize_c, row) for row in _pixel_origin(config, m.k))
-    return BasinGrid(config, *namespace["run"](
-        starts, range(1, config.max_iters + 1), config.tol,
-        not config.derivative_check, tuple(coef), tuple(cands)))
+    origins = _pixel_origin(config, m.k)
+    args = (range(1, config.max_iters + 1), config.tol, not config.derivative_check)
+    try:
+        cands = []
+        for cand in config.candidates:
+            norm, _ = _normalize_c(tuple(_to_complex(v) for v in cand))
+            if norm is None:
+                raise FatouError("candidate point has no nonzero coordinate")
+            cands.append(norm)
+        fold = _foldable(m, config)
+        *grids, failures, redo = _compiled(m, cands, fold)(
+            (map(_normalize_c, row) for row in origins), *args)
+        if redo:
+            *again, more, _ = _compiled(m, cands, False)(
+                [[_normalize_c(origins[r][c]) for r, c in redo]], *args)
+            grids = [[list(row) for row in g] for g in grids]
+            for g, values in zip(grids, again):
+                for (r, c), x in zip(redo, values[0]):
+                    g[r][c] = x
+            grids = [tuple(map(tuple, g)) for g in grids]
+            failures += more
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FatouError(f"a scan value left the double range ({exc})") from None
+    return BasinGrid(config, *grids, failures)
 
 
 # -- summaries ------------------------------------------------------------------

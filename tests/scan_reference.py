@@ -5,9 +5,14 @@ plainly: a generic sparse evaluator walks each component's sorted term
 list, the projective distance is the largest cross product, and the
 chained affine Jacobian is rebuilt from nested lists every step.
 ``fatou.scan`` generates one function per scan that runs every pixel with
-all state in locals, but it performs the same floating-point operations in
-the same order, so its grids must equal this loop's exactly;
-``property_suites.suite_scan_determinism`` and
+all state in locals.  It performs these floating-point operations in this
+order, less the folds of what is known when it is written: zero partials
+and the chain terms they zero, ``y ** 2`` as ``y * y`` and products with
+candidate coordinates that are exactly 0 or 1.  Each fold removes a zero
+term or a factor of 0 or 1 from a finite value (``fatou._foldable`` and a
+per-step check keep the values finite, or the pixel runs unfolded), so
+only signs of zero can change and no verdict reads them.  Its grids must
+equal this loop's exactly; ``property_suites.suite_scan_determinism`` and
 ``test_fatou.TestReferenceLoop`` compare them.
 """
 

@@ -508,6 +508,20 @@ class TestFatou:
         assert out == ""
         assert err.startswith(f"error: value {10 ** 400} does not fit in a double")
 
+    def test_value_beyond_double_range_in_the_scan(self, tmp_path, capsys):
+        # 8 10^307 (x^2 + y^2 + z^2) fits in doubles part by part, but at
+        # some pixel its modulus does not, and abs() raises.
+        data = _squaring_mapfile()
+        big = str(8 * 10 ** 307)
+        data["components"][0] = [{"num": big, "den": "1", "exps": e}
+                                 for e in ([2, 0, 0], [0, 2, 0], [0, 0, 2])]
+        code, out, err = _run(capsys, "fatou", _write_mapfile(tmp_path, data),
+                              "--center=0.9+0.3j,-0.8", "--radius", "0.6", "--grid", "9",
+                              "--candidates", "1:0:0;0:1:0;0:0:1")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: a scan value left the double range (absolute value too large)\n"
+
     def test_unlabeled_pixels_are_zero_bytes(self, tmp_path, capsys):
         prefix = str(tmp_path / "torus")
         code, _report_, _err = _report(

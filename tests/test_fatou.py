@@ -1,6 +1,7 @@
 """Basin scans: candidate derivation, grid labeling, summaries, determinism."""
 
 import io
+import itertools
 import tokenize
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,19 @@ def _graph_and_tower(m):
 
 
 COORD_CANDS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _compiled_sources(monkeypatch):
+    """The sources fatou compiles from now on, in order."""
+    sources = []
+    real_compile = compile
+
+    def spy(source, *args):
+        sources.append(source)
+        return real_compile(source, *args)
+
+    monkeypatch.setattr(fatou, "compile", spy, raising=False)
+    return sources
 
 
 class TestSuperattractingCandidates:
@@ -248,6 +262,81 @@ class TestReferenceLoop:
                 assert counts == (decayed if check else [0, 0, 0])
 
 
+    def test_non_coordinate_candidates(self):
+        # The conjugate's derived candidates have no zero coordinate and a
+        # 1 where they are normalized, (1:1:0) has a 0 and two 1s and
+        # (2:0:1) normalizes to (1 : 0 : 1/2), so near tests keep every
+        # cross product, fold some factors or drop some products.
+        m, _, _ = cli.load_input(str(GOLDEN_DIR / "squaring-p2-conj21.json"))
+        graph, tower = _graph_and_tower(m)
+        cands = tuple(fatou.superattracting_candidates(m, graph, tower))
+        cands += ((1, 1, 0), (2, 0, 1))
+        labels = set()
+        for center, tol in (((1, 1), 1e-9), ((-0.5, 0.5), 1e-9), ((0.3, 0.2), 0.4)):
+            cfg = fatou.ScanConfig(2, center, 0.8, 7, max_iters=30, tol=tol,
+                                   candidates=cands)
+            labels.update(lab for row in self._same(m, cfg).labels for lab in row)
+        assert labels == {0, 1, 2, 4}
+
+    def test_cubic_maps(self):
+        # Cubes stay y ** 3 while squares are folded; the cube map has zero
+        # partials and labels, the dense cubics have neither.
+        for k in (1, 2):
+            exps = [e for e in itertools.product(range(4), repeat=k + 1) if sum(e) == 3]
+            cube = [poly.HomPoly(k + 1, 3, {tuple(3 * (t == i) for t in range(k + 1)): 1})
+                    for i in range(k + 1)]
+            dense = [c + poly.HomPoly(k + 1, 3, {
+                e: Fraction((-1) ** (i + n) * (1 + (3 * i + n) % 4), 10)
+                for n, e in enumerate(exps)}) for i, c in enumerate(cube)]
+            cands = tuple(tuple(int(t == i) for t in range(k + 1)) for i in range(k + 1))
+            center = (0.4 + 0.2j, -0.3)[:k]
+            for comps in (cube, dense):
+                for chart in range(k + 1):
+                    cfg = fatou.ScanConfig(chart, center, 0.9, 7, max_iters=30,
+                                           candidates=cands)
+                    grid = self._same(projmap.ProjectiveMap(comps), cfg)
+                    if comps is cube:
+                        assert any(lab >= 0 for row in grid.labels for lab in row)
+
+    def test_value_beyond_double_range(self):
+        # abs() raises where a modulus exceeds the double range while its
+        # parts do not; the reference lets the OverflowError out.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        m = projmap.ProjectiveMap([(x * x + y * y + z * z).scale(8 * 10 ** 307),
+                                   y * y, z * z])
+        cfg = fatou.ScanConfig(2, (0.9 + 0.3j, -0.8), 0.6, 9, candidates=COORD_CANDS)
+        with pytest.raises(OverflowError):
+            scan_reference.scan(m, cfg)
+        with pytest.raises(fatou.FatouError, match="left the double range"):
+            fatou.scan(m, cfg)
+
+    def test_folds_only_while_values_stay_finite(self):
+        # A dropped zero is exact only while what it multiplies is finite.
+        # (t^2 : 10^200 t^2) has coefficients beyond FOLD_BOUND, so its scan
+        # is unfolded; 10^-160 (z^2 : xy : 3 z^2) has values whose squares
+        # are subnormal, so 1 / fb^2 overflows and each pixel is handed
+        # back.  Folded regardless, both grids differ from the reference.
+        t2 = poly.HomPoly(2, 2, {(0, 2): 1})
+        self._same(projmap.ProjectiveMap([t2, t2.scale(10 ** 200)]), fatou.ScanConfig(
+            0, (1.09,), 1.0, 6, max_iters=20, tol=1e-3, candidates=((1, 0), (0, 1))))
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        m = projmap.ProjectiveMap([f.scale(Fraction(1, 10 ** 160))
+                                   for f in (z * z, x * y, (z * z).scale(3))])
+        self._same(m, fatou.ScanConfig(1, (0, 1.1), 0.3, 5, max_iters=20, tol=1e-3,
+                                       candidates=COORD_CANDS))
+
+    def test_pixels_handed_back_are_rerun_unfolded(self, monkeypatch):
+        # With y^2 and z^2 scaled by 10^-120, a point with x = 0 has an image
+        # below 1 / FOLD_BOUND: in chart 2 that is the middle column, which
+        # the unfolded loop runs again from its start.
+        sq = _squaring_p2().comps
+        m = projmap.ProjectiveMap([sq[0]] + [c.scale(Fraction(1, 10 ** 120)) for c in sq[1:]])
+        sources = _compiled_sources(monkeypatch)
+        grid = self._same(m, fatou.ScanConfig(2, (0, 0.3), 0.5, 5, candidates=COORD_CANDS))
+        assert [("** 2" in source) for source in sources] == [False, True]
+        assert [row[2] for row in grid.labels] != [row[1] for row in grid.labels]
+
+
 class TestCompiledEvaluators:
     # Every number token of a generated source is an exponent or one of these.
     FIXED = {"0", "1", "2", "0j", "0.0", "1.0", "1e100",
@@ -318,6 +407,23 @@ class TestCompiledEvaluators:
             if isinstance(c, (int, Fraction)):
                 texts |= {str(c.numerator), str(c.denominator)}
             assert not any(t in generated for t in texts if len(t) > 3), c
+
+
+    def test_folds_in_the_source(self, monkeypatch):
+        # squaring-p2 has six zero partials of nine, squares only, and with
+        # coordinate candidates no near test multiplies by a coordinate.
+        m = _squaring_p2()
+        sources = _compiled_sources(monkeypatch)
+        fatou.scan(m, fatou.ScanConfig(2, (0.3, -0.2), 0.5, 3, candidates=COORD_CANDS))
+        [source] = sources
+        tokens = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)]
+        names = set(tokens)
+        zero = {f"d{i * 3 + j}" for i, f in enumerate(m.comps) for j in range(3)
+                if not poly.partial(f, j).terms}
+        assert len(zero) == 6 and not zero & names
+        assert "** 2" not in source and ("0", "+") not in set(zip(tokens, tokens[1:]))
+        unpack = [line for line in source.splitlines() if "q0_0" in line]
+        assert unpack == ["    (q0_0, q0_1, q0_2, q1_0, q1_1, q1_2, q2_0, q2_1, q2_2) = cand"]
 
 
 class TestBasinSummary:
