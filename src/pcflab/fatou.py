@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,6 +35,11 @@ DEFAULT_MAX_ITERS = 60
 DEFAULT_TOL = 1e-9
 ORBIT_PERIOD_BOUND = 128
 FOLD_BOUND = 1e100  # see _foldable
+CHAIN_FREEZE = "1e100"  # the generated loop freezes a chain whose norm exceeds it
+# The folds need each Jacobian entry (below 2 FOLD_BOUND^2) times a chain
+# entry (at most CHAIN_FREEZE), summed over k <= 2 terms, to stay finite,
+# with a factor 4 to spare for the parts of complex products.
+assert 16 * FOLD_BOUND ** 2 * float(CHAIN_FREEZE) < sys.float_info.max
 
 
 class FatouError(RuntimeError):
@@ -284,7 +290,7 @@ _LOOP = """\
 def run(coef, cand, lo, starts, steps, tol, frozen0):
     {coef} = coef
     {cand} = cand
-    grid, failures, redo = [], 0, []
+    grid, failures = [], 0
     for row in starts:
         pixels = []
         for cur, ch in row:
@@ -300,11 +306,12 @@ def run(coef, cand, lo, starts, steps, tol, frozen0):
 {step}
             pixels.append((label, at, decayed, not broke and settle >= {hits}))
         grid.append(tuple(zip(*pixels)))  # this row of each of the four grids
-    return (*zip(*grid), failures, redo)
+    return (*zip(*grid), failures)
 """
 
 
-def _loop_source(m: ProjectiveMap, cands: list, coef: list, fold: bool) -> str:
+def _loop_source(m: ProjectiveMap, partials: list, cands: list, coef: list,
+                 fold: bool) -> str:
     """Source of ``run(coef, cand, lo, starts, steps, tol, frozen0)``: all pixels' loop.
 
     Orbit state lives in locals: point y_i, image z_i, values v_i, partials
@@ -318,14 +325,12 @@ def _loop_source(m: ProjectiveMap, cands: list, coef: list, fold: bool) -> str:
     fold drops a zero term or a factor of 0 or 1 from a finite value, so
     only signs of zero can change, and no verdict reads them.  The values
     are finite under the bounds of _foldable and while the largest image
-    coordinate stays at or above ``lo``; a step where it falls below hands
-    its pixel to the unfolded loop through ``redo``, which also takes the
-    pixels whose image is the zero vector (failures).
+    coordinate stays at or above ``lo``; at a step where it falls below,
+    the zero vector included, the folded loop gives up and returns None.
     """
     k, n1 = m.k, m.k + 1
     ys, zs, vs = ([f"{p}{i}" for i in range(n1)] for p in "yzv")
     hs = [f"h{i}" for i in range(k * k)]
-    partials = [poly.partial(f, j) for f in m.comps for j in range(n1)]
     zero = {p for p, f in enumerate(partials) if fold and not f.terms}
 
     def entry(i, j, b):  # (d_ij fb - v_i d_bj) inv2 without its zero partials
@@ -355,7 +360,7 @@ def _loop_source(m: ProjectiveMap, cands: list, coef: list, fold: bool) -> str:
     step.append("nch, best = -1, 0.0")
     for i in range(n1):
         step += [f"a = abs(v{i})", "if a > best:", f"    best, nch, fb = a, {i}, v{i}"]
-    step += (["if best < lo:", "    redo.append((len(grid), len(pixels)))", "    break"]
+    step += (["if best < lo:", "    return None"]
              if fold else
              ["if nch < 0:", "    failures += 1", "    broke = True", "    break"])
     step += ["inv = 1.0 / fb", f"{_tuple(zs)} = {_tuple([v + ' * inv' for v in vs])}"]
@@ -365,7 +370,7 @@ def _loop_source(m: ProjectiveMap, cands: list, coef: list, fold: bool) -> str:
     chain += [f"norm = max({', '.join(f'abs({h})' for h in hs)})" if k > 1
               else "norm = abs(h0)",
               f"if norm < {DERIVATIVE_DECAY_THRESHOLD!r}:", "    decayed = frozen = True",
-              "elif norm > 1e100 or norm != norm:", "    frozen = True"]
+              f"elif norm > {CHAIN_FREEZE} or norm != norm:", "    frozen = True"]
     step += ["if not frozen:"] + ["    " + line for line in chain]
     step += [f"if {_near_expr('z', 'y', n1)}:", "    settle += 1",
              "else:", "    settle = 0"]
@@ -387,7 +392,7 @@ def _loop_source(m: ProjectiveMap, cands: list, coef: list, fold: bool) -> str:
         step="\n".join(" " * 16 + line for line in step), hits=CONSECUTIVE_HITS)
 
 
-def _foldable(m: ProjectiveMap, config: ScanConfig) -> bool:
+def _foldable(m: ProjectiveMap, partials: list, config: ScanConfig) -> bool:
     """Whether the folded loop may run: its folds need finite values.
 
     A window within FOLD_BOUND gives finite normalized start points, so
@@ -397,11 +402,11 @@ def _foldable(m: ProjectiveMap, config: ScanConfig) -> bool:
     rest at each step: when the largest image coordinate fb is at least
     1 / FOLD_BOUND, 1 / fb and 1 / fb^2 are finite and each Jacobian entry
     is below 2 FOLD_BOUND^2, so its products with chain entries, at most
-    1e100 while the chain runs, stay finite.  (The freeze test alone would
-    not keep the chain finite: max() skips a NaN after the first entry.)
+    CHAIN_FREEZE while the chain runs, stay finite (the assert under
+    FOLD_BOUND).  The freeze test alone would not keep the chain finite:
+    max() skips a NaN after the first entry.
     """
-    forms = list(m.comps) + [poly.partial(f, j) for f in m.comps for j in range(m.k + 1)]
-    for f in forms:
+    for f in list(m.comps) + partials:
         values = map(_to_complex, f.terms.values())
         if sum(abs(c.real) + abs(c.imag) for c in values) > FOLD_BOUND:
             return False
@@ -409,10 +414,10 @@ def _foldable(m: ProjectiveMap, config: ScanConfig) -> bool:
         abs(_to_complex(c)) <= FOLD_BOUND for c in config.center)
 
 
-def _compiled(m: ProjectiveMap, cands: list, fold: bool):
+def _compiled(m: ProjectiveMap, partials: list, cands: list, fold: bool):
     """The generated loop as ``run(starts, steps, tol, frozen0)``."""
     coef, namespace = [], {}
-    source = _loop_source(m, cands, coef, fold)
+    source = _loop_source(m, partials, cands, coef, fold)
     exec(compile(source, "<fatou scan loop>", "exec"), namespace)
     return functools.partial(namespace["run"], tuple(coef),
                              tuple(v for q in cands for v in q), 1 / FOLD_BOUND)
@@ -428,8 +433,8 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     The chain is the product of the affine Jacobians between the charts of
     successive normalized points.  The whole pixel loop is generated from
     the map's forms and the candidates and compiled once per scan, folded
-    where _foldable allows; pixels the folded loop hands back are run
-    again from their start by the unfolded loop.  A value that leaves the
+    where _foldable allows; if the folded loop gives up, the unfolded loop
+    runs the whole scan again from the start.  A value that leaves the
     double range where Python raises (a modulus or power beyond it, a
     square of fb that rounds to 0) is a FatouError.
     """
@@ -443,18 +448,15 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
             if norm is None:
                 raise FatouError("candidate point has no nonzero coordinate")
             cands.append(norm)
-        fold = _foldable(m, config)
-        *grids, failures, redo = _compiled(m, cands, fold)(
-            (map(_normalize_c, row) for row in origins), *args)
-        if redo:
-            *again, more, _ = _compiled(m, cands, False)(
-                [[_normalize_c(origins[r][c]) for r, c in redo]], *args)
-            grids = [[list(row) for row in g] for g in grids]
-            for g, values in zip(grids, again):
-                for (r, c), x in zip(redo, values[0]):
-                    g[r][c] = x
-            grids = [tuple(map(tuple, g)) for g in grids]
-            failures += more
+        partials = [poly.partial(f, j) for f in m.comps for j in range(m.k + 1)]
+        out = None
+        if _foldable(m, partials, config):
+            out = _compiled(m, partials, cands, True)(
+                (map(_normalize_c, row) for row in origins), *args)
+        if out is None:
+            out = _compiled(m, partials, cands, False)(
+                (map(_normalize_c, row) for row in origins), *args)
+        *grids, failures = out
     except (OverflowError, ZeroDivisionError) as exc:
         raise FatouError(f"a scan value left the double range ({exc})") from None
     return BasinGrid(config, *grids, failures)

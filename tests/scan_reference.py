@@ -10,7 +10,7 @@ order, less the folds of what is known when it is written: zero partials
 and the chain terms they zero, ``y ** 2`` as ``y * y`` and products with
 candidate coordinates that are exactly 0 or 1.  Each fold removes a zero
 term or a factor of 0 or 1 from a finite value (``fatou._foldable`` and a
-per-step check keep the values finite, or the pixel runs unfolded), so
+per-step check keep the values finite, or the scan runs unfolded), so
 only signs of zero can change and no verdict reads them.  Its grids must
 equal this loop's exactly; ``property_suites.suite_scan_determinism`` and
 ``test_fatou.TestReferenceLoop`` compare them.

@@ -314,8 +314,8 @@ class TestReferenceLoop:
         # A dropped zero is exact only while what it multiplies is finite.
         # (t^2 : 10^200 t^2) has coefficients beyond FOLD_BOUND, so its scan
         # is unfolded; 10^-160 (z^2 : xy : 3 z^2) has values whose squares
-        # are subnormal, so 1 / fb^2 overflows and each pixel is handed
-        # back.  Folded regardless, both grids differ from the reference.
+        # are subnormal, so 1 / fb^2 would overflow and the folded loop gives
+        # up.  Folded regardless, both grids differ from the reference.
         t2 = poly.HomPoly(2, 2, {(0, 2): 1})
         self._same(projmap.ProjectiveMap([t2, t2.scale(10 ** 200)]), fatou.ScanConfig(
             0, (1.09,), 1.0, 6, max_iters=20, tol=1e-3, candidates=((1, 0), (0, 1))))
@@ -325,10 +325,10 @@ class TestReferenceLoop:
         self._same(m, fatou.ScanConfig(1, (0, 1.1), 0.3, 5, max_iters=20, tol=1e-3,
                                        candidates=COORD_CANDS))
 
-    def test_pixels_handed_back_are_rerun_unfolded(self, monkeypatch):
+    def test_scan_given_up_is_rerun_unfolded(self, monkeypatch):
         # With y^2 and z^2 scaled by 10^-120, a point with x = 0 has an image
-        # below 1 / FOLD_BOUND: in chart 2 that is the middle column, which
-        # the unfolded loop runs again from its start.
+        # below 1 / FOLD_BOUND: in chart 2 that is the middle column, so the
+        # folded loop gives up and the unfolded loop runs the whole scan.
         sq = _squaring_p2().comps
         m = projmap.ProjectiveMap([sq[0]] + [c.scale(Fraction(1, 10 ** 120)) for c in sq[1:]])
         sources = _compiled_sources(monkeypatch)
