@@ -66,6 +66,18 @@ class TestSuperattractingCandidates:
         graph, tower = _graph_and_tower(m)
         assert fatou.superattracting_candidates(m, graph, tower) == []
 
+    def test_numeric_orbit_period(self):
+        # No catalog candidate is irrational, so this is the only caller
+        # of the numeric period search.  Squaring moves (1 : w : 0), w a
+        # primitive cube root of unity, to (1 : w^2 : 0) and back; the
+        # orbit of (1 : 2 : 1) tends to (0 : 1 : 0) and never returns.
+        m = _squaring_p2()
+        with mpmath.workprec(256):
+            w = mpmath.exp(2j * mpmath.pi / 3)
+            assert fatou._numeric_orbit_period(m, (1, w, 0), 256) == 2
+            assert fatou._numeric_orbit_period(m, (1, w * w, 0), 256) == 2
+        assert fatou._numeric_orbit_period(m, (1, 2, 1), 256) is None
+
 
 class TestIntersectionPoints:
     def test_rational_point_of_large_height_is_exact(self):
