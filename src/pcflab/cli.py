@@ -310,7 +310,7 @@ def _bounds_json(precision: int, args) -> dict:
             "max_iter": getattr(args, "max_iter", pcf.DEFAULT_MAX_ITER),
             "max_degree": getattr(args, "max_degree", pcf.DEFAULT_MAX_DEGREE),
             "max_coeff_bits": pcf.MAX_COEFF_BITS,
-            "degree_cap": getattr(args, "degree_cap", projmap.DEFAULT_DEGREE_CAP),
+            "degree_cap": projmap.DEFAULT_DEGREE_CAP,
         },
         "periodic": {
             "elimination_budget": periodic.ELIMINATION_BUDGET,
@@ -394,8 +394,7 @@ def cmd_analyze(args) -> int:
                   f" ({verdict.reason})", file=sys.stderr)
             _emit(report, args.report)
             return EXIT_RESOURCE
-        levels = pcf.build_tower(work, graph, args.max_iter, args.max_degree,
-                                 args.degree_cap)
+        levels = pcf.build_tower(work, graph, args.max_iter, args.max_degree)
         report["tower"] = _tower_json(levels)
         if work.k == 2 and crit:
             report["transversality"] = _transversality_json(
@@ -518,8 +517,7 @@ def cmd_fatou(args) -> int:
                       f"{verdict.status}; pass --candidates", file=sys.stderr)
                 _emit(report, args.report)
                 return EXIT_RESOURCE
-            levels = pcf.build_tower(work, graph, args.max_iter,
-                                     args.max_degree, args.degree_cap)
+            levels = pcf.build_tower(work, graph, args.max_iter, args.max_degree)
             cands = fatou.superattracting_candidates(work, graph, levels,
                                                      precision)
             if not cands:
@@ -592,9 +590,6 @@ def _add_closure_flags(sub) -> None:
                      help="post-critical closure image budget")
     sub.add_argument("--max-degree", type=int, default=pcf.DEFAULT_MAX_DEGREE,
                      help="post-critical closure total degree budget")
-    sub.add_argument("--degree-cap", type=int,
-                     default=projmap.DEFAULT_DEGREE_CAP,
-                     help="iterate degree cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -62,12 +62,15 @@ def _exact_orbit_period(m: ProjectiveMap, vec):
 
 
 def _numeric_orbit_period(m: ProjectiveMap, point, precision: int):
+    """Minimal period of a point within the dedup tolerance, or None if the
+    orbit does not return in ORBIT_PERIOD_BOUND steps."""
     with mpmath.workprec(precision):
         tol = numeric.tolerances(precision).dedup
+        forms = [numeric.MpForm(c) for c in m.comps]
         start = numeric.normalize_point([numeric.mpc_from(c) for c in point])[0]
         cur = start
         for step in range(1, ORBIT_PERIOD_BOUND + 1):
-            cur = projmap.pushforward_point(m, cur, precision)
+            cur = numeric.normalize_point([f(cur) for f in forms])[0]
             if numeric.proj_distance(cur, start) < tol:
                 return step
     return None

@@ -498,61 +498,39 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
 def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     """Common projective zeros of two coprime ternary forms.
 
-    Returns ``(points, mults)`` where points is a list of normalized
-    triples, of Fractions for a rational point and of mpc values otherwise,
-    and mults is a parallel list of eliminant root multiplicities (1 for
-    simple roots; > 1 marks a point that deserves suspicion).  A 1 does not
-    prove a simple intersection when one form is free of the eliminated
-    variable, as the eliminant is then that form: x against
-    y^2 z - x^3 - x z^2 gets 1 at (0:0:1), where they meet with
-    multiplicity 2.  Every point is a common zero: see
-    :func:`_affine_pair_solutions`.  Raises NumericalError when the forms
-    share a factor (positive-dimensional intersection), when root finding
-    or the Newton refinement of a point fails, or when the chart z = 1
-    cannot be solved in either order.
+    Returns the distinct zeros as a list of normalized triples, of
+    Fractions for a rational point and of mpc values otherwise.  Zeros
+    within the dedup tolerance of each other, such as the root cluster of
+    a multiple point, are merged into one.  No intersection multiplicity
+    comes with them: a point where the curves meet m times comes back
+    once.  Every point is a common zero: see
+    :func:`_affine_pair_solutions`.  Raises NumericalError when the
+    forms share a factor (positive-dimensional intersection), when root
+    finding or the Newton refinement of a point fails, or when the chart
+    z = 1 cannot be solved in either order.
     """
     if a.nvars != 3 or b.nvars != 3:
         raise NumericalError("pair solver expects ternary forms")
     g = poly.gcd(a, b)
     if not g.is_constant():
         raise NumericalError("forms share a common factor; intersection is a curve")
-    points, mults = PointSet(precision), []
+    points = PointSet(precision)
     with mpmath.workprec(precision):
-
-        def push(pt, mult):
-            i = points.add(pt)
-            if i is None:
-                mults.append(mult)
-            else:
-                mults[i] = max(mults[i], mult)
-
         # Affine chart z != 0.
         a2 = poly.strip_var(a, 2)
         b2 = poly.strip_var(b, 2)
         if not a2.is_constant() and not b2.is_constant():
-            for pt, mult in _affine_pair_solutions(a2, b2, precision):
-                push(pt, mult)
+            for pt in _affine_pair_solutions(a2, b2, precision):
+                points.add(pt)
         # The line z = 0 separately.
         # Both slices vanish only when z divides a and b, which the gcd
         # check above has ruled out.
         gline = poly.gcd(poly.slice_poly(a, 2), poly.slice_poly(b, 2))
         if not gline.is_constant():
-            for mult, piece in poly.binary_squarefree_decomposition(gline):
+            for _mult, piece in poly.binary_squarefree_decomposition(gline):
                 for r0, r1 in _exact_binary_roots(piece, precision):
-                    push(_normalized((r0, r1, Fraction(0))), mult)
-
-        # Eliminant multiplicities overcount when distinct points share the
-        # eliminated coordinate; a transverse point (independent gradients)
-        # is certainly simple, so downgrade its hint.
-        suspects = [i for i, mult in enumerate(mults) if mult > 1]
-        grads = [[MpForm(poly.partial(f, j)) for j in range(3)]
-                 for f in (a, b)] if suspects else []
-        zero = mpc_from(0)
-        for i in suspects:
-            c = tuple(mpc_from(x) for x in points.points[i])
-            if independent_gradients(*([zero + d(c) for d in grad] for grad in grads)):
-                mults[i] = 1
-    return points.points, mults
+                    points.add(_normalized((r0, r1, Fraction(0))))
+    return points.points
 
 
 def independent_gradients(va, vb) -> bool:
@@ -636,8 +614,8 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
     """
     da, db = a.var_degree(elim), b.var_degree(elim)
     eliminant = poly.resultant_wrt(a, b, elim) if da and db else (a if da == 0 else b)
-    open_pieces = poly.binary_squarefree_decomposition(
-        poly.strip_var(poly.slice_poly(eliminant, elim), 1))
+    open_pieces = [piece for _mult, piece in poly.binary_squarefree_decomposition(
+        poly.strip_var(poly.slice_poly(eliminant, elim), 1))]
     out = []
     # a and b compiled at the precision for Newton's method, at the first irrational point
     pair = functools.cache(mpmath.workprec(precision)(lambda: (MpForm(a), MpForm(b))))
@@ -645,13 +623,12 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
         coeffs = [poly.slice_poly(r, elim) for r in rows]
         compiled = []  # the row's MpForms, built at its first irrational x0
         still = []
-        for mult, piece in open_pieces:
+        for piece in open_pieces:
             rest = poly.gcd(piece, coeffs[-1])
             for r0, r1 in _exact_binary_roots(poly.exact_divide(piece, rest), precision):
-                out += [(pt, mult) for pt in _fiber_points(
-                    pair, coeffs, compiled, r0 / r1, keep, precision)]
+                out += _fiber_points(pair, coeffs, compiled, r0 / r1, keep, precision)
             if not rest.is_constant():
-                still.append((mult, rest))
+                still.append(rest)
         open_pieces = still
         if not open_pieces:
             break

@@ -314,8 +314,7 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
 
 def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
                 max_iter: int = DEFAULT_MAX_ITER,
-                max_degree: int = DEFAULT_MAX_DEGREE,
-                degree_cap: int = projmap.DEFAULT_DEGREE_CAP):
+                max_degree: int = DEFAULT_MAX_DEGREE):
     """Descend through periodic components until dimension zero.
 
     Level 1 holds the periodic components of the supplied graph, each with
@@ -332,7 +331,7 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
     if m.k != 2:
         raise PcfError(f"tower implemented for P^1 and P^2 only, not P^{m.k}")
 
-    big = projmap.iterate(m, k1, degree_cap)
+    big = projmap.iterate(m, k1)
     entries = []
     for node in periodic:
         label, period = poly.format_poly(node.form), graph.period[node]

@@ -6,8 +6,8 @@ factors stripped, feed the two-form solver on P^2 or the binary root finder
 on P^1.  Charts are solved in order and their candidates merged, verified
 against the map itself, and annotated with minimal periods.  The solve
 stops at the first chart where the fixed-point count certifies the points:
-once the fixed locus is proven finite, (D^(k+1)-1)/(D-1) distinct verified
-points of the degree-D iterate are all of them, each simple.
+(D^(k+1)-1)/(D-1) distinct verified points of the degree-D iterate are all
+of them, each simple.
 
 Multiplier spectra chain single-step chart-transition Jacobians along the
 orbit, each factor evaluated at a max-modulus-normalized representative in
@@ -50,14 +50,13 @@ class PeriodicPoint:
     point: tuple  # max-modulus-normalized mpc coordinates
     period: int  # minimal period
     residual: object  # mpf: proj_distance(f^l(p), p)
-    multiplicity: int  # eliminant multiplicity hint (1 = simple)
+    # On P^1 the exact multiplicity of the point as a root of the fixed
+    # form of f^l.  On P^2 always 1: find_periodic counts points, and a
+    # certified count makes every point simple.
+    multiplicity: int
     # (precision, the map's partials as MpForms, the first `period` entries
     # of _walk from normalize_point(point)) for multipliers, or None
     orbit: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    @property
-    def multiplicity_suspect(self) -> bool:
-        return self.multiplicity > 1
 
 
 @dataclass(frozen=True)
@@ -96,23 +95,22 @@ def _fixed_point_candidates_p1(big: ProjectiveMap, precision: int):
     form = big.comps[0] * t - big.comps[1] * s
     if form.is_zero():
         raise PeriodicError("every point is periodic: the iterate is the identity")
-    return [(root, mult) for root, mult in numeric.binary_form_roots(form, precision)]
+    return numeric.binary_form_roots(form, precision)
 
 
 def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int,
                                failed: Optional[list] = None):
     """Solve the fixed-point system of big chart by chart, in chart order.
 
-    Yields ``(finite, candidates)`` for each chart whose pair of equations
-    is solved, with candidates as ``(point, multiplicity hint)`` pairs.
-    ``finite`` is true when the chart stripped no x_c factor, that is when
-    x_c does not divide big.comps[c]: then the solve itself proves the fixed
-    locus finite, since a fixed curve would either be the invariant line
-    x_c = 0 or leave a common factor, on which the solver raises.
+    Chart c's equations are x_c F_i - x_i F_c for the two i != c, each
+    with every factor x_c stripped.  Yields, for each chart whose pair of
+    equations is solved, the list of their distinct common zeros.  These
+    are candidates, not fixed points: a zero that the solve finds off the
+    chart, or that a stripped factor would have removed, need not be fixed.
 
     A chart whose solve raises NumericalError (its equations kept a common
-    factor, or root finding or a Newton refinement failed) is skipped, and ``(chart, error text)``
-    goes to ``failed`` when that list is given.
+    factor, or root finding or a Newton refinement failed) is skipped, and
+    ``(chart, error text)`` goes to ``failed`` when that list is given.
     """
     for chart in range(3):
         others = [i for i in range(3) if i != chart]
@@ -124,12 +122,12 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int,
                 raise PeriodicError(_infinite_fixed_locus(big))
             eqs.append(poly.strip_var(e, chart))
         try:
-            pts, mults = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
+            pts = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
         except numeric.NumericalError as exc:
             if failed is not None:
                 failed.append((chart, str(exc)))
             continue
-        yield big.comps[chart].min_var_degree(chart) == 0, list(zip(pts, mults))
+        yield pts
 
 
 def _infinite_fixed_locus(big: ProjectiveMap) -> str:
@@ -146,18 +144,35 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     """All points of period dividing l, with minimal periods, by elimination.
 
     Affine charts are solved one at a time for the stripped fixed-point
-    system of the l-th iterate, and their candidates merged as they arrive;
-    a candidate is kept only when the map itself moves it by less than a
-    coarse verification tolerance, so spurious chart solutions drop out.
+    system of the l-th iterate F, and their candidates merged as they
+    arrive; a candidate is kept only when the map itself moves it by less
+    than a coarse verification tolerance, so spurious chart solutions drop
+    out.
 
-    The solve stops at the first chart where the count certifies the
-    points: a degree-D map of P^k with finitely many fixed points has
-    (D^(k+1)-1)/(D-1) of them counted with multiplicity.  When some chart
-    solved so far proves the fixed locus finite and that many distinct
-    verified points are known, they are all the points, each simple, so
-    every multiplicity is 1.  Otherwise all charts run and each point keeps
-    the largest eliminant multiplicity hint any chart gave it.  Raises
-    BudgetError when the eliminated degrees exceed the configured budget.
+    The solve stops at the first chart after which the count certifies the
+    points.  F has degree D = d^l, and when its fixed locus is finite it
+    has E = (D^(k+1)-1)/(D-1) fixed points counted with multiplicity (E = 3
+    for D = 1 on P^2).  So E distinct verified points are all of them, each
+    simple, when the locus is finite; and E distinct verified points can
+    only be found when it is:
+
+    - On P^1 the fixed form F_0 t - F_1 s is not zero (else the iterate is
+      the identity, which raises), so it has finitely many roots.
+    - On P^2 with D >= 2, a well-defined map has finitely many fixed
+      points.  On a curve V fixed pointwise, O(D)|V = F^*O(1)|V = O(1)|V,
+      so O(D-1)|V, of degree (D-1) deg V > 0, would be trivial.
+    - A linear map other than the identity fixes at most a line L and one
+      point off it.  No chart solve returns a point of L.  When L is not
+      {x_c = 0}, both equations of chart c keep L's form as a common
+      factor, so the solve raises and the chart is skipped.  When L is
+      {x_c = 0}, F_c is a multiple of x_c, and stripping x_c leaves forms
+      with no zero on L.  So the count stays at 1 or less, below E = 3.
+
+    A certified point has multiplicity 1.  When the count falls short, all
+    charts run; a point of P^1 then keeps its exact multiplicity as a root
+    of the fixed form, and a point of P^2 gets 1, since the plane solve
+    gives no multiplicities.  Raises BudgetError when the eliminated
+    degrees exceed the configured budget.
 
     ``failed``, when given, receives ``(chart, error text)`` for each chart
     of P^2 whose solve raised and was skipped.
@@ -174,34 +189,28 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     expected = sum((m.d**l) ** j for j in range(m.k + 1))
     with mpmath.workprec(precision):
         if m.k == 1:
-            # A non-zero binary fixed form has finitely many roots.
-            charts = [(True, _fixed_point_candidates_p1(big, precision))]
+            charts = [_fixed_point_candidates_p1(big, precision)]
         elif m.k == 2:
-            charts = _fixed_point_candidates_p2(big, precision, failed)
+            charts = ([(pt, 1) for pt in pts]
+                      for pts in _fixed_point_candidates_p2(big, precision, failed))
         else:
             raise PeriodicError(f"periodic points implemented for P^1 and P^2, not P^{m.k}")
         tol = numeric.tolerances(precision)
         forms = [numeric.MpForm(c) for c in m.comps]
         partials = _compiled_partials(m)
         known = numeric.PointSet(precision)
-        merged = []  # [mult, residual, orbit entries, reusable], parallel to known
-        finite = certified = False
-        for chart_finite, candidates in charts:
-            finite = finite or chart_finite
+        merged = []  # (mult, residual, orbit entries, reusable), parallel to known
+        for candidates in charts:
             for pt, mult in candidates:
                 pt = numeric.normalize_point(pt)[0]
-                i = known.add(pt)
-                if i is None:
+                if known.add(pt) is None:
                     # multipliers walks from pt normalized once more, which
                     # is pt itself unless two moduli tie
                     again, chart = numeric.normalize_point(pt)
                     entries, end = _walk(forms, (pt, chart), l)
-                    merged.append([mult, numeric.proj_distance(end, pt), entries,
-                                   again == pt])
-                elif mult > merged[i][0]:
-                    merged[i][0] = mult
-            if finite and sum(1 for e in merged if e[1] < tol.verify) == expected:
-                certified = True
+                    merged.append((mult, numeric.proj_distance(end, pt), entries,
+                                   again == pt))
+            if sum(1 for e in merged if e[1] < tol.verify) == expected:
                 break
         if not merged:
             raise PeriodicError("no chart system could be solved")
@@ -212,7 +221,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             period = next((q for q in range(1, l) if l % q == 0
                            and numeric.proj_distance(entries[q][0], pt) < tol.dedup), l)
             orbit = (precision, partials, entries[:period]) if reusable else None
-            out.append(PeriodicPoint(pt, period, residual, 1 if certified else mult, orbit))
+            out.append(PeriodicPoint(pt, period, residual, mult, orbit))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
     return out
 
@@ -389,13 +398,14 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
     """Audit every periodic point of period <= max_period.
 
     ``points[l-1]``, when given, is the result of ``find_periodic(m, l)``
-    for l = 1..max_period; otherwise each period is solved here.  Hard
-    violations are attracting non-zero or root-of-unity eigenvalues,
-    and non-nilpotent spectra with no repelling direction; numerically
-    undecidable neutral values are reported as findings, never violations.
+    for l = 1..max_period; otherwise each period is solved here.  A point
+    is audited once, in the call for its minimal period, whose points are
+    distinct already.  Hard violations are attracting non-zero or
+    root-of-unity eigenvalues, and non-nilpotent spectra with no repelling
+    direction; numerically undecidable neutral values are reported as
+    findings, never violations.
     """
     precision = numeric.resolve_precision(precision)
-    seen = numeric.PointSet(precision)
     verdicts = []
     all_violations = []
     all_findings = []
@@ -404,17 +414,11 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
             found = find_periodic(m, l, precision) if points is None else points[l - 1]
             for pp in found:
                 if pp.period != l:
-                    continue  # already audited at its minimal period
-                if seen.add(pp.point) is not None:
-                    continue
+                    continue  # audited at its minimal period
                 spectrum = multipliers(m, pp.point, pp.period, precision, pp.orbit)
                 classes = classify(spectrum)
                 label = f"period {pp.period} point {_format_point(pp.point)}"
                 violations, findings = _audit_classes(label, classes)
-                if pp.multiplicity_suspect:
-                    findings = findings + (
-                        f"{label}: eliminant multiplicity {pp.multiplicity};"
-                        " spectrum may be shared by merged points",)
                 verdicts.append(SpectrumVerdict(pp, spectrum, classes,
                                                 violations, findings))
                 all_violations.extend(violations)
@@ -439,14 +443,17 @@ def bezout_audit(m: ProjectiveMap, l: int,
                  precision: Optional[int] = None) -> BezoutCount:
     """Compare the period-l point count with ((d^l)^(k+1)-1)/(d^l-1).
 
-    The weighted count sums eliminant multiplicities, so a clean audit
-    needs the period-l locus to be zero-dimensional with mostly simple
-    points; higher multiplicities still reconcile when the hints are exact.
+    ``distinct`` counts the points and ``weighted`` sums their
+    multiplicities.  On P^1 those are exact, so ``weighted`` equals
+    ``expected`` whenever every root of the fixed form was found, simple
+    or not.  On P^2 every multiplicity is 1 and ``weighted`` equals
+    ``distinct``: the count is ``ok`` only when find_periodic certified
+    the points, all simple.
     """
     if points is None:
         points = find_periodic(m, l, precision)
     dl = m.d**l
     expected = sum(dl**j for j in range(m.k + 1))
     distinct = len(points)
-    weighted = sum(max(1, p.multiplicity) for p in points)
+    weighted = sum(p.multiplicity for p in points)
     return BezoutCount(l, expected, distinct, weighted)

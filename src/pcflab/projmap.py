@@ -3,8 +3,8 @@
 A map of P^k is a tuple of k+1 homogeneous forms of a common degree in k+1
 variables with no common nontrivial zero.  This module owns the exact layer
 of that definition: structural validation with a nondegeneracy certificate,
-iteration, Jacobian determinants, restriction to invariant linear subspaces,
-and high-precision point evaluation.
+iteration, Jacobian determinants, and restriction to invariant linear
+subspaces.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class MapError(ValueError):
 
 
 class DegreeCapError(RuntimeError):
-    """An iterate would exceed the configured degree cap."""
+    """An iterate would exceed the degree cap."""
 
 
 class RestrictionError(ValueError):
@@ -362,7 +362,7 @@ def _witness(comps: Sequence[HomPoly], precision: int) -> str:
                 )
     # Now f_0 and f_1 are coprime, and every common zero is one of theirs.
     try:
-        points, _ = numeric.solve_pair_p2(comps[0], comps[1], precision)
+        points = numeric.solve_pair_p2(comps[0], comps[1], precision)
     except numeric.NumericalError as exc:
         return f"no common zero located: solving components 0 and 1 failed: {exc}"
     for pt in points:
@@ -402,10 +402,9 @@ def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int):
         for lf, _m in lin:
             return emb.apply(poly.root_of_binary_linear(lf))
     try:
-        points, _ = numeric.solve_pair_p2(g, other, precision)
+        return numeric.solve_pair_p2(g, other, precision)[0]
     except numeric.NumericalError:
         return None
-    return points[0]
 
 
 def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
@@ -428,7 +427,7 @@ def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
             try:
                 found = (nullspace_basis([poly.linear_coeffs(a), poly.linear_coeffs(b)])
                          if a.degree == b.degree == 1
-                         else numeric.solve_pair_p2(a, b, precision)[0])
+                         else numeric.solve_pair_p2(a, b, precision))
             except numeric.NumericalError as exc:
                 failed.append(((i, j), exc))
                 continue
@@ -447,20 +446,21 @@ def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
 # -- iteration and calculus ---------------------------------------------------
 
 
-def iterate(m: ProjectiveMap, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> ProjectiveMap:
+def iterate(m: ProjectiveMap, n: int) -> ProjectiveMap:
     """The n-th iterate as an explicit primitive tuple of forms.
 
     Precondition: m is well-defined (as certified by ``validate``).  Then
     the components of m o m^(n-1) have no common factor, because a factor
     would vanish at some point p and make m^(n-1)(p), which is not the
     origin, a common zero of m.  So only the scalar content is normalized;
-    no polynomial gcd is taken.
+    no polynomial gcd is taken.  Raises DegreeCapError when d^n exceeds
+    DEFAULT_DEGREE_CAP.
     """
     if n < 1:
         raise MapError("iterate count must be >= 1")
-    if m.d**n > degree_cap:
+    if m.d**n > DEFAULT_DEGREE_CAP:
         raise DegreeCapError(
-            f"degree {m.d}^{n} = {m.d**n} exceeds the cap {degree_cap}"
+            f"degree {m.d}^{n} = {m.d**n} exceeds the cap {DEFAULT_DEGREE_CAP}"
         )
     current = m
     for _ in range(n - 1):
@@ -528,26 +528,3 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
                 new_terms[a][e] = g_e[a]
     comps = [HomPoly(n, m.d, t) for t in new_terms]
     return ProjectiveMap(_normalize_scalars(comps))
-
-
-# -- numeric evaluation -------------------------------------------------------
-
-
-def pushforward_point(m: ProjectiveMap, coords, precision: Optional[int] = None):
-    """Image of a point, max-modulus normalized, at the given precision."""
-    precision = numeric.resolve_precision(precision)
-    with mpmath.workprec(precision):
-        vals = tuple(numeric.eval_form(c, coords) for c in m.comps)
-        return numeric.normalize_point(vals)[0]
-
-
-def orbit(m: ProjectiveMap, coords, length: int, precision: Optional[int] = None):
-    """The first ``length`` images of a point (not including the point)."""
-    precision = numeric.resolve_precision(precision)
-    out = []
-    with mpmath.workprec(precision):
-        current = numeric.normalize_point(coords)[0]
-        for _ in range(length):
-            current = pushforward_point(m, current, precision)
-            out.append(current)
-    return out

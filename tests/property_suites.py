@@ -116,6 +116,26 @@ def conjugate(m, a_rows):
     return projmap.ProjectiveMap(comps)
 
 
+def pushforward_point(m, coords, precision=None):
+    """Image of a point, max-modulus normalized, at the given precision."""
+    precision = numeric.resolve_precision(precision)
+    with mpmath.workprec(precision):
+        vals = tuple(numeric.eval_form(c, coords) for c in m.comps)
+        return numeric.normalize_point(vals)[0]
+
+
+def orbit(m, coords, length, precision=None):
+    """The first ``length`` images of a point (not including the point)."""
+    precision = numeric.resolve_precision(precision)
+    out = []
+    with mpmath.workprec(precision):
+        current = numeric.normalize_point(coords)[0]
+        for _ in range(length):
+            current = pushforward_point(m, current, precision)
+            out.append(current)
+    return out
+
+
 # -- poly suites ---------------------------------------------------------------
 
 

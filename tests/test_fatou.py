@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from pcflab import catalog, cli, fatou, pcf, poly, projmap
+from pcflab import catalog, cli, fatou, numeric, pcf, poly, projmap
 
 import property_suites as ps
 import scan_reference
@@ -66,7 +66,7 @@ class TestSuperattractingCandidates:
         graph, tower = _graph_and_tower(m)
         assert fatou.superattracting_candidates(m, graph, tower) == []
 
-    def test_numeric_orbit_period(self):
+    def test_numeric_orbit_period(self, monkeypatch):
         # No catalog candidate is irrational, so this is the only caller
         # of the numeric period search.  Squaring moves (1 : w : 0), w a
         # primitive cube root of unity, to (1 : w^2 : 0) and back; the
@@ -76,7 +76,20 @@ class TestSuperattractingCandidates:
             w = mpmath.exp(2j * mpmath.pi / 3)
             assert fatou._numeric_orbit_period(m, (1, w, 0), 256) == 2
             assert fatou._numeric_orbit_period(m, (1, w * w, 0), 256) == 2
+        # Each step compares the image with the start; the images are the
+        # reference orbit's, bit for bit.
+        steps = []
+        real = numeric.proj_distance
+
+        def distance(p, q):
+            steps.append([c._mpc_ for c in p])
+            return real(p, q)
+
+        monkeypatch.setattr(numeric, "proj_distance", distance)
         assert fatou._numeric_orbit_period(m, (1, 2, 1), 256) is None
+        monkeypatch.undo()
+        want = ps.orbit(m, (1, 2, 1), fatou.ORBIT_PERIOD_BOUND, 256)
+        assert steps == [[c._mpc_ for c in p] for p in want]
 
 
 class TestIntersectionPoints:
@@ -184,9 +197,8 @@ class TestScanWindows:
                     if lab < 0:
                         continue
                     pt = origins[row][col]
-                    final = projmap.orbit(m, pt, cfg.max_iters, 64)[-1]
+                    final = ps.orbit(m, pt, cfg.max_iters, 64)[-1]
                     cand = tuple(mpmath.mpc(v) for v in cfg.candidates[lab])
-                    from pcflab import numeric
                     dist = numeric.proj_distance(
                         final, numeric.normalize_point(cand)[0])
                     assert dist < cfg.tol

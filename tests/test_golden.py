@@ -5,7 +5,9 @@ file it must write.  The goldens live in ``tests/golden/`` next to the map
 files they use; map-file runs start in that directory, so a report's
 ``source`` field is the bare file name.
 
-The goldens pin today's reports, findings included.
+The goldens pin today's reports, findings included.  Every periodic golden
+is also certified by its count: a run that no longer finds and certifies
+all its points fails under its own name before the bytes are compared.
 
 The grid goldens pin the ``fatou --out`` CSV and PGM bytes of one window
 per map: squaring-p2 inside the basin of (0 : 0 : 1), Sym^2 straddling the
@@ -17,6 +19,7 @@ After a deliberate report change, regenerate with
 files whose bytes changed, and name every changed field in the change log.
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -96,10 +99,23 @@ def _run(argv, report_path) -> int:
         os.chdir(cwd)
 
 
+def _assert_certified(report):
+    """Every period's count certifies its points: expected, distinct and
+    weighted agree, and every point has multiplicity 1."""
+    periodic = report["periodic"]
+    for row in periodic["bezout"]:
+        assert row["expected"] == row["distinct"] == row["weighted"], row
+        assert row["ok"], row
+    for point in periodic["points"]:
+        assert point["multiplicity"] == 1, point["point"]
+
+
 @pytest.mark.parametrize("golden,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_report_matches_golden(golden, argv, code, tmp_path):
     out = tmp_path / golden
     assert _run(argv, out) == code
+    if argv[0] == "periodic":
+        _assert_certified(json.loads(out.read_text(encoding="utf-8")))
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 

@@ -187,7 +187,7 @@ class TestFindPeriodic:
         real = periodic._fixed_point_candidates_p2
 
         def first_the_tie(big, precision, failed=None):
-            yield False, [(rep, 1)]
+            yield [rep]
             yield from real(big, precision, failed)
 
         monkeypatch.setattr(periodic, "_fixed_point_candidates_p2", first_the_tie)
@@ -273,7 +273,7 @@ class TestMultipliers:
         m = _squaring_p1()
         with mpmath.workprec(256):
             zeta = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) / 7)
-            moved = projmap.orbit(m, (zeta, 1), 3, 256)[-1]
+            moved = ps.orbit(m, (zeta, 1), 3, 256)[-1]
             assert numeric.proj_distance(moved, (zeta, mpmath.mpc(1))) < mpmath.mpf(10) ** -50
             spec = periodic.multipliers(m, (zeta, 1), 3, 256)
             assert len(spec) == 1
@@ -389,30 +389,70 @@ class TestCountCertificate:
             assert len(pts) == want
             assert all(p.multiplicity == 1 for p in pts)
 
-    def test_squaring_never_certifies(self, monkeypatch):
-        # Every chart of x_i^(2^l) strips an x_c factor, so no chart proves
-        # the fixed locus finite and all three run.
+    def test_squaring_certified_by_the_third_chart(self, monkeypatch):
+        # Every chart of x_i^(2^l) strips an x_c factor, which drops the
+        # fixed points on x_c = 0, so only the union of all three charts
+        # reaches the count.
         calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
         for l, want in ((1, 7), (2, 21)):
             del calls[:]
             count = periodic.bezout_audit(_squaring_p2(), l, precision=256)
             assert len(calls) == 3, l
-            assert (count.distinct, count.weighted) == (want, want)
+            assert (count.distinct, count.weighted, count.ok) == (want, want, True)
 
-    def test_chart_finiteness_flags(self):
-        # Chart c proves the fixed locus finite exactly when x_c does not
-        # divide F_c, so that no factor of x_c is stripped.
-        cases = [(_squaring_p2(), [False, False, False]),
-                 (_sym2(), [False, True, False]),
-                 (_fs(), [True, True, True])]
-        for m, want in cases:
-            big = projmap.iterate(m, 1)
-            charts = periodic._fixed_point_candidates_p2(big, 256)
-            assert [finite for finite, _cands in charts] == want
+    def test_linear_map_fixing_a_line_stays_short(self):
+        # (2x : x + y : x + z) fixes the line x = 0 pointwise and (1 : 1 : 1).
+        # Chart 0 strips x and finds only (1 : 1 : 1); charts 1 and 2 keep
+        # x as a common factor and fail.  With no finiteness flag, the count
+        # alone must not certify: it stays at 1 of 3.
+        m = projmap.ProjectiveMap([poly.linear_form([2, 0, 0]), poly.linear_form([1, 1, 0]),
+                                   poly.linear_form([1, 0, 1])])
+        failed = []
+        pts = periodic.find_periodic(m, 1, 256, failed)
+        assert [chart for chart, _error in failed] == [1, 2]
+        assert len(pts) == 1
+        with mpmath.workprec(256):
+            assert numeric.proj_distance(pts[0].point, (1, 1, 1)) < mpmath.mpf(10) ** -40
+        count = periodic.bezout_audit(m, 1, pts)
+        assert (count.expected, count.distinct, count.weighted, count.ok) == (3, 1, 1, False)
+
+    def test_uncertified_plane_points_count_once(self):
+        # (x^2 + xz : y^2 : z^2) has double fixed points at (0:0:1) and
+        # (0:1:1), so 5 distinct points stand for the 7 of the count.  No
+        # multiplicity is guessed for them: weighted equals distinct, the
+        # count is not ok, and no finding speaks of merged points.
+        m = projmap.ProjectiveMap([_p(3, 2, {(2, 0, 0): 1, (1, 0, 1): 1}),
+                                   _p(3, 2, {(0, 2, 0): 1}), _p(3, 2, {(0, 0, 2): 1})])
+        assert projmap.validate(m).verdict == "well-defined"
+        pts = periodic.find_periodic(m, 1, 256)
+        assert [p.multiplicity for p in pts] == [1] * 5
+        count = periodic.bezout_audit(m, 1, pts)
+        assert (count.expected, count.distinct, count.weighted, count.ok) == (7, 5, 5, False)
+        audit = periodic.eigenvalue_audit(m, 1, 256, [pts])
+        assert not any("multiplicity" in f for f in audit.findings)
+
+    def test_p1_multiplicities_are_exact(self):
+        # z -> z^2 + z fixes 0 twice, with multiplier 1, and infinity once:
+        # the fixed form s^2 t gives multiplicities 2 and 1, which make up
+        # the count.  The double point is one parabolic point, not two
+        # merged ones: it is reported by its violations and no finding.
+        m = projmap.ProjectiveMap([_p(2, 2, {(2, 0): 1, (1, 1): 1}), _p(2, 2, {(0, 2): 1})])
+        pts = periodic.find_periodic(m, 1, 256)
+        assert [(tuple(complex(c) for c in p.point), p.multiplicity) for p in pts] == [
+            ((0, 1), 2), ((1, 0), 1)]
+        count = periodic.bezout_audit(m, 1, pts)
+        assert (count.expected, count.distinct, count.weighted, count.ok) == (3, 2, 3, True)
+        audit = periodic.eigenvalue_audit(m, 1, 256, [pts])
+        assert audit.violations == (
+            "period 1 point ((0.0 + 0.0j), (1.0 + 0.0j)): root-of-unity eigenvalue"
+            " (1.0 + 0.0j) (order 1)",
+            "period 1 point ((0.0 + 0.0j), (1.0 + 0.0j)): non-nilpotent spectrum"
+            " without a repelling eigenvalue")
+        assert audit.findings == ()
 
     def test_certificate_resets_overcounted_multiplicities(self):
-        # Over all charts, eliminant hints above 1 survive at simple points
-        # of this conjugate and the weighted count reads 9.
+        # The chart eliminants of this conjugate have multiple roots at
+        # simple points; the count makes each of the 7 points simple.
         m = _conjugate(_squaring_p2(), B_ROWS)
         count = periodic.bezout_audit(m, 1, precision=256)
         assert (count.distinct, count.weighted) == (7, 7)

@@ -434,7 +434,7 @@ class TestNumericEvaluation:
     def test_pushforward_normalizes(self):
         m = _squaring_p2()
         with mpmath.workprec(128):
-            pt = projmap.pushforward_point(m, (1, 2, 3), 128)
+            pt = ps.pushforward_point(m, (1, 2, 3), 128)
             # (1 : 4 : 9) scaled so the largest coordinate is exactly 1.
             assert pt[2] == mpmath.mpc(1)
             assert mpmath.fabs(pt[0] - mpmath.mpf(1) / 9) < mpmath.mpf(10) ** -30
@@ -443,7 +443,7 @@ class TestNumericEvaluation:
     def test_orbit_excludes_start(self):
         m = _squaring_p1()
         with mpmath.workprec(128):
-            pts = projmap.orbit(m, (Fraction(1, 2), 1), 3, 128)
+            pts = ps.orbit(m, (Fraction(1, 2), 1), 3, 128)
             assert len(pts) == 3
             # Images of 1/2 are 1/4, 1/16, 1/256; the start is not included.
             for got, want in zip(pts, (4, 16, 256)):
