@@ -288,7 +288,7 @@ def _fatou_json(candidates, config: Optional[fatou.ScanConfig],
             "resolution": config.resolution,
             "max_iters": config.max_iters,
             "tol": config.tol,
-            "derivative_check": config.derivative_check,
+            "derivative_check": True,  # every scan tracks the chain
         }
     if summary is not None:
         out["summary"] = {

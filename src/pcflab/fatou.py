@@ -9,9 +9,9 @@ The scan iterates every pixel of a chart window with plain machine-double
 complex arithmetic so identical configurations reproduce identical grids
 bit for bit.  Orbits are renormalized to max-modulus-one representatives
 each step, which rules out overflow regardless of expansion.  A pixel is
-labeled with a candidate after five consecutive in-tolerance hits;
-optionally the chained affine Jacobian is tracked as evidence that the
-derivative of the iterates collapses.  The scan is evidence, not proof:
+labeled with a candidate after five consecutive in-tolerance hits, and
+the chained affine Jacobian is tracked as evidence that the derivative of
+the iterates collapses.  The scan is evidence, not proof:
 summaries say consistent, never verified.
 """
 
@@ -152,7 +152,6 @@ class ScanConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
     candidates: tuple = ()
-    derivative_check: bool = True
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -231,7 +230,7 @@ def _power(i: int, k: int, fold: bool) -> str:
     return f"(y{i} * y{i})" if k == 2 and fold else f"y{i} ** {k}"
 
 
-def _form_expr(form, coef: list, fold: bool = True) -> str:
+def _form_expr(form, coef: list, fold: bool) -> str:
     """``0j + c * y_i * (y_j * y_j) + ...`` over the form's sorted terms.
 
     The operations, order and association of a term-by-term loop that
@@ -290,7 +289,7 @@ def _branches(var: str, n: int, body) -> list:
 
 
 _LOOP = """\
-def run(coef, cand, lo, starts, steps, tol, frozen0):
+def run(coef, cand, lo, starts, steps, tol):
     {coef} = coef
     {cand} = cand
     grid, failures = [], 0
@@ -303,7 +302,7 @@ def run(coef, cand, lo, starts, steps, tol, frozen0):
                 continue
             {y} = cur
             {h} = {identity}
-            decayed, frozen, broke = False, frozen0, False
+            decayed = frozen = broke = False
             {streaks} = {zeros}
             for n in steps:
 {step}
@@ -315,7 +314,7 @@ def run(coef, cand, lo, starts, steps, tol, frozen0):
 
 def _loop_source(m: ProjectiveMap, partials: list, cands: list, coef: list,
                  fold: bool) -> str:
-    """Source of ``run(coef, cand, lo, starts, steps, tol, frozen0)``: all pixels' loop.
+    """Source of ``run(coef, cand, lo, starts, steps, tol)``: all pixels' loop.
 
     Orbit state lives in locals: point y_i, image z_i, values v_i, partials
     d_(i n1 + j), chain h_(r k + c) row-major, a streak s_c per candidate
@@ -418,7 +417,7 @@ def _foldable(m: ProjectiveMap, partials: list, config: ScanConfig) -> bool:
 
 
 def _compiled(m: ProjectiveMap, partials: list, cands: list, fold: bool):
-    """The generated loop as ``run(starts, steps, tol, frozen0)``."""
+    """The generated loop as ``run(starts, steps, tol)``."""
     coef, namespace = [], {}
     source = _loop_source(m, partials, cands, coef, fold)
     exec(compile(source, "<fatou scan loop>", "exec"), namespace)
@@ -443,7 +442,7 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     """
     check_chart(config, m.k)
     origins = _pixel_origin(config, m.k)
-    args = (range(1, config.max_iters + 1), config.tol, not config.derivative_check)
+    args = (range(1, config.max_iters + 1), config.tol)
     try:
         cands = []
         for cand in config.candidates:

@@ -89,7 +89,8 @@ def critical_components(m: ProjectiveMap):
 
     The rational linear factors of the square-free part of the Jacobian
     determinant are split off; whatever does not split, a form with no
-    rational linear factor, stays as a single unverified component.
+    rational linear factor, stays as a single unverified component.  Each
+    piece divides the square-free part, so it is square-free itself.
     """
     jd = projmap.jacobian_det(m)
     if jd.is_zero():
@@ -98,9 +99,9 @@ def critical_components(m: ProjectiveMap):
         return ()
     sf = poly.squarefree_part(jd)
     factors, residual = poly.linear_factors(sf)
-    comps = [make_component(form) for form, _mult in factors]
+    comps = [Component(poly.canonical(form)) for form, _mult in factors]
     if not residual.is_constant():
-        comps.append(make_component(residual))
+        comps.append(Component(poly.canonical(residual)))
     return tuple(sorted(comps, key=_component_key))
 
 
@@ -117,7 +118,9 @@ def image_of_component(m: ProjectiveMap, c: Component) -> Component:
     divides), and returns the first non-zero solution.  The solutions of the
     least degree are the multiples of the image's reduced equation by a
     scalar, so the kernel there is a line.  For a well-defined map the
-    image has degree at most d * deg c.
+    image has degree at most d * deg c.  That solution M is square-free:
+    were M = N^2 R with N not constant, the square-free c would divide
+    (NR)∘f, a solution of lower degree.
     """
     if c.form.nvars != m.k + 1:
         raise PcfError("component lives in the wrong variable ring")
@@ -137,7 +140,7 @@ def image_of_component(m: ProjectiveMap, c: Component) -> Component:
         kernel = projmap.nullspace_basis(
             [[col.get(e, 0) for col in columns] for e in rows])
         if kernel:
-            return make_component(HomPoly(nvars, delta, dict(zip(reduced, kernel[0]))))
+            return Component(poly.canonical(HomPoly(nvars, delta, dict(zip(reduced, kernel[0])))))
     raise ImageError(
         f"no form of degree at most {m.d * c.form.degree} vanishes on the image "
         f"of {poly.format_poly(c.form)}; the map is not well defined there"
@@ -270,7 +273,7 @@ def postcritical_graph(m: ProjectiveMap, max_iter: int = DEFAULT_MAX_ITER,
 class TowerEntry:
     embedding: Optional[LinearEmbedding]
     restricted_map: Optional[ProjectiveMap]
-    verdict: str  # unbranched | PCF | inconclusive(bound) | unsupported-nonlinear | terminal
+    verdict: str  # PCF | inconclusive(bound) | unsupported-nonlinear | terminal
     label: str
     period: int
     graph: Optional[PostCriticalGraph] = None
@@ -320,7 +323,11 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
     Level 1 holds the periodic components of the supplied graph, each with
     the restriction of the appropriate iterate; deeper levels repeat the
     construction inside each restriction.  Non-linear periodic components
-    stop their branch with an explicit unsupported verdict.
+    stop their branch with an explicit unsupported verdict.  Each
+    restriction g = f^k1|L is branched: ``restrict`` leaves g no common
+    factor, so g has degree D = d^k1 >= 2 (a map with d = 1 has no critical
+    component, so its tower is empty), and a zero Jacobian would make g0/g1
+    constant, a common factor; so the Jacobian has degree 2(D - 1) > 0.
     """
     periodic = graph.periodic_nodes()
     if not periodic:
@@ -340,10 +347,6 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
             continue
         emb = projmap.embedding_for_hyperplane(node.form)
         g = projmap.restrict(big, emb, emb)
-        jd = projmap.jacobian_det(g)
-        if jd.is_constant() and not jd.is_zero():
-            entries.append(TowerEntry(emb, g, "unbranched", label, period))
-            continue
         subgraph, verdict = postcritical_graph(g, max_iter, max_degree)
         entries.append(TowerEntry(emb, g, "PCF" if verdict.ok else "inconclusive(bound)",
                                   label, period, subgraph))
@@ -498,16 +501,17 @@ def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
     out of G its gcd with the product of c∘f^j∘e over the critical components
     c of f other than those containing f^j(L), and reports the gcd's pieces
     with j and the component each divides.  The entry passes when G ends
-    constant; the rest of G is reported unmatched.
+    constant; the rest of G is reported unmatched.  An entry with no
+    restricted map is vacuous; every g has a Jacobian of positive degree
+    (see :func:`build_tower`).
     """
     results = []
     for entry in level.entries:
         g = entry.restricted_map
-        jd = None if g is None or entry.embedding is None else projmap.jacobian_det(g)
-        if jd is None or jd.is_constant():
+        if g is None:
             results.append((entry.label, "vacuous", ()))
             continue
-        rest = poly.squarefree_part(jd)
+        rest = poly.squarefree_part(projmap.jacobian_det(g))
         orbit = [poly.linear_form(row) for row in entry.embedding.matrix]
         checks = []
         for step in range(level.k_m):
@@ -554,13 +558,8 @@ class DegreeCheck:
 
 
 def topdeg_check(level: TowerLevel, d: int):
-    """Compare each P^1 restriction's degree with d^(k_m)."""
-    out = []
-    for entry in level.entries:
-        if entry.restricted_map is None:
-            continue
-        g = entry.restricted_map
-        if g.k != 1:
-            continue
-        out.append(DegreeCheck(entry.label, d**level.k_m, projmap.p1_degree(g)))
-    return tuple(out)
+    """Compare each restriction's degree with d^(k_m): a map of P^1 whose
+    components have no common factor (see :func:`projmap.restrict`), so
+    its degree is its components'."""
+    return tuple(DegreeCheck(entry.label, d**level.k_m, entry.restricted_map.d)
+                 for entry in level.entries if entry.restricted_map is not None)

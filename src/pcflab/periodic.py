@@ -139,6 +139,12 @@ def _infinite_fixed_locus(big: ProjectiveMap) -> str:
     return "the fixed locus of the iterate is not finite: a curve is fixed pointwise"
 
 
+def _fixed_point_count(m: ProjectiveMap, l: int) -> int:
+    """E = sum of D^j over j = 0..k, D = d^l: the fixed points of f^l with
+    multiplicity when they are finitely many; find_periodic's certificate."""
+    return sum((m.d**l) ** j for j in range(m.k + 1))
+
+
 def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                   failed: Optional[list] = None):
     """All points of period dividing l, with minimal periods, by elimination.
@@ -186,7 +192,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             f"> {ELIMINATION_BUDGET}"
         )
     big = projmap.iterate(m, l)
-    expected = sum((m.d**l) ** j for j in range(m.k + 1))
+    expected = _fixed_point_count(m, l)
     with mpmath.workprec(precision):
         if m.k == 1:
             charts = [_fixed_point_candidates_p1(big, precision)]
@@ -452,8 +458,5 @@ def bezout_audit(m: ProjectiveMap, l: int,
     """
     if points is None:
         points = find_periodic(m, l, precision)
-    dl = m.d**l
-    expected = sum(dl**j for j in range(m.k + 1))
-    distinct = len(points)
     weighted = sum(p.multiplicity for p in points)
-    return BezoutCount(l, expected, distinct, weighted)
+    return BezoutCount(l, _fixed_point_count(m, l), len(points), weighted)

@@ -60,10 +60,6 @@ Exponent = tuple  # tuple[int, ...], one entry per variable
 _VAR_NAMES = {2: ("s", "t"), 3: ("x", "y", "z")}
 
 
-def _names_for(nvars: int) -> Sequence[str]:
-    return _VAR_NAMES.get(nvars, tuple(f"x{i}" for i in range(nvars)))
-
-
 class HomPoly:
     """A homogeneous polynomial in ``nvars`` variables over the rationals."""
 
@@ -306,10 +302,10 @@ def root_of_binary_linear(form: HomPoly) -> tuple:
     return (-b, a)
 
 
-def format_poly(p: HomPoly, names: Optional[Sequence[str]] = None) -> str:
+def format_poly(p: HomPoly) -> str:
     if p.is_zero():
         return "0"
-    names = names or _names_for(p.nvars)
+    names = _VAR_NAMES.get(p.nvars) or [f"x{i}" for i in range(p.nvars)]
     parts = []
     for e in sorted(p.terms, reverse=True):
         c = p.terms[e]
@@ -477,10 +473,10 @@ def _binary_ints(p: HomPoly, den: int) -> list:
     return out
 
 
-def _binary_form(c: list, den: int = 1) -> HomPoly:
-    """The binary form of degree len(c) - 1 with coefficients c[i] / den."""
+def _binary_form(c: list) -> HomPoly:
+    """The binary form of degree len(c) - 1 with coefficients c[i]."""
     d = len(c) - 1
-    return HomPoly(2, d, {(i, d - i): Fraction(x, den) for i, x in enumerate(c) if x})
+    return HomPoly(2, d, {(i, d - i): Fraction(x) for i, x in enumerate(c) if x})
 
 
 def _trim(c: list) -> list:
@@ -937,42 +933,6 @@ def _interpolate(nodes: list, values: list) -> list:
             out[s] = out[s - 1] - nodes[t] * out[s]
         out[0] = diffs[t] - nodes[t] * out[0]
     return out
-
-
-def det(matrix: Sequence[Sequence[HomPoly]]) -> HomPoly:
-    """Determinant of a small square polynomial matrix by cofactor expansion.
-
-    All nonzero Leibniz terms of a matrix of forms built from one map share
-    a total degree, so the expansion stays homogeneous term by term.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise PolynomialError("empty matrix")
-    nvars = matrix[0][0].nvars
-    total = sum(matrix[i][i].degree for i in range(n))
-
-    def expand(rows: tuple, col: int):
-        if not rows:
-            return constant(nvars, 1)
-        acc = None
-        for idx, r in enumerate(rows):
-            entry = matrix[r][col]
-            if entry.is_zero():
-                continue
-            sub = expand(rows[:idx] + rows[idx + 1 :], col + 1)
-            piece = entry * sub
-            if idx % 2:
-                piece = -piece
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            deg = sum(matrix[r][r].degree for r in rows) if rows else 0
-            return zero(nvars, max(deg, 0))
-        return acc
-
-    result = expand(tuple(range(n)), 0)
-    if result.is_zero():
-        return zero(nvars, max(total, 0))
-    return result
 
 
 # -- linear factor extraction ---------------------------------------------

@@ -250,17 +250,11 @@ def primitivize(comps: Sequence[HomPoly]):
     nonzero = [c for c in comps if not c.is_zero()]
     if not nonzero:
         raise MapError("all components vanish identically")
-    reduced = False
-    if len(nonzero) == 1:
-        g = poly.canonical(nonzero[0])
-    else:
-        g = poly.gcd_many(nonzero)
-    if not g.is_constant():
-        comps = [
-            poly.zero(c.nvars, c.degree - g.degree) if c.is_zero() else poly.exact_divide(c, g)
-            for c in comps
-        ]
-        reduced = True
+    g = poly.gcd_many(nonzero)
+    reduced = not g.is_constant()
+    if reduced:
+        comps = [poly.zero(c.nvars, c.degree - g.degree) if c.is_zero()
+                 else poly.exact_divide(c, g) for c in comps]
     return _normalize_scalars(comps), reduced
 
 
@@ -470,12 +464,16 @@ def iterate(m: ProjectiveMap, n: int) -> ProjectiveMap:
 
 
 def jacobian_det(m: ProjectiveMap) -> HomPoly:
-    """Determinant of the matrix of partials; degree (k+1)(d-1)."""
-    rows = [
-        [poly.partial(c, j) for j in range(m.k + 1)]
-        for c in m.comps
-    ]
-    return poly.det(rows)
+    """Determinant of the matrix of partials; degree (k+1)(d-1).  Written
+    out for P^1 and P^2, as ``validate`` accepts no other k."""
+    if m.k not in (1, 2):
+        raise MapError(f"jacobian implemented for P^1 and P^2 only, not P^{m.k}")
+    a = [[poly.partial(c, j) for j in range(m.k + 1)] for c in m.comps]
+    if m.k == 1:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
 def p1_degree(m: ProjectiveMap) -> int:

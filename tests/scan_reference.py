@@ -146,7 +146,7 @@ def scan(m, config) -> BasinGrid:
             chain = [[1.0 + 0j if i == j else 0j for j in range(k)]
                      for i in range(k)]
             decayed = False
-            frozen = not config.derivative_check
+            frozen = False
             streaks = [0] * len(cands)
             settle_streak = 0
             label, labeled_at = -1, -1

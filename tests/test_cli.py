@@ -478,6 +478,18 @@ class TestFatou:
         assert report["fatou"]["files"]["csv"].endswith("basin.csv")
         assert report["fatou"]["files"]["pgm"].endswith("basin.pgm")
 
+    def test_unmatched_candidate_is_a_finding(self, capsys):
+        # With only (1:0:0) offered, every pixel near (0:0:1) settles there
+        # with a decayed derivative and matches no candidate.
+        code, report, err = _report(
+            capsys, "fatou", "catalog:squaring-p2", "--candidates", "1:0:0",
+            "--center", "0,0", "--radius", "0.5", "--grid", "4")
+        assert code == cli.EXIT_OK
+        summary = report["fatou"]["summary"]
+        assert (summary["consistency"], summary["finding_pixels"]) == ("FINDING", 16)
+        assert ("FINDING: 16 settled pixels with decayed derivatives matched "
+                "no candidate") in err
+
     def test_failed_pair_solve_aborts(self, monkeypatch, capsys):
         # Sym^2's post-critical conic needs the pair solver; a failed solve
         # ends the run with exit 4 instead of losing its points silently.

@@ -66,6 +66,33 @@ class TestSuperattractingCandidates:
         graph, tower = _graph_and_tower(m)
         assert fatou.superattracting_candidates(m, graph, tower) == []
 
+    def test_irrational_points_of_the_line(self, monkeypatch):
+        # Newton's map for z^2 - 2, (s^2 + 2t^2 : 2st), has the one
+        # post-critical node s^2 - 2t^2, which has no rational root: its
+        # points (+-sqrt(2) : 1) are found numerically and each is a fixed
+        # point by the numeric period search.
+        s, t = poly.variable(2, 0), poly.variable(2, 1)
+        m = projmap.ProjectiveMap([s * s + (t * t).scale(2), (s * t).scale(2)])
+        graph, tower = _graph_and_tower(m)
+        assert [str(node) for node in graph.nodes] == ["s^2 - 2*t^2"]
+        periods = []
+        real = fatou._numeric_orbit_period
+
+        def period(*args):
+            periods.append(real(*args))
+            return periods[-1]
+
+        monkeypatch.setattr(fatou, "_numeric_orbit_period", period)
+        cands = fatou.superattracting_candidates(m, graph, tower)
+        assert periods == [1, 1]
+        precision = numeric.resolve_precision(None)
+        with mpmath.workprec(precision):
+            tol = numeric.tolerances(precision).dedup
+            roots = [(sign * mpmath.sqrt(2), 1) for sign in (1, -1)]
+            assert len(cands) == 2
+            for root in roots:
+                assert sum(numeric.proj_distance(c, root) < tol for c in cands) == 1
+
     def test_numeric_orbit_period(self, monkeypatch):
         # No catalog candidate is irrational, so this is the only caller
         # of the numeric period search.  Squaring moves (1 : w : 0), w a
@@ -229,15 +256,6 @@ class TestReferenceLoop:
         assert grid == scan_reference.scan(m, cfg)
         return grid
 
-    def test_derivative_check_off(self):
-        sym2, _, _ = cli.load_input(str(GOLDEN_DIR / "sym2.json"))
-        for m in (_squaring_p2(), sym2):
-            cfg = fatou.ScanConfig(2, (0.3, -0.2), 0.8, 8, max_iters=30,
-                                   candidates=COORD_CANDS,
-                                   derivative_check=False)
-            grid = self._same(m, cfg)
-            assert not any(d for row in grid.decayed for d in row)
-
     def test_charts_zero_and_one(self):
         for chart in (0, 1):
             for name in ("squaring-p2", "fs-1992-a"):
@@ -279,11 +297,10 @@ class TestReferenceLoop:
         comps = _squaring_p2().comps
         for scale, decayed in ((10 ** 150, [81, 81, 81]), (10 ** 200, [8, 9, 9])):
             m = projmap.ProjectiveMap([c.scale(scale) for c in comps])
-            for check in (True, False):
-                counts = [sum(map(sum, self._same(m, fatou.ScanConfig(
-                    chart, (0, -0.2), 0.9, 9, candidates=COORD_CANDS,
-                    derivative_check=check)).decayed)) for chart in range(3)]
-                assert counts == (decayed if check else [0, 0, 0])
+            counts = [sum(map(sum, self._same(m, fatou.ScanConfig(
+                chart, (0, -0.2), 0.9, 9, candidates=COORD_CANDS)).decayed))
+                for chart in range(3)]
+            assert counts == decayed
 
 
     def test_non_coordinate_candidates(self):
@@ -387,7 +404,7 @@ class TestCompiledEvaluators:
         forms += [Form, Cancelling]
         # The form texts the scan loop is generated from, as one function.
         coef = []
-        exprs = [fatou._form_expr(f, coef) for f in forms]
+        exprs = [fatou._form_expr(f, coef, True) for f in forms]
         evaluate = eval(f"lambda y0, y1, y2: ({', '.join(exprs)},)",
                         {f"c{i}": c for i, c in enumerate(coef)})
         points = [(0.3 + 0.1j, -1.7 + 0j, 2e-3 - 4j), (1 + 0j, -0.0 + 0j, 0j),
@@ -416,7 +433,7 @@ class TestCompiledEvaluators:
         # names, integer exponents and the 0j start; the loop's own literals
         # may also come from FIXED.
         partials = [poly.partial(c, j) for c in m.comps for j in range(3)]
-        form_text = "\n".join(exprs + [fatou._form_expr(f, []) for f in partials])
+        form_text = "\n".join(exprs + [fatou._form_expr(f, [], True) for f in partials])
         for text, allowed in ((form_text, {"0j"}), (sources[0], self.FIXED)):
             tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
             for prev, tok in zip(tokens, tokens[1:]):

@@ -483,10 +483,6 @@ class TestResultants:
         with pytest.raises(PolynomialError):
             poly.resultant_wrt(poly.variable(2, 1), poly.variable(2, 0), 0)
 
-    def test_det_two_by_two(self):
-        x, y = poly.variable(2, 0), poly.variable(2, 1)
-        assert poly.det([[x, y], [y, x]]) == _p(2, 2, {X2: 1, Y2: -1})
-
 
 # -- oracle: subresultants as Sylvester minors over Fractions -------------------
 #

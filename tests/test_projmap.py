@@ -267,6 +267,17 @@ class TestJacobian:
         j = projmap.jacobian_det(_squaring_p2())
         assert j == (x * y * z).scale(8)
 
+    def test_p1_jacobian(self):
+        # Newton's map for z^2 - 2: (s^2 + 2t^2 : 2st).
+        s, t = poly.variable(2, 0), poly.variable(2, 1)
+        m = projmap.ProjectiveMap([s * s + (t * t).scale(2), (s * t).scale(2)])
+        assert projmap.jacobian_det(m) == (s * s).scale(4) - (t * t).scale(8)
+
+    def test_rejects_p3(self):
+        m = projmap.ProjectiveMap([poly.variable(4, i) for i in range(4)])
+        with pytest.raises(projmap.MapError):
+            projmap.jacobian_det(m)
+
     def test_degree_formula(self):
         for name in catalog.names():
             m = catalog.get(name).map
