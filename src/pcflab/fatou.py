@@ -35,7 +35,7 @@ DEFAULT_MAX_ITERS = 60
 DEFAULT_TOL = 1e-9
 ORBIT_PERIOD_BOUND = 128
 FOLD_BOUND = 1e100  # see _foldable
-CHAIN_FREEZE = "1e100"  # the generated loop freezes a chain whose norm exceeds it
+CHAIN_FREEZE = "1e100"  # the generated loop freezes a chain whose norm exceeds it, or a NaN one
 # The folds need each Jacobian entry (below 2 FOLD_BOUND^2) times a chain
 # entry (at most CHAIN_FREEZE), summed over k <= 2 terms, to stay finite,
 # with a factor 4 to spare for the parts of complex products.
@@ -67,7 +67,7 @@ def _numeric_orbit_period(m: ProjectiveMap, point, precision: int):
     with mpmath.workprec(precision):
         tol = numeric.tolerances(precision).dedup
         forms = [numeric.MpForm(c) for c in m.comps]
-        start = numeric.normalize_point([numeric.mpc_from(c) for c in point])[0]
+        start = numeric.normalize_point(point)[0]
         cur = start
         for step in range(1, ORBIT_PERIOD_BOUND + 1):
             cur = numeric.normalize_point([f(cur) for f in forms])[0]
@@ -369,10 +369,10 @@ def _loop_source(m: ProjectiveMap, partials: list, cands: list, coef: list,
     chain = [f"d{p} = {_form_expr(f, coef, fold)}"
              for p, f in enumerate(partials) if p not in zero]
     chain += ["inv2 = 1.0 / (fb * fb)"] + _branches("ch", n1, rows)
-    chain += [f"norm = max({', '.join(f'abs({h})' for h in hs)})" if k > 1
-              else "norm = abs(h0)",
-              f"if norm < {DERIVATIVE_DECAY_THRESHOLD!r}:", "    decayed = frozen = True",
-              f"elif norm > {CHAIN_FREEZE} or norm != norm:", "    frozen = True"]
+    chain += [f"norm = max({', '.join(f'abs({h})' for h in hs)})" if k > 1 else "norm = abs(h0)",
+              f"if norm > {CHAIN_FREEZE} or {' or '.join(f'{h} != {h}' for h in hs)}:",  # or NaN
+              "    frozen = True", f"elif norm < {DERIVATIVE_DECAY_THRESHOLD!r}:",
+              "    decayed = frozen = True"]
     step += ["if not frozen:"] + ["    " + line for line in chain]
     step += [f"if {_near_expr('z', 'y', n1)}:", "    settle += 1",
              "else:", "    settle = 0"]
@@ -405,8 +405,7 @@ def _foldable(m: ProjectiveMap, partials: list, config: ScanConfig) -> bool:
     1 / FOLD_BOUND, 1 / fb and 1 / fb^2 are finite and each Jacobian entry
     is below 2 FOLD_BOUND^2, so its products with chain entries, at most
     CHAIN_FREEZE while the chain runs, stay finite (the assert under
-    FOLD_BOUND).  The freeze test alone would not keep the chain finite:
-    max() skips a NaN after the first entry.
+    FOLD_BOUND).
     """
     for f in list(m.comps) + partials:
         values = map(_to_complex, f.terms.values())

@@ -15,7 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath.libmp import fzero, mpc_add, mpc_add_mpf, mpc_mul, mpc_mul_int, mpc_mul_mpf
+from mpmath.libmp import (fone, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
+                          mpc_mul_int, mpc_mul_mpf, mpc_sub, mpf_add, mpf_cmp, mpf_div,
+                          mpf_lt, mpf_mul, mpf_shift, mpf_sub, normalize, to_float)
 
 from . import poly
 from .poly import HomPoly
@@ -154,24 +156,56 @@ def eval_form(p: HomPoly, coords) -> mpmath.mpc:
     return mpc_from(0) + MpForm(p)(tuple(mpc_from(c) for c in coords))
 
 
+class Point(tuple):
+    """mpc coordinates from :func:`normalize_point`, with their libmp values ``raw``, the
+    index ``pivot`` of the 1, and ``stable``: whether normalizing returns them as they are."""
+
+    double = functools.cached_property(lambda self: _double_point(tuple(self)))
+
+
+def _raw_coords(pt, prec: int, rnd) -> tuple:
+    """pt's coordinates as libmp values, rounded as :func:`mpc_from` does."""
+    return pt.raw if isinstance(pt, Point) else tuple(
+        v if v[0][3] <= prec >= v[1][3] else tuple(normalize(*x, prec, rnd) for x in v)
+        for v in (getattr(c, "_mpc_", None) or mpc_from(c)._mpc_ for c in pt))
+
+
+def _largest(vals, prec: int, rnd):
+    """The first index of the largest rounded modulus of libmp mpc values, the rounded
+    moduli by index of those whose exact square modulus is within 2^(6-prec) of the
+    top's (no other can tie), and the largest."""
+    key = functools.cmp_to_key(mpf_cmp)
+    squares = [mpf_add(mpf_mul(x, x), mpf_mul(y, y)) for x, y in vals]
+    top = max(squares, key=key)
+    floor = mpf_sub(top, mpf_shift(top, 6 - prec))
+    mods = {i: mpc_abs(vals[i], prec, rnd) for i, s in enumerate(squares) if mpf_cmp(s, floor) >= 0}
+    best = max(mods, key=lambda i: key(mods[i]))  # the first of equal moduli
+    return best, mods, mods[best]
+
+
 def normalize_point(coords):
     """Scale a projective representative so its max-modulus coordinate is 1.
 
-    Ties pick the lowest index.  Raises IndeterminatePointError when every
+    Ties pick the lowest index.  Returns a :class:`Point` (a stable Point
+    as it is) and its pivot.  Raises IndeterminatePointError when every
     coordinate sits below the zero floor of the working precision.
     """
-    vals = [mpc_from(c) for c in coords]
-    mags = [mpmath.fabs(v) for v in vals]
-    best = 0
-    for i in range(1, len(vals)):
-        if mags[i] > mags[best]:
-            best = i
-    tol = tolerances(mpmath.mp.prec)
-    if mags[best] < tol.zero_floor:
-        raise IndeterminatePointError(
-            f"all coordinates below {tol.serialize()['zero_floor']}")
-    pivot = vals[best]
-    return tuple(v / pivot for v in vals), best
+    if isinstance(coords, Point) and coords.stable:
+        return coords, coords.pivot
+    prec, rnd = mpmath.mp._prec_rounding
+    best, mods, size = _largest(vals := _raw_coords(coords, prec, rnd), prec, rnd)
+    tol = tolerances(prec)
+    if mpf_lt(size, tol.zero_floor._mpf_):
+        raise IndeterminatePointError(f"all coordinates below {tol.serialize()['zero_floor']}")
+    one, pivot = (fone, fzero), vals[best]
+    if pivot != one:  # v / 1 would be v, and v / v is 1 exactly
+        vals = tuple(one if i == best else mpc_div(v, pivot, prec, rnd) for i, v in enumerate(vals))
+        mods = {i: mpc_abs(vals[i], prec, rnd) for i in mods}
+    pt = Point(map(mpmath.mp.make_mpc, vals))
+    # normalizing again pivots on an earlier modulus 1 or a later one above 1
+    pt.raw, pt.pivot, pt.stable = vals, best, all(
+        mpf_cmp(mod, fone) < (i > best) for i, mod in mods.items() if i != best)
+    return pt, best
 
 
 def proj_distance(p, q) -> mpmath.mpf:
@@ -180,20 +214,17 @@ def proj_distance(p, q) -> mpmath.mpf:
     Zero exactly when the two points agree in projective space; symmetric;
     insensitive to scaling of either argument.
     """
-    pv = [mpc_from(c) for c in p]
-    qv = [mpc_from(c) for c in q]
-    mp_ = max(mpmath.fabs(c) for c in pv)
-    mq = max(mpmath.fabs(c) for c in qv)
-    if mp_ == 0 or mq == 0:
+    prec, rnd = mpmath.mp._prec_rounding
+    pv, qv = _raw_coords(p, prec, rnd), _raw_coords(q, prec, rnd)
+    sizes = [fone if isinstance(x, Point) and x.stable else _largest(v, prec, rnd)[2]
+             for x, v in ((p, pv), (q, qv))]
+    if fzero in sizes:
         raise NumericalError("projective distance of a zero vector")
-    best = mpmath.mpf(0)
-    n = len(pv)
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = mpmath.fabs(pv[i] * qv[j] - pv[j] * qv[i])
-            if cross > best:
-                best = cross
-    return best / (mp_ * mq)
+    crosses = [mpc_sub(mpc_mul(pv[i], qv[j], prec, rnd), mpc_mul(pv[j], qv[i], prec, rnd),
+                       prec, rnd) for i in range(len(pv)) for j in range(i + 1, len(pv))]
+    best = _largest(crosses, prec, rnd)[2] if crosses else fzero
+    scale = mpf_mul(*sizes, prec, rnd)
+    return mpmath.mp.make_mpf(best if scale == fone else mpf_div(best, scale, prec, rnd))
 
 
 def _double_point(pt):
@@ -203,12 +234,16 @@ def _double_point(pt):
     overflows; coordinates below 2^-1074 of the largest underflow to 0.
     Returns the coordinates and the largest modulus among them.
     """
-    vals = [mpc_from(c) for c in pt]
-    top = max(mpmath.mag(v) for v in vals)
-    if top == -mpmath.inf:
+    if isinstance(pt, Point):
+        return pt.double
+    prec, rnd = mpmath.mp._prec_rounding
+    vals = _raw_coords(pt, prec, rnd)
+    mags = [max(e + bc for _s, m, e, bc in v if m) + bool(v[0][1] and v[1][1])
+            for v in vals if v[0][1] or v[1][1]]  # mpmath.mag of the nonzero ones
+    if not mags:
         raise NumericalError("projective distance of a zero vector")
-    scale = mpmath.ldexp(mpmath.mpf(1), -top)
-    rep = tuple(complex(v * scale) for v in vals)
+    rep = tuple(complex(*(to_float((s, m, e - max(mags), bc), rnd=rnd) if m else 0.0
+                          for s, m, e, bc in v)) for v in vals)
     return rep, max(abs(c) for c in rep)
 
 
@@ -465,17 +500,8 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
         zero = mpc_from(0)
         target = tolerances(precision).refine_target
         u, v = pt[idx[0]], pt[idx[1]]
-
-        def coords(uu, vv):
-            c = [None] * 3
-            c[chart] = mpc_from(1)
-            c[idx[0]] = uu
-            c[idx[1]] = vv
-            return tuple(c)
-
-        res = None
+        res, c = None, pt  # the point (u, v) in the chart, before any step
         for _ in range(NEWTON_STEPS):
-            c = coords(u, v)
             fa, fb = (zero + f(c) for f in forms)
             res = max(mpmath.fabs(fa), mpmath.fabs(fb))
             if res < target:
@@ -489,6 +515,7 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
             du = (fa * j11 - fb * j01) / det
             dv = (fb * j00 - fa * j10) / det
             u, v = u - du, v - dv
+            c = tuple(mpc_from(1) if i == chart else u if i == idx[0] else v for i in range(3))
         raise NumericalError(f"Newton did not reach {mpmath.nstr(target)} (residual {mpmath.nstr(res)})")
 
 

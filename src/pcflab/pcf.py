@@ -497,9 +497,10 @@ def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
     """Check the critical points of each restriction against crit(f^n), exactly.
 
     For an entry L with embedding e and restriction g = f^n|L, n = level.k_m,
-    let G be the square-free part of g's Jacobian.  Step j = 0, 1, ... divides
-    out of G its gcd with the product of c∘f^j∘e over the critical components
-    c of f other than those containing f^j(L), and reports the gcd's pieces
+    let G be the square-free part of g's Jacobian, the product of the
+    critical components of L's graph.  Step j = 0, 1, ... divides out of G
+    its gcd with the product of c∘f^j∘e over the critical components c of
+    f other than those containing f^j(L), and reports the gcd's pieces
     with j and the component each divides.  The entry passes when G ends
     constant; the rest of G is reported unmatched.  An entry with no
     restricted map is vacuous; every g has a Jacobian of positive degree
@@ -507,11 +508,10 @@ def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
     """
     results = []
     for entry in level.entries:
-        g = entry.restricted_map
-        if g is None:
+        if entry.restricted_map is None:
             results.append((entry.label, "vacuous", ()))
             continue
-        rest = poly.squarefree_part(projmap.jacobian_det(g))
+        rest = prod(c.form for c in sorted(entry.graph.critical, key=_component_key))
         orbit = [poly.linear_form(row) for row in entry.embedding.matrix]
         checks = []
         for step in range(level.k_m):

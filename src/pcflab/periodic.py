@@ -19,10 +19,12 @@ flag undecidable neutral values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath
+from mpmath.libmp import fzero, mpc_add, mpc_div, mpc_mul, mpc_sub
 
 from . import numeric, poly, projmap
 from .projmap import ProjectiveMap
@@ -76,11 +78,11 @@ def _walk(forms, start, steps: int):
     """``steps`` steps of the orbit of a normalized point under a map.
 
     ``forms`` are the map's components compiled as :class:`numeric.MpForm`
-    and ``start`` is ``(p_0, chart)`` as :func:`numeric.normalize_point`
-    returns it.  Returns the entries ``(p_j, chart of p_j, f(p_j))`` for
-    j < steps, each p_(j+1) the normalized f(p_j), and p_steps.
+    and ``start`` is p_0 as :func:`numeric.normalize_point` returns it, a
+    :class:`numeric.Point`.  Returns the entries ``(p_j, chart of p_j,
+    f(p_j))`` for j < steps, each p_(j+1) the normalized f(p_j), and p_steps.
     """
-    cur, chart = start
+    cur, chart = start, start.pivot
     entries = []
     for _ in range(steps):
         vals = [f(cur) for f in forms]
@@ -205,28 +207,25 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
         forms = [numeric.MpForm(c) for c in m.comps]
         partials = _compiled_partials(m)
         known = numeric.PointSet(precision)
-        merged = []  # (mult, residual, orbit entries, reusable), parallel to known
+        merged = []  # (mult, residual, orbit entries), parallel to known
         for candidates in charts:
             for pt, mult in candidates:
-                pt = numeric.normalize_point(pt)[0]
+                pt = numeric.normalize_point(pt)[0]  # a stable Point as it is
                 if known.add(pt) is None:
-                    # multipliers walks from pt normalized once more, which
-                    # is pt itself unless two moduli tie
-                    again, chart = numeric.normalize_point(pt)
-                    entries, end = _walk(forms, (pt, chart), l)
-                    merged.append((mult, numeric.proj_distance(end, pt), entries,
-                                   again == pt))
+                    entries, end = _walk(forms, pt, l)
+                    merged.append((mult, numeric.proj_distance(end, pt), entries))
             if sum(1 for e in merged if e[1] < tol.verify) == expected:
                 break
         if not merged:
             raise PeriodicError("no chart system could be solved")
         out = []
-        for pt, (mult, residual, entries, reusable) in zip(known.points, merged):
+        for pt, (mult, residual, entries) in zip(known.points, merged):
             if residual >= tol.verify:
                 continue  # spurious chart solution
             period = next((q for q in range(1, l) if l % q == 0
                            and numeric.proj_distance(entries[q][0], pt) < tol.dedup), l)
-            orbit = (precision, partials, entries[:period]) if reusable else None
+            # multipliers walks from pt normalized again: pt itself when stable
+            orbit = (precision, partials, entries[:period]) if pt.stable else None
             out.append(PeriodicPoint(pt, period, residual, mult, orbit))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
     return out
@@ -240,33 +239,33 @@ def _chart_jacobian(vals, dvals, chart_in: int, chart_out: int):
 
     ``vals[i]`` is f_i(p) and ``dvals[i][j]`` the partial of f_i in x_j at
     p, which must satisfy p[chart_in] = 1.  Rows range over the output
-    chart's affine coordinates, columns over the input chart's.
+    chart's affine coordinates, columns over the input chart's.  Entries are
+    libmp mpc values, each mpmath's (dvals[i][j] fb - vals[i] dvals[b][j]) / fb^2.
     """
-    b = chart_out
-    fb = vals[b]
-    if mpmath.fabs(fb) == 0:
+    def operand(v):  # as mpmath's operators convert v: (mpf, 0) multiplies as an mpf
+        return v._mpc_ if hasattr(v, "_mpc_") else (mpmath.mp.convert(v)._mpf_, fzero)
+    prec, rnd = mpmath.mp._prec_rounding
+    b, n = chart_out, len(vals)
+    raw, draw = [operand(v) for v in vals], [[operand(v) for v in row] for row in dvals]
+    if (fb := raw[b]) == (fzero, fzero):
         raise numeric.NumericalError("orbit point maps onto a chart boundary")
-    rows = []
-    for i in range(len(vals)):
-        if i == b:
-            continue
-        row = []
-        for j in range(len(vals)):
-            if j == chart_in:
-                continue
-            row.append((dvals[i][j] * fb - vals[i] * dvals[b][j]) / (fb * fb))
-        rows.append(row)
-    return rows
+    square = mpc_mul(fb, fb, prec, rnd)
+    return [[mpc_div(mpc_sub(mpc_mul(draw[i][j], fb, prec, rnd),
+                             mpc_mul(raw[i], draw[b][j], prec, rnd), prec, rnd), square, prec, rnd)
+             for j in range(n) if j != chart_in] for i in range(n) if i != b]
 
 
 def _mat_mul(a, b):
-    n, mid, p = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(mid)) for j in range(p)]
-            for i in range(n)]
+    """a b for libmp mpc matrices, as sum() sums the products (0 + p is p)."""
+    prec, rnd = mpmath.mp._prec_rounding
+    return [[functools.reduce(lambda s, t: mpc_add(s, t, prec, rnd),
+                              [mpc_mul(x, y, prec, rnd) for x, y in zip(row, col)])
+             for col in zip(*b)] for row in a]
 
 
 def _eigenvalues(matrix):
-    """Eigenvalues of the 1x1 or 2x2 derivative of a map of P^1 or P^2."""
+    """Eigenvalues of the 1x1 or 2x2 libmp derivative of a map of P^1 or P^2."""
+    matrix = [[mpmath.mp.make_mpc(v) for v in row] for row in matrix]
     if len(matrix) == 1:
         return (matrix[0][0],)
     tr = matrix[0][0] + matrix[1][1]
@@ -302,7 +301,7 @@ def multipliers(m: ProjectiveMap, point, period: int,
         if orbit is not None and orbit[0] == precision:
             _prec, partials, entries = orbit
         else:
-            start = numeric.normalize_point([numeric.mpc_from(c) for c in point])
+            start = numeric.normalize_point(point)[0]
             entries = _walk([numeric.MpForm(c) for c in m.comps], start, period)[0]
             partials = _compiled_partials(m)
         total = None

@@ -164,11 +164,12 @@ def scan(m, config) -> BasinGrid:
                     if chain is None:
                         frozen = True
                     else:
-                        norm = max(abs(e) for rowv in chain for e in rowv)
-                        if norm < DERIVATIVE_DECAY_THRESHOLD:
-                            decayed = True
+                        entries = [e for rowv in chain for e in rowv]
+                        norm = max(abs(e) for e in entries)  # skips a NaN after the first
+                        if norm > 1e100 or any(e != e for e in entries):
                             frozen = True
-                        elif norm > 1e100 or norm != norm:
+                        elif norm < DERIVATIVE_DECAY_THRESHOLD:
+                            decayed = True
                             frozen = True
                 if pd_c(nxt, cur) < tol:
                     settle_streak += 1

@@ -291,17 +291,44 @@ class TestReferenceLoop:
 
     def test_chain_overflow_and_nan(self):
         # With coefficients of 10^200, fb * fb overflows, inv2 is 0 and the
-        # chain turns NaN.  Only pixels of the column whose first affine
-        # coordinate is exactly 0 still decay (all but one in chart 0); at
-        # 10^150 every pixel does.
+        # chain turns NaN, which freezes it undecayed: no pixel decays.  A
+        # NaN-blind norm read the column whose first affine coordinate is
+        # exactly 0 as decayed (8, 9 and 9 pixels).  At 10^150 every pixel
+        # decays.
         comps = _squaring_p2().comps
-        for scale, decayed in ((10 ** 150, [81, 81, 81]), (10 ** 200, [8, 9, 9])):
+        for scale, decayed in ((10 ** 150, [81, 81, 81]), (10 ** 200, [0, 0, 0])):
             m = projmap.ProjectiveMap([c.scale(scale) for c in comps])
             counts = [sum(map(sum, self._same(m, fatou.ScanConfig(
                 chart, (0, -0.2), 0.9, 9, candidates=COORD_CANDS)).decayed))
                 for chart in range(3)]
             assert counts == decayed
 
+    def test_nan_chain_is_not_decayed(self, monkeypatch):
+        # On (10^-150 xy : 2 10^154 xy - 3 10^154 xz : -10^154 xz) the chain
+        # of most pixels turns NaN while its other entries fall below the
+        # decay threshold.  Only the pixels whose chain decayed with no NaN
+        # entry are flagged; a norm that skipped a NaN after the first
+        # entry flagged 8 more.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        big = 10 ** 154
+        m = projmap.ProjectiveMap([(x * y).scale(Fraction(1, 10 ** 150)),
+                                   (x * y).scale(2 * big) - (x * z).scale(3 * big),
+                                   (x * z).scale(-big)])
+        below = []  # per chain below the threshold: whether it is free of NaN
+        real = scan_reference.chain_step
+
+        def spy(*args):
+            chain = real(*args)
+            if chain is not None:
+                entries = [e for row in chain for e in row]
+                if max(abs(e) for e in entries) < fatou.DERIVATIVE_DECAY_THRESHOLD:
+                    below.append(all(e == e for e in entries))
+            return chain
+
+        monkeypatch.setattr(scan_reference, "chain_step", spy)
+        grid = self._same(m, fatou.ScanConfig(0, (-0.6165, 0.4343), 0.8, 4))
+        assert sum(map(sum, grid.decayed)) == below.count(True) == 3
+        assert below.count(False) == 8
 
     def test_non_coordinate_candidates(self):
         # The conjugate's derived candidates have no zero coordinate and a

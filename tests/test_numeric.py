@@ -75,10 +75,172 @@ class TestNormalization:
             assert numeric.proj_distance(a, b) < mpmath.mpf(10) ** -70
 
 
+# -- the point kernels as mpmath's operators compute them ----------------------
+
+
+def _reference_normalize(coords):
+    """normalize_point on mpc values: the first largest fabs is the pivot."""
+    vals = [numeric.mpc_from(c) for c in coords]
+    mags = [mpmath.fabs(v) for v in vals]
+    best = 0
+    for i in range(1, len(vals)):
+        if mags[i] > mags[best]:
+            best = i
+    tol = numeric.tolerances(mpmath.mp.prec)
+    if mags[best] < tol.zero_floor:
+        raise numeric.IndeterminatePointError("all coordinates below the zero floor")
+    pivot = vals[best]
+    return tuple(v / pivot for v in vals), best
+
+
+def _reference_distance(p, q):
+    """proj_distance on mpc values."""
+    pv = [numeric.mpc_from(c) for c in p]
+    qv = [numeric.mpc_from(c) for c in q]
+    mp_ = max(mpmath.fabs(c) for c in pv)
+    mq = max(mpmath.fabs(c) for c in qv)
+    if mp_ == 0 or mq == 0:
+        raise numeric.NumericalError("projective distance of a zero vector")
+    best = mpmath.mpf(0)
+    n = len(pv)
+    for i in range(n):
+        for j in range(i + 1, n):
+            cross = mpmath.fabs(pv[i] * qv[j] - pv[j] * qv[i])
+            if cross > best:
+                best = cross
+    return best / (mp_ * mq)
+
+
+def _reference_double(pt):
+    """_double_point on mpc values: scaled by 2^-mag with an mpf product."""
+    vals = [numeric.mpc_from(c) for c in pt]
+    top = max(mpmath.mag(v) for v in vals)
+    if top == -mpmath.inf:
+        raise numeric.NumericalError("projective distance of a zero vector")
+    scale = mpmath.ldexp(mpmath.mpf(1), -top)
+    rep = tuple(complex(v * scale) for v in vals)
+    return rep, max(abs(c) for c in rep)
+
+
+def _outcome(fn, *args):
+    """fn(*args) with every mpc and float as its bits, or the exception type."""
+    def bits(x):
+        if isinstance(x, (tuple, list)):
+            return tuple(bits(y) for y in x)
+        if isinstance(x, complex):
+            return x.real.hex(), x.imag.hex()
+        if isinstance(x, float):
+            return x.hex()
+        return getattr(x, "_mpc_", getattr(x, "_mpf_", x))
+    try:
+        return bits(fn(*args))
+    except numeric.NumericalError as exc:
+        return type(exc)
+
+
+def _kernel_inputs(rng, prec):
+    """Seeded points at precision prec for the point kernels.
+
+    Coordinates are mpc values carried at 2 prec bits (as a linear fiber's
+    y arrives), mpc and real mpf values at prec bits, Fractions, exact zeros
+    and values of 10^+-400; then points whose moduli tie, such as (1 : i : 0)
+    and (3+4i : 5 : 0), rotated and permuted, and points with a coordinate
+    exactly 1 beside wide ones.
+    """
+    def wide(bits):
+        return mpmath.mpf(((rng.getrandbits(bits) | 1 << (bits - 1)) * rng.choice((1, -1)),
+                           -bits - rng.randint(-3, 3)))
+
+    def coordinate():
+        kind = rng.randrange(8)
+        if kind == 0:
+            return mpmath.mpc(wide(2 * prec), wide(2 * prec))
+        if kind == 1:
+            return mpmath.mpc(wide(prec), wide(prec))
+        if kind == 2:
+            return wide(rng.choice((prec, 2 * prec)))  # a real root
+        if kind == 3:
+            return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+        if kind == 4:
+            return rng.choice((mpmath.mpc(0), Fraction(0), 0))
+        if kind == 5:
+            return mpmath.mpc(wide(prec), 0) * mpmath.mpf(10) ** rng.choice((400, -400))
+        return mpmath.mpc(wide(2 * prec), wide(prec))
+
+    out = []
+    with mpmath.workprec(2 * prec + 64):
+        for _ in range(60):
+            pt = [coordinate() for _ in range(rng.choice((2, 3)))]
+            if rng.random() < 0.2:
+                pt = [c * mpmath.mpf(10) ** rng.choice((400, -400)) for c in pt]
+            out.append(tuple(pt))
+        for _ in range(12):
+            out.append((coordinate(), coordinate(), Fraction(1)))
+    with mpmath.workprec(prec):
+        # Rotated ties round to moduli a unit apart either way, so some
+        # normalized points would move their pivot when normalized again.
+        w = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) / 3)
+        for tie in ((1, 1j, 0), (3 + 4j, 5, 0), (1, w, 0), (2, 2j, -2)):
+            out.append(tuple(mpmath.mpc(c) for c in tie))
+            for _ in range(40):
+                turn = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) * rng.random())
+                pt = [mpmath.mpc(c) * turn for c in tie]
+                rng.shuffle(pt)
+                out.append(tuple(pt))
+    return out
+
+
+class TestPointKernels:
+    """normalize_point, proj_distance and _double_point on libmp values give
+    the bits the operator-level references give."""
+
+    @pytest.mark.parametrize("precision", [24, 64, 128, 256, 320])
+    def test_bit_for_bit(self, precision):
+        rng = random.Random(precision)
+        points = _kernel_inputs(rng, precision)
+        with mpmath.workprec(precision):
+            built = []
+            for pt in points:
+                want = _outcome(_reference_normalize, pt)
+                assert _outcome(numeric.normalize_point, pt) == want, pt
+                assert _outcome(numeric._double_point, pt) == _outcome(_reference_double, pt)
+                if isinstance(want, type):
+                    continue
+                got, pivot = numeric.normalize_point(pt)
+                ref = _reference_normalize(pt)[0]
+                assert got.raw == want[0] and got.pivot == pivot
+                # a stable Point comes back as it is, as renormalizing returns it
+                assert _outcome(numeric.normalize_point, got) == _outcome(
+                    _reference_normalize, ref)
+                assert _outcome(lambda: got.double) == _outcome(_reference_double, ref)
+                built.append((pt, got, ref))
+            for (p, gp, rp), (q, gq, rq) in zip(built, built[1:] + built[:1]):
+                if len(p) != len(q):
+                    continue
+                assert (_outcome(numeric.proj_distance, p, q)
+                        == _outcome(_reference_distance, p, q))
+                assert (_outcome(numeric.proj_distance, gp, gq)
+                        == _outcome(_reference_distance, rp, rq))
+                assert (_outcome(numeric.proj_distance, gp, q)
+                        == _outcome(_reference_distance, rp, q))
+
+    def test_inputs_reach_ties_and_wide_unit_pivots(self):
+        # Both values of the stable flag occur, and pivots of exactly 1
+        # beside mpc coordinates wider than the precision.
+        with mpmath.workprec(256):
+            found = [(pt, _outcome(_reference_normalize, pt))
+                     for pt in _kernel_inputs(random.Random(256), 256)]
+            found = [(pt, want[1]) for pt, want in found if not isinstance(want, type)]
+            stable = {numeric.normalize_point(pt)[0].stable for pt, _pivot in found}
+        wide_unit = [pt for pt, pivot in found if pt[pivot] == 1 and any(
+            hasattr(c, "_mpc_") and c._mpc_[0][3] > 256 for c in pt)]
+        assert stable == {True, False} and wide_unit
+
+
 def _reference_find(points, pt, tol):
     """The first known point within tol of pt by a linear mpmath scan."""
     for i, known in enumerate(points):
-        if numeric.proj_distance(known, pt) < tol:
+        if _reference_distance(known, pt) < tol:
             return i
     return None
 
@@ -93,7 +255,7 @@ def _at_distance(rng, pt, target):
         s = mpmath.mpf(target)
         for _ in range(60):
             moved = tuple(c + s * wc for c, wc in zip(pt, w))
-            step = target / numeric.proj_distance(pt, moved)
+            step = target / _reference_distance(pt, moved)
             s *= step
             if mpmath.fabs(step - 1) < mpmath.mpf(2) ** -(2 * prec + 32):
                 break

@@ -1,6 +1,5 @@
 """Critical orbits: components, images, closure, tower, structural audits."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -478,6 +477,13 @@ def _containment(m):
     return pcf.restricted_critical_containment(m, levels[0], crit)
 
 
+def _entry(emb, g, label, period):
+    """A level-1 tower entry for the restriction g as build_tower makes it,
+    with g's post-critical graph, whose critical components the
+    containment check reads."""
+    return pcf.TowerEntry(emb, g, "PCF", label, period, pcf.postcritical_graph(g)[0])
+
+
 def _matches(report):
     return {label: (verdict, [(p.point, p.matched, p.step) for p in points])
             for label, verdict, points in report.entries}
@@ -539,8 +545,7 @@ class TestContainment:
             entries = []
             for form in (X, Y):
                 emb = projmap.embedding_for_hyperplane(form)
-                entries.append(pcf.TowerEntry(emb, projmap.restrict(big, emb, emb),
-                                              "PCF", str(form), 2))
+                entries.append(_entry(emb, projmap.restrict(big, emb, emb), str(form), 2))
             level = pcf.TowerLevel(1, 2, tuple(entries))
             report = pcf.restricted_critical_containment(
                 m, level, pcf.critical_components(m))
@@ -561,7 +566,7 @@ class TestContainment:
         entry = pcf.build_tower(m, graph)[0].entries[0]
         fakes = (projmap.ProjectiveMap([S * S, (S - T) * (S - T)]),
                  projmap.ProjectiveMap([S * S - 2 * T * T, S * T]))
-        level = pcf.TowerLevel(1, 2, tuple(dataclasses.replace(entry, restricted_map=g)
+        level = pcf.TowerLevel(1, 2, tuple(_entry(entry.embedding, g, entry.label, entry.period)
                                            for g in fakes))
         report = pcf.restricted_critical_containment(m, level,
                                                      pcf.critical_components(m))
@@ -580,10 +585,27 @@ class TestContainment:
         conic = pcf.make_component(4 * X * Z - Y * Y)
         emb = projmap.embedding_for_hyperplane(Y)
         fake = projmap.ProjectiveMap([S * S - 2 * T * T, S * T])
-        level = pcf.TowerLevel(1, 2, (pcf.TowerEntry(emb, fake, "PCF", "y", 2),))
+        level = pcf.TowerLevel(1, 2, (_entry(emb, fake, "y", 2),))
         crit = tuple(pcf.make_component(v) for v in (X, Y, Z)) + (conic,)
         report = pcf.restricted_critical_containment(sym2, level, crit)
         assert _matches(report) == {"y": ("fail", [("s^2 + 2*t^2", None, None)])}
+
+    def test_one_jacobian_per_restricted_map(self, monkeypatch):
+        # build_tower takes each restriction's Jacobian for its graph; the
+        # containment check reads the graph's critical components instead
+        # of taking the Jacobian and its square-free part again.
+        for m in (_squaring_p2(), _fs()):
+            graph, _ = pcf.postcritical_graph(m)
+            crit = pcf.critical_components(m)
+            taken = []
+            real = projmap.jacobian_det
+            monkeypatch.setattr(projmap, "jacobian_det", lambda g: taken.append(g) or real(g))
+            levels = pcf.build_tower(m, graph)
+            report = pcf.restricted_critical_containment(m, levels[0], crit)
+            monkeypatch.setattr(projmap, "jacobian_det", real)
+            assert report.ok
+            restricted = [e.restricted_map for e in levels[0].entries if e.restricted_map]
+            assert restricted and taken == restricted
 
     def test_terminal_entries_vacuous(self):
         m = _squaring_p1()

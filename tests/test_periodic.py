@@ -204,6 +204,39 @@ class TestFindPeriodic:
         alone = periodic.multipliers(m, pt, 2, 256)
         assert [[x._mpc_ for x in s] for s in spectrum] == [[x._mpc_ for x in alone]]
 
+    def test_candidates_normalized_once(self, monkeypatch):
+        # Outside the chart solves, find_periodic normalizes each candidate
+        # at most once and each orbit step once: a Point the solver built
+        # is not normalized again to find its chart.
+        calls, candidates, steps, solving = [0], [0], [], [False]
+        real_normalize, real_solve, real_walk = (
+            numeric.normalize_point, numeric.solve_pair_p2, periodic._walk)
+
+        def normalize(coords):
+            calls[0] += not solving[0]
+            return real_normalize(coords)
+
+        def solve(a, b, precision):
+            solving[0] = True
+            try:
+                points = real_solve(a, b, precision)
+            finally:
+                solving[0] = False
+            candidates[0] += len(points)
+            return points
+
+        def walk(forms, start, length):
+            steps.append(length)
+            return real_walk(forms, start, length)
+
+        monkeypatch.setattr(numeric, "normalize_point", normalize)
+        monkeypatch.setattr(numeric, "solve_pair_p2", solve)
+        monkeypatch.setattr(periodic, "_walk", walk)
+        pts = periodic.find_periodic(_fs(), 2, 256)
+        assert len(pts) == periodic._fixed_point_count(_fs(), 2)
+        assert candidates[0] >= len(pts) and sum(steps) == 2 * len(steps)
+        assert calls[0] <= candidates[0] + sum(steps)
+
     def test_budget_error(self):
         with pytest.raises(periodic.BudgetError):
             periodic.find_periodic(_squaring_p2(), 4)
@@ -283,6 +316,47 @@ class TestMultipliers:
     def test_rejects_nonpositive_period(self, period):
         with pytest.raises(periodic.PeriodicError, match="period must be >= 1"):
             periodic.multipliers(_squaring_p2(), (1, 1, 1), period, 256)
+
+
+def _operator_chart_jacobian(vals, dvals, chart_in, chart_out):
+    """The chart-transition derivative by mpmath's operators."""
+    b, n = chart_out, len(vals)
+    fb = vals[b]
+    return [[(dvals[i][j] * fb - vals[i] * dvals[b][j]) / (fb * fb)
+             for j in range(n) if j != chart_in] for i in range(n) if i != b]
+
+
+def _operator_mat_mul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+class TestMultiplierChain:
+    @pytest.mark.parametrize("precision", [24, 64, 256])
+    def test_libmp_chain_matches_operators(self, precision):
+        # Values of f at p and partials: mpc, zero partials (the int 0) and
+        # constant ones (int and Fraction coefficients of a linear map).
+        rng = random.Random(precision)
+        with mpmath.workprec(precision):
+            for n in (2, 3):
+                for _ in range(40):
+                    def value():
+                        kind = rng.randrange(5)
+                        if kind == 0:
+                            return 0
+                        if kind == 1:
+                            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        return mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) * mpmath.mpf(1) / 3
+                    vals = [mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) / 7 for _ in range(n)]
+                    dvals = [[value() for _ in range(n)] for _ in range(n)]
+                    cin, cout = rng.randrange(n), rng.randrange(n)
+                    got = periodic._chart_jacobian(vals, dvals, cin, cout)
+                    want = _operator_chart_jacobian(vals, dvals, cin, cout)
+                    assert got == [[v._mpc_ for v in row] for row in want]
+                    other = periodic._chart_jacobian(vals, dvals, cout, cin)
+                    assert periodic._mat_mul(got, other) == [
+                        [v._mpc_ for v in row] for row in _operator_mat_mul(
+                            want, _operator_chart_jacobian(vals, dvals, cout, cin))]
 
 
 class TestClassify:
