@@ -66,11 +66,11 @@ def _numeric_orbit_period(m: ProjectiveMap, point, precision: int):
     orbit does not return in ORBIT_PERIOD_BOUND steps."""
     with mpmath.workprec(precision):
         tol = numeric.tolerances(precision).dedup
-        forms = [numeric.MpForm(c) for c in m.comps]
+        forms = numeric.compile_forms(m.comps)
         start = numeric.normalize_point(point)[0]
         cur = start
         for step in range(1, ORBIT_PERIOD_BOUND + 1):
-            cur = numeric.normalize_point([f(cur) for f in forms])[0]
+            cur = numeric.map_point(forms, cur)[1]
             if numeric.proj_distance(cur, start) < tol:
                 return step
     return None

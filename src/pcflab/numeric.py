@@ -2,7 +2,8 @@
 
 Everything here that is not exact is explicit about its working precision,
 given in bits.  Exact rational data stays exact until the moment a value is
-converted with :func:`mpc_from`, so callers control all rounding.
+converted, to an mpc by :func:`mpc_from` or to fixed point by
+:func:`normalize_point` or :class:`MpForm`, so callers control all rounding.
 """
 
 from __future__ import annotations
@@ -10,20 +11,21 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath.libmp import (fone, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
-                          mpc_mul_int, mpc_mul_mpf, mpc_sub, mpf_add, mpf_cmp, mpf_div,
-                          mpf_lt, mpf_mul, mpf_shift, mpf_sub, normalize, to_float)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, mpf_shift, mpf_sqrt,
+                          round_nearest)
 
 from . import poly
 from .poly import HomPoly
 
 DEFAULT_PRECISION = 256  # bits
 NEWTON_STEPS = 200  # Newton refinement gives up after this many steps
+GUARD_BITS = 64  # fixed-point width beyond the precision (and, in root finding, the ranges)
 
 
 class NumericalError(RuntimeError):
@@ -52,8 +54,8 @@ class Tolerances:
 
     dedup: mpmath.mpf  # 10^-(p//8): points, moduli and periods this close agree
     verify: mpmath.mpf  # 10^-(p//16): residuals below this verify a solution
-    zero_floor: mpmath.mpf  # 2^-(p-8): dedup screen margin; below it a point is indeterminate
-    refine_target: mpmath.mpf  # 10^-(0.18p): Newton refinement stops below it
+    zero_floor: mpmath.mpf  # 2^-(p-8): below it a point is indeterminate
+    refine_target: mpmath.mpf  # 10^-(0.18p): Newton stops at a backward error below it
     formulas: tuple = field(repr=False, compare=False)  # (field, "base^-exponent")
 
     def serialize(self) -> dict:
@@ -88,228 +90,246 @@ def mpc_from(value) -> mpmath.mpc:
     return mpmath.mpc(value)
 
 
-class MpForm:
-    """A form compiled for evaluation at mpc points.
+# -- fixed point: a complex number is a Gaussian integer scaled by 2^W, W = p + GUARD_BITS
 
-    Built under the working precision, which every call must also run
-    under: each coefficient is converted once, by mpmath's own ``convert``,
-    which rounds a coefficient that is not exact at that precision (a
-    non-integer Fraction, or an integer wider than the mantissa) toward
-    zero.  A call at a tuple of mpc coordinates returns what
-    ``p.evaluate(coords)`` returns, bit for bit, by repeating its
-    operations in its order on raw libmp values: the first power of a
-    coordinate is ``1 * v`` (``mpc_mul_int``, so it is rounded to the
-    precision), the coefficient times the first factor of a term is
-    ``mpc_mul_mpf``, later powers and factors are ``mpc_mul``, and the sum
-    starts with ``0 + term`` (``mpc_add_mpf``) and goes on by ``mpc_add``.
-    The zero form gives the int 0 and a constant form its Fraction, and
-    ``form`` is the form it was built from.
+
+def _part_mag(x):
+    """The least e with |x| < 2^e for a nonzero libmp mpf or Fraction x, else None."""
+    if isinstance(x, tuple):
+        return x[2] + x[3] if x[1] else None
+    n, d = abs(x.numerator), x.denominator
+    k = n.bit_length() - d.bit_length()  # |x| lies in (2^(k-1), 2^(k+1))
+    return (k + (n >= d << k if k >= 0 else n << -k >= d)) if n else None
+
+
+def _part_fixed(x, k: int) -> int:
+    """A libmp mpf or Fraction (or 0) x times 2^k, truncated toward zero."""
+    if not isinstance(x, tuple):
+        return int(x * (1 << k) if k >= 0 else x / (1 << -k))
+    sign, man, exp, _bc = x
+    v = man << exp + k if exp + k >= 0 else man >> -exp - k
+    return -v if sign else v
+
+
+def _gaussian(values, width: int):
+    """values as Gaussian integers scaled by 2^(width - e), truncated toward
+    zero, and e, the least integer above the log2 of every part (0 for a
+    zero vector).  Fractions and mpmath values are taken exactly."""
+    parts = [(Fraction(v), 0) if isinstance(v, (int, Fraction)) else getattr(v, "_mpc_", None)
+             or ((v._mpf_, fzero) if hasattr(v, "_mpf_") else mpmath.mpc(v)._mpc_) for v in values]
+    e = max((m for pair in parts for m in map(_part_mag, pair) if m is not None), default=0)
+    return [tuple(_part_fixed(x, width - e) for x in pair) for pair in parts], e
+
+
+def gauss_quotient(a: tuple, b: tuple, width: int) -> tuple:
+    """a / b scaled by 2^width and floored, for Gaussian integers at one scale."""
+    m = b[0] * b[0] + b[1] * b[1]
+    return (((a[0] * b[0] + a[1] * b[1]) << width) // m,
+            ((a[1] * b[0] - a[0] * b[1]) << width) // m)
+
+
+def gauss_mul(a: tuple, b: tuple) -> tuple:
+    """The exact product of two Gaussian integers."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cross(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """a b - c d for Gaussian integers, exactly."""
+    return tuple(x - y for x, y in zip(gauss_mul(a, b), gauss_mul(c, d)))
+
+
+class MpForm:
+    """The form ``form`` compiled for evaluation at the precision p it is built
+    under, which every call must also run under.
+
+    Its coefficients are integers ``n_a`` over one denominator ``den``.
+    :meth:`fixed` builds the monomials of a point given as Gaussian integers
+    scaled by 2^W by multiply and shift, and sums n_a z^a exactly.  A call
+    scales any coordinates by one power of two 2^-e that brings every part
+    below 1 (the value comes back exactly as 2^(d e)) and rounds the sum
+    once to p bits.  Each truncation is below one unit in each part, so the
+    call is within 3d 2^-W sum_a |c_a| (2 max_i |z_i|)^d + 2^-p |F(z)|.
     """
 
-    __slots__ = ("form", "_prec", "_rnd", "_tops", "_terms", "_value")
+    __slots__ = ("form", "den", "_width", "_tops", "_terms")
 
     def __init__(self, p: HomPoly):
-        self.form = p
-        self._prec, self._rnd = mpmath.mp._prec_rounding
+        self.form, self._width = p, mpmath.mp.prec + GUARD_BITS
         self._tops = [p.var_degree(i) for i in range(p.nvars)]
-        constant = p.degree == 0 or p.is_zero()
-        self._value = p.terms.get((0,) * p.nvars, 0) if constant else None
-        # powers are stored flat, x_i^k at offset[i] + k - 1
-        offset = [sum(self._tops[:i]) for i in range(p.nvars)]
-        self._terms = []
-        for e, c in ({} if constant else p.terms).items():
-            first, *rest = [offset[i] + k - 1 for i, k in enumerate(e) if k]
-            self._terms.append((mpmath.mp.convert(c)._mpf_, first, tuple(rest)))
+        self._over(math.lcm(*(c.denominator for c in p.terms.values())))
 
-    def __call__(self, coords):
-        if self._value is not None:
-            return self._value
-        prec, rnd = self._prec, self._rnd
-        powers = []
-        for v, top in zip(coords, self._tops):
+    def _over(self, den: int) -> "MpForm":
+        """Put the numerators over den, a multiple of the form's denominator."""
+        offset = [1 + sum(self._tops[:i]) for i in range(self.form.nvars)]
+        # powers are stored flat, 1 first and x_i^k at offset[i] + k - 1
+        self.den, self._terms = den, [
+            (int(c * den), first, tuple(rest)) for e, c in self.form.terms.items()
+            for first, *rest in [[offset[i] + k - 1 for i, k in enumerate(e) if k] or [0]]]
+        return self
+
+    def fixed(self, z, bound: bool = False):
+        """The exact sum of n_a z^a as a Gaussian integer, for z scaled by 2^W.
+
+        With ``bound``, also sum_a |n_a| (|Re z^a| + |Im z^a|), at most
+        sqrt(2) times the sum of |n_a| |z^a| at the same scale.
+        """
+        w = self._width
+        powers = [(1 << w, 0)]
+        for (x, y), top in zip(z, self._tops):
             if top:
-                v = v._mpc_
-                power = mpc_mul_int(v, 1, prec, rnd)
-                powers.append(power)
+                pr, pi = x, y
+                powers.append((x, y))
                 for _ in range(1, top):
-                    power = mpc_mul(power, v, prec, rnd)
-                    powers.append(power)
-        total = None
-        for c, first, rest in self._terms:
-            term = mpc_mul_mpf(powers[first], c, prec, rnd)
+                    pr, pi = (pr * x - pi * y) >> w, (pr * y + pi * x) >> w
+                    powers.append((pr, pi))
+        sr = si = size = 0  # the sum and the bound
+        for n, first, rest in self._terms:
+            tr, ti = powers[first]
             for j in rest:
-                term = mpc_mul(term, powers[j], prec, rnd)
-            total = (mpc_add_mpf(term, fzero, prec, rnd) if total is None
-                     else mpc_add(total, term, prec, rnd))
-        return mpmath.mp.make_mpc(total)
+                ur, ui = powers[j]
+                tr, ti = (tr * ur - ti * ui) >> w, (tr * ui + ti * ur) >> w
+            sr, si = sr + n * tr, si + n * ti
+            if bound:
+                size += abs(n) * (abs(tr) + abs(ti))
+        return ((sr, si), size) if bound else (sr, si)
+
+    def __call__(self, coords) -> mpmath.mpc:
+        w = self._width
+        z, e = (coords.fixed, 0) if isinstance(coords, Point) and coords.width == w else _gaussian(coords, w)
+        prec, rnd = mpmath.mp._prec_rounding
+        shift = self.form.degree * e - w
+        return mpmath.mp.make_mpc(tuple(
+            from_man_exp(s, shift, prec, rnd) if self.den == 1
+            else mpf_div(from_man_exp(s, shift), from_int(self.den), prec, rnd)
+            for s in self.fixed(z)))
 
 
-def eval_form(p: HomPoly, coords) -> mpmath.mpc:
-    """A form's value at a point, as an mpc at the working precision.
+def compile_forms(forms) -> list:
+    """MpForms of forms over their least common denominator, so that their
+    fixed values share one scale."""
+    den = math.lcm(*(c.denominator for f in forms for c in f.terms.values()))
+    return [MpForm(f)._over(den) for f in forms]
 
-    The coordinates are converted with :func:`mpc_from`, which rounds to
-    nearest, and the form is evaluated by :class:`MpForm`: a coefficient
-    not exact at the working precision, such as a non-integer Fraction, is
-    truncated toward zero, and every power, product and partial sum is
-    rounded to nearest again.
+
+class Point(Sequence):
+    """A normalized projective point from :func:`normalize_point`.
+
+    ``fixed`` holds its coordinates as Gaussian integers scaled by 2^width,
+    the one at ``pivot`` exactly 2^width.  As a sequence it holds them
+    rounded to mpc at width - GUARD_BITS bits, made at the first use.
     """
-    return mpc_from(0) + MpForm(p)(tuple(mpc_from(c) for c in coords))
+
+    __slots__ = ("fixed", "pivot", "width", "_coords")
+
+    def __init__(self, fixed: tuple, pivot: int, width: int):
+        self.fixed, self.pivot, self.width, self._coords = fixed, pivot, width, None
+
+    def __len__(self):
+        return len(self.fixed)
+
+    def __getitem__(self, i):
+        if self._coords is None:
+            prec = self.width - GUARD_BITS
+            self._coords = tuple(mpmath.mp.make_mpc(tuple(
+                from_man_exp(x, -self.width, prec, round_nearest) for x in v)) for v in self.fixed)
+        return self._coords[i]
 
 
-class Point(tuple):
-    """mpc coordinates from :func:`normalize_point`, with their libmp values ``raw``, the
-    index ``pivot`` of the 1, and ``stable``: whether normalizing returns them as they are."""
-
-    double = functools.cached_property(lambda self: _double_point(tuple(self)))
-
-
-def _raw_coords(pt, prec: int, rnd) -> tuple:
-    """pt's coordinates as libmp values, rounded as :func:`mpc_from` does."""
-    return pt.raw if isinstance(pt, Point) else tuple(
-        v if v[0][3] <= prec >= v[1][3] else tuple(normalize(*x, prec, rnd) for x in v)
-        for v in (getattr(c, "_mpc_", None) or mpc_from(c)._mpc_ for c in pt))
-
-
-def _largest(vals, prec: int, rnd):
-    """The first index of the largest rounded modulus of libmp mpc values, the rounded
-    moduli by index of those whose exact square modulus is within 2^(6-prec) of the
-    top's (no other can tie), and the largest."""
-    key = functools.cmp_to_key(mpf_cmp)
-    squares = [mpf_add(mpf_mul(x, x), mpf_mul(y, y)) for x, y in vals]
-    top = max(squares, key=key)
-    floor = mpf_sub(top, mpf_shift(top, 6 - prec))
-    mods = {i: mpc_abs(vals[i], prec, rnd) for i, s in enumerate(squares) if mpf_cmp(s, floor) >= 0}
-    best = max(mods, key=lambda i: key(mods[i]))  # the first of equal moduli
-    return best, mods, mods[best]
+def _normal(ints, width: int, floor: int) -> Point:
+    """The Point of Gaussian integers at any one scale.  The pivot is the
+    first coordinate whose exact |z|^2 is within a factor 1 - 2^-p of the
+    largest, so rounding noise cannot move it off the first of equal
+    moduli, such as roots of unity; every other coordinate is z / pivot
+    scaled by 2^width and floored.  Raises IndeterminatePointError when the
+    largest |z|^2 is below ``floor``."""
+    sizes = [x * x + y * y for x, y in ints]
+    top = max(sizes)
+    if top < floor:
+        raise IndeterminatePointError(
+            f"all coordinates below {tolerances(width - GUARD_BITS).serialize()['zero_floor']}"
+            if floor > 1 else "projective point of a zero vector")
+    best = next(i for i, s in enumerate(sizes) if s >= top - (top >> width - GUARD_BITS))
+    return Point(tuple((1 << width, 0) if i == best else gauss_quotient(v, ints[best], width)
+                       for i, v in enumerate(ints)), best, width)
 
 
 def normalize_point(coords):
-    """Scale a projective representative so its max-modulus coordinate is 1.
-
-    Ties pick the lowest index.  Returns a :class:`Point` (a stable Point
-    as it is) and its pivot.  Raises IndeterminatePointError when every
-    coordinate sits below the zero floor of the working precision.
-    """
-    if isinstance(coords, Point) and coords.stable:
+    """Scale a projective representative so its max-modulus coordinate is 1,
+    in fixed point (:func:`_gaussian`, :func:`_normal`).  Returns a
+    :class:`Point` (a Point as it is) and its pivot.  Raises
+    IndeterminatePointError when every coordinate sits below the zero floor."""
+    if isinstance(coords, Point):
         return coords, coords.pivot
-    prec, rnd = mpmath.mp._prec_rounding
-    best, mods, size = _largest(vals := _raw_coords(coords, prec, rnd), prec, rnd)
-    tol = tolerances(prec)
-    if mpf_lt(size, tol.zero_floor._mpf_):
-        raise IndeterminatePointError(f"all coordinates below {tol.serialize()['zero_floor']}")
-    one, pivot = (fone, fzero), vals[best]
-    if pivot != one:  # v / 1 would be v, and v / v is 1 exactly
-        vals = tuple(one if i == best else mpc_div(v, pivot, prec, rnd) for i, v in enumerate(vals))
-        mods = {i: mpc_abs(vals[i], prec, rnd) for i in mods}
-    pt = Point(map(mpmath.mp.make_mpc, vals))
-    # normalizing again pivots on an earlier modulus 1 or a later one above 1
-    pt.raw, pt.pivot, pt.stable = vals, best, all(
-        mpf_cmp(mod, fone) < (i > best) for i, mod in mods.items() if i != best)
-    return pt, best
+    ints, e = _gaussian(coords, mpmath.mp.prec + GUARD_BITS)
+    # |z| < 2^-(p-8) where the ints, scaled by 2^(p+GUARD_BITS-e), are below 2^(GUARD_BITS+8-e)
+    pt = _normal(ints, mpmath.mp.prec + GUARD_BITS, 1 << max(0, 2 * (GUARD_BITS + 8 - e)))
+    return pt, pt.pivot
+
+
+def map_point(forms, pt: Point):
+    """The values of forms compiled over one denominator (:func:`compile_forms`)
+    at a Point, as Gaussian integers at one scale, and their normalized Point."""
+    vals = [f.fixed(pt.fixed) for f in forms]
+    return vals, _normal(vals, pt.width, (forms[0].den << GUARD_BITS + 8) ** 2)
+
+
+def _unit(pt, width: int) -> tuple:
+    """pt normalized (a Point of this width as it is), as Gaussian integers
+    scaled by 2^width; only the zero vector raises."""
+    return (pt.fixed if isinstance(pt, Point) and pt.width == width
+            else _normal(_gaussian(pt, width)[0], width, 1).fixed)
+
+
+def _cross_squares(a, b):
+    """|a_i b_j - a_j b_i|^2 over i < j, exactly, one at a time."""
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            (ar, ai), (br, bi), (cr, ci), (dr, di) = a[i], b[j], a[j], b[i]
+            xr = ar * br - ai * bi - cr * dr + ci * di
+            xi = ar * bi + ai * br - cr * di - ci * dr
+            yield xr * xr + xi * xi
 
 
 def proj_distance(p, q) -> mpmath.mpf:
-    """Projective distance: max cross-difference of normalized representatives.
-
-    Zero exactly when the two points agree in projective space; symmetric;
-    insensitive to scaling of either argument.
-    """
+    """Projective distance: max cross-difference of normalized representatives,
+    exact on their fixed-point coordinates and rounded once.  Zero exactly
+    when the two points agree; symmetric; insensitive to scaling."""
     prec, rnd = mpmath.mp._prec_rounding
-    pv, qv = _raw_coords(p, prec, rnd), _raw_coords(q, prec, rnd)
-    sizes = [fone if isinstance(x, Point) and x.stable else _largest(v, prec, rnd)[2]
-             for x, v in ((p, pv), (q, qv))]
-    if fzero in sizes:
-        raise NumericalError("projective distance of a zero vector")
-    crosses = [mpc_sub(mpc_mul(pv[i], qv[j], prec, rnd), mpc_mul(pv[j], qv[i], prec, rnd),
-                       prec, rnd) for i in range(len(pv)) for j in range(i + 1, len(pv))]
-    best = _largest(crosses, prec, rnd)[2] if crosses else fzero
-    scale = mpf_mul(*sizes, prec, rnd)
-    return mpmath.mp.make_mpf(best if scale == fone else mpf_div(best, scale, prec, rnd))
-
-
-def _double_point(pt):
-    """pt scaled by a power of two and rounded to complex doubles.
-
-    The scale 2^-mag puts the largest coordinate in [1/4, 1], so nothing
-    overflows; coordinates below 2^-1074 of the largest underflow to 0.
-    Returns the coordinates and the largest modulus among them.
-    """
-    if isinstance(pt, Point):
-        return pt.double
-    prec, rnd = mpmath.mp._prec_rounding
-    vals = _raw_coords(pt, prec, rnd)
-    mags = [max(e + bc for _s, m, e, bc in v if m) + bool(v[0][1] and v[1][1])
-            for v in vals if v[0][1] or v[1][1]]  # mpmath.mag of the nonzero ones
-    if not mags:
-        raise NumericalError("projective distance of a zero vector")
-    rep = tuple(complex(*(to_float((s, m, e - max(mags), bc), rnd=rnd) if m else 0.0
-                          for s, m, e, bc in v)) for v in vals)
-    return rep, max(abs(c) for c in rep)
-
-
-def _double_cross(p, q) -> float:
-    """Largest |p_i q_j - p_j q_i| over i < j, in doubles."""
-    n = len(p)
-    return max(abs(p[i] * q[j] - p[j] * q[i])
-               for i in range(n) for j in range(i + 1, n))
-
-
-# The zero floor at the 53 bits of a double, 2^-45.
-_DOUBLE_FLOOR = float(tolerances(53).zero_floor)
+    width = prec + GUARD_BITS
+    top = max(_cross_squares(_unit(p, width), _unit(q, width)), default=0)
+    return mpmath.mp.make_mpf(mpf_shift(mpf_sqrt(from_int(top), prec, rnd), -2 * width))
 
 
 class PointSet:
     """Projective points kept apart by the precision's dedup tolerance.
 
-    Comparisons run at the working precision p the set was built for.
-    Each stored point keeps a copy in complex doubles, scaled by a power
-    of two (:func:`_double_point`).  :meth:`find` first computes the
-    distance of :func:`proj_distance` on those copies and skips a known
-    point whose double distance exceeds dedup + zero_floor(p) + 2^-45.  The
-    mpmath distance is off by a few rounding units of 2^-p, the double one
-    by a few units of 2^-53, and the margin is 256 units of each.  So a
-    point the screen skips can never pass the mpmath comparison, which
-    still decides every match: ``find`` returns the same first index as a
-    linear mpmath scan, and ``points`` holds the same list.
+    Two points match when every exact cross product of their normalized
+    fixed-point coordinates is below dedup 2^(2W): when their exact
+    distance, which :func:`proj_distance` rounds, is below dedup.
     """
 
     def __init__(self, precision: int):
-        tol = tolerances(precision)
-        self.tol = tol.dedup
-        self._screen = float(tol.dedup) + float(tol.zero_floor) + _DOUBLE_FLOOR
-        self.points = []
-        self._doubles = []  # (double copy, its largest modulus), parallel to points
-
-    def _find(self, pt, near, size) -> Optional[int]:
-        limit = self._screen * size
-        for i, (rep, rep_size) in enumerate(self._doubles):
-            if (_double_cross(rep, near) <= limit * rep_size
-                    and proj_distance(self.points[i], pt) < self.tol):
-                return i
-        return None
-
-    def find(self, pt) -> Optional[int]:
-        """Index of the first known point within dedup of pt, or None.
-
-        Raises NumericalError when pt is the zero vector.
-        """
-        return self._find(pt, *_double_point(pt))
+        _sign, man, exp, _bc = tolerances(precision).dedup._mpf_
+        self.width = precision + GUARD_BITS
+        self._limit = (man << exp + 2 * self.width) ** 2
+        self.points, self._fixed = [], []  # the points, and their normalized coordinates
 
     def add(self, pt) -> Optional[int]:
-        """Append pt and return None, or return the index of a known point within dedup."""
-        near, size = _double_point(pt)
-        i = self._find(pt, near, size)
-        if i is None:
-            self.points.append(pt)
-            self._doubles.append((near, size))
-        return i
+        """Append pt and return None, or return the index of the first known
+        point within dedup.  Raises NumericalError when pt is the zero vector."""
+        z, limit = _unit(pt, self.width), self._limit
+        for i, known in enumerate(self._fixed):
+            if all(s < limit for s in _cross_squares(known, z)):
+                return i
+        self.points.append(pt)
+        self._fixed.append(z)
+        return None
 
 
 # -- root finding ----------------------------------------------------------
 
 SWEEPS = 200  # an Aberth run that still moves after this many sweeps fails
 SEED_BITS = 48  # the target of the low-width run
-GUARD_BITS = 64  # width beyond the target, the coefficient range and the radii
 SEED_ANGLE = 0.7  # rotation that keeps start points off the real axis
 
 
@@ -385,26 +405,16 @@ def _polyroots(coeffs, precision: int) -> list:
             spare = max(mags) - min(mags) + reach + GUARD_BITS
             for bits in (min(SEED_BITS, precision), precision):
                 shift, width = bits + spare - width, bits + spare
-                z = [(x << shift, y << shift) for x, y in z] or [_fixed(w, width) for w in start]
-                _sweeps([_fixed(c, width - max(mags)) for c in coeffs], z, width, bits)
+                z = [(x << shift, y << shift) for x, y in z] or [
+                    tuple(_part_fixed(x, width) for x in w._mpc_) for w in start]
+                _sweeps([tuple(_part_fixed(x, width - max(mags)) for x in c._mpc_) for c in coeffs],
+                        z, width, bits)
             tol = 1 << (width + 1 - precision)
             z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
                  else (0, y) if abs(x) < tol else (x, y) for x, y in z]
         z = sorted(z + [(0, 0)] * zeros, key=lambda w: (abs(w[1]), w[0]))
         return [mpmath.mpc((x, -width), (y, -width)) if y else mpmath.mpf((x, -width))
                 for x, y in z]
-
-
-def _fixed(c: mpmath.mpc, shift: int) -> tuple:
-    """c times 2^shift as a pair of integers, truncated."""
-    return int(mpmath.ldexp(c.real, shift)), int(mpmath.ldexp(c.imag, shift))
-
-
-def _quotient(a: tuple, b: tuple, width: int) -> tuple:
-    """a / b for complex numbers in fixed point at width bits."""
-    m = b[0] * b[0] + b[1] * b[1]
-    return (((a[0] * b[0] + a[1] * b[1]) << width) // m,
-            ((a[1] * b[0] - a[0] * b[1]) << width) // m)
 
 
 def _newton_polygon_start(coeffs):
@@ -454,7 +464,7 @@ def _sweeps(a, z, width: int, bits: int) -> None:
             zr, zi = z[i]
             size = zr * zr + zi * zi
             big = size > one * one
-            wr, wi = _quotient((one, 0), (zr, zi), width) if big else (zr, zi)
+            wr, wi = gauss_quotient((one, 0), (zr, zi), width) if big else (zr, zi)
             pr = pi = dr = di = 0
             for cr, ci in reversed(a) if big else a:
                 dr, di = ((dr * wr - di * wi) >> width) + pr, ((dr * wi + di * wr) >> width) + pi
@@ -463,13 +473,13 @@ def _sweeps(a, z, width: int, bits: int) -> None:
                 dr, di = (n * pr - ((wr * dr - wi * di) >> width),
                           n * pi - ((wr * di + wi * dr) >> width))
                 pr, pi = (zr * pr - zi * pi) >> width, (zr * pi + zi * pr) >> width
-            nr, ni = _quotient((pr, pi), (dr, di), width)  # N = p / p'
+            nr, ni = gauss_quotient((pr, pi), (dr, di), width)  # N = p / p'
             sr = si = 0  # S, the sum of 1 / (z_i - z_j) over j != i
             for xr, xi in z[:i] + z[i + 1:]:
                 er, ei = zr - xr, zi - xi
                 e = er * er + ei * ei
                 sr, si = sr + (er << two) // e, si - (ei << two) // e
-            cr, ci = _quotient((nr, ni), (one - ((nr * sr - ni * si) >> width),
+            cr, ci = gauss_quotient((nr, ni), (one - ((nr * sr - ni * si) >> width),
                                           -((nr * si + ni * sr) >> width)), width)
             z[i] = zr - cr, zi - ci  # by N / (1 - N S)
             if (cr * cr + ci * ci) << (2 * bits) >= max(one * one, size):
@@ -486,37 +496,43 @@ def _sweeps(a, z, width: int, bits: int) -> None:
 def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
     """Newton-refine an approximate common zero of two ternary forms.
 
-    a and b come compiled at ``precision`` (:class:`MpForm`), once per
-    solve; the four partials are compiled at the first step.  The point is
-    refined in the affine chart of its max-modulus coordinate.  Returns
-    ``(refined_point, residual)`` with the point normalized, or raises
-    NumericalError after NEWTON_STEPS steps without convergence.
+    a and b come compiled at ``precision``, once per solve; the four
+    partials are compiled at the first step.  The point is refined in fixed
+    point in the chart of its pivot, each step one exact Gaussian quotient.
+    It stops in backward-error form (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 5.1): once each |F(z)| is below refine_target
+    max(1, sum_a |c_a| |z^a|), the sum from MpForm's bound.  Returns the
+    normalized point and its backward error, or raises NumericalError after
+    NEWTON_STEPS steps without convergence.
     """
     with mpmath.workprec(precision):
         pt, chart = normalize_point(point)
-        idx = [i for i in range(3) if i != chart]
-        forms = [a, b]
-        jacobian = None  # compiled at the first step; most points need none
-        zero = mpc_from(0)
-        target = tolerances(precision).refine_target
-        u, v = pt[idx[0]], pt[idx[1]]
-        res, c = None, pt  # the point (u, v) in the chart, before any step
-        for _ in range(NEWTON_STEPS):
-            fa, fb = (zero + f(c) for f in forms)
-            res = max(mpmath.fabs(fa), mpmath.fabs(fb))
-            if res < target:
-                return normalize_point(c)[0], res
+        width, z = pt.width, list(pt.fixed)
+        u, v = [i for i in range(3) if i != chart]
+        jacobian, target = None, tolerances(precision).refine_target  # most points need no partials
+        _sign, t_man, t_exp, _bc = target._mpf_
+        for step in range(NEWTON_STEPS + 1):
+            (fa, sa), (fb, sb) = (f.fixed(z, bound=True) for f in (a, b))
+            sizes = [(x * x + y * y, max(f.den << width, bound))
+                     for (x, y), bound, f in ((fa, sa, a), (fb, sb, b))]
+            # |S| < target max(den 2^W, bound), squared and scaled to integers
+            done = all(s << -2 * t_exp < (t_man * scale) ** 2 for s, scale in sizes)
+            if done or step == NEWTON_STEPS:
+                backward = max(mpmath.sqrt(s) / scale for s, scale in sizes)
+                if not done:
+                    raise NumericalError(f"Newton did not reach a backward error of {mpmath.nstr(target)}"
+                                         f" (backward error {mpmath.nstr(backward)})")
+                return (pt if not step else _normal(z, width, 1)), backward
             if jacobian is None:
-                jacobian = [MpForm(poly.partial(f.form, j)) for f in forms for j in idx]
-            j00, j01, j10, j11 = (zero + f(c) for f in jacobian)
-            det = j00 * j11 - j01 * j10
-            if mpmath.fabs(det) == 0:
+                jacobian = [MpForm(poly.partial(f.form, j))._over(f.den) for f in (a, b) for j in (u, v)]
+            j00, j01, j10, j11 = (f.fixed(z) for f in jacobian)
+            det = _cross(j00, j11, j01, j10)
+            if det == (0, 0):
                 raise NumericalError("singular Jacobian in Newton refinement")
-            du = (fa * j11 - fb * j01) / det
-            dv = (fb * j00 - fa * j10) / det
-            u, v = u - du, v - dv
-            c = tuple(mpc_from(1) if i == chart else u if i == idx[0] else v for i in range(3))
-        raise NumericalError(f"Newton did not reach {mpmath.nstr(target)} (residual {mpmath.nstr(res)})")
+            # the scales den 2^W of each row cancel in these quotients
+            for i, num in ((u, _cross(fa, j11, fb, j01)), (v, _cross(fb, j00, fa, j10))):
+                d = gauss_quotient(num, det, width)
+                z[i] = z[i][0] - d[0], z[i][1] - d[1]
 
 
 # -- common zeros of two plane curves ---------------------------------------
@@ -560,25 +576,10 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     return points.points
 
 
-def independent_gradients(va, vb) -> bool:
-    """Whether two gradients at a point are independent, to the dedup
-    tolerance of the working precision.
-
-    Their largest 2 x 2 minor must exceed dedup times the largest modulus
-    of each; a vanishing gradient is never independent of another.
-    """
-    va, vb = [mpc_from(v) for v in va], [mpc_from(v) for v in vb]
-    cross = max(mpmath.fabs(va[j] * vb[k] - va[k] * vb[j])
-                for j in range(len(va)) for k in range(j + 1, len(va)))
-    na = max(mpmath.fabs(v) for v in va)
-    nb = max(mpmath.fabs(v) for v in vb)
-    return na > 0 and nb > 0 and cross > tolerances(mpmath.mp.prec).dedup * na * nb
-
-
 def is_exact(coords) -> bool:
     """Whether every coordinate is a Fraction, as the pair solver returns
     every rational point."""
-    return all(isinstance(c, Fraction) for c in coords)
+    return not isinstance(coords, Point) and all(isinstance(c, Fraction) for c in coords)
 
 
 def _normalized(coords) -> tuple:
@@ -708,8 +709,7 @@ def _fiber_points(pair, coeffs: list, compiled: list, x0, keep: int,
         with mpmath.workprec(2 * precision):
             if not compiled:
                 compiled.extend(MpForm(c) for c in coeffs)
-            at = (mpc_from(x0), mpc_from(1))
-            vals = [mpc_from(0) + f(at) for f in compiled]
+            vals = [f((x0, 1)) for f in compiled]
             ys = [-vals[0] / vals[1]] if t == 1 else None
         ys = ys or _polyroots(vals[::-1], precision)
     pts = [(x0, y, Fraction(1)) if keep == 0 else (y, x0, Fraction(1)) for y in ys]

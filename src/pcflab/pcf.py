@@ -70,16 +70,6 @@ class Component:
         return poly.format_poly(self.form)
 
 
-def make_component(form: HomPoly) -> Component:
-    """Normalize a form into a Component (square-free, canonical)."""
-    if form.is_zero():
-        raise PcfError("a component cannot be the zero form")
-    f = poly.canonical(poly.squarefree_part(form))
-    if f.is_constant():
-        raise PcfError("a component cannot be a constant")
-    return Component(f)
-
-
 def _component_key(c: Component):
     return (c.form.degree,) + c.form.sort_key()
 
@@ -405,14 +395,25 @@ def _pair_rank(a: HomPoly, b: HomPoly, point, tangent: bool) -> int:
     """Rank of the gradients of a and b at a point where both vanish.
 
     Exact at a rational point.  Elsewhere 2 for a pair that is not tangent
-    anywhere, and else 2 or 1 by :func:`numeric.independent_gradients`.
+    anywhere, and else 2 or 1 by :func:`_independent_gradients`.
     """
     if not (tangent or numeric.is_exact(point)):
         return 2
     rows = _gradient_rows([a, b], point)
     if numeric.is_exact(point):
         return projmap.exact_rank(rows)
-    return 2 if numeric.independent_gradients(*rows) else 1
+    return 2 if _independent_gradients(*rows) else 1
+
+
+def _independent_gradients(va, vb) -> bool:
+    """Whether two gradients at a point are independent, to the dedup
+    tolerance of the working precision: their largest 2 x 2 minor over the
+    largest modulus of each, their projective distance, must exceed dedup.
+    A vanishing gradient is never independent of another."""
+    try:
+        return numeric.proj_distance(va, vb) > numeric.tolerances(mpmath.mp.prec).dedup
+    except numeric.NumericalError:
+        return False
 
 
 def weak_transversality(components: Sequence[Component],

@@ -19,12 +19,10 @@ flag undecidable neutral values.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath
-from mpmath.libmp import fzero, mpc_add, mpc_div, mpc_mul, mpc_sub
 
 from . import numeric, poly, projmap
 from .projmap import ProjectiveMap
@@ -77,17 +75,17 @@ def _point_sort_key(coords, floor):
 def _walk(forms, start, steps: int):
     """``steps`` steps of the orbit of a normalized point under a map.
 
-    ``forms`` are the map's components compiled as :class:`numeric.MpForm`
-    and ``start`` is p_0 as :func:`numeric.normalize_point` returns it, a
-    :class:`numeric.Point`.  Returns the entries ``(p_j, chart of p_j,
-    f(p_j))`` for j < steps, each p_(j+1) the normalized f(p_j), and p_steps.
+    ``forms`` are the map's components compiled over one denominator
+    (:func:`numeric.compile_forms`) and ``start`` is p_0 as
+    :func:`numeric.normalize_point` returns it, a :class:`numeric.Point`.
+    Returns the entries ``(p_j, chart of p_j, f(p_j))`` for j < steps, each
+    f(p_j) as Gaussian integers and p_(j+1) its normalized Point, and p_steps.
     """
-    cur, chart = start, start.pivot
-    entries = []
+    cur, entries = start, []
     for _ in range(steps):
-        vals = [f(cur) for f in forms]
-        entries.append((cur, chart, vals))
-        cur, chart = numeric.normalize_point(vals)
+        vals, nxt = numeric.map_point(forms, cur)
+        entries.append((cur, cur.pivot, vals))
+        cur = nxt
     return entries, cur
 
 
@@ -204,13 +202,13 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
         else:
             raise PeriodicError(f"periodic points implemented for P^1 and P^2, not P^{m.k}")
         tol = numeric.tolerances(precision)
-        forms = [numeric.MpForm(c) for c in m.comps]
+        forms = numeric.compile_forms(m.comps)
         partials = _compiled_partials(m)
         known = numeric.PointSet(precision)
         merged = []  # (mult, residual, orbit entries), parallel to known
         for candidates in charts:
             for pt, mult in candidates:
-                pt = numeric.normalize_point(pt)[0]  # a stable Point as it is
+                pt = numeric.normalize_point(pt)[0]  # a Point as it is
                 if known.add(pt) is None:
                     entries, end = _walk(forms, pt, l)
                     merged.append((mult, numeric.proj_distance(end, pt), entries))
@@ -224,8 +222,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                 continue  # spurious chart solution
             period = next((q for q in range(1, l) if l % q == 0
                            and numeric.proj_distance(entries[q][0], pt) < tol.dedup), l)
-            # multipliers walks from pt normalized again: pt itself when stable
-            orbit = (precision, partials, entries[:period]) if pt.stable else None
+            orbit = (precision, partials, entries[:period])
             out.append(PeriodicPoint(pt, period, residual, mult, orbit))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
     return out
@@ -234,49 +231,58 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
 # -- multipliers --------------------------------------------------------------
 
 
-def _chart_jacobian(vals, dvals, chart_in: int, chart_out: int):
+def _chart_jacobian(vals, dvals, chart_in: int, chart_out: int, width: int):
     """Derivative of the chart transition of a map f at a normalized point p.
 
     ``vals[i]`` is f_i(p) and ``dvals[i][j]`` the partial of f_i in x_j at
-    p, which must satisfy p[chart_in] = 1.  Rows range over the output
-    chart's affine coordinates, columns over the input chart's.  Entries are
-    libmp mpc values, each mpmath's (dvals[i][j] fb - vals[i] dvals[b][j]) / fb^2.
+    p, Gaussian integers at one scale, with p[chart_in] = 1.  Rows range
+    over the output chart's affine coordinates, columns over the input
+    chart's.  Each entry (dvals[i][j] fb - vals[i] dvals[b][j]) / fb^2, in
+    which the scale cancels, is one exact quotient scaled by 2^width.
     """
-    def operand(v):  # as mpmath's operators convert v: (mpf, 0) multiplies as an mpf
-        return v._mpc_ if hasattr(v, "_mpc_") else (mpmath.mp.convert(v)._mpf_, fzero)
-    prec, rnd = mpmath.mp._prec_rounding
-    b, n = chart_out, len(vals)
-    raw, draw = [operand(v) for v in vals], [[operand(v) for v in row] for row in dvals]
-    if (fb := raw[b]) == (fzero, fzero):
+    b, n, mul = chart_out, len(vals), numeric.gauss_mul
+    if (fb := vals[b]) == (0, 0):
         raise numeric.NumericalError("orbit point maps onto a chart boundary")
-    square = mpc_mul(fb, fb, prec, rnd)
-    return [[mpc_div(mpc_sub(mpc_mul(draw[i][j], fb, prec, rnd),
-                             mpc_mul(raw[i], draw[b][j], prec, rnd), prec, rnd), square, prec, rnd)
-             for j in range(n) if j != chart_in] for i in range(n) if i != b]
+    square = mul(fb, fb)
+
+    def entry(i, j):
+        (pr, pi), (qr, qi) = mul(dvals[i][j], fb), mul(vals[i], dvals[b][j])
+        return numeric.gauss_quotient((pr - qr, pi - qi), square, width)
+
+    return [[entry(i, j) for j in range(n) if j != chart_in] for i in range(n) if i != b]
 
 
-def _mat_mul(a, b):
-    """a b for libmp mpc matrices, as sum() sums the products (0 + p is p)."""
-    prec, rnd = mpmath.mp._prec_rounding
-    return [[functools.reduce(lambda s, t: mpc_add(s, t, prec, rnd),
-                              [mpc_mul(x, y, prec, rnd) for x, y in zip(row, col)])
+def _mat_mul(a, b, width: int):
+    """a b for matrices of Gaussian integers scaled by 2^width, each product
+    truncated."""
+    return [[tuple(sum(v) >> width for v in zip(*(numeric.gauss_mul(x, y) for x, y in zip(row, col))))
              for col in zip(*b)] for row in a]
 
 
-def _eigenvalues(matrix):
-    """Eigenvalues of the 1x1 or 2x2 libmp derivative of a map of P^1 or P^2."""
-    matrix = [[mpmath.mp.make_mpc(v) for v in row] for row in matrix]
+def _eigenvalues(matrix, width: int):
+    """Eigenvalues of the 1x1 or 2x2 fixed-point derivative of a map of P^1
+    or P^2, as mpc.  A discriminant tr^2 - 4 det below (dedup max(1, |tr|))^2
+    in modulus is taken as 0, so eigenvalues within dedup of each other
+    come out equal instead of apart by the square root of rounding noise."""
+    prec = mpmath.mp.prec
+    matrix = [[mpmath.mpc(mpmath.mpf((x, -width)), mpmath.mpf((y, -width))) for x, y in row]
+              for row in matrix]
     if len(matrix) == 1:
         return (matrix[0][0],)
     tr = matrix[0][0] + matrix[1][1]
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    disc = mpmath.sqrt(tr * tr - 4 * det)
-    return ((tr + disc) / 2, (tr - disc) / 2)
+    disc = tr * tr - 4 * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
+    if mpmath.fabs(disc) < (numeric.tolerances(prec).dedup * max(1, mpmath.fabs(tr))) ** 2:
+        disc = mpmath.mpc(0)
+    root = mpmath.sqrt(disc)
+    return ((tr + root) / 2, (tr - root) / 2)
 
 
 def _compiled_partials(m: ProjectiveMap):
-    """The partials of m's components as MpForms, [i][j] for f_i in x_j."""
-    return [[numeric.MpForm(poly.partial(c, j)) for j in range(m.k + 1)] for c in m.comps]
+    """The partials of m's components as MpForms over the components' one
+    denominator, [i][j] for f_i in x_j."""
+    n = m.k + 1  # the partials' denominators divide the components'
+    flat = numeric.compile_forms(list(m.comps) + [poly.partial(c, j) for c in m.comps for j in range(n)])
+    return [flat[n * (i + 1):n * (i + 2)] for i in range(n)]
 
 
 def multipliers(m: ProjectiveMap, point, period: int,
@@ -291,8 +297,8 @@ def multipliers(m: ProjectiveMap, point, period: int,
 
     ``orbit`` is a :class:`PeriodicPoint`'s ``orbit`` for this map, point
     and period: the compiled partials and the points, charts and f-values
-    that the walk from the point would compute.  It is used when its
-    precision is ``precision``; otherwise they are computed here.
+    that the walk from the point computes.  It is used when its precision
+    is ``precision``; otherwise they are computed here.
     """
     if period < 1:
         raise PeriodicError("period must be >= 1")
@@ -302,15 +308,15 @@ def multipliers(m: ProjectiveMap, point, period: int,
             _prec, partials, entries = orbit
         else:
             start = numeric.normalize_point(point)[0]
-            entries = _walk([numeric.MpForm(c) for c in m.comps], start, period)[0]
+            entries = _walk(numeric.compile_forms(m.comps), start, period)[0]
             partials = _compiled_partials(m)
-        total = None
+        total, width = None, precision + numeric.GUARD_BITS
         for j, (pt, chart, vals) in enumerate(entries):
-            dvals = [[d(pt) for d in row] for row in partials]
-            step = _chart_jacobian(vals, dvals, chart, entries[(j + 1) % period][1])
-            total = step if total is None else _mat_mul(step, total)
+            dvals = [[d.fixed(pt.fixed) for d in row] for row in partials]
+            step = _chart_jacobian(vals, dvals, chart, entries[(j + 1) % period][1], width)
+            total = step if total is None else _mat_mul(step, total, width)
         return tuple(numeric.canonical_order(
-            _eigenvalues(total),
+            _eigenvalues(total, width),
             (lambda v: -mpmath.fabs(v), lambda v: v.real, lambda v: v.imag),
             numeric.tolerances(precision).dedup))
 

@@ -365,7 +365,7 @@ def _witness(comps: Sequence[HomPoly], precision: int) -> str:
     # A common zero that is not rational is one of the irrational points.
     with mpmath.workprec(precision):
         return _zero_text(min((pt for pt in points if not numeric.is_exact(pt)),
-                              key=lambda pt: mpmath.fabs(numeric.eval_form(comps[2], pt))))
+                              key=lambda pt: mpmath.fabs(numeric.MpForm(comps[2])(pt))))
 
 
 def _zero_text(pt) -> str:

@@ -6,6 +6,7 @@ can assert the required volume.  All randomness flows through a private
 streams, keeping failures reproducible by seed alone.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,16 @@ from pcflab import fatou, numeric, pcf, periodic, poly, projmap
 
 
 # -- generators ----------------------------------------------------------------
+
+
+def make_component(form):
+    """Normalize a form into a pcf.Component (square-free, canonical)."""
+    if form.is_zero():
+        raise pcf.PcfError("a component cannot be the zero form")
+    f = poly.canonical(poly.squarefree_part(form))
+    if f.is_constant():
+        raise pcf.PcfError("a component cannot be a constant")
+    return pcf.Component(f)
 
 
 def _coeff(rng, allow_fractions=False):
@@ -120,7 +131,7 @@ def pushforward_point(m, coords, precision=None):
     """Image of a point, max-modulus normalized, at the given precision."""
     precision = numeric.resolve_precision(precision)
     with mpmath.workprec(precision):
-        vals = tuple(numeric.eval_form(c, coords) for c in m.comps)
+        vals = tuple(numeric.MpForm(c)(coords) for c in m.comps)
         return numeric.normalize_point(vals)[0]
 
 
@@ -565,8 +576,8 @@ def suite_component_normalization(n=500, seed=301):
     while count < n:
         nvars = rng.choice((2, 3))
         p = random_form(rng, nvars, rng.randint(1, 3), allow_fractions=True)
-        c1 = pcf.make_component(p)
-        c2 = pcf.make_component(c1.form)
+        c1 = make_component(p)
+        c2 = make_component(c1.form)
         assert c1.form == c2.form
         lead = c1.form.leading()[1]
         assert lead.denominator == 1 and lead > 0
@@ -589,7 +600,7 @@ def suite_image_agreement(n=60, seed=302):
     count = 0
     while count < n:
         m = maps[count % len(maps)]
-        c = pcf.make_component(random_linear(rng, 3))
+        c = make_component(random_linear(rng, 3))
         image = pcf.image_of_component(m, c)
         emb = projmap.embedding_for_hyperplane(c.form)
         g = [poly.compose(comp, [poly.linear_form(row) for row in emb.matrix])
@@ -641,7 +652,11 @@ def suite_chart_invariance(n=500, seed=401, precision=256):
         while count < n:
             coeffs = [rng.randint(1, 9) for _ in range(3)]
             m = _diagonal_map(*coeffs)
-            partials = [[poly.partial(c, j) for j in range(3)] for c in m.comps]
+            # the components and their partials over one denominator, so
+            # their fixed-point values share one scale
+            forms = numeric.compile_forms(
+                list(m.comps) + [poly.partial(c, j) for c in m.comps for j in range(3)])
+            width = precision + numeric.GUARD_BITS
             for vec in _diagonal_fixed_points(coeffs):
                 charts = [i for i in range(3) if vec[i] != 0]
                 if len(charts) < 2:
@@ -650,11 +665,11 @@ def suite_chart_invariance(n=500, seed=401, precision=256):
                 for ch in charts:
                     # the transition derivative needs the representative
                     # scaled to 1 in its input chart
-                    pt = tuple(numeric.mpc_from(x / vec[ch]) for x in vec)
-                    vals = [c.evaluate(pt) for c in m.comps]
-                    dvals = [[d.evaluate(pt) for d in row] for row in partials]
-                    jac = periodic._chart_jacobian(vals, dvals, ch, ch)
-                    eigs = periodic._eigenvalues(jac)
+                    z = [(math.floor(x / vec[ch] * 2 ** width), 0) for x in vec]
+                    vals = [f.fixed(z) for f in forms[:3]]
+                    dvals = [[f.fixed(z) for f in forms[3 * i + 3:3 * i + 6]] for i in range(3)]
+                    jac = periodic._chart_jacobian(vals, dvals, ch, ch, width)
+                    eigs = periodic._eigenvalues(jac, width)
                     spectra.append(sorted(eigs, key=lambda z: (mpmath.fabs(z),
                                                                float(z.real),
                                                                float(z.imag))))

@@ -170,7 +170,7 @@ def test_criterion_06_image_oracle_equivalence():
                 if all(c == 0 for c in coeffs):
                     continue
                 lines_done += 1
-                comp = pcf.make_component(poly.linear_form(coeffs))
+                comp = ps.make_component(poly.linear_form(coeffs))
                 image = pcf.image_of_component(m, comp)
                 emb = projmap.embedding_for_hyperplane(comp.form)
                 for j in range(50):
@@ -178,11 +178,11 @@ def test_criterion_06_image_oracle_equivalence():
                     pushed = tuple(c.evaluate(src) for c in m.comps)
                     pt = numeric.normalize_point(
                         [numeric.mpc_from(v) for v in pushed])[0]
-                    val = mpmath.fabs(numeric.eval_form(image.form, pt))
+                    val = mpmath.fabs(numeric.MpForm(image.form)(pt))
                     assert val < bound, (name, coeffs, j)
     # The pinned exact identity: the diagonal line's image under squaring.
     m = catalog.get("squaring-p2").map
-    image = pcf.image_of_component(m, pcf.make_component(
+    image = pcf.image_of_component(m, ps.make_component(
         poly.linear_form([1, 1, 1])))
     x = poly.variable(3, 0)
     y = poly.variable(3, 1)
@@ -239,14 +239,14 @@ def test_criterion_08_degree_audits():
 
 def test_criterion_09_weak_transversality():
     started = time.perf_counter()
-    lines = [pcf.make_component(poly.variable(3, i)) for i in range(3)]
+    lines = [ps.make_component(poly.variable(3, i)) for i in range(3)]
     report = pcf.weak_transversality(lines)
     assert report.verdict == "weakly-transverse"
     assert all(ev.exact for ev in report.evidence)
 
-    conic = pcf.make_component(
+    conic = ps.make_component(
         poly.HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
-    vertical = pcf.make_component(poly.variable(3, 2))
+    vertical = ps.make_component(poly.variable(3, 2))
     report = pcf.weak_transversality([conic, vertical])
     assert report.verdict == "not-weakly-transverse"
     assert report.witness == "(1:0:0)"

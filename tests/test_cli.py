@@ -363,22 +363,37 @@ class TestPeriodic:
         assert "period" in report["map"]["note"]
 
     def test_newton_steps_needed_at_64_bits(self, monkeypatch, capsys):
-        # At 256 bits no golden point needs a Newton step, but at 64 bits
-        # most of this conjugate's period-2 fiber points start above the
-        # refinement target.  With the steps, every point is found and the
-        # count certifies them; with one residual check and no step, every
-        # chart fails.
+        # At 64 bits two of this conjugate's period-2 fiber points start
+        # above the backward-error target of Newton's stop.  With the
+        # steps, every point is found in chart 0 and the count certifies
+        # them; with the residual check and no step, charts 0 and 1 fail
+        # and the count certifies only in chart 2.
         argv = ("periodic", str(GOLDEN_DIR / "fs-1992-a-conj.json"),
                 "--period", "2", "--precision", "64")
+        certified = [(7, 7, True), (21, 21, True)]
         code, report, _err = _report(capsys, *argv)
         assert code == cli.EXIT_OK
         assert [(b["distinct"], b["weighted"], b["ok"])
-                for b in report["periodic"]["bezout"]] == [(7, 7, True), (21, 21, True)]
+                for b in report["periodic"]["bezout"]] == certified
         assert report["theorem_b"]["findings"] == []
-        monkeypatch.setattr(numeric, "NEWTON_STEPS", 1)
+        monkeypatch.setattr(numeric, "NEWTON_STEPS", 0)
         code, report, _err = _report(capsys, *argv)
-        assert code == cli.EXIT_RESOURCE
-        assert report["map"]["note"] == "aborted: no chart system could be solved"
+        assert code == cli.EXIT_OK
+        assert [(b["distinct"], b["weighted"], b["ok"])
+                for b in report["periodic"]["bezout"]] == certified
+        assert [f.split(" failed")[0] for f in report["theorem_b"]["findings"]] == [
+            f"period 2: the solve in chart {c} (x{c} = 1)" for c in (0, 1)]
+
+    @pytest.mark.parametrize("name", ["fs-1992-a-conj21.json", "squaring-p2-conj21.json"])
+    def test_conjugates_certify_at_64_bits(self, name, capsys):
+        # Newton stops in backward-error form, relative to the size of the
+        # terms of each form, so these conjugates' large coefficients no
+        # longer hold every chart above an absolute residual target.
+        code, report, _err = _report(capsys, "periodic", str(GOLDEN_DIR / name),
+                                     "--period", "2", "--precision", "64")
+        assert code == cli.EXIT_OK
+        assert [(b["distinct"], b["weighted"], b["ok"])
+                for b in report["periodic"]["bezout"]] == [(7, 7, True), (21, 21, True)]
 
     def test_failed_chart_is_a_finding(self, monkeypatch, capsys):
         # The first solve inside each find_periodic call is chart 0's.

@@ -124,8 +124,8 @@ class TestIntersectionPoints:
         # xz - y^2 and y - N x meet at (1 : N : N^2), whose normalized
         # coordinates have denominators near 10^14, and at (0 : 0 : 1).
         n = 10**7 + 19
-        conic = pcf.make_component(poly.HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
-        line = pcf.make_component(poly.linear_form([-n, 1, 0]))
+        conic = ps.make_component(poly.HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        line = ps.make_component(poly.linear_form([-n, 1, 0]))
         points, failed = projmap.pairwise_intersections([conic.form, line.form], 256)
         assert sorted(points) == [((0, 0, 1), [(0, 1)]), ((1, n, n * n), [(0, 1)])]
         assert failed == []

@@ -16,13 +16,17 @@ iteration budget, and squaring-p1 across the unit circle.
 
 After a deliberate report change, regenerate with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints the golden
-files whose bytes changed, and name every changed field in the change log.
+files whose bytes changed and, for a JSON report, each changed field path
+with list indices collapsed and its count, such as
+``periodic-2-sym2.json: .periodic.points[].residual ×1``; name every
+changed field in the change log.
 """
 
 import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -133,6 +137,19 @@ def _read(name):
     return path.read_bytes() if path.exists() else None
 
 
+def changed_fields(before, after, path="") -> Counter:
+    """The paths of the leaves that differ between two JSON values, list
+    indices collapsed to ``[]``, with how often each differs."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        return sum((changed_fields(before.get(k), after.get(k), f"{path}.{k}")
+                    for k in dict.fromkeys([*before, *after])), Counter())
+    if (isinstance(before, list) and isinstance(after, list)
+            and len(before) == len(after)):
+        return sum((changed_fields(b, a, path + "[]") for b, a in zip(before, after)),
+                   Counter())
+    return Counter({path: 1}) if before != after else Counter()
+
+
 if __name__ == "__main__":
     # (files a run writes, argv, report path, expected exit code)
     runs = [([golden], argv, GOLDEN_DIR / golden, code)
@@ -149,5 +166,9 @@ if __name__ == "__main__":
             got = _run(argv, report)
             if got != code:
                 sys.exit(f"{names[0]}: exit {got}, expected {code}")
-            changed += [n for n, b in zip(names, before) if _read(n) != b]
-    print("changed goldens:", ", ".join(changed) if changed else "none")
+            changed += [(n, b) for n, b in zip(names, before) if _read(n) != b]
+    print("changed goldens:", ", ".join(n for n, _b in changed) if changed else "none")
+    for name, before in changed:
+        if name.endswith(".json") and before is not None:
+            fields = changed_fields(json.loads(before), json.loads(_read(name)))
+            print(f"{name}: " + ", ".join(f"{k} ×{v}" for k, v in sorted(fields.items())))

@@ -1,5 +1,6 @@
 """Certified-precision numeric layer: roots, chart systems, rationalization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,10 +33,48 @@ def _random_form(rng, nvars, degree, precision):
     return _p(nvars, degree, terms)
 
 
+def _fraction(x) -> Fraction:
+    """The exact value of an mpf."""
+    sign, man, exp, _bc = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _exact(c) -> tuple:
+    """A coordinate as the exact pair (real part, imaginary part) of Fractions."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c), Fraction(0)
+    c = c if hasattr(c, "_mpc_") or hasattr(c, "_mpf_") else mpmath.mpc(c)
+    return (_fraction(c.real), _fraction(c.imag)) if hasattr(c, "_mpc_") else (_fraction(c), 0)
+
+
+def _modulus(z) -> mpmath.mpf:
+    """|z| of an exact pair, to 1200 bits."""
+    with mpmath.workprec(1200):
+        sq = z[0] * z[0] + z[1] * z[1]
+        return mpmath.sqrt(mpmath.mpf(sq.numerator) / sq.denominator)
+
+
+def _value(form, z) -> tuple:
+    """F(z) exactly, for an exact point z."""
+    re, im = Fraction(0), Fraction(0)
+    for e, c in form.terms.items():
+        tr, ti = Fraction(1), Fraction(0)
+        for (x, y), k in zip(z, e):
+            for _ in range(k):
+                tr, ti = tr * x - ti * y, tr * y + ti * x
+        re, im = re + c * tr, im + c * ti
+    return re, im
+
+
 class TestMpForm:
     @pytest.mark.parametrize("precision", [24, 64, 256, 512])
-    def test_matches_evaluate_bit_for_bit(self, precision):
+    def test_within_error_bound(self, precision):
+        # |MpForm(z) - F(z)| <= 3d 2^-W sum|c_a| (2 max|z_i|)^d + 2^-p |F(z)|
+        # against exact evaluation, W = p + GUARD_BITS: forms with integer,
+        # Fraction and wide coefficients at points scaled by 10^+-300 and at
+        # points whose coordinates differ in size by up to 10^+-40.
         rng = random.Random(precision)
+        width = precision + numeric.GUARD_BITS
         for trial in range(60):
             nvars = 2 + trial % 2
             degree = rng.randint(1, 5)
@@ -44,20 +83,48 @@ class TestMpForm:
                 form = _p(nvars, degree, {})
             elif trial % 10 == 1:
                 form = _random_form(rng, nvars, 0, precision)
-            # Coordinates carry more bits than the precision, so the first
-            # power's rounding shows.
+            # Coordinates carry more bits than the precision.
             with mpmath.workprec(2 * precision + 64):
                 scale = mpmath.mpf(10) ** rng.choice((0, 300, -300))
                 coords = tuple(mpmath.mpc(mpmath.mpf(rng.random() - 0.5) / 3,
-                                          mpmath.mpf(rng.random() - 0.5) / 7) * scale
+                                          mpmath.mpf(rng.random() - 0.5) / 7)
+                               * scale * mpmath.mpf(10) ** (rng.randint(-40, 0) if trial % 3 else 0)
                                for _ in range(nvars))
             with mpmath.workprec(precision):
-                want = form.evaluate(coords)
                 got = numeric.MpForm(form)(coords)
-            if form.degree == 0 or form.is_zero():
-                assert type(got) is type(want) and got == want
-            else:
-                assert got._mpc_ == want._mpc_, (precision, trial)
+            z = [_exact(c) for c in coords]
+            want = _value(form, z)
+            err = (_exact(got)[0] - want[0], _exact(got)[1] - want[1])
+            with mpmath.workprec(1200):
+                size = max(_modulus(c) for c in z)
+                total = sum(_modulus((c, 0)) for c in form.terms.values())
+                bound = (3 * degree * mpmath.ldexp(total, -width) * (2 * size) ** degree
+                         + mpmath.ldexp(_modulus(want), -precision))
+                assert _modulus(err) <= bound, (precision, trial)
+
+    def test_values_share_a_scale_and_bound_the_terms(self):
+        # compile_forms puts forms over one denominator; fixed() returns
+        # F(z) den 2^W exactly up to the truncations, and its bound lies
+        # between sum |n_a||z^a| and sqrt(2) times it.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        forms = [x * x * Fraction(1, 3) - y * z, (x * y).scale(Fraction(5, 2))]
+        with mpmath.workprec(64):
+            a, b = numeric.compile_forms(forms)
+            assert a.den == b.den == 6
+            pt = numeric.normalize_point((mpmath.mpc(1, 2), Fraction(1, 2), 3))[0]
+            width = pt.width
+            point = [_exact(c) for c in pt]
+            for f, form in ((a, forms[0]), (b, forms[1])):
+                (sr, si), size = f.fixed(pt.fixed, bound=True)
+                want = _value(form, [(Fraction(u, 2 ** width), Fraction(v, 2 ** width))
+                                     for u, v in pt.fixed])
+                assert abs(Fraction(sr, 6 << width) - want[0]) < Fraction(64, 2 ** width)
+                assert abs(Fraction(si, 6 << width) - want[1]) < Fraction(64, 2 ** width)
+                terms = sum(abs(c) * _modulus(_value(poly.monomial(3, e), point))
+                            for e, c in form.terms.items())
+                with mpmath.workprec(1200):
+                    assert terms * 0.999 <= mpmath.mpf(size) / (6 << width) <= terms * 1.415
+                assert f.fixed(pt.fixed) == (sr, si)
 
 
 class TestNormalization:
@@ -75,62 +142,65 @@ class TestNormalization:
             assert numeric.proj_distance(a, b) < mpmath.mpf(10) ** -70
 
 
-# -- the point kernels as mpmath's operators compute them ----------------------
+# -- the point kernels in exact rationals ----------------------------------------
 
 
-def _reference_normalize(coords):
-    """normalize_point on mpc values: the first largest fabs is the pivot."""
-    vals = [numeric.mpc_from(c) for c in coords]
-    mags = [mpmath.fabs(v) for v in vals]
-    best = 0
-    for i in range(1, len(vals)):
-        if mags[i] > mags[best]:
-            best = i
-    tol = numeric.tolerances(mpmath.mp.prec)
-    if mags[best] < tol.zero_floor:
+def _floor_div(a, b) -> tuple:
+    """a / b for exact complex pairs, each part floored."""
+    d = b[0] * b[0] + b[1] * b[1]
+    return (math.floor(Fraction(a[0] * b[0] + a[1] * b[1], d)),
+            math.floor(Fraction(a[1] * b[0] - a[0] * b[1], d)))
+
+
+def _reference_normalize(coords, floor=True):
+    """normalize_point's steps in Fractions: the fixed coordinates and the pivot.
+
+    Each part is truncated at 2^(W - e), e the least integer above the log2
+    of every part; the pivot is the first coordinate whose |z|^2 is within a
+    factor 1 - 2^-p of the largest, and the others are z / pivot scaled by
+    2^W and floored.  With ``floor``, a largest modulus below 2^-(p-8) raises.
+    """
+    prec = mpmath.mp.prec
+    width = prec + numeric.GUARD_BITS
+    parts = [_exact(c) for c in coords]
+    # |x| lies in (2^(k-1), 2^(k+1)) for k the difference of the bit lengths
+    mags = [k + (abs(x) >= Fraction(2) ** k) for pair in parts for x in pair if x
+            for k in [abs(x.numerator).bit_length() - x.denominator.bit_length()]]
+    e = max(mags, default=0)
+    ints = [tuple(math.trunc(x * Fraction(2) ** (width - e)) for x in pair) for pair in parts]
+    sizes = [x * x + y * y for x, y in ints]
+    top = max(sizes)
+    if top == 0 or floor and Fraction(top) * Fraction(4) ** (e - width) < Fraction(4) ** (8 - prec):
         raise numeric.IndeterminatePointError("all coordinates below the zero floor")
-    pivot = vals[best]
-    return tuple(v / pivot for v in vals), best
+    best = next(i for i, size in enumerate(sizes) if size >= top * (1 - Fraction(1, 2 ** prec)))
+    return tuple((1 << width, 0) if i == best else _floor_div((x << width, y << width), ints[best])
+                 for i, (x, y) in enumerate(ints)), best
 
 
 def _reference_distance(p, q):
-    """proj_distance on mpc values."""
-    pv = [numeric.mpc_from(c) for c in p]
-    qv = [numeric.mpc_from(c) for c in q]
-    mp_ = max(mpmath.fabs(c) for c in pv)
-    mq = max(mpmath.fabs(c) for c in qv)
-    if mp_ == 0 or mq == 0:
-        raise numeric.NumericalError("projective distance of a zero vector")
-    best = mpmath.mpf(0)
-    n = len(pv)
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = mpmath.fabs(pv[i] * qv[j] - pv[j] * qv[i])
-            if cross > best:
-                best = cross
-    return best / (mp_ * mq)
-
-
-def _reference_double(pt):
-    """_double_point on mpc values: scaled by 2^-mag with an mpf product."""
-    vals = [numeric.mpc_from(c) for c in pt]
-    top = max(mpmath.mag(v) for v in vals)
-    if top == -mpmath.inf:
-        raise numeric.NumericalError("projective distance of a zero vector")
-    scale = mpmath.ldexp(mpmath.mpf(1), -top)
-    rep = tuple(complex(v * scale) for v in vals)
-    return rep, max(abs(c) for c in rep)
+    """proj_distance in exact rationals: the largest cross product of the
+    reference-normalized points (a Point as it is), rounded once by
+    mpmath's sqrt."""
+    prec = mpmath.mp.prec
+    width = prec + numeric.GUARD_BITS
+    a, b = (x.fixed if isinstance(x, numeric.Point) else _reference_normalize(x, floor=False)[0]
+            for x in (p, q))
+    top = max(((a[i][0] * b[j][0] - a[i][1] * b[j][1] - a[j][0] * b[i][0] + a[j][1] * b[i][1]) ** 2
+               + (a[i][0] * b[j][1] + a[i][1] * b[j][0] - a[j][0] * b[i][1] - a[j][1] * b[i][0]) ** 2
+               for i in range(len(a)) for j in range(i + 1, len(a))), default=0)
+    with mpmath.workprec(top.bit_length() + 8):
+        exact = mpmath.mpf(top)
+    with mpmath.workprec(prec):
+        return mpmath.ldexp(mpmath.sqrt(exact), -2 * width)
 
 
 def _outcome(fn, *args):
-    """fn(*args) with every mpc and float as its bits, or the exception type."""
+    """fn(*args) with every mpc, mpf and Point as its bits, or the exception type."""
     def bits(x):
         if isinstance(x, (tuple, list)):
             return tuple(bits(y) for y in x)
-        if isinstance(x, complex):
-            return x.real.hex(), x.imag.hex()
-        if isinstance(x, float):
-            return x.hex()
+        if isinstance(x, numeric.Point):
+            return x.fixed, x.pivot
         return getattr(x, "_mpc_", getattr(x, "_mpf_", x))
     try:
         return bits(fn(*args))
@@ -191,8 +261,8 @@ def _kernel_inputs(rng, prec):
 
 
 class TestPointKernels:
-    """normalize_point, proj_distance and _double_point on libmp values give
-    the bits the operator-level references give."""
+    """normalize_point and proj_distance on fixed-point values give the bits
+    of the same steps taken in exact rationals."""
 
     @pytest.mark.parametrize("precision", [24, 64, 128, 256, 320])
     def test_bit_for_bit(self, precision):
@@ -202,45 +272,58 @@ class TestPointKernels:
             built = []
             for pt in points:
                 want = _outcome(_reference_normalize, pt)
-                assert _outcome(numeric.normalize_point, pt) == want, pt
-                assert _outcome(numeric._double_point, pt) == _outcome(_reference_double, pt)
+                got = _outcome(numeric.normalize_point, pt)
+                assert got == (want if isinstance(want, type) else (want, want[1])), pt
                 if isinstance(want, type):
                     continue
-                got, pivot = numeric.normalize_point(pt)
-                ref = _reference_normalize(pt)[0]
-                assert got.raw == want[0] and got.pivot == pivot
-                # a stable Point comes back as it is, as renormalizing returns it
-                assert _outcome(numeric.normalize_point, got) == _outcome(
-                    _reference_normalize, ref)
-                assert _outcome(lambda: got.double) == _outcome(_reference_double, ref)
-                built.append((pt, got, ref))
-            for (p, gp, rp), (q, gq, rq) in zip(built, built[1:] + built[:1]):
+                got = numeric.normalize_point(pt)[0]
+                # a Point comes back as it is, and its coordinates are the
+                # fixed values rounded once
+                assert numeric.normalize_point(got)[0] is got
+                assert got[got.pivot] == 1 and [_exact(c) for c in got] == [
+                    _exact(mpmath.mpc(mpmath.mpf((x, -got.width)), mpmath.mpf((y, -got.width))))
+                    for x, y in got.fixed]
+                built.append((pt, got))
+            for (p, gp), (q, gq) in zip(built, built[1:] + built[:1]):
                 if len(p) != len(q):
                     continue
                 assert (_outcome(numeric.proj_distance, p, q)
                         == _outcome(_reference_distance, p, q))
                 assert (_outcome(numeric.proj_distance, gp, gq)
-                        == _outcome(_reference_distance, rp, rq))
+                        == _outcome(_reference_distance, gp, gq))
                 assert (_outcome(numeric.proj_distance, gp, q)
-                        == _outcome(_reference_distance, rp, q))
+                        == _outcome(_reference_distance, gp, q))
 
     def test_inputs_reach_ties_and_wide_unit_pivots(self):
-        # Both values of the stable flag occur, and pivots of exactly 1
-        # beside mpc coordinates wider than the precision.
+        # Some pivots are not the first coordinate of exactly largest |z|^2,
+        # as moduli within the 2^-p window tie, and some pivots are exactly
+        # 1 beside mpc coordinates wider than the precision.
         with mpmath.workprec(256):
-            found = [(pt, _outcome(_reference_normalize, pt))
-                     for pt in _kernel_inputs(random.Random(256), 256)]
-            found = [(pt, want[1]) for pt, want in found if not isinstance(want, type)]
-            stable = {numeric.normalize_point(pt)[0].stable for pt, _pivot in found}
-        wide_unit = [pt for pt, pivot in found if pt[pivot] == 1 and any(
+            width = 256 + numeric.GUARD_BITS
+            found = []
+            for pt in _kernel_inputs(random.Random(256), 256):
+                if not isinstance(_outcome(_reference_normalize, pt), type):
+                    sizes = [x * x + y * y for x, y in (
+                        tuple(math.trunc(v * 2 ** width) for v in _exact(c)) for c in pt)]
+                    found.append((pt, numeric.normalize_point(pt)[1], sizes.index(max(sizes))))
+        assert {pivot == first for _pt, pivot, first in found} == {True, False}
+        assert [pt for pt, pivot, _first in found if pt[pivot] == 1 and any(
             hasattr(c, "_mpc_") and c._mpc_[0][3] > 256 for c in pt)]
-        assert stable == {True, False} and wide_unit
 
 
 def _reference_find(points, pt, tol):
-    """The first known point within tol of pt by a linear mpmath scan."""
+    """The first known point within tol of pt by a linear scan of exact
+    distances."""
+    def dist2(p, q):
+        p, q = [_exact(c) for c in p], [_exact(c) for c in q]
+        cross = max((p[i][0] * q[j][0] - p[i][1] * q[j][1] - p[j][0] * q[i][0] + p[j][1] * q[i][1]) ** 2
+                    + (p[i][0] * q[j][1] + p[i][1] * q[j][0] - p[j][0] * q[i][1] - p[j][1] * q[i][0]) ** 2
+                    for i in range(len(p)) for j in range(i + 1, len(p)))
+        size = max(x * x + y * y for x, y in p) * max(x * x + y * y for x, y in q)
+        return cross / size
+    limit = _fraction(tol) ** 2
     for i, known in enumerate(points):
-        if _reference_distance(known, pt) < tol:
+        if dist2(known, pt) < limit:
             return i
     return None
 
@@ -263,18 +346,18 @@ def _at_distance(rng, pt, target):
 
 
 def _cloud(rng, nvars, tol):
-    """Seeded points at the working precision for the dedup screen.
+    """Seeded points at the working precision for the point set.
 
     Base points are spread out, some with a zero coordinate, some scaled
     by 10^+-400 as a whole and some with one coordinate of that size,
     outside double range.  Each base point is followed by a rescaled copy,
     near duplicates at 0.5 and 2 times tol, and points near distance tol,
-    where the mpmath and the double distances can fall on different sides
+    where a comparison of a rounded distance could fall on the other side
     of the tolerance.
     """
     big = mpmath.mpf(10) ** 400
-    # two rounding units of the mpmath and of the double distance, or half
-    # of tol where that is smaller
+    # two rounding units at the precision and at 53 bits, or half of tol
+    # where that is smaller
     edge = min(mpmath.mpf(2) ** -(mpmath.mp.prec - 1) + mpmath.mpf(2) ** -51, tol / 2)
     out = []
     for k in range(12):
@@ -311,7 +394,6 @@ class TestPointSetScreen:
                     want.append(pt)
                 else:
                     matched += 1
-                assert got.find(pt) == i
                 assert got.add(pt) == i
             assert len(got.points) == len(want)
             assert all(a is b for a, b in zip(got.points, want))
@@ -326,9 +408,8 @@ class TestPointSetScreen:
             with pytest.raises(numeric.NumericalError):
                 points.add(zero)
             points.add((mpmath.mpc(1), mpmath.mpc(2), mpmath.mpc(0)))
-            for call in (points.find, points.add):
-                with pytest.raises(numeric.NumericalError):
-                    call(zero)
+            with pytest.raises(numeric.NumericalError):
+                points.add(zero)
             assert len(points.points) == 1
 
 
@@ -435,7 +516,7 @@ class TestSolvePairP2:
             assert len(points) == 6
             for pt in points:
                 for form in (a, b):
-                    assert mpmath.fabs(numeric.eval_form(form, pt)) < mpmath.mpf(10) ** -60
+                    assert mpmath.fabs(numeric.MpForm(form)(pt)) < mpmath.mpf(10) ** -60
 
     def test_one_split_per_piece_and_one_compile_per_solve(self, monkeypatch):
         # The eliminant is split into square-free pieces once; a piece, or

@@ -28,7 +28,7 @@ def _fs():
 
 
 def _line(coeffs):
-    return pcf.make_component(poly.linear_form(list(coeffs)))
+    return ps.make_component(poly.linear_form(list(coeffs)))
 
 
 X = poly.variable(3, 0)
@@ -53,7 +53,7 @@ def _coords(label):
 
 class TestMakeComponent:
     def test_strips_powers_and_content(self):
-        c = pcf.make_component((X * X * Y).scale(Fraction(-3, 7)))
+        c = ps.make_component((X * X * Y).scale(Fraction(-3, 7)))
         assert c.form == X * Y
         assert not c.linear
         assert c.irreducible_status == "unverified"
@@ -66,9 +66,9 @@ class TestMakeComponent:
 
     def test_rejects_zero_and_constant(self):
         with pytest.raises(pcf.PcfError):
-            pcf.make_component(poly.zero(3, 2))
+            ps.make_component(poly.zero(3, 2))
         with pytest.raises(pcf.PcfError):
-            pcf.make_component(poly.constant(3, 5))
+            ps.make_component(poly.constant(3, 5))
 
 
 class TestCriticalComponents:
@@ -142,7 +142,7 @@ class TestImageOfComponent:
         m = catalog.get(name).map
         assert poly.exact_divide(poly.compose(image, list(m.comps)), source) is not None
         assert image.degree <= m.d * source.degree
-        assert pcf.image_of_component(m, pcf.make_component(source)).form == image
+        assert pcf.image_of_component(m, ps.make_component(source)).form == image
 
     def test_quartic_to_octic(self):
         # The image's kernel first appears at degree 8, in a 61 x 45 system:
@@ -162,14 +162,14 @@ class TestImageOfComponent:
             (6, 1, 1): -2, (6, 2, 0): 1})
         assert poly.exact_divide(poly.compose(image, list(m.comps)), source) is not None
         assert image.degree <= m.d * source.degree
-        assert pcf.image_of_component(m, pcf.make_component(source)).form == image
+        assert pcf.image_of_component(m, ps.make_component(source)).form == image
 
     def test_p1_point_images(self):
         m = _squaring_p1()
         # (0:1) and (1:0) are fixed; (-1:1) lands on (1:1).
-        assert pcf.image_of_component(m, pcf.make_component(S)).form == S
-        assert pcf.image_of_component(m, pcf.make_component(T)).form == T
-        img = pcf.image_of_component(m, pcf.make_component(S + T))
+        assert pcf.image_of_component(m, ps.make_component(S)).form == S
+        assert pcf.image_of_component(m, ps.make_component(T)).form == T
+        img = pcf.image_of_component(m, ps.make_component(S + T))
         assert img.form == S - T
 
     def test_map_undefined_on_component(self):
@@ -332,7 +332,7 @@ class TestWeakTransversality:
         assert triple[0].point == "(0:0:1)"
 
     def test_tangent_conic_detected(self):
-        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        conic = ps.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
         report = pcf.weak_transversality([conic, _line([0, 0, 1])])
         assert report.verdict == "not-weakly-transverse"
         assert report.witness == "(1:0:0)"
@@ -343,7 +343,7 @@ class TestWeakTransversality:
 
     def test_transverse_conic_exact(self):
         # x^2 + 2y^2 - z^2 meets x = y at the irrational (1 : 1 : ±√3).
-        conic = pcf.make_component(_p(3, 2, {(2, 0, 0): 1, (0, 2, 0): 2,
+        conic = ps.make_component(_p(3, 2, {(2, 0, 0): 1, (0, 2, 0): 2,
                                              (0, 0, 2): -1}))
         report = pcf.weak_transversality([conic, _line([1, -1, 0])])
         assert report.verdict == "weakly-transverse"
@@ -355,8 +355,8 @@ class TestWeakTransversality:
     def test_irrational_tangency_detected(self):
         # On yz = x^2 with z = 1, y^2 - 3yz + 4z^2 - x^2 is (y - 2)^2, so the
         # conics touch at (±√2 : 2 : 1) and nowhere else.
-        a = pcf.make_component(_p(3, 2, {(0, 1, 1): 1, (2, 0, 0): -1}))
-        b = pcf.make_component(_p(3, 2, {(0, 2, 0): 1, (0, 1, 1): -3,
+        a = ps.make_component(_p(3, 2, {(0, 1, 1): 1, (2, 0, 0): -1}))
+        b = ps.make_component(_p(3, 2, {(0, 2, 0): 1, (0, 1, 1): -3,
                                           (0, 0, 2): 4, (2, 0, 0): -1}))
         report = pcf.weak_transversality([a, b])
         assert report.verdict == "not-weakly-transverse"
@@ -367,7 +367,7 @@ class TestWeakTransversality:
     def test_tangency_where_the_eliminant_is_simple(self):
         # x meets y^2 z - x^3 - x z^2 twice at (0:0:1), though the
         # eliminant, x itself, has a simple root there: the rank decides.
-        cubic = pcf.make_component(_p(3, 3, {(0, 2, 1): 1, (3, 0, 0): -1,
+        cubic = ps.make_component(_p(3, 3, {(0, 2, 1): 1, (3, 0, 0): -1,
                                              (1, 0, 2): -1}))
         report = pcf.weak_transversality([_line([1, 0, 0]), cubic])
         assert report.verdict == "not-weakly-transverse"
@@ -380,7 +380,7 @@ class TestWeakTransversality:
             raise numeric.NumericalError("no roots")
 
         monkeypatch.setattr(numeric, "solve_pair_p2", fail)
-        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        conic = ps.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
         report = pcf.weak_transversality([conic, _line([1, -1, 0])])
         assert report.verdict == "weakly-transverse"
         assert report.evidence == ()
@@ -395,7 +395,7 @@ class TestWeakTransversality:
         # first point's normalized coordinates have denominators near 10^14,
         # yet the solver returns it exactly, so the verdict is exact.
         n = 10**7 + 19
-        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
+        conic = ps.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}))
         report = pcf.weak_transversality([conic, _line([-n, 1, 0])])
         assert report.verdict == "weakly-transverse"
         assert sorted(ev.point for ev in report.evidence) == [
@@ -413,8 +413,8 @@ class TestWeakTransversality:
             if (poly.squarefree_part(c) != c or d.is_zero()
                     or not poly.gcd(c, d).is_constant()):
                 continue
-            report = pcf.weak_transversality([pcf.make_component(c),
-                                              pcf.make_component(d)])
+            report = pcf.weak_transversality([ps.make_component(c),
+                                              ps.make_component(d)])
             assert report.verdict == "not-weakly-transverse", (c, d)
             assert report.witness is not None
             planted += 1
@@ -428,7 +428,7 @@ class TestWeakTransversality:
             if (any(f.is_zero() or poly.squarefree_part(f) != f for f in forms)
                     or not poly.gcd(*forms).is_constant()):
                 continue
-            report = pcf.weak_transversality([pcf.make_component(f) for f in forms])
+            report = pcf.weak_transversality([ps.make_component(f) for f in forms])
             ranks = [projmap.exact_rank([[poly.partial(f, j).evaluate(_coords(ev.point))
                                           for j in range(3)] for f in forms])
                      for ev in report.evidence if ev.exact]
@@ -444,7 +444,7 @@ class TestWeakTransversality:
         # gradients (1,0,0), (0,1,0) and (1,1,0).  By Euler's identity every
         # gradient at a common zero is orthogonal to it, so no rank there
         # reaches 3; only the pairs can be tested.
-        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 1, 1): 1,
+        conic = ps.make_component(_p(3, 2, {(1, 0, 1): 1, (0, 1, 1): 1,
                                              (1, 1, 0): 1}))
         report = pcf.weak_transversality([_line([1, 0, 0]), _line([0, 1, 0]), conic])
         assert report.verdict == "weakly-transverse"
@@ -457,7 +457,7 @@ class TestWeakTransversality:
     def test_tangent_pair_flagged_inside_a_triple_point(self):
         # 4xz - y^2 is tangent to x = 0 at (0:0:1); y's gradient lifts the
         # rank of all three members to 2 there, but the tangent pair has 1.
-        conic = pcf.make_component(_p(3, 2, {(1, 0, 1): 4, (0, 2, 0): -1}))
+        conic = ps.make_component(_p(3, 2, {(1, 0, 1): 4, (0, 2, 0): -1}))
         report = pcf.weak_transversality([_line([1, 0, 0]), _line([0, 1, 0]), conic])
         assert report.verdict == "not-weakly-transverse"
         assert report.witness == "(0:0:1)"
@@ -582,11 +582,11 @@ class TestContainment:
         # conic vanishes on the whole orbit, so it is skipped and matches
         # nothing, rather than every point.
         sym2 = projmap.ProjectiveMap([X * X, Y * Y - 2 * X * Z, Z * Z])
-        conic = pcf.make_component(4 * X * Z - Y * Y)
+        conic = ps.make_component(4 * X * Z - Y * Y)
         emb = projmap.embedding_for_hyperplane(Y)
         fake = projmap.ProjectiveMap([S * S - 2 * T * T, S * T])
         level = pcf.TowerLevel(1, 2, (_entry(emb, fake, "y", 2),))
-        crit = tuple(pcf.make_component(v) for v in (X, Y, Z)) + (conic,)
+        crit = tuple(ps.make_component(v) for v in (X, Y, Z)) + (conic,)
         report = pcf.restricted_critical_containment(sym2, level, crit)
         assert _matches(report) == {"y": ("fail", [("s^2 + 2*t^2", None, None)])}
 

@@ -1,5 +1,6 @@
 """Periodic points, multiplier spectra, classification, counting audits."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -172,8 +173,11 @@ class TestFindPeriodic:
 
     def test_representative_that_renormalizes(self, monkeypatch):
         # A representative of the period-2 point (1 : w : 0) of squaring-p2
-        # whose moduli tie: normalizing it once more moves the pivot, so
-        # multipliers walks from another representative than find_periodic.
+        # whose moduli tie but whose second is the larger in its last bits.
+        # Normalizing it, or normalizing the rounded coordinates of its
+        # Point again, pivots on the first within the 2^-p window, so
+        # find_periodic keeps its orbit and multipliers from the Point or
+        # from the representative walk the same steps.
         m = _squaring_p2()
         rng = random.Random(1)
         with mpmath.workprec(256):
@@ -181,9 +185,11 @@ class TestFindPeriodic:
             while True:
                 s = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) * rng.random())
                 rep = (s, s * w, mpmath.mpc(0))
-                pt = numeric.normalize_point(rep)[0]
-                if numeric.normalize_point(pt)[0] != pt:
-                    break
+                with mpmath.workprec(1024):
+                    if mpmath.fabs(rep[1]) > mpmath.fabs(rep[0]):
+                        break
+            pt = numeric.normalize_point(rep)[0]
+            assert pt.pivot == 0 and numeric.normalize_point(tuple(pt))[1] == 0
         real = periodic._fixed_point_candidates_p2
 
         def first_the_tie(big, precision, failed=None):
@@ -192,17 +198,13 @@ class TestFindPeriodic:
 
         monkeypatch.setattr(periodic, "_fixed_point_candidates_p2", first_the_tie)
         found = [periodic.find_periodic(m, l, 256) for l in (1, 2)]
-        tied = [pp for pp in found[1] if pp.point == pt]
-        assert len(tied) == 1 and tied[0].orbit is None
-        with mpmath.workprec(256):
-            cur = pt
-            for _ in range(2):
-                cur = numeric.normalize_point([c.evaluate(cur) for c in m.comps])[0]
-            assert tied[0].residual == numeric.proj_distance(cur, pt)
+        tied = [pp for pp in found[1] if pp.point.fixed == pt.fixed]
+        assert len(tied) == 1 and tied[0].orbit is not None
         audit = periodic.eigenvalue_audit(m, 2, 256, found)
         spectrum = [v.spectrum for v in audit.verdicts if v.point is tied[0]]
-        alone = periodic.multipliers(m, pt, 2, 256)
-        assert [[x._mpc_ for x in s] for s in spectrum] == [[x._mpc_ for x in alone]]
+        for start in (pt, rep):
+            alone = periodic.multipliers(m, start, 2, 256)
+            assert [[x._mpc_ for x in s] for s in spectrum] == [[x._mpc_ for x in alone]]
 
     def test_candidates_normalized_once(self, monkeypatch):
         # Outside the chart solves, find_periodic normalizes each candidate
@@ -319,7 +321,7 @@ class TestMultipliers:
 
 
 def _operator_chart_jacobian(vals, dvals, chart_in, chart_out):
-    """The chart-transition derivative by mpmath's operators."""
+    """The chart-transition derivative by operators."""
     b, n = chart_out, len(vals)
     fb = vals[b]
     return [[(dvals[i][j] * fb - vals[i] * dvals[b][j]) / (fb * fb)
@@ -331,32 +333,82 @@ def _operator_mat_mul(a, b):
             for i in range(len(a))]
 
 
+class _Exact(tuple):
+    """A complex number as a pair of Fractions, with exact operators."""
+
+    def __new__(cls, re, im=0):
+        return super().__new__(cls, (Fraction(re), Fraction(im)))
+
+    def __add__(self, other):
+        other = _Exact(other) if isinstance(other, int) else other
+        return _Exact(self[0] + other[0], self[1] + other[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Exact(self[0] - other[0], self[1] - other[1])
+
+    def __mul__(self, other):
+        return _Exact(self[0] * other[0] - self[1] * other[1], self[0] * other[1] + self[1] * other[0])
+
+    def __truediv__(self, other):
+        d = other[0] ** 2 + other[1] ** 2
+        return _Exact((self[0] * other[0] + self[1] * other[1]) / d,
+                      (self[1] * other[0] - self[0] * other[1]) / d)
+
+    def fixed(self, width):
+        return tuple(math.floor(x * 2 ** width) for x in self)
+
+
 class TestMultiplierChain:
     @pytest.mark.parametrize("precision", [24, 64, 256])
     def test_libmp_chain_matches_operators(self, precision):
-        # Values of f at p and partials: mpc, zero partials (the int 0) and
-        # constant ones (int and Fraction coefficients of a linear map).
+        # The fixed-point chain gives the bits of exact operators: each
+        # transition entry is the exact quotient floored at 2^W, and each
+        # product entry the exact sum of products floored at 2^W.  Values
+        # of f at p and partials are Gaussian integers at one scale: zero
+        # partials, small constant ones (a linear map) and wide ones.
         rng = random.Random(precision)
-        with mpmath.workprec(precision):
-            for n in (2, 3):
-                for _ in range(40):
-                    def value():
-                        kind = rng.randrange(5)
-                        if kind == 0:
-                            return 0
-                        if kind == 1:
-                            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                        return mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) * mpmath.mpf(1) / 3
-                    vals = [mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) / 7 for _ in range(n)]
-                    dvals = [[value() for _ in range(n)] for _ in range(n)]
-                    cin, cout = rng.randrange(n), rng.randrange(n)
-                    got = periodic._chart_jacobian(vals, dvals, cin, cout)
-                    want = _operator_chart_jacobian(vals, dvals, cin, cout)
-                    assert got == [[v._mpc_ for v in row] for row in want]
-                    other = periodic._chart_jacobian(vals, dvals, cout, cin)
-                    assert periodic._mat_mul(got, other) == [
-                        [v._mpc_ for v in row] for row in _operator_mat_mul(
-                            want, _operator_chart_jacobian(vals, dvals, cout, cin))]
+        width = precision + numeric.GUARD_BITS
+        for n in (2, 3):
+            for _ in range(40):
+                def value():
+                    kind = rng.randrange(5)
+                    if kind == 0:
+                        return (0, 0)
+                    if kind == 1:
+                        return (rng.randint(-9, 9) << width, 0)
+                    return rng.getrandbits(width + 8) - (1 << width + 7), rng.getrandbits(width) - (1 << width - 1)
+                vals = [value() for _ in range(n)]
+                vals = [v if v != (0, 0) else (1, 0) for v in vals]
+                dvals = [[value() for _ in range(n)] for _ in range(n)]
+                cin, cout = rng.randrange(n), rng.randrange(n)
+                exact = ([_Exact(*v) for v in vals], [[_Exact(*v) for v in row] for row in dvals])
+                got = periodic._chart_jacobian(vals, dvals, cin, cout, width)
+                want = _operator_chart_jacobian(*exact, cin, cout)
+                assert got == [[v.fixed(width) for v in row] for row in want]
+                other = periodic._chart_jacobian(vals, dvals, cout, cin, width)
+                scaled = [[[_Exact(Fraction(x, 2 ** width), Fraction(y, 2 ** width))
+                            for x, y in row] for row in matrix] for matrix in (got, other)]
+                assert periodic._mat_mul(got, other, width) == [
+                    [v.fixed(width) for v in row] for row in _operator_mat_mul(*scaled)]
+
+
+class TestEigenvalues:
+    def test_double_eigenvalue_without_noise(self):
+        # A derivative with the double eigenvalue 4 and entries off by a few
+        # units of 2^-W: the discriminant is below (dedup max(1, |tr|))^2, so
+        # both eigenvalues come out equal instead of apart by the square
+        # root of the noise.  A pair 10^-20 apart, above dedup, stays apart.
+        width = 256 + numeric.GUARD_BITS
+        one = 1 << width
+        noisy = [[(4 * one + 3, -1), (5, 2)], [(-7, 1), (4 * one - 2, 1)]]
+        apart = [[(4 * one, 0), (0, 0)], [(0, 0), (4 * one + one // 10 ** 20, 0)]]
+        with mpmath.workprec(256):
+            lam, mu = periodic._eigenvalues(noisy, width)
+            assert lam == mu and mpmath.fabs(lam - 4) < mpmath.mpf(2) ** -250
+            lam, mu = periodic._eigenvalues(apart, width)
+            assert mpmath.fabs(mpmath.fabs(lam - mu) - mpmath.mpf(10) ** -20) < mpmath.mpf(10) ** -40
 
 
 class TestClassify:
@@ -559,6 +611,39 @@ class TestCoordinateChangeInvariance:
                 for a, b in zip(spec, base):
                     assert mpmath.fabs(a - b) < tol
                 done += 1
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_counts_and_spectra_invariant_under_conjugation(self, precision):
+        # A seeded property: conjugating squaring-p2, fs-1992-a or Sym^2 by
+        # an integer matrix with entries in -2..2 changes neither the
+        # certified counts of periods 1 and 2 nor the multiset of
+        # multiplier spectra, within the verify tolerance.
+        rng = random.Random(precision)
+        tol = numeric.tolerances(precision).verify
+
+        def audit(m, l):
+            pts = periodic.find_periodic(m, l, precision)
+            count = periodic.bezout_audit(m, l, pts)
+            spectra = [[complex(v) for v in periodic.multipliers(m, pp.point, pp.period,
+                                                                 precision, pp.orbit)]
+                       for pp in pts]
+            return (count.expected, count.distinct, count.weighted), spectra
+
+        for base in (_squaring_p2(), _fs(), _sym2()):
+            want = {l: audit(base, l) for l in (1, 2)}
+            for _ in range(4):
+                while projmap.exact_rank(rows := [[rng.randint(-2, 2) for _ in range(3)]
+                                                  for _ in range(3)]) < 3:
+                    pass
+                g = _conjugate(base, rows)
+                for l in (1, 2):
+                    count, spectra = audit(g, l)
+                    assert count == want[l][0] and count[0] == count[2], (rows, l)
+                    left = list(want[l][1])
+                    for spectrum in spectra:
+                        match = next(s for s in left if all(
+                            abs(a - b) < float(tol) * max(1, abs(b)) for a, b in zip(spectrum, s)))
+                        left.remove(match)
 
     def test_equal_moduli_spectra_match_entry_by_entry(self):
         # Sym^2 has multipliers +-2 at one fixed point; their order must

@@ -20,6 +20,7 @@ SETTINGS = [
     "fatou._near_expr(known)",
     "fatou.superattracting_candidates(precision)",
     "numeric.Tolerances.formulas",
+    "numeric.fixed(bound)",
     "numeric.resolve_precision(precision)",
     "pcf.PcfVerdict.reason",
     "pcf.TowerEntry.graph",
