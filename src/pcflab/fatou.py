@@ -86,7 +86,8 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
                                precision: Optional[int] = None):
     """Periodic zero-dimensional intersection points with nilpotent spectra.
 
-    For P^1 the post-critical components are already points; for P^2 the
+    For P^1 the points are the roots of the post-critical components, each
+    rational one exact (:func:`numeric.binary_form_roots`); for P^2 the
     pairwise intersections of the graph's components are collected, plus
     any terminal tower points.  Each surviving point is certified periodic
     (exactly for rational points) and keeps only an all-zero multiplier
@@ -96,15 +97,12 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
     exact, approx = [], []
     if m.k == 1:
         for node in graph.nodes:
-            if node.linear:
-                vec = projmap.primitive_vector(
-                    [Fraction(v) for v in poly.root_of_binary_linear(node.form)])
-                if vec not in exact:
+            for root, _mult in numeric.binary_form_roots(node.form, precision):
+                vec = projmap.primitive_vector(root) if numeric.is_exact(root) else None
+                if vec is None:
+                    approx.append(root)
+                elif vec not in exact:
                     exact.append(vec)
-            else:
-                with mpmath.workprec(precision):
-                    for root, _mult in numeric.binary_form_roots(node.form, precision):
-                        approx.append(numeric.normalize_point(root)[0])
     elif m.k == 2:
         points, failed = projmap.pairwise_intersections(
             [node.form for node in graph.nodes], precision)

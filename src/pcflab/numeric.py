@@ -2,13 +2,13 @@
 
 Everything here that is not exact is explicit about its working precision,
 given in bits.  Exact rational data stays exact until the moment a value is
-converted, to an mpc by :func:`mpc_from` or to fixed point by
-:func:`normalize_point` or :class:`MpForm`, so callers control all rounding.
+converted to fixed point, by :func:`normalize_point` or :class:`MpForm`, or
+rounded to an mpc by :func:`mpc_from`, so callers control all rounding.
+Root finding takes exact integer coefficients and returns fixed-point roots.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections.abc import Sequence
@@ -342,7 +342,7 @@ def canonical_order(values, keys, tol):
     def compare(a, b):
         for key in keys:
             ka, kb = key(a), key(b)
-            if mpmath.fabs(ka - kb) > tol:
+            if abs(ka - kb) > tol:
                 return -1 if ka < kb else 1
         return 0
 
@@ -352,37 +352,35 @@ def canonical_order(values, keys, tol):
 def binary_form_roots(q: HomPoly, precision: int):
     """Projective roots of a binary form with exact multiplicities.
 
-    Returns a list of ``((x0, x1), multiplicity)`` with mpc coordinates.
-    The form is first split into square-free pieces exactly, so the numeric
-    root finder only ever sees simple roots (:func:`_piece_roots`).
+    Returns a list of ``((x0, x1), multiplicity)``, each root a pair of
+    Fractions or a :class:`Point`.  The form is first split into
+    square-free pieces exactly, so the numeric root finder only ever sees
+    simple roots (:func:`_exact_binary_roots`).
     """
     if q.nvars != 2:
         raise NumericalError("binary root finding needs a binary form")
     if q.is_zero():
         raise NumericalError("the zero form vanishes everywhere")
     return [(root, mult) for mult, piece in poly.binary_squarefree_decomposition(q)
-            for root in _piece_roots(piece, precision)]
+            for root in _exact_binary_roots(piece, precision)]
 
 
-def _piece_roots(piece: HomPoly, precision: int) -> list:
-    """The roots of a square-free binary form, linear or with no coordinate
-    factor, as pairs of mpc.  A longer piece's roots come in a canonical
-    order: by |imaginary part|, then real part, then imaginary part, with
-    values within the dedup tolerance tied."""
-    with mpmath.workprec(precision):
-        if piece.degree == 1:
-            return [tuple(mpc_from(c) for c in poly.root_of_binary_linear(piece))]
-        n = piece.degree
-        coeffs = [mpc_from(piece.terms.get((k, n - k), 0)) for k in range(n, -1, -1)]
-        roots = canonical_order(
-            _polyroots(coeffs, precision),
-            (lambda r: mpmath.fabs(r.imag), lambda r: r.real, lambda r: r.imag),
-            tolerances(precision).dedup)
-        return [(root, mpc_from(1)) for root in roots]
+def _exact_binary_roots(piece: HomPoly, precision: int) -> list:
+    """The roots of a square-free binary form: each rational root an exact
+    pair of Fractions from :func:`poly.linear_factors`, ahead of the roots
+    of what those factors leave, as Points from :func:`_polyroots`."""
+    factors, rest = poly.linear_factors(piece)
+    roots = [poly.root_of_binary_linear(form) for form, _m in factors]
+    if not rest.is_constant():
+        n, c = rest.degree, poly.canonical(rest).terms
+        zs, width = _polyroots([(int(c.get((k, n - k), 0)), 0) for k in range(n, -1, -1)], precision)
+        roots += [_normal([z, (1 << width, 0)], precision + GUARD_BITS, 1) for z in zs]
+    return roots
 
 
-def _polyroots(coeffs, precision: int) -> list:
-    """The roots of sum coeffs[k] z^(n-k), as mpmath's ``polyroots`` gives them.
+def _polyroots(coeffs, precision: int):
+    """The roots of sum coeffs[k] z^(n-k), for Gaussian-integer coeffs at
+    any one scale, as Gaussian integers scaled by 2^width, and the width.
 
     Each trailing zero coefficient gives an exact zero root.  The others
     come from :func:`_sweeps`, run at a low width from the Newton polygon's
@@ -390,36 +388,38 @@ def _polyroots(coeffs, precision: int) -> list:
     a target of b bits (SEED_BITS, then the precision p) works at b + the
     coefficients' range in bits + the largest |log2| of a start radius +
     GUARD_BITS.  As in mpmath's clean-up, a root of modulus below 2^(1-p)
-    becomes 0 and a part below it is dropped, so a real root is an mpf;
-    roots are rounded to p bits and sorted by |imaginary part|, then real
-    part.  Raises NumericalError when a run does not converge.
+    becomes 0 and a part below it is dropped; each part is rounded to p
+    bits.  The roots are ordered by |imaginary part|, real part, then
+    imaginary part, values within dedup tied (:func:`canonical_order`).
+    Raises NumericalError when a run does not converge.
     """
-    with mpmath.workprec(precision):
-        coeffs = [mpmath.mpc(c) for c in coeffs]
-        n = max(k for k, c in enumerate(coeffs) if c)
-        zeros, coeffs = len(coeffs) - 1 - n, coeffs[:n + 1]
-        z, width = [], 0
-        if n:
-            mags = [mpmath.mag(c) for c in coeffs if c]
-            start, reach = _newton_polygon_start(coeffs)
-            spare = max(mags) - min(mags) + reach + GUARD_BITS
-            for bits in (min(SEED_BITS, precision), precision):
-                shift, width = bits + spare - width, bits + spare
-                z = [(x << shift, y << shift) for x, y in z] or [
-                    tuple(_part_fixed(x, width) for x in w._mpc_) for w in start]
-                _sweeps([tuple(_part_fixed(x, width - max(mags)) for x in c._mpc_) for c in coeffs],
-                        z, width, bits)
-            tol = 1 << (width + 1 - precision)
-            z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
-                 else (0, y) if abs(x) < tol else (x, y) for x, y in z]
-        z = sorted(z + [(0, 0)] * zeros, key=lambda w: (abs(w[1]), w[0]))
-        return [mpmath.mpc((x, -width), (y, -width)) if y else mpmath.mpf((x, -width))
-                for x, y in z]
+    n = max(k for k, c in enumerate(coeffs) if c != (0, 0))
+    zeros, coeffs = len(coeffs) - 1 - n, coeffs[:n + 1]
+    z, width = [], precision + GUARD_BITS
+    if n:
+        # mpmath's mag: the least e with |c| < 2^e, up to one bit
+        mags = [(abs(x) | abs(y)).bit_length() + bool(x and y) for x, y in coeffs if x or y]
+        top, (start, reach) = max(mags), _newton_polygon_start(coeffs, precision)
+        spare, width = top - min(mags) + reach + GUARD_BITS, 0
+        for bits in (min(SEED_BITS, precision), precision):
+            shift, width, k = bits + spare - width, bits + spare, bits + spare - top
+            z = [(x << shift, y << shift) for x, y in z] or [
+                (int(mpmath.ldexp(x, width)), int(mpmath.ldexp(y, width))) for x, y in start]
+            _sweeps([(x << k, y << k) if k >= 0 else (x >> -k, y >> -k) for x, y in coeffs],
+                    z, width, bits)
+        tol = 1 << (width + 1 - precision)
+        z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
+             else (0, y) if abs(x) < tol else (x, y) for x, y in z]
+        z = [tuple(_part_fixed(from_man_exp(v, -width, precision, round_nearest), width) for v in w)
+             for w in z]
+    return canonical_order(z + [(0, 0)] * zeros, (lambda w: abs(w[1]), lambda w: w[0], lambda w: w[1]),
+                           _part_fixed(tolerances(precision).dedup._mpf_, width)), width
 
 
-def _newton_polygon_start(coeffs):
+def _newton_polygon_start(coeffs, precision: int):
     """Start points on circles whose radii the Newton polygon gives (Bini
-    1996), as mpc, and the largest |log2| of a radius, rounded up.
+    1996), as pairs of mpf at the precision, and the largest |log2| of a
+    radius, rounded up.
 
     An edge of the upper convex hull of (i, log|a_i|) from i to j, with a_i
     the coefficient of z^i, places j - i points evenly on the circle of
@@ -427,22 +427,24 @@ def _newton_polygon_start(coeffs):
     so no coefficient range is out of reach.
     """
     n = len(coeffs) - 1
-    logs = {i: float(mpmath.log(abs(c))) for i, c in enumerate(reversed(coeffs)) if c}
-    hull = []
-    for i in sorted(logs):
-        while len(hull) >= 2:
-            h0, h1 = hull[-2], hull[-1]
-            if (h1 - h0) * (logs[i] - logs[h0]) < (logs[h1] - logs[h0]) * (i - h0):
-                break  # h1 lies strictly above the chord from h0 to i
-            hull.pop()
-        hull.append(i)
-    z, reach = [], 0
-    for i, j in zip(hull, hull[1:]):
-        m = j - i
-        log_radius = (logs[i] - logs[j]) / m
-        reach = max(reach, math.ceil(abs(log_radius) / math.log(2)))
-        z += [mpmath.exp(log_radius) * cmath.rect(1, 2 * math.pi * (t / m + i / n) + SEED_ANGLE)
-              for t in range(m)]
+    with mpmath.workprec(precision):
+        logs = {i: float(mpmath.log(mpmath.hypot(*c))) for i, c in enumerate(reversed(coeffs))
+                if c != (0, 0)}
+        hull = []
+        for i in sorted(logs):
+            while len(hull) >= 2:
+                h0, h1 = hull[-2], hull[-1]
+                if (h1 - h0) * (logs[i] - logs[h0]) < (logs[h1] - logs[h0]) * (i - h0):
+                    break  # h1 lies strictly above the chord from h0 to i
+                hull.pop()
+            hull.append(i)
+        z, reach = [], 0
+        for i, j in zip(hull, hull[1:]):
+            m = j - i
+            log_radius = (logs[i] - logs[j]) / m
+            reach = max(reach, math.ceil(abs(log_radius) / math.log(2)))
+            z += [(r * math.cos(a), r * math.sin(a)) for r in [mpmath.exp(log_radius)]
+                  for a in (2 * math.pi * (t / m + i / n) + SEED_ANGLE for t in range(m))]
     return z, reach
 
 
@@ -497,8 +499,9 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
     """Newton-refine an approximate common zero of two ternary forms.
 
     a and b come compiled at ``precision``, once per solve; the four
-    partials are compiled at the first step.  The point is refined in fixed
-    point in the chart of its pivot, each step one exact Gaussian quotient.
+    partials are compiled at the first step.  The point, a :class:`Point`
+    at the precision, is refined in fixed point in the chart of its pivot,
+    each step one exact Gaussian quotient.
     It stops in backward-error form (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 5.1): once each |F(z)| is below refine_target
     max(1, sum_a |c_a| |z^a|), the sum from MpForm's bound.  Returns the
@@ -506,8 +509,7 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
     NEWTON_STEPS steps without convergence.
     """
     with mpmath.workprec(precision):
-        pt, chart = normalize_point(point)
-        width, z = pt.width, list(pt.fixed)
+        width, z, chart = point.width, list(point.fixed), point.pivot
         u, v = [i for i in range(3) if i != chart]
         jacobian, target = None, tolerances(precision).refine_target  # most points need no partials
         _sign, t_man, t_exp, _bc = target._mpf_
@@ -522,7 +524,7 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
                 if not done:
                     raise NumericalError(f"Newton did not reach a backward error of {mpmath.nstr(target)}"
                                          f" (backward error {mpmath.nstr(backward)})")
-                return (pt if not step else _normal(z, width, 1)), backward
+                return (point if not step else _normal(z, width, 1)), backward
             if jacobian is None:
                 jacobian = [MpForm(poly.partial(f.form, j))._over(f.den) for f in (a, b) for j in (u, v)]
             j00, j01, j10, j11 = (f.fixed(z) for f in jacobian)
@@ -541,8 +543,8 @@ def newton_refine_pair(a: MpForm, b: MpForm, point, precision: int):
 def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
     """Common projective zeros of two coprime ternary forms.
 
-    Returns the distinct zeros as a list of normalized triples, of
-    Fractions for a rational point and of mpc values otherwise.  Zeros
+    Returns the distinct zeros as a list of normalized triples: Fractions
+    for a rational point, a :class:`Point` otherwise.  Zeros
     within the dedup tolerance of each other, such as the root cluster of
     a multiple point, are merged into one.  No intersection multiplicity
     comes with them: a point where the curves meet m times comes back
@@ -570,9 +572,9 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
         # check above has ruled out.
         gline = poly.gcd(poly.slice_poly(a, 2), poly.slice_poly(b, 2))
         if not gline.is_constant():
-            for _mult, piece in poly.binary_squarefree_decomposition(gline):
-                for r0, r1 in _exact_binary_roots(piece, precision):
-                    points.add(_normalized((r0, r1, Fraction(0))))
+            for root, _mult in binary_form_roots(gline, precision):
+                points.add(_normalized((*root, Fraction(0))) if is_exact(root)
+                           else _normal([*root.fixed, (0, 0)], root.width, 1))
     return points.points
 
 
@@ -583,23 +585,10 @@ def is_exact(coords) -> bool:
 
 
 def _normalized(coords) -> tuple:
-    """A point scaled as :func:`normalize_point` scales it, kept exact when
-    every coordinate is a Fraction."""
-    if not is_exact(coords):
-        return normalize_point(coords)[0]
+    """A triple of Fractions scaled exactly as :func:`normalize_point` scales
+    a point."""
     pivot = max(coords, key=abs)  # the first of equal moduli
     return tuple(c / pivot for c in coords)
-
-
-def _exact_binary_roots(piece: HomPoly, precision: int) -> list:
-    """The roots of a square-free binary form: each rational root an exact
-    pair of Fractions from :func:`poly.linear_factors`, ahead of the roots
-    of what those factors leave, by :func:`_piece_roots`."""
-    factors, rest = poly.linear_factors(piece)
-    roots = [poly.root_of_binary_linear(form) for form, _m in factors]
-    if not rest.is_constant():
-        roots += _piece_roots(poly.canonical(rest), precision)
-    return roots
 
 
 def _affine_pair_solutions(a: HomPoly, b: HomPoly, precision: int):
@@ -649,12 +638,14 @@ def _fiber_solutions(a: HomPoly, b: HomPoly, elim: int, keep: int, precision: in
     pair = functools.cache(mpmath.workprec(precision)(lambda: (MpForm(a), MpForm(b))))
     for rows in _fiber_chain(a, b, elim):
         coeffs = [poly.slice_poly(r, elim) for r in rows]
-        compiled = []  # the row's MpForms, built at its first irrational x0
+        # the row's forms compiled at twice the precision, at its first irrational root
+        compiled = functools.cache(mpmath.workprec(2 * precision)(
+            functools.partial(compile_forms, coeffs)))
         still = []
         for piece in open_pieces:
             rest = poly.gcd(piece, coeffs[-1])
-            for r0, r1 in _exact_binary_roots(poly.exact_divide(piece, rest), precision):
-                out += _fiber_points(pair, coeffs, compiled, r0 / r1, keep, precision)
+            for root in _exact_binary_roots(poly.exact_divide(piece, rest), precision):
+                out += _fiber_points(pair, coeffs, compiled, root, keep, precision)
             if not rest.is_constant():
                 still.append(rest)
         open_pieces = still
@@ -687,31 +678,39 @@ def _fiber_chain(a: HomPoly, b: HomPoly, elim: int):
     yield from sorted((poly.ladder(a, elim), poly.ladder(b, elim)), key=len)
 
 
-def _fiber_points(pair, coeffs: list, compiled: list, x0, keep: int,
+def _fiber_points(pair, coeffs: list, compiled, root, keep: int,
                   precision: int) -> list:
-    """The common zeros of a and b with x_keep = x0, z = 1 and x_elim a root
-    y of sum coeffs[k](x0) y^k, the coeffs being binary forms in (x_keep, z).
+    """The common zeros of a and b over a root (r0 : r1) of the eliminant in
+    (x_keep, z), with x_elim a root w = w0 / w1 of the fiber sum_k
+    coeffs[k](r0, r1) w^k.  coeffs[k], a binary form in (x_keep, z), has
+    degree D - k, so the point is (x_keep : x_elim : z) = (r0 w1 : w0 : r1 w1),
+    whatever the size of r0 / r1.
 
-    A rational x0 gives an exact fiber, and a rational point comes back as
-    Fractions.  Elsewhere the fiber's coefficients are evaluated at twice
-    the precision, by ``compiled``: the coeffs as :class:`MpForm` built
-    there, filled in at the row's first irrational x0.  A linear fiber is
-    solved by one division and a longer one by :func:`_polyroots`.
-    Newton's method polishes every point that is not exact, with a and b as
-    ``pair()`` compiles them, and its failure raises.
+    A rational root gives an exact fiber, and a rational point comes back as
+    Fractions.  At a Point root the fiber's coefficients are the values of
+    the coeffs as ``compiled()`` gives them, over one denominator at twice
+    the precision, once per row.  A linear fiber is one Gaussian quotient
+    and a longer one goes to :func:`_polyroots`.  Newton's method polishes
+    every point that is not exact, with a and b as ``pair()`` compiles
+    them, and its failure raises.
     """
-    t = len(coeffs) - 1
-    if isinstance(x0, Fraction):
-        fiber = HomPoly(2, t, {(k, t - k): c.evaluate((x0, 1)) for k, c in enumerate(coeffs)})
-        ys = [y0 / y1 for _m, piece in poly.binary_squarefree_decomposition(fiber)
-              for y0, y1 in _exact_binary_roots(piece, precision)]
+    t, width = len(coeffs) - 1, precision + GUARD_BITS
+    if is_exact(root):
+        fiber = HomPoly(2, t, {(k, t - k): c.evaluate(root) for k, c in enumerate(coeffs)})
+        ws = [w if is_exact(w) else w.fixed for w, _m in binary_form_roots(fiber, precision)]
+        r, scale = [(int(c), 0) for c in root], 0  # an eliminant factor is integral
     else:
-        with mpmath.workprec(2 * precision):
-            if not compiled:
-                compiled.extend(MpForm(c) for c in coeffs)
-            vals = [f((x0, 1)) for f in compiled]
-            ys = [-vals[0] / vals[1]] if t == 1 else None
-        ys = ys or _polyroots(vals[::-1], precision)
-    pts = [(x0, y, Fraction(1)) if keep == 0 else (y, x0, Fraction(1)) for y in ys]
-    return [_normalized(pt) if is_exact(pt) else newton_refine_pair(*pair(), pt, precision)[0]
-            for pt in pts]
+        r, scale = root.fixed, width
+        vals = [f.fixed([(x << precision, y << precision) for x, y in r]) for f in compiled()]
+        roots, at = (([gauss_quotient((-vals[0][0], -vals[0][1]), vals[1], width)], width)
+                     if t == 1 else _polyroots(vals[::-1], precision))
+        ws = [(w, (1 << at, 0)) for w in roots]
+    out = []
+    for w0, w1 in ws:
+        exact = is_exact((w0, w1))
+        x, y, z = ((root[0] * w1, w0, root[1] * w1) if exact else
+                   (gauss_mul(r[0], w1), (w0[0] << scale, w0[1] << scale), gauss_mul(r[1], w1)))
+        pt = (x, y, z) if keep == 0 else (y, x, z)
+        out.append(_normalized(pt) if exact
+                   else newton_refine_pair(*pair(), _normal(pt, width, 1), precision)[0])
+    return out

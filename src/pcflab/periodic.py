@@ -47,7 +47,7 @@ class PeriodicError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicPoint:
-    point: tuple  # max-modulus-normalized mpc coordinates
+    point: numeric.Point  # normalized: its max-modulus coordinate is 1
     period: int  # minimal period
     residual: object  # mpf: proj_distance(f^l(p), p)
     # On P^1 the exact multiplicity of the point as a root of the fixed

@@ -363,11 +363,20 @@ class TestPeriodic:
         assert "period" in report["map"]["note"]
 
     def test_newton_steps_needed_at_64_bits(self, monkeypatch, capsys):
-        # At 64 bits two of this conjugate's period-2 fiber points start
-        # above the backward-error target of Newton's stop.  With the
-        # steps, every point is found in chart 0 and the count certifies
-        # them; with the residual check and no step, charts 0 and 1 fail
-        # and the count certifies only in chart 2.
+        # From exact coefficients every fiber point of this conjugate starts
+        # below the backward-error target of Newton's stop.  With the root
+        # finder's coefficients rounded to 64 bits, two of its period-2
+        # fiber points start above it.  With the steps, every point is
+        # found in chart 0 and the count certifies them; with the residual
+        # check and no step, charts 0 and 1 fail and the count certifies
+        # only in chart 2.
+        real = numeric._polyroots
+
+        def rounded(coeffs, precision):
+            with mpmath.workprec(precision):
+                return real([tuple(int(mpmath.mpf(x)) for x in c) for c in coeffs], precision)
+
+        monkeypatch.setattr(numeric, "_polyroots", rounded)
         argv = ("periodic", str(GOLDEN_DIR / "fs-1992-a-conj.json"),
                 "--period", "2", "--precision", "64")
         certified = [(7, 7, True), (21, 21, True)]
@@ -384,13 +393,17 @@ class TestPeriodic:
         assert [f.split(" failed")[0] for f in report["theorem_b"]["findings"]] == [
             f"period 2: the solve in chart {c} (x{c} = 1)" for c in (0, 1)]
 
-    @pytest.mark.parametrize("name", ["fs-1992-a-conj21.json", "squaring-p2-conj21.json"])
-    def test_conjugates_certify_at_64_bits(self, name, capsys):
+    @pytest.mark.parametrize("name,precision", [
+        pytest.param(name, bits, id=name if bits == "64" else f"{name}-{bits}")
+        for bits in ("64", "48")
+        for name in ("fs-1992-a-conj21.json", "squaring-p2-conj21.json", "fs-1992-a-conj.json")])
+    def test_conjugates_certify_at_64_bits(self, name, precision, capsys):
         # Newton stops in backward-error form, relative to the size of the
         # terms of each form, so these conjugates' large coefficients no
-        # longer hold every chart above an absolute residual target.
+        # longer hold every chart above an absolute residual target.  The
+        # 48-bit cases guard the fiber solve at low precision.
         code, report, _err = _report(capsys, "periodic", str(GOLDEN_DIR / name),
-                                     "--period", "2", "--precision", "64")
+                                     "--period", "2", "--precision", precision)
         assert code == cli.EXIT_OK
         assert [(b["distinct"], b["weighted"], b["ok"])
                 for b in report["periodic"]["bezout"]] == [(7, 7, True), (21, 21, True)]

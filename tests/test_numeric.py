@@ -428,6 +428,18 @@ class TestBinaryRoots:
             roots = numeric.binary_form_roots(lf * lf, 256)
             assert len(roots) == 1 and roots[0][1] == 2
 
+    def test_rational_root_of_longer_piece_is_exact(self):
+        # s^3 - t^3 is square-free and not linear: its rational root (1 : 1)
+        # comes back in Fractions, ahead of the two others as Points.
+        roots = numeric.binary_form_roots(_p(2, 3, {(3, 0): 1, (0, 3): -1}), 256)
+        assert [m for _r, m in roots] == [1, 1, 1]
+        assert roots[0][0] == (1, 1) and numeric.is_exact(roots[0][0])
+        with mpmath.workprec(256):
+            ratios = [complex(r[0] / r[1]) for r, _m in roots[1:]]
+            assert all(isinstance(r, numeric.Point) and mpmath.fabs((r[0] / r[1]) ** 3 - 1)
+                       < mpmath.mpf(10) ** -70 for r, _m in roots[1:])
+        assert ratios == pytest.approx([complex(-0.5, -3 ** 0.5 / 2), complex(-0.5, 3 ** 0.5 / 2)])
+
     def test_root_at_infinity(self):
         with mpmath.workprec(256):
             p = _p(2, 2, {(1, 1): 1, (0, 2): 1})  # t(s + t)
@@ -635,25 +647,40 @@ class TestPolyroots:
         assert len(calls) == 2  # the eliminant, then the first fiber
 
 
+def _gaussian_coeffs(coeffs):
+    """int, Fraction, mpf or mpc coefficients as exact Gaussian integers at one scale."""
+    parts = [(Fraction(c), Fraction(0)) if isinstance(c, (int, Fraction)) else
+             tuple(Fraction(*mpmath.libmp.to_rational(x)) for x in mpmath.mpc(c)._mpc_)
+             for c in coeffs]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    return [tuple(int(x * den) for x in pair) for pair in parts]
+
+
 class TestDoubleSeeds:
     """From seeds of about double precision (the low-width run), the
     full-width run finds what mpmath.polyroots, the oracle, finds."""
 
     def _check(self, coeffs, precision=256):
+        roots, width = numeric._polyroots(_gaussian_coeffs(coeffs), precision)
         with mpmath.workprec(precision):
-            got = numeric._polyroots(coeffs, precision)
+            got = [mpmath.mpc((x, -width), (y, -width)) for x, y in roots]
             want = mpmath.polyroots(coeffs, maxsteps=800, extraprec=precision)
             # the same roots, each to within a few units of the last place
             assert len(got) == len(want)
             left = list(want)
-            for r in got:
+            for r, (_x, y) in zip(got, roots):
                 near = min(left, key=lambda w: mpmath.fabs(r - w))
                 assert mpmath.fabs(r - near) <= mpmath.ldexp(max(1, mpmath.fabs(near)),
                                                             8 - precision)
-                assert type(r) is type(near)  # clean-up: a real root is an mpf
+                # clean-up: a real root has no imaginary part
+                assert (y == 0) == (type(near) is mpmath.mpf)
                 left.remove(near)
-            keys = [(mpmath.fabs(r.imag), r.real) for r in got]
-            assert keys == sorted(keys)
+            # by |imaginary part|, then real part, values within dedup tied
+            tol = numeric.tolerances(precision).dedup
+            for a, b in zip(got, got[1:]):
+                assert mpmath.fabs(a.imag) <= mpmath.fabs(b.imag) + tol
+                if mpmath.fabs(mpmath.fabs(a.imag) - mpmath.fabs(b.imag)) <= tol:
+                    assert a.real <= b.real + tol
             return got
 
     def test_random_integer_polynomials(self):
@@ -728,26 +755,29 @@ class TestDoubleSeeds:
     def test_zero_constant_terms(self):
         # Trailing zero coefficients give exact zero roots.
         assert self._check([1, -1, 0]) == [0, 1]
-        with mpmath.workprec(256):
-            got = numeric._polyroots([mpmath.mpc(1), 0, 1, 0, 0, 0], 256)
-        assert got[:3] == [0, 0, 0] and all(type(r) is mpmath.mpf for r in got[:3])
-        assert len(got) == 5 and [complex(r) for r in got[3:]] == [-1j, 1j]
-        assert numeric._polyroots([mpmath.mpc(2), 0], 256) == [0]
+        got, width = numeric._polyroots([(1, 0), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0)], 256)
+        assert got[:3] == [(0, 0)] * 3
+        assert len(got) == 5 and [complex(x / 2 ** width, y / 2 ** width)
+                                  for x, y in got[3:]] == [-1j, 1j]
+        assert numeric._polyroots([(2, 0), (0, 0)], 256)[0] == [(0, 0)]
 
 
 class TestCanonicalOrder:
     def test_order_ignores_root_finder_order(self, monkeypatch):
-        # Conjugate pairs and equal real parts: the root finder's own order
+        # Conjugate pairs and equal real parts: the iteration's own order
         # follows its start points, the reported order must not.
         q = (_p(2, 2, {(2, 0): 1, (0, 2): 1})  # x^2 + y^2
              * _p(2, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 5})  # x^2 - 2xy + 5y^2
              * poly.linear_form([1, 3]))
-        real = numeric._polyroots
+        real = numeric._sweeps
         orders = []
-        for shuffle in (lambda r: r, lambda r: r[::-1],
-                        lambda r: [complex(x).conjugate() for x in r]):
-            monkeypatch.setattr(numeric, "_polyroots",
-                                lambda *a, shuffle=shuffle: shuffle(real(*a)))
+        for shuffle in (lambda r: r, lambda r: r[::-1], lambda r: [(x, -y) for x, y in r]):
+            def sweeps(a, z, width, bits, shuffle=shuffle):
+                real(a, z, width, bits)
+                if bits == 256:  # the full-width run
+                    z[:] = shuffle(z)
+
+            monkeypatch.setattr(numeric, "_sweeps", sweeps)
             with mpmath.workprec(256):
                 roots = numeric.binary_form_roots(q, 256)
                 orders.append([(complex(r0 / r1), m) for (r0, r1), m in roots])
