@@ -570,12 +570,23 @@ def solve_pair_p2(a: HomPoly, b: HomPoly, precision: int):
         # The line z = 0 separately.
         # Both slices vanish only when z divides a and b, which the gcd
         # check above has ruled out.
-        gline = poly.gcd(poly.slice_poly(a, 2), poly.slice_poly(b, 2))
-        if not gline.is_constant():
-            for root, _mult in binary_form_roots(gline, precision):
-                points.add(_normalized((*root, Fraction(0))) if is_exact(root)
-                           else _normal([*root.fixed, (0, 0)], root.width, 1))
+        for pt in line_points(poly.gcd(poly.slice_poly(a, 2), poly.slice_poly(b, 2)), 2, precision):
+            points.add(pt)
     return points.points
+
+
+def line_points(form: HomPoly, slot: int, precision: int) -> list:
+    """The distinct roots of a nonzero binary form, as points of P^2 on the
+    line x_slot = 0: the form's two variables are the other coordinates, in
+    order.  A rational root comes back as a normalized triple of Fractions,
+    any other as a :class:`Point` (:func:`binary_form_roots`)."""
+    out = []
+    for root, _mult in binary_form_roots(form, precision):
+        if is_exact(root):
+            out.append(_normalized((*root[:slot], Fraction(0), *root[slot:])))
+        else:
+            out.append(_normal([*root.fixed[:slot], (0, 0), *root.fixed[slot:]], root.width, 1))
+    return out
 
 
 def is_exact(coords) -> bool:

@@ -3,11 +3,12 @@
 Period-l points are isolated by exact elimination per affine chart: the
 fixed-point conditions of the l-th iterate, with the chart's coordinate
 factors stripped, feed the two-form solver on P^2 or the binary root finder
-on P^1.  Charts are solved in order and their candidates merged, verified
-against the map itself, and annotated with minimal periods.  The solve
-stops at the first chart where the fixed-point count certifies the points:
-(D^(k+1)-1)/(D-1) distinct verified points of the degree-D iterate are all
-of them, each simple.
+on P^1.  On P^2 the fixed points on the chart's own coordinate line, which
+the stripping drops, come exactly from one binary gcd.  Charts are solved
+in order and their candidates merged, verified against the map itself, and
+annotated with minimal periods.  The solve stops at the first chart where
+the fixed-point count certifies the points: (D^(k+1)-1)/(D-1) distinct
+verified points of the degree-D iterate are all of them, each simple.
 
 Multiplier spectra chain single-step chart-transition Jacobians along the
 orbit, each factor evaluated at a max-modulus-normalized representative in
@@ -104,13 +105,16 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int,
 
     Chart c's equations are x_c F_i - x_i F_c for the two i != c, each
     with every factor x_c stripped.  Yields, for each chart whose pair of
-    equations is solved, the list of their distinct common zeros.  These
-    are candidates, not fixed points: a zero that the solve finds off the
-    chart, or that a stripped factor would have removed, need not be fixed.
+    equations is solved, the list of their distinct common zeros followed
+    by the fixed points on the line x_c = 0 (:func:`_line_fixed_points`).
+    The common zeros are candidates, not fixed points: a zero that the
+    solve finds off the chart, or that a stripped factor would have
+    removed, need not be fixed.
 
-    A chart whose solve raises NumericalError (its equations kept a common
-    factor, or root finding or a Newton refinement failed) is skipped, and
-    ``(chart, error text)`` goes to ``failed`` when that list is given.
+    A chart whose solve or line step raises NumericalError (its equations
+    kept a common factor, or root finding or a Newton refinement failed)
+    is skipped, and ``(chart, error text)`` goes to ``failed`` when that
+    list is given.
     """
     for chart in range(3):
         others = [i for i in range(3) if i != chart]
@@ -123,11 +127,25 @@ def _fixed_point_candidates_p2(big: ProjectiveMap, precision: int,
             eqs.append(poly.strip_var(e, chart))
         try:
             pts = numeric.solve_pair_p2(eqs[0], eqs[1], precision)
+            pts += _line_fixed_points(big, chart, precision)
         except numeric.NumericalError as exc:
             if failed is not None:
                 failed.append((chart, str(exc)))
             continue
         yield pts
+
+
+def _line_fixed_points(big: ProjectiveMap, chart: int, precision: int) -> list:
+    """The fixed points of big on the line x_chart = 0, exactly the roots of
+    h, the gcd of F_chart and x_i F_j - x_j F_i (i < j the other indices)
+    restricted to the line: there F(p) = (0 : F_i : F_j) is p = (0 : x_i :
+    x_j) just when both vanish.  h is the zero form only when the line is
+    fixed pointwise, which a map of degree D >= 2 cannot do; then no point
+    is added."""
+    fc, fi, fj = (poly.slice_poly(big.comps[i], chart)
+                  for i in [chart] + [i for i in range(3) if i != chart])
+    h = poly.gcd(fc, poly.variable(2, 0) * fj - poly.variable(2, 1) * fi)
+    return [] if h.is_zero() else numeric.line_points(h, chart, precision)
 
 
 def _infinite_fixed_locus(big: ProjectiveMap) -> str:
@@ -155,6 +173,15 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     than a coarse verification tolerance, so spurious chart solutions drop
     out.
 
+    On P^2 one chart holds every fixed point.  A fixed point with x_c != 0
+    is a zero of x_c F_i - x_i F_c, and so of what is left when the factors
+    x_c are stripped: chart c's solve finds it.  A fixed point with x_c = 0
+    is a root of chart c's line step (:func:`_line_fixed_points`).  So the
+    first chart whose solve and line step both succeed finds every fixed
+    point, and certifies when they are all simple.  The later charts run
+    only when a chart fails (its error goes to ``failed``) or the count
+    falls short.
+
     The solve stops at the first chart after which the count certifies the
     points.  F has degree D = d^l, and when its fixed locus is finite it
     has E = (D^(k+1)-1)/(D-1) fixed points counted with multiplicity (E = 3
@@ -168,11 +195,13 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
       points.  On a curve V fixed pointwise, O(D)|V = F^*O(1)|V = O(1)|V,
       so O(D-1)|V, of degree (D-1) deg V > 0, would be trivial.
     - A linear map other than the identity fixes at most a line L and one
-      point off it.  No chart solve returns a point of L.  When L is not
+      point off it.  No chart returns a point of L.  When L is not
       {x_c = 0}, both equations of chart c keep L's form as a common
-      factor, so the solve raises and the chart is skipped.  When L is
-      {x_c = 0}, F_c is a multiple of x_c, and stripping x_c leaves forms
-      with no zero on L.  So the count stays at 1 or less, below E = 3.
+      factor, so the solve raises and the chart, line step included, is
+      skipped.  When L is {x_c = 0}, F_c is a multiple of x_c, stripping
+      x_c leaves forms with no zero on L, and the line step finds L fixed
+      pointwise and adds nothing.  So the count stays at 1 or less, below
+      E = 3.
 
     A certified point has multiplicity 1.  When the count falls short, all
     charts run; a point of P^1 then keeps its exact multiplicity as a root
@@ -181,7 +210,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     degrees exceed the configured budget.
 
     ``failed``, when given, receives ``(chart, error text)`` for each chart
-    of P^2 whose solve raised and was skipped.
+    of P^2 whose solve or line step raised and was skipped.
     """
     if l < 1:
         raise PeriodicError("period must be >= 1")
@@ -376,29 +405,27 @@ class AuditReport:
         return not self.violations
 
 
-def _audit_classes(label: str, classes):
+def _audit_classes(classes):
+    """The violations and findings of one point's classes, each message
+    without the point's label."""
     violations = []
     findings = []
     kinds = [c.kind for c in classes]
     for c in classes:
         if c.kind == "attracting-nonzero":
-            violations.append(
-                f"{label}: attracting non-zero eigenvalue {mpmath.nstr(c.value, 12)}")
+            violations.append(f"attracting non-zero eigenvalue {mpmath.nstr(c.value, 12)}")
         elif c.kind == "parabolic":
             violations.append(
-                f"{label}: root-of-unity eigenvalue {mpmath.nstr(c.value, 12)}"
-                f" (order {c.root_order})")
+                f"root-of-unity eigenvalue {mpmath.nstr(c.value, 12)} (order {c.root_order})")
         elif c.kind == "neutral-irrational-candidate":
             findings.append(
-                f"{label}: neutral eigenvalue {mpmath.nstr(c.value, 12)} is not a"
+                f"neutral eigenvalue {mpmath.nstr(c.value, 12)} is not a"
                 " root of unity within tolerance; undecidable numerically")
     if "repelling" not in kinds and any(k != "zero" for k in kinds):
         if "neutral-irrational-candidate" in kinds:
-            findings.append(
-                f"{label}: no repelling eigenvalue alongside undecided neutral values")
+            findings.append("no repelling eigenvalue alongside undecided neutral values")
         else:
-            violations.append(
-                f"{label}: non-nilpotent spectrum without a repelling eigenvalue")
+            violations.append("non-nilpotent spectrum without a repelling eigenvalue")
     return tuple(violations), tuple(findings)
 
 
@@ -428,10 +455,12 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
                     continue  # audited at its minimal period
                 spectrum = multipliers(m, pp.point, pp.period, precision, pp.orbit)
                 classes = classify(spectrum)
-                label = f"period {pp.period} point {_format_point(pp.point)}"
-                violations, findings = _audit_classes(label, classes)
-                verdicts.append(SpectrumVerdict(pp, spectrum, classes,
-                                                violations, findings))
+                violations, findings = _audit_classes(classes)
+                if violations or findings:  # the label costs three nstr calls
+                    label = f"period {pp.period} point {_format_point(pp.point)}"
+                    violations, findings = (tuple(f"{label}: {text}" for text in v)
+                                            for v in (violations, findings))
+                verdicts.append(SpectrumVerdict(pp, spectrum, classes, violations, findings))
                 all_violations.extend(violations)
                 all_findings.extend(findings)
     return AuditReport(tuple(verdicts), tuple(all_violations), tuple(all_findings))

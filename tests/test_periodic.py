@@ -515,16 +515,57 @@ class TestCountCertificate:
             assert len(pts) == want
             assert all(p.multiplicity == 1 for p in pts)
 
-    def test_squaring_certified_by_the_third_chart(self, monkeypatch):
-        # Every chart of x_i^(2^l) strips an x_c factor, which drops the
-        # fixed points on x_c = 0, so only the union of all three charts
-        # reaches the count.
+    def test_squaring_and_sym2_certified_by_one_chart(self, monkeypatch):
+        # Every chart of these maps strips an x_c factor, which drops the
+        # fixed points on x_c = 0; chart 0's line step finds those exactly,
+        # so one plane solve certifies.
         calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
-        for l, want in ((1, 7), (2, 21)):
-            del calls[:]
-            count = periodic.bezout_audit(_squaring_p2(), l, precision=256)
-            assert len(calls) == 3, l
-            assert (count.distinct, count.weighted, count.ok) == (want, want, True)
+        for m in (_squaring_p2(), _sym2()):
+            for l, want in ((1, 7), (2, 21)):
+                del calls[:]
+                count = periodic.bezout_audit(m, l, precision=256)
+                assert len(calls) == 1, l
+                assert (count.distinct, count.weighted, count.ok) == (want, want, True)
+
+    def test_line_step_when_the_line_is_not_invariant(self, monkeypatch):
+        # (x^2 + y^2 - z^2 : y (y + 2z) + x (2x + 2y - z) : z (y + 2z)) does
+        # not map x = 0 into itself, but x_1 F_2 - x_2 F_1 vanishes on it, so
+        # h is F_0 there: y^2 - z^2, whose roots (0 : 1 : +-1) are fixed.
+        # No factor x is stripped, so chart 0's solve finds them too and the
+        # merge keeps each once.
+        m = projmap.ProjectiveMap([
+            _p(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1}),
+            _p(3, 2, {(0, 2, 0): 1, (0, 1, 1): 2, (2, 0, 0): 2, (1, 1, 0): 2, (1, 0, 1): -1}),
+            _p(3, 2, {(0, 1, 1): 1, (0, 0, 2): 2})])
+        assert projmap.validate(m).verdict == "well-defined"
+        line = periodic._line_fixed_points(m, 0, 256)
+        assert sorted(line) == [(0, 1, -1), (0, 1, 1)]  # normalized
+        assert all(numeric.is_exact(pt) for pt in line)
+        calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
+        pts = periodic.find_periodic(m, 1, 256)
+        assert len(calls) == 1
+        assert len(pts) == 7
+        with mpmath.workprec(256):
+            assert all(any(numeric.proj_distance(pp.point, pt) == 0 for pp in pts) for pt in line)
+
+    def test_irrational_fixed_points_on_an_invariant_line(self, monkeypatch):
+        # (x^2 : y^2 - z^2 : z^2) keeps x = 0, where it is w -> w^2 - 1 with
+        # the fixed points (0 : 1 : 0) and (0 : phi : 1), phi^2 = phi + 1.
+        # The two golden-ratio points come back from the line as Points.
+        m = projmap.ProjectiveMap([_p(3, 2, {(2, 0, 0): 1}),
+                                   _p(3, 2, {(0, 2, 0): 1, (0, 0, 2): -1}),
+                                   _p(3, 2, {(0, 0, 2): 1})])
+        line = periodic._line_fixed_points(m, 0, 256)
+        assert [numeric.is_exact(pt) for pt in line] == [True, False, False]
+        assert line[0] == (0, 1, 0)
+        with mpmath.workprec(256):
+            for pt, phi in zip(line[1:], sorted((1 + s * mpmath.sqrt(5)) / 2 for s in (1, -1))):
+                assert isinstance(pt, numeric.Point) and pt[0] == 0
+                assert numeric.proj_distance(pt, (0, phi, 1)) < mpmath.mpf(10) ** -70
+        calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
+        count = periodic.bezout_audit(m, 1, precision=256)
+        assert len(calls) == 1
+        assert (count.distinct, count.weighted, count.ok) == (7, 7, True)
 
     def test_linear_map_fixing_a_line_stays_short(self):
         # (2x : x + y : x + z) fixes the line x = 0 pointwise and (1 : 1 : 1).
@@ -644,6 +685,47 @@ class TestCoordinateChangeInvariance:
                         match = next(s for s in left if all(
                             abs(a - b) < float(tol) * max(1, abs(b)) for a, b in zip(spectrum, s)))
                         left.remove(match)
+
+    def test_one_chart_and_its_line_hold_every_chart_solve(self):
+        # Seeded: on conjugates of squaring-p2, fs-1992-a and Sym^2 by A, B
+        # and three matrices with entries in -2..2, zeros included, the
+        # verified points of chart 0's solve and its line x0 = 0 are those
+        # of the three charts' solves together, within dedup.
+        precision, rng = 256, random.Random(29)
+        tol = numeric.tolerances(precision)
+        matrices = [A_ROWS, B_ROWS]
+        while len(matrices) < 5:
+            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            if projmap.exact_rank(rows) == 3 and any(0 in row for row in rows):
+                matrices.append(rows)
+
+        def chart_solve(big, c):
+            eqs = [poly.strip_var(poly.variable(3, c) * big.comps[i]
+                                  - poly.variable(3, i) * big.comps[c], c)
+                   for i in range(3) if i != c]
+            return numeric.solve_pair_p2(*eqs, precision)
+
+        def verified(big, pts):
+            forms, kept = numeric.compile_forms(big.comps), numeric.PointSet(precision)
+            for pt in pts:
+                pt = numeric.normalize_point(pt)[0]
+                if numeric.proj_distance(numeric.map_point(forms, pt)[1], pt) < tol.verify:
+                    kept.add(pt)
+            return kept.points
+
+        with mpmath.workprec(precision):
+            for base in (_squaring_p2(), _fs(), _sym2()):
+                for rows in matrices:
+                    g = _conjugate(base, rows)
+                    for l in (1, 2):
+                        big, failed = projmap.iterate(g, l), []
+                        one = verified(big, next(periodic._fixed_point_candidates_p2(
+                            big, precision, failed)))
+                        assert failed == [], (rows, l)
+                        union = verified(big, [pt for c in range(3) for pt in chart_solve(big, c)])
+                        assert len(one) == len(union) == periodic._fixed_point_count(g, l), (rows, l)
+                        assert all(any(numeric.proj_distance(p, q) < tol.dedup for q in union)
+                                   for p in one), (rows, l)
 
     def test_equal_moduli_spectra_match_entry_by_entry(self):
         # Sym^2 has multipliers +-2 at one fixed point; their order must
