@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 from . import catalog, fatou, numeric, pcf, periodic, poly, projmap
 
@@ -32,6 +33,11 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
 EXIT_NO_CANDIDATES = 5
+
+# Each part of a complex value in a report is rounded to this many bits,
+# then printed to 17 digits: a double's digits, whatever the working
+# precision.  Residuals are printed from their full precision.
+REPORT_PRECISION = 53
 
 REPORT_KEYS = (
     "map", "pcf", "tower", "transversality", "containment",
@@ -152,18 +158,26 @@ def _nstr(v) -> str:
     return mpmath.nstr(mpmath.mpf(v) if not isinstance(v, (mpmath.mpf, mpmath.mpc)) else v, 17)
 
 
+def _parts_json(parts) -> list:
+    """A pair of libmp parts as [re, im] decimal strings, each part rounded
+    to REPORT_PRECISION bits and printed to 17 digits."""
+    return [to_str(mpf_pos(x, REPORT_PRECISION, round_nearest), 17) for x in parts]
+
+
 def _cnum(v):
-    """A complex value as a [re, im] pair of decimal strings."""
-    z = mpmath.mpc(v)
-    return [mpmath.nstr(z.real, 17), mpmath.nstr(z.imag, 17)]
+    """A complex value as a [re, im] pair of decimal strings (:func:`_parts_json`)."""
+    parts = getattr(v, "_mpc_", None)
+    if parts is None:
+        with mpmath.workprec(REPORT_PRECISION):
+            parts = mpmath.mpc(v)._mpc_
+    return _parts_json(parts)
 
 
 def _point_json(coords):
-    out = []
+    if isinstance(coords, numeric.Point):
+        return [_parts_json(pair) for pair in coords.parts]
     exact = all(isinstance(c, (int, Fraction)) for c in coords)
-    for c in coords:
-        out.append(str(Fraction(c)) if exact else _cnum(c))
-    return out
+    return [str(Fraction(c)) if exact else _cnum(c) for c in coords]
 
 
 def _map_json(source: str, mapfile: dict, vr: projmap.ValidationResult):
@@ -248,14 +262,16 @@ def _degree_json(checks):
 def _periodic_json(max_period: int, rows, audit: periodic.AuditReport):
     points = []
     for v in audit.verdicts:
+        # classify keeps each spectrum value, so a class prints as its entry
+        spectrum = [_cnum(lam) for lam in v.spectrum]
         points.append({
             "point": _point_json(v.point.point),
             "period": v.point.period,
             "residual": _nstr(v.point.residual),
             "multiplicity": v.point.multiplicity,
-            "spectrum": [_cnum(lam) for lam in v.spectrum],
-            "classes": [{"kind": c.kind, "value": _cnum(c.value),
-                         "root_order": c.root_order} for c in v.classes],
+            "spectrum": spectrum,
+            "classes": [{"kind": c.kind, "value": text, "root_order": c.root_order}
+                        for c, text in zip(v.classes, spectrum)],
             "violations": list(v.violations),
             "findings": list(v.findings),
         })
@@ -418,10 +434,9 @@ def cmd_periodic(args) -> int:
     work, precision, code = _load_and_validate(args, report)
     if work is None:
         return code
-    failed = [[] for _ in range(args.period)]  # (chart, error) per period
+    failed = [[] for _ in range(args.period)]  # (chart, error) per solved period
     try:
-        found = [periodic.find_periodic(work, q, precision, failed=failed[q - 1])
-                 for q in range(1, args.period + 1)]
+        found = periodic.find_periods(work, args.period, precision, failed)
         audit = periodic.eigenvalue_audit(work, args.period, precision, found)
         rows = [periodic.bezout_audit(work, q, pts, precision)
                 for q, pts in enumerate(found, 1)]

@@ -215,23 +215,32 @@ class Point(Sequence):
     """A normalized projective point from :func:`normalize_point`.
 
     ``fixed`` holds its coordinates as Gaussian integers scaled by 2^width,
-    the one at ``pivot`` exactly 2^width.  As a sequence it holds them
-    rounded to mpc at width - GUARD_BITS bits, made at the first use.
+    the one at ``pivot`` exactly 2^width.  ``parts`` holds them as pairs of
+    libmp mpf, each rounded to nearest at width - GUARD_BITS bits, and as a
+    sequence it holds them as mpc built from those parts; both are made at
+    the first use.
     """
 
-    __slots__ = ("fixed", "pivot", "width", "_coords")
+    __slots__ = ("fixed", "pivot", "width", "_parts", "_coords")
 
     def __init__(self, fixed: tuple, pivot: int, width: int):
-        self.fixed, self.pivot, self.width, self._coords = fixed, pivot, width, None
+        self.fixed, self.pivot, self.width = fixed, pivot, width
+        self._parts = self._coords = None
+
+    @property
+    def parts(self) -> tuple:
+        if self._parts is None:
+            prec = self.width - GUARD_BITS
+            self._parts = tuple(tuple(from_man_exp(x, -self.width, prec, round_nearest) for x in v)
+                                for v in self.fixed)
+        return self._parts
 
     def __len__(self):
         return len(self.fixed)
 
     def __getitem__(self, i):
         if self._coords is None:
-            prec = self.width - GUARD_BITS
-            self._coords = tuple(mpmath.mp.make_mpc(tuple(
-                from_man_exp(x, -self.width, prec, round_nearest) for x in v)) for v in self.fixed)
+            self._coords = tuple(map(mpmath.mp.make_mpc, self.parts))
         return self._coords[i]
 
 
@@ -329,6 +338,7 @@ class PointSet:
 # -- root finding ----------------------------------------------------------
 
 SWEEPS = 200  # an Aberth run that still moves after this many sweeps fails
+STALL_SWEEPS = 8  # a watched run whose largest correction has not shrunk for this many sweeps stalls
 SEED_BITS = 48  # the target of the low-width run
 SEED_ANGLE = 0.7  # rotation that keeps start points off the real axis
 
@@ -387,11 +397,17 @@ def _polyroots(coeffs, precision: int):
     start points, then at the full width from where it stopped.  A run with
     a target of b bits (SEED_BITS, then the precision p) works at b + the
     coefficients' range in bits + the largest |log2| of a start radius +
-    GUARD_BITS.  As in mpmath's clean-up, a root of modulus below 2^(1-p)
-    becomes 0 and a part below it is dropped; each part is rounded to p
-    bits.  The roots are ordered by |imaginary part|, real part, then
-    imaginary part, values within dedup tied (:func:`canonical_order`).
-    Raises NumericalError when a run does not converge.
+    GUARD_BITS.  That width need not cover 1/|p'| at a root: there |p|
+    rounds to one unit of 2^-width and the Newton quotient stops above the
+    target.  So a full-width run that stalls, g bits above its target, is
+    continued from where it stopped at a width g + GUARD_BITS wider, as
+    MPSolve raises its precision (Bini and Fiorentino 2000); a run that
+    converges keeps its width.  As in mpmath's clean-up, a root of modulus
+    below 2^(1-p) becomes 0 and a part below it is dropped; each part is
+    rounded to p bits.  The roots are ordered by |imaginary part|, real
+    part, then imaginary part, values within dedup tied
+    (:func:`canonical_order`).  Raises NumericalError when a run does not
+    converge, or when the widened run stalls too.
     """
     n = max(k for k, c in enumerate(coeffs) if c != (0, 0))
     zeros, coeffs = len(coeffs) - 1 - n, coeffs[:n + 1]
@@ -401,12 +417,21 @@ def _polyroots(coeffs, precision: int):
         mags = [(abs(x) | abs(y)).bit_length() + bool(x and y) for x, y in coeffs if x or y]
         top, (start, reach) = max(mags), _newton_polygon_start(coeffs, precision)
         spare, width = top - min(mags) + reach + GUARD_BITS, 0
-        for bits in (min(SEED_BITS, precision), precision):
-            shift, width, k = bits + spare - width, bits + spare, bits + spare - top
+
+        def run(bits: int, wider: int, watch: bool):
+            """Sweep z at the width ``wider``, from where it stands."""
+            nonlocal z, width
+            shift, width, k = wider - width, wider, wider - top
             z = [(x << shift, y << shift) for x, y in z] or [
                 (int(mpmath.ldexp(x, width)), int(mpmath.ldexp(y, width))) for x, y in start]
-            _sweeps([(x << k, y << k) if k >= 0 else (x >> -k, y >> -k) for x, y in coeffs],
-                    z, width, bits)
+            return _sweeps([(x << k, y << k) if k >= 0 else (x >> -k, y >> -k) for x, y in coeffs],
+                           z, width, bits, watch)
+
+        run(min(SEED_BITS, precision), min(SEED_BITS, precision) + spare, False)
+        gap = run(precision, precision + spare, True)
+        if gap is not None and (gap := run(precision, width + gap + GUARD_BITS, True)) is not None:
+            raise NumericalError(f"polynomial root finding stalled {gap} bits above its target"
+                                 f" at a width of {width} bits")
         tol = 1 << (width + 1 - precision)
         z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
              else (0, y) if abs(x) < tol else (x, y) for x, y in z]
@@ -448,7 +473,7 @@ def _newton_polygon_start(coeffs, precision: int):
     return z, reach
 
 
-def _sweeps(a, z, width: int, bits: int) -> None:
+def _sweeps(a, z, width: int, bits: int, watch: bool) -> Optional[int]:
     """Gauss-Seidel Aberth-Ehrlich iteration (Aberth 1973) on the points z,
     in place, in fixed point: x + iy is the pair of integers 2^width (x, y).
 
@@ -456,12 +481,15 @@ def _sweeps(a, z, width: int, bits: int) -> None:
     point stops once its correction falls below 2^-bits max(1, |z|).
     Outside the unit disc p is evaluated through its reversal r at w = 1/z,
     so no power of z grows: there p/p' = z r(w) / (n r(w) - w r'(w)).
+    Returns None once every point has stopped.  With ``watch``, a run whose
+    largest correction among the moving points, g bits above the target,
+    has not shrunk for STALL_SWEEPS sweeps stops there and returns g.
     Raises NumericalError when a point still moves after SWEEPS sweeps.
     """
     n, one, two = len(a) - 1, 1 << width, 2 * width
-    moving = range(n)
+    moving, least, flat = range(n), None, 0  # the least largest correction, and sweeps since
     for _ in range(SWEEPS):
-        still = []
+        still, gap = [], None
         for i in moving:
             zr, zi = z[i]
             size = zr * zr + zi * zi
@@ -484,11 +512,17 @@ def _sweeps(a, z, width: int, bits: int) -> None:
             cr, ci = gauss_quotient((nr, ni), (one - ((nr * sr - ni * si) >> width),
                                           -((nr * si + ni * sr) >> width)), width)
             z[i] = zr - cr, zi - ci  # by N / (1 - N S)
-            if (cr * cr + ci * ci) << (2 * bits) >= max(one * one, size):
+            if (step := (cr * cr + ci * ci) << (2 * bits)) >= (scale := max(one * one, size)):
                 still.append(i)
+                # the correction's bits above the target, rounded up
+                gap = max(gap or 0, (step.bit_length() - scale.bit_length() + 2) // 2)
         moving = still
         if not moving:
-            return
+            return None
+        if watch:
+            least, flat = (gap, 0) if least is None or gap < least else (least, flat + 1)
+            if flat == STALL_SWEEPS:
+                return gap
     raise NumericalError(f"polynomial root finding did not converge in {SWEEPS} sweeps")
 
 

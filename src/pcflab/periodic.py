@@ -20,10 +20,14 @@ flag undecidable neutral values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import mpmath
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add,
+                          mpc_div_mpf, mpc_mul, mpc_mul_int, mpc_pos, mpc_sqrt, mpc_sub,
+                          mpc_sub_mpf, mpf_abs, mpf_gt, mpf_lt, mpf_mul, mpf_pow_int, mpf_sub,
+                          to_float)
 
 from . import numeric, poly, projmap
 from .projmap import ProjectiveMap
@@ -68,9 +72,17 @@ class EigenClass:
 
 
 def _point_sort_key(coords, floor):
-    """Real, then imaginary parts; a part below ``floor`` in modulus counts as 0."""
-    return tuple(tuple(0.0 if abs(x) < floor else float(x)
-                       for x in (mpmath.re(c), mpmath.im(c))) for c in coords)
+    """Real, then imaginary parts; a part below ``floor`` in modulus counts as 0.
+
+    A :class:`numeric.Point` is read from its rounded libmp parts, any other
+    coordinates as mpc.
+    """
+    parts = (coords.parts if isinstance(coords, numeric.Point)
+             else [(mpmath.re(c)._mpf_, mpmath.im(c)._mpf_) for c in coords])
+    prec, rnd = mpmath.mp._prec_rounding
+    floor = floor._mpf_
+    return tuple(tuple(0.0 if mpf_lt(mpf_abs(x, prec, rnd), floor) else to_float(x, rnd=rnd)
+                       for x in pair) for pair in parts)
 
 
 def _walk(forms, start, steps: int):
@@ -163,6 +175,15 @@ def _fixed_point_count(m: ProjectiveMap, l: int) -> int:
     return sum((m.d**l) ** j for j in range(m.k + 1))
 
 
+def _check_budget(m: ProjectiveMap, l: int) -> None:
+    """Raise BudgetError when period l's eliminant degree exceeds the budget."""
+    if (m.d**l + 1) ** m.k > ELIMINATION_BUDGET:
+        raise BudgetError(
+            f"period {l} needs eliminant degree ({m.d}^{l}+1)^{m.k} "
+            f"> {ELIMINATION_BUDGET}"
+        )
+
+
 def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
                   failed: Optional[list] = None):
     """All points of period dividing l, with minimal periods, by elimination.
@@ -215,11 +236,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     if l < 1:
         raise PeriodicError("period must be >= 1")
     precision = numeric.resolve_precision(precision)
-    if (m.d**l + 1) ** m.k > ELIMINATION_BUDGET:
-        raise BudgetError(
-            f"period {l} needs eliminant degree ({m.d}^{l}+1)^{m.k} "
-            f"> {ELIMINATION_BUDGET}"
-        )
+    _check_budget(m, l)
     big = projmap.iterate(m, l)
     expected = _fixed_point_count(m, l)
     with mpmath.workprec(precision):
@@ -257,6 +274,65 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
     return out
 
 
+def find_periods(m: ProjectiveMap, max_period: int, precision: Optional[int],
+                 failed: Optional[list]) -> list:
+    """``find_periodic(m, l)`` for l = 1..max_period, each set solved once.
+
+    Periods are taken from max_period down.  A period q that divides a
+    larger period r whose solve certified, every multiplicity 1, is not
+    solved: its points are r's points whose minimal period divides q, each
+    with multiplicity 1, its orbit, and the residual |f^q(p) - p| of a
+    q-step walk from r's representative, as find_periodic(q) computes it
+    for that representative.  The smallest such r is used.  Every other
+    period is solved by find_periodic.  That is the same set of points:
+
+    - f^q's fixed points are exactly f^r's fixed points whose minimal
+      period divides q, since f^r = (f^q)^(r/q) and a point fixed by f^r
+      has f^q(p) = p just when its minimal period divides q.
+    - A certified count means that every fixed point of f^r was found, and
+      that each is simple (:func:`find_periodic`).
+    - A simple fixed point of f^r is simple for f^q: if D(f^q) at p had an
+      eigenvalue 1, then 1^(r/q) = 1 would be an eigenvalue of
+      D(f^r) = D(f^q)^(r/q).  On P^1, where multiplicities are exact, the
+      same holds for the multiplicity of p as a root of the fixed form,
+      which is 1 just when the multiplier is not 1.
+
+    The multiplicity rule matters: z -> z^2 - 3/4 has a fixed point of
+    multiplier -1, of multiplicity 3 for f^2, so its period 1 is solved.
+
+    Every period's elimination budget is checked first, from period 1 up,
+    so a run that exceeds it names the same period as solving 1..max_period
+    in order would.  ``failed``, when given, holds one list per period:
+    ``failed[l-1]`` receives the chart errors of period l's solve, as in
+    find_periodic; a period read off a larger one gets none.
+    """
+    precision = numeric.resolve_precision(precision)
+    for l in range(1, max_period + 1):
+        _check_budget(m, l)
+    found = [None] * max_period
+    certified = set()  # the solved periods whose counts certified
+    for q in range(max_period, 0, -1):
+        r = next((r for r in range(2 * q, max_period + 1, q) if r in certified), None)
+        if r is None:
+            pts = find_periodic(m, q, precision, None if failed is None else failed[q - 1])
+            if (len(pts) == _fixed_point_count(m, q)
+                    and all(p.multiplicity == 1 for p in pts)):
+                certified.add(q)
+        else:
+            pts = _divisor_points(m, found[r - 1], q, precision)
+        found[q - 1] = pts
+    return found
+
+
+def _divisor_points(m: ProjectiveMap, points, q: int, precision: int) -> list:
+    """The points of period dividing q among a certified larger period's,
+    each with the residual of a q-step walk, in their order."""
+    with mpmath.workprec(precision):
+        forms = numeric.compile_forms(m.comps)
+        return [replace(p, residual=numeric.proj_distance(_walk(forms, p.point, q)[1], p.point))
+                for p in points if q % p.period == 0]
+
+
 # -- multipliers --------------------------------------------------------------
 
 
@@ -292,18 +368,28 @@ def _eigenvalues(matrix, width: int):
     """Eigenvalues of the 1x1 or 2x2 fixed-point derivative of a map of P^1
     or P^2, as mpc.  A discriminant tr^2 - 4 det below (dedup max(1, |tr|))^2
     in modulus is taken as 0, so eigenvalues within dedup of each other
-    come out equal instead of apart by the square root of rounding noise."""
-    prec = mpmath.mp.prec
-    matrix = [[mpmath.mpc(mpmath.mpf((x, -width)), mpmath.mpf((y, -width))) for x, y in row]
-              for row in matrix]
-    if len(matrix) == 1:
-        return (matrix[0][0],)
-    tr = matrix[0][0] + matrix[1][1]
-    disc = tr * tr - 4 * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
-    if mpmath.fabs(disc) < (numeric.tolerances(prec).dedup * max(1, mpmath.fabs(tr))) ** 2:
-        disc = mpmath.mpc(0)
-    root = mpmath.sqrt(disc)
-    return ((tr + root) / 2, (tr - root) / 2)
+    come out equal instead of apart by the square root of rounding noise.
+
+    The arithmetic is libmp's, each call the one mpmath's operators make
+    for (tr +- sqrt(tr^2 - 4 (ad - bc))) / 2 at the working precision, in
+    their order, so the bits are those of the operator expression.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    m = [[(from_man_exp(x, -width, prec, rnd), from_man_exp(y, -width, prec, rnd)) for x, y in row]
+         for row in matrix]
+    if len(m) == 1:
+        return (mpmath.mp.make_mpc(m[0][0]),)
+    (a, b), (c, d) = m
+    tr = mpc_add(a, d, prec, rnd)
+    det = mpc_sub(mpc_mul(a, d, prec, rnd), mpc_mul(b, c, prec, rnd), prec, rnd)
+    disc = mpc_sub(mpc_mul(tr, tr, prec, rnd), mpc_mul_int(det, 4, prec, rnd), prec, rnd)
+    dedup, size = numeric.tolerances(prec).dedup._mpf_, mpc_abs(tr, prec, rnd)
+    scale = mpf_mul(dedup, size, prec, rnd) if mpf_gt(size, fone) else dedup  # dedup has p bits
+    if mpf_lt(mpc_abs(disc, prec, rnd), mpf_pow_int(scale, 2, prec, rnd)):
+        disc = (fzero, fzero)
+    root, two = mpc_sqrt(disc, prec, rnd), from_int(2)
+    return tuple(mpmath.mp.make_mpc(mpc_div_mpf(op(tr, root, prec, rnd), two, prec, rnd))
+                 for op in (mpc_add, mpc_sub))
 
 
 def _compiled_partials(m: ProjectiveMap):
@@ -353,28 +439,39 @@ def multipliers(m: ProjectiveMap, point, period: int,
 # -- classification and audits ------------------------------------------------
 
 
+# the bands as mpmath compares a float with an mpf
+_BANDS = tuple(from_float(e) for e in (EPS_ZERO, EPS_NEUTRAL, EPS_ROOT))
+
+
 def classify(spectrum):
     """Classification of each eigenvalue in the bands EPS_ZERO, EPS_NEUTRAL,
-    EPS_ROOT and Q_MAX, which the ``bounds`` section of a report lists."""
+    EPS_ROOT and Q_MAX, which the ``bounds`` section of a report lists.
+
+    Each value is taken as an mpc at the working precision and compared in
+    libmp, each call the one mpmath's operators make, so the verdicts and
+    values are those of the operator expressions.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    eps_zero, eps_neutral, eps_root = _BANDS
     out = []
     for lam in spectrum:
-        lam = numeric.mpc_from(lam)
-        mod = mpmath.fabs(lam)
-        if mod < EPS_ZERO:
+        z = (mpc_pos(lam._mpc_, prec, rnd) if isinstance(lam, mpmath.mpc)
+             else numeric.mpc_from(lam)._mpc_)
+        lam, mod = mpmath.mp.make_mpc(z), mpc_abs(z, prec, rnd)
+        if mpf_lt(mod, eps_zero):
             out.append(EigenClass(lam, "zero"))
-        elif mpmath.fabs(mod - 1) < EPS_NEUTRAL:
-            order = None
-            power = mpmath.mpc(1)
+        elif mpf_lt(mpf_abs(mpf_sub(mod, fone, prec, rnd), prec, rnd), eps_neutral):
+            order, power = None, (fone, fzero)
             for q in range(1, Q_MAX + 1):
-                power *= lam
-                if mpmath.fabs(power - 1) < EPS_ROOT:
+                power = mpc_mul(power, z, prec, rnd)
+                if mpf_lt(mpc_abs(mpc_sub_mpf(power, fone, prec, rnd), prec, rnd), eps_root):
                     order = q
                     break
             if order is not None:
                 out.append(EigenClass(lam, "parabolic", order))
             else:
                 out.append(EigenClass(lam, "neutral-irrational-candidate"))
-        elif mod < 1:
+        elif mpf_lt(mod, fone):
             out.append(EigenClass(lam, "attracting-nonzero"))
         else:
             out.append(EigenClass(lam, "repelling"))
@@ -436,7 +533,7 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
     """Audit every periodic point of period <= max_period.
 
     ``points[l-1]``, when given, is the result of ``find_periodic(m, l)``
-    for l = 1..max_period; otherwise each period is solved here.  A point
+    for l = 1..max_period; otherwise :func:`find_periods` finds them.  A point
     is audited once, in the call for its minimal period, whose points are
     distinct already.  Hard violations are attracting non-zero or
     root-of-unity eigenvalues, and non-nilpotent spectra with no repelling
@@ -447,10 +544,11 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
     verdicts = []
     all_violations = []
     all_findings = []
+    if points is None:
+        points = find_periods(m, max_period, precision, None)
     with mpmath.workprec(precision):
         for l in range(1, max_period + 1):
-            found = find_periodic(m, l, precision) if points is None else points[l - 1]
-            for pp in found:
+            for pp in points[l - 1]:
                 if pp.period != l:
                     continue  # audited at its minimal period
                 spectrum = multipliers(m, pp.point, pp.period, precision, pp.orbit)

@@ -428,20 +428,34 @@ class TestPeriodic:
 
         monkeypatch.setattr(periodic, "find_periodic", find)
         monkeypatch.setattr(numeric, "solve_pair_p2", solve)
-        code, report, err = _report(capsys, "periodic", "catalog:fs-1992-a",
-                                    "--period", "2")
-        assert code == cli.EXIT_OK
-        findings = report["theorem_b"]["findings"]
-        for q in (1, 2):
-            line = (f"period {q}: the solve in chart 0 (x0 = 1) failed and was"
+        # At --period 2 the period-1 points are read off the certified
+        # period-2 solve, so only period 2 is solved and has a finding.
+        for period, count in (("1", 7), ("2", 21)):
+            del solves[:]
+            code, report, err = _report(capsys, "periodic", "catalog:fs-1992-a",
+                                        "--period", period)
+            assert code == cli.EXIT_OK
+            line = (f"period {period}: the solve in chart 0 (x0 = 1) failed and was"
                     " skipped: forced chart failure")
-            assert findings.count(line) == 1
+            assert report["theorem_b"]["findings"] == [line]
             assert f"FINDING: {line}" in err
-        # Chart 1 and its line x1 = 0 find and certify every point, so no
-        # third solve runs.
-        assert solves == [2, 2]
-        assert all(b["ok"] for b in report["periodic"]["bezout"])
-        assert len(report["periodic"]["points"]) == 21
+            # Chart 1 and its line x1 = 0 find and certify every point, so
+            # no third solve runs.
+            assert solves == [2]
+            assert all(b["ok"] for b in report["periodic"]["bezout"])
+            assert len(report["periodic"]["points"]) == count
+
+    def test_report_ignores_the_ambient_precision(self, capsys):
+        # Complex parts are printed from REPORT_PRECISION bits, so a caller
+        # that changed mpmath's working precision gets a default run's bytes.
+        default = _run(capsys, "periodic", "catalog:fs-1992-a", "--period", "1")
+        old = mpmath.mp.prec
+        mpmath.mp.prec = 100
+        try:
+            changed = _run(capsys, "periodic", "catalog:fs-1992-a", "--period", "1")
+        finally:
+            mpmath.mp.prec = old
+        assert changed == default and default[0] == cli.EXIT_OK
 
     def test_violations_reach_stderr(self, tmp_path, capsys):
         data = {

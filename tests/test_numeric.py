@@ -772,10 +772,11 @@ class TestCanonicalOrder:
         real = numeric._sweeps
         orders = []
         for shuffle in (lambda r: r, lambda r: r[::-1], lambda r: [(x, -y) for x, y in r]):
-            def sweeps(a, z, width, bits, shuffle=shuffle):
-                real(a, z, width, bits)
+            def sweeps(a, z, width, bits, watch, shuffle=shuffle):
+                gap = real(a, z, width, bits, watch)
                 if bits == 256:  # the full-width run
                     z[:] = shuffle(z)
+                return gap
 
             monkeypatch.setattr(numeric, "_sweeps", sweeps)
             with mpmath.workprec(256):

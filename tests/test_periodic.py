@@ -1,5 +1,6 @@
 """Periodic points, multiplier spectra, classification, counting audits."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -70,6 +71,12 @@ def _mat_vec(rows, vec):
 # Matrices whose conjugates of the squaring maps exposed periodic-solver faults.
 A_ROWS = [[3, 0, 0], [2, 3, 1], [0, -2, -1]]
 B_ROWS = [[1, -3, 3], [2, -2, 3], [1, -2, 2]]
+
+
+def _three_quarters():
+    """z -> z^2 - 3/4: its fixed point -1/2 has multiplier -1, so it is a
+    fixed point of multiplicity 3 of f^2 and of every even iterate."""
+    return projmap.ProjectiveMap([_p(2, 2, {(2, 0): 4, (0, 2): -3}), _p(2, 2, {(0, 2): 4})])
 
 
 def _count_calls(monkeypatch, module, name):
@@ -272,6 +279,165 @@ class TestFindPeriodic:
             periodic.find_periodic(ident, 1)
 
 
+class TestFindPeriods:
+    @staticmethod
+    def _check(m, max_period, precision=256):
+        """find_periods(m, L) against find_periodic(m, q) for each q <= L."""
+        tol = numeric.tolerances(precision)
+        found = periodic.find_periods(m, max_period, precision, None)
+        assert len(found) == max_period
+        for q, got in enumerate(found, 1):
+            want = periodic.find_periodic(m, q, precision)
+            assert len(got) == len(want), q
+            with mpmath.workprec(precision):
+                forms = numeric.compile_forms(m.comps)
+                for g in got:
+                    # the residual of a q-step walk from the point as it is
+                    end = periodic._walk(forms, g.point, q)[1]
+                    assert g.residual == numeric.proj_distance(end, g.point), q
+                    w = min(want, key=lambda w: numeric.proj_distance(w.point, g.point))
+                    assert numeric.proj_distance(w.point, g.point) < tol.dedup, q
+                    assert (g.period, g.multiplicity) == (w.period, w.multiplicity), q
+                    assert g.residual < tol.verify, q
+                    for a, b in zip(*(periodic.multipliers(m, x.point, x.period, precision, x.orbit)
+                                      for x in (g, w))):
+                        assert mpmath.fabs(a - b) < tol.dedup * max(1, mpmath.fabs(b)), q
+        return found
+
+    def test_plane_maps_and_conjugates(self):
+        # Seeded: squaring-p2, fs-1992-a and Sym^2, and their conjugates by
+        # A and by two matrices with entries in -2..2, at L = 2.
+        rng, matrices = random.Random(30), [A_ROWS]
+        while len(matrices) < 3:
+            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            if projmap.exact_rank(rows) == 3:
+                matrices.append(rows)
+        for base in (_squaring_p2(), _fs(), _sym2()):
+            for m in [base] + [_conjugate(base, rows) for rows in matrices]:
+                self._check(m, 2)
+
+    def test_squaring_p2_to_period_3(self):
+        self._check(_squaring_p2(), 3)
+
+    @pytest.mark.parametrize("make", [_squaring_p1, _three_quarters])
+    def test_line_maps_to_period_6(self, make):
+        self._check(make(), 6)
+
+    def test_multiple_fixed_point_is_solved_directly(self, monkeypatch):
+        # z^2 - 3/4's period-2 count cannot certify (the fixed point -1/2
+        # counts 3 times), so period 1 is solved, and its multiplicities
+        # are find_periodic's.
+        calls = _count_calls(monkeypatch, periodic, "find_periodic")
+        found = periodic.find_periods(_three_quarters(), 2, 256, None)
+        assert [args[1] for args in calls] == [2, 1]
+        assert sorted(p.multiplicity for p in found[1]) == [1, 1, 3]
+        assert sorted(p.multiplicity for p in found[0]) == [1, 1, 1]
+
+    def test_short_count_solves_the_lower_period(self, monkeypatch):
+        # One point dropped from period 2's result: its count falls short,
+        # so period 1 is solved directly, with its own failures list.
+        real = periodic.find_periodic
+        calls = []
+
+        def find(m, l, precision, failed):
+            calls.append(l)
+            pts = real(m, l, precision, failed)
+            return pts[:-1] if l == 2 else pts
+
+        monkeypatch.setattr(periodic, "find_periodic", find)
+        failed = [[], []]
+        found = periodic.find_periods(_fs(), 2, 256, failed)
+        assert calls == [2, 1]
+        assert [len(pts) for pts in found] == [7, 20]
+        assert failed == [[], []]
+
+    @pytest.mark.parametrize("top", range(2, 7))
+    def test_cli_solves_only_the_upper_half(self, top, monkeypatch, tmp_path):
+        # Every q <= L/2 has a multiple in (L/2, L], which certifies on P^1.
+        calls = _count_calls(monkeypatch, periodic, "find_periodic")
+        out = tmp_path / "report.json"
+        code = cli.main(["periodic", "catalog:squaring-p1", "--period", str(top),
+                         "--report", str(out)])
+        assert code == cli.EXIT_OK
+        assert [args[1] for args in calls] == list(range(top, top // 2, -1))
+        assert all(b["ok"] for b in json.loads(out.read_text())["periodic"]["bezout"])
+
+    def test_budget_error_names_the_first_period_over_it(self):
+        # fs-1992-a's period 4 exceeds the budget: the error names it
+        # before any period is solved, as an ascending run would.
+        with pytest.raises(periodic.BudgetError, match="period 4 needs"):
+            periodic.find_periods(_fs(), 5, 256, None)
+
+
+def _b_conjugate_piece():
+    """The first degree-60 polynomial that the period-3 solve of adj(B) o
+    squaring-p2 o B hands to _polyroots, as its Gaussian-integer
+    coefficients; the solve stops there."""
+    class Found(Exception):
+        pass
+
+    real = numeric._polyroots
+
+    def capture(coeffs, precision):
+        if len(coeffs) == 61:
+            raise Found(coeffs)
+        return real(coeffs, precision)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_polyroots", capture)
+        with pytest.raises(Found) as info:
+            periodic.find_periodic(_conjugate(_squaring_p2(), B_ROWS), 3, 256)
+    return info.value.args[0]
+
+
+class TestStalledRootFinding:
+    def test_stalled_run_continues_wider(self, monkeypatch):
+        # A square-free integer form with coefficients of up to 163 bits
+        # and well-separated roots.  At the full width some points' |p| rounds
+        # to one unit while |p'| is tiny, so the Newton quotient stalls
+        # above the target; the run goes on from there at a width wider by
+        # the gap plus GUARD_BITS, and converges.
+        coeffs = _b_conjugate_piece()
+        assert all(y == 0 for _x, y in coeffs)
+        real, runs = numeric._sweeps, []
+
+        def sweeps(a, z, width, bits, watch):
+            gap = real(a, z, width, bits, watch)
+            runs.append((width, bits, watch, gap))
+            return gap
+
+        monkeypatch.setattr(numeric, "_sweeps", sweeps)
+        roots, width = numeric._polyroots(coeffs, 256)
+        (_w, bits, watch, gap), (full, _b, watched, stall), (wider, _b2, rewatched, end) = runs
+        assert (bits, watch, gap) == (numeric.SEED_BITS, False, None)
+        assert watched and rewatched and stall > 0 and end is None
+        assert width == wider == full + stall + numeric.GUARD_BITS
+        assert len(roots) == 60
+        values = [complex(x / 2 ** width, y / 2 ** width) for x, y in roots]
+        assert min(abs(u - v) for i, u in enumerate(values) for v in values[:i]) > 0.01
+        # each root is within 2^-240 of a root of p: |p / p'| at 1024 bits
+        with mpmath.workprec(1024):
+            ints = [x for x, _y in coeffs]
+            for x, y in roots:
+                z = mpmath.mpc(mpmath.mpf((x, -width)), mpmath.mpf((y, -width)))
+                value, slope = mpmath.polyval(ints, z, derivative=True)
+                assert mpmath.fabs(value / slope) < mpmath.ldexp(max(1, mpmath.fabs(z)), -240)
+
+    def test_b_conjugate_certifies_at_period_3(self, monkeypatch, tmp_path):
+        # The widened run lets chart 0 certify every period of adj(B) o
+        # squaring-p2 o B up to 3; period 1 is read off period 2.
+        path, out = tmp_path / "conj.json", tmp_path / "report.json"
+        path.write_text(json.dumps(catalog.to_mapfile(_conjugate(_squaring_p2(), B_ROWS))))
+        calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
+        code = cli.main(["periodic", str(path), "--period", "3", "--report", str(out)])
+        assert code == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        assert [(b["distinct"], b["weighted"], b["ok"]) for b in report["periodic"]["bezout"]] == [
+            (7, 7, True), (21, 21, True), (73, 73, True)]
+        assert report["theorem_b"] == {"ok": True, "violations": [], "findings": []}
+        assert len(calls) == 2
+
+
 class TestMultipliers:
     def test_diagonal_mixed_spectrum(self):
         # At (1/3 : 1/5 : 0) the affine derivative is diag(2, 0) by hand.
@@ -394,6 +560,147 @@ class TestMultiplierChain:
                     [v.fixed(width) for v in row] for row in _operator_mat_mul(*scaled)]
 
 
+# The mpmath-operator forms of the audit and report paths, which the libmp
+# forms must match bit for bit.
+
+
+def _operator_eigenvalues(matrix, width):
+    prec = mpmath.mp.prec
+    matrix = [[mpmath.mpc(mpmath.mpf((x, -width)), mpmath.mpf((y, -width))) for x, y in row]
+              for row in matrix]
+    if len(matrix) == 1:
+        return (matrix[0][0],)
+    tr = matrix[0][0] + matrix[1][1]
+    disc = tr * tr - 4 * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
+    if mpmath.fabs(disc) < (numeric.tolerances(prec).dedup * max(1, mpmath.fabs(tr))) ** 2:
+        disc = mpmath.mpc(0)
+    root = mpmath.sqrt(disc)
+    return ((tr + root) / 2, (tr - root) / 2)
+
+
+def _operator_classify(spectrum):
+    """(value, kind, root order) of each eigenvalue."""
+    out = []
+    for lam in spectrum:
+        lam = numeric.mpc_from(lam)
+        mod = mpmath.fabs(lam)
+        if mod < periodic.EPS_ZERO:
+            out.append((lam, "zero", None))
+        elif mpmath.fabs(mod - 1) < periodic.EPS_NEUTRAL:
+            order = None
+            power = mpmath.mpc(1)
+            for q in range(1, periodic.Q_MAX + 1):
+                power *= lam
+                if mpmath.fabs(power - 1) < periodic.EPS_ROOT:
+                    order = q
+                    break
+            out.append((lam, "parabolic", order) if order is not None
+                       else (lam, "neutral-irrational-candidate", None))
+        elif mod < 1:
+            out.append((lam, "attracting-nonzero", None))
+        else:
+            out.append((lam, "repelling", None))
+    return out
+
+
+def _operator_cnum(v):
+    with mpmath.workprec(cli.REPORT_PRECISION):
+        z = mpmath.mpc(v)
+        return [mpmath.nstr(z.real, 17), mpmath.nstr(z.imag, 17)]
+
+
+def _operator_sort_key(coords, floor):
+    return tuple(tuple(0.0 if abs(x) < floor else float(x)
+                       for x in (mpmath.re(c), mpmath.im(c))) for c in coords)
+
+
+def _seeded_matrices(rng, width):
+    """1x1 and 2x2 derivatives as Gaussian integers scaled by 2^width, each
+    2x2 one P J P^-1 for a Jordan form J and a small Gaussian-integer P,
+    with a few units of noise: (kind, matrix) pairs."""
+    with mpmath.workprec(width + 64):
+        i = mpmath.mpc(0, 1)
+        values = {
+            "zero": (0, 0), "nilpotent": (0, 0), "double": (3 - 2 * i, 3 - 2 * i),
+            "parabolic": (mpmath.expjpi(mpmath.mpf(2 * rng.randint(1, 5)) / rng.randint(1, 6)), 2 + i),
+            "neutral": (mpmath.expj(1), mpmath.expj(mpmath.sqrt(2))),
+            "repelling": (rng.uniform(1.5, 9) * mpmath.expj(rng.uniform(0, 6)), -rng.uniform(1.5, 9)),
+            "mixed": (0, rng.uniform(0.1, 0.9) * mpmath.expj(rng.uniform(0, 6))),
+        }
+
+        def fixed(v):
+            return tuple(int(mpmath.floor(mpmath.ldexp(part, width)))
+                         for part in (mpmath.re(v), mpmath.im(v)))
+
+        out = []
+        for kind, (lam, mu) in values.items():
+            out.append((kind, [[fixed(lam)]]))
+            p = [[mpmath.mpc(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+            det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+            if det == 0:
+                p, det = [[1, 0], [0, 1]], 1
+            inv = [[p[1][1] / det, -p[0][1] / det], [-p[1][0] / det, p[0][0] / det]]
+            jordan = [[lam, 1 if kind in ("nilpotent", "double") else 0], [0, mu]]
+            pj = [[sum(p[r][t] * jordan[t][c] for t in range(2)) for c in range(2)] for r in range(2)]
+            m = [[sum(pj[r][t] * inv[t][c] for t in range(2)) for c in range(2)] for r in range(2)]
+            noise = 0 if kind == "zero" else 3
+            out.append((kind, [[tuple(x + rng.randint(-noise, noise) for x in fixed(v)) for v in row]
+                               for row in m]))
+    return out
+
+
+class TestLibmpPaths:
+    @pytest.mark.parametrize("precision", [24, 53, 64, 256])
+    def test_eigenvalues_and_classes_match_operators(self, precision):
+        rng = random.Random(precision)
+        width = precision + numeric.GUARD_BITS
+        kinds = set()
+        for _ in range(6):
+            for name, matrix in _seeded_matrices(rng, width):
+                with mpmath.workprec(precision):
+                    got = periodic._eigenvalues(matrix, width)
+                    want = _operator_eigenvalues(matrix, width)
+                    assert [v._mpc_ for v in got] == [v._mpc_ for v in want], name
+                    if name == "double" and len(matrix) == 2 and precision > 24:
+                        assert got[0]._mpc_ == got[1]._mpc_  # a discriminant taken as 0
+                    spectrum = list(got) + [1, -1, mpmath.mpf("0.5"), 2j]
+                    classes = periodic.classify(spectrum)
+                    assert [(c.value._mpc_, c.kind, c.root_order) for c in classes] == [
+                        (v._mpc_, kind, order) for v, kind, order in _operator_classify(spectrum)]
+                    kinds.update(c.kind for c in classes[:len(got)])
+                    for v in got:  # the report's strings, whatever the working precision
+                        assert cli._cnum(v) == _operator_cnum(v)
+        if precision >= 64:
+            assert kinds == {"zero", "attracting-nonzero", "parabolic",
+                             "neutral-irrational-candidate", "repelling"}
+
+    @pytest.mark.parametrize("precision", [24, 53, 64, 256])
+    def test_point_parts_keys_and_strings_match_operators(self, precision):
+        rng = random.Random(precision)
+        floor = numeric.tolerances(precision).dedup
+        width = precision + numeric.GUARD_BITS
+        for _ in range(40):
+            with mpmath.workprec(precision):
+                def part():
+                    kind = rng.randrange(4)
+                    if kind == 0:
+                        return 0
+                    scale = mpmath.mpf(10) ** -rng.randint(precision // 8 - 2, precision // 8 + 2)
+                    return rng.uniform(-1, 1) * (scale if kind == 1 else 1)
+                coords = [mpmath.mpc(part(), part()) for _ in range(rng.choice((2, 3)))]
+                if all(c == 0 for c in coords):
+                    continue
+                pt = numeric.normalize_point(coords)[0]
+                assert [c._mpc_ for c in pt] == list(pt.parts) == [
+                    tuple(mpmath.libmp.from_man_exp(x, -width, precision, mpmath.libmp.round_nearest)
+                          for x in v) for v in pt.fixed]
+                assert periodic._point_sort_key(pt, floor) == _operator_sort_key(tuple(pt), floor)
+                assert cli._point_json(pt) == [_operator_cnum(c) for c in pt]
+        with mpmath.workprec(precision):
+            for v in (2.5 - 1j, 3, mpmath.mpf(1) / 3, mpmath.mpc(1, -2) / 7):
+                assert cli._cnum(v) == _operator_cnum(v)
+
+
 class TestEigenvalues:
     def test_double_eigenvalue_without_noise(self):
         # A derivative with the double eigenvalue 4 and entries off by a few
@@ -504,7 +811,8 @@ class TestCountCertificate:
         code = cli.main(["periodic", "catalog:squaring-p2", "--period", "2",
                          "--report", str(out)])
         assert code == cli.EXIT_OK
-        assert [args[1] for args in calls] == [1, 2]
+        # the period-1 points are read off the certified period-2 solve
+        assert [args[1] for args in calls] == [2]
 
     def test_fs_certified_by_first_chart(self, monkeypatch):
         calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
