@@ -9,8 +9,10 @@ Root finding takes exact integer coefficients and returns fixed-point roots.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -393,16 +395,20 @@ def _polyroots(coeffs, precision: int):
     any one scale, as Gaussian integers scaled by 2^width, and the width.
 
     Each trailing zero coefficient gives an exact zero root.  The others
-    come from :func:`_sweeps`, run at a low width from the Newton polygon's
-    start points, then at the full width from where it stopped.  A run with
-    a target of b bits (SEED_BITS, then the precision p) works at b + the
-    coefficients' range in bits + the largest |log2| of a start radius +
-    GUARD_BITS.  That width need not cover 1/|p'| at a root: there |p|
-    rounds to one unit of 2^-width and the Newton quotient stops above the
-    target.  So a full-width run that stalls, g bits above its target, is
-    continued from where it stopped at a width g + GUARD_BITS wider, as
-    MPSolve raises its precision (Bini and Fiorentino 2000); a run that
-    converges keeps its width.  As in mpmath's clean-up, a root of modulus
+    come from :func:`_sweeps`, run at a low width, then at the full width
+    from where it stopped.  The low-width run starts where
+    :func:`_double_start` leaves the Newton polygon's start points, or at
+    those points themselves when that stage steps aside or leaves two
+    points that the width does not tell apart; only the start points move,
+    and every root goes through both runs.  A run with a target of b bits
+    (SEED_BITS, then the precision p) works at b + the coefficients' range
+    in bits + the largest |log2| of a start radius + GUARD_BITS.  That
+    width need not cover 1/|p'| at a root: there |p| rounds to one unit of
+    2^-width and the Newton quotient stops above the target.  So a
+    full-width run that stalls, g bits above its target, is continued from
+    where it stopped at a width g + GUARD_BITS wider, as MPSolve raises its
+    precision (Bini and Fiorentino 2000); a run that converges keeps its
+    width.  As in mpmath's clean-up, a root of modulus
     below 2^(1-p) becomes 0 and a part below it is dropped; each part is
     rounded to p bits.  The roots are ordered by |imaginary part|, real
     part, then imaginary part, values within dedup tied
@@ -416,18 +422,26 @@ def _polyroots(coeffs, precision: int):
         # mpmath's mag: the least e with |c| < 2^e, up to one bit
         mags = [(abs(x) | abs(y)).bit_length() + bool(x and y) for x, y in coeffs if x or y]
         top, (start, reach) = max(mags), _newton_polygon_start(coeffs, precision)
-        spare, width = top - min(mags) + reach + GUARD_BITS, 0
+        seed = min(SEED_BITS, precision)
+        spare = top - min(mags) + reach + GUARD_BITS
+        width = seed + spare
+
+        def fixed(points):
+            return [(int(mpmath.ldexp(x, width)), int(mpmath.ldexp(y, width))) for x, y in points]
+
+        z = fixed(_double_start(coeffs, top, start, seed) or start)
+        if len(set(z)) < n:  # the width merged two of the stage's points
+            z = fixed(start)
 
         def run(bits: int, wider: int, watch: bool):
             """Sweep z at the width ``wider``, from where it stands."""
             nonlocal z, width
             shift, width, k = wider - width, wider, wider - top
-            z = [(x << shift, y << shift) for x, y in z] or [
-                (int(mpmath.ldexp(x, width)), int(mpmath.ldexp(y, width))) for x, y in start]
+            z = [(x << shift, y << shift) for x, y in z]
             return _sweeps([(x << k, y << k) if k >= 0 else (x >> -k, y >> -k) for x, y in coeffs],
                            z, width, bits, watch)
 
-        run(min(SEED_BITS, precision), min(SEED_BITS, precision) + spare, False)
+        run(seed, width, False)
         gap = run(precision, precision + spare, True)
         if gap is not None and (gap := run(precision, width + gap + GUARD_BITS, True)) is not None:
             raise NumericalError(f"polynomial root finding stalled {gap} bits above its target"
@@ -473,6 +487,60 @@ def _newton_polygon_start(coeffs, precision: int):
     return z, reach
 
 
+def _double_start(coeffs, top: int, start, bits: int) -> Optional[list]:
+    """The points ``start`` moved by the iteration of :func:`_sweeps`, with
+    its evaluation and its sum, in complex doubles, as pairs of floats: a
+    cheap floating-point phase finds the start points of the fixed-point
+    runs, as in MPSolve (Bini and Robol 2014).
+
+    Each coefficient c, of modulus below 2^top, is the exact quotient
+    c / 2^top rounded once to a double, so coefficients of any size fit
+    whose range doubles hold.  A point stops once its correction falls
+    below 2^-bits max(1, |z|).  The stage stops when every point has
+    stopped, when the number of moving points has not fallen for
+    STALL_SWEEPS sweeps, or after SWEEPS sweeps; it never raises.  Returns
+    None, so that the runs start from ``start``, when a nonzero coefficient
+    falls below the least normal double, when a start point or a value on
+    the way is not finite, or when a divisor is zero.
+    """
+    scale = 1 << top
+    a = [complex(x / scale, y / scale) for x, y in coeffs]
+    z = [complex(float(x), float(y)) for x, y in start]
+    if (any(abs(c) < sys.float_info.min for c, (x, y) in zip(a, coeffs) if x or y)
+            or not all(map(cmath.isfinite, z))):
+        return None
+    n, tol = len(a) - 1, 2.0 ** -bits
+    moving, least, flat = range(n), n, 0  # the fewest moving points, and sweeps since
+    try:
+        for _ in range(SWEEPS):
+            still = []
+            for i in moving:
+                zi = z[i]
+                big = abs(zi) > 1
+                w = 1 / zi if big else zi
+                p = d = 0j
+                for c in reversed(a) if big else a:
+                    p, d = p * w + c, d * w + p
+                if big:
+                    p, d = zi * p, n * p - w * d
+                nq, s = p / d, 0j
+                for x in z[:i] + z[i + 1:]:
+                    s += 1 / (zi - x)
+                step = nq / (1 - nq * s)
+                z[i] = zi - step
+                if not cmath.isfinite(z[i]):
+                    return None
+                if abs(step) >= tol * max(1, abs(zi)):
+                    still.append(i)
+            moving = still
+            least, flat = (len(moving), 0) if len(moving) < least else (least, flat + 1)
+            if not moving or flat == STALL_SWEEPS:
+                break
+    except (ZeroDivisionError, OverflowError):  # a zero divisor, or an |z| past the largest double
+        return None
+    return [(w.real, w.imag) for w in z]
+
+
 def _sweeps(a, z, width: int, bits: int, watch: bool) -> Optional[int]:
     """Gauss-Seidel Aberth-Ehrlich iteration (Aberth 1973) on the points z,
     in place, in fixed point: x + iy is the pair of integers 2^width (x, y).
@@ -481,12 +549,14 @@ def _sweeps(a, z, width: int, bits: int, watch: bool) -> Optional[int]:
     point stops once its correction falls below 2^-bits max(1, |z|).
     Outside the unit disc p is evaluated through its reversal r at w = 1/z,
     so no power of z grows: there p/p' = z r(w) / (n r(w) - w r'(w)).
+    The sum S of 1 / (z_i - z_j) takes one long division per pair, the
+    reciprocal of |z_i - z_j|^2 at three times the width.
     Returns None once every point has stopped.  With ``watch``, a run whose
     largest correction among the moving points, g bits above the target,
     has not shrunk for STALL_SWEEPS sweeps stops there and returns g.
     Raises NumericalError when a point still moves after SWEEPS sweeps.
     """
-    n, one, two = len(a) - 1, 1 << width, 2 * width
+    n, one, cube = len(a) - 1, 1 << width, 1 << 3 * width
     moving, least, flat = range(n), None, 0  # the least largest correction, and sweeps since
     for _ in range(SWEEPS):
         still, gap = [], None
@@ -504,11 +574,12 @@ def _sweeps(a, z, width: int, bits: int, watch: bool) -> Optional[int]:
                           n * pi - ((wr * di + wi * dr) >> width))
                 pr, pi = (zr * pr - zi * pi) >> width, (zr * pi + zi * pr) >> width
             nr, ni = gauss_quotient((pr, pi), (dr, di), width)  # N = p / p'
-            sr = si = 0  # S, the sum of 1 / (z_i - z_j) over j != i
+            sr = si = 0  # S, the sum of 1 / (z_i - z_j) over j != i, at 2^(2 width) until the shift
             for xr, xi in z[:i] + z[i + 1:]:
                 er, ei = zr - xr, zi - xi
-                e = er * er + ei * ei
-                sr, si = sr + (er << two) // e, si - (ei << two) // e
+                q = cube // (er * er + ei * ei)  # one reciprocal per pair
+                sr, si = sr + er * q, si - ei * q
+            sr, si = sr >> width, si >> width
             cr, ci = gauss_quotient((nr, ni), (one - ((nr * sr - ni * si) >> width),
                                           -((nr * si + ni * sr) >> width)), width)
             z[i] = zr - cr, zi - ci  # by N / (1 - N S)

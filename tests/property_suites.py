@@ -147,6 +147,21 @@ def orbit(m, coords, length, precision=None):
     return out
 
 
+def limit_seed_sweeps(monkeypatch, sweeps):
+    """Make every low-width (unwatched) root-finding run raise after
+    ``sweeps`` sweeps; the watched runs keep numeric.SWEEPS."""
+    real, limit = numeric._sweeps, numeric.SWEEPS
+
+    def limited(a, z, width, bits, watch):
+        numeric.SWEEPS = limit if watch else sweeps
+        try:
+            return real(a, z, width, bits, watch)
+        finally:
+            numeric.SWEEPS = limit
+
+    monkeypatch.setattr(numeric, "_sweeps", limited)
+
+
 # -- poly suites ---------------------------------------------------------------
 
 

@@ -472,6 +472,20 @@ class TestPeriodic:
         assert report["theorem_b"]["ok"] is False
         assert "VIOLATION" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["catalog:squaring-p1", "--period", "5"],
+        ["catalog:fs-1992-a", "--period", "2"],
+        [str(GOLDEN_DIR / "sym2.json"), "--period", "2"],
+        [str(GOLDEN_DIR / "fs-1992-a-conj.json"), "--period", "2", "--precision", "64"],
+    ], ids=["squaring-p1-5", "fs-1992-a-2", "sym2-2", "fs-1992-a-conj-2-64"])
+    def test_double_start_leaves_the_report_as_it_is(self, argv, monkeypatch, capsys):
+        # The double-precision stage moves only the root finder's start
+        # points: the report is byte-identical with it and without it.
+        with_stage = _run(capsys, "periodic", *argv)
+        monkeypatch.setattr(numeric, "_double_start", lambda *args: None)
+        assert _run(capsys, "periodic", *argv) == with_stage
+        assert with_stage[0] == cli.EXIT_OK
+
 
 class TestFatou:
     def test_origin_window(self, capsys):

@@ -9,6 +9,8 @@ import pytest
 
 from pcflab import numeric, poly, projmap
 
+import property_suites as ps
+
 
 def _p(nvars, degree, terms):
     return poly.HomPoly(nvars, degree, terms)
@@ -656,6 +658,30 @@ def _gaussian_coeffs(coeffs):
     return [tuple(int(x * den) for x in pair) for pair in parts]
 
 
+def _clustered_coeffs():
+    """(x - 1)(x - 1 - 10^-6)(x - 1 - 2 10^-6)(x + 3)(x^2 + 1), as mpf at
+    the working precision."""
+    cluster = [Fraction(1) + Fraction(k, 10**6) for k in range(3)]
+    coeffs = [Fraction(1)]
+    for r in cluster + [Fraction(-3)]:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    coeffs = [a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+    return [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+
+
+def _extreme_coeffs():
+    """(x - 10^30)(x + 2 10^-30)(x^2 + 10^60)(x^2 - x + 10^-60)(x - 5), its
+    coefficients rounded to mpf at the working precision."""
+    big, small = 10 ** 30, Fraction(1, 10 ** 30)
+    coeffs = [Fraction(1)]
+    for factor in ([1, -big], [1, 2 * small], [1, 0, big * big],
+                   [1, -1, small * small], [1, -5]):
+        coeffs = [sum(coeffs[i - k] * c for k, c in enumerate(factor)
+                      if 0 <= i - k < len(coeffs))
+                  for i in range(len(coeffs) + len(factor) - 1)]
+    return [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+
+
 class TestDoubleSeeds:
     """From seeds of about double precision (the low-width run), the
     full-width run finds what mpmath.polyroots, the oracle, finds."""
@@ -709,28 +735,15 @@ class TestDoubleSeeds:
             assert all(mpmath.fabs(r ** 31 - 1) < mpmath.mpf(10) ** -60 for r in got)
 
     def test_clustered_roots(self):
-        # (x - 1)(x - 1 - 10^-6)(x - 1 - 2 10^-6)(x + 3)(x^2 + 1)
-        cluster = [Fraction(1) + Fraction(k, 10**6) for k in range(3)]
-        coeffs = [Fraction(1)]
-        for r in cluster + [Fraction(-3)]:
-            coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        coeffs = [a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
         with mpmath.workprec(256):
-            self._check([mpmath.mpf(c.numerator) / c.denominator for c in coeffs])
+            self._check(_clustered_coeffs())
 
     def test_extreme_moduli(self):
-        # (x - 10^30)(x + 2 10^-30)(x^2 + 10^60)(x^2 - x + 10^-60)(x - 5),
-        # its coefficients rounded to 256 bits: the oracle check holds every
-        # root to the last places, and each lies near the root it stands for.
-        big, small = 10 ** 30, Fraction(1, 10 ** 30)
-        coeffs = [Fraction(1)]
-        for factor in ([1, -big], [1, 2 * small], [1, 0, big * big],
-                       [1, -1, small * small], [1, -5]):
-            coeffs = [sum(coeffs[i - k] * c for k, c in enumerate(factor)
-                          if 0 <= i - k < len(coeffs))
-                      for i in range(len(coeffs) + len(factor) - 1)]
+        # The oracle check holds every root to the last places, and each
+        # lies near the root it stands for.
+        big = 10 ** 30
         with mpmath.workprec(256):
-            got = self._check([mpmath.mpf(c.numerator) / c.denominator for c in coeffs])
+            got = self._check(_extreme_coeffs())
             tiny = mpmath.mpf(10) ** -30
             w = mpmath.sqrt(1 - 4 * tiny ** 2)
             want = [big, -2 * tiny, big * 1j, -big * 1j,
@@ -760,6 +773,129 @@ class TestDoubleSeeds:
         assert len(got) == 5 and [complex(x / 2 ** width, y / 2 ** width)
                                   for x, y in got[3:]] == [-1j, 1j]
         assert numeric._polyroots([(2, 0), (0, 0)], 256)[0] == [(0, 0)]
+
+
+def _exact_roots(coeffs, precision):
+    """_polyroots' roots as exact values x / 2^width."""
+    roots, width = numeric._polyroots(coeffs, precision)
+    return [(Fraction(x, 1 << width), Fraction(y, 1 << width)) for x, y in roots]
+
+
+def _stage_roots(monkeypatch, coeffs, precision=256):
+    """The exact roots with the double-precision stage and with it forced to
+    step aside, which must agree in value and order, and whether the stage
+    gave the start points."""
+    real, ran = numeric._double_start, []
+
+    def stage(*args):
+        points = real(*args)
+        ran.append(points is not None)
+        return points
+
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_double_start", stage)
+        got = _exact_roots(coeffs, precision)
+        m.setattr(numeric, "_double_start", lambda *args: None)
+        assert _exact_roots(coeffs, precision) == got
+    return got, all(ran)
+
+
+CYCLOTOMIC_31 = [(1, 0)] * 31  # the degree-30 piece of period 5 of squaring-p1
+
+
+class TestDoubleStart:
+    """The double-precision stage moves only the start points of the
+    fixed-point runs, never the roots they converge to."""
+
+    def test_random_integer_polynomials(self, monkeypatch):
+        rng = random.Random(31)
+        stepped_aside = 0
+        for _ in range(200):
+            degree = rng.randint(2, 40)
+            height = 2 ** rng.randint(1, 60)
+            coeffs = [(rng.randint(-height, height), 0) for _ in range(degree + 1)]
+            coeffs[0] = coeffs[0][0] or 1, 0
+            coeffs[-1] = coeffs[-1][0] or -1, 0
+            stepped_aside += not _stage_roots(monkeypatch, coeffs)[1]
+        assert stepped_aside == 0
+
+    def test_fiber_like_complex_coefficients(self, monkeypatch):
+        # mpc coefficients with wide mantissas, as a fiber over an
+        # irrational point has them
+        rng = random.Random(7)
+        for precision in (64, 256):
+            with mpmath.workprec(precision):
+                for _ in range(20):
+                    coeffs = [mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) / 3 ** rng.randint(0, 9)
+                              for _ in range(rng.randint(3, 20))]
+                    assert _stage_roots(monkeypatch, _gaussian_coeffs(coeffs), precision)[1]
+
+    def test_cyclotomic_piece(self, monkeypatch):
+        roots, ran = _stage_roots(monkeypatch, CYCLOTOMIC_31)
+        assert ran and len(roots) == 30
+
+    def test_clustered_and_extreme_moduli(self, monkeypatch):
+        with mpmath.workprec(256):
+            cases = [_clustered_coeffs(), _extreme_coeffs()]
+        for coeffs in cases:
+            assert _stage_roots(monkeypatch, _gaussian_coeffs(coeffs))[1]
+
+    def test_seed_run_converges_in_two_sweeps(self, monkeypatch):
+        # From the polygon's points the low-width run takes 18 sweeps on
+        # this piece; from the stage's points it takes at most 2.
+        ps.limit_seed_sweeps(monkeypatch, 2)
+        assert len(numeric._polyroots(CYCLOTOMIC_31, 256)[0]) == 30
+        monkeypatch.setattr(numeric, "_double_start", lambda *args: None)
+        with pytest.raises(numeric.NumericalError, match="2 sweeps"):
+            numeric._polyroots(CYCLOTOMIC_31, 256)
+
+    def test_narrow_range_of_large_coefficients_runs_the_stage(self, monkeypatch):
+        # 2^3000 (x - 1)(x - 2): each coefficient is shifted exactly before
+        # it is rounded to a double
+        big = 1 << 3000
+        roots, ran = _stage_roots(monkeypatch, [(big, 0), (-3 * big, 0), (2 * big, 0)])
+        assert ran and roots == [(1, 0), (2, 0)]
+        # (x - 2^-600)(x - 2^600) spans 601 bits, which doubles still hold;
+        # the small root falls below 2^(1-p) and is cleaned to 0
+        e = 1 << 600
+        roots, ran = _stage_roots(monkeypatch, [(e, 0), (-(e * e + 1), 0), (e, 0)])
+        assert ran and roots == [(0, 0), (e, 0)]
+
+    def test_range_beyond_doubles_steps_aside(self, monkeypatch):
+        # 2^1060 (x^2 - x) + 2^5: the constant over the largest coefficient,
+        # 2^-1056, would round to a subnormal double
+        coeffs = [(1 << 1060, 0), (-1 << 1060, 0), (1 << 5, 0)]
+        assert numeric._double_start(coeffs, 1061, [(1.0, 0.0), (-1.0, 0.0)], 48) is None
+        assert not _stage_roots(monkeypatch, coeffs)[1]
+        # (x - 2^-1100)(x - 2^1100): the first and last coefficients over
+        # the largest are about 2^-1101, beyond the doubles altogether
+        e = 1 << 1100
+        coeffs = [(e, 0), (-(e * e + 1), 0), (e, 0)]
+        assert numeric._double_start(coeffs, 2201, [(1.0, 0.0), (-1.0, 0.0)], 48) is None
+        roots, ran = _stage_roots(monkeypatch, coeffs)
+        # clean-up drops only parts below 2^(1-p), so the large root keeps a
+        # relatively tiny imaginary part
+        small, (x, y) = roots
+        assert not ran and small == (0, 0) and x == e and abs(y) < e >> 1000
+
+    def test_non_finite_start_steps_aside(self):
+        coeffs = [(1, 0), (0, 0), (-1, 0)]
+        assert numeric._double_start(coeffs, 1, [(math.inf, 0.0), (0.5, 0.0)], 48) is None
+        got = numeric._double_start(coeffs, 1, [(0.5, 0.5), (-0.5, -0.5)], 48)
+        assert [complex(*w) for w in sorted(got)] == pytest.approx([-1, 1], abs=1e-14)
+
+    def test_coinciding_points_step_aside(self):
+        # the sum over z_i - z_j divides by zero; the stage never raises
+        coeffs = [(1, 0), (0, 0), (-1, 0)]
+        assert numeric._double_start(coeffs, 1, [(0.5, 0.0), (0.5, 0.0)], 48) is None
+
+    def test_merged_stage_points_fall_back_to_the_polygon(self, monkeypatch):
+        # Points that the low width cannot tell apart would divide by zero
+        # in the fixed-point sum, so the runs start from the polygon's points.
+        coeffs = [(1, 0), (0, 0), (-2, 0)]
+        want = _exact_roots(coeffs, 256)
+        monkeypatch.setattr(numeric, "_double_start", lambda *args: [(0.5, 0.0), (0.5, 0.0)])
+        assert _exact_roots(coeffs, 256) == want
 
 
 class TestCanonicalOrder:

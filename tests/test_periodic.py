@@ -423,6 +423,55 @@ class TestStalledRootFinding:
                 value, slope = mpmath.polyval(ints, z, derivative=True)
                 assert mpmath.fabs(value / slope) < mpmath.ldexp(max(1, mpmath.fabs(z)), -240)
 
+    def test_double_start_keeps_the_stall_and_the_roots(self, monkeypatch):
+        # With the double-precision stage and without it, the full-width run
+        # stalls and the wider run converges, to the same roots in the same
+        # order.
+        coeffs = _b_conjugate_piece()
+        real, start, results, ran = numeric._sweeps, numeric._double_start, [], []
+
+        def spy(*args):
+            points = start(*args)
+            ran.append(points is not None)
+            return points
+
+        for stage in (spy, lambda *args: None):
+            runs = []
+
+            def sweeps(a, z, width, bits, watch):
+                gap = real(a, z, width, bits, watch)
+                runs.append((watch, gap))
+                return gap
+
+            monkeypatch.setattr(numeric, "_sweeps", sweeps)
+            monkeypatch.setattr(numeric, "_double_start", stage)
+            roots, width = numeric._polyroots(coeffs, 256)
+            (seeded, _g), (watched, stall), (rewatched, end) = runs
+            assert not seeded and watched and rewatched and stall > 0 and end is None
+            results.append([(Fraction(x, 1 << width), Fraction(y, 1 << width)) for x, y in roots])
+        assert ran == [True] and results[0] == results[1]
+
+    def test_seed_runs_of_period_2_converge_in_two_sweeps(self, monkeypatch):
+        # fs-1992-a's period-2 solve: from the double-precision stage's
+        # points every low-width run, the degree-20 eliminant piece's among
+        # them, converges within 2 sweeps; from the polygon's points that
+        # piece takes 14.
+        real, degrees = numeric._polyroots, []
+
+        def polyroots(coeffs, precision):
+            degrees.append(len(coeffs) - 1)
+            return real(coeffs, precision)
+
+        monkeypatch.setattr(numeric, "_polyroots", polyroots)
+        ps.limit_seed_sweeps(monkeypatch, 2)
+        failed = []
+        assert len(periodic.find_periodic(_fs(), 2, 256, failed)) == 21
+        assert failed == [] and 20 in degrees
+        monkeypatch.setattr(numeric, "_double_start", lambda *args: None)
+        with pytest.raises(periodic.PeriodicError, match="no chart"):
+            periodic.find_periodic(_fs(), 2, 256, failed)
+        assert failed and all("2 sweeps" in text for _chart, text in failed)
+
     def test_b_conjugate_certifies_at_period_3(self, monkeypatch, tmp_path):
         # The widened run lets chart 0 certify every period of adj(B) o
         # squaring-p2 o B up to 3; period 1 is read off period 2.
