@@ -293,6 +293,75 @@ class TestDenseBinary:
             assert poly.squarefree_part(p) == poly.canonical(poly.exact_divide(p, g)), p
 
     @staticmethod
+    def _irreducibles(rng, count):
+        """``count`` pairwise coprime irreducible binary forms with rational
+        coefficients and no coordinate factor: linear forms with both
+        coefficients non-zero, and quadratics whose discriminant is not a
+        square."""
+        seen, out = set(), []
+        while len(out) < count:
+            if rng.random() < 0.7:
+                vec = (rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6), 0)
+            else:
+                vec = (rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(-4, 4),
+                       rng.randint(1, 4))
+                disc = vec[1] ** 2 - 4 * vec[0] * vec[2]
+                if disc >= 0 and round(disc ** 0.5) ** 2 == disc:
+                    continue
+            form = (poly.linear_form(vec[:2]) if not vec[2]
+                    else poly.HomPoly(2, 2, {(2, 0): vec[0], (1, 1): vec[1], (0, 2): vec[2]}))
+            key = poly.canonical(form)
+            if key not in seen:
+                seen.add(key)
+                out.append(form.scale(Fraction(rng.choice((-1, 1)), rng.randint(1, 5))))
+        return out
+
+    def test_squarefree_decomposition_of_known_pieces(self):
+        # p = c * x0^m0 * x1^m1 * prod_k P_k^k with the P_k square-free and
+        # pairwise coprime: the coordinate powers come back as their own
+        # pieces, then one canonical piece per multiplicity 1..4.
+        rng = random.Random(815)
+        coords = (self.X0, self.X1)
+        by_key = lambda mp: (mp[0], mp[1].sort_key())
+        for _ in range(300):
+            p = poly.constant(2, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                          rng.randint(1, 5)))
+            want = []
+            classes = {}
+            for f in self._irreducibles(rng, rng.randint(0, 6)):
+                classes.setdefault(rng.randint(1, 4), []).append(f)
+            for mult, forms in classes.items():
+                piece = poly.constant(2, 1)
+                for f in forms:
+                    piece = piece * f
+                want.append((mult, poly.canonical(piece)))
+                p = p * piece ** mult
+            for i in range(2):
+                if rng.random() < 0.4:
+                    mult = rng.randint(1, 4)
+                    want.append((mult, coords[i]))
+                    p = p * coords[i] ** mult
+            assert poly.binary_squarefree_decomposition(p) == sorted(want, key=by_key), p
+
+    def test_squarefree_decomposition_edge_cases(self):
+        x0, x1 = self.X0, self.X1
+        u = poly.linear_form([Fraction(-3, 2), 5])
+        q = poly.HomPoly(2, 2, {(2, 0): Fraction(2, 3), (0, 2): 1})  # irreducible
+        cu, cq = poly.canonical(u), poly.canonical(q)
+        cases = [
+            (u ** 4, [(4, cu)]),  # a pure power
+            (q.scale(-7) ** 3, [(3, cq)]),
+            (x0 ** 4, [(4, x0)]),
+            (x1 ** 3, [(3, x1)]),
+            (x0 ** 2 * x1 ** 2 * u ** 2, [(2, x0), (2, x1), (2, cu)]),
+            (x1 * u * q ** 4, [(1, x1), (1, cu), (4, cq)]),
+            (poly.constant(2, Fraction(-5, 3)), []),
+        ]
+        for p, want in cases:
+            assert poly.binary_squarefree_decomposition(p) == sorted(
+                want, key=lambda mp: (mp[0], mp[1].sort_key())), p
+
+    @staticmethod
     def _agrees_pointwise(p, subs):
         out = poly.compose(p, subs)
         assert out.nvars == 2 and out.degree == p.degree * subs[0].degree
