@@ -51,11 +51,10 @@ class FatouError(RuntimeError):
 
 def _exact_orbit_period(m: ProjectiveMap, vec):
     """Exact minimal period of a rational point, or None if not periodic."""
-    start = projmap.primitive_vector([Fraction(v) for v in vec])
+    start = poly.primitive_vector(vec)
     cur = start
     for step in range(1, ORBIT_PERIOD_BOUND + 1):
-        cur = projmap.primitive_vector(
-            [Fraction(c.evaluate(tuple(cur))) for c in m.comps])
+        cur = poly.primitive_vector([c.evaluate(cur) for c in m.comps])
         if cur == start:
             return step
     return None
@@ -98,7 +97,7 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
     if m.k == 1:
         for node in graph.nodes:
             for root, _mult in numeric.binary_form_roots(node.form, precision):
-                vec = projmap.primitive_vector(root) if numeric.is_exact(root) else None
+                vec = poly.primitive_vector(root) if numeric.is_exact(root) else None
                 if vec is None:
                     approx.append(root)
                 elif vec not in exact:
@@ -114,8 +113,7 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
             for entry in level.entries:
                 if entry.embedding is None or entry.embedding.source_dim != 0:
                     continue
-                vec = projmap.primitive_vector(
-                    [Fraction(row[0]) for row in entry.embedding.matrix])
+                vec = poly.primitive_vector([row[0] for row in entry.embedding.matrix])
                 if vec not in exact:
                     exact.append(vec)
     else:

@@ -421,7 +421,7 @@ def _polyroots(coeffs, precision: int):
     if n:
         # mpmath's mag: the least e with |c| < 2^e, up to one bit
         mags = [(abs(x) | abs(y)).bit_length() + bool(x and y) for x, y in coeffs if x or y]
-        top, (start, reach) = max(mags), _newton_polygon_start(coeffs, precision)
+        top, (start, reach) = max(mags), _newton_polygon_start(coeffs)
         seed = min(SEED_BITS, precision)
         spare = top - min(mags) + reach + GUARD_BITS
         width = seed + spare
@@ -455,35 +455,36 @@ def _polyroots(coeffs, precision: int):
                            _part_fixed(tolerances(precision).dedup._mpf_, width)), width
 
 
-def _newton_polygon_start(coeffs, precision: int):
+def _newton_polygon_start(coeffs):
     """Start points on circles whose radii the Newton polygon gives (Bini
-    1996), as pairs of mpf at the precision, and the largest |log2| of a
-    radius, rounded up.
+    1996), as pairs of mpf, and the largest |log2| of a radius, rounded up.
 
     An edge of the upper convex hull of (i, log|a_i|) from i to j, with a_i
     the coefficient of z^i, places j - i points evenly on the circle of
-    radius (|a_i| / |a_j|)^(1/(j-i)).  mpmath takes the logs and the radii,
-    so no coefficient range is out of reach.
+    radius (|a_i| / |a_j|)^(1/(j-i)).  The logs are floats that math.log
+    takes from the integers |a_i|^2, of any size, and each point is a
+    double, its mantissa, times 2^e, e the integer part of the radius'
+    log2, so no coefficient range is out of reach.
     """
     n = len(coeffs) - 1
-    with mpmath.workprec(precision):
-        logs = {i: float(mpmath.log(mpmath.hypot(*c))) for i, c in enumerate(reversed(coeffs))
-                if c != (0, 0)}
-        hull = []
-        for i in sorted(logs):
-            while len(hull) >= 2:
-                h0, h1 = hull[-2], hull[-1]
-                if (h1 - h0) * (logs[i] - logs[h0]) < (logs[h1] - logs[h0]) * (i - h0):
-                    break  # h1 lies strictly above the chord from h0 to i
-                hull.pop()
-            hull.append(i)
-        z, reach = [], 0
-        for i, j in zip(hull, hull[1:]):
-            m = j - i
-            log_radius = (logs[i] - logs[j]) / m
-            reach = max(reach, math.ceil(abs(log_radius) / math.log(2)))
-            z += [(r * math.cos(a), r * math.sin(a)) for r in [mpmath.exp(log_radius)]
-                  for a in (2 * math.pi * (t / m + i / n) + SEED_ANGLE for t in range(m))]
+    logs = {i: math.log(x * x + y * y) / 2 for i, (x, y) in enumerate(reversed(coeffs)) if x or y}
+    hull = []
+    for i in sorted(logs):
+        while len(hull) >= 2:
+            h0, h1 = hull[-2], hull[-1]
+            if (h1 - h0) * (logs[i] - logs[h0]) < (logs[h1] - logs[h0]) * (i - h0):
+                break  # h1 lies strictly above the chord from h0 to i
+            hull.pop()
+        hull.append(i)
+    z, reach = [], 0
+    for i, j in zip(hull, hull[1:]):
+        m = j - i
+        log2_radius = (logs[i] - logs[j]) / m / math.log(2)
+        reach = max(reach, math.ceil(abs(log2_radius)))
+        e = math.floor(log2_radius)
+        r = 2 ** (log2_radius - e)
+        z += [(mpmath.ldexp(r * math.cos(a), e), mpmath.ldexp(r * math.sin(a), e))
+              for a in (2 * math.pi * (t / m + i / n) + SEED_ANGLE for t in range(m))]
     return z, reach
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from typing import ClassVar, Optional, Sequence
@@ -295,7 +294,7 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
             continue
         root = poly.root_of_binary_linear(node.form)
         coords = parent_embedding.apply(root) if parent_embedding else root
-        vec = projmap.primitive_vector([Fraction(x) for x in coords])
+        vec = poly.primitive_vector(coords)
         if vec in seen:
             continue
         seen.add(vec)
@@ -485,8 +484,8 @@ class ContainmentReport:
 def _containment_points(g: HomPoly, emb: LinearEmbedding, matched, step) -> list:
     """g's rational linear factors by their ambient points, then the rest as a form."""
     factors, residual = poly.linear_factors(g)
-    labels = [_point_label(projmap.primitive_vector(
-        [Fraction(x) for x in emb.apply(poly.root_of_binary_linear(form))]))
+    labels = [_point_label(poly.primitive_vector(
+        emb.apply(poly.root_of_binary_linear(form))))
         for form, _ in factors]
     if not residual.is_constant():
         labels.append(poly.format_poly(poly.canonical(residual)))

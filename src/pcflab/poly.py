@@ -13,8 +13,9 @@ and to use as dictionary keys.
 
 The module deliberately stops short of general multivariate factorization.
 It provides the primitives the rest of the package needs: ring arithmetic,
-composition, exact division, gcds, square-free parts, resultants and
-subresultants interpolated from integer Sylvester minors
+composition, exact division, gcds, square-free parts and decompositions,
+fraction-free echelon forms of integer matrices (``echelon``), resultants
+and subresultants interpolated from integer Sylvester minors
 (``subresultant``), and rational linear-factor extraction for binary and
 ternary forms.
 
@@ -27,13 +28,15 @@ and remainders reduce the same packed keys over integers, from the
 lex-greatest key of a heap, and build their Fractions once
 (``_lead_reduce``).
 
-Binary forms (``nvars == 2``) take a dense path in ``gcd`` and
-``squarefree_part``.  A binary form of degree d is the list of its d + 1
-coefficients by the power of x0, scaled to integers; the list with its zero
-top entries dropped is the dehomogenized polynomial p(x0, 1), and the number
-dropped is the power of x1 dividing p.  Gcds and square-free parts run a
+Binary forms (``nvars == 2``) take a dense path in ``gcd``,
+``squarefree_part``, the rational roots of ``linear_factors`` and
+``binary_squarefree_decomposition``.  A binary form of degree d is the
+list of its d + 1 coefficients by the power of x0, scaled to integers; the
+list with its zero top entries dropped is the dehomogenized polynomial
+p(x0, 1), and the number dropped is the power of x1 dividing p.  Gcds run a
 univariate primitive remainder sequence on those lists and put the power of
-x1 back apart.
+x1 back apart; the square-free part and the decomposition, by Yun's
+algorithm, start from one shared step, u / gcd(u, u') and u' / gcd(u, u').
 
 The gcd of forms in more variables is the primitive part, with respect to
 one variable, of their first non-vanishing subresultant, times the gcd of
@@ -349,6 +352,18 @@ def int_primitive(p: HomPoly) -> HomPoly:
     return _form(p.nvars, p.degree, {e: Fraction(x // g) for e, x in ints.items()})
 
 
+def primitive_vector(vec: Sequence) -> tuple:
+    """The integer representative of a rational vector as a projective
+    point, as Fractions: content 1, first non-zero entry positive."""
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = int_gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
+
+
 def canonical(p: HomPoly) -> HomPoly:
     """Integer-primitive form with positive lexicographically leading coefficient.
 
@@ -557,6 +572,15 @@ def _dense_quotient(a: list, b: list) -> list:
     return q
 
 
+def _dense_squarefree(u: list) -> tuple:
+    """u / g and u' / g for g = gcd(u, u') of a trimmed integer polynomial
+    of positive degree: the square-free part of u, in characteristic zero,
+    and the first cofactor of Yun's algorithm."""
+    du = _derivative(u)
+    g = _dense_gcd(u, du)
+    return _dense_quotient(u, g), _dense_quotient(du, g)
+
+
 def _binary_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     """gcd of two nonzero binary forms: the gcd of their dehomogenized
     polynomials times x1^min(v_a, v_b), v being the power of x1 in each."""
@@ -681,14 +705,9 @@ def strip_var(p: HomPoly, i: int) -> HomPoly:
                  {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.terms.items()})
 
 
-def _drop_var(p: HomPoly, i: int) -> HomPoly:
-    """An x_i-free form as a form in the other variables."""
-    return HomPoly(p.nvars - 1, p.degree,
-                   {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
-
-
 def _insert_var(p: HomPoly, i: int) -> HomPoly:
-    """Inverse of ``_drop_var``: the same form with x_i put back at index i."""
+    """The same form with x_i put back at index i: the inverse of
+    ``slice_poly`` on x_i-free forms."""
     return HomPoly(p.nvars + 1, p.degree,
                    {e[:i] + (0,) + e[i:]: c for e, c in p.terms.items()})
 
@@ -761,7 +780,7 @@ def _gcd(a: HomPoly, b: HomPoly) -> HomPoly:
 
 def _content(p: HomPoly, i: int) -> HomPoly:
     """gcd of the x_i-coefficients of a nonzero form, without x_i."""
-    rows = [_drop_var(r, i) for r in ladder(p, i) if r]
+    rows = [slice_poly(r, i) for r in ladder(p, i) if r]
     g = rows[0]
     for r in rows[1:]:
         if g.is_constant():
@@ -794,9 +813,7 @@ def squarefree_part(p: HomPoly) -> HomPoly:
         return constant(p.nvars, 1)
     if p.nvars == 2:
         u = _dehomogenize(p)
-        sf = [1]
-        if len(u) > 1:
-            sf = _dense_quotient(u, _dense_gcd(u, _derivative(u)))
+        sf = _dense_squarefree(u)[0] if len(u) > 1 else [1]
         # len(u) <= degree exactly when x1 divides p.
         return canonical(_binary_form(sf + [0] * (len(u) <= p.degree)))
     g = p
@@ -807,6 +824,51 @@ def squarefree_part(p: HomPoly) -> HomPoly:
         if g.is_constant():
             break
     return canonical(exact_divide(p, g))
+
+
+# -- fraction-free elimination ---------------------------------------------
+
+
+def echelon(rows: list) -> tuple:
+    """Fraction-free row echelon form of an integer matrix, in place; the
+    one elimination of the package (Bareiss 1968).
+
+    Column by column, the first row with a non-zero entry is swapped up to
+    pivot, and each row below becomes (row * pivot - lead * pivot row) /
+    previous pivot.  Returns ``(pivots, rows, sign)``: the pivot columns,
+    the reduced rows, pivot rows first and the others zero, and the sign
+    of the swaps.  For r up to the rank, row r's entry at column c is the
+    minor on the rows now at 0..r and the columns pivots[:r] and c, so each
+    division is exact; when r is the last row, the minor on the rows in
+    their original order is ``sign`` times the entry.
+    """
+    m = rows
+    columns = range(len(m[0]) if m else 0)
+    pivots, sign, prev = [], 1, 1
+    for col in columns:
+        s = len(pivots)
+        if s == len(m):
+            break
+        r = next((r for r in range(s, len(m)) if m[r][col]), None)
+        if r is None:
+            continue
+        if r != s:
+            m[s], m[r] = m[r], m[s]
+            sign = -sign
+        top, rest = m[s], columns[col + 1:]
+        p = top[col]
+        for row in m[s + 1:]:
+            lead = row[col]
+            if lead:
+                row[col] = 0
+                for c in rest:
+                    row[c] = (row[c] * p - lead * top[c]) // prev
+            else:
+                for c in rest:
+                    row[c] = row[c] * p // prev
+        prev = p
+        pivots.append(col)
+    return pivots, m, sign
 
 
 # -- resultants and subresultants by evaluation and interpolation -----------
@@ -823,8 +885,8 @@ def subresultant(a: HomPoly, b: HomPoly, i: int, j: int) -> HomPoly:
     x_i^k; 0 <= j < min(da, db), and S_0 is the resultant.
 
     The minors are integers once a and b are scaled to integers and every
-    other variable is set to an integer, so they come from integer Bareiss
-    elimination at enough integer points, and each coefficient of x_i^k is
+    other variable is set to an integer, so they come from the last row of
+    ``echelon`` at enough integer points, and each coefficient of x_i^k is
     interpolated from its values (Collins 1971).  The last other variable
     is set to 1 and the others to t, t^(D+1), t^((D+1)^2), ..., where D is
     the degree of S_j, so every exponent of the result reads off in base
@@ -867,7 +929,11 @@ def subresultant(a: HomPoly, b: HomPoly, i: int, j: int) -> HomPoly:
         matrix = [[coeffs[p - s] if 0 <= p - s <= d else 0 for p in powers]
                   for coeffs, d, shifts in ((ca, da, db - j), (cb, db, da - j))
                   for s in range(shifts - 1, -1, -1)]
-        values.append(_bareiss_last_row(matrix, size - 1))
+        pivots, matrix, sign = echelon(matrix)
+        # The minors are 0 when the first size - 1 columns are dependent.
+        values.append([sign * x for x in matrix[-1][size - 1:]]
+                      if pivots[:size - 1] == list(range(size - 1))
+                      else [0] * (j + 1))
     scale = Fraction(1, den_a ** (db - j) * den_b ** (da - j))
     terms = {}
     for k in range(j + 1):
@@ -886,33 +952,6 @@ def resultant_wrt(a: HomPoly, b: HomPoly, i: int) -> HomPoly:
     """Sylvester resultant of a and b with respect to x_i: ``subresultant``
     with j = 0."""
     return subresultant(a, b, i, 0)
-
-
-def _bareiss_last_row(matrix: list, k: int) -> list:
-    """Integer Bareiss elimination, in place, of the first k columns of a
-    (k+1)-row matrix.
-
-    Returns, for each column c >= k, the determinant of the square matrix
-    of the first k columns and column c, in row order: by Sylvester's
-    identity it is the last row's entry there once k steps have run, up to
-    the sign of the row swaps.  Every division is exact.
-    """
-    m = matrix
-    sign, prev = 1, 1
-    for s in range(k):
-        pivot = next((r for r in range(s, k + 1) if m[r][s]), None)
-        if pivot is None:
-            return [0] * (len(m[0]) - k)
-        if pivot != s:
-            m[s], m[pivot] = m[pivot], m[s]
-            sign = -sign
-        top, ps = m[s], m[s][s]
-        for r in range(s + 1, k + 1):
-            row, lead = m[r], m[r][s]
-            for c in range(s + 1, len(row)):
-                row[c] = (row[c] * ps - lead * top[c]) // prev
-        prev = ps
-    return [sign * x for x in m[k][k:]]
 
 
 def _interpolate(nodes: list, values: list) -> list:
@@ -957,8 +996,7 @@ def _binary_linear_factors(p: HomPoly) -> list:
     found = [next(iter(form.terms)) for form, _mult in coord_factors]
     if q.is_constant():
         return found
-    u = _dehomogenize(q)
-    u = _primitive(_dense_quotient(u, _dense_gcd(u, _derivative(u))))
+    u = _primitive(_dense_squarefree(_dehomogenize(q))[0])
     lead = u[-1]
     bound = 2 * (abs(lead) + max(abs(x) for x in u))
     du = _derivative(u)
@@ -1019,15 +1057,6 @@ def _strip_variable_factors(q: HomPoly):
     return factors, q
 
 
-def _normalize_candidate(vec: tuple) -> tuple:
-    """The primitive multiple of a nonzero integer vector whose first
-    nonzero entry is positive."""
-    g = int_gcd(*vec)
-    if next(v for v in vec if v) < 0:
-        g = -g
-    return tuple(v // g for v in vec)
-
-
 def linear_factors(p: HomPoly):
     """Split off the rational linear factors of a binary or ternary form.
 
@@ -1085,17 +1114,17 @@ def _ternary_candidates(q: HomPoly) -> list:
     for a1, b1 in _binary_linear_factors(slice_poly(q, 2)):  # pairs (a, b)
         for a2, c2 in fy:
             if a1 and a2:
-                out.add(_normalize_candidate((a1 * a2, b1 * a2, c2 * a1)))
+                out.add(primitive_vector((a1 * a2, b1 * a2, c2 * a1)))
     for b3, c3 in _binary_linear_factors(slice_poly(q, 0)):
         if b3 and c3:
-            out.add(_normalize_candidate((0, b3, c3)))
+            out.add(primitive_vector((0, b3, c3)))
     return sorted(out)
 
 
 def slice_poly(q: HomPoly, i: int) -> HomPoly:
-    """Restriction of a ternary form to the coordinate plane x_i = 0,
-    as a binary form in the remaining two variables."""
-    return HomPoly(2, q.degree, {e[:i] + e[i + 1:]: c for e, c in q.terms.items() if e[i] == 0})
+    """Restriction of a form in three or more variables to the coordinate
+    hyperplane x_i = 0, as a form in the remaining variables."""
+    return HomPoly(q.nvars - 1, q.degree, {e[:i] + e[i + 1:]: c for e, c in q.terms.items() if e[i] == 0})
 
 
 # -- square-free decomposition for binary forms ----------------------------
@@ -1105,9 +1134,13 @@ def binary_squarefree_decomposition(p: HomPoly):
     """Multiplicity structure of a binary form.
 
     Returns a list of ``(multiplicity, form)`` pairs whose product of
-    ``form**multiplicity`` equals ``p`` up to a rational constant, with each
-    form square-free and pairwise coprime.  Coordinate factors are peeled
-    first; the rest follows from iterated gcds with the x0-derivative.
+    ``form**multiplicity`` equals ``p`` up to a rational constant, each
+    form canonical, square-free and coprime to the others.  Coordinate
+    factors are peeled first, each its own piece.  The rest, u = p(x0, 1),
+    takes Yun's algorithm (Yun 1976) on dense lists: from b = u / gcd(u, u')
+    and c = u' / gcd(u, u'), of one degree with b', each step splits off
+    a = gcd(b, c - b'), the factors of the next multiplicity, and goes on
+    with b / a and (c - b') / a, all integer polynomials (Gauss's lemma).
     """
     if p.nvars != 2:
         raise PolynomialError("binary decomposition needs a binary form")
@@ -1115,18 +1148,14 @@ def binary_squarefree_decomposition(p: HomPoly):
         raise PolynomialError("cannot decompose the zero polynomial")
     coord_factors, q = _strip_variable_factors(p)
     pieces = [(mult, form) for form, mult in coord_factors]
-    q = canonical(q) if not q.is_constant() else q
-    if q.is_constant():
-        return sorted(pieces, key=lambda mp: (mp[0], mp[1].sort_key()))
-    # t_j = gcd(q, q', q'', ...) peels one copy of every repeated factor.
-    chain = [q]
-    while not chain[-1].is_constant():
-        chain.append(gcd(chain[-1], partial(chain[-1], 0)))
-    # s_j = t_{j-1}/t_j is the product of factors with multiplicity >= j.
-    s = [canonical(exact_divide(chain[j - 1], chain[j])) for j in range(1, len(chain))]
-    s.append(constant(2, 1))
-    for j in range(len(s) - 1):
-        piece = canonical(exact_divide(s[j], s[j + 1]))
-        if not piece.is_constant():
-            pieces.append((j + 1, piece))
+    if not q.is_constant():
+        b, c = _dense_squarefree(_dehomogenize(q))
+        mult = 0
+        while len(b) > 1:
+            mult += 1
+            d = _trim([x - y for x, y in zip(c, _derivative(b))])
+            a = _dense_gcd(b, d) if d else _primitive(b)
+            if len(a) > 1:
+                pieces.append((mult, canonical(_binary_form(a))))
+            b, c = _dense_quotient(b, a), _dense_quotient(d, a)
     return sorted(pieces, key=lambda mp: (mp[0], mp[1].sort_key()))

@@ -38,35 +38,15 @@ class RestrictionError(ValueError):
 # -- exact linear algebra over the rationals --------------------------------
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """Fraction-free row echelon form of a rational matrix (Bareiss 1968).
-
-    Each row is scaled to integers by the lcm of its denominators, and the
-    integer matrix is reduced one column at a time: every entry left after
-    a step is a minor of the matrix, so the division by the previous pivot
-    is exact.  Returns ``(pivots, rows)``: the pivot columns in increasing
-    order and, for each, its reduced row from the pivot column on.  The
-    last pivot is, up to sign, the minor on the pivot rows and columns.
-    """
-    m = []
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list:
+    """Each row of a rational matrix scaled to integers by the lcm of its
+    denominators, which changes no rank or kernel, for :func:`poly.echelon`."""
+    out = []
     for row in rows:
         row = [Fraction(x) for x in row]
         den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    pivots, echelon, prev, col = [], [], 1, 0
-    while m and m[0]:
-        i = next((i for i, row in enumerate(m) if row[0]), None)
-        if i is None:
-            m = [row[1:] for row in m]
-        else:
-            pivot = m.pop(i)
-            p, tail = pivot[0], pivot[1:]
-            m = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
-            prev = p
-            pivots.append(col)
-            echelon.append(pivot)
-        col += 1
-    return pivots, echelon
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
 
 def _back_substitute(pivots: list, echelon: list, vec: dict) -> dict:
@@ -76,14 +56,14 @@ def _back_substitute(pivots: list, echelon: list, vec: dict) -> dict:
     of the last pivot D, the minor on the pivot rows and columns: by
     Cramer's rule the pivot entries are then integers, so each division is
     exact."""
-    for pc, row in zip(reversed(pivots), reversed(echelon)):
-        vec[pc] = -sum(row[c - pc] * x for c, x in vec.items() if c > pc) // row[0]
+    for pc, row in reversed(list(zip(pivots, echelon))):
+        vec[pc] = -sum(row[c] * x for c, x in vec.items() if c > pc) // row[pc]
     return vec
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix: the pivot count of :func:`_echelon`."""
-    return len(_echelon(rows)[0])
+    """Rank of a rational matrix: the pivot count of :func:`poly.echelon`."""
+    return len(poly.echelon(_integer_rows(rows))[0])
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
@@ -93,25 +73,14 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction]]) -> list:
     at the other free columns, and its pivot entries by back-substitution.
     """
     ncols = len(rows[0]) if rows else 0
-    pivots, echelon = _echelon(rows)
-    d = echelon[-1][0] if echelon else 1
+    pivots, echelon, _sign = poly.echelon(_integer_rows(rows))
+    d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
     for fc in range(ncols):
         if fc not in pivots:
             vec = _back_substitute(pivots, echelon, {fc: d})
-            basis.append(primitive_vector([vec.get(c, 0) for c in range(ncols)]))
+            basis.append(poly.primitive_vector([vec.get(c, 0) for c in range(ncols)]))
     return basis
-
-
-def primitive_vector(vec: Sequence[Fraction]) -> tuple:
-    """Integer representative of a rational point: content 1, first non-zero entry positive."""
-    vec = [Fraction(x) for x in vec]
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    g = int_gcd(*ints) or 1
-    if next((v for v in ints if v), 0) < 0:
-        g = -g
-    return tuple(Fraction(v // g) for v in ints)
 
 
 # -- core types --------------------------------------------------------------
@@ -219,7 +188,7 @@ def embedding_for_hyperplane(form: HomPoly) -> LinearEmbedding:
 
 
 def embedding_for_point(coords: Sequence[Fraction], ambient: int) -> LinearEmbedding:
-    vec = primitive_vector([Fraction(c) for c in coords])
+    vec = poly.primitive_vector(coords)
     if len(vec) != ambient + 1:
         raise MapError("point has the wrong coordinate count")
     return LinearEmbedding(tuple((v,) for v in vec))
@@ -372,7 +341,7 @@ def _zero_text(pt) -> str:
     """A witness point as text: (a:b:c) in coprime integers when it is
     exact, its coordinates to 8 digits when it is approximate."""
     if numeric.is_exact(pt):
-        return "common zero at (" + ":".join(str(x) for x in primitive_vector(pt)) + ")"
+        return "common zero at (" + ":".join(str(x) for x in poly.primitive_vector(pt)) + ")"
     return ("approximate common zero at ("
             + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")")
 
@@ -427,7 +396,7 @@ def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
                 continue
             for pt in found:
                 if numeric.is_exact(pt):
-                    exact.setdefault(primitive_vector(pt), []).append((i, j))
+                    exact.setdefault(poly.primitive_vector(pt), []).append((i, j))
                     continue
                 known = approx.add(pt)
                 if known is None:
@@ -489,7 +458,7 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
 
     Write h for the forms m * source.  For each monomial e of h, the
     coefficients g_e solve target * g_e = h_e, and one echelon
-    (:func:`_echelon`) of the rows [target | h] serves every e.  The target
+    (:func:`poly.echelon`) of the rows [target | h] serves every e.  The target
     has full column rank, so its r + 1 columns hold the first pivots.  A
     further pivot lies in the column of a monomial e whose system has no
     solution: the image of the source subspace does not lie in the target
@@ -512,12 +481,13 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
     subs = [poly.linear_form(row) for row in source.matrix]
     pushed = [poly.compose(c, subs) for c in m.comps]
     exponents = sorted({e for q in pushed for e in q.terms})
-    pivots, echelon = _echelon([list(row) + [q.terms.get(e, 0) for e in exponents]
-                                for row, q in zip(target.matrix, pushed)])
+    pivots, echelon, _sign = poly.echelon(_integer_rows(
+        [list(row) + [q.terms.get(e, 0) for e in exponents]
+         for row, q in zip(target.matrix, pushed)]))
     if len(pivots) > n:
         raise RestrictionError("not an invariant subspace pair: no solution "
                                f"at monomial {exponents[pivots[n] - n]}")
-    d = echelon[-1][0]
+    d = echelon[n - 1][n - 1]
     new_terms = [{} for _ in range(n)]
     for j, e in enumerate(exponents):
         g_e = _back_substitute(pivots, echelon, {n + j: -d})

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pcflab import numeric, poly, projmap
+from pcflab import numeric, poly
 
 import property_suites as ps
 
@@ -498,7 +498,7 @@ class TestSolvePairP2:
         line = poly.linear_form([-n, 1, 0])
         points = numeric.solve_pair_p2(conic, line, 256)
         assert all(numeric.is_exact(pt) for pt in points)
-        assert sorted(projmap.primitive_vector(list(pt)) for pt in points) == [
+        assert sorted(poly.primitive_vector(list(pt)) for pt in points) == [
             (0, 0, 1), (1, n, n * n)]
 
     def test_rational_fibers_compile_no_forms(self, monkeypatch):
@@ -569,7 +569,7 @@ class TestSolvePairP2:
         a = _p(3, 2, {(1, 1, 0): 1, (0, 0, 2): -1})
         b = _p(3, 3, {(1, 2, 0): 1, (1, 0, 2): -1, (0, 0, 3): -1})
         points = numeric.solve_pair_p2(a, b, 256)
-        exact = sorted(projmap.primitive_vector(list(pt)) for pt in points
+        exact = sorted(poly.primitive_vector(list(pt)) for pt in points
                        if numeric.is_exact(pt))
         assert exact == [(0, 1, 0), (1, 0, 0)]
         with mpmath.workprec(256):

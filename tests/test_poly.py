@@ -155,6 +155,14 @@ class TestDivisionAndGcd:
         v = poly.linear_form([1, -1])
         assert poly.squarefree_part(u * u * v) == poly.canonical(u * v)
 
+    def test_slice_poly_in_any_variable_count(self):
+        p = _p(4, 2, {(1, 0, 1, 0): 3, (0, 0, 2, 0): Fraction(1, 2), (0, 1, 0, 1): -1})
+        assert poly.slice_poly(p, 1) == _p(3, 2, {(1, 1, 0): 3, (0, 2, 0): Fraction(1, 2)})
+        assert poly.slice_poly(p, 3) == _p(3, 2, {(1, 0, 1): 3, (0, 0, 2): Fraction(1, 2)})
+        # Quaternary gcds take contents through it.
+        u, v, w = (poly.linear_form(c) for c in ([1, 2, 0, -1], [0, 1, 1, 3], [2, 0, -1, 1]))
+        assert poly.gcd(u * u * v, u * w * w) == poly.canonical(u)
+
 
 class TestDenseBinary:
     """The dense path of binary gcd, square-free part and composition.
@@ -533,6 +541,91 @@ class TestTernaryGcd:
         assert poly.gcd(poly.zero(3, 1), f) == poly.canonical(f)
         assert poly.gcd(f, poly.zero(3, 4)) == poly.canonical(f)
         assert poly.gcd(poly.zero(3, 2), poly.zero(3, 3)).is_zero()
+
+
+def _rref_pivots(matrix):
+    """Pivot columns of the reduced row echelon form, over Fractions."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        s = len(pivots)
+        r = next((r for r in range(s, len(m)) if m[r][col]), None)
+        if r is None:
+            continue
+        m[s], m[r] = m[r], m[s]
+        m[s] = [x / m[s][col] for x in m[s]]
+        for i, row in enumerate(m):
+            if i != s and row[col]:
+                m[i] = [x - row[col] * y for x, y in zip(row, m[s])]
+        pivots.append(col)
+    return pivots
+
+
+class TestEchelon:
+    """``poly.echelon`` against Fraction arithmetic: its pivot columns are
+    those of the rref, and every reduced entry is the determinant of its
+    minor."""
+
+    @staticmethod
+    def _matrix(rng):
+        """A seeded integer matrix, with zero leading columns, a row that
+        repeats a combination of others, or a zero top-left entry that
+        forces a swap, each about a third of the time."""
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+        m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+             for _ in range(nrows)]
+        if rng.random() < 0.3:
+            zeros = rng.randint(1, ncols)
+            m = [[0] * zeros + row[zeros:] for row in m]
+        if nrows > 2 and rng.random() < 0.3:
+            a, b = rng.sample(range(nrows), 2)
+            ka, kb = rng.randint(-3, 3), rng.randint(-3, 3)
+            cut = rng.randint(1, ncols)
+            target = rng.choice([r for r in range(nrows) if r not in (a, b)])
+            m[target][:cut] = [ka * x + kb * y for x, y in zip(m[a][:cut], m[b][:cut])]
+        if nrows > 1 and rng.random() < 0.3:
+            m[0][0] = 0
+            m[rng.randrange(1, nrows)][0] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return m
+
+    def test_pivots_and_minors_match_fractions(self):
+        rng = random.Random(1968)
+        swapped = deficient = skipped = 0
+        for _ in range(400):
+            m = self._matrix(rng)
+            nrows, ncols = len(m), len(m[0])
+            rows = [list(r) for r in m]
+            origin = {id(r): i for i, r in enumerate(rows)}
+            pivots, out, sign = poly.echelon(rows)
+            assert out is rows and pivots == _rref_pivots(m), m
+            # The rows are reduced in place and only reordered.
+            order = [origin[id(r)] for r in out]
+            assert sorted(order) == list(range(nrows))
+            swapped += order != list(range(nrows))
+            skipped += pivots != list(range(len(pivots)))
+            moved = [m[i] for i in order]
+            for r, pc in enumerate(pivots):
+                assert all(x == 0 for x in out[r][:pc]), m
+                for c in range(pc, ncols):
+                    minor = [[moved[i][j] for j in pivots[:r] + [c]] for i in range(r + 1)]
+                    assert out[r][c] == _gauss_det(minor), (m, r, c)
+            assert not any(x for row in out[len(pivots):] for x in row), m
+            # The last row's minors, in the original row order: the
+            # subresultant's reading, zeros when the leading columns lack
+            # a pivot.
+            k = nrows - 1
+            lead = pivots[:k] == list(range(k))
+            deficient += not lead
+            for c in range(k, ncols):
+                minor = [[row[j] for j in list(range(k)) + [c]] for row in m]
+                assert (sign * out[-1][c] if lead else 0) == _gauss_det(minor), (m, c)
+        assert swapped > 50 and deficient > 50 and skipped > 50
+
+    def test_edge_cases(self):
+        assert poly.echelon([]) == ([], [], 1)
+        assert poly.echelon([[0, 0], [0, 0]]) == ([], [[0, 0], [0, 0]], 1)
+        assert poly.echelon([[0, 2], [3, 1]]) == ([0, 1], [[3, 1], [0, 6]], -1)
+        assert poly.echelon([[2, 4, 1], [1, 2, 5]]) == ([0, 2], [[2, 4, 1], [0, 0, 9]], 1)
 
 
 class TestResultants:
