@@ -461,10 +461,9 @@ def _newton_polygon_start(coeffs):
 
     An edge of the upper convex hull of (i, log|a_i|) from i to j, with a_i
     the coefficient of z^i, places j - i points evenly on the circle of
-    radius (|a_i| / |a_j|)^(1/(j-i)).  The logs are floats that math.log
-    takes from the integers |a_i|^2, of any size, and each point is a
-    double, its mantissa, times 2^e, e the integer part of the radius'
-    log2, so no coefficient range is out of reach.
+    radius (|a_i| / |a_j|)^(1/(j-i)).  math.log takes each log from the
+    integer |a_i|^2, of any size, and each point is a double times 2^e, e
+    the floor of the radius' log2, so no coefficient range is out of reach.
     """
     n = len(coeffs) - 1
     logs = {i: math.log(x * x + y * y) / 2 for i, (x, y) in enumerate(reversed(coeffs)) if x or y}

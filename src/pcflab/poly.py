@@ -842,22 +842,21 @@ def echelon(rows: list) -> tuple:
     division is exact; when r is the last row, the minor on the rows in
     their original order is ``sign`` times the entry.
     """
-    m = rows
-    columns = range(len(m[0]) if m else 0)
+    columns = range(len(rows[0]) if rows else 0)
     pivots, sign, prev = [], 1, 1
     for col in columns:
         s = len(pivots)
-        if s == len(m):
+        if s == len(rows):
             break
-        r = next((r for r in range(s, len(m)) if m[r][col]), None)
+        r = next((r for r in range(s, len(rows)) if rows[r][col]), None)
         if r is None:
             continue
         if r != s:
-            m[s], m[r] = m[r], m[s]
+            rows[s], rows[r] = rows[r], rows[s]
             sign = -sign
-        top, rest = m[s], columns[col + 1:]
+        top, rest = rows[s], columns[col + 1:]
         p = top[col]
-        for row in m[s + 1:]:
+        for row in rows[s + 1:]:
             lead = row[col]
             if lead:
                 row[col] = 0
@@ -868,7 +867,7 @@ def echelon(rows: list) -> tuple:
                     row[c] = row[c] * p // prev
         prev = p
         pivots.append(col)
-    return pivots, m, sign
+    return pivots, rows, sign
 
 
 # -- resultants and subresultants by evaluation and interpolation -----------
