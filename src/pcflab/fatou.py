@@ -195,25 +195,6 @@ def _normalize_c(vals):
     return tuple([v * inv for v in vals]), chart
 
 
-def _pixel_origin(config: ScanConfig, k: int):
-    """Per-pixel starting points, row-major, as projective coordinate tuples."""
-    n, r = config.resolution, config.radius
-    c = [_to_complex(v) for v in config.center]
-
-    def val(x, j):
-        return x - r + 2.0 * r * j / (n - 1)
-
-    def point(row, col):
-        if k == 1:
-            a = (complex(val(c[0].real, col), val(c[0].imag, row)),)
-        else:
-            a = (complex(val(c[0].real, col), c[0].imag),
-                 complex(val(c[1].real, row), c[1].imag))
-        return a[:config.chart] + (1.0 + 0j,) + a[config.chart:]
-
-    return [[point(row, col) for col in range(n)] for row in range(n)]
-
-
 def check_chart(config: ScanConfig, k: int) -> None:
     """Raise FatouError unless config.chart is a chart of P^k."""
     if not 0 <= config.chart <= k:
@@ -230,18 +211,27 @@ def _form_expr(form, coef: list, fold: bool) -> str:
     """``0j + c * y_i * (y_j * y_j) + ...`` over the form's sorted terms.
 
     The operations, order and association of a term-by-term loop that
-    starts from 0j, except that with ``fold`` a square is ``(y * y)``.
-    CPython computes ``y ** 2`` as ``1 * (y * y)``, which for finite y
-    differs from ``y * y`` only in signs of zero, and the 0j start turns
-    every zero sum into +0.0, so the value is the same bit for bit.  Each
-    coefficient is appended to ``coef`` and named ``c<index>``, so the text
-    holds only names and integer exponents.
+    starts from 0j, except that with ``fold`` a square is ``(y * y)``, a
+    coefficient of exactly 1 is left out and one of exactly -1 negates the
+    term's first factor (a constant term keeps its coefficient).  CPython
+    computes ``y ** 2`` as ``1 * (y * y)``, and a product with 1 or -1
+    differs from ``y`` or ``-y`` only in signs of zero for finite y, so
+    each term differs from the unfolded one only in signs of zero, and the
+    0j start turns every zero sum into +0.0: the value is the same bit for
+    bit.  Each coefficient written is appended to ``coef`` and named
+    ``c<index>``, so the text holds only names and integer exponents.
     """
     terms = ["0j"]
     for e, c in sorted(form.terms.items()):
-        terms.append(" * ".join([f"c{len(coef)}"] + [
-            _power(i, k, fold) for i, k in enumerate(e) if k]))
-        coef.append(_to_complex(c))
+        c = _to_complex(c)
+        factors = [_power(i, k, fold) for i, k in enumerate(e) if k]
+        if fold and factors and c in (1, -1):
+            if c == -1:
+                factors[0] = "-" + factors[0]
+        else:
+            factors.insert(0, f"c{len(coef)}")
+            coef.append(c)
+        terms.append(" * ".join(factors))
     return " + ".join(terms)
 
 
@@ -275,6 +265,16 @@ def _near_expr(p: str, q: str, n1: int, known=None) -> str:
     return " and ".join(tests)
 
 
+def _pivot(values: list, chart: str) -> list:
+    """Lines that set ``chart``, ``best`` and ``fb`` to the index, modulus
+    and value of the first of ``values`` of largest modulus; ``chart`` stays
+    -1 when every modulus is 0 or NaN."""
+    out = [f"{chart}, best = -1, 0.0"]
+    for i, v in enumerate(values):
+        out += [f"a = abs({v})", "if a > best:", f"    best, {chart}, fb = a, {i}, {v}"]
+    return out
+
+
 def _branches(var: str, n: int, body) -> list:
     """``if var == 0: ... elif ... else: ...`` over 0..n-1, n >= 2."""
     out = []
@@ -285,18 +285,14 @@ def _branches(var: str, n: int, body) -> list:
 
 
 _LOOP = """\
-def run(coef, cand, lo, starts, steps, tol):
+def run(coef, cand, lo, cols, rows, steps, tol):
     {coef} = coef
     {cand} = cand
     grid, failures = [], 0
-    for row in starts:
+    for row in rows:
         pixels = []
-        for cur, ch in row:
-            if cur is None:
-                failures += 1
-                pixels.append((-1, -1, False, False))
-                continue
-            {y} = cur
+        for col in cols:
+{start}
             {h} = {identity}
             decayed = frozen = broke = False
             {streaks} = {zeros}
@@ -308,23 +304,31 @@ def run(coef, cand, lo, starts, steps, tol):
 """
 
 
-def _loop_source(m: ProjectiveMap, partials: list, cands: list, coef: list,
-                 fold: bool) -> str:
-    """Source of ``run(coef, cand, lo, starts, steps, tol)``: all pixels' loop.
+def _loop_source(m: ProjectiveMap, chart: int, partials: list, cands: list,
+                 coef: list, fold: bool) -> str:
+    """Source of ``run(coef, cand, lo, cols, rows, steps, tol)``: all pixels' loop.
 
-    Orbit state lives in locals: point y_i, image z_i, values v_i, partials
-    d_(i n1 + j), chain h_(r k + c) row-major, a streak s_c per candidate
-    with coordinates q<c>_<i>.  Unfolded, each step does the reference
-    loop's operations in its order; chain entries are ``0 + a * b + ...``.
-    Folded, it leaves out what is known when the source is written: the
-    partials that are identically zero, the products and chain terms they
-    make zero and the ``0 +`` starts; squares are ``(y * y)`` and candidate
-    coordinates that are exactly 0 or 1 are folded (see _near_expr).  Each
-    fold drops a zero term or a factor of 0 or 1 from a finite value, so
-    only signs of zero can change, and no verdict reads them.  The values
-    are finite under the bounds of _foldable and while the largest image
-    coordinate stays at or above ``lo``; at a step where it falls below,
-    the zero vector included, the folded loop gives up and returns None.
+    Each pixel starts in the loop: its affine coordinates are the column
+    and row values (on P^1 the real and imaginary parts of one coordinate,
+    ``complex(col, row)``), ``1.0 + 0j`` goes in at ``chart``, and the
+    vector is divided by its first coordinate of largest modulus, with the
+    operations of the reference's ``normalize_c`` in its order.  That
+    coordinate always exists, since the one at ``chart`` has modulus 1, so
+    no start is a failure.  Orbit state lives in locals: point y_i, image
+    z_i, values v_i, partials d_(i n1 + j), chain h_(r k + c) row-major, a
+    streak s_c per candidate with coordinates q<c>_<i>.  Unfolded, each
+    step does the reference loop's operations in its order; chain entries
+    are ``0 + a * b + ...``.  Folded, it leaves out what is known when the
+    source is written: the partials that are identically zero, the
+    products and chain terms they make zero and the ``0 +`` starts;
+    squares are ``(y * y)``, coefficients of 1 and -1 are folded (see
+    _form_expr), and so are candidate coordinates that are exactly 0 or 1
+    (see _near_expr).  Each fold drops a zero term or a factor of 0, 1 or
+    -1 from a finite value, so only signs of zero can change, and no
+    verdict reads them.  The values are finite under the bounds of
+    _foldable and while the largest image coordinate stays at or above
+    ``lo``; at a step where it falls below, the zero vector included, the
+    folded loop gives up and returns None.
     """
     k, n1 = m.k, m.k + 1
     ys, zs, vs = ([f"{p}{i}" for i in range(n1)] for p in "yzv")
@@ -354,10 +358,13 @@ def _loop_source(m: ProjectiveMap, partials: list, cands: list, coef: list,
                 f"{_tuple(hs)} = {_tuple(sums)}"]
         return _branches("nch", n1, body)
 
+    start = ["complex(col, row)"] if k == 1 else ["col", "row"]
+    start.insert(chart, "(1.0 + 0j)")
+    us = [f"u{i}" for i in range(n1)]
+    begin = [f"{_tuple(us)} = {_tuple(start)}"] + _pivot(us, "ch") + [
+        "inv = 1.0 / fb", f"{_tuple(ys)} = {_tuple([u + ' * inv' for u in us])}"]
     step = [f"v{i} = {_form_expr(f, coef, fold)}" for i, f in enumerate(m.comps)]
-    step.append("nch, best = -1, 0.0")
-    for i in range(n1):
-        step += [f"a = abs(v{i})", "if a > best:", f"    best, nch, fb = a, {i}, v{i}"]
+    step += _pivot(vs, "nch")
     step += (["if best < lo:", "    return None"]
              if fold else
              ["if nch < 0:", "    failures += 1", "    broke = True", "    break"])
@@ -383,7 +390,8 @@ def _loop_source(m: ProjectiveMap, partials: list, cands: list, coef: list,
     return _LOOP.format(
         coef=_tuple([f"c{i}" for i in range(len(coef))]),
         cand=_tuple([f"q{c}_{i}" for c in range(len(cands)) for i in range(n1)]),
-        y=_tuple(ys), h=_tuple(hs), identity=_tuple(
+        start="\n".join(" " * 12 + line for line in begin),
+        h=_tuple(hs), identity=_tuple(
             ["1.0 + 0j" if r == c else "0j" for r in range(k) for c in range(k)]),
         streaks=_tuple(["settle", "label", "at"] + streaks),
         zeros=_tuple(["0", "-1", "-1"] + ["0"] * len(cands)),
@@ -411,10 +419,10 @@ def _foldable(m: ProjectiveMap, partials: list, config: ScanConfig) -> bool:
         abs(_to_complex(c)) <= FOLD_BOUND for c in config.center)
 
 
-def _compiled(m: ProjectiveMap, partials: list, cands: list, fold: bool):
-    """The generated loop as ``run(starts, steps, tol)``."""
+def _compiled(m: ProjectiveMap, chart: int, partials: list, cands: list, fold: bool):
+    """The generated loop as ``run(cols, rows, steps, tol)``."""
     coef, namespace = [], {}
-    source = _loop_source(m, partials, cands, coef, fold)
+    source = _loop_source(m, chart, partials, cands, coef, fold)
     exec(compile(source, "<fatou scan loop>", "exec"), namespace)
     return functools.partial(namespace["run"], tuple(coef),
                              tuple(v for q in cands for v in q), 1 / FOLD_BOUND)
@@ -428,16 +436,30 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     candidate; the chained Jacobian decay flag and a settled flag (orbit
     stopped moving without matching any candidate) are tracked per pixel.
     The chain is the product of the affine Jacobians between the charts of
-    successive normalized points.  The whole pixel loop is generated from
-    the map's forms and the candidates and compiled once per scan, folded
-    where _foldable allows; if the folded loop gives up, the unfolded loop
-    runs the whole scan again from the start.  A value that leaves the
-    double range where Python raises (a modulus or power beyond it, a
-    square of fb that rounds to 0) is a FatouError.
+    successive normalized points.  The whole pixel loop, each pixel's
+    start included, is generated from the map's forms, the chart and the
+    candidates and compiled once per scan, folded where _foldable allows;
+    if the folded loop gives up, the unfolded loop runs the whole scan
+    again from the start.  It is given the window's n column and n row
+    values, ``c - r + 2 r j / (n - 1)`` for j < n: on P^1 the real and
+    imaginary parts of the one affine coordinate, on P^2 the two complex
+    coordinates, whose imaginary parts stay the centre's.  A value that
+    leaves the double range where Python raises (a modulus or power
+    beyond it, a square of fb that rounds to 0) is a FatouError.
     """
     check_chart(config, m.k)
-    origins = _pixel_origin(config, m.k)
-    args = (range(1, config.max_iters + 1), config.tol)
+    n, r = config.resolution, config.radius
+    c = [_to_complex(v) for v in config.center]
+
+    def axis(x):  # the window's n values along one real direction
+        return [x - r + 2.0 * r * j / (n - 1) for j in range(n)]
+
+    if m.k == 1:
+        axes = (axis(c[0].real), axis(c[0].imag))
+    else:
+        axes = ([complex(x, c[0].imag) for x in axis(c[0].real)],
+                [complex(y, c[1].imag) for y in axis(c[1].real)])
+    args = (*axes, range(1, config.max_iters + 1), config.tol)
     try:
         cands = []
         for cand in config.candidates:
@@ -448,11 +470,9 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
         partials = [poly.partial(f, j) for f in m.comps for j in range(m.k + 1)]
         out = None
         if _foldable(m, partials, config):
-            out = _compiled(m, partials, cands, True)(
-                (map(_normalize_c, row) for row in origins), *args)
+            out = _compiled(m, config.chart, partials, cands, True)(*args)
         if out is None:
-            out = _compiled(m, partials, cands, False)(
-                (map(_normalize_c, row) for row in origins), *args)
+            out = _compiled(m, config.chart, partials, cands, False)(*args)
         *grids, failures = out
     except (OverflowError, ZeroDivisionError) as exc:
         raise FatouError(f"a scan value left the double range ({exc})") from None

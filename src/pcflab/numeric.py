@@ -408,12 +408,12 @@ def _polyroots(coeffs, precision: int):
     full-width run that stalls, g bits above its target, is continued from
     where it stopped at a width g + GUARD_BITS wider, as MPSolve raises its
     precision (Bini and Fiorentino 2000); a run that converges keeps its
-    width.  As in mpmath's clean-up, a root of modulus
-    below 2^(1-p) becomes 0 and a part below it is dropped; each part is
-    rounded to p bits.  The roots are ordered by |imaginary part|, real
-    part, then imaginary part, values within dedup tied
-    (:func:`canonical_order`).  Raises NumericalError when a run does not
-    converge, or when the widened run stalls too.
+    width.  A root of modulus below 2^(1-p) becomes 0, a part below
+    2^(1-p) max(1, |z|) of a root z is dropped, so a large real root comes
+    back exactly real, and each part is rounded to p bits.  The roots are
+    ordered by |imaginary part|, real part, then imaginary part, values
+    within dedup tied (:func:`canonical_order`).  Raises NumericalError
+    when a run does not converge, or when the widened run stalls too.
     """
     n = max(k for k, c in enumerate(coeffs) if c != (0, 0))
     zeros, coeffs = len(coeffs) - 1 - n, coeffs[:n + 1]
@@ -447,8 +447,12 @@ def _polyroots(coeffs, precision: int):
             raise NumericalError(f"polynomial root finding stalled {gap} bits above its target"
                                  f" at a width of {width} bits")
         tol = 1 << (width + 1 - precision)
-        z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if abs(y) < tol
-             else (0, y) if abs(x) < tol else (x, y) for x, y in z]
+
+        def small(v, x, y):  # |v| < 2^(1-p) max(1, |z|), at the width
+            return (v * v) << (2 * precision - 2) < max(1 << (2 * width), x * x + y * y)
+
+        z = [(0, 0) if x * x + y * y < tol * tol else (x, 0) if small(y, x, y)
+             else (0, y) if small(x, x, y) else (x, y) for x, y in z]
         z = [tuple(_part_fixed(from_man_exp(v, -width, precision, round_nearest), width) for v in w)
              for w in z]
     return canonical_order(z + [(0, 0)] * zeros, (lambda w: abs(w[1]), lambda w: w[0], lambda w: w[1]),

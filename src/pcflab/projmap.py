@@ -39,11 +39,11 @@ class RestrictionError(ValueError):
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Each row of a rational matrix scaled to integers by the lcm of its
-    denominators, which changes no rank or kernel, for :func:`poly.echelon`."""
+    """Each row of a rational matrix, of ints and Fractions, scaled to
+    integers by the lcm of its denominators, which changes no rank or
+    kernel, for :func:`poly.echelon`."""
     out = []
     for row in rows:
-        row = [Fraction(x) for x in row]
         den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
@@ -292,8 +292,19 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
     |f_2| is least, reported as approximate.  A failed solve leaves the
     verdict and quotes the error.  On P^1 only a vanishing component makes
     a map degenerate, as primitivizing divides out a common factor.
+
+    When no component vanishes, the rank is taken first on the components
+    as given, scaled only, and the gcd only when they have a common zero: a
+    non-constant common factor vanishes on a curve of common zeros (a point
+    of P^1), so a full rank proves the gcd constant and the components
+    primitive.  A common zero with a constant gcd is degenerate as it
+    stands; only components that primitivizing changed are ranked again.
     """
     precision = numeric.resolve_precision(precision)
+    if m.k <= 2 and not any(c.is_zero() for c in m.comps):
+        comps = _normalize_scalars(m.comps)
+        if not has_common_zero(comps):
+            return ValidationResult(ProjectiveMap(comps), "well-defined")
     comps, reduced = primitivize(m.comps)
     mm = ProjectiveMap(comps)
     for i, c in enumerate(comps):
@@ -304,7 +315,7 @@ def validate(m: ProjectiveMap, precision: Optional[int] = None) -> ValidationRes
             )
     if mm.k > 2:
         raise MapError(f"validation implemented for P^1 and P^2 only, not P^{mm.k}")
-    if not has_common_zero(comps):
+    if reduced and not has_common_zero(comps):
         return ValidationResult(mm, "well-defined", reduced=reduced)
     return ValidationResult(mm, "degenerate", witness=_witness(comps, precision),
                             reduced=reduced)

@@ -5,13 +5,17 @@ plainly: a generic sparse evaluator walks each component's sorted term
 list, the projective distance is the largest cross product, and the
 chained affine Jacobian is rebuilt from nested lists every step.
 ``fatou.scan`` generates one function per scan that runs every pixel with
-all state in locals.  It performs these floating-point operations in this
-order, less the folds of what is known when it is written: zero partials
-and the chain terms they zero, ``y ** 2`` as ``y * y`` and products with
-candidate coordinates that are exactly 0 or 1.  Each fold removes a zero
-term or a factor of 0 or 1 from a finite value (``fatou._foldable`` and a
-per-step check keep the values finite, or the scan runs unfolded), so
-only signs of zero can change and no verdict reads them.  Its grids must
+all state in locals, each pixel's start included: it is given the
+window's column and row values, and builds and normalizes each start with
+``pixel_origin``'s and ``normalize_c``'s operations.  It performs these
+floating-point operations in this order, less the folds of what is known
+when it is written: zero partials and the chain terms they zero,
+``y ** 2`` as ``y * y``, coefficients that are exactly 1 (left out) or -1
+(a negated first factor), and products with candidate coordinates that
+are exactly 0 or 1.  Each fold removes a zero term or a factor of 0, 1 or
+-1 from a finite value (``fatou._foldable`` and a per-step check keep the
+values finite, or the scan runs unfolded), so only signs of zero can
+change and no verdict reads them.  Its grids must
 equal this loop's exactly; ``property_suites.suite_scan_determinism`` and
 ``test_fatou.TestReferenceLoop`` compare them.
 """

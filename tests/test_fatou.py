@@ -1,5 +1,6 @@
 """Basin scans: candidate derivation, grid labeling, summaries, determinism."""
 
+import cmath
 import io
 import itertools
 import tokenize
@@ -215,7 +216,7 @@ class TestScanWindows:
         m = _squaring_p2()
         cfg = fatou.ScanConfig(2, (0.3, -0.2), 0.5, 8, candidates=COORD_CANDS)
         grid = fatou.scan(m, cfg)
-        origins = fatou._pixel_origin(cfg, m.k)
+        origins = scan_reference.pixel_origin(cfg, m.k)
         import mpmath
         with mpmath.workprec(64):
             for row in range(cfg.resolution):
@@ -265,6 +266,43 @@ class TestReferenceLoop:
         cfg = fatou.ScanConfig(0, (0.2 - 0.3j,), 1.5, 7,
                                candidates=((1, 0), (0, 1)))
         self._same(catalog.get("squaring-p1").map, cfg)
+
+    def test_starts_on_every_chart(self):
+        # A start with a coordinate of modulus above 1, or of modulus 1
+        # before the chart's 1.0 + 0j, is divided by that coordinate, not
+        # by the chart's: every chart of P^2 and of P^1 gets such starts.
+        # The second window's coordinates are -1, -0.5, 0, 0.5 and 1, so
+        # on chart 0 every start keeps the chart.  At moduli near 10^150
+        # (scanned unfolded) a start divided by the chart's coordinate
+        # instead gives other grids.
+        def pivots(cfg, k):
+            return {scan_reference.normalize_c(p)[1]
+                    for row in scan_reference.pixel_origin(cfg, k) for p in row}
+
+        windows = (((1.2 - 0.4j, -0.9 + 0.3j), 1.3), ((0, 0), 1.0),
+                   ((40 + 3j, -25), 30.0), ((1e150, 0.5), 1.0))
+        for chart in range(3):
+            for center, radius in windows:
+                cfg = fatou.ScanConfig(chart, center, radius, 5, max_iters=24,
+                                       candidates=COORD_CANDS)
+                assert (pivots(cfg, 2) == {chart}) == (chart == 0 and center == (0, 0))
+                for name in ("squaring-p2", "fs-1992-a"):
+                    self._same(catalog.get(name).map, cfg)
+        for chart in (0, 1):
+            for center, radius in (((0.9 - 0.8j,), 1.2), ((1e150 + 1j,), 1.0)):
+                cfg = fatou.ScanConfig(chart, center, radius, 7,
+                                       candidates=((1, 0), (0, 1)))
+                assert pivots(cfg, 1) - {chart}
+                self._same(catalog.get("squaring-p1").map, cfg)
+
+    def test_starts_beyond_the_double_range(self):
+        # At radius 1e308, 2 r overflows: every start coordinate off the
+        # chart is NaN or infinite.  Each orbit but the all-NaN one, whose
+        # values at the chart stay 1, fails at its first step.
+        cfg = fatou.ScanConfig(2, (0.3, -0.2), 1e308, 5, candidates=COORD_CANDS)
+        assert not any(all(cmath.isfinite(v) for v in p[:2])
+                       for row in scan_reference.pixel_origin(cfg, 2) for p in row)
+        assert self._same(_squaring_p2(), cfg).failures == 24
 
     def test_dense_conjugate(self):
         m, _, _ = cli.load_input(str(GOLDEN_DIR / "fs-1992-a-conj.json"))
@@ -476,14 +514,47 @@ class TestCompiledEvaluators:
                 texts |= {str(c.numerator), str(c.denominator)}
             assert not any(t in generated for t in texts if len(t) > 3), c
 
+    def test_unit_coefficients_fold_exactly(self):
+        # Coefficients of 1 and -1 are folded and others kept; at points
+        # with negative parts and zeros of either sign every value is the
+        # reference's bit for bit.  A constant term keeps its coefficient.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+
+        class Units:  # complex and mpmath spellings of 1 and -1
+            terms = {(3, 0, 0): complex(1.0, -0.0), (1, 1, 1): mpmath.mpf(-1),
+                     (0, 2, 1): -1 + 0j, (0, 0, 3): 2.5}
+
+        forms = [x * x - y * y - x * z, (x ** 3).scale(-1) + y * z * z - z ** 3,
+                 (x * y).scale(3) - y * y + (z * z).scale(Fraction(-1, 3)),
+                 Units, poly.constant(3, 1), poly.constant(3, -1)]
+        coef = []
+        exprs = [fatou._form_expr(f, coef, True) for f in forms]
+        assert coef == [-1 / 3, 3, 2.5, 1, -1]
+        assert exprs[:2] == ["0j + -(y1 * y1) + -y0 * y2 + (y0 * y0)",
+                             "0j + -y2 ** 3 + y1 * (y2 * y2) + -y0 ** 3"]
+        evaluate = eval(f"lambda y0, y1, y2: ({', '.join(exprs)},)",
+                        {f"c{i}": c for i, c in enumerate(coef)})
+        values = [complex(a, b) for a in (-0.0, 0.0, -1.5, 0.75)
+                  for b in (-0.0, 0.0, -2.0)]
+        for point in itertools.product(values, repeat=3):
+            got = evaluate(*point)
+            want = [scan_reference.ceval(scan_reference.terms(f), point) for f in forms]
+            assert [(v.real.hex(), v.imag.hex()) for v in got] == \
+                [(v.real.hex(), v.imag.hex()) for v in want], point
 
     def test_folds_in_the_source(self, monkeypatch):
         # squaring-p2 has six zero partials of nine, squares only, and with
         # coordinate candidates no near test multiplies by a coordinate.
+        # Its forms' coefficients of 1 are folded: only the partials' 2s
+        # are bound.
         m = _squaring_p2()
         sources = _compiled_sources(monkeypatch)
         fatou.scan(m, fatou.ScanConfig(2, (0.3, -0.2), 0.5, 3, candidates=COORD_CANDS))
         [source] = sources
+        coef = []
+        partials = [poly.partial(f, j) for f in m.comps for j in range(3)]
+        assert fatou._loop_source(m, 2, partials, COORD_CANDS, coef, True) == source
+        assert coef == [2, 2, 2]
         tokens = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)]
         names = set(tokens)
         zero = {f"d{i * 3 + j}" for i, f in enumerate(m.comps) for j in range(3)

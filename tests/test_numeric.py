@@ -873,10 +873,10 @@ class TestDoubleStart:
         coeffs = [(e, 0), (-(e * e + 1), 0), (e, 0)]
         assert numeric._double_start(coeffs, 2201, [(1.0, 0.0), (-1.0, 0.0)], 48) is None
         roots, ran = _stage_roots(monkeypatch, coeffs)
-        # clean-up drops only parts below 2^(1-p), so the large root keeps a
-        # relatively tiny imaginary part
+        # clean-up drops a part below 2^(1-p) |z|, so the large root comes
+        # back exactly real
         small, (x, y) = roots
-        assert not ran and small == (0, 0) and x == e and abs(y) < e >> 1000
+        assert not ran and small == (0, 0) and x == e and y == 0
 
     def test_non_finite_start_steps_aside(self):
         coeffs = [(1, 0), (0, 0), (-1, 0)]

@@ -191,6 +191,75 @@ class TestValidate:
         assert res.verdict == "degenerate"
         assert "vanishes" in res.witness
 
+    def test_rank_first_matches_primitivize_then_rank(self, monkeypatch):
+        # validate ranks the scaled components and takes the gcd only when
+        # they share a zero.  On seeded maps of P^1 and P^2 it must give
+        # the map, verdict, witness and reduced flag of primitivizing
+        # first and ranking the result.
+        rng = random.Random(1503)
+        precision = numeric.resolve_precision(None)
+
+        def want(m):
+            comps, reduced = projmap.primitivize(m.comps)
+            zero = [i for i, c in enumerate(comps) if c.is_zero()]
+            if zero:
+                verdict, witness = "degenerate", f"component {zero[0]} vanishes identically"
+            elif projmap.has_common_zero(comps):
+                verdict, witness = "degenerate", projmap._witness(comps, precision)
+            else:
+                verdict, witness = "well-defined", None
+            return tuple(comps), verdict, witness, reduced
+
+        def planted_zero(k):  # a common zero at a rational point, no factor
+            point = [Fraction(rng.randint(-2, 2)) for _ in range(k)] + [Fraction(1)]
+            pin = poly.variable(k + 1, k) ** 2
+            return [f - pin.scale(f.evaluate(point)) for f in
+                    (ps.random_form(rng, k + 1, 2) for _ in range(k + 1))]
+
+        maps = {"factor": [], "zero": [], "common zero": [], "conjugate": []}
+        for k, base in ((1, _squaring_p1()), (2, _squaring_p2()), (2, _fs())):
+            for _ in range(4):
+                g = ps.random_linear(rng, k + 1)
+                maps["factor"].append([g * ps.random_form(rng, k + 1, 1 + k % 2)
+                                       for _ in range(k + 1)])
+                comps = [ps.random_form(rng, k + 1, 2) for _ in range(k + 1)]
+                comps[rng.randrange(k + 1)] = poly.zero(k + 1, 2)
+                maps["zero"].append(comps)
+                if k == 2:
+                    maps["common zero"].append(planted_zero(k))
+                    maps["factor"].append([g * f for f in planted_zero(k)])
+                maps["conjugate"].append(
+                    ps.conjugate(base, ps._random_invertible(rng, k + 1)).comps)
+        counts = {}
+        for kind, cases in maps.items():
+            for comps in cases:
+                if all(c.is_zero() for c in comps):
+                    continue
+                m = projmap.ProjectiveMap(comps)
+                expected = want(m)
+                calls = {"gcd_many": 0, "has_common_zero": 0}
+                with monkeypatch.context() as mp:
+                    for module, name in ((poly, "gcd_many"), (projmap, "has_common_zero")):
+                        def counted(*args, _real=getattr(module, name), _name=name):
+                            calls[_name] += 1
+                            return _real(*args)
+                        mp.setattr(module, name, counted)
+                    res = projmap.validate(m)
+                assert (res.map.comps, res.verdict, res.witness, res.reduced) == expected, comps
+                # The gcd is taken only on a common zero or a zero
+                # component, the rank only when no component vanishes, and
+                # again only on components that primitivizing changed.
+                reduced_comps, verdict, _witness, reduced = expected
+                vanishes = any(c.is_zero() for c in comps)
+                assert calls["gcd_many"] == (verdict == "degenerate" or reduced)
+                assert calls["has_common_zero"] == (not vanishes) * (1 + reduced)
+                counts[kind, verdict, reduced] = counts.get((kind, verdict, reduced), 0) + 1
+        assert counts[("conjugate", "well-defined", False)] == 12
+        assert counts[("factor", "well-defined", True)] > 4
+        assert counts[("factor", "degenerate", True)] > 4
+        assert counts[("common zero", "degenerate", False)] > 4
+        assert counts[("zero", "degenerate", False)] > 2
+
     def test_p3_unsupported(self):
         vs = [poly.variable(4, i) for i in range(4)]
         m = projmap.ProjectiveMap([v * v for v in vs])
