@@ -67,6 +67,15 @@ CASES = (
     # Its candidates come from the conic 4xz - y^2 meeting the lines, the
     # one non-linear pair among the catalog's intersection solves.
     ("fatou-sym2.json", ["fatou", "sym2.json", "--grid", "16"], 0),
+    # Sym^2 of Newton's map for z^2 - 2, (4xz : 4xy + 2yz : 4x^2 - 4xz +
+    # 2y^2 + z^2): its transversality evidence and its fatou candidates
+    # are irrational points.
+    ("analyze-sym2-newton.json", ["analyze", "sym2-newton.json"], 0),
+    ("fatou-sym2-newton.json",
+     ["fatou", "sym2-newton.json", "--grid", "16", "--radius", "0.9"], 0),
+    # Newton's map for z^2 - 2 on P^1, (s^2 + 2t^2 : 2st): its candidates
+    # are the irrational fixed points (+-sqrt 2 : 1).
+    ("fatou-newton-p1.json", ["fatou", "newton-p1.json", "--grid", "16"], 0),
     # Below the default 256 bits, so a tolerance built at the wrong
     # precision shows.
     ("periodic-2-sym2-128.json",
