@@ -154,10 +154,6 @@ def load_input(arg: str):
 # -- serialization helpers ----------------------------------------------------
 
 
-def _nstr(v) -> str:
-    return mpmath.nstr(mpmath.mpf(v) if not isinstance(v, (mpmath.mpf, mpmath.mpc)) else v, 17)
-
-
 def _parts_json(parts) -> list:
     """A pair of libmp parts as [re, im] decimal strings, each part rounded
     to REPORT_PRECISION bits and printed to 17 digits."""
@@ -173,11 +169,12 @@ def _cnum(v):
     return _parts_json(parts)
 
 
-def _point_json(coords):
-    if isinstance(coords, numeric.Point):
-        return [_parts_json(pair) for pair in coords.parts]
-    exact = all(isinstance(c, (int, Fraction)) for c in coords)
-    return [str(Fraction(c)) if exact else _cnum(c) for c in coords]
+def _point_json(pt):
+    """A Point as its parts (:func:`_parts_json`), rational coordinates as
+    fraction strings."""
+    if isinstance(pt, numeric.Point):
+        return [_parts_json(pair) for pair in pt.parts]
+    return [str(Fraction(c)) for c in pt]
 
 
 def _map_json(source: str, mapfile: dict, vr: projmap.ValidationResult):
@@ -267,7 +264,7 @@ def _periodic_json(max_period: int, rows, audit: periodic.AuditReport):
         points.append({
             "point": _point_json(v.point.point),
             "period": v.point.period,
-            "residual": _nstr(v.point.residual),
+            "residual": mpmath.nstr(v.point.residual, 17),
             "multiplicity": v.point.multiplicity,
             "spectrum": spectrum,
             "classes": [{"kind": c.kind, "value": text, "root_order": c.root_order}

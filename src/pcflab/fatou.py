@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
+from mpmath.libmp import round_nearest, to_float
 
 from . import numeric, periodic, poly, projmap
 from .projmap import ProjectiveMap
@@ -64,13 +65,12 @@ def _numeric_orbit_period(m: ProjectiveMap, point, precision: int):
     """Minimal period of a point within the dedup tolerance, or None if the
     orbit does not return in ORBIT_PERIOD_BOUND steps."""
     with mpmath.workprec(precision):
-        tol = numeric.tolerances(precision).dedup
         forms = numeric.compile_forms(m.comps)
         start = numeric.normalize_point(point)[0]
         cur = start
         for step in range(1, ORBIT_PERIOD_BOUND + 1):
             cur = numeric.map_point(forms, cur)[1]
-            if numeric.proj_distance(cur, start) < tol:
+            if numeric.same_point(cur, start):
                 return step
     return None
 
@@ -90,7 +90,8 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
     pairwise intersections of the graph's components are collected, plus
     any terminal tower points.  Each surviving point is certified periodic
     (exactly for rational points) and keeps only an all-zero multiplier
-    classification.  An empty result is valid.
+    classification.  Rational points come back as integer tuples, the
+    others as :class:`numeric.Point` values.  An empty result is valid.
     """
     precision = numeric.resolve_precision(precision)
     exact, approx = [], []
@@ -132,7 +133,7 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
             if period is None:
                 continue
             if _all_zero_spectrum(m, pt, period, precision):
-                out.append(tuple(pt))
+                out.append(pt)
     return out
 
 
@@ -181,6 +182,15 @@ def _to_complex(v) -> complex:
         return complex(float(mpmath.re(v)), float(mpmath.im(v)))
     except OverflowError:
         raise FatouError(f"value {v} does not fit in a double") from None
+
+
+def _candidate_c(cand) -> tuple:
+    """A candidate's coordinates as complex doubles: a Point's parts each
+    rounded to nearest, any other coordinates by :func:`_to_complex`."""
+    if isinstance(cand, numeric.Point):
+        return tuple(complex(to_float(x, rnd=round_nearest), to_float(y, rnd=round_nearest))
+                     for x, y in cand.parts)
+    return tuple(map(_to_complex, cand))
 
 
 def _normalize_c(vals):
@@ -463,7 +473,7 @@ def scan(m: ProjectiveMap, config: ScanConfig) -> BasinGrid:
     try:
         cands = []
         for cand in config.candidates:
-            norm, _ = _normalize_c(tuple(_to_complex(v) for v in cand))
+            norm, _ = _normalize_c(_candidate_c(cand))
             if norm is None:
                 raise FatouError("candidate point has no nonzero coordinate")
             cands.append(norm)

@@ -2,9 +2,12 @@
 
 Everything here that is not exact is explicit about its working precision,
 given in bits.  Exact rational data stays exact until the moment a value is
-converted to fixed point, by :func:`normalize_point` or :class:`MpForm`, or
-rounded to an mpc by :func:`mpc_from`, so callers control all rounding.
-Root finding takes exact integer coefficients and returns fixed-point roots.
+converted to fixed point, by :func:`normalize_point` or :class:`MpForm`, so
+callers control all rounding.  Root finding takes exact integer
+coefficients and returns fixed-point roots.  An irrational point is a
+:class:`Point` from the solver to the report: arithmetic reads its fixed
+coordinates, printing its rounded parts (:func:`format_point`), and
+:func:`same_point` is the one test of two points agreeing within dedup.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ import cmath
 import functools
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, mpf_shift, mpf_sqrt,
-                          round_nearest)
+from mpmath.libmp import from_int, from_man_exp, mpc_to_str, mpf_shift, mpf_sqrt, round_nearest
 
 from . import poly
 from .poly import HomPoly
@@ -85,20 +86,11 @@ def tolerances(precision: int) -> Tolerances:
                       **{k: value for k, (value, _t) in built.items()})
 
 
-def mpc_from(value) -> mpmath.mpc:
-    """Convert int/Fraction/float/complex/mp values to mpc at current precision."""
-    if isinstance(value, Fraction):
-        return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
-    return mpmath.mpc(value)
-
-
 # -- fixed point: a complex number is a Gaussian integer scaled by 2^W, W = p + GUARD_BITS
 
 
-def _part_mag(x):
-    """The least e with |x| < 2^e for a nonzero libmp mpf or Fraction x, else None."""
-    if isinstance(x, tuple):
-        return x[2] + x[3] if x[1] else None
+def _part_mag(x: Fraction):
+    """The least e with |x| < 2^e for a nonzero Fraction x, else None."""
     n, d = abs(x.numerator), x.denominator
     k = n.bit_length() - d.bit_length()  # |x| lies in (2^(k-1), 2^(k+1))
     return (k + (n >= d << k if k >= 0 else n << -k >= d)) if n else None
@@ -114,13 +106,12 @@ def _part_fixed(x, k: int) -> int:
 
 
 def _gaussian(values, width: int):
-    """values as Gaussian integers scaled by 2^(width - e), truncated toward
-    zero, and e, the least integer above the log2 of every part (0 for a
-    zero vector).  Fractions and mpmath values are taken exactly."""
-    parts = [(Fraction(v), 0) if isinstance(v, (int, Fraction)) else getattr(v, "_mpc_", None)
-             or ((v._mpf_, fzero) if hasattr(v, "_mpf_") else mpmath.mpc(v)._mpc_) for v in values]
-    e = max((m for pair in parts for m in map(_part_mag, pair) if m is not None), default=0)
-    return [tuple(_part_fixed(x, width - e) for x in pair) for pair in parts], e
+    """Rational values as Gaussian integers scaled by 2^(width - e),
+    truncated toward zero, and e, the least integer above the log2 of every
+    value (0 for a zero vector)."""
+    values = [Fraction(v) for v in values]
+    e = max((m for m in map(_part_mag, values) if m is not None), default=0)
+    return [(_part_fixed(v, width - e), 0) for v in values], e
 
 
 def gauss_quotient(a: tuple, b: tuple, width: int) -> tuple:
@@ -146,11 +137,10 @@ class MpForm:
 
     Its coefficients are integers ``n_a`` over one denominator ``den``.
     :meth:`fixed` builds the monomials of a point given as Gaussian integers
-    scaled by 2^W by multiply and shift, and sums n_a z^a exactly.  A call
-    scales any coordinates by one power of two 2^-e that brings every part
-    below 1 (the value comes back exactly as 2^(d e)) and rounds the sum
-    once to p bits.  Each truncation is below one unit in each part, so the
-    call is within 3d 2^-W sum_a |c_a| (2 max_i |z_i|)^d + 2^-p |F(z)|.
+    scaled by 2^W by multiply and shift, and sums n_a z^a exactly.  Each
+    truncation is below one unit in each part, so for coordinates whose
+    parts are at most 1, as a :class:`Point`'s are, the sum over den 2^W is
+    within 3d 2^-W sum_a |c_a| (2 max_i |z_i|)^d of F(z).
     """
 
     __slots__ = ("form", "den", "_width", "_tops", "_terms")
@@ -195,16 +185,6 @@ class MpForm:
                 size += abs(n) * (abs(tr) + abs(ti))
         return ((sr, si), size) if bound else (sr, si)
 
-    def __call__(self, coords) -> mpmath.mpc:
-        w = self._width
-        z, e = (coords.fixed, 0) if isinstance(coords, Point) and coords.width == w else _gaussian(coords, w)
-        prec, rnd = mpmath.mp._prec_rounding
-        shift = self.form.degree * e - w
-        return mpmath.mp.make_mpc(tuple(
-            from_man_exp(s, shift, prec, rnd) if self.den == 1
-            else mpf_div(from_man_exp(s, shift), from_int(self.den), prec, rnd)
-            for s in self.fixed(z)))
-
 
 def compile_forms(forms) -> list:
     """MpForms of forms over their least common denominator, so that their
@@ -213,21 +193,22 @@ def compile_forms(forms) -> list:
     return [MpForm(f)._over(den) for f in forms]
 
 
-class Point(Sequence):
-    """A normalized projective point from :func:`normalize_point`.
+class Point:
+    """A normalized projective point from :func:`normalize_point`, the one
+    value of an irrational point.
 
     ``fixed`` holds its coordinates as Gaussian integers scaled by 2^width,
-    the one at ``pivot`` exactly 2^width.  ``parts`` holds them as pairs of
-    libmp mpf, each rounded to nearest at width - GUARD_BITS bits, and as a
-    sequence it holds them as mpc built from those parts; both are made at
-    the first use.
+    the one at ``pivot`` exactly 2^width; arithmetic reads them.  ``parts``
+    holds them as pairs of libmp mpf, each rounded to nearest at
+    width - GUARD_BITS bits, made at the first use; printing reads them.
+    Its length is its number of coordinates.
     """
 
-    __slots__ = ("fixed", "pivot", "width", "_parts", "_coords")
+    __slots__ = ("fixed", "pivot", "width", "_parts")
 
     def __init__(self, fixed: tuple, pivot: int, width: int):
         self.fixed, self.pivot, self.width = fixed, pivot, width
-        self._parts = self._coords = None
+        self._parts = None
 
     @property
     def parts(self) -> tuple:
@@ -240,10 +221,11 @@ class Point(Sequence):
     def __len__(self):
         return len(self.fixed)
 
-    def __getitem__(self, i):
-        if self._coords is None:
-            self._coords = tuple(map(mpmath.mp.make_mpc, self.parts))
-        return self._coords[i]
+
+def format_point(pt: Point, digits: int) -> str:
+    """A Point's coordinates as text, each part of its ``parts`` to
+    ``digits`` digits, each coordinate as mpmath.nstr prints an mpc."""
+    return "(" + ", ".join(f"({mpc_to_str(pair, digits)})" for pair in pt.parts) + ")"
 
 
 def _normal(ints, width: int, floor: int) -> Point:
@@ -265,10 +247,11 @@ def _normal(ints, width: int, floor: int) -> Point:
 
 
 def normalize_point(coords):
-    """Scale a projective representative so its max-modulus coordinate is 1,
-    in fixed point (:func:`_gaussian`, :func:`_normal`).  Returns a
-    :class:`Point` (a Point as it is) and its pivot.  Raises
-    IndeterminatePointError when every coordinate sits below the zero floor."""
+    """Scale a projective representative of rational coordinates so its
+    max-modulus coordinate is 1, in fixed point at the working precision
+    (:func:`_gaussian`, :func:`_normal`).  Returns a :class:`Point` (a
+    Point as it is) and its pivot.  Raises IndeterminatePointError when
+    every coordinate sits below the zero floor."""
     if isinstance(coords, Point):
         return coords, coords.pivot
     ints, e = _gaussian(coords, mpmath.mp.prec + GUARD_BITS)
@@ -284,11 +267,21 @@ def map_point(forms, pt: Point):
     return vals, _normal(vals, pt.width, (forms[0].den << GUARD_BITS + 8) ** 2)
 
 
-def _unit(pt, width: int) -> tuple:
-    """pt normalized (a Point of this width as it is), as Gaussian integers
-    scaled by 2^width; only the zero vector raises."""
-    return (pt.fixed if isinstance(pt, Point) and pt.width == width
-            else _normal(_gaussian(pt, width)[0], width, 1).fixed)
+def direction(forms, pt: Point) -> Optional[Point]:
+    """The values of forms compiled over one denominator (:func:`compile_forms`)
+    at a Point, as the Point they span, or None where they all vanish."""
+    vals = [f.fixed(pt.fixed) for f in forms]
+    return None if all(v == (0, 0) for v in vals) else _normal(vals, pt.width, 1)
+
+
+def _as_point(pt, width: int) -> Point:
+    """pt as a Point of this width: a Point of the width as it is, rational
+    coordinates normalized; only the zero vector raises."""
+    if isinstance(pt, Point):
+        if pt.width != width:
+            raise ValueError(f"a point of width {pt.width} where the width is {width}")
+        return pt
+    return _normal(_gaussian(pt, width)[0], width, 1)
 
 
 def _cross_squares(a, b):
@@ -302,38 +295,52 @@ def _cross_squares(a, b):
 
 
 def proj_distance(p, q) -> mpmath.mpf:
-    """Projective distance: max cross-difference of normalized representatives,
-    exact on their fixed-point coordinates and rounded once.  Zero exactly
-    when the two points agree; symmetric; insensitive to scaling."""
+    """Projective distance of two Points, or rational coordinates, at the
+    working precision: the max cross-difference of normalized
+    representatives, exact on their fixed-point coordinates and rounded
+    once.  Zero exactly when the two points agree; symmetric; insensitive
+    to scaling.  It gives the residuals that reports print; whether two
+    points agree is :func:`same_point`."""
     prec, rnd = mpmath.mp._prec_rounding
     width = prec + GUARD_BITS
-    top = max(_cross_squares(_unit(p, width), _unit(q, width)), default=0)
+    top = max(_cross_squares(_as_point(p, width).fixed, _as_point(q, width).fixed), default=0)
     return mpmath.mp.make_mpf(mpf_shift(mpf_sqrt(from_int(top), prec, rnd), -2 * width))
 
 
-class PointSet:
-    """Projective points kept apart by the precision's dedup tolerance.
+@functools.lru_cache(maxsize=None)
+def _dedup_limit(width: int) -> int:
+    """(dedup 2^(2 width))^2 as an integer, dedup that of the precision width - GUARD_BITS."""
+    _sign, man, exp, _bc = tolerances(width - GUARD_BITS).dedup._mpf_
+    return (man << exp + 2 * width) ** 2
 
-    Two points match when every exact cross product of their normalized
-    fixed-point coordinates is below dedup 2^(2W): when their exact
-    distance, which :func:`proj_distance` rounds, is below dedup.
-    """
+
+def same_point(p: Point, q: Point) -> bool:
+    """Whether two Points of one width are one point within the dedup
+    tolerance of their precision: whether every exact cross product of
+    their coordinates is below dedup 2^(2W), so that their exact distance,
+    which :func:`proj_distance` rounds, is below dedup.  Every verdict that
+    two points, or two gradient directions, agree is this test."""
+    limit = _dedup_limit(p.width)
+    return all(s < limit for s in _cross_squares(p.fixed, q.fixed))
+
+
+class PointSet:
+    """Projective points kept apart by :func:`same_point`."""
 
     def __init__(self, precision: int):
-        _sign, man, exp, _bc = tolerances(precision).dedup._mpf_
         self.width = precision + GUARD_BITS
-        self._limit = (man << exp + 2 * self.width) ** 2
-        self.points, self._fixed = [], []  # the points, and their normalized coordinates
+        self.points, self._known = [], []  # the points, and their Points
 
     def add(self, pt) -> Optional[int]:
-        """Append pt and return None, or return the index of the first known
-        point within dedup.  Raises NumericalError when pt is the zero vector."""
-        z, limit = _unit(pt, self.width), self._limit
-        for i, known in enumerate(self._fixed):
-            if all(s < limit for s in _cross_squares(known, z)):
+        """Append pt, a Point or rational coordinates, and return None, or
+        return the index of the first known point within dedup.  Raises
+        NumericalError when pt is the zero vector."""
+        z = _as_point(pt, self.width)
+        for i, known in enumerate(self._known):
+            if same_point(known, z):
                 return i
         self.points.append(pt)
-        self._fixed.append(z)
+        self._known.append(z)
         return None
 
 

@@ -370,14 +370,6 @@ class TransversalityReport:
     witness: Optional[str] = None
 
 
-def _gradient_rows(forms, point):
-    rows = []
-    for f in forms:
-        rows.append([poly.partial(f, j).evaluate(tuple(point))
-                     for j in range(f.nvars)])
-    return rows
-
-
 def _tangent(a: HomPoly, b: HomPoly) -> bool:
     """Whether two plane curves meet somewhere with dependent gradients.
 
@@ -393,26 +385,22 @@ def _tangent(a: HomPoly, b: HomPoly) -> bool:
 def _pair_rank(a: HomPoly, b: HomPoly, point, tangent: bool) -> int:
     """Rank of the gradients of a and b at a point where both vanish.
 
-    Exact at a rational point.  Elsewhere 2 for a pair that is not tangent
-    anywhere, and else 2 or 1 by :func:`_independent_gradients`.
+    Exact at a rational point.  At a :class:`numeric.Point`, 2 for a pair
+    that is not tangent anywhere.  Otherwise each gradient is evaluated in
+    fixed point by compiled partials (:func:`numeric.direction`): the rank
+    counts the gradients that do not vanish, and is 1, not 2, when both
+    are one direction within dedup (:func:`numeric.same_point`).
     """
-    if not (tangent or numeric.is_exact(point)):
-        return 2
-    rows = _gradient_rows([a, b], point)
     if numeric.is_exact(point):
-        return projmap.exact_rank(rows)
-    return 2 if _independent_gradients(*rows) else 1
-
-
-def _independent_gradients(va, vb) -> bool:
-    """Whether two gradients at a point are independent, to the dedup
-    tolerance of the working precision: their largest 2 x 2 minor over the
-    largest modulus of each, their projective distance, must exceed dedup.
-    A vanishing gradient is never independent of another."""
-    try:
-        return numeric.proj_distance(va, vb) > numeric.tolerances(mpmath.mp.prec).dedup
-    except numeric.NumericalError:
-        return False
+        return projmap.exact_rank([[poly.partial(f, j).evaluate(point) for j in range(3)]
+                                   for f in (a, b)])
+    if not tangent:
+        return 2
+    ga, gb = (numeric.direction(numeric.compile_forms([poly.partial(f, j) for j in range(3)]), point)
+              for f in (a, b))
+    if ga is None or gb is None:
+        return (ga is not None) + (gb is not None)
+    return 1 if numeric.same_point(ga, gb) else 2
 
 
 def weak_transversality(components: Sequence[Component],
@@ -449,8 +437,7 @@ def weak_transversality(components: Sequence[Component],
             members = tuple(sorted({i for pair in pairs for i in pair}))
             least = min(_pair_rank(forms[i], forms[j], pt, (i, j) in tangent)
                         for i, j in combinations(members, 2))
-            label = (_point_label(pt) if numeric.is_exact(pt) else
-                     "(" + ", ".join(mpmath.nstr(x, 12) for x in pt) + ")")
+            label = _point_label(pt) if numeric.is_exact(pt) else numeric.format_point(pt, 12)
             evidence.append(IntersectionEvidence(label, members, least,
                                                  numeric.is_exact(pt)))
     witness = next((ev.point for ev in evidence if ev.rank_at_point < 2), None)

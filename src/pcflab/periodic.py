@@ -71,18 +71,13 @@ class EigenClass:
     root_order: Optional[int] = None  # q with value^q ~ 1, parabolic only
 
 
-def _point_sort_key(coords, floor):
-    """Real, then imaginary parts; a part below ``floor`` in modulus counts as 0.
-
-    A :class:`numeric.Point` is read from its rounded libmp parts, any other
-    coordinates as mpc.
-    """
-    parts = (coords.parts if isinstance(coords, numeric.Point)
-             else [(mpmath.re(c)._mpf_, mpmath.im(c)._mpf_) for c in coords])
+def _point_sort_key(pt: numeric.Point, floor):
+    """Real, then imaginary parts of a Point's rounded parts; a part below
+    ``floor`` in modulus counts as 0."""
     prec, rnd = mpmath.mp._prec_rounding
     floor = floor._mpf_
     return tuple(tuple(0.0 if mpf_lt(mpf_abs(x, prec, rnd), floor) else to_float(x, rnd=rnd)
-                       for x in pair) for pair in parts)
+                       for x in pair) for pair in pt.parts)
 
 
 def _walk(forms, start, steps: int):
@@ -267,7 +262,7 @@ def find_periodic(m: ProjectiveMap, l: int, precision: Optional[int] = None,
             if residual >= tol.verify:
                 continue  # spurious chart solution
             period = next((q for q in range(1, l) if l % q == 0
-                           and numeric.proj_distance(entries[q][0], pt) < tol.dedup), l)
+                           and numeric.same_point(entries[q][0], pt)), l)
             orbit = (precision, partials, entries[:period])
             out.append(PeriodicPoint(pt, period, residual, mult, orbit))
         out.sort(key=lambda p: (p.period, _point_sort_key(p.point, tol.dedup)))
@@ -447,16 +442,15 @@ def classify(spectrum):
     """Classification of each eigenvalue in the bands EPS_ZERO, EPS_NEUTRAL,
     EPS_ROOT and Q_MAX, which the ``bounds`` section of a report lists.
 
-    Each value is taken as an mpc at the working precision and compared in
-    libmp, each call the one mpmath's operators make, so the verdicts and
+    Each value, an mpc, is rounded to the working precision and compared
+    in libmp, each call the one mpmath's operators make, so the verdicts and
     values are those of the operator expressions.
     """
     prec, rnd = mpmath.mp._prec_rounding
     eps_zero, eps_neutral, eps_root = _BANDS
     out = []
     for lam in spectrum:
-        z = (mpc_pos(lam._mpc_, prec, rnd) if isinstance(lam, mpmath.mpc)
-             else numeric.mpc_from(lam)._mpc_)
+        z = mpc_pos(lam._mpc_, prec, rnd)
         lam, mod = mpmath.mp.make_mpc(z), mpc_abs(z, prec, rnd)
         if mpf_lt(mod, eps_zero):
             out.append(EigenClass(lam, "zero"))
@@ -476,10 +470,6 @@ def classify(spectrum):
         else:
             out.append(EigenClass(lam, "repelling"))
     return tuple(out)
-
-
-def _format_point(coords) -> str:
-    return "(" + ", ".join(mpmath.nstr(c, 12) for c in coords) + ")"
 
 
 @dataclass(frozen=True)
@@ -555,7 +545,7 @@ def eigenvalue_audit(m: ProjectiveMap, max_period: int,
                 classes = classify(spectrum)
                 violations, findings = _audit_classes(classes)
                 if violations or findings:  # the label costs three nstr calls
-                    label = f"period {pp.period} point {_format_point(pp.point)}"
+                    label = f"period {pp.period} point {numeric.format_point(pp.point, 12)}"
                     violations, findings = (tuple(f"{label}: {text}" for text in v)
                                             for v in (violations, findings))
                 verdicts.append(SpectrumVerdict(pp, spectrum, classes, violations, findings))

@@ -166,7 +166,7 @@ class LinearEmbedding:
         return len(self.matrix[0]) - 1
 
     def apply(self, coords: Sequence) -> tuple:
-        """Image of a source point (any ring: Fraction or mpc coordinates)."""
+        """Image of a source point of rational coordinates."""
         if len(coords) != self.source_dim + 1:
             raise MapError("coordinate count mismatch in embedding")
         return tuple(
@@ -344,8 +344,13 @@ def _witness(comps: Sequence[HomPoly], precision: int) -> str:
             return _zero_text(pt)
     # A common zero that is not rational is one of the irrational points.
     with mpmath.workprec(precision):
-        return _zero_text(min((pt for pt in points if not numeric.is_exact(pt)),
-                              key=lambda pt: mpmath.fabs(numeric.MpForm(comps[2])(pt))))
+        third = numeric.MpForm(comps[2])
+
+    def size(pt):  # |f_2(pt)|^2 at the scale of its fixed value
+        x, y = third.fixed(pt.fixed)
+        return x * x + y * y
+
+    return _zero_text(min((pt for pt in points if not numeric.is_exact(pt)), key=size))
 
 
 def _zero_text(pt) -> str:
@@ -353,8 +358,7 @@ def _zero_text(pt) -> str:
     exact, its coordinates to 8 digits when it is approximate."""
     if numeric.is_exact(pt):
         return "common zero at (" + ":".join(str(x) for x in poly.primitive_vector(pt)) + ")"
-    return ("approximate common zero at ("
-            + ", ".join(mpmath.nstr(numeric.mpc_from(c), 8) for c in pt) + ")")
+    return "approximate common zero at " + numeric.format_point(pt, 8)
 
 
 def _zero_on_factor(g: HomPoly, other: HomPoly, precision: int):
@@ -387,7 +391,7 @@ def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
     Returns ``(points, failed)``.  ``points`` holds ``(point, pairs)``, the
     pairs (i, j), i < j, of curves that meet at the point.  The rational
     points come first, each as its primitive integer vector, then the
-    others as normalized mpc triples merged within the dedup tolerance;
+    others as :class:`numeric.Point` values merged within dedup;
     each group is in the order the pairs first meet it.  Two lines meet at
     the kernel of their coefficient rows, and any other pair at the points
     of :func:`numeric.solve_pair_p2`, which returns every rational point

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_rational, fzero
 
 from pcflab import fatou, numeric, pcf, periodic, poly, projmap
 
@@ -127,12 +128,61 @@ def conjugate(m, a_rows):
     return projmap.ProjectiveMap(comps)
 
 
+# -- points of any coordinates ---------------------------------------------------
+# numeric takes rational coordinates and Points only; these build Points of
+# mpmath and Python complex values, and read Points back as mpc.
+
+
+def exact_parts(c) -> tuple:
+    """A coordinate as the exact pair (real part, imaginary part) of
+    Fractions: an int or Fraction as it is, an mpf or mpc exactly, a float
+    or complex as mpmath.mpc rounds it at the working precision."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c), Fraction(0)
+    parts = getattr(c, "_mpc_", None) or ((c._mpf_, fzero) if hasattr(c, "_mpf_")
+                                          else mpmath.mpc(c)._mpc_)
+    return tuple((-1) ** sign * man * Fraction(2) ** exp for sign, man, exp, _bc in parts)
+
+
+def point(coords, floor=True):
+    """coords as a numeric.Point at the working precision (a Point as it
+    is), each coordinate taken by :func:`exact_parts`: the steps of
+    numeric.normalize_point on complex values.  Every part is truncated at
+    2^(W - e), e the least integer above the log2 of every part; with
+    ``floor`` a point below the zero floor raises, without it only the
+    zero vector."""
+    if isinstance(coords, numeric.Point):
+        return coords
+    width = mpmath.mp.prec + numeric.GUARD_BITS
+    parts = [exact_parts(c) for c in coords]
+    e = max((m for pair in parts for m in map(numeric._part_mag, pair) if m is not None), default=0)
+    ints = [tuple(numeric._part_fixed(x, width - e) for x in pair) for pair in parts]
+    return numeric._normal(ints, width, 1 << max(0, 2 * (numeric.GUARD_BITS + 8 - e)) if floor else 1)
+
+
+def coords(pt) -> tuple:
+    """A Point's coordinates as mpc of its parts; rational ones as they are."""
+    if isinstance(pt, numeric.Point):
+        return tuple(mpmath.mp.make_mpc(pair) for pair in pt.parts)
+    return tuple(pt)
+
+
+def value(form, pt):
+    """F at a Point: MpForm.fixed's value rounded once to an mpc at the
+    working precision."""
+    f = numeric.MpForm(form)
+    prec, rnd = mpmath.mp._prec_rounding
+    return mpmath.mp.make_mpc(tuple(from_rational(s, f.den << pt.width, prec, rnd)
+                                    for s in f.fixed(pt.fixed)))
+
+
 def pushforward_point(m, coords, precision=None):
-    """Image of a point, max-modulus normalized, at the given precision."""
+    """Image of a point, max-modulus normalized, at the given precision:
+    each component's :func:`value`, normalized by :func:`point`."""
     precision = numeric.resolve_precision(precision)
     with mpmath.workprec(precision):
-        vals = tuple(numeric.MpForm(c)(coords) for c in m.comps)
-        return numeric.normalize_point(vals)[0]
+        start = point(coords)
+        return point([value(c, start) for c in m.comps])
 
 
 def orbit(m, coords, length, precision=None):
@@ -140,7 +190,7 @@ def orbit(m, coords, length, precision=None):
     precision = numeric.resolve_precision(precision)
     out = []
     with mpmath.workprec(precision):
-        current = numeric.normalize_point(coords)[0]
+        current = point(coords)
         for _ in range(length):
             current = pushforward_point(m, current, precision)
             out.append(current)
@@ -695,8 +745,7 @@ def suite_chart_invariance(n=500, seed=401, precision=256):
                         assert mpmath.fabs(lam - mu) / scale < mpmath.mpf(10) ** -30
                     count += 1
                 # the library's own chart selection must agree too
-                lib = periodic.multipliers(m, [numeric.mpc_from(x) for x in vec],
-                                           1, precision)
+                lib = periodic.multipliers(m, vec, 1, precision)
                 for lam, mu in zip(sorted(lib, key=lambda z: (mpmath.fabs(z),
                                                               float(z.real),
                                                               float(z.imag))),

@@ -22,7 +22,7 @@ equal this loop's exactly; ``property_suites.suite_scan_determinism`` and
 
 from pcflab import poly
 from pcflab.fatou import (CONSECUTIVE_HITS, DERIVATIVE_DECAY_THRESHOLD,
-                          BasinGrid, FatouError, _to_complex)
+                          BasinGrid, FatouError, _candidate_c, _to_complex)
 
 
 def terms(form) -> tuple:
@@ -129,7 +129,7 @@ def scan(m, config) -> BasinGrid:
                 for c in m.comps]
     cands = []
     for cand in config.candidates:
-        norm, _ = normalize_c(tuple(_to_complex(v) for v in cand))
+        norm, _ = normalize_c(_candidate_c(cand))
         if norm is None:
             raise FatouError("candidate point has no nonzero coordinate")
         cands.append(norm)

@@ -109,10 +109,7 @@ def test_criterion_03_fixed_point_completeness(capsys):
             assert pp.residual < residual_bound
             hit = next(
                 (vec for vec in unmatched
-                 if numeric.proj_distance(
-                     pp.point,
-                     numeric.normalize_point([numeric.mpc_from(v) for v in vec])[0])
-                 < match_tol),
+                 if numeric.proj_distance(pp.point, vec) < match_tol),
                 None)
             assert hit is not None, "found point matches no oracle point"
             unmatched.remove(hit)
@@ -176,9 +173,8 @@ def test_criterion_06_image_oracle_equivalence():
                 for j in range(50):
                     src = emb.apply((Fraction(j), Fraction(1)))
                     pushed = tuple(c.evaluate(src) for c in m.comps)
-                    pt = numeric.normalize_point(
-                        [numeric.mpc_from(v) for v in pushed])[0]
-                    val = mpmath.fabs(numeric.MpForm(image.form)(pt))
+                    pt = numeric.normalize_point(pushed)[0]
+                    val = mpmath.fabs(ps.value(image.form, pt))
                     assert val < bound, (name, coeffs, j)
     # The pinned exact identity: the diagonal line's image under squaring.
     m = catalog.get("squaring-p2").map

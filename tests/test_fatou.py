@@ -92,7 +92,7 @@ class TestSuperattractingCandidates:
             roots = [(sign * mpmath.sqrt(2), 1) for sign in (1, -1)]
             assert len(cands) == 2
             for root in roots:
-                assert sum(numeric.proj_distance(c, root) < tol for c in cands) == 1
+                assert sum(numeric.proj_distance(c, ps.point(root)) < tol for c in cands) == 1
 
     def test_numeric_orbit_period(self, monkeypatch):
         # No catalog candidate is irrational, so this is the only caller
@@ -102,22 +102,22 @@ class TestSuperattractingCandidates:
         m = _squaring_p2()
         with mpmath.workprec(256):
             w = mpmath.exp(2j * mpmath.pi / 3)
-            assert fatou._numeric_orbit_period(m, (1, w, 0), 256) == 2
-            assert fatou._numeric_orbit_period(m, (1, w * w, 0), 256) == 2
+            assert fatou._numeric_orbit_period(m, ps.point((1, w, 0)), 256) == 2
+            assert fatou._numeric_orbit_period(m, ps.point((1, w * w, 0)), 256) == 2
         # Each step compares the image with the start; the images are the
         # reference orbit's, bit for bit.
         steps = []
-        real = numeric.proj_distance
+        real = numeric.same_point
 
-        def distance(p, q):
-            steps.append([c._mpc_ for c in p])
+        def same(p, q):
+            steps.append(list(p.parts))
             return real(p, q)
 
-        monkeypatch.setattr(numeric, "proj_distance", distance)
+        monkeypatch.setattr(numeric, "same_point", same)
         assert fatou._numeric_orbit_period(m, (1, 2, 1), 256) is None
         monkeypatch.undo()
         want = ps.orbit(m, (1, 2, 1), fatou.ORBIT_PERIOD_BOUND, 256)
-        assert steps == [[c._mpc_ for c in p] for p in want]
+        assert steps == [list(p.parts) for p in want]
 
 
 class TestIntersectionPoints:
@@ -226,9 +226,7 @@ class TestScanWindows:
                         continue
                     pt = origins[row][col]
                     final = ps.orbit(m, pt, cfg.max_iters, 64)[-1]
-                    cand = tuple(mpmath.mpc(v) for v in cfg.candidates[lab])
-                    dist = numeric.proj_distance(
-                        final, numeric.normalize_point(cand)[0])
+                    dist = numeric.proj_distance(final, cfg.candidates[lab])
                     assert dist < cfg.tol
 
 

@@ -71,10 +71,11 @@ def _value(form, z) -> tuple:
 class TestMpForm:
     @pytest.mark.parametrize("precision", [24, 64, 256, 512])
     def test_within_error_bound(self, precision):
-        # |MpForm(z) - F(z)| <= 3d 2^-W sum|c_a| (2 max|z_i|)^d + 2^-p |F(z)|
-        # against exact evaluation, W = p + GUARD_BITS: forms with integer,
-        # Fraction and wide coefficients at points scaled by 10^+-300 and at
-        # points whose coordinates differ in size by up to 10^+-40.
+        # |fixed(z) / (den 2^W) - F(z)| <= 3d 2^-W sum|c_a| (2 max|z_i|)^d
+        # against exact evaluation at the Point's own coordinates, W = p +
+        # GUARD_BITS: forms with integer, Fraction and wide coefficients at
+        # the Points of coordinates scaled by 10^+-300 and of coordinates
+        # that differ in size by up to 10^+-40.
         rng = random.Random(precision)
         width = precision + numeric.GUARD_BITS
         for trial in range(60):
@@ -93,15 +94,15 @@ class TestMpForm:
                                * scale * mpmath.mpf(10) ** (rng.randint(-40, 0) if trial % 3 else 0)
                                for _ in range(nvars))
             with mpmath.workprec(precision):
-                got = numeric.MpForm(form)(coords)
-            z = [_exact(c) for c in coords]
+                f, pt = numeric.MpForm(form), ps.point(coords, floor=False)
+            got = f.fixed(pt.fixed)
+            z = [(Fraction(x, 2 ** width), Fraction(y, 2 ** width)) for x, y in pt.fixed]
             want = _value(form, z)
-            err = (_exact(got)[0] - want[0], _exact(got)[1] - want[1])
+            err = tuple(Fraction(g, f.den << width) - w for g, w in zip(got, want))
             with mpmath.workprec(1200):
                 size = max(_modulus(c) for c in z)
                 total = sum(_modulus((c, 0)) for c in form.terms.values())
-                bound = (3 * degree * mpmath.ldexp(total, -width) * (2 * size) ** degree
-                         + mpmath.ldexp(_modulus(want), -precision))
+                bound = 3 * degree * mpmath.ldexp(total, -width) * (2 * size) ** degree
                 assert _modulus(err) <= bound, (precision, trial)
 
     def test_values_share_a_scale_and_bound_the_terms(self):
@@ -113,9 +114,9 @@ class TestMpForm:
         with mpmath.workprec(64):
             a, b = numeric.compile_forms(forms)
             assert a.den == b.den == 6
-            pt = numeric.normalize_point((mpmath.mpc(1, 2), Fraction(1, 2), 3))[0]
+            pt = ps.point((mpmath.mpc(1, 2), Fraction(1, 2), 3))
             width = pt.width
-            point = [_exact(c) for c in pt]
+            point = [_exact(c) for c in ps.coords(pt)]
             for f, form in ((a, forms[0]), (b, forms[1])):
                 (sr, si), size = f.fixed(pt.fixed, bound=True)
                 want = _value(form, [(Fraction(u, 2 ** width), Fraction(v, 2 ** width))
@@ -132,16 +133,16 @@ class TestMpForm:
 class TestNormalization:
     def test_normalize_sets_max_chart_to_one(self):
         with mpmath.workprec(256):
-            pt, chart = numeric.normalize_point((mpmath.mpc(3), mpmath.mpc(0, 4)))
+            pt, chart = numeric.normalize_point((3, Fraction(-4)))
             assert chart == 1
-            assert pt[1] == 1
-            assert mpmath.fabs(pt[0]) <= 1
+            assert pt.fixed[1] == (1 << pt.width, 0)
+            assert pt.fixed[0] == (-3 << pt.width - 2, 0)  # 3 / -4 exactly
 
     def test_proj_distance_ignores_scale(self):
         with mpmath.workprec(256):
-            a = (mpmath.mpc(1), mpmath.mpc(2), mpmath.mpc(3))
+            a = (1, 2, 3)
             b = (mpmath.mpc(2), mpmath.mpc(4), mpmath.mpc(6))
-            assert numeric.proj_distance(a, b) < mpmath.mpf(10) ** -70
+            assert numeric.proj_distance(a, ps.point(b)) < mpmath.mpf(10) ** -70
 
 
 # -- the point kernels in exact rationals ----------------------------------------
@@ -262,9 +263,21 @@ def _kernel_inputs(rng, prec):
     return out
 
 
+def _rational(coords) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in coords)
+
+
+def _normalize(coords):
+    """normalize_point on rational coordinates, the same steps on others
+    (property_suites.point): the Point and its pivot."""
+    pt = numeric.normalize_point(coords)[0] if _rational(coords) else ps.point(coords)
+    return pt, pt.pivot
+
+
 class TestPointKernels:
-    """normalize_point and proj_distance on fixed-point values give the bits
-    of the same steps taken in exact rationals."""
+    """normalize_point, its steps on complex values, and proj_distance on
+    fixed-point values give the bits of the same steps taken in exact
+    rationals."""
 
     @pytest.mark.parametrize("precision", [24, 64, 128, 256, 320])
     def test_bit_for_bit(self, precision):
@@ -274,27 +287,27 @@ class TestPointKernels:
             built = []
             for pt in points:
                 want = _outcome(_reference_normalize, pt)
-                got = _outcome(numeric.normalize_point, pt)
+                got = _outcome(_normalize, pt)
                 assert got == (want if isinstance(want, type) else (want, want[1])), pt
                 if isinstance(want, type):
                     continue
-                got = numeric.normalize_point(pt)[0]
-                # a Point comes back as it is, and its coordinates are the
-                # fixed values rounded once
+                got = _normalize(pt)[0]
+                # a Point comes back as it is, and its parts are the fixed
+                # values rounded once
                 assert numeric.normalize_point(got)[0] is got
-                assert got[got.pivot] == 1 and [_exact(c) for c in got] == [
+                assert got.fixed[got.pivot] == (1 << got.width, 0)
+                assert [_exact(c) for c in ps.coords(got)] == [
                     _exact(mpmath.mpc(mpmath.mpf((x, -got.width)), mpmath.mpf((y, -got.width))))
                     for x, y in got.fixed]
                 built.append((pt, got))
             for (p, gp), (q, gq) in zip(built, built[1:] + built[:1]):
                 if len(p) != len(q):
                     continue
-                assert (_outcome(numeric.proj_distance, p, q)
-                        == _outcome(_reference_distance, p, q))
-                assert (_outcome(numeric.proj_distance, gp, gq)
-                        == _outcome(_reference_distance, gp, gq))
-                assert (_outcome(numeric.proj_distance, gp, q)
-                        == _outcome(_reference_distance, gp, q))
+                pairs = [(gp, gq)] + [(a, b) for a, b in ((p, q), (gp, q)) if _rational(b)
+                                      and (a is gp or _rational(a))]
+                for a, b in pairs:
+                    assert (_outcome(numeric.proj_distance, a, b)
+                            == _outcome(_reference_distance, a, b))
 
     def test_inputs_reach_ties_and_wide_unit_pivots(self):
         # Some pivots are not the first coordinate of exactly largest |z|^2,
@@ -307,7 +320,7 @@ class TestPointKernels:
                 if not isinstance(_outcome(_reference_normalize, pt), type):
                     sizes = [x * x + y * y for x, y in (
                         tuple(math.trunc(v * 2 ** width) for v in _exact(c)) for c in pt)]
-                    found.append((pt, numeric.normalize_point(pt)[1], sizes.index(max(sizes))))
+                    found.append((pt, _normalize(pt)[1], sizes.index(max(sizes))))
         assert {pivot == first for _pt, pivot, first in found} == {True, False}
         assert [pt for pt, pivot, _first in found if pt[pivot] == 1 and any(
             hasattr(c, "_mpc_") and c._mpc_[0][3] > 256 for c in pt)]
@@ -388,7 +401,7 @@ class TestPointSetScreen:
         with mpmath.workprec(precision):
             tol = numeric.tolerances(precision).dedup
             cloud = _cloud(rng, nvars, tol)
-            got, want = numeric.PointSet(precision), []
+            got, want, built = numeric.PointSet(precision), [], []
             matched = 0
             for pt in cloud:
                 i = _reference_find(want, pt, tol)
@@ -396,9 +409,11 @@ class TestPointSetScreen:
                     want.append(pt)
                 else:
                     matched += 1
-                assert got.add(pt) == i
+                built.append(ps.point(pt, floor=False))
+                assert got.add(built[-1]) == i
+                if i is None:
+                    assert got.points[-1] is built[-1]
             assert len(got.points) == len(want)
-            assert all(a is b for a, b in zip(got.points, want))
             # 12 rescaled copies and 12 at 0.5 tol match, 12 bases and 12 at
             # 2 tol do not; the points at distance tol must fall on both sides.
             assert matched > 24 and len(want) > 24
@@ -406,10 +421,10 @@ class TestPointSetScreen:
     def test_zero_vector_raises(self):
         with mpmath.workprec(64):
             points = numeric.PointSet(64)
-            zero = (mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0))
+            zero = (0, Fraction(0), 0)
             with pytest.raises(numeric.NumericalError):
                 points.add(zero)
-            points.add((mpmath.mpc(1), mpmath.mpc(2), mpmath.mpc(0)))
+            points.add((1, 2, 0))
             with pytest.raises(numeric.NumericalError):
                 points.add(zero)
             assert len(points.points) == 1
@@ -437,9 +452,11 @@ class TestBinaryRoots:
         assert [m for _r, m in roots] == [1, 1, 1]
         assert roots[0][0] == (1, 1) and numeric.is_exact(roots[0][0])
         with mpmath.workprec(256):
-            ratios = [complex(r[0] / r[1]) for r, _m in roots[1:]]
-            assert all(isinstance(r, numeric.Point) and mpmath.fabs((r[0] / r[1]) ** 3 - 1)
-                       < mpmath.mpf(10) ** -70 for r, _m in roots[1:])
+            quotients = [ps.coords(r) for r, _m in roots[1:]]
+            ratios = [complex(r0 / r1) for r0, r1 in quotients]
+            assert all(isinstance(r, numeric.Point) for r, _m in roots[1:])
+            assert all(mpmath.fabs((r0 / r1) ** 3 - 1) < mpmath.mpf(10) ** -70
+                       for r0, r1 in quotients)
         assert ratios == pytest.approx([complex(-0.5, -3 ** 0.5 / 2), complex(-0.5, 3 ** 0.5 / 2)])
 
     def test_root_at_infinity(self):
@@ -447,7 +464,7 @@ class TestBinaryRoots:
             p = _p(2, 2, {(1, 1): 1, (0, 2): 1})  # t(s + t)
             roots = numeric.binary_form_roots(p, 256)
             assert len(roots) == 2
-            inf = [r for r, _m in roots if mpmath.fabs(r[1]) < 1e-50]
+            inf = [r for r, _m in roots if mpmath.fabs(ps.coords(r)[1]) < 1e-50]
             assert len(inf) == 1  # the (1 : 0) root from the t factor
 
 
@@ -458,9 +475,7 @@ class TestSolvePairP2:
             b = poly.linear_form([1, 0, -1])
             points = numeric.solve_pair_p2(a, b, 256)
             assert len(points) == 1
-            assert numeric.proj_distance(
-                points[0], (mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(1))
-            ) < mpmath.mpf(10) ** -40
+            assert numeric.proj_distance(points[0], (1, 1, 1)) < mpmath.mpf(10) ** -40
 
     def test_conic_meets_line_in_two_points(self):
         with mpmath.workprec(256):
@@ -468,8 +483,7 @@ class TestSolvePairP2:
             line = poly.variable(3, 1)
             points = numeric.solve_pair_p2(conic, line, 256)
             assert len(points) == 2
-            targets = [(mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)),
-                       (mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1))]
+            targets = [(1, 0, 0), (0, 0, 1)]
             for t in targets:
                 assert any(numeric.proj_distance(p, t) < mpmath.mpf(10) ** -40
                            for p in points)
@@ -530,7 +544,7 @@ class TestSolvePairP2:
             assert len(points) == 6
             for pt in points:
                 for form in (a, b):
-                    assert mpmath.fabs(numeric.MpForm(form)(pt)) < mpmath.mpf(10) ** -60
+                    assert mpmath.fabs(ps.value(form, pt)) < mpmath.mpf(10) ** -60
 
     def test_one_split_per_piece_and_one_compile_per_solve(self, monkeypatch):
         # The eliminant is split into square-free pieces once; a piece, or
@@ -576,7 +590,7 @@ class TestSolvePairP2:
             root5 = mpmath.sqrt(5)
             want = [(r, r + 1, 1) for r in ((root5 - 1) / 2, (-root5 - 1) / 2)]
             for w in want:
-                assert sum(numeric.proj_distance(pt, w) < mpmath.mpf(10) ** -40
+                assert sum(numeric.proj_distance(pt, ps.point(w)) < mpmath.mpf(10) ** -40
                            for pt in points) == 1
 
     def test_both_orders_blocked_raises(self):
@@ -917,7 +931,7 @@ class TestCanonicalOrder:
             monkeypatch.setattr(numeric, "_sweeps", sweeps)
             with mpmath.workprec(256):
                 roots = numeric.binary_form_roots(q, 256)
-                orders.append([(complex(r0 / r1), m) for (r0, r1), m in roots])
+                orders.append([(complex(r0 / r1), m) for r, m in roots for r0, r1 in [ps.coords(r)]])
         assert orders[0] == orders[1]
         rounded = [[(round(z.real, 9), round(z.imag, 9)) for z, _m in o] for o in orders]
         assert rounded[0] == rounded[2]

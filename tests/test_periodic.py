@@ -55,7 +55,7 @@ def _diagonal(c0, c1, c2):
 
 
 def _close(a, b, bound):
-    return mpmath.fabs(numeric.mpc_from(a) - numeric.mpc_from(b)) < bound
+    return mpmath.fabs(a - b) < bound
 
 
 def _conjugate(m, a_rows):
@@ -110,7 +110,8 @@ class TestFindPeriodic:
         with mpmath.workprec(256):
             for pp in pts:
                 if pp.period == 2:
-                    z = pp.point[0] / pp.point[1]
+                    x, y = ps.coords(pp.point)
+                    z = x / y
                     assert _close(z ** 3, 1, mpmath.mpf(10) ** -40)
 
     def test_fs_counts(self):
@@ -159,8 +160,7 @@ class TestFindPeriodic:
                       if (a, b, c) != (0, 0, 0)}
             want = numeric.PointSet(256)
             for q in closed:
-                want.add(tuple(sum(numeric.mpc_from(r) * v for r, v in zip(row, q))
-                               for row in inv))
+                want.add(ps.point([sum(r * v for r, v in zip(row, q)) for row in inv]))
             assert len(want.points) == 21
             tight = mpmath.mpf(10) ** -40
             for target in want.points:
@@ -173,8 +173,8 @@ class TestFindPeriodic:
         with mpmath.workprec(256):
             floor = numeric.tolerances(256).dedup
             tail = mpmath.mpc("0.056", "-0.131")
-            keys = {periodic._point_sort_key(
-                (mpmath.mpc(1), mpmath.mpc(1, sign * mpmath.mpf("1e-77")), tail), floor)
+            keys = {periodic._point_sort_key(ps.point(
+                (mpmath.mpc(1), mpmath.mpc(1, sign * mpmath.mpf("1e-77")), tail)), floor)
                 for sign in (1, -1)}
         assert keys == {((1.0, 0.0), (1.0, 0.0), (0.056, -0.131))}
 
@@ -183,8 +183,9 @@ class TestFindPeriodic:
         # whose moduli tie but whose second is the larger in its last bits.
         # Normalizing it, or normalizing the rounded coordinates of its
         # Point again, pivots on the first within the 2^-p window, so
-        # find_periodic keeps its orbit and multipliers from the Point or
-        # from the representative walk the same steps.
+        # find_periodic keeps the orbit of a Point of it as the solver hands
+        # it over, and multipliers from that Point or from a second Point of
+        # the representative walk the same steps.
         m = _squaring_p2()
         rng = random.Random(1)
         with mpmath.workprec(256):
@@ -195,12 +196,12 @@ class TestFindPeriodic:
                 with mpmath.workprec(1024):
                     if mpmath.fabs(rep[1]) > mpmath.fabs(rep[0]):
                         break
-            pt = numeric.normalize_point(rep)[0]
-            assert pt.pivot == 0 and numeric.normalize_point(tuple(pt))[1] == 0
+            pt, again = ps.point(rep), ps.point(rep)
+            assert pt.pivot == 0 and ps.point(ps.coords(pt)).pivot == 0
         real = periodic._fixed_point_candidates_p2
 
         def first_the_tie(big, precision, failed=None):
-            yield [rep]
+            yield [again]
             yield from real(big, precision, failed)
 
         monkeypatch.setattr(periodic, "_fixed_point_candidates_p2", first_the_tie)
@@ -209,7 +210,7 @@ class TestFindPeriodic:
         assert len(tied) == 1 and tied[0].orbit is not None
         audit = periodic.eigenvalue_audit(m, 2, 256, found)
         spectrum = [v.spectrum for v in audit.verdicts if v.point is tied[0]]
-        for start in (pt, rep):
+        for start in (pt, again):
             alone = periodic.multipliers(m, start, 2, 256)
             assert [[x._mpc_ for x in s] for s in spectrum] == [[x._mpc_ for x in alone]]
 
@@ -524,8 +525,8 @@ class TestMultipliers:
         with mpmath.workprec(256):
             zeta = mpmath.exp(2 * mpmath.pi * mpmath.mpc(0, 1) / 7)
             moved = ps.orbit(m, (zeta, 1), 3, 256)[-1]
-            assert numeric.proj_distance(moved, (zeta, mpmath.mpc(1))) < mpmath.mpf(10) ** -50
-            spec = periodic.multipliers(m, (zeta, 1), 3, 256)
+            assert numeric.proj_distance(moved, ps.point((zeta, 1))) < mpmath.mpf(10) ** -50
+            spec = periodic.multipliers(m, ps.point((zeta, 1)), 3, 256)
             assert len(spec) == 1
             assert _close(spec[0], 8, mpmath.mpf(10) ** -40)
 
@@ -631,7 +632,7 @@ def _operator_classify(spectrum):
     """(value, kind, root order) of each eigenvalue."""
     out = []
     for lam in spectrum:
-        lam = numeric.mpc_from(lam)
+        lam = mpmath.mpc(lam)
         mod = mpmath.fabs(lam)
         if mod < periodic.EPS_ZERO:
             out.append((lam, "zero", None))
@@ -712,7 +713,7 @@ class TestLibmpPaths:
                     assert [v._mpc_ for v in got] == [v._mpc_ for v in want], name
                     if name == "double" and len(matrix) == 2 and precision > 24:
                         assert got[0]._mpc_ == got[1]._mpc_  # a discriminant taken as 0
-                    spectrum = list(got) + [1, -1, mpmath.mpf("0.5"), 2j]
+                    spectrum = list(got) + [mpmath.mpc(v) for v in (1, -1, mpmath.mpf("0.5"), 2j)]
                     classes = periodic.classify(spectrum)
                     assert [(c.value._mpc_, c.kind, c.root_order) for c in classes] == [
                         (v._mpc_, kind, order) for v, kind, order in _operator_classify(spectrum)]
@@ -739,12 +740,12 @@ class TestLibmpPaths:
                 coords = [mpmath.mpc(part(), part()) for _ in range(rng.choice((2, 3)))]
                 if all(c == 0 for c in coords):
                     continue
-                pt = numeric.normalize_point(coords)[0]
-                assert [c._mpc_ for c in pt] == list(pt.parts) == [
+                pt = ps.point(coords)
+                assert [c._mpc_ for c in ps.coords(pt)] == list(pt.parts) == [
                     tuple(mpmath.libmp.from_man_exp(x, -width, precision, mpmath.libmp.round_nearest)
                           for x in v) for v in pt.fixed]
-                assert periodic._point_sort_key(pt, floor) == _operator_sort_key(tuple(pt), floor)
-                assert cli._point_json(pt) == [_operator_cnum(c) for c in pt]
+                assert periodic._point_sort_key(pt, floor) == _operator_sort_key(ps.coords(pt), floor)
+                assert cli._point_json(pt) == [_operator_cnum(c) for c in ps.coords(pt)]
         with mpmath.workprec(precision):
             for v in (2.5 - 1j, 3, mpmath.mpf(1) / 3, mpmath.mpc(1, -2) / 7):
                 assert cli._cnum(v) == _operator_cnum(v)
@@ -772,7 +773,7 @@ class TestClassify:
         with mpmath.workprec(128):
             i = mpmath.mpc(0, 1)
             spectrum = (0, mpmath.mpf("0.5"), 1, -1, i, 2, mpmath.exp(i))
-            classes = periodic.classify(spectrum)
+            classes = periodic.classify([mpmath.mpc(v) for v in spectrum])
         kinds = [c.kind for c in classes]
         assert kinds == ["zero", "attracting-nonzero", "parabolic",
                          "parabolic", "parabolic", "repelling",
@@ -917,8 +918,8 @@ class TestCountCertificate:
         assert line[0] == (0, 1, 0)
         with mpmath.workprec(256):
             for pt, phi in zip(line[1:], sorted((1 + s * mpmath.sqrt(5)) / 2 for s in (1, -1))):
-                assert isinstance(pt, numeric.Point) and pt[0] == 0
-                assert numeric.proj_distance(pt, (0, phi, 1)) < mpmath.mpf(10) ** -70
+                assert isinstance(pt, numeric.Point) and pt.fixed[0] == (0, 0)
+                assert numeric.proj_distance(pt, ps.point((0, phi, 1))) < mpmath.mpf(10) ** -70
         calls = _count_calls(monkeypatch, numeric, "solve_pair_p2")
         count = periodic.bezout_audit(m, 1, precision=256)
         assert len(calls) == 1
@@ -962,7 +963,7 @@ class TestCountCertificate:
         # merged ones: it is reported by its violations and no finding.
         m = projmap.ProjectiveMap([_p(2, 2, {(2, 0): 1, (1, 1): 1}), _p(2, 2, {(0, 2): 1})])
         pts = periodic.find_periodic(m, 1, 256)
-        assert [(tuple(complex(c) for c in p.point), p.multiplicity) for p in pts] == [
+        assert [(tuple(complex(c) for c in ps.coords(p.point)), p.multiplicity) for p in pts] == [
             ((0, 1), 2), ((1, 0), 1)]
         count = periodic.bezout_audit(m, 1, pts)
         assert (count.expected, count.distinct, count.weighted, count.ok) == (3, 2, 3, True)
@@ -1093,7 +1094,7 @@ class TestCoordinateChangeInvariance:
         with mpmath.workprec(256):
             tol = mpmath.mpf(10) ** -25
             for v in conj.verdicts:
-                moved = _mat_vec(B_ROWS, v.point.point)
+                moved = ps.point(_mat_vec(B_ROWS, ps.coords(v.point.point)))
                 match = [b for b in base.verdicts
                          if numeric.proj_distance(b.point.point, moved) < tol]
                 assert len(match) == 1

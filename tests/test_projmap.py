@@ -516,9 +516,10 @@ class TestNumericEvaluation:
         with mpmath.workprec(128):
             pt = ps.pushforward_point(m, (1, 2, 3), 128)
             # (1 : 4 : 9) scaled so the largest coordinate is exactly 1.
-            assert pt[2] == mpmath.mpc(1)
-            assert mpmath.fabs(pt[0] - mpmath.mpf(1) / 9) < mpmath.mpf(10) ** -30
-            assert mpmath.fabs(pt[1] - mpmath.mpf(4) / 9) < mpmath.mpf(10) ** -30
+            x, y, z = ps.coords(pt)
+            assert z == mpmath.mpc(1)
+            assert mpmath.fabs(x - mpmath.mpf(1) / 9) < mpmath.mpf(10) ** -30
+            assert mpmath.fabs(y - mpmath.mpf(4) / 9) < mpmath.mpf(10) ** -30
 
     def test_orbit_excludes_start(self):
         m = _squaring_p1()
@@ -527,8 +528,9 @@ class TestNumericEvaluation:
             assert len(pts) == 3
             # Images of 1/2 are 1/4, 1/16, 1/256; the start is not included.
             for got, want in zip(pts, (4, 16, 256)):
-                assert got[1] == mpmath.mpc(1)
-                err = mpmath.fabs(got[0] - mpmath.mpf(1) / want)
+                x, y = ps.coords(got)
+                assert y == mpmath.mpc(1)
+                err = mpmath.fabs(x - mpmath.mpf(1) / want)
                 assert err < mpmath.mpf(10) ** -30
 
 
