@@ -269,9 +269,17 @@ def map_point(forms, pt: Point):
 
 def direction(forms, pt: Point) -> Optional[Point]:
     """The values of forms compiled over one denominator (:func:`compile_forms`)
-    at a Point, as the Point they span, or None where they all vanish."""
-    vals = [f.fixed(pt.fixed) for f in forms]
-    return None if all(v == (0, 0) for v in vals) else _normal(vals, pt.width, 1)
+    at a Point, as the Point they span, or None where they all vanish to
+    the dedup tolerance: where each value is at most dedup times its
+    term-size bound (:meth:`MpForm.fixed`), so that rounding noise, such as
+    a gradient at a singular point, does not pass for a direction."""
+    _sign, man, exp, _bc = tolerances(pt.width - GUARD_BITS).dedup._mpf_  # exp < 0
+    vals, zero = [], True
+    for f in forms:
+        (x, y), size = f.fixed(pt.fixed, bound=True)
+        vals.append((x, y))
+        zero = zero and (x * x + y * y) << -2 * exp <= (man * size) ** 2
+    return None if zero else _normal(vals, pt.width, 1)
 
 
 def _as_point(pt, width: int) -> Point:

@@ -364,6 +364,19 @@ class TestWeakTransversality:
         assert not any(ev.exact for ev in report.evidence)
         assert report.witness == report.evidence[0].point
 
+    def test_vanishing_gradient_at_an_irrational_point(self):
+        # y^2 z^2 - (x^2 - 2z^2)^2 is singular at (±√2 : 0 : 1), where it
+        # meets y = 0.  Its gradient there evaluates to rounding noise, far
+        # below dedup times the size of its terms; normalized, that noise
+        # would pass for a direction independent of y's, of rank 2.
+        quartic = ps.make_component(_p(3, 4, {(0, 2, 2): 1, (4, 0, 0): -1,
+                                               (2, 0, 2): 4, (0, 0, 4): -4}))
+        report = pcf.weak_transversality([quartic, _line([0, 1, 0])])
+        assert report.verdict == "not-weakly-transverse"
+        assert [ev.rank_at_point for ev in report.evidence] == [1, 1]
+        assert not any(ev.exact for ev in report.evidence)
+        assert report.witness == report.evidence[0].point
+
     def test_tangency_where_the_eliminant_is_simple(self):
         # x meets y^2 z - x^3 - x z^2 twice at (0:0:1), though the
         # eliminant, x itself, has a simple root there: the rank decides.
