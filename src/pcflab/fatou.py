@@ -81,44 +81,61 @@ def _all_zero_spectrum(m: ProjectiveMap, point, period: int,
     return all(c.kind == "zero" for c in periodic.classify(spectrum))
 
 
+def _singular_points(form, precision: int) -> list:
+    """The singular points of a plane curve of degree at least 2, the common
+    zeros of its three partials: none when :func:`projmap.has_common_zero`
+    finds the curve smooth, else the common zeros of the first coprime
+    pair of partials at which the third vanishes too, exactly at a rational
+    point and within dedup at a Point (:func:`numeric.direction`).  Raises
+    NumericalError when no two partials are coprime or the solve fails."""
+    partials = [poly.partial(form, j) for j in range(3)]
+    if not projmap.has_common_zero(partials):
+        return []
+    i, j = next((pair for pair in ((0, 1), (0, 2), (1, 2))
+                 if poly.gcd(*(partials[k] for k in pair)).is_constant()), (0, 1))
+    points = numeric.solve_pair_p2(partials[i], partials[j], precision)  # raises without a pair
+    with mpmath.workprec(precision):
+        gradient = numeric.compile_forms(partials)
+    return [pt for pt in points if (partials[3 - i - j].evaluate(pt) == 0 if numeric.is_exact(pt)
+                                    else numeric.direction(gradient, pt) is None)]
+
+
 def superattracting_candidates(m: ProjectiveMap, graph, tower,
                                precision: Optional[int] = None):
     """Periodic zero-dimensional intersection points with nilpotent spectra.
 
     For P^1 the points are the roots of the post-critical components, each
-    rational one exact (:func:`numeric.binary_form_roots`); for P^2 the
-    pairwise intersections of the graph's components are collected, plus
-    any terminal tower points.  Each surviving point is certified periodic
-    (exactly for rational points) and keeps only an all-zero multiplier
-    classification.  Rational points come back as integer tuples, the
-    others as :class:`numeric.Point` values.  An empty result is valid.
+    rational one exact (:func:`numeric.binary_form_roots`).  For P^2 they
+    are the pairwise intersections of the graph's components, any terminal
+    tower points, and the singular points of each component of degree at
+    least 2 (:func:`_singular_points`), such as the node where a component
+    crosses itself.  Each surviving point is certified periodic (exactly
+    for rational points) and keeps only an all-zero multiplier
+    classification.  Rational points come back as primitive vectors of
+    Fractions, first, then the others as :class:`numeric.Point` values,
+    each point once.  An empty result is valid.
     """
     precision = numeric.resolve_precision(precision)
-    exact, approx = [], []
     if m.k == 1:
-        for node in graph.nodes:
-            for root, _mult in numeric.binary_form_roots(node.form, precision):
-                vec = poly.primitive_vector(root) if numeric.is_exact(root) else None
-                if vec is None:
-                    approx.append(root)
-                elif vec not in exact:
-                    exact.append(vec)
+        points = [root for node in graph.nodes
+                  for root, _mult in numeric.binary_form_roots(node.form, precision)]
     elif m.k == 2:
-        points, failed = projmap.pairwise_intersections(
-            [node.form for node in graph.nodes], precision)
+        forms = [node.form for node in graph.nodes]
+        found, failed = projmap.pairwise_intersections(forms, precision)
         if failed:
             raise failed[0][1]
-        exact = [pt for pt, _pairs in points if numeric.is_exact(pt)]
-        approx = [pt for pt, _pairs in points if not numeric.is_exact(pt)]
-        for level in tower:
-            for entry in level.entries:
-                if entry.embedding is None or entry.embedding.source_dim != 0:
-                    continue
-                vec = poly.primitive_vector([row[0] for row in entry.embedding.matrix])
-                if vec not in exact:
-                    exact.append(vec)
+        points = [pt for pt, _pairs in found] + [
+            [row[0] for row in entry.embedding.matrix] for level in tower for entry in level.entries
+            if entry.embedding is not None and entry.embedding.source_dim == 0]
+        points += [pt for f in forms if f.degree >= 2 for pt in _singular_points(f, precision)]
     else:
         raise FatouError(f"candidates implemented for P^1 and P^2, not P^{m.k}")
+    exact, approx = [], numeric.PointSet(precision)
+    for pt in points:
+        if not numeric.is_exact(pt):
+            approx.add(pt)
+        elif (vec := poly.primitive_vector(pt)) not in exact:
+            exact.append(vec)
 
     out = []
     with mpmath.workprec(precision):
@@ -128,7 +145,7 @@ def superattracting_candidates(m: ProjectiveMap, graph, tower,
                 continue
             if _all_zero_spectrum(m, vec, period, precision):
                 out.append(tuple(vec))
-        for pt in approx:
+        for pt in approx.points:
             period = _numeric_orbit_period(m, pt, precision)
             if period is None:
                 continue

@@ -94,6 +94,41 @@ class TestSuperattractingCandidates:
             for root in roots:
                 assert sum(numeric.proj_distance(c, ps.point(root)) < tol for c in cands) == 1
 
+    def test_node_of_a_component_is_a_candidate(self):
+        # Sym^2 of Newton's map for z^2 - 2 fixes (1 : 0 : -2) with spectrum
+        # (0, 0).  It lies on one post-critical component only, the node of
+        # 4x^2 + 4xz - 2y^2 + z^2 (two conjugate lines), so no pair of
+        # components meets there; its basin holds half of the window.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        m = projmap.ProjectiveMap([(x * z).scale(4), (x * y).scale(4) + (y * z).scale(2),
+                                   (x * x).scale(4) - (x * z).scale(4) + (y * y).scale(2) + z * z])
+        graph, tower = _graph_and_tower(m)
+        node = poly.canonical((x * x).scale(4) + (x * z).scale(4) - (y * y).scale(2) + z * z)
+        assert node in [n.form for n in graph.nodes]
+        cands = fatou.superattracting_candidates(m, graph, tower)
+        assert cands[0] == (1, 0, -2) and len(cands) == 3
+        assert all(isinstance(c, numeric.Point) for c in cands[1:])
+        config = fatou.ScanConfig(2, (0, 0), 0.9, 16, candidates=tuple(cands))
+        summary = fatou.basin_summary(fatou.scan(m, config))
+        assert summary.consistency == "CONSISTENT"
+        assert summary.fractions == (0.5, 0.25, 0.25)
+
+    def test_singular_points(self):
+        # A smooth conic has none.  y^2 z^2 - (x^2 - 2z^2)^2 is singular at
+        # (0 : 1 : 0) and at (+-sqrt 2 : 0 : 1), where its gradient is
+        # rounding noise at a Point.
+        x, y, z = (poly.variable(3, i) for i in range(3))
+        assert fatou._singular_points(x * z - y * y, 256) == []
+        quartic = (y * z) ** 2 - (x * x - (z * z).scale(2)) ** 2
+        points = fatou._singular_points(quartic, 256)
+        assert [pt for pt in points if numeric.is_exact(pt)] == [(0, 1, 0)]
+        irrational = [pt for pt in points if not numeric.is_exact(pt)]
+        with mpmath.workprec(256):
+            for sign in (1, -1):
+                root = ps.point((sign * mpmath.sqrt(2), 0, 1))
+                assert sum(numeric.same_point(pt, root) for pt in irrational) == 1
+        assert len(points) == 3
+
     def test_numeric_orbit_period(self, monkeypatch):
         # No catalog candidate is irrational, so this is the only caller
         # of the numeric period search.  Squaring moves (1 : w : 0), w a
