@@ -34,7 +34,6 @@ from .pcf import (
     image_of_component,
     postcritical_graph,
     restricted_critical_containment,
-    topdeg_check,
     weak_transversality,
 )
 from .periodic import (
@@ -67,7 +66,7 @@ __all__ = [
     "validate",
     "Component", "PcfError", "PcfVerdict", "PostCriticalGraph", "TowerEntry",
     "TowerLevel", "build_tower", "critical_components", "image_of_component",
-    "postcritical_graph", "restricted_critical_containment", "topdeg_check",
+    "postcritical_graph", "restricted_critical_containment",
     "weak_transversality",
     "AuditReport", "BudgetError", "EigenClass", "PeriodicPoint",
     "bezout_audit", "classify", "eigenvalue_audit", "find_periodic",

@@ -39,6 +39,8 @@ EXIT_NO_CANDIDATES = 5
 # precision.  Residuals are printed from their full precision.
 REPORT_PRECISION = 53
 
+# "degree_checks" is always null: a restriction's degree is d^k1 by
+# construction (pcf.build_tower), so no check of it can fail.
 REPORT_KEYS = (
     "map", "pcf", "tower", "transversality", "containment",
     "degree_checks", "periodic", "theorem_b", "fatou", "bounds",
@@ -251,11 +253,6 @@ def _containment_json(rep: pcf.ContainmentReport):
     }
 
 
-def _degree_json(checks):
-    return [{"label": c.label, "expected": c.expected, "actual": c.actual,
-             "ok": c.ok} for c in checks]
-
-
 def _periodic_json(max_period: int, rows, audit: periodic.AuditReport):
     points = []
     for v in audit.verdicts:
@@ -415,8 +412,6 @@ def cmd_analyze(args) -> int:
         if levels:
             report["containment"] = _containment_json(
                 pcf.restricted_critical_containment(work, levels[0], crit))
-            report["degree_checks"] = _degree_json(
-                pcf.topdeg_check(levels[0], work.d))
     except (projmap.DegreeCapError, pcf.PcfError, numeric.NumericalError) as exc:
         return _abort(report, args, exc)
     _emit(report, args.report)

@@ -6,9 +6,9 @@ This module closes the critical components under the image operation,
 decides whether that closure is finite within configured bounds, and when
 it is, descends through the restrictions to periodic linear subspaces until
 dimension zero.  It also houses the structural audits quoted by reports:
-weak transversality of the arrangement, containment of each restriction's
-critical points in crit(f^n), decided exactly by gcds along the orbit of the
-restricted line, and topological degree comparisons.
+weak transversality of the arrangement, and containment of each
+restriction's critical points in crit(f^n), decided exactly by gcds along
+the orbit of the restricted line.
 
 Images are exact.  The image of {c = 0} is cut out by the least-degree form
 M with c | M∘f, found by linear algebra over the monomials of each degree in
@@ -532,21 +532,3 @@ def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
         results.append((entry.label, verdict, tuple(checks)))
     return ContainmentReport(tuple(results))
 
-
-@dataclass(frozen=True)
-class DegreeCheck:
-    label: str
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def topdeg_check(level: TowerLevel, d: int):
-    """Compare each restriction's degree with d^(k_m): a map of P^1 whose
-    components have no common factor (see :func:`projmap.restrict`), so
-    its degree is its components'."""
-    return tuple(DegreeCheck(entry.label, d**level.k_m, entry.restricted_map.d)
-                 for entry in level.entries if entry.restricted_map is not None)

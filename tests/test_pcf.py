@@ -630,21 +630,20 @@ class TestContainment:
 
 
 class TestTopDegree:
+    """Each restriction of the first tower level has degree d^k1."""
+
     def test_squaring_p2(self):
         m = _squaring_p2()
         graph, _ = pcf.postcritical_graph(m)
         levels = pcf.build_tower(m, graph)
-        checks = pcf.topdeg_check(levels[0], m.d)
-        assert len(checks) == 3
-        assert all(c.expected == 2 and c.actual == 2 and c.ok for c in checks)
+        assert [e.restricted_map.d for e in levels[0].entries] == [2, 2, 2]
 
     def test_fs_degree_eight(self):
         m = _fs()
         graph, _ = pcf.postcritical_graph(m)
         levels = pcf.build_tower(m, graph)
-        checks = pcf.topdeg_check(levels[0], m.d)
-        assert len(checks) == 3
-        assert all(c.expected == 8 and c.actual == 8 and c.ok for c in checks)
+        assert levels[0].k_m == 3
+        assert [e.restricted_map.d for e in levels[0].entries] == [8, 8, 8]
 
 
 class TestRandomizedLaws:
