@@ -40,7 +40,8 @@ EXIT_NO_CANDIDATES = 5
 REPORT_PRECISION = 53
 
 # "degree_checks" is always null: a restriction's degree is d^k1 by
-# construction (pcf.build_tower), so no check of it can fail.
+# construction (pcf.build_tower), so no check of it can fail.  The key
+# stays while perfbench/run.py's analyze check reads it.
 REPORT_KEYS = (
     "map", "pcf", "tower", "transversality", "containment",
     "degree_checks", "periodic", "theorem_b", "fatou", "bounds",

@@ -91,9 +91,12 @@ def _singular_points(form, precision: int) -> list:
     partials = [poly.partial(form, j) for j in range(3)]
     if not projmap.has_common_zero(partials):
         return []
-    i, j = next((pair for pair in ((0, 1), (0, 2), (1, 2))
-                 if poly.gcd(*(partials[k] for k in pair)).is_constant()), (0, 1))
-    points = numeric.solve_pair_p2(partials[i], partials[j], precision)  # raises without a pair
+    pair = next((pair for pair in ((0, 1), (0, 2), (1, 2))
+                 if poly.gcd(*(partials[k] for k in pair)).is_constant()), None)
+    if pair is None:
+        raise numeric.NumericalError(f"no two partials of {poly.format_poly(form)} are coprime")
+    i, j = pair
+    points = numeric.solve_pair_p2(partials[i], partials[j], precision)
     with mpmath.workprec(precision):
         gradient = numeric.compile_forms(partials)
     return [pt for pt in points if (partials[3 - i - j].evaluate(pt) == 0 if numeric.is_exact(pt)

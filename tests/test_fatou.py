@@ -128,6 +128,9 @@ class TestSuperattractingCandidates:
                 root = ps.point((sign * mpmath.sqrt(2), 0, 1))
                 assert sum(numeric.same_point(pt, root) for pt in irrational) == 1
         assert len(points) == 3
+        # The triangle xyz has no coprime pair of partials to solve.
+        with pytest.raises(numeric.NumericalError, match="coprime"):
+            fatou._singular_points(x * y * z, 256)
 
     def test_numeric_orbit_period(self, monkeypatch):
         # No catalog candidate is irrational, so this is the only caller
