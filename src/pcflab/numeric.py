@@ -267,18 +267,24 @@ def map_point(forms, pt: Point):
     return vals, _normal(vals, pt.width, (forms[0].den << GUARD_BITS + 8) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _dedup_limit(width: int) -> int:
+    """(dedup 2^(2 width))^2 as an integer, dedup that of the precision width - GUARD_BITS."""
+    _sign, man, exp, _bc = tolerances(width - GUARD_BITS).dedup._mpf_
+    return (man << exp + 2 * width) ** 2
+
+
 def direction(forms, pt: Point) -> Optional[Point]:
     """The values of forms compiled over one denominator (:func:`compile_forms`)
     at a Point, as the Point they span, or None where they all vanish to
     the dedup tolerance: where each value is at most dedup times its
     term-size bound (:meth:`MpForm.fixed`), so that rounding noise, such as
     a gradient at a singular point, does not pass for a direction."""
-    _sign, man, exp, _bc = tolerances(pt.width - GUARD_BITS).dedup._mpf_  # exp < 0
-    vals, zero = [], True
+    limit, vals, zero = _dedup_limit(pt.width), [], True
     for f in forms:
         (x, y), size = f.fixed(pt.fixed, bound=True)
         vals.append((x, y))
-        zero = zero and (x * x + y * y) << -2 * exp <= (man * size) ** 2
+        zero = zero and (x * x + y * y) << 4 * pt.width <= limit * size * size
     return None if zero else _normal(vals, pt.width, 1)
 
 
@@ -313,13 +319,6 @@ def proj_distance(p, q) -> mpmath.mpf:
     width = prec + GUARD_BITS
     top = max(_cross_squares(_as_point(p, width).fixed, _as_point(q, width).fixed), default=0)
     return mpmath.mp.make_mpf(mpf_shift(mpf_sqrt(from_int(top), prec, rnd), -2 * width))
-
-
-@functools.lru_cache(maxsize=None)
-def _dedup_limit(width: int) -> int:
-    """(dedup 2^(2 width))^2 as an integer, dedup that of the precision width - GUARD_BITS."""
-    _sign, man, exp, _bc = tolerances(width - GUARD_BITS).dedup._mpf_
-    return (man << exp + 2 * width) ** 2
 
 
 def same_point(p: Point, q: Point) -> bool:

@@ -345,12 +345,9 @@ def _witness(comps: Sequence[HomPoly], precision: int) -> str:
     # A common zero that is not rational is one of the irrational points.
     with mpmath.workprec(precision):
         third = numeric.MpForm(comps[2])
-
-    def size(pt):  # |f_2(pt)|^2 at the scale of its fixed value
-        x, y = third.fixed(pt.fixed)
-        return x * x + y * y
-
-    return _zero_text(min((pt for pt in points if not numeric.is_exact(pt)), key=size))
+    # the least |f_2|^2, read at the scale of the fixed values
+    return _zero_text(min((pt for pt in points if not numeric.is_exact(pt)),
+                          key=lambda pt: sum(v * v for v in third.fixed(pt.fixed))))
 
 
 def _zero_text(pt) -> str:
