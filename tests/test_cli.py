@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 import pcflab
-from pcflab import catalog, cli, numeric, pcf, periodic
+from pcflab import catalog, cli, numeric, pcf, periodic, projmap
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -240,6 +240,26 @@ class TestAnalyze:
         forms = {c["form"] for c in report["pcf"]["components"]}
         assert all(c["image"] is None or c["image"] in forms
                    for c in report["pcf"]["components"])
+
+    @pytest.mark.parametrize("source, cap, note", [
+        ("catalog:fs-1992-a", 7, "aborted: degree 2^3 = 8 exceeds the cap 7"),
+        # Every periodic node of Sym^2 of Newton's map is a conic, so no
+        # line is restricted, and the tower's degree is capped all the same.
+        (str(GOLDEN_DIR / "sym2-newton.json"), 1, "aborted: degree 2^1 = 2 exceeds the cap 1"),
+    ], ids=["fs-1992-a", "sym2-newton"])
+    def test_tower_degree_over_the_cap_exits_4(self, source, cap, note, monkeypatch, capsys):
+        # The tower restricts f^k1, of degree d^k1, and checks that degree
+        # against the cap before it restricts anything.
+        _code, full, _err = _report(capsys, "analyze", source)
+        monkeypatch.setattr(projmap, "DEFAULT_DEGREE_CAP", cap)
+        code, report, err = _report(capsys, "analyze", source)
+        assert code == cli.EXIT_RESOURCE
+        assert report["map"]["note"] == note
+        assert err == f"error: {note.removeprefix('aborted: ')}\n"
+        full["map"]["note"] = note
+        full["bounds"]["closure"]["degree_cap"] = cap
+        full.update(tower=None, transversality=None, containment=None)
+        assert report == full
 
     def test_byte_determinism(self, capsys):
         _code, out1, _ = _run(capsys, "analyze", "catalog:fs-1992-a")
