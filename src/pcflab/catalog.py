@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly
-from .poly import HomPoly
 from .projmap import ProjectiveMap
 
 

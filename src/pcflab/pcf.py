@@ -110,10 +110,20 @@ def image_of_component(m: ProjectiveMap, c: Component) -> Component:
     image has degree at most d * deg c.  That solution M is square-free:
     were M = N^2 R with N not constant, the square-free c would divide
     (NR)∘f, a solution of lower degree.
+
+    On P^1 a linear component is a rational point p, and its image is the
+    point f(p), which :func:`poly.binary_image` evaluates exactly; the
+    linear form through f(p) is the solution of degree 1.  Only where f(p)
+    is the zero vector, so that f is not well defined at p, does the
+    linear system run, and it ends in ImageError.
     """
     if c.form.nvars != m.k + 1:
         raise PcfError("component lives in the wrong variable ring")
     nvars = m.k + 1
+    if nvars == 2 and c.linear:
+        u, v = poly.binary_image(m.comps, poly.root_of_binary_linear(c.form))
+        if u or v:
+            return Component(poly.canonical(poly.linear_form((v, -u))))
     # rem(f^a) for the exponent tuples a of one degree, each built as
     # rem(f^b) * f_i from a tuple b one degree lower.
     reduced = {(0,) * nvars: poly.constant(nvars, 1)}
@@ -265,6 +275,9 @@ class TowerEntry:
     verdict: str  # PCF | inconclusive(bound) | unsupported-nonlinear | terminal
     label: str
     period: int
+    # the forms f^j∘e of the embedding e, j = 0..k1 (projmap.restrict_iterate),
+    # for a restricted line; empty for every other entry
+    orbit: tuple
     graph: Optional[PostCriticalGraph] = None
 
 
@@ -290,7 +303,7 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
     for node in graph.periodic_nodes():
         if not node.linear:
             entries.append(TowerEntry(None, None, "unsupported-nonlinear",
-                                      poly.format_poly(node.form), graph.period[node]))
+                                      poly.format_poly(node.form), graph.period[node], ()))
             continue
         root = poly.root_of_binary_linear(node.form)
         coords = parent_embedding.apply(root) if parent_embedding else root
@@ -300,7 +313,7 @@ def _terminal_entries_p1(graph: PostCriticalGraph, ambient: int,
         seen.add(vec)
         emb = projmap.embedding_for_point(vec, ambient)
         entries.append(TowerEntry(emb, None, "terminal", _point_label(vec),
-                                  graph.period[node]))
+                                  graph.period[node], ()))
     return entries
 
 
@@ -312,11 +325,16 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
     Level 1 holds the periodic components of the supplied graph, each with
     the restriction of the appropriate iterate; deeper levels repeat the
     construction inside each restriction.  Non-linear periodic components
-    stop their branch with an explicit unsupported verdict.  Each
-    restriction g = f^k1|L is branched: ``restrict`` leaves g no common
-    factor, so g has degree D = d^k1 >= 2 (a map with d = 1 has no critical
-    component, so its tower is empty), and a zero Jacobian would make g0/g1
-    constant, a common factor; so the Jacobian has degree 2(D - 1) > 0.
+    stop their branch with an explicit unsupported verdict.  On P^2 the
+    degree d^k1 is checked against the cap first, whatever the nodes, and
+    each line L's restriction g = f^k1|L comes from
+    :func:`projmap.restrict_iterate`, which composes along L's orbit in
+    binary forms and builds no ternary iterate; the entry keeps that orbit
+    for :func:`restricted_critical_containment`.  Each g is branched: the
+    restriction leaves g no common factor, so g has degree D = d^k1 >= 2 (a
+    map with d = 1 has no critical component, so its tower is empty), and a
+    zero Jacobian would make g0/g1 constant, a common factor; so the
+    Jacobian has degree 2(D - 1) > 0.
     """
     periodic = graph.periodic_nodes()
     if not periodic:
@@ -327,18 +345,18 @@ def build_tower(m: ProjectiveMap, graph: PostCriticalGraph,
     if m.k != 2:
         raise PcfError(f"tower implemented for P^1 and P^2 only, not P^{m.k}")
 
-    big = projmap.iterate(m, k1)
+    projmap.check_iterate_degree(m, k1)
     entries = []
     for node in periodic:
         label, period = poly.format_poly(node.form), graph.period[node]
         if not node.linear:
-            entries.append(TowerEntry(None, None, "unsupported-nonlinear", label, period))
+            entries.append(TowerEntry(None, None, "unsupported-nonlinear", label, period, ()))
             continue
         emb = projmap.embedding_for_hyperplane(node.form)
-        g = projmap.restrict(big, emb, emb)
+        g, orbit = projmap.restrict_iterate(m, emb, k1)
         subgraph, verdict = postcritical_graph(g, max_iter, max_degree)
         entries.append(TowerEntry(emb, g, "PCF" if verdict.ok else "inconclusive(bound)",
-                                  label, period, subgraph))
+                                  label, period, orbit, subgraph))
     levels = [TowerLevel(1, k1, tuple(entries))]
 
     seen = set()
@@ -382,22 +400,22 @@ def _tangent(a: HomPoly, b: HomPoly) -> bool:
     return projmap.has_common_zero([a, b, *minors])
 
 
-def _pair_rank(a: HomPoly, b: HomPoly, point, tangent: bool) -> int:
+def _pair_rank(a: HomPoly, b: HomPoly, point, gradients) -> int:
     """Rank of the gradients of a and b at a point where both vanish.
 
     Exact at a rational point.  At a :class:`numeric.Point`, 2 for a pair
-    that is not tangent anywhere.  Otherwise each gradient is evaluated in
-    fixed point by compiled partials (:func:`numeric.direction`): the rank
-    counts the gradients that do not vanish, and is 1, not 2, when both
-    are one direction within dedup (:func:`numeric.same_point`).
+    that is not tangent anywhere, whose ``gradients`` are None.  Otherwise
+    ``gradients`` holds the compiled partials of a and of b, and each
+    gradient is evaluated in fixed point (:func:`numeric.direction`): the
+    rank counts the gradients that do not vanish, and is 1, not 2, when
+    both are one direction within dedup (:func:`numeric.same_point`).
     """
     if numeric.is_exact(point):
         return projmap.exact_rank([[poly.partial(f, j).evaluate(point) for j in range(3)]
                                    for f in (a, b)])
-    if not tangent:
+    if gradients is None:
         return 2
-    ga, gb = (numeric.direction(numeric.compile_forms([poly.partial(f, j) for j in range(3)]), point)
-              for f in (a, b))
+    ga, gb = (numeric.direction(g, point) for g in gradients)
     if ga is None or gb is None:
         return (ga is not None) + (gb is not None)
     return 1 if numeric.same_point(ga, gb) else 2
@@ -433,9 +451,13 @@ def weak_transversality(components: Sequence[Component],
     rational = sum(numeric.is_exact(pt) for pt, _pairs in points)
     evidence = []
     with mpmath.workprec(precision):
+        # the compiled partials of each member of a tangent pair, once
+        gradients = {i: numeric.compile_forms([poly.partial(forms[i], j) for j in range(3)])
+                     for i in sorted({i for pair in tangent for i in pair})}
         for pt, pairs in sorted(points[:rational]) + points[rational:]:
             members = tuple(sorted({i for pair in pairs for i in pair}))
-            least = min(_pair_rank(forms[i], forms[j], pt, (i, j) in tangent)
+            least = min(_pair_rank(forms[i], forms[j], pt,
+                                   (gradients[i], gradients[j]) if (i, j) in tangent else None)
                         for i, j in combinations(members, 2))
             label = _point_label(pt) if numeric.is_exact(pt) else numeric.format_point(pt, 12)
             evidence.append(IntersectionEvidence(label, members, least,
@@ -488,10 +510,13 @@ def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
     critical components of L's graph.  Step j = 0, 1, ... divides out of G
     its gcd with the product of c∘f^j∘e over the critical components c of
     f other than those containing f^j(L), and reports the gcd's pieces
-    with j and the component each divides.  The entry passes when G ends
-    constant; the rest of G is reported unmatched.  An entry with no
-    restricted map is vacuous; every g has a Jacobian of positive degree
-    (see :func:`build_tower`).
+    with j and the component each divides.  The forms f^j∘e are the
+    entry's orbit, which :func:`build_tower` kept from the restriction, so
+    nothing of m is composed again; they are f^j∘e up to a scalar, which
+    no gcd or division here sees.  The entry passes when G ends constant;
+    the rest of G is reported unmatched.  An entry with no restricted map
+    is vacuous; every g has a Jacobian of positive degree (see
+    :func:`build_tower`).
     """
     results = []
     for entry in level.entries:
@@ -499,15 +524,12 @@ def restricted_critical_containment(m: ProjectiveMap, level: TowerLevel,
             results.append((entry.label, "vacuous", ()))
             continue
         rest = prod(c.form for c in sorted(entry.graph.critical, key=_component_key))
-        orbit = [poly.linear_form(row) for row in entry.embedding.matrix]
         checks = []
         for step in range(level.k_m):
             if rest.is_constant():
                 break
-            if step:
-                orbit = [poly.compose(comp, orbit) for comp in m.comps]
             # A component containing f^j(L) vanishes there and is skipped.
-            pulled = [(c, q) for c in crit if (q := poly.compose(c.form, orbit))]
+            pulled = [(c, q) for c in crit if (q := poly.compose(c.form, entry.orbit[step]))]
             if not pulled:
                 continue
             # Exact divisions settle the usual cases without a gcd: the last

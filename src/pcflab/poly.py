@@ -494,6 +494,24 @@ def _binary_form(c: list) -> HomPoly:
     return HomPoly(2, d, {(i, d - i): Fraction(x) for i, x in enumerate(c) if x})
 
 
+def binary_image(forms: Sequence[HomPoly], point: Sequence) -> tuple:
+    """The image of a rational point of P^1 under binary forms of one
+    degree, in integers: the forms' values at the point's primitive
+    integer vector (a, b), times the forms' common denominator.  Each value
+    c_d a^d + c_(d-1) a^(d-1) b + ... + c_0 b^d is one dense Horner pass
+    in a over the integer coefficients, from c_d down."""
+    a, b = (int(x) for x in primitive_vector(point))
+    den = _denominator(*forms)
+    values = []
+    for p in forms:
+        acc, power = 0, 1  # power = b^(d - i) at coefficient i
+        for c in reversed(_binary_ints(p, den)):
+            acc = acc * a + c * power
+            power *= b
+        values.append(acc)
+    return tuple(values)
+
+
 def _trim(c: list) -> list:
     """Drop the zero top entries."""
     end = len(c)

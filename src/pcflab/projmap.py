@@ -421,6 +421,17 @@ def pairwise_intersections(forms: Sequence[HomPoly], precision: int):
 # -- iteration and calculus ---------------------------------------------------
 
 
+def check_iterate_degree(m: ProjectiveMap, n: int) -> None:
+    """Raise DegreeCapError when d^n, the degree of the n-th iterate,
+    exceeds DEFAULT_DEGREE_CAP, and MapError when n < 1."""
+    if n < 1:
+        raise MapError("iterate count must be >= 1")
+    if m.d**n > DEFAULT_DEGREE_CAP:
+        raise DegreeCapError(
+            f"degree {m.d}^{n} = {m.d**n} exceeds the cap {DEFAULT_DEGREE_CAP}"
+        )
+
+
 def iterate(m: ProjectiveMap, n: int) -> ProjectiveMap:
     """The n-th iterate as an explicit primitive tuple of forms.
 
@@ -431,12 +442,7 @@ def iterate(m: ProjectiveMap, n: int) -> ProjectiveMap:
     no polynomial gcd is taken.  Raises DegreeCapError when d^n exceeds
     DEFAULT_DEGREE_CAP.
     """
-    if n < 1:
-        raise MapError("iterate count must be >= 1")
-    if m.d**n > DEFAULT_DEGREE_CAP:
-        raise DegreeCapError(
-            f"degree {m.d}^{n} = {m.d**n} exceeds the cap {DEFAULT_DEGREE_CAP}"
-        )
+    check_iterate_degree(m, n)
     current = m
     for _ in range(n - 1):
         comps = [poly.compose(c, current.comps) for c in m.comps]
@@ -465,33 +471,29 @@ def p1_degree(m: ProjectiveMap) -> int:
     return comps[0].degree
 
 
-def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding) -> ProjectiveMap:
-    """The map g on P^r with target * g = m * source, solved exactly.
-
-    Write h for the forms m * source.  For each monomial e of h, the
-    coefficients g_e solve target * g_e = h_e, and one echelon
-    (:func:`poly.echelon`) of the rows [target | h] serves every e.  The target
-    has full column rank, so its r + 1 columns hold the first pivots.  A
-    further pivot lies in the column of a monomial e whose system has no
-    solution: the image of the source subspace does not lie in the target
-    subspace, and RestrictionError names e.  Otherwise back-substitution
-    gives D * g_e in integers, D the last pivot, and the common factor D
-    goes with the scalar normalization.
-
-    Precondition: m is well-defined (as certified by ``validate``).  Then g
-    has no common factor, because a factor would vanish at some point of
-    P^r whose image under the source embedding is a common zero of m.  So
-    only the scalar content is normalized; no polynomial gcd is taken.
-    """
+def _check_subspaces(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding) -> None:
+    """Raise MapError unless m may be restricted from source to target."""
     if source.ambient_dim != m.k or target.ambient_dim != m.k:
         raise MapError("embedding ambient dimension does not match the map")
     if source.source_dim != target.source_dim:
         raise MapError("source and target subspaces must share a dimension")
-    n = source.source_dim + 1
-    if n < 2:
+    if source.source_dim < 1:
         raise MapError("restriction to a point has no polynomial model")
-    subs = [poly.linear_form(row) for row in source.matrix]
-    pushed = [poly.compose(c, subs) for c in m.comps]
+
+
+def _solve_restriction(pushed: Sequence[HomPoly], target: LinearEmbedding) -> ProjectiveMap:
+    """The map g on P^r with target * g = pushed, solved exactly.
+
+    For each monomial e of the forms ``pushed``, the coefficients g_e solve
+    target * g_e = pushed_e, and one echelon (:func:`poly.echelon`) of the
+    rows [target | pushed] serves every e.  The target has full column
+    rank, so its r + 1 columns hold the first pivots.  A further pivot lies
+    in the column of a monomial e whose system has no solution, and
+    RestrictionError names e.  Otherwise back-substitution gives D * g_e in
+    integers, D the last pivot, and the common factor D goes with the
+    scalar normalization, which is all the normalization g gets.
+    """
+    n = target.source_dim + 1
     exponents = sorted({e for q in pushed for e in q.terms})
     pivots, echelon, _sign = poly.echelon(_integer_rows(
         [list(row) + [q.terms.get(e, 0) for e in exponents]
@@ -506,5 +508,44 @@ def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding)
         for a in range(n):
             if g_e[a]:
                 new_terms[a][e] = g_e[a]
-    comps = [HomPoly(n, m.d, t) for t in new_terms]
+    comps = [HomPoly(n, pushed[0].degree, t) for t in new_terms]
     return ProjectiveMap(_normalize_scalars(comps))
+
+
+def restrict(m: ProjectiveMap, source: LinearEmbedding, target: LinearEmbedding) -> ProjectiveMap:
+    """The map g on P^r with target * g = m * source, solved exactly.
+
+    The forms m * source are solved for g by :func:`_solve_restriction`,
+    whose RestrictionError means that the image of the source subspace
+    does not lie in the target subspace.
+
+    Precondition: m is well-defined (as certified by ``validate``).  Then g
+    has no common factor, because a factor would vanish at some point of
+    P^r whose image under the source embedding is a common zero of m.  So
+    only the scalar content is normalized; no polynomial gcd is taken.
+    """
+    _check_subspaces(m, source, target)
+    subs = [poly.linear_form(row) for row in source.matrix]
+    return _solve_restriction([poly.compose(c, subs) for c in m.comps], target)
+
+
+def restrict_iterate(m: ProjectiveMap, emb: LinearEmbedding, n: int):
+    """The restriction f^n|L to an invariant subspace L, and L's orbit.
+
+    For a well-defined m (the precondition of :func:`restrict`), returns
+    ``(g, orbit)``: g equals ``restrict(iterate(m, n), emb, emb)``, and
+    orbit[j] is the tuple of forms f^j∘e, j = 0, ..., n, e the linear forms
+    of ``emb``.  Each step composes m's components with the forms of the
+    step before, forms in the r + 1 variables of L, so no iterate of m is
+    built.  No step is normalized: the components of f^(n-1) that
+    ``iterate`` composes are those of m∘...∘m up to a scalar, which
+    :func:`_solve_restriction` normalizes away with D.  Raises
+    DegreeCapError as :func:`iterate` does, and RestrictionError when f^n
+    does not map L into itself.
+    """
+    check_iterate_degree(m, n)
+    _check_subspaces(m, emb, emb)
+    orbit = [tuple(poly.linear_form(row) for row in emb.matrix)]
+    for _ in range(n):
+        orbit.append(tuple(poly.compose(c, orbit[-1]) for c in m.comps))
+    return _solve_restriction(orbit[-1], emb), tuple(orbit)

@@ -615,6 +615,111 @@ def suite_iterate_additivity(n=500, seed=201):
     return count
 
 
+def _proportional(a, b) -> bool:
+    """Whether two tuples of forms are one nonzero rational multiple of each other."""
+    ka = next(k for k, q in enumerate(a) if q)
+    e, x = next(iter(a[ka].terms.items()))
+    y = b[ka].terms.get(e)
+    return y is not None and tuple(b) == tuple(q.scale(y / x) for q in a)
+
+
+def sym2_map():
+    """Sym^2 of z -> z^2 - 2 on P^2, (x^2 : y^2 - 2xz : z^2)."""
+    x, y, z = (poly.variable(3, i) for i in range(3))
+    return projmap.ProjectiveMap([x * x, y * y - 2 * x * z, z * z])
+
+
+def suite_restrict_iterate(conjugates=4, seed=203):
+    """restrict_iterate against the restriction of the ternary iterate.
+
+    On squaring-p2, fs-1992-a, Sym^2 and ``conjugates`` seeded conjugates
+    of each, for every periodic line L (embedding e) and n = 1, 2, 3:
+    restrict_iterate(m, e, n) raises RestrictionError exactly when
+    restrict(iterate(m, n), e, e) does, and otherwise returns that map,
+    with orbit[j] a multiple of the components of iterate(m, j) composed
+    with e (orbit[0] is e itself).  Returns the number of (map, line, n)
+    instances checked.
+    """
+    from pcflab import catalog
+    rng = random.Random(seed)
+    bases = [catalog.get("squaring-p2").map, catalog.get("fs-1992-a").map, sym2_map()]
+    maps = bases + [conjugate(m, _random_invertible(rng, 3))
+                    for m in bases for _ in range(conjugates)]
+    count = 0
+    for m in maps:
+        m = projmap.validate(m).map
+        graph, verdict = pcf.postcritical_graph(m)
+        assert verdict.ok
+        for node in graph.periodic_nodes():
+            if not node.linear:
+                continue
+            emb = projmap.embedding_for_hyperplane(node.form)
+            subs = [poly.linear_form(row) for row in emb.matrix]
+            for n in (1, 2, 3):
+                try:
+                    want = projmap.restrict(projmap.iterate(m, n), emb, emb)
+                except projmap.RestrictionError:
+                    want = None
+                try:
+                    got, orbit = projmap.restrict_iterate(m, emb, n)
+                except projmap.RestrictionError:
+                    assert want is None, (m, node.form, n)
+                    count += 1
+                    continue
+                assert got == want, (m, node.form, n)
+                assert len(orbit) == n + 1 and orbit[0] == tuple(subs)
+                for j in range(1, n + 1):
+                    big = projmap.iterate(m, j)
+                    assert _proportional(orbit[j], [poly.compose(c, subs) for c in big.comps]), \
+                        (m, node.form, n, j)
+                count += 1
+    return count
+
+
+def reference_image(m, c):
+    """The image of a component by the least-degree M with c | M∘f, solved
+    as a linear system over the monomials of each degree in turn: the
+    route of pcf.image_of_component for every component."""
+    nvars = m.k + 1
+    reduced = {(0,) * nvars: poly.constant(nvars, 1)}
+    for delta in range(1, m.d * c.form.degree + 1):
+        below, reduced = reduced, {}
+        for b, r in below.items():
+            for i, comp in enumerate(m.comps):
+                a = b[:i] + (b[i] + 1,) + b[i + 1:]
+                if a not in reduced:
+                    reduced[a] = poly.remainder(r * comp, c.form)
+        columns = [r.terms for r in reduced.values()]
+        rows = sorted(set().union(*columns))
+        kernel = projmap.nullspace_basis([[col.get(e, 0) for col in columns] for e in rows])
+        if kernel:
+            return poly.canonical(poly.HomPoly(nvars, delta, dict(zip(reduced, kernel[0]))))
+    return None
+
+
+def suite_point_images_p1(n=500, seed=204):
+    """On seeded maps of P^1 of degree 2 to 4, with fractional coefficients,
+    the image of a rational point (a linear component) from
+    pcf.image_of_component equals the linear-system image of
+    :func:`reference_image`.  Returns the number of points checked."""
+    rng = random.Random(seed)
+    count = 0
+    while count < n:
+        m = conjugate(random_triangular_map(rng, 1, rng.randint(2, 4)),
+                      _random_invertible(rng, 2))
+        vr = projmap.validate(m)
+        if not vr.ok:
+            continue
+        # a second component over a denominator, which the evaluation clears
+        m = projmap.ProjectiveMap([vr.map.comps[0],
+                                   vr.map.comps[1].scale(Fraction(1, rng.randint(1, 5)))])
+        for _ in range(4):
+            c = make_component(random_linear(rng, 2))
+            assert pcf.image_of_component(m, c).form == reference_image(m, c), (m, c.form)
+            count += 1
+    return count
+
+
 def suite_p1_degree_power(n=500, seed=202):
     rng = random.Random(seed)
     count = 0

@@ -377,6 +377,27 @@ class TestWeakTransversality:
         assert not any(ev.exact for ev in report.evidence)
         assert report.witness == report.evidence[0].point
 
+    def test_gradients_compiled_once_per_component(self, monkeypatch):
+        # The quartic and y meet at two irrational points, (±√2 : 0 : 1),
+        # and each member's partials are compiled once for both.  The pair
+        # solver compiles binary slices too; only the plane forms count.
+        quartic = ps.make_component(_p(3, 4, {(0, 2, 2): 1, (4, 0, 0): -1,
+                                               (2, 0, 2): 4, (0, 0, 4): -4}))
+        line = _line([0, 1, 0])
+        compiled, real = [], numeric.compile_forms
+
+        def counting(forms):
+            if forms[0].nvars == 3:
+                compiled.append(tuple(forms))
+            return real(forms)
+
+        monkeypatch.setattr(numeric, "compile_forms", counting)
+        report = pcf.weak_transversality([quartic, line])
+        assert [ev.rank_at_point for ev in report.evidence] == [1, 1]
+        assert not any(ev.exact for ev in report.evidence)
+        assert compiled == [tuple(poly.partial(c.form, j) for j in range(3))
+                            for c in (quartic, line)]
+
     def test_tangency_where_the_eliminant_is_simple(self):
         # x meets y^2 z - x^3 - x z^2 twice at (0:0:1), though the
         # eliminant, x itself, has a simple root there: the rank decides.
@@ -490,11 +511,21 @@ def _containment(m):
     return pcf.restricted_critical_containment(m, levels[0], crit)
 
 
-def _entry(emb, g, label, period):
+def _orbit(m, emb, n):
+    """The forms f^j∘e of the embedding e, j = 0..n, composed one step at a
+    time and not normalized: the orbit a tower entry keeps, up to scalars."""
+    orbit = [tuple(poly.linear_form(row) for row in emb.matrix)]
+    for _ in range(n):
+        orbit.append(tuple(poly.compose(c, orbit[-1]) for c in m.comps))
+    return tuple(orbit)
+
+
+def _entry(m, emb, g, label, period):
     """A level-1 tower entry for the restriction g as build_tower makes it,
-    with g's post-critical graph, whose critical components the
-    containment check reads."""
-    return pcf.TowerEntry(emb, g, "PCF", label, period, pcf.postcritical_graph(g)[0])
+    with the orbit of the line under m through ``period`` steps and g's
+    post-critical graph, which the containment check reads."""
+    return pcf.TowerEntry(emb, g, "PCF", label, period, _orbit(m, emb, period),
+                          pcf.postcritical_graph(g)[0])
 
 
 def _matches(report):
@@ -558,7 +589,7 @@ class TestContainment:
             entries = []
             for form in (X, Y):
                 emb = projmap.embedding_for_hyperplane(form)
-                entries.append(_entry(emb, projmap.restrict(big, emb, emb), str(form), 2))
+                entries.append(_entry(m, emb, projmap.restrict(big, emb, emb), str(form), 2))
             level = pcf.TowerLevel(1, 2, tuple(entries))
             report = pcf.restricted_critical_containment(
                 m, level, pcf.critical_components(m))
@@ -579,7 +610,7 @@ class TestContainment:
         entry = pcf.build_tower(m, graph)[0].entries[0]
         fakes = (projmap.ProjectiveMap([S * S, (S - T) * (S - T)]),
                  projmap.ProjectiveMap([S * S - 2 * T * T, S * T]))
-        level = pcf.TowerLevel(1, 2, tuple(_entry(entry.embedding, g, entry.label, entry.period)
+        level = pcf.TowerLevel(1, 2, tuple(_entry(m, entry.embedding, g, entry.label, entry.period)
                                            for g in fakes))
         report = pcf.restricted_critical_containment(m, level,
                                                      pcf.critical_components(m))
@@ -598,7 +629,7 @@ class TestContainment:
         conic = ps.make_component(4 * X * Z - Y * Y)
         emb = projmap.embedding_for_hyperplane(Y)
         fake = projmap.ProjectiveMap([S * S - 2 * T * T, S * T])
-        level = pcf.TowerLevel(1, 2, (_entry(emb, fake, "y", 2),))
+        level = pcf.TowerLevel(1, 2, (_entry(sym2, emb, fake, "y", 2),))
         crit = tuple(ps.make_component(v) for v in (X, Y, Z)) + (conic,)
         report = pcf.restricted_critical_containment(sym2, level, crit)
         assert _matches(report) == {"y": ("fail", [("s^2 + 2*t^2", None, None)])}
@@ -652,3 +683,6 @@ class TestRandomizedLaws:
 
     def test_image_route_agreement(self):
         assert ps.suite_image_agreement(n=60) == 60
+
+    def test_point_images_against_the_linear_system(self):
+        assert ps.suite_point_images_p1(n=500) == 500

@@ -164,6 +164,27 @@ class TestDivisionAndGcd:
         assert poly.gcd(u * u * v, u * w * w) == poly.canonical(u)
 
 
+class TestBinaryImage:
+    def test_values_over_the_common_denominator(self):
+        # (s^2 + t^2/2 : 3st) at (1/2 : 1), whose primitive vector is (1, 2):
+        # the values 3 and 6, times the denominator 2.
+        forms = [_p(2, 2, {X2: 1, Y2: Fraction(1, 2)}), _p(2, 2, {XY: 3})]
+        assert poly.binary_image(forms, (Fraction(1, 2), Fraction(1))) == (6, 12)
+
+    def test_agrees_with_evaluate(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            d = rng.randint(0, 6)
+            forms = [ps.random_form(rng, 2, d, max_terms=d + 1, allow_fractions=True)
+                     for _ in range(2)]
+            pt = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(1, 5)))
+            got = poly.binary_image(forms, pt)
+            want = [f.evaluate(poly.primitive_vector(pt)) for f in forms]
+            den = got[0] / want[0] if want[0] else got[1] / want[1] if want[1] else 1
+            assert den.denominator == 1 and den > 0
+            assert list(got) == [w * den for w in want]
+
+
 class TestDenseBinary:
     """The dense path of binary gcd, square-free part and composition.
 

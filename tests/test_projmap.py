@@ -455,6 +455,41 @@ class TestRestrict:
             assert g.d == 2
 
 
+    def test_restrict_iterate_along_the_three_line_cycle(self):
+        # f^3 fixes y = z; its restriction comes from the line's orbit in
+        # binary forms of degrees 1, 2, 4 and 8, each f of the one before.
+        m = _fs()
+        line = projmap.embedding_for_hyperplane(poly.linear_form([0, 1, -1]))
+        g, orbit = projmap.restrict_iterate(m, line, 3)
+        assert g == projmap.restrict(projmap.iterate(m, 3), line, line)
+        assert orbit[0] == tuple(poly.linear_form(row) for row in line.matrix)
+        assert [[q.nvars for q in step] for step in orbit] == [[2, 2, 2]] * 4
+        assert [step[0].degree for step in orbit] == [1, 2, 4, 8]
+        for before, after in zip(orbit, orbit[1:]):
+            assert after == tuple(poly.compose(c, before) for c in m.comps)
+
+    def test_restrict_iterate_off_the_cycle_raises(self):
+        # f maps y = z onto x = y, so only f^3 and its powers fix it.
+        m = _fs()
+        line = projmap.embedding_for_hyperplane(poly.linear_form([0, 1, -1]))
+        for n in (1, 2):
+            with pytest.raises(projmap.RestrictionError):
+                projmap.restrict_iterate(m, line, n)
+
+    def test_restrict_iterate_checks_the_cap_first(self, monkeypatch):
+        m = _fs()
+        line = projmap.embedding_for_hyperplane(poly.linear_form([0, 1, -1]))
+        monkeypatch.setattr(projmap, "DEFAULT_DEGREE_CAP", 7)
+        with pytest.raises(projmap.DegreeCapError, match=re.escape("degree 2^3 = 8 exceeds the cap 7")):
+            projmap.restrict_iterate(m, line, 3)
+        with pytest.raises(projmap.MapError):
+            projmap.restrict_iterate(m, line, 0)
+
+    def test_restrict_iterate_to_a_point_rejected(self):
+        pt = projmap.embedding_for_point([Fraction(1), Fraction(0), Fraction(0)], 2)
+        with pytest.raises(projmap.MapError):
+            projmap.restrict_iterate(_squaring_p2(), pt, 1)
+
     def test_seeded_restrictions_match_rref(self):
         # m is built so that m * S = T * g for random embeddings S, T and
         # forms g; a perturbed m may leave the target.  The oracle reduces
@@ -671,3 +706,8 @@ class TestRandomizedLaws:
 
     def test_p1_degree_power_law(self):
         assert ps.suite_p1_degree_power(n=60) == 60
+
+    def test_restrict_iterate_against_the_iterate(self):
+        # 3 base maps and 4 conjugates of each, 8 periodic lines per base
+        # map, n = 1, 2, 3
+        assert ps.suite_restrict_iterate() == 120
